@@ -18,7 +18,8 @@ import numpy as np
 
 from repro import BatchSolver, ResultCache, solve_many
 from repro.algorithms import averaged_work_bound
-from repro.engine import DEFAULT_PORTFOLIO, solve_hypergraph
+from repro.api import get_registry
+from repro.engine import solve_hypergraph
 from repro.generators import generate_multiproc
 
 
@@ -48,7 +49,7 @@ def main() -> None:
 
     workload = make_workload(n_instances)
     print(f"workload: {n_instances} instances, "
-          f"portfolio = {', '.join(DEFAULT_PORTFOLIO)}")
+          f"portfolio = {', '.join(get_registry().default_portfolio())}")
 
     # --- one call solves everything, portfolio-raced per instance -----
     t0 = time.perf_counter()

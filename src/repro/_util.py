@@ -1,14 +1,24 @@
-"""Small shared utilities: RNG normalisation, timing, array helpers."""
+"""Small shared utilities: RNG normalisation, timing, array helpers and
+the bounded LRU every cache in the package is built on."""
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
-__all__ = ["as_rng", "Timer", "check_1d_int", "stable_argsort"]
+__all__ = [
+    "as_rng",
+    "Timer",
+    "check_1d_int",
+    "stable_argsort",
+    "BoundedLRU",
+]
 
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -63,3 +73,103 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """Stable argsort (mergesort) — deterministic tie order matters for
     reproducing the paper's greedy visit orders."""
     return np.argsort(keys, kind="stable")
+
+
+class BoundedLRU:
+    """Thread-safe LRU map bounded by entry count and, optionally, bytes.
+
+    ``sizeof(value)`` prices each value against ``max_bytes``.  Inserting
+    evicts least-recently-used entries until both caps hold, except that
+    the newest entry always survives: one over-budget value is kept, not
+    refused.  ``on_evict(key, value)`` runs for every capacity eviction,
+    after the lock is released; :meth:`pop` and :meth:`clear` are
+    explicit removals and do not call it.
+    """
+
+    def __init__(
+        self,
+        max_entries: int,
+        *,
+        max_bytes: int | None = None,
+        sizeof: Callable[[Any], int] | None = None,
+        on_evict: Callable[[Hashable, Any], None] | None = None,
+    ):
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
+        if max_bytes is not None and sizeof is None:
+            raise ValueError("max_bytes needs a sizeof function")
+        self.max_entries = int(max_entries)
+        self._max_bytes = float("inf") if max_bytes is None else max_bytes
+        self._sizeof = sizeof
+        self._on_evict = on_evict
+        self._data: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        self._lock = threading.Lock()
+        self._nbytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
+
+    def get(self, key: Hashable) -> Any:
+        """The value for ``key`` (refreshing its recency), or None;
+        counts a hit or a miss."""
+        with self._lock:
+            entry = self._data.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._data.move_to_end(key)
+            self.hits += 1
+            return entry[0]
+
+    def put(self, key: Hashable, value: Any) -> int:
+        """Insert or replace ``key`` as the most recent entry; returns
+        how many entries were evicted to make room."""
+        size = self._sizeof(value) if self._sizeof is not None else 0
+        victims = []
+        with self._lock:
+            old = self._data.pop(key, None)
+            if old is not None:
+                self._nbytes -= old[1]
+            self._data[key] = (value, size)
+            self._nbytes += size
+            while len(self._data) > 1 and (
+                len(self._data) > self.max_entries
+                or self._nbytes > self._max_bytes
+            ):
+                victim, (vvalue, vsize) = self._data.popitem(last=False)
+                self._nbytes -= vsize
+                victims.append((victim, vvalue))
+        if self._on_evict is not None:
+            for victim, vvalue in victims:
+                self._on_evict(victim, vvalue)
+        return len(victims)
+
+    def pop(self, key: Hashable) -> Any:
+        """Remove ``key`` and return its value (None when absent)."""
+        with self._lock:
+            entry = self._data.pop(key, None)
+            if entry is None:
+                return None
+            self._nbytes -= entry[1]
+            return entry[0]
+
+    def clear(self) -> None:
+        """Drop every entry and reset the hit/miss counters."""
+        with self._lock:
+            self._data.clear()
+            self._nbytes = 0
+            self.hits = 0
+            self.misses = 0
+
+    def stats(self) -> dict[str, int]:
+        """``{"entries", "bytes", "hits", "misses"}`` snapshot."""
+        with self._lock:
+            return {
+                "entries": len(self._data),
+                "bytes": self._nbytes,
+                "hits": self.hits,
+                "misses": self.misses,
+            }

@@ -34,22 +34,6 @@ from .lower_bounds import (
     critical_task_bound,
     lp_relaxation_bound,
 )
-_DEPRECATED_REGISTRY_NAMES = (
-    "BIPARTITE_ALGORITHMS",
-    "HYPERGRAPH_ALGORITHMS",
-    "get_bipartite_algorithm",
-    "get_hypergraph_algorithm",
-)
-
-
-def __getattr__(name: str):
-    # the legacy registry surface is loaded lazily so that merely
-    # importing repro.algorithms never emits its DeprecationWarning
-    if name in _DEPRECATED_REGISTRY_NAMES:
-        from . import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "grasp",
@@ -90,8 +74,4 @@ __all__ = [
     "critical_task_bound",
     "combined_bound",
     "lp_relaxation_bound",
-    "BIPARTITE_ALGORITHMS",
-    "HYPERGRAPH_ALGORITHMS",
-    "get_bipartite_algorithm",
-    "get_hypergraph_algorithm",
 ]

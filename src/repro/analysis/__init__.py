@@ -26,8 +26,6 @@ Rules
     ``register_solver`` flag consistency, coded exceptions across the
     service boundary, and API.md's registry/error-code tables versus
     the live code.
-``deprecation``
-    Internal imports of the warn-once legacy shims.
 ``span-hygiene``
     Tracing discipline: manual ``.start()``/``.end()`` span lifetimes
     (use ``with span(...)``), and span-factory calls in kernel-domain
@@ -60,7 +58,6 @@ from .core import (
     format_json,
     format_text,
 )
-from .deprecation import DeprecationRule
 from .lockguard import LockGuardRule
 from .purity import KernelPurityRule
 from .spanhygiene import SpanHygieneRule
@@ -85,7 +82,6 @@ ALL_RULES: tuple[Rule, ...] = (
     AsyncBlockingRule(),
     KernelPurityRule(),
     ContractSyncRule(),
-    DeprecationRule(),
     SpanHygieneRule(),
 )
 

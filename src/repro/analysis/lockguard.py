@@ -16,14 +16,13 @@ This rule recovers that contract by inference instead of annotation:
 ``__init__``/``__post_init__`` are construction (no concurrent reader
 can exist yet) and are exempt.  Methods named ``*_locked`` follow the
 repo convention of "caller holds the lock" and count as locked
-context — :meth:`ExportRegistry._evict_idle_locked` and the kernel
-caches' ``_cache_insert_locked`` rely on this.
+context — :meth:`ExportRegistry._evict_idle_locked` relies on this.
 
 The same inference runs at module scope: modules that create a
-module-level lock (the kernel compile cache, the chain-alias cache,
-the warm-engine table) get their guarded *globals* inferred from
-``with <LOCK>:`` blocks, with ``symtable`` deciding whether a name in
-a function is actually the module global or a shadowing local.
+module-level lock (the warm-engine table, the default metrics registry)
+get their guarded *globals* inferred from ``with <LOCK>:`` blocks,
+with ``symtable`` deciding whether a name in a function is actually
+the module global or a shadowing local.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 One declarative :class:`SolverRegistry` replaces the old pair of
 name→callable dicts and the if/elif dispatch chains: every algorithm
 self-registers with :func:`register_solver`, declaring its domain,
-capabilities and auto-selection traits, and ``known_methods()`` /
-``DEFAULT_PORTFOLIO`` are *generated* from that metadata.
+capabilities and auto-selection traits, and ``known_methods()`` and
+the default portfolio are *generated* from that metadata.
 
 Requests are typed: a frozen :class:`SolveOptions` (method expression,
 refinement, seed, portfolio, time budget) normalizes to one canonical

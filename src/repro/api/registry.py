@@ -17,7 +17,7 @@ Every algorithm the package can dispatch to self-registers here via the
   registry query for the instance's trait;
 * whether it belongs in the **default portfolio**.
 
-``known_methods()`` and ``DEFAULT_PORTFOLIO`` are generated from the
+``known_methods()`` and ``default_portfolio()`` are generated from the
 registry, so registering a solver makes it instantly usable in
 ``solve``, portfolio mode, sweeps and the CLI with no dispatch edits.
 """

@@ -160,20 +160,13 @@ class DynamicInstance:
         self._compiled: tuple[int, CompiledInstance] | None = None
         self._digest: tuple[int, str] | None = None
         self._listeners: list = []
-        # incremental compilation (see repro.kernels.patch): the
-        # patcher trails the journal; its emitted artifact is cached by
-        # version and re-keyed by chain digests for cross-instance reuse
+        # incremental compilation (see repro.kernels.patch): the patcher
+        # trails the journal; its emitted artifact is cached by version
         self._patching = bool(patching)
         self._patcher = None
         self._patcher_pos = 0
         self._artifact = None  # (version, PatchedCompilation)
-        self._chain: list[str] | None = None
-        self._chain_base = 0
-        self._compile_stats = {
-            "full_builds": 0,
-            "compactions": 0,
-            "alias_hits": 0,
-        }
+        self._compile_stats = {"full_builds": 0, "compactions": 0}
 
     # ------------------------------------------------------------------
     # change notification
@@ -512,13 +505,6 @@ class DynamicInstance:
             # lazily; a patcher that had not caught up yet stays valid
             if self._patcher is not None and self._patcher_pos > marker:
                 self._patcher = None
-            # chain digests past the marker describe rewritten history
-            if self._chain is not None:
-                keep = marker - self._chain_base + 1
-                if keep < 1:
-                    self._chain = None
-                elif len(self._chain) > keep:
-                    del self._chain[keep:]
             self._bump()
             self._notify()
         return undone
@@ -697,15 +683,10 @@ class DynamicInstance:
 
     def _patched(self):
         """The current :class:`~repro.kernels.PatchedCompilation`
-        (cached by version): catch the patcher up with the journal,
-        rebuild it when compaction pressure or a rollback demands, and
-        answer from the chain-alias cache when another instance already
-        emitted this exact content."""
+        (cached by version): catch the patcher up with the journal and
+        rebuild it when compaction pressure or a rollback demands."""
         if self._artifact is not None and self._artifact[0] == self._version:
             return self._artifact[1]
-        from ..engine.cache import patched_digest
-        from ..kernels.patch import lookup_patched, register_patched
-
         journal = self.journal
         if self._patcher is None or self._patcher_pos > len(journal):
             self._rebuild_patcher()
@@ -716,32 +697,7 @@ class DynamicInstance:
             if self._patcher.needs_compaction:
                 self._compile_stats["compactions"] += 1
                 self._rebuild_patcher()
-        # extend the chain to the journal head (chain digests depend on
-        # the base content and the mutation records alone, so this is
-        # independent of patcher state)
-        if self._chain is not None:
-            covered = self._chain_base + len(self._chain) - 1
-            for m in journal.entries_since(covered):
-                self._chain.append(patched_digest(self._chain[-1], (m,)))
-        chain_key = self._chain[-1] if self._chain else None
-        artifact = (
-            lookup_patched(chain_key) if chain_key is not None else None
-        )
-        if artifact is not None:
-            self._patcher.adopt(artifact)
-            self._compile_stats["alias_hits"] += 1
-        else:
-            artifact = self._patcher.emit()
-            if chain_key is not None:
-                register_patched(chain_key, artifact)
-        if self._chain is None:
-            # (re)anchor the chain at the current content: chain[0] is
-            # the handle-aware anchor digest, so equal baselines on
-            # other instances produce the same chain values
-            anchor = artifact.anchor_digest()
-            self._chain = [anchor]
-            self._chain_base = len(journal)
-            register_patched(anchor, artifact)
+        artifact = self._patcher.emit()
         self._artifact = (self._version, artifact)
         return artifact
 
@@ -758,23 +714,14 @@ class DynamicInstance:
 
     def compile_stats(self) -> dict[str, int]:
         """Observable compile-path counters: ``full_builds`` (patcher
-        builds from state), ``compactions``, ``alias_hits`` (chain-alias
-        cache answers), plus the patcher's own emission counters."""
-        out = dict(self._compile_stats)
-        if self._patcher is not None:
-            out.update(self._patcher.stats.as_dict())
-        else:
-            out.update(
-                {
-                    "mutations": 0,
-                    "emits_full": 0,
-                    "emits_weight": 0,
-                    "emits_delta": 0,
-                    "reused": 0,
-                    "adopted": 0,
-                }
-            )
-        return out
+        builds from state), ``compactions``, plus the patcher's own
+        emission counters."""
+        from ..kernels.patch import PatchStats
+
+        patch = (
+            self._patcher.stats if self._patcher is not None else PatchStats()
+        )
+        return {**self._compile_stats, **patch.as_dict()}
 
     def to_hypergraph(self) -> TaskHypergraph:
         """The current state as an immutable :class:`TaskHypergraph`."""

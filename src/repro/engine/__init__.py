@@ -11,18 +11,13 @@
   both :func:`repro.sched.solve` and the pool workers execute, driven by
   the :mod:`repro.api` solver registry.
 
-``DEFAULT_PORTFOLIO`` and ``known_methods()`` are generated from the
+``known_methods()`` and the default portfolio line-up
+(``get_registry().default_portfolio()``) are generated from the
 registry, so a newly registered solver is instantly usable here.
 """
 
 from .batch import BatchSolver, default_cache, default_engine, solve_many
-from .cache import (
-    CachedSolve,
-    ResultCache,
-    instance_digest,
-    patched_digest,
-    solve_key,
-)
+from .cache import CachedSolve, ResultCache, instance_digest
 from .dispatch import (
     known_methods,
     solve_hypergraph,
@@ -38,20 +33,9 @@ __all__ = [
     "ResultCache",
     "CachedSolve",
     "instance_digest",
-    "patched_digest",
-    "solve_key",
-    "DEFAULT_PORTFOLIO",
     "known_methods",
     "solve_hypergraph",
     "solve_hypergraph_outcome",
     "solve_portfolio",
 ]
 
-
-def __getattr__(name: str):
-    if name == "DEFAULT_PORTFOLIO":
-        # generated from solver metadata on every access (see dispatch)
-        from . import dispatch
-
-        return dispatch.DEFAULT_PORTFOLIO
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

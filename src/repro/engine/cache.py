@@ -24,24 +24,15 @@ sweeps (``experiments.sweep``, the Table I–III harness) never recompute.
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
-from collections import OrderedDict
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from ..api.options import SolveOptions
+from .._util import BoundedLRU
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 
-__all__ = [
-    "CachedSolve",
-    "ResultCache",
-    "instance_digest",
-    "patched_digest",
-    "solve_key",
-]
+__all__ = ["CachedSolve", "ResultCache", "instance_digest"]
 
 
 def instance_digest(hg: TaskHypergraph) -> str:
@@ -76,58 +67,6 @@ def instance_digest(hg: TaskHypergraph) -> str:
     return digest
 
 
-def patched_digest(base_digest: str, mutations: Iterable) -> str:
-    """Digest of *base content + a mutation suffix* — the patch-aware
-    compile-cache key.
-
-    Equal base digests plus equal mutation records imply equal patched
-    content, so the kernel layer's chain-alias cache
-    (:mod:`repro.kernels.patch`) can answer a patched compilation
-    without emitting it — e.g. two sessions replaying one trace over
-    the same baseline.  Mutations hash through their canonical wire
-    form (``Mutation.to_dict()``; plain dicts pass through), sorted-key
-    JSON, so replay and in-process histories agree.
-
-    This digest names a *derivation*, not content alone — never use it
-    to key the :class:`ResultCache`, whose equal-content-equal-key
-    guarantee requires pure content digests.
-    """
-    h = hashlib.sha256()
-    h.update(b"patch:")
-    h.update(base_digest.encode())
-    for m in mutations:
-        rec = m.to_dict() if hasattr(m, "to_dict") else m
-        h.update(b"|")
-        h.update(
-            json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
-        )
-    return h.hexdigest()
-
-
-def solve_key(
-    hg: TaskHypergraph,
-    method: str | None = None,
-    refine: bool = False,
-    portfolio: Sequence[str] | None = None,
-    seed: int = 0,
-    *,
-    options: SolveOptions | None = None,
-) -> tuple:
-    """The full cache key for solving ``hg`` under these options.
-
-    Pass a prepared :class:`SolveOptions` via ``options=`` (preferred)
-    or the historical positional fields; both canonicalize identically.
-    """
-    if options is None:
-        options = SolveOptions(
-            method=method if method is not None else "auto",
-            refine=refine,
-            portfolio=tuple(portfolio) if portfolio is not None else None,
-            seed=seed,
-        )
-    return (instance_digest(hg), *options.cache_token())
-
-
 class CachedSolve(NamedTuple):
     """One cache hit: the assignment plus its provenance metadata."""
 
@@ -146,44 +85,43 @@ class ResultCache:
     Concurrency contract (exercised by the thread-pool path of
     :meth:`BatchSolver.solve_many` and the service's executor threads,
     pinned by a stress regression test in ``tests/test_engine.py``):
-    every structural operation — lookup + LRU ``move_to_end``, insert +
-    eviction loop, ``clear`` — and every counter update runs under
-    ``_lock``, so concurrent get/put/evict can never corrupt the
-    ``OrderedDict``, overshoot ``maxsize``, or drop counter increments.
-    ``get``/``put`` copy their arrays *inside* the lock; the only
-    unlocked work is building the candidate value in :meth:`put`, which
-    touches no shared state.  Note the contract is per-operation: a
-    get-miss followed by a put is *not* atomic, which is exactly why
-    concurrent identical requests need the service's single-flight
-    layer (:mod:`repro.service.dedup`) to share one solve.
+    entries live in a :class:`~repro._util.BoundedLRU`, whose every
+    structural operation and counter update runs under its lock, so
+    concurrent get/put/evict can never corrupt the LRU order, overshoot
+    ``maxsize``, or drop counter increments.  A stored value is a
+    private copy that nothing mutates, so ``get`` copies it outside the
+    lock.  Note the contract is per-operation: a get-miss followed by a
+    put is *not* atomic, which is exactly why concurrent identical
+    requests need the service's single-flight layer
+    (:mod:`repro.service.dedup`) to share one solve.
     """
 
     def __init__(self, maxsize: int = 4096):
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self.maxsize = maxsize
-        self._data: OrderedDict[tuple, CachedSolve] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self._lru = BoundedLRU(maxsize)
+
+    @property
+    def hits(self) -> int:
+        return self._lru.hits
+
+    @property
+    def misses(self) -> int:
+        return self._lru.misses
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._lru)
 
     def get(self, key: tuple) -> CachedSolve | None:
         """The cached solve for ``key``, or None (counts a miss)."""
         with span("engine.cache.get") as sp:
-            with self._lock:
-                stored = self._data.get(key)
-                if stored is None:
-                    self.misses += 1
-                    value = None
-                else:
-                    self._data.move_to_end(key)
-                    self.hits += 1
-                    value = CachedSolve(
-                        stored.assignment.copy(), dict(stored.meta)
-                    )
+            stored = self._lru.get(key)
+            value = (
+                None
+                if stored is None
+                else CachedSolve(stored.assignment.copy(), dict(stored.meta))
+            )
             if sp.recording:
                 sp.set(hit=value is not None)
             return value
@@ -197,36 +135,23 @@ class ResultCache:
             dict(meta) if meta else {},
         )
         with span("engine.cache.put"):
-            with self._lock:
-                self._data[key] = value
-                self._data.move_to_end(key)
-                if len(self._data) > self.maxsize:
-                    with span("engine.cache.evict") as esp:
-                        evicted = 0
-                        while len(self._data) > self.maxsize:
-                            self._data.popitem(last=False)
-                            evicted += 1
-                        if esp.recording:
-                            esp.set(count=evicted)
+            evicted = self._lru.put(key, value)
+            if evicted:
+                with span("engine.cache.evict") as esp:
+                    if esp.recording:
+                        esp.set(count=evicted)
 
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss counters."""
-        with self._lock:
-            self._data.clear()
-            self.hits = 0
-            self.misses = 0
+        self._lru.clear()
 
     def stats(self) -> dict[str, int]:
-        """``{"entries", "hits", "misses"}`` snapshot."""
-        with self._lock:
-            return {
-                "entries": len(self._data),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        """``{"entries", "bytes", "hits", "misses"}`` snapshot (``bytes``
+        stays 0: the cache is bounded by entries only)."""
+        return self._lru.stats()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ResultCache(entries={len(self._data)}, hits={self.hits}, "
+            f"ResultCache(entries={len(self)}, hits={self.hits}, "
             f"misses={self.misses}, maxsize={self.maxsize})"
         )

@@ -24,9 +24,9 @@ Dispatch semantics (unchanged, now registry queries):
 * ``method="portfolio"`` races the generated default line-up and keeps
   the best makespan (see :func:`solve_portfolio`).
 
-``known_methods()`` and ``DEFAULT_PORTFOLIO`` are generated from the
-registry — registering a solver makes it instantly available here, in
-portfolio mode, in sweeps and in the CLI.
+``known_methods()`` and the default portfolio line-up are generated
+from the registry — registering a solver makes it instantly available
+here, in portfolio mode, in sweeps and in the CLI.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from ..core.semimatching import HyperSemiMatching
 from ..obs.trace import span
 
 __all__ = [
-    "DEFAULT_PORTFOLIO",
     "known_methods",
     "solve_hypergraph",
     "solve_hypergraph_outcome",
@@ -53,15 +52,6 @@ __all__ = [
 def known_methods() -> list[str]:
     """Every name :func:`solve_hypergraph` accepts (registry-generated)."""
     return get_registry().known_methods()
-
-
-def __getattr__(name: str):
-    # DEFAULT_PORTFOLIO is generated from solver metadata on every
-    # access, so solvers registered at runtime join the line-up without
-    # any dispatch edits.
-    if name == "DEFAULT_PORTFOLIO":
-        return get_registry().default_portfolio()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _context(options: SolveOptions) -> EvalContext:
@@ -137,8 +127,8 @@ def solve_portfolio(
 ) -> HyperSemiMatching:
     """Race ``algorithms`` on one instance and keep the best makespan.
 
-    ``algorithms`` defaults to the registry-generated
-    :data:`DEFAULT_PORTFOLIO`.  By construction the result is never
+    ``algorithms`` defaults to the registry-generated line-up,
+    ``get_registry().default_portfolio()``.  By construction the result is never
     worse than any single constituent algorithm; ties keep the earliest
     entry, so the outcome is deterministic for a fixed line-up and seed.
     """

@@ -38,7 +38,9 @@ from typing import Any
 
 import numpy as np
 
+from .._util import BoundedLRU
 from ..core.hypergraph import TaskHypergraph
+from ..kernels import evict_compiled
 from ..obs.trace import span
 
 try:  # pragma: no cover - import guard exercised only off-POSIX
@@ -263,11 +265,19 @@ class ExportRegistry:
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
-#: name -> (shm, hypergraph); bounded, insertion-ordered (LRU via
-#: re-insert).  Worker processes are single-threaded with respect to
-#: chunk execution, so no lock.
-_ATTACHED: dict[str, tuple[Any, TaskHypergraph]] = {}
-_ATTACH_MAX = 32
+def _detach(name: str, attached: tuple[Any, TaskHypergraph]) -> None:
+    shm, hg = attached
+    # a cached kernel compilation may hold views into the segment;
+    # purge it before unmapping so nothing dangles
+    evict_compiled(getattr(hg, "_digest_cache", ""))
+    try:
+        shm.close()
+    except Exception:  # pragma: no cover
+        pass
+
+
+#: segment name -> (shm, hypergraph), LRU-bounded; eviction unmaps.
+_ATTACHED = BoundedLRU(32, on_evict=_detach)
 
 
 def is_descriptor(obj) -> bool:
@@ -279,9 +289,8 @@ def attach_instance(descriptor: dict) -> TaskHypergraph:
     """Rebuild the instance a descriptor names, as views over its
     shared segment (worker side; attachments are cached by name)."""
     name = descriptor["__shm__"]
-    hit = _ATTACHED.pop(name, None)
+    hit = _ATTACHED.get(name)
     if hit is not None:
-        _ATTACHED[name] = hit  # re-insert: LRU refresh
         return hit[1]
     with span("engine.transport.attach") as sp:
         shm = _attach_segment(name)
@@ -304,17 +313,5 @@ def attach_instance(descriptor: dict) -> TaskHypergraph:
         object.__setattr__(hg, "_digest_cache", descriptor["digest"])
         if sp.recording:
             sp.set(digest=descriptor["digest"][:12])
-    _ATTACHED[name] = (shm, hg)
-    while len(_ATTACHED) > _ATTACH_MAX:
-        victim_name, (vshm, vhg) = next(iter(_ATTACHED.items()))
-        del _ATTACHED[victim_name]
-        # a cached kernel compilation may hold views into the segment;
-        # purge it before unmapping so nothing dangles
-        from ..kernels import evict_compiled
-
-        evict_compiled(getattr(vhg, "_digest_cache", ""))
-        try:
-            vshm.close()
-        except Exception:  # pragma: no cover
-            pass
+    _ATTACHED.put(name, (shm, hg))
     return hg

@@ -283,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     ck = subs.add_parser(
         "check",
         help="run the repro static analyzer (lock-guard, async-blocking, "
-             "kernel-purity, contract-sync, deprecation, span-hygiene)",
+             "kernel-purity, contract-sync, span-hygiene)",
     )
     from ..analysis import add_check_arguments
 

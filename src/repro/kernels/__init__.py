@@ -36,12 +36,7 @@ from .compiled import (
     flat_ranges,
     register_compiled,
 )
-from .patch import (
-    KernelPatcher,
-    PatchedCompilation,
-    clear_patch_cache,
-    patch_cache_stats,
-)
+from .patch import KernelPatcher, PatchedCompilation
 from .ops import (
     batch_lex_signs,
     first_lex_improving,
@@ -59,9 +54,7 @@ __all__ = [
     "register_compiled",
     "evict_compiled",
     "clear_compile_cache",
-    "clear_patch_cache",
     "compile_cache_stats",
-    "patch_cache_stats",
     "flat_ranges",
     "loads_from_assignment",
     "lex_best_row",

@@ -21,12 +21,11 @@ compilation.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import BoundedLRU
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 
@@ -213,26 +212,6 @@ def _compile(hg: TaskHypergraph, digest: str) -> CompiledKernels:
     )
 
 
-#: Digest-keyed LRU of compilations (one instance is compiled once no
-#: matter how many solvers, portfolio entries or sweeps touch it).
-_CACHE: OrderedDict[str, CompiledKernels] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-_CACHE_MAXSIZE = 128
-#: Byte budget alongside the entry count: a mutation stream emits a
-#: fresh multi-MB compilation per journal record, and retaining every
-#: dead version until 128 of them pile up costs hundreds of MB and —
-#: worse — forces the allocator to fault fresh pages for every emission
-#: instead of recycling the freed ones (measured: struct patches
-#: degrade ~6x once the heap stops turning over).  The budget keeps
-#: churn workloads in the recycling regime; distinct *live* instances
-#: small enough to fit are unaffected.
-_CACHE_MAXBYTES = 192 * 1024 * 1024
-_CACHE_SIZES: dict[str, int] = {}
-_CACHE_NBYTES = 0
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-
-
 def compiled_nbytes(compiled: CompiledKernels) -> int:
     """Approximate heap footprint of one compilation: the sum over its
     unique array buffers (kernel fields share storage with the
@@ -256,20 +235,17 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
     return total
 
 
-def _cache_insert_locked(digest: str, compiled: CompiledKernels) -> None:
-    global _CACHE_NBYTES
-    old = _CACHE_SIZES.pop(digest, 0)
-    _CACHE_NBYTES -= old
-    size = compiled_nbytes(compiled)
-    _CACHE[digest] = compiled
-    _CACHE.move_to_end(digest)
-    _CACHE_SIZES[digest] = size
-    _CACHE_NBYTES += size
-    while len(_CACHE) > 1 and (
-        len(_CACHE) > _CACHE_MAXSIZE or _CACHE_NBYTES > _CACHE_MAXBYTES
-    ):
-        victim, _ = _CACHE.popitem(last=False)
-        _CACHE_NBYTES -= _CACHE_SIZES.pop(victim, 0)
+#: Digest-keyed LRU of compilations (one instance is compiled once no
+#: matter how many solvers, portfolio entries or sweeps touch it).
+#: The byte budget sits alongside the entry cap: a mutation stream emits
+#: a fresh multi-MB compilation per journal record, and retaining every
+#: dead version until 128 of them pile up costs hundreds of MB and —
+#: worse — forces the allocator to fault fresh pages for every emission
+#: instead of recycling the freed ones (measured: struct patches
+#: degrade ~6x once the heap stops turning over).  The budget keeps
+#: churn workloads in the recycling regime; distinct *live* instances
+#: small enough to fit are unaffected.
+_CACHE = BoundedLRU(128, max_bytes=192 * 1024 * 1024, sizeof=compiled_nbytes)
 
 
 def compile_instance(
@@ -280,28 +256,22 @@ def compile_instance(
     Pass ``digest=`` when the caller already computed it (the engine's
     result-cache path does); otherwise it is computed here.
     """
-    global _CACHE_HITS, _CACHE_MISSES
     if digest is None:
         # runtime import: kernels must stay importable before the
         # engine package (algorithms import kernels at module load)
         from ..engine.cache import instance_digest
 
         digest = instance_digest(hg)
-    with _CACHE_LOCK:
-        hit = _CACHE.get(digest)
-        if hit is not None:
-            _CACHE.move_to_end(digest)
-            _CACHE_HITS += 1
-            return hit
-        _CACHE_MISSES += 1
+    hit = _CACHE.get(digest)
+    if hit is not None:
+        return hit
     # boundary span, not a hot loop: one compile per new digest, and the
     # disabled path is a flag check
     with span("kernels.compile") as sp:  # repro: ignore[span-hygiene] — cache-miss boundary, runs once per instance digest, never inside solver inner loops
         compiled = _compile(hg, digest)
         if sp.recording:
             sp.set(digest=digest[:12], n_tasks=hg.n_tasks)
-    with _CACHE_LOCK:
-        _cache_insert_locked(digest, compiled)
+    _CACHE.put(digest, compiled)
     return compiled
 
 
@@ -310,43 +280,21 @@ def register_compiled(compiled: CompiledKernels) -> None:
     :class:`~repro.kernels.patch.KernelPatcher` emission path) under
     its content digest, so a later :func:`compile_instance` of equal
     content is a hit instead of a recompile."""
-    with _CACHE_LOCK:
-        _cache_insert_locked(compiled.digest, compiled)
+    _CACHE.put(compiled.digest, compiled)
 
 
 def evict_compiled(digest: str) -> None:
     """Drop one cached compilation (no-op when absent).  The engine's
     shared-memory transport calls this when a worker unmaps a segment
     whose arrays a cached compilation may view."""
-    global _CACHE_NBYTES
-    with _CACHE_LOCK:
-        if _CACHE.pop(digest, None) is not None:
-            _CACHE_NBYTES -= _CACHE_SIZES.pop(digest, 0)
+    _CACHE.pop(digest)
 
 
 def clear_compile_cache() -> None:
     """Drop every cached compilation (test support)."""
-    global _CACHE_HITS, _CACHE_MISSES, _CACHE_NBYTES
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        _CACHE_SIZES.clear()
-        _CACHE_NBYTES = 0
-        _CACHE_HITS = 0
-        _CACHE_MISSES = 0
-    # the chain-alias cache of the patcher holds compilations too:
-    # clearing one but not the other would let "cleared" artifacts
-    # resurface through the alias path in tests
-    from .patch import clear_patch_cache
-
-    clear_patch_cache()
+    _CACHE.clear()
 
 
 def compile_cache_stats() -> dict[str, int]:
     """``{"entries", "bytes", "hits", "misses"}`` snapshot."""
-    with _CACHE_LOCK:
-        return {
-            "entries": len(_CACHE),
-            "bytes": _CACHE_NBYTES,
-            "hits": _CACHE_HITS,
-            "misses": _CACHE_MISSES,
-        }
+    return _CACHE.stats()

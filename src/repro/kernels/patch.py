@@ -35,8 +35,6 @@ imports the kernels back); mutation records are consumed through their
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,14 +43,7 @@ from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 from .compiled import CompiledKernels, flat_ranges, register_compiled
 
-__all__ = [
-    "KernelPatcher",
-    "PatchedCompilation",
-    "lookup_patched",
-    "register_patched",
-    "clear_patch_cache",
-    "patch_cache_stats",
-]
+__all__ = ["KernelPatcher", "PatchedCompilation"]
 
 # dirty levels, monotone: weight edits can ride the cheap path only
 # while no structural edit happened since the last emission
@@ -80,33 +71,6 @@ class PatchedCompilation:
     def digest(self) -> str:
         return self.kernels.digest
 
-    def anchor_digest(self) -> str:
-        """Content digest *including the handle mappings* — the chain
-        anchor.  The bare content digest is not enough to key artifact
-        reuse across instances: equal dense arrays can carry different
-        handle worlds, and adopting across them would mistranslate
-        every assignment."""
-        cached = self.__dict__.get("_anchor")
-        if cached is None:
-            import hashlib
-
-            h = hashlib.sha256()
-            h.update(b"anchor:")
-            h.update(self.kernels.digest.encode())
-            for arr in (
-                self.task_handles,
-                self.proc_handles,
-                self.hedge_handles,
-                self.hedge_slots,
-            ):
-                h.update(b"#")
-                # hash the buffer view directly — tobytes() would copy
-                # every handle table on each anchor computation
-                h.update(np.ascontiguousarray(arr, dtype=np.int64).data)
-            cached = h.hexdigest()
-            object.__setattr__(self, "_anchor", cached)
-        return cached
-
 
 @dataclass
 class PatchStats:
@@ -117,7 +81,6 @@ class PatchStats:
     emits_weight: int = 0
     emits_delta: int = 0
     reused: int = 0
-    adopted: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -126,7 +89,6 @@ class PatchStats:
             "emits_weight": self.emits_weight,
             "emits_delta": self.emits_delta,
             "reused": self.reused,
-            "adopted": self.adopted,
         }
 
 
@@ -461,17 +423,6 @@ class KernelPatcher:
                 sorted(self._procs), dtype=np.int64
             )
         return self._proc_sorted
-
-    def adopt(self, artifact: PatchedCompilation) -> None:
-        """Take an equal-content artifact (a chain-alias cache hit) as
-        the current emission without recomputing it.  The caller
-        guarantees the artifact's content equals this patcher's state."""
-        self._last = artifact
-        self._refresh_row_dense()
-        self._dirty = _CLEAN
-        self._weight_rows = []
-        self._pending = []
-        self.stats.adopted += 1
 
     def _refresh_row_dense(self) -> None:
         n = self._nrows
@@ -947,81 +898,3 @@ class KernelPatcher:
         self._pending = []
         return artifact
 
-
-# ---------------------------------------------------------------------------
-# chain-alias cache: (base digest + canonical mutation suffix) -> artifact
-# ---------------------------------------------------------------------------
-#: Keyed by :func:`repro.engine.cache.patched_digest` chains.  A chain
-#: digest identifies *content* (equal base content + equal mutation
-#: suffix => equal canonical arrays), so two sessions replaying the
-#: same trace over the same baseline share one emission.  Never used
-#: for the ResultCache — its keys must stay pure content digests.
-_ALIASES: OrderedDict[str, PatchedCompilation] = OrderedDict()
-_ALIAS_LOCK = threading.Lock()
-_ALIAS_MAXSIZE = 64
-#: Byte budget (same reasoning as the compile cache's): every chain
-#: head of a churn stream is a fresh multi-MB artifact, and the stream
-#: only ever looks a few heads back.  Keeping dozens of dead versions
-#: alive pins the heap and stops the allocator from recycling pages.
-_ALIAS_MAXBYTES = 96 * 1024 * 1024
-_ALIAS_SIZES: dict[str, int] = {}
-_ALIAS_NBYTES = 0
-_ALIAS_HITS = 0
-_ALIAS_MISSES = 0
-
-
-def lookup_patched(chain_digest: str) -> PatchedCompilation | None:
-    """The artifact previously emitted for this mutation chain, if any."""
-    global _ALIAS_HITS, _ALIAS_MISSES
-    with _ALIAS_LOCK:
-        hit = _ALIASES.get(chain_digest)
-        if hit is not None:
-            _ALIASES.move_to_end(chain_digest)
-            _ALIAS_HITS += 1
-            return hit
-        _ALIAS_MISSES += 1
-        return None
-
-
-def register_patched(
-    chain_digest: str, artifact: PatchedCompilation
-) -> None:
-    """Publish an emitted artifact under its mutation-chain digest."""
-    global _ALIAS_NBYTES
-    from .compiled import compiled_nbytes
-
-    with _ALIAS_LOCK:
-        _ALIAS_NBYTES -= _ALIAS_SIZES.pop(chain_digest, 0)
-        size = compiled_nbytes(artifact.kernels)
-        _ALIASES[chain_digest] = artifact
-        _ALIASES.move_to_end(chain_digest)
-        _ALIAS_SIZES[chain_digest] = size
-        _ALIAS_NBYTES += size
-        while len(_ALIASES) > 1 and (
-            len(_ALIASES) > _ALIAS_MAXSIZE
-            or _ALIAS_NBYTES > _ALIAS_MAXBYTES
-        ):
-            victim, _ = _ALIASES.popitem(last=False)
-            _ALIAS_NBYTES -= _ALIAS_SIZES.pop(victim, 0)
-
-
-def clear_patch_cache() -> None:
-    """Drop every chain alias (test support)."""
-    global _ALIAS_HITS, _ALIAS_MISSES, _ALIAS_NBYTES
-    with _ALIAS_LOCK:
-        _ALIASES.clear()
-        _ALIAS_SIZES.clear()
-        _ALIAS_NBYTES = 0
-        _ALIAS_HITS = 0
-        _ALIAS_MISSES = 0
-
-
-def patch_cache_stats() -> dict[str, int]:
-    """``{"entries", "bytes", "hits", "misses"}`` snapshot."""
-    with _ALIAS_LOCK:
-        return {
-            "entries": len(_ALIASES),
-            "bytes": _ALIAS_NBYTES,
-            "hits": _ALIAS_HITS,
-            "misses": _ALIAS_MISSES,
-        }

@@ -26,9 +26,8 @@ __all__ = [
 
 
 def hyp_solver(name: str):
-    """The registry's MULTIPROC solver callable for ``name`` (the
-    migrated spelling of the deprecated ``HYPERGRAPH_ALGORITHMS[name]``,
-    shared by the property, conformance and benchmark suites)."""
+    """The registry's MULTIPROC solver callable for ``name`` (shared by
+    the property, conformance and benchmark suites)."""
     from repro.api import get_registry
 
     return get_registry().resolve(name, domain="hypergraph").fn

@@ -25,7 +25,6 @@ from repro.analysis import (
 )
 from repro.analysis.asyncblock import AsyncBlockingRule
 from repro.analysis.contracts import ContractSyncRule
-from repro.analysis.deprecation import DeprecationRule
 from repro.analysis.lockguard import LockGuardRule
 from repro.analysis.purity import KernelPurityRule
 from repro.analysis.spanhygiene import SpanHygieneRule
@@ -145,12 +144,15 @@ class TestKernelPurity:
         report = run_rule(KernelPurityRule(), "purity_good.py")
         assert report.clean, [str(f) for f in report.findings]
 
-    def test_rule_is_domain_scoped(self):
+    def test_rule_is_domain_scoped(self, tmp_path):
         # same hazards outside the kernel domain stay silent
+        source = (FIXTURES / "purity_bad.py").read_text()
+        unscoped = tmp_path / "purity_unscoped.py"
+        unscoped.write_text(source.replace("# repro: domain=kernel\n", ""))
         report = analyze_paths(
-            [FIXTURES / "deprecation_bad.py"],
+            [unscoped],
             rules=[KernelPurityRule()],
-            root=FIXTURES,
+            root=tmp_path,
             project=False,
             hygiene=False,
         )
@@ -198,22 +200,6 @@ class TestContractSync:
         messages = " | ".join(f.message for f in findings)
         assert "'semimatch-error'" in messages  # live code missing
         assert "'made-up-code'" in messages  # documented but not live
-
-
-# ---------------------------------------------------------------------------
-# deprecation
-# ---------------------------------------------------------------------------
-
-class TestDeprecation:
-    def test_flags_shim_import_and_attribute(self):
-        report = run_rule(DeprecationRule(), "deprecation_bad.py")
-        lines = lines_of(report, "deprecation")
-        assert marker_line("deprecation_bad.py", "shim-import") in lines
-        assert marker_line("deprecation_bad.py", "shim-attr") in lines
-
-    def test_registry_api_is_clean(self):
-        report = run_rule(DeprecationRule(), "deprecation_good.py")
-        assert report.clean, [str(f) for f in report.findings]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +347,13 @@ class TestCli:
         from repro.experiments.cli import main
 
         rc = main([
-            "check", str(FIXTURES / "deprecation_bad.py"),
-            "--rule", "deprecation", "--format", "json",
+            "check", str(FIXTURES / "purity_bad.py"),
+            "--rule", "kernel-purity", "--format", "json",
         ])
         assert rc == 0  # no --fail-on-findings
         data = json.loads(capsys.readouterr().out)
         assert data["findings"]
-        assert all(f["rule"] == "deprecation" for f in data["findings"])
+        assert all(f["rule"] == "kernel-purity" for f in data["findings"])
 
     def test_list_rules(self, capsys):
         from repro.experiments.cli import main

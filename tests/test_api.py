@@ -1,19 +1,8 @@
 """Public API surface tests: imports, __all__, and the README example."""
 
 import importlib
-import warnings
 
 import pytest
-
-#: Names kept importable as deprecation shims: accessing them emits a
-#: DeprecationWarning by design, so the __all__ walk below must not let
-#: that leak into the (otherwise warning-clean) tier-1 run.  The
-#: exactly-once warning contract itself is asserted in
-#: test_solver_api.py::TestDeprecationShims.
-DEPRECATED_EXPORTS = {
-    "repro.algorithms": {"BIPARTITE_ALGORITHMS", "HYPERGRAPH_ALGORITHMS"},
-}
-
 
 def test_version():
     import repro
@@ -45,14 +34,8 @@ def test_top_level_all_importable():
 )
 def test_subpackage_all_importable(module):
     mod = importlib.import_module(module)
-    deprecated = DEPRECATED_EXPORTS.get(module, set())
     for name in mod.__all__:
-        if name in deprecated:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                assert getattr(mod, name) is not None, f"{module}.{name}"
-        else:
-            assert hasattr(mod, name), f"{module}.{name}"
+        assert hasattr(mod, name), f"{module}.{name}"
 
 
 def test_readme_quickstart():

@@ -7,8 +7,8 @@ import pytest
 
 from repro import BatchSolver, SchedulingProblem, SolveResult, solve, solve_many
 from repro.core import TaskHypergraph
+from repro.api import get_registry
 from repro.engine import (
-    DEFAULT_PORTFOLIO,
     ResultCache,
     instance_digest,
     solve_hypergraph,
@@ -191,7 +191,8 @@ class TestPortfolio:
         engine-level portfolio default."""
         hg = instances[0]
         engine = BatchSolver(
-            max_workers=1, portfolio=DEFAULT_PORTFOLIO, cache=False
+            max_workers=1, portfolio=get_registry().default_portfolio(),
+            cache=False,
         )
         (via_engine,) = engine.solve_many([hg], method="SGH")
         plain = solve_hypergraph(hg, method="SGH")
@@ -203,7 +204,9 @@ class TestPortfolio:
     def test_default_portfolio_names_resolve(self, instances):
         # the advertised default line-up must actually run
         m = solve_portfolio(
-            instances[0], algorithms=DEFAULT_PORTFOLIO, seed=1
+            instances[0],
+            algorithms=get_registry().default_portfolio(),
+            seed=1,
         )
         assert m.makespan > 0
 
@@ -264,6 +267,9 @@ class TestCache:
         engine = BatchSolver(max_workers=1, cache=cache)
         engine.solve_many(instances[:3])
         assert len(cache) == 2
+        assert cache.stats() == {
+            "entries": 2, "bytes": 0, "hits": 0, "misses": 3,
+        }
 
     def test_clear(self, instances):
         cache = ResultCache()
@@ -480,6 +486,39 @@ class TestTransportAndWarmPool:
         finally:
             engine.close()
         assert engine.transport_stats()["segments"] == 0
+
+    def test_attachment_eviction_purges_its_compilation(self):
+        """The 33rd attachment evicts the oldest (the cap is 32), and
+        that segment's kernel compilation leaves the compile cache
+        before the segment is unmapped."""
+        from repro.engine import transport
+        from repro.generators import generate_multiproc
+        from repro.kernels import compile_cache_stats, compile_instance
+
+        if not transport.transport_available():  # pragma: no cover
+            pytest.skip("no shared memory on this platform")
+        hgs = [generate_multiproc(8, 4, g=2, seed=s) for s in range(33)]
+        registry = transport.ExportRegistry(max_segments=64)
+        transport._ATTACHED.clear()
+        try:
+            descriptors = [
+                registry.export(hg, instance_digest(hg)) for hg in hgs
+            ]
+            compile_instance(transport.attach_instance(descriptors[0]))
+            compile_instance(transport.attach_instance(descriptors[1]))
+            for d in descriptors[2:32]:
+                transport.attach_instance(d)
+            assert transport._ATTACHED.stats()["entries"] == 32
+            transport.attach_instance(descriptors[32])
+            assert transport._ATTACHED.stats()["entries"] == 32
+            misses = compile_cache_stats()["misses"]
+            compile_instance(hgs[1])  # the younger segment: still cached
+            assert compile_cache_stats()["misses"] == misses
+            compile_instance(hgs[0])  # the evicted one: purged
+            assert compile_cache_stats()["misses"] == misses + 1
+        finally:
+            transport._ATTACHED.clear()
+            registry.close()
 
     def test_auto_transport_keeps_small_instances_on_pickle(self, batch):
         engine = BatchSolver(

@@ -104,7 +104,9 @@ class TestCompiledKernels:
         c2 = compile_instance(twin)
         assert c1 is c2  # same digest -> same compilation
         stats = compile_cache_stats()
+        assert set(stats) == {"entries", "bytes", "hits", "misses"}
         assert stats["hits"] >= 1 and stats["entries"] >= 1
+        assert stats["bytes"] > 0
 
     def test_digest_can_be_supplied(self):
         hg = generate_multiproc(

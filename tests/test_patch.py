@@ -19,14 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic import DynamicInstance
-from repro.engine.cache import instance_digest, patched_digest
-from repro.kernels import (
-    KernelPatcher,
-    clear_compile_cache,
-    clear_patch_cache,
-    compile_instance,
-    patch_cache_stats,
-)
+from repro.engine.cache import instance_digest
+from repro.kernels import KernelPatcher, clear_compile_cache, compile_instance
 from repro.kernels.compiled import _compile
 
 from strategies import apply_random_mutations, generated_instances
@@ -262,56 +256,6 @@ class TestLifecycleEdges:
                 )
             assert a.task_handles == b.task_handles
             assert on.digest() == off.digest()
-
-
-class TestChainAliasCache:
-    def test_identical_streams_share_emitted_artifacts(self):
-        from repro.generators import generate_multiproc
-
-        clear_compile_cache()  # also clears the chain-alias cache
-        hg = generate_multiproc(16, 8, g=4, seed=23)
-        first = DynamicInstance.from_hypergraph(hg)
-        first.compile()
-
-        def mutate(inst):
-            task = inst.tasks()[0]
-            idx, _pins, w = inst.task_configs(task)[0]
-            inst.update_weight(task, idx, w + 1.0)
-            inst.add_processor()
-
-        mutate(first)
-        first.compile()
-        assert first.compile_stats()["alias_hits"] == 0
-
-        # a second instance replaying the same trace over an equal
-        # baseline adopts the emitted artifacts instead of re-emitting
-        second = DynamicInstance.from_hypergraph(hg)
-        second.compile()
-        mutate(second)
-        second.compile()
-        stats = second.compile_stats()
-        assert stats["alias_hits"] >= 1
-        assert second.compile().hypergraph is first.compile().hypergraph
-        # the baseline must emit before its anchor digest exists, so
-        # only the post-mutation chain-head lookup can hit
-        assert patch_cache_stats()["hits"] >= 1
-        assert_identical_compilation(second)
-
-    def test_patched_digest_is_order_sensitive(self):
-        base = "b" * 64
-        m1 = {"op": "add_processor"}
-        m2 = {"op": "remove_task", "task": 3}
-        assert patched_digest(base, (m1, m2)) != patched_digest(
-            base, (m2, m1)
-        )
-        assert patched_digest(base, (m1,)) != patched_digest(base, ())
-        assert patched_digest(base, (m1,)) == patched_digest(base, (m1,))
-
-    def test_clear_patch_cache_counts_reset(self):
-        clear_patch_cache()
-        stats = patch_cache_stats()
-        assert stats["entries"] == 0
-        assert stats["hits"] == 0 and stats["misses"] == 0
 
 
 class TestPatcherValidation:

@@ -4,9 +4,8 @@ Covers the satellite contracts of the API redesign:
 
 * alias / abbreviation / case-insensitive resolution, with
   did-you-mean errors unifying the old KeyError/ValueError split;
-* ``known_methods()`` / ``DEFAULT_PORTFOLIO`` generated from the
+* ``known_methods()`` / ``default_portfolio()`` generated from the
   registry — a newly registered solver is instantly usable everywhere;
-* deprecation shims emit ``DeprecationWarning`` exactly once;
 * Hypothesis properties: ``SolveResult.gap >= 0`` and
   metadata-vs-matching consistency;
 * bit-identical matchings: the new dispatch returns exactly what the
@@ -16,7 +15,6 @@ Covers the satellite contracts of the API redesign:
 """
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +35,6 @@ from repro import (
     solve_many,
 )
 from repro.api import AUTO, Solver, known_methods
-from repro.api._deprecation import _reset_warned
 from repro.core import HyperSemiMatching, TaskHypergraph
 from repro.engine import solve_hypergraph, solve_portfolio
 
@@ -141,11 +138,28 @@ class TestGeneratedMembership:
             assert all(a in km for a in spec.aliases)
 
     def test_default_portfolio_shape(self):
-        from repro.engine import DEFAULT_PORTFOLIO
-
-        assert DEFAULT_PORTFOLIO == (
+        assert get_registry().default_portfolio() == (
             "SGH", "VGH", "EGH", "EVG", "EVG+ls", "grasp"
         )
+
+    def test_bipartite_registry_membership(self):
+        names = {s.name for s in get_registry().query(domain="bipartite")}
+        assert {
+            "basic-greedy", "sorted-greedy", "double-sorted",
+            "expected-greedy", "exact", "harvey",
+        } <= names
+
+    def test_hypergraph_registry_membership(self):
+        reg = get_registry()
+        # paper abbreviations and long names resolve to one callable
+        for short, long in (
+            ("SGH", "sorted-greedy-hyp"),
+            ("VGH", "vector-greedy-hyp"),
+            ("EGH", "expected-greedy-hyp"),
+            ("EVG", "expected-vector-greedy-hyp"),
+        ):
+            spec = reg.resolve(short, domain="hypergraph")
+            assert reg.resolve(long, domain="hypergraph").fn is spec.fn
 
     def test_new_solver_is_instantly_usable(self, hg, engine):
         """Registering a solver makes it available in solve, the default
@@ -171,11 +185,9 @@ class TestGeneratedMembership:
             return HyperSemiMatching(h, assign)
 
         try:
-            from repro.engine import DEFAULT_PORTFOLIO
-
             assert "first-hedge" in known_methods()
             assert "fh" in known_methods()
-            assert "first-hedge" in DEFAULT_PORTFOLIO
+            assert "first-hedge" in reg.default_portfolio()
             direct = first_hedge(hg)
             via_solve = engine.solve(hg, method="first-hedge")
             assert np.array_equal(
@@ -232,69 +244,6 @@ class TestGeneratedMembership:
         for method in ("EVG+xx", "sorted-greedy", "quantum"):
             with pytest.raises(SystemExit):
                 main(["solve", str(path), "--method", method])
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims
-# ---------------------------------------------------------------------------
-class TestDeprecationShims:
-    def _count(self, rec):
-        return sum(
-            1 for w in rec if issubclass(w.category, DeprecationWarning)
-        )
-
-    def test_getters_warn_exactly_once(self):
-        import repro.algorithms.registry as legacy
-
-        _reset_warned()
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            fn1 = legacy.get_hypergraph_algorithm("SGH")
-            fn2 = legacy.get_hypergraph_algorithm("EVG")
-        assert self._count(rec) == 1
-        # the shims still return the real callables
-        assert fn1 is get_registry().resolve("SGH").fn
-        assert fn2 is get_registry().resolve("EVG").fn
-
-    def test_dict_views_warn_exactly_once_and_match_registry(self):
-        import repro.algorithms.registry as legacy
-
-        _reset_warned()
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            d1 = legacy.HYPERGRAPH_ALGORITHMS
-            d2 = legacy.HYPERGRAPH_ALGORITHMS
-        assert self._count(rec) == 1
-        assert d1 == d2
-        # historical membership preserved (both spellings present)
-        assert {
-            "SGH", "VGH", "EGH", "EVG",
-            "sorted-greedy-hyp", "vector-greedy-hyp",
-            "expected-greedy-hyp", "expected-vector-greedy-hyp",
-        } <= set(d1)
-
-    def test_bipartite_dict_membership(self):
-        import repro.algorithms.registry as legacy
-
-        _reset_warned()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            d = legacy.BIPARTITE_ALGORITHMS
-        assert {
-            "basic-greedy", "sorted-greedy", "double-sorted",
-            "expected-greedy", "exact", "harvey",
-        } <= set(d)
-
-    def test_getter_unknown_name_keeps_old_message(self):
-        import repro.algorithms.registry as legacy
-
-        _reset_warned()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(
-                KeyError, match="unknown bipartite algorithm"
-            ):
-                legacy.get_bipartite_algorithm("quantum")
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +347,8 @@ class TestSolveOptions:
             SolveOptions(portfolio=("quantum",)).normalized()
 
     def test_default_portfolio_expansion(self):
-        from repro.engine import DEFAULT_PORTFOLIO
-
         expr = SolveOptions(method="portfolio").expression()
-        assert expr == Portfolio(*DEFAULT_PORTFOLIO)
+        assert expr == Portfolio(*get_registry().default_portfolio())
 
     def test_normalized_idempotent(self):
         opts = SolveOptions(method="EVG", refine=True).normalized()

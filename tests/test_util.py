@@ -1,11 +1,19 @@
 """Tests for repro._util."""
 
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro._util import Timer, as_rng, check_1d_int, stable_argsort
+from repro._util import (
+    BoundedLRU,
+    Timer,
+    as_rng,
+    check_1d_int,
+    stable_argsort,
+)
 
 
 class TestAsRng:
@@ -66,3 +74,117 @@ class TestStableArgsort:
         # on this
         keys = np.array([1, 0, 1, 0, 1])
         assert stable_argsort(keys).tolist() == [1, 3, 0, 2, 4]
+
+
+class TestBoundedLRU:
+    def test_entry_cap_evicts_least_recently_used(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.get("a") == 1  # refresh: "b" is now the oldest
+        assert lru.put("c", 3) == 1
+        assert lru.get("b") is None
+        assert lru.get("a") == 1 and lru.get("c") == 3
+        assert lru.stats() == {
+            "entries": 2, "bytes": 0, "hits": 3, "misses": 1,
+        }
+
+    def test_byte_cap_evicts_oldest_first(self):
+        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        lru.put("a", "xxxx")
+        lru.put("b", "xxxx")
+        assert lru.put("c", "xxxx") == 1  # 12 bytes > 10: "a" goes
+        assert lru.get("a") is None
+        assert lru.stats()["entries"] == 2
+        assert lru.stats()["bytes"] == 8
+
+    def test_replacing_a_key_reprices_it(self):
+        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        lru.put("a", "xxxx")
+        lru.put("a", "xx")
+        assert lru.stats()["bytes"] == 2 and len(lru) == 1
+
+    def test_single_over_budget_entry_survives(self):
+        lru = BoundedLRU(10, max_bytes=4, sizeof=len)
+        lru.put("small", "xx")
+        assert lru.put("huge", "x" * 100) == 1
+        assert lru.get("huge") == "x" * 100
+        assert lru.stats()["entries"] == 1
+
+    def test_on_evict_runs_for_capacity_evictions_only(self):
+        evicted = []
+        lru = BoundedLRU(2, on_evict=lambda k, v: evicted.append((k, v)))
+        for k in "abc":
+            lru.put(k, k.upper())
+        assert evicted == [("a", "A")]
+        assert lru.pop("b") == "B"  # explicit removal: no callback
+        lru.clear()
+        assert evicted == [("a", "A")]
+
+    def test_clear_resets_counters(self):
+        lru = BoundedLRU(4, max_bytes=100, sizeof=len)
+        lru.put("a", "xyz")
+        lru.get("a")
+        lru.get("zz")
+        lru.clear()
+        assert lru.stats() == {
+            "entries": 0, "bytes": 0, "hits": 0, "misses": 0,
+        }
+        assert lru.pop("a") is None
+
+    def test_invalid_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            BoundedLRU(0)
+        with pytest.raises(ValueError):
+            BoundedLRU(4, max_bytes=10)  # no sizeof
+
+    def test_concurrent_use_keeps_byte_accounting_exact(self):
+        evicted = []
+        lru = BoundedLRU(
+            6, max_bytes=40, sizeof=len,
+            on_evict=lambda k, v: evicted.append(k),
+        )
+        n_threads, n_ops = 8, 500
+        barrier = threading.Barrier(n_threads)
+        gets = [0] * n_threads
+        reported = [0] * n_threads
+        errors: list[Exception] = []
+
+        def hammer(tid: int) -> None:
+            rng = np.random.default_rng(tid)
+            barrier.wait()
+            try:
+                for _ in range(n_ops):
+                    key = int(rng.integers(0, 12))
+                    if rng.integers(0, 2):
+                        value = "x" * int(rng.integers(1, 16))
+                        reported[tid] += lru.put(key, value)
+                    else:
+                        gets[tid] += 1
+                        lru.get(key)
+                    assert len(lru) <= 6
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(tid,))
+                for tid in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        stats = lru.stats()
+        assert stats["hits"] + stats["misses"] == sum(gets)
+        assert len(evicted) == sum(reported)
+        # draining every key must return the byte count to exactly 0
+        held = sum(len(v) for v in map(lru.pop, range(12)) if v is not None)
+        assert held == stats["bytes"] <= 40
+        assert lru.stats()["bytes"] == 0 and len(lru) == 0
