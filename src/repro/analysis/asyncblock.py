@@ -95,8 +95,8 @@ def _sync_defs(tree: ast.Module) -> dict[tuple[str, str], ast.FunctionDef]:
     """Sync defs keyed by ``(scope, name)``.
 
     ``scope`` is the enclosing class name for methods and ``""`` for
-    module-level functions, so a sync ``ServiceClient._request`` never
-    taints an unrelated async class's same-named method.
+    module-level functions, so the blocking ``ServiceClient.call`` never
+    taints the same-named coroutine ``AsyncServiceClient.call``.
     """
     defs: dict[tuple[str, str], ast.FunctionDef] = {}
     for stmt in tree.body:

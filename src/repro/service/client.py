@@ -1,12 +1,13 @@
-"""Clients for the solve service: blocking sockets and asyncio.
+"""Clients for the solve service: one asyncio client, also driven blocking.
 
-:class:`ServiceClient` is the ergonomic blocking client — one call,
-one answer — with an explicit :meth:`~ServiceClient.solve_pipelined`
-for throughput (send every frame, then collect the out-of-order
-responses by correlation id).  :class:`AsyncServiceClient` multiplexes
-any number of concurrent coroutine calls over one connection, which is
-what actually exercises the server's micro-batcher and single-flight
-layers from a single process.
+:class:`AsyncServiceClient` multiplexes any number of concurrent
+coroutine calls over one connection, correlated by request id, which is
+what exercises the server's micro-batcher and single-flight layers from
+a single process.  Every request goes through one wire primitive
+(:meth:`~AsyncServiceClient._exchange`) and every solve through one
+``worker-lost`` retry policy (:meth:`~AsyncServiceClient.solve_pipelined`).
+:class:`ServiceClient` is the ergonomic blocking client — one call, one
+answer — and is that asyncio client run on a private event loop.
 
 Solve answers come back as :class:`RemoteSolveResult`: the assignment
 as an int64 array plus the provenance the server reported.  Matchings
@@ -21,10 +22,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import socket
-import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Coroutine, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -132,6 +131,20 @@ def _traced_request(op: str, rid: Any, payload: dict) -> dict:
     return envelope
 
 
+def _unwrap(envelope: dict) -> dict:
+    if envelope.get("ok"):
+        return envelope["result"]
+    err = envelope.get("error") or {}
+    raise RemoteError(
+        err.get("code", "internal"), err.get("message", "unknown error")
+    )
+
+
+def _worker_lost(envelope: dict) -> bool:
+    error = envelope.get("error") or {}
+    return error.get("code") == ErrorCode.WORKER_LOST
+
+
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
@@ -214,229 +227,6 @@ class RemoteSession:
 
 
 # ----------------------------------------------------------------------
-# blocking client
-# ----------------------------------------------------------------------
-class ServiceClient:
-    """Blocking NDJSON client over one TCP connection.
-
-    Not thread-safe (one request/response conversation at a time);
-    use one client per thread, or :class:`AsyncServiceClient` for
-    in-process concurrency.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 7431,
-        *,
-        timeout: float | None = 60.0,
-    ):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("rb")
-        self._ids = itertools.count(1)
-
-    # -- plumbing --------------------------------------------------------
-    def _send(self, op: str, payload: dict) -> int:
-        rid = next(self._ids)
-        self._sock.sendall(encode_frame(_traced_request(op, rid, payload)))
-        return rid
-
-    def _recv(self) -> dict:
-        line = self._rfile.readline(MAX_FRAME_BYTES)
-        if not line:
-            # repro: ignore[contract-sync] — client-side raise: surfaces to the local caller, never crosses the wire
-            raise ConnectionError("server closed the connection")
-        return decode_frame(line)
-
-    @staticmethod
-    def _unwrap(envelope: dict) -> dict:
-        # a traced request's response may piggyback the server-side
-        # spans (see API.md "Fleet observability"): file them before
-        # unwrapping, so even an error envelope — the worker-lost hop
-        # above all — contributes its spans to the caller's trace
-        spans = envelope.get("spans")
-        if isinstance(spans, list):
-            ingest(spans)
-        if envelope.get("ok"):
-            return envelope["result"]
-        err = envelope.get("error") or {}
-        raise RemoteError(
-            err.get("code", "internal"), err.get("message", "unknown error")
-        )
-
-    def call(self, op: str, **payload: Any) -> dict:
-        """One request, one response (the building block)."""
-        rid = self._send(op, payload)
-        envelope = self._recv()
-        if envelope.get("id") != rid:
-            raise RemoteError(
-                "bad-frame",
-                f"response correlates to {envelope.get('id')!r}, "
-                f"expected {rid!r}",
-            )
-        return self._unwrap(envelope)
-
-    # -- surface ---------------------------------------------------------
-    def ping(self) -> dict:
-        return self.call("ping")
-
-    def solve(
-        self,
-        instance: Any,
-        *,
-        options: SolveOptions | None = None,
-        retries: int = WORKER_LOST_RETRIES,
-        **fields: Any,
-    ) -> RemoteSolveResult:
-        """Solve one instance remotely.
-
-        A ``worker-lost`` answer (a sharded endpoint's worker died with
-        this request in flight) is retried up to ``retries`` times —
-        solves are deterministic and side-effect free, so the re-send
-        is always safe.  Every other error propagates untouched."""
-        payload: dict[str, Any] = {"instance": instance_to_wire(instance)}
-        wire_options = options_to_wire(options, **fields)
-        if wire_options is not None:
-            payload["options"] = wire_options
-        attempt = 0
-        while True:
-            try:
-                return RemoteSolveResult.from_wire(
-                    self.call("solve", **payload)
-                )
-            except RemoteError as exc:
-                if exc.code != ErrorCode.WORKER_LOST or attempt >= retries:
-                    raise
-                attempt += 1
-                # brief linear backoff: restart takes the supervisor a
-                # few tens of milliseconds, and the ring routes around
-                # the dead slot meanwhile
-                time.sleep(0.05 * attempt)
-
-    def solve_pipelined(
-        self,
-        instances: Sequence[Any],
-        *,
-        options: SolveOptions | None = None,
-        retries: int = WORKER_LOST_RETRIES,
-        **fields: Any,
-    ) -> list[RemoteSolveResult]:
-        """Send every request up front, then collect the out-of-order
-        responses; results come back in input order.
-
-        This is the sync client's throughput mode: the whole burst goes
-        out as one write, so the server sees it in as few reads as the
-        transport allows and is free to micro-batch and dedup across
-        all of it.  Requests answered ``worker-lost`` are re-sent (as a
-        fresh burst) up to ``retries`` rounds, same contract as
-        :meth:`solve`."""
-        wire_options = options_to_wire(options, **fields)
-        payloads: list[dict[str, Any]] = []
-        for instance in instances:
-            payload: dict[str, Any] = {
-                "instance": instance_to_wire(instance)
-            }
-            if wire_options is not None:
-                payload["options"] = wire_options
-            payloads.append(payload)
-
-        envelopes: dict[int, dict] = {}
-        pending = list(range(len(payloads)))
-        for attempt in range(retries + 1):
-            rid_to_index = {}
-            frames = []
-            for index in pending:
-                rid = next(self._ids)
-                rid_to_index[rid] = index
-                frames.append(
-                    encode_frame(
-                        _traced_request("solve", rid, payloads[index])
-                    )
-                )
-            self._sock.sendall(b"".join(frames))
-            lost: list[int] = []
-            want = set(rid_to_index)
-            while want:
-                envelope = self._recv()
-                rid = envelope.get("id")
-                if rid not in want:
-                    continue
-                want.discard(rid)
-                error = envelope.get("error") or {}
-                if (
-                    not envelope.get("ok")
-                    and error.get("code") == ErrorCode.WORKER_LOST
-                    and attempt < retries
-                ):
-                    lost.append(rid_to_index[rid])
-                else:
-                    envelopes[rid_to_index[rid]] = envelope
-            if not lost:
-                break
-            pending = sorted(lost)
-        return [
-            RemoteSolveResult.from_wire(self._unwrap(envelopes[index]))
-            for index in range(len(payloads))
-        ]
-
-    def open_session(
-        self,
-        baseline: Any,
-        *,
-        method: str = "auto",
-        fallback_ratio: float = 0.25,
-        min_fallback_region: int = 4,
-        ls_moves: int = 64,
-    ) -> RemoteSession:
-        """Host ``baseline`` in a server-side dynamic session."""
-        info = self.call(
-            "session.open",
-            baseline=instance_to_wire(baseline),
-            method=method,
-            fallback_ratio=fallback_ratio,
-            min_fallback_region=min_fallback_region,
-            ls_moves=ls_moves,
-        )
-        return RemoteSession(self, info)
-
-    def metrics(self, *, format: str = "json") -> dict:
-        """The server's ``metrics`` snapshot (or, with
-        ``format="prometheus"``, ``{"text": <exposition text>}``)."""
-        if format == "json":
-            return self.call("metrics")
-        return self.call("metrics", format=format)
-
-    def traces(self, count: int | None = None) -> dict:
-        """The server's flight recorder: its retained slow traces."""
-        if count is None:
-            return self.call("trace")
-        return self.call("trace", count=count)
-
-    def health(self, *, budget: dict | None = None) -> dict:
-        """The server's ``health`` verdict, optionally graded against
-        a caller-supplied budget (see ``repro.obs.health``)."""
-        if budget is None:
-            return self.call("health")
-        return self.call("health", budget=budget)
-
-    def shutdown(self) -> dict:
-        return self.call("shutdown")
-
-    def close(self) -> None:
-        try:
-            self._rfile.close()
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
 # asyncio client
 # ----------------------------------------------------------------------
 class AsyncServiceClient:
@@ -469,15 +259,12 @@ class AsyncServiceClient:
 
     async def _read_loop(self) -> None:
         try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    # repro: ignore[contract-sync] — client-side raise: surfaces to the local caller, never crosses the wire
-                    raise ConnectionError("server closed the connection")
+            while line := await self._reader.readline():
                 envelope = decode_frame(line)
                 fut = self._waiters.pop(envelope.get("id"), None)
                 if fut is not None and not fut.done():
                     fut.set_result(envelope)
+            self._fail_waiters(ConnectionError("server closed the connection"))
         except asyncio.CancelledError:
             # close() cancels this task; CancelledError is a
             # BaseException, so without this clause in-flight waiters
@@ -488,9 +275,9 @@ class AsyncServiceClient:
             self._fail_waiters(exc)
 
     def _fail_waiters(self, exc: Exception) -> None:
-        # flag first, then fail the waiters: a call() racing this
-        # cleanup either registered in time to be failed here, or
-        # sees the flag on its post-registration check
+        # flag first, then fail the waiters: an exchange registered
+        # after this cleanup sees the flag instead of parking a waiter
+        # no reader will ever resolve
         self._dead = exc
         for fut in self._waiters.values():
             if not fut.done():
@@ -498,27 +285,47 @@ class AsyncServiceClient:
                 fut.exception()
         self._waiters.clear()
 
+    async def _exchange(self, op: str, payloads: Sequence[dict]) -> list[dict]:
+        """One ``op`` request per payload, in one write (so the server
+        can micro-batch and dedup across the burst); the envelopes come
+        back in payload order.  A traced request's response may
+        piggyback server-side spans (API.md "Fleet observability"):
+        they are filed for every envelope, error envelopes included, so
+        even the ``worker-lost`` hop reaches the caller's trace."""
+        loop = asyncio.get_running_loop()
+        rids = [next(self._ids) for _ in payloads]
+        futs = [loop.create_future() for _ in payloads]
+        self._waiters.update(zip(rids, futs))
+        try:
+            if self._dead is not None:
+                # repro: ignore[contract-sync] — client-side raise: surfaces to the local caller, never crosses the wire
+                raise ConnectionError(
+                    f"connection is closed: {self._dead}"
+                ) from self._dead
+            self._writer.write(
+                b"".join(
+                    encode_frame(_traced_request(op, rid, payload))
+                    for rid, payload in zip(rids, payloads)
+                )
+            )
+            await self._writer.drain()
+            # every waiter is registered: awaiting them in turn waits for
+            # the last answer, whatever order the answers arrive in
+            envelopes = [await fut for fut in futs]
+        finally:
+            # a cancelled or failed exchange leaves no waiter behind: a
+            # late answer to it is dropped by the read loop
+            for rid in rids:
+                self._waiters.pop(rid, None)
+        for envelope in envelopes:
+            if isinstance(envelope.get("spans"), list):
+                ingest(envelope["spans"])
+        return envelopes
+
     async def call(self, op: str, **payload: Any) -> dict:
-        if self._dead is not None:
-            # repro: ignore[contract-sync] — client-side raise: surfaces to the local caller, never crosses the wire
-            raise ConnectionError(
-                f"connection is closed: {self._dead}"
-            ) from self._dead
-        rid = next(self._ids)
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiters[rid] = fut
-        if self._dead is not None and not fut.done():
-            # the read loop died between the check above and now: no
-            # reader exists to resolve this waiter
-            self._waiters.pop(rid, None)
-            # repro: ignore[contract-sync] — client-side raise: surfaces to the local caller, never crosses the wire
-            raise ConnectionError(
-                f"connection is closed: {self._dead}"
-            ) from self._dead
-        self._writer.write(encode_frame(_traced_request(op, rid, payload)))
-        await self._writer.drain()
-        envelope = await fut
-        return ServiceClient._unwrap(envelope)
+        """One request, one response (the building block)."""
+        (envelope,) = await self._exchange(op, [payload])
+        return _unwrap(envelope)
 
     async def ping(self) -> dict:
         return await self.call("ping")
@@ -531,36 +338,73 @@ class AsyncServiceClient:
         retries: int = WORKER_LOST_RETRIES,
         **fields: Any,
     ) -> RemoteSolveResult:
-        """Solve one instance remotely, retrying ``worker-lost``
-        answers up to ``retries`` times (see :meth:`ServiceClient
-        .solve` — same contract)."""
-        payload: dict[str, Any] = {"instance": instance_to_wire(instance)}
+        """Solve one instance remotely (:meth:`solve_pipelined` of one:
+        same ``worker-lost`` retry contract)."""
+        (result,) = await self.solve_pipelined(
+            [instance], options=options, retries=retries, **fields
+        )
+        return result
+
+    async def solve_pipelined(
+        self,
+        instances: Sequence[Any],
+        *,
+        options: SolveOptions | None = None,
+        retries: int = WORKER_LOST_RETRIES,
+        **fields: Any,
+    ) -> list[RemoteSolveResult]:
+        """Send every request as one burst, then collect the
+        out-of-order responses; results come back in input order.
+
+        A ``worker-lost`` answer (a sharded endpoint's worker died with
+        the request in flight) is re-sent, in a fresh burst of only the
+        lost requests, for up to ``retries`` rounds — solves are
+        deterministic and side-effect free, so the re-send is always
+        safe.  Every other error propagates untouched."""
         wire_options = options_to_wire(options, **fields)
-        if wire_options is not None:
-            payload["options"] = wire_options
-        attempt = 0
-        while True:
-            try:
-                return RemoteSolveResult.from_wire(
-                    await self.call("solve", **payload)
-                )
-            except RemoteError as exc:
-                if exc.code != ErrorCode.WORKER_LOST or attempt >= retries:
-                    raise
-                attempt += 1
+        extra: dict = {} if wire_options is None else {"options": wire_options}
+        payloads = [
+            {"instance": instance_to_wire(instance), **extra}
+            for instance in instances
+        ]
+        envelopes: dict[int, dict] = {}
+        pending = list(range(len(payloads)))
+        for attempt in range(retries + 1):
+            if attempt:
+                # brief linear backoff: restart takes the supervisor a
+                # few tens of milliseconds, and the ring routes around
+                # the dead slot meanwhile
                 await asyncio.sleep(0.05 * attempt)
+            answers = await self._exchange(
+                "solve", [payloads[index] for index in pending]
+            )
+            envelopes.update(zip(pending, answers))
+            pending = [
+                index for index in pending if _worker_lost(envelopes[index])
+            ]
+            if not pending:
+                break
+        return [
+            RemoteSolveResult.from_wire(_unwrap(envelopes[index]))
+            for index in range(len(payloads))
+        ]
 
     async def metrics(self, *, format: str = "json") -> dict:
+        """The server's ``metrics`` snapshot (or, with
+        ``format="prometheus"``, ``{"text": <exposition text>}``)."""
         if format == "json":
             return await self.call("metrics")
         return await self.call("metrics", format=format)
 
     async def traces(self, count: int | None = None) -> dict:
+        """The server's flight recorder: its retained slow traces."""
         if count is None:
             return await self.call("trace")
         return await self.call("trace", count=count)
 
     async def health(self, *, budget: dict | None = None) -> dict:
+        """The server's ``health`` verdict, optionally graded against
+        a caller-supplied budget (see ``repro.obs.health``)."""
         if budget is None:
             return await self.call("health")
         return await self.call("health", budget=budget)
@@ -579,3 +423,137 @@ class AsyncServiceClient:
             await self._writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
+
+
+# ----------------------------------------------------------------------
+# blocking client
+# ----------------------------------------------------------------------
+_T = TypeVar("_T")
+
+
+class ServiceClient:
+    """Blocking client: an :class:`AsyncServiceClient` run on a private
+    event loop.
+
+    ``timeout`` (seconds, ``None`` for none) bounds the connect and each
+    call, retries included, and raises the builtin :class:`TimeoutError`.
+    Not thread-safe (one conversation at a time); use one client per
+    thread, or :class:`AsyncServiceClient` for in-process concurrency
+    and from inside a running event loop.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 7431,
+        *,
+        timeout: float | None = 60.0,
+    ):
+        self._timeout = timeout
+        self._loop = asyncio.new_event_loop()
+        try:
+            self._client = self._run(AsyncServiceClient.connect(host, port))
+        except BaseException:
+            self._loop.close()
+            raise
+
+    def _run(self, call: Coroutine[Any, Any, _T]) -> _T:
+        task = self._loop.create_task(call)
+        timer = (
+            None
+            if self._timeout is None
+            else self._loop.call_later(self._timeout, task.cancel)
+        )
+        try:
+            return self._loop.run_until_complete(task)
+        except asyncio.CancelledError:
+            # only the timer cancels the task
+            # repro: ignore[contract-sync] — client-side raise: surfaces to the local caller, never crosses the wire
+            raise TimeoutError(f"no answer within {self._timeout}s") from None
+        finally:
+            if timer is not None:
+                timer.cancel()
+
+    def call(self, op: str, **payload: Any) -> dict:
+        """One request, one response (the building block)."""
+        return self._run(self._client.call(op, **payload))
+
+    def ping(self) -> dict:
+        return self._run(self._client.ping())
+
+    def solve(
+        self,
+        instance: Any,
+        *,
+        options: SolveOptions | None = None,
+        retries: int = WORKER_LOST_RETRIES,
+        **fields: Any,
+    ) -> RemoteSolveResult:
+        """See :meth:`AsyncServiceClient.solve`."""
+        return self._run(
+            self._client.solve(
+                instance, options=options, retries=retries, **fields
+            )
+        )
+
+    def solve_pipelined(
+        self,
+        instances: Sequence[Any],
+        *,
+        options: SolveOptions | None = None,
+        retries: int = WORKER_LOST_RETRIES,
+        **fields: Any,
+    ) -> list[RemoteSolveResult]:
+        """The blocking client's throughput mode; see
+        :meth:`AsyncServiceClient.solve_pipelined`."""
+        return self._run(
+            self._client.solve_pipelined(
+                instances, options=options, retries=retries, **fields
+            )
+        )
+
+    def open_session(
+        self,
+        baseline: Any,
+        *,
+        method: str = "auto",
+        fallback_ratio: float = 0.25,
+        min_fallback_region: int = 4,
+        ls_moves: int = 64,
+    ) -> RemoteSession:
+        """Host ``baseline`` in a server-side dynamic session."""
+        info = self.call(
+            "session.open",
+            baseline=instance_to_wire(baseline),
+            method=method,
+            fallback_ratio=fallback_ratio,
+            min_fallback_region=min_fallback_region,
+            ls_moves=ls_moves,
+        )
+        return RemoteSession(self, info)
+
+    def metrics(self, *, format: str = "json") -> dict:
+        return self._run(self._client.metrics(format=format))
+
+    def traces(self, count: int | None = None) -> dict:
+        return self._run(self._client.traces(count))
+
+    def health(self, *, budget: dict | None = None) -> dict:
+        return self._run(self._client.health(budget=budget))
+
+    def shutdown(self) -> dict:
+        return self._run(self._client.shutdown())
+
+    def close(self) -> None:
+        if self._loop.is_closed():
+            return
+        try:
+            self._loop.run_until_complete(self._client.close())
+        finally:
+            self._loop.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()

@@ -88,6 +88,17 @@ __all__ = ["SolveServer"]
 _ADMITTED_OPS = ("solve", "session.open", "session.mutate")
 
 
+async def _finish(tasks: set[asyncio.Task], timeout: float) -> None:
+    """Give ``tasks`` up to ``timeout`` to finish, then cancel and await
+    the stragglers: none of them survives the call."""
+    if not tasks:
+        return
+    _done, pending = await asyncio.wait(tasks, timeout=timeout)
+    for task in pending:
+        task.cancel()
+    await asyncio.gather(*pending, return_exceptions=True)
+
+
 @dataclass(eq=False)  # identity semantics: conns live in a set
 class _Conn:
     """Per-connection state."""
@@ -207,6 +218,9 @@ class SolveServer:
         self._solve_expected = 0
         self._conn_ids = itertools.count(1)
         self._conns: set[_Conn] = set()
+        #: every running ``_serve_connection`` task, including one that
+        #: has left ``_conns`` and is still reclaiming or closing
+        self._serving: set[asyncio.Task] = set()
         self._started_monotonic: float | None = None
         self._server: asyncio.AbstractServer | None = None
         self._stop_task: asyncio.Task | None = None
@@ -251,10 +265,11 @@ class SolveServer:
         ``stop()``, so nothing keeps mutating ``_pending`` or session
         state after it returns.
 
-        Lingering connections are then closed outright rather than
-        awaited: on Python >= 3.12.1 ``Server.wait_closed`` blocks
-        until every client disconnects, which would let one idle client
-        hold shutdown hostage."""
+        Lingering connections are then closed outright, and their
+        connection tasks awaited under the same bound, rather than
+        waiting for the clients: on Python >= 3.12.1
+        ``Server.wait_closed`` blocks until every client disconnects,
+        which would let one idle client hold shutdown hostage."""
         if self._server is not None:
             self._server.close()
             self._server = None
@@ -264,17 +279,15 @@ class SolveServer:
         await self.batcher.flush_all()
         tasks = {t for conn in list(self._conns) for t in conn.tasks}
         tasks.discard(asyncio.current_task())
-        if tasks:
-            done, pending = await asyncio.wait(tasks, timeout=drain_s)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+        await _finish(tasks, drain_s)
         # a drained handler may have enqueued new batch work (admitted
         # before the listener closed): flush again so nothing dangles
         await self.batcher.flush_all()
         for conn in list(self._conns):
             conn.writer.close()
+        # connection tasks outlive their ``_conns`` entry while they
+        # reclaim sessions and close the writer: await those too
+        await _finish(self._serving - {asyncio.current_task()}, drain_s)
         if self.tracing and self._trace_prev is not None:
             if not self._trace_prev:
                 disable_tracing()
@@ -287,6 +300,10 @@ class SolveServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._serving.add(task)
+            task.add_done_callback(self._serving.discard)
         conn = _Conn(id=next(self._conn_ids), writer=writer)
         self._conns.add(conn)
         self.metrics.incr("connections")

@@ -294,11 +294,11 @@ class TestSelfCheck:
         assert report.clean, "\n".join(str(f) for f in report.findings)
 
     def test_suppression_baseline_is_pinned(self):
-        # the intentional exemptions: client-side ConnectionError raises
-        # (they surface to the local caller, never the wire), the
-        # supervisor's in-process spawn/handshake errors (same — local
-        # to the front-end, never serialized), and the blessed
-        # once-per-call boundary spans in kernel-domain modules
+        # the intentional exemptions: the client's ConnectionError and
+        # TimeoutError raises (they surface to the local caller, never
+        # the wire), the supervisor's in-process spawn/handshake errors
+        # (same — local to the front-end, never serialized), and the
+        # blessed once-per-call boundary spans in kernel-domain modules
         # (compile on digest miss, patch emit tiers, dynamic repair).
         # A new suppression anywhere in src/repro must update this.
         baseline = {}
@@ -311,7 +311,7 @@ class TestSelfCheck:
                 key = (rel, tuple(sorted(sup.rules)))
                 baseline[key] = baseline.get(key, 0) + 1
         assert baseline == {
-            ("src/repro/service/client.py", ("contract-sync",)): 4,
+            ("src/repro/service/client.py", ("contract-sync",)): 2,
             ("src/repro/service/supervisor.py", ("contract-sync",)): 2,
             ("src/repro/kernels/compiled.py", ("span-hygiene",)): 1,
             ("src/repro/kernels/patch.py", ("span-hygiene",)): 4,

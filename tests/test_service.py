@@ -573,24 +573,38 @@ class TestSessions:
                 return real_mutate(*args, **kwargs)
 
             server.sessions.mutate = slow_mutate
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            )
+            rfile = sock.makefile("rb")
             try:
-                client = ServiceClient(port=server.port)
-                session = client.open_session(hg)
+                from repro.service import instance_to_wire
+
+                sock.sendall(
+                    encode_frame(
+                        request(
+                            "session.open", 1, baseline=instance_to_wire(hg)
+                        )
+                    )
+                )
+                opened = decode_frame(rfile.readline())
+                assert opened["ok"], opened
                 assert len(server.sessions) == 1
                 # fire the mutate, then vanish without reading the
                 # answer — the batch is parked inside slow_mutate
-                client._sock.sendall(
+                sock.sendall(
                     encode_frame(
                         request(
                             "session.mutate",
-                            99,
-                            session=session.id,
+                            2,
+                            session=opened["result"]["session"],
                             mutations=[],
                         )
                     )
                 )
                 assert entered.wait(10), "mutate never reached the manager"
-                client.close()
+                rfile.close()
+                sock.close()
                 threading.Event().wait(0.1)  # let the drop be noticed
                 # reclamation may already have unregistered the session,
                 # but the detach serialises on the session lock — the
@@ -610,6 +624,8 @@ class TestSessions:
                 assert server.metrics.counter("sessions_reclaimed") == 1
             finally:
                 release.set()
+                rfile.close()
+                sock.close()
                 server.sessions.mutate = real_mutate
 
 
@@ -617,6 +633,25 @@ class TestSessions:
 # shutdown drain
 # ---------------------------------------------------------------------------
 class TestShutdownDrain:
+    def test_stop_leaves_no_connection_task_pending(self):
+        """A connection the client just closed is still finishing its
+        ``_serve_connection`` (reclaiming, closing the writer) after it
+        leaves the connection table: ``stop()`` awaits it all the same,
+        so no such task is left pending on the loop."""
+        (hg,) = small_instances(1)
+        with running_server() as (server, loop):
+            with ServiceClient(port=server.port) as client:
+                client.solve(hg)
+
+            async def stop_then_list_serving() -> list:
+                await server.stop()
+                return [
+                    task for task in asyncio.all_tasks()
+                    if task.get_coro().__name__ == "_serve_connection"
+                ]
+
+            assert on_loop(loop, stop_then_list_serving()) == []
+
     def test_stop_drains_inflight_and_delivers_response(self):
         """``stop()`` lets a briefly-busy handler finish inside the
         drain window and its response still reaches the client."""
@@ -834,8 +869,16 @@ class TestMalformedFrames:
 
 
 # ---------------------------------------------------------------------------
-# async client connection teardown
+# client connection teardown
 # ---------------------------------------------------------------------------
+async def _mute(reader, writer):
+    """A server connection that accepts and never answers."""
+    try:
+        await reader.read()
+    finally:
+        writer.close()
+
+
 class TestAsyncClientClose:
     def test_close_fails_inflight_waiters(self):
         """close() must fail parked call() waiters with ConnectionError
@@ -848,10 +891,7 @@ class TestAsyncClientClose:
         reply."""
 
         async def scenario():
-            async def mute(reader, writer):  # accepts, never answers
-                await reader.read()
-
-            srv = await asyncio.start_server(mute, "127.0.0.1", 0)
+            srv = await asyncio.start_server(_mute, "127.0.0.1", 0)
             port = srv.sockets[0].getsockname()[1]
             client = await AsyncServiceClient.connect(port=port)
             pending = asyncio.create_task(client.call("ping"))
@@ -863,6 +903,29 @@ class TestAsyncClientClose:
             # waiter no reader will ever resolve
             with pytest.raises(ConnectionError):
                 await client.call("ping")
+            srv.close()
+            await srv.wait_closed()
+
+        asyncio.run(scenario())
+
+    def test_blocking_timeout_raises_builtin_and_close_frees_the_loop(self):
+        """The blocking client's ``timeout`` bounds each call and raises
+        the builtin ``TimeoutError`` (before Python 3.11 asyncio's own
+        ``TimeoutError`` is a different class), and ``close()`` afterwards
+        still tears the client and its private loop down."""
+
+        async def scenario():
+            srv = await asyncio.start_server(_mute, "127.0.0.1", 0)
+            port = srv.sockets[0].getsockname()[1]
+            # the blocking client runs its own loop: drive it from a
+            # thread, off this one
+            client = await asyncio.to_thread(
+                ServiceClient, port=port, timeout=0.2
+            )
+            with pytest.raises(TimeoutError):
+                await asyncio.to_thread(client.ping)
+            await asyncio.to_thread(client.close)
+            assert client._loop.is_closed()
             srv.close()
             await srv.wait_closed()
 

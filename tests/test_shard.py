@@ -478,9 +478,10 @@ class TestChaos:
 # ---------------------------------------------------------------------------
 class _FlakyServer:
     """A minimal NDJSON server whose first ``fail_first`` solve
-    requests answer ``worker-lost``; everything after succeeds, echoing
-    the instance's ``mark`` in the makespan so responses can be traced
-    back to requests."""
+    requests answer ``worker-lost``, each piggybacking one span of the
+    ``"flaky"`` trace (the failed hop a sharded front-end would ship);
+    everything after succeeds, echoing the instance's ``mark`` in the
+    makespan so responses can be traced back to requests."""
 
     def __init__(self, fail_first: int):
         self.fail_first = fail_first
@@ -509,15 +510,23 @@ class _FlakyServer:
                     continue
                 self.seen += 1
                 if self.seen <= self.fail_first:
-                    conn.sendall(
-                        encode_frame(
-                            error_response(
-                                req.get("id"),
-                                ErrorCode.WORKER_LOST,
-                                "worker w9 was lost mid-request; retry",
-                            )
-                        )
+                    lost = error_response(
+                        req.get("id"),
+                        ErrorCode.WORKER_LOST,
+                        "worker w9 was lost mid-request; retry",
                     )
+                    lost["spans"] = [
+                        {
+                            "trace": "flaky",
+                            "span": f"lost{self.seen}",
+                            "parent": "caller",
+                            "name": "service.shard.worker",
+                            "start": 0.0,
+                            "dur": 0.0,
+                            "pid": 0,
+                        }
+                    ]
+                    conn.sendall(encode_frame(lost))
                     continue
                 mark = req["instance"].get("mark", -1)
                 conn.sendall(
@@ -546,37 +555,82 @@ class _FlakyServer:
         self._sock.close()
 
 
+def _drive(blocking: bool, port: int, method: str, *args, **kwargs):
+    """``method(*args, **kwargs)`` on a fresh blocking or asyncio
+    client connected to ``port``."""
+    if blocking:
+        with ServiceClient(port=port) as client:
+            return getattr(client, method)(*args, **kwargs)
+
+    async def scenario():
+        client = await AsyncServiceClient.connect(port=port)
+        try:
+            return await getattr(client, method)(*args, **kwargs)
+        finally:
+            await client.close()
+
+    return asyncio.run(scenario())
+
+
+@pytest.fixture
+def recorder():
+    """A fresh process-wide span recorder for the test."""
+    old = trace_mod.RECORDER
+    trace_mod.RECORDER = TraceRecorder(capacity=1024, threshold_s=1e9)
+    try:
+        yield trace_mod.RECORDER
+    finally:
+        trace_mod.RECORDER = old
+
+
+def _flaky_spans(recorder) -> list[str]:
+    return sorted(r["span"] for r in recorder.spans() if r["trace"] == "flaky")
+
+
+_CLIENTS = pytest.mark.parametrize(
+    "blocking", [True, False], ids=["sync", "async"]
+)
+
+
 class TestClientRetries:
-    def test_solve_retries_worker_lost_then_succeeds(self):
+    @_CLIENTS
+    def test_solve_retries_worker_lost_then_succeeds(self, blocking, recorder):
         fake = _FlakyServer(fail_first=2)
         try:
-            with ServiceClient(port=fake.port) as client:
-                result = client.solve({"kind": "hypergraph", "mark": 5})
+            result = _drive(
+                blocking, fake.port, "solve", {"kind": "hypergraph", "mark": 5}
+            )
             assert result.makespan == 5.0
             assert fake.seen == 3  # two losses + the success
+            # the lost hops' piggybacked spans reached the caller
+            assert _flaky_spans(recorder) == ["lost1", "lost2"]
         finally:
             fake.close()
 
-    def test_solve_gives_up_after_bounded_retries(self):
+    @_CLIENTS
+    def test_solve_gives_up_after_bounded_retries(self, blocking):
         fake = _FlakyServer(fail_first=100)
         try:
-            with ServiceClient(port=fake.port) as client:
-                with pytest.raises(RemoteError) as exc:
-                    client.solve({"kind": "hypergraph", "mark": 1}, retries=2)
+            with pytest.raises(RemoteError) as exc:
+                _drive(
+                    blocking, fake.port, "solve",
+                    {"kind": "hypergraph", "mark": 1}, retries=2,
+                )
             assert exc.value.code == ErrorCode.WORKER_LOST
             assert fake.seen == 3  # initial send + two retries
         finally:
             fake.close()
 
-    def test_pipelined_resends_only_lost_requests(self):
+    @_CLIENTS
+    def test_pipelined_resends_only_lost_requests(self, blocking, recorder):
         fake = _FlakyServer(fail_first=2)
         try:
             marks = [{"kind": "hypergraph", "mark": m} for m in range(4)]
-            with ServiceClient(port=fake.port) as client:
-                results = client.solve_pipelined(marks)
+            results = _drive(blocking, fake.port, "solve_pipelined", marks)
             assert [r.makespan for r in results] == [0.0, 1.0, 2.0, 3.0]
             # 4 initial + the 2 lost ones re-sent once
             assert fake.seen == 6
+            assert _flaky_spans(recorder) == ["lost1", "lost2"]
         finally:
             fake.close()
 
