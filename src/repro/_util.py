@@ -17,6 +17,7 @@ __all__ = [
     "Timer",
     "check_1d_int",
     "stable_argsort",
+    "csr_group",
     "BoundedLRU",
 ]
 
@@ -73,6 +74,30 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """Stable argsort (mergesort) — deterministic tie order matters for
     reproducing the paper's greedy visit orders."""
     return np.argsort(keys, kind="stable")
+
+
+def csr_group(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the int64 ``keys`` (each in ``[0, n_keys)``) into CSR form.
+
+    Returns ``(ptr, order)``: ``order`` is the stable permutation that
+    sorts ``keys`` (equal keys keep their input order), so the items of
+    key ``k`` are ``order[ptr[k]:ptr[k + 1]]``.  The sort path is
+    picked by measured cost: numpy's stable sort is an O(n) radix sort
+    for <=16-bit keys, and otherwise the unique combined keys
+    ``key * n + i`` (int64 holds them for any sizes that fit in memory)
+    let a plain sort reproduce the stable permutation at a fraction of
+    its cost.
+    """
+    n = keys.shape[0]
+    ptr = np.zeros(n_keys + 1, dtype=np.int64)
+    if n == 0:
+        return ptr, np.empty(0, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=ptr[1:])
+    if n_keys <= 1 << 16:
+        return ptr, np.argsort(keys.astype(np.uint16), kind="stable")
+    combined = keys * n + np.arange(n, dtype=np.int64)
+    combined.sort()
+    return ptr, combined % n
 
 
 class BoundedLRU:

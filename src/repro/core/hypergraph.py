@@ -24,9 +24,35 @@ import numpy as np
 
 from .bipartite import BipartiteGraph
 from .errors import GraphStructureError
-from .._util import check_1d_int
+from .._util import check_1d_int, csr_group
 
 __all__ = ["TaskHypergraph"]
+
+
+def _check_distinct_pins(
+    ptr: np.ndarray, pins: np.ndarray, pin_owner: np.ndarray, n_procs: int
+) -> None:
+    """Reject a hyperedge that lists one processor twice.
+
+    Pins that strictly increase within every hyperedge are distinct, and
+    that O(pins) test settles the common (sorted) case; only otherwise
+    are the ``(owner, proc)`` pairs sorted to find the duplicate.
+    """
+    if pins.shape[0] < 2:
+        return
+    rising = pins[1:] > pins[:-1]
+    # the comparison across a hyperedge boundary does not count
+    rising[ptr[1:-1] - 1] = True
+    if rising.all():
+        return
+    keys = pin_owner * n_procs + pins
+    keys.sort()
+    dup = keys[1:] == keys[:-1]
+    if np.any(dup):
+        bad = int(keys[1:][dup][0] // n_procs)
+        raise GraphStructureError(
+            f"hyperedge {bad} contains duplicate processors"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,14 +107,54 @@ class TaskHypergraph:
         its processor set (must be non-empty and duplicate-free);
         ``weights[k]`` its weight (defaults to 1, i.e. MULTIPROC-UNIT).
         """
-        ht = check_1d_int(np.asarray(hedge_task), "hedge_task")
+        ht = check_1d_int(hedge_task, "hedge_task")
         plists = [np.asarray(list(ps), dtype=np.int64) for ps in proc_lists]
         if len(plists) != ht.shape[0]:
             raise GraphStructureError(
                 f"got {ht.shape[0]} hyperedge tasks but {len(plists)} "
                 "processor lists"
             )
+        sizes = np.array([len(ps) for ps in plists], dtype=np.int64)
+        hedge_ptr = np.zeros(len(plists) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=hedge_ptr[1:])
+        hedge_procs = (
+            np.concatenate(plists) if plists else np.empty(0, dtype=np.int64)
+        )
+        return TaskHypergraph.from_csr(
+            n_tasks, n_procs, ht, hedge_ptr, hedge_procs, weights
+        )
+
+    @staticmethod
+    def from_csr(
+        n_tasks: int,
+        n_procs: int,
+        hedge_task: np.ndarray | Sequence[int],
+        hedge_ptr: np.ndarray | Sequence[int],
+        hedge_procs: np.ndarray | Sequence[int],
+        weights: np.ndarray | Sequence[float] | None = None,
+    ) -> "TaskHypergraph":
+        """Build a hypergraph from its CSR pin lists, validating them.
+
+        The processors of hyperedge ``h`` are
+        ``hedge_procs[hedge_ptr[h]:hedge_ptr[h + 1]]``; every other
+        argument is as in :meth:`from_hyperedges`.  Every check is a
+        vectorized pass, so this is the constructor for instances that
+        arrive as flat arrays (the serialize v2 dict, the wire).
+        """
+        n_tasks, n_procs = int(n_tasks), int(n_procs)
+        if n_tasks < 0 or n_procs < 0:
+            raise GraphStructureError("vertex counts must be non-negative")
+        ht = check_1d_int(hedge_task, "hedge_task")
+        ptr = check_1d_int(hedge_ptr, "hedge_ptr")
+        pins = check_1d_int(hedge_procs, "hedge_procs")
         nh = ht.shape[0]
+        if ptr.shape != (nh + 1,):
+            raise GraphStructureError(
+                f"hedge_ptr must have one entry per hyperedge plus one "
+                f"({nh + 1}), got shape {ptr.shape}"
+            )
+        if ptr[0] != 0 or ptr[-1] != pins.shape[0]:
+            raise GraphStructureError("hedge_ptr is not a valid CSR pointer")
         if weights is None:
             w = np.ones(nh, dtype=np.float64)
         else:
@@ -104,60 +170,35 @@ class TaskHypergraph:
                 )
         if nh and (ht.min() < 0 or ht.max() >= n_tasks):
             raise GraphStructureError("hyperedge task id out of range")
-        sizes = np.array([len(ps) for ps in plists], dtype=np.int64)
-        if np.any(sizes == 0):
+        sizes = np.diff(ptr)
+        if nh and sizes.min() <= 0:
+            if sizes.min() < 0:
+                raise GraphStructureError(
+                    "hedge_ptr is not a valid CSR pointer"
+                )
             bad = int(np.flatnonzero(sizes == 0)[0])
-            raise GraphStructureError(f"hyperedge {bad} has an empty processor set")
-        hedge_ptr = np.zeros(nh + 1, dtype=np.int64)
-        np.cumsum(sizes, out=hedge_ptr[1:])
-        hedge_procs = (
-            np.concatenate(plists) if plists else np.empty(0, dtype=np.int64)
-        )
-        if hedge_procs.size and (
-            hedge_procs.min() < 0 or hedge_procs.max() >= n_procs
-        ):
+            raise GraphStructureError(
+                f"hyperedge {bad} has an empty processor set"
+            )
+        if pins.size and (pins.min() < 0 or pins.max() >= n_procs):
             raise GraphStructureError("hyperedge processor id out of range")
         pin_owner = np.repeat(np.arange(nh, dtype=np.int64), sizes)
-        # duplicate pins within a hyperedge: one vectorized pass over
-        # (owner, proc) pairs — a per-hyperedge np.unique loop costs
-        # more than the rest of construction on many-small-edge
-        # instances (the service's wire-deserialisation hot path)
-        if hedge_procs.size:
-            order = np.lexsort((hedge_procs, pin_owner))
-            sp, so = hedge_procs[order], pin_owner[order]
-            dup = (sp[1:] == sp[:-1]) & (so[1:] == so[:-1])
-            if np.any(dup):
-                bad = int(so[1:][dup][0])
-                raise GraphStructureError(
-                    f"hyperedge {bad} contains duplicate processors"
-                )
+        _check_distinct_pins(ptr, pins, pin_owner, n_procs)
 
-        # task -> hyperedges (stable: preserves input hyperedge order)
-        order_t = np.argsort(ht, kind="stable")
-        task_hedges = order_t.astype(np.int64)
-        task_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-        np.add.at(task_ptr, ht + 1, 1)
-        np.cumsum(task_ptr, out=task_ptr)
-
-        # processor -> hyperedges
-        order_p = np.argsort(hedge_procs, kind="stable")
-        proc_hedges = pin_owner[order_p]
-        proc_ptr = np.zeros(n_procs + 1, dtype=np.int64)
-        np.add.at(proc_ptr, hedge_procs + 1, 1)
-        np.cumsum(proc_ptr, out=proc_ptr)
-
+        task_ptr, task_hedges = csr_group(ht, n_tasks)
+        proc_ptr, order_p = csr_group(pins, n_procs)
         return TaskHypergraph(
             n_tasks=n_tasks,
             n_procs=n_procs,
             n_hedges=nh,
             hedge_task=ht,
-            hedge_ptr=hedge_ptr,
-            hedge_procs=hedge_procs,
+            hedge_ptr=ptr,
+            hedge_procs=pins,
             hedge_w=w,
             task_ptr=task_ptr,
             task_hedges=task_hedges,
             proc_ptr=proc_ptr,
-            proc_hedges=proc_hedges,
+            proc_hedges=pin_owner[order_p],
         )
 
     @staticmethod

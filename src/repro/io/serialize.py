@@ -1,13 +1,36 @@
 """JSON-friendly serialisation of graphs, hypergraphs and matchings.
 
-Instances round-trip through plain dictionaries (lists of ints/floats
-only), so they can be stored with :mod:`json`, shipped between processes,
-or checked into a repository as fixtures.  Files written by
-:func:`save_instance` carry a ``kind`` tag and a format version.
+Instances round-trip through plain dictionaries, so they can be stored
+with :mod:`json`, shipped between processes (the solve service's wire
+instances are these dicts), or checked into a repository as fixtures.
+Files written by :func:`save_instance` carry a ``kind`` tag and a
+format version.
+
+Hypergraph dicts (``kind: "hypergraph"``) are written as **version 2**,
+the packed CSR form of :class:`~repro.core.hypergraph.TaskHypergraph`::
+
+    {"kind": "hypergraph", "version": 2, "n_tasks": <int>, "n_procs": <int>,
+     "hedge_task": <b64 int32>, "hedge_ptr": <b64 int32>,
+     "hedge_procs": <b64 int32>, "weights": <b64 float64>}
+
+Each array field is the raw little-endian buffer of a 1-D array in the
+standard base64 alphabet (RFC 4648, with padding): ``hedge_task`` holds
+one task id per hyperedge, the processors of hyperedge ``h`` are
+``hedge_procs[hedge_ptr[h]:hedge_ptr[h + 1]]``, and ``weights`` holds
+one IEEE-754 binary64 weight per hyperedge, so weights are bit-exact.
+The reader validates the arrays through
+:meth:`TaskHypergraph.from_csr`; a malformed field raises
+:class:`~repro.core.errors.GraphStructureError`.
+
+Version 1 dicts (``hedge_task``, ``pins`` and ``weights`` as JSON
+lists, ``pins`` one list of processor ids per hyperedge) are still
+read.  Bipartite and matching dicts are version 1: lists of ints and
+floats.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 from typing import Any
@@ -30,6 +53,16 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+_HYPERGRAPH_VERSION = 2
+
+#: little-endian wire dtype of each packed v2 array field
+_PACKED = {
+    "hedge_task": "<i4",
+    "hedge_ptr": "<i4",
+    "hedge_procs": "<i4",
+    "weights": "<f8",
+}
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def bipartite_to_dict(graph: BipartiteGraph) -> dict[str, Any]:
@@ -64,34 +97,92 @@ def bipartite_from_dict(data: dict[str, Any]) -> BipartiteGraph:
 
 
 def hypergraph_to_dict(hg: TaskHypergraph) -> dict[str, Any]:
-    """Serialise a hypergraph (task + pin list per hyperedge)."""
-    pins = [
-        hg.hedge_proc_set(h).tolist() for h in range(hg.n_hedges)
-    ]
-    return {
-        "kind": "hypergraph",
-        "version": _FORMAT_VERSION,
-        "n_tasks": hg.n_tasks,
-        "n_procs": hg.n_procs,
-        "hedge_task": hg.hedge_task.tolist(),
-        "pins": pins,
-        "weights": hg.hedge_w.tolist(),
+    """Serialise a hypergraph as a version 2 (packed CSR) dict."""
+    arrays = {
+        "hedge_task": hg.hedge_task,
+        "hedge_ptr": hg.hedge_ptr,
+        "hedge_procs": hg.hedge_procs,
+        "weights": hg.hedge_w,
     }
+    out: dict[str, Any] = {
+        "kind": "hypergraph",
+        "version": _HYPERGRAPH_VERSION,
+        "n_tasks": int(hg.n_tasks),
+        "n_procs": int(hg.n_procs),
+    }
+    for key, arr in arrays.items():
+        dtype = _PACKED[key]
+        if dtype == "<i4" and arr.size and arr.max() > _INT32_MAX:
+            raise GraphStructureError(
+                f"{key} holds a value outside int32; the instance is too "
+                "large for the serialized form"
+            )
+        packed = np.ascontiguousarray(arr, dtype=dtype)
+        out[key] = base64.b64encode(packed.data).decode("ascii")
+    return out
 
 
 def hypergraph_from_dict(data: dict[str, Any]) -> TaskHypergraph:
-    """Inverse of :func:`hypergraph_to_dict`."""
+    """Inverse of :func:`hypergraph_to_dict`; reads version 1 and 2."""
     if data.get("kind") != "hypergraph":
         raise GraphStructureError(
             f"expected kind 'hypergraph', got {data.get('kind')!r}"
         )
-    return TaskHypergraph.from_hyperedges(
-        int(data["n_tasks"]),
-        int(data["n_procs"]),
-        np.asarray(data["hedge_task"], dtype=np.int64),
-        data["pins"],
-        np.asarray(data["weights"], dtype=np.float64),
+    version = data.get("version", 1)
+    if version == 1:
+        return TaskHypergraph.from_hyperedges(
+            int(_field(data, "n_tasks")),
+            int(_field(data, "n_procs")),
+            np.asarray(_field(data, "hedge_task"), dtype=np.int64),
+            _field(data, "pins"),
+            np.asarray(_field(data, "weights"), dtype=np.float64),
+        )
+    if version != _HYPERGRAPH_VERSION:
+        raise GraphStructureError(
+            f"unsupported hypergraph dict version {version!r} "
+            f"(this reader knows 1 and {_HYPERGRAPH_VERSION})"
+        )
+    n_tasks = _field(data, "n_tasks")
+    n_procs = _field(data, "n_procs")
+    for key, value in (("n_tasks", n_tasks), ("n_procs", n_procs)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise GraphStructureError(f"{key} must be an integer")
+    arrays = {key: _unpack(data, key) for key in _PACKED}
+    return TaskHypergraph.from_csr(
+        n_tasks,
+        n_procs,
+        arrays["hedge_task"],
+        arrays["hedge_ptr"],
+        arrays["hedge_procs"],
+        arrays["weights"],
     )
+
+
+def _field(data: dict[str, Any], key: str) -> Any:
+    # a missing field stays a KeyError: the service answers it
+    # ``bad-request`` (a malformed request), not ``graph-structure``
+    try:
+        return data[key]
+    except KeyError:
+        raise KeyError(f"hypergraph dict lacks the {key!r} field") from None
+
+
+def _unpack(data: dict[str, Any], key: str) -> np.ndarray:
+    """One packed v2 array field as a read-only numpy view."""
+    text = _field(data, key)
+    if not isinstance(text, str):
+        raise GraphStructureError(f"{key} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise GraphStructureError(f"{key} is not valid base64: {exc}") from None
+    dtype = np.dtype(_PACKED[key])
+    if len(raw) % dtype.itemsize:
+        raise GraphStructureError(
+            f"{key} holds {len(raw)} bytes, not a multiple of the "
+            f"{dtype.itemsize}-byte item size"
+        )
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def matching_to_dict(matching: SemiMatching | HyperSemiMatching) -> dict[str, Any]:

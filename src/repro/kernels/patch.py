@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import csr_group
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 from .compiled import CompiledKernels, flat_ranges, register_compiled
@@ -783,36 +784,11 @@ class KernelPatcher:
             remap = np.empty(0, dtype=np.int64)
             hedge_procs = np.empty(0, dtype=np.int64)
 
-        # processor CSR via a stable sort of the dense proc keys; the
-        # paths are ordered by measured cost at bench sizes
-        npins = hedge_procs.shape[0]
+        # processor CSR: the same stable grouping TaskHypergraph.from_csr
+        # builds, so a patched instance equals a freshly built one
         pin_owner = np.repeat(np.arange(nh, dtype=np.int64), sizes)
-        if npins:
-            if n_procs <= 1 << 16:
-                # numpy's stable sort is an O(n) radix sort for <=16-bit
-                # integer keys — ~2x the combined-key trick below
-                order_p = np.argsort(
-                    hedge_procs.astype(np.uint16), kind="stable"
-                )
-            elif n_procs < (2**62) // max(npins, 1):
-                # unique combined keys make a plain sort reproduce the
-                # stable argsort permutation at a fraction of its cost
-                combined = hedge_procs * npins + np.arange(
-                    npins, dtype=np.int64
-                )
-                combined.sort()
-                order_p = combined % npins
-            else:
-                order_p = np.argsort(hedge_procs, kind="stable")
-            proc_hedges = pin_owner[order_p]
-        else:
-            proc_hedges = np.empty(0, dtype=np.int64)
-        proc_ptr = np.zeros(n_procs + 1, dtype=np.int64)
-        if npins:
-            np.cumsum(
-                np.bincount(hedge_procs, minlength=n_procs),
-                out=proc_ptr[1:],
-            )
+        proc_ptr, order_p = csr_group(hedge_procs, n_procs)
+        proc_hedges = pin_owner[order_p]
 
         hg = TaskHypergraph(
             n_tasks=n_tasks,

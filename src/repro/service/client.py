@@ -260,6 +260,7 @@ class AsyncServiceClient:
     async def _read_loop(self) -> None:
         try:
             while line := await self._reader.readline():
+                # repro: ignore[async-blocking] — responses carry one assignment (one int per task), never an instance: small frames
                 envelope = decode_frame(line)
                 fut = self._waiters.pop(envelope.get("id"), None)
                 if fut is not None and not fut.done():

@@ -12,6 +12,24 @@ Request envelope::
 
     {"v": 1, "id": <any JSON value>, "op": "<op>", ...payload...}
 
+Instances (the ``instance`` of ``solve``, the ``baseline`` of
+``session.open``) are :mod:`repro.io.serialize` dicts.  A hypergraph
+travels as the version 2 packed CSR dict::
+
+    {"kind": "hypergraph", "version": 2, "n_tasks": 2, "n_procs": 3,
+     "hedge_task": "<base64>", "hedge_ptr": "<base64>",
+     "hedge_procs": "<base64>", "weights": "<base64>"}
+
+``hedge_task`` (one task id per hyperedge), ``hedge_ptr`` (``n_hedges
++ 1`` offsets into ``hedge_procs``) and ``hedge_procs`` (the processor
+ids of every hyperedge, back to back) are little-endian ``int32``
+buffers; ``weights`` is a little-endian ``float64`` buffer, so weights
+arrive bit-exact.  Every buffer is encoded in the standard base64
+alphabet (RFC 4648, padded).  Servers still read the version 1 form
+(``hedge_task``, ``pins`` — one list of processor ids per hyperedge —
+and ``weights`` as JSON lists).  A malformed instance answers
+``graph-structure``; a missing field answers ``bad-request``.
+
 A request may additionally carry an optional ``"trace"`` field —
 ``{"id": "<trace id>", "span": "<parent span id>"}`` — propagating the
 client's trace context so server-side spans join the caller's trace

@@ -87,6 +87,11 @@ __all__ = ["SolveServer"]
 #: on a saturated server — you can always ask it how it is doing).
 _ADMITTED_OPS = ("solve", "session.open", "session.mutate")
 
+#: frames at least this long are decoded on the executor: a large v1
+#: (pin-list) instance costs tens of milliseconds of ``json.loads``,
+#: which on the loop would stall every other connection
+_EXECUTOR_DECODE_BYTES = 1 << 20
+
 
 async def _finish(tasks: set[asyncio.Task], timeout: float) -> None:
     """Give ``tasks`` up to ``timeout`` to finish, then cancel and await
@@ -354,9 +359,17 @@ class SolveServer:
         Runs in the executor: ``close_owned`` takes each session's lock
         to serialise against an in-flight ``mutate`` batch, and that
         wait must never stall the event loop."""
-        closed = await asyncio.get_running_loop().run_in_executor(
-            None, partial(self.sessions.close_owned, conn.id)
-        )
+        try:
+            reclaim = asyncio.get_running_loop().run_in_executor(
+                None, partial(self.sessions.close_owned, conn.id)
+            )
+        except RuntimeError:
+            # the loop's default executor is already shut down (loop
+            # or interpreter teardown): nothing else is served any
+            # more, so reclaiming inline stalls no one
+            closed = self.sessions.close_owned(conn.id)
+        else:
+            closed = await reclaim
         if closed:
             self.metrics.incr("sessions_reclaimed", closed)
 
@@ -364,7 +377,15 @@ class SolveServer:
         req_id: Any = None
         trace_ctx = None
         try:
-            obj = decode_frame(line)
+            if len(line) >= _EXECUTOR_DECODE_BYTES:
+                # the connection's read loop awaits this dispatch, so
+                # its frames still dispatch in arrival order
+                obj = await asyncio.get_running_loop().run_in_executor(
+                    None, decode_frame, line
+                )
+            else:
+                # repro: ignore[async-blocking] — below the floor a v2 (packed CSR) frame decodes in under 2 ms; only larger frames are worth an executor hop
+                obj = decode_frame(line)
             req_id = obj.get("id")
             trace_ctx = obj.get("trace")
             op, req_id, payload = validate_request(obj)
@@ -632,7 +653,12 @@ class SolveServer:
                     code=ErrorCode.BAD_REQUEST,
                 )
             return hypergraph_from_descriptor(data)
-        return hypergraph_from_wire(data)
+        hg = hypergraph_from_wire(data)
+        # digest here, on the executor: the memo then makes the on-loop
+        # dedup/routing key a lookup (attached descriptors arrive with
+        # the front-end's digest already memoized)
+        instance_digest(hg)
+        return hg
 
     _OPTION_FIELDS = (
         "method", "refine", "seed", "portfolio", "time_budget", "backend",

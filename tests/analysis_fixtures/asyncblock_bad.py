@@ -22,6 +22,9 @@ class Handler:
         hg = self._parse(payload)  # line: transitive-parse
         return self.engine.solve(hg)  # line: engine-solve
 
+    async def receive(self, line):
+        return decode_frame(line)  # noqa: F821  # line: decode-frame
+
     async def backoff(self):
         time.sleep(0.1)  # line: time-sleep
 

@@ -22,6 +22,7 @@ __all__ = [
     "generated_instances",
     "apply_random_mutations",
     "hyp_solver",
+    "malformed_v2_dicts",
 ]
 
 
@@ -196,3 +197,61 @@ def task_hypergraphs(draw, max_tasks: int = 7, max_procs: int = 6,
         )
         hg = hg.with_weights(w)
     return hg
+
+
+# ---------------------------------------------------------------------------
+# malformed serialize-v2 instance dicts
+# ---------------------------------------------------------------------------
+def malformed_v2_dicts() -> list[tuple[str, dict]]:
+    """``(case, dict)`` pairs: a valid version 2 hypergraph dict with
+    exactly one defect each.  The base instance has hyperedges
+    ``{0}, {1, 2}, {2}`` for tasks ``0, 0, 1`` on three processors."""
+    import base64
+
+    def pack(values, dtype="<i4") -> str:
+        return base64.b64encode(
+            np.asarray(values, dtype=dtype).tobytes()
+        ).decode("ascii")
+
+    good = {
+        "kind": "hypergraph",
+        "version": 2,
+        "n_tasks": 2,
+        "n_procs": 3,
+        "hedge_task": pack([0, 0, 1]),
+        "hedge_ptr": pack([0, 1, 3, 4]),
+        "hedge_procs": pack([0, 1, 2, 2]),
+        "weights": pack([1.0, 2.0, 3.0], "<f8"),
+    }
+    missing = dict(good)
+    del missing["hedge_ptr"]
+    cases = {
+        "bad-base64": {"hedge_procs": "AAAA!!!!"},
+        "non-ascii": {"hedge_procs": "AAAAé==="},
+        "not-a-string": {"hedge_task": [0, 0, 1]},
+        "ragged-bytes": {
+            "hedge_procs": base64.b64encode(b"\0" * 5).decode()
+        },
+        "ptr0-nonzero": {"hedge_ptr": pack([1, 1, 3, 4])},
+        "ptr-non-monotone": {"hedge_ptr": pack([0, 3, 1, 4])},
+        "ptr-last-not-pins": {"hedge_ptr": pack([0, 1, 3, 5])},
+        "ptr-wrong-length": {"hedge_ptr": pack([0, 1, 4])},
+        "empty-hyperedge": {"hedge_ptr": pack([0, 1, 1, 4])},
+        "task-out-of-range": {"hedge_task": pack([0, 0, 5])},
+        "proc-out-of-range": {"hedge_procs": pack([0, 1, 7, 2])},
+        "negative-proc": {"hedge_procs": pack([0, -1, 2, 2])},
+        "duplicate-unsorted-pin": {
+            "hedge_ptr": pack([0, 1, 4, 5]),
+            "hedge_procs": pack([0, 2, 1, 2, 2]),
+        },
+        "nan-weight": {"weights": pack([1.0, np.nan, 3.0], "<f8")},
+        "zero-weight": {"weights": pack([1.0, 0.0, 3.0], "<f8")},
+        "negative-weight": {"weights": pack([1.0, -2.0, 3.0], "<f8")},
+        "weights-wrong-length": {"weights": pack([1.0, 2.0], "<f8")},
+        "count-not-int": {"n_tasks": "2"},
+        "negative-count": {"n_procs": -3},
+        "unknown-version": {"version": 3},
+    }
+    out = [(name, {**good, **patch}) for name, patch in cases.items()]
+    out.append(("missing-field", missing))
+    return out

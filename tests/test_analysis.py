@@ -94,6 +94,7 @@ class TestAsyncBlocking:
         for name in (
             "transitive-parse",
             "engine-solve",
+            "decode-frame",
             "time-sleep",
             "open",
             "sendall",
@@ -299,7 +300,9 @@ class TestSelfCheck:
         # the wire), the supervisor's in-process spawn/handshake errors
         # (same — local to the front-end, never serialized), and the
         # blessed once-per-call boundary spans in kernel-domain modules
-        # (compile on digest miss, patch emit tiers, dynamic repair).
+        # (compile on digest miss, patch emit tiers, dynamic repair),
+        # and the two on-loop decodes of small frames (the server's
+        # below-the-floor branch and the client's response reader).
         # A new suppression anywhere in src/repro must update this.
         baseline = {}
         for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
@@ -312,6 +315,8 @@ class TestSelfCheck:
                 baseline[key] = baseline.get(key, 0) + 1
         assert baseline == {
             ("src/repro/service/client.py", ("contract-sync",)): 2,
+            ("src/repro/service/client.py", ("async-blocking",)): 1,
+            ("src/repro/service/server.py", ("async-blocking",)): 1,
             ("src/repro/service/supervisor.py", ("contract-sync",)): 2,
             ("src/repro/kernels/compiled.py", ("span-hygiene",)): 1,
             ("src/repro/kernels/patch.py", ("span-hygiene",)): 4,

@@ -13,7 +13,7 @@ import pytest
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
-def run_example(name: str, *args: str) -> str:
+def run_example(name: str, *args: str, quiet: bool = False) -> str:
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True,
@@ -21,6 +21,8 @@ def run_example(name: str, *args: str) -> str:
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    if quiet:
+        assert proc.stderr == "", proc.stderr
     return proc.stdout
 
 
@@ -62,7 +64,8 @@ def test_dynamic_cluster_small():
 
 
 def test_service_roundtrip_small():
-    out = run_example("service_roundtrip.py", "64", "16")
+    # quiet: the server's teardown must not log unhandled exceptions
+    out = run_example("service_roundtrip.py", "64", "16", quiet=True)
     assert "bit-identical to local solve: True" in out
     assert "12 identical requests -> 1 engine solve" in out
     assert "after add_task" in out

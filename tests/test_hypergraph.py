@@ -64,6 +64,40 @@ class TestConstruction:
             )
 
 
+class TestFromCsr:
+    def test_pointer_checks(self):
+        with pytest.raises(GraphStructureError, match="plus one"):
+            TaskHypergraph.from_csr(1, 2, [0], [0], [0])
+        with pytest.raises(GraphStructureError, match="CSR pointer"):
+            TaskHypergraph.from_csr(1, 2, [0], [1, 1], [0])
+        with pytest.raises(GraphStructureError, match="CSR pointer"):
+            TaskHypergraph.from_csr(1, 2, [0, 0], [0, 2, 1], [0])
+        with pytest.raises(GraphStructureError, match="empty processor"):
+            TaskHypergraph.from_csr(1, 2, [0, 0], [0, 0, 1], [0])
+
+    def test_duplicate_found_in_sorted_and_unsorted_hyperedges(self):
+        with pytest.raises(GraphStructureError, match="hyperedge 1 contains"):
+            TaskHypergraph.from_csr(1, 3, [0, 0], [0, 1, 4], [0, 0, 1, 1])
+        with pytest.raises(GraphStructureError, match="hyperedge 1 contains"):
+            TaskHypergraph.from_csr(1, 3, [0, 0], [0, 1, 4], [0, 2, 1, 2])
+        # equal pins in *different* hyperedges are fine
+        TaskHypergraph.from_csr(1, 3, [0, 0], [0, 2, 4], [2, 1, 2, 1])
+
+    @given(task_hypergraphs(max_tasks=9, max_procs=7))
+    @settings(max_examples=40, deadline=None)
+    def test_indexes_are_the_stable_groupings(self, hg):
+        assert np.array_equal(
+            hg.task_hedges, np.argsort(hg.hedge_task, kind="stable")
+        )
+        counts = np.bincount(hg.hedge_task, minlength=hg.n_tasks)
+        assert np.array_equal(hg.task_ptr[1:], np.cumsum(counts))
+        owner = np.repeat(np.arange(hg.n_hedges), hg.hedge_sizes())
+        assert np.array_equal(
+            hg.proc_hedges,
+            owner[np.argsort(hg.hedge_procs, kind="stable")],
+        )
+
+
 class TestProcIndex:
     def test_proc_hedges_inverse(self, fig2_hypergraph):
         hg = fig2_hypergraph

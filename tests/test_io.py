@@ -1,12 +1,15 @@
 """Tests for JSON serialisation (repro.io)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core import BipartiteGraph, GraphStructureError, TaskHypergraph
 from repro.core.semimatching import HyperSemiMatching, SemiMatching
+from repro.engine.cache import instance_digest
 from repro.generators import generate_multiproc
 from repro.io import (
     bipartite_from_dict,
@@ -17,6 +20,33 @@ from repro.io import (
     matching_to_dict,
     save_instance,
 )
+
+from strategies import malformed_v2_dicts, task_hypergraphs
+
+#: a version 1 (pin-list) dict as older releases wrote it; it must keep
+#: loading.  Hyperedge 1's pins are deliberately unsorted.
+V1_DICT = {
+    "kind": "hypergraph",
+    "version": 1,
+    "n_tasks": 2,
+    "n_procs": 3,
+    "hedge_task": [0, 0, 1],
+    "pins": [[0], [2, 1], [2]],
+    "weights": [1.0, 2.5, 0.1],
+}
+MALFORMED_V2 = malformed_v2_dicts()
+
+
+def assert_same_hypergraph(a: TaskHypergraph, b: TaskHypergraph) -> None:
+    """Equal in every field: the counts and all eight arrays, dtypes
+    included."""
+    for f in dataclasses.fields(TaskHypergraph):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 class TestBipartiteRoundtrip:
@@ -54,6 +84,83 @@ class TestHypergraphRoundtrip:
     def test_kind_check(self):
         with pytest.raises(GraphStructureError, match="hypergraph"):
             hypergraph_from_dict({"kind": "bipartite"})
+
+
+class TestHypergraphV2:
+    @settings(max_examples=60, deadline=None)
+    @given(task_hypergraphs())
+    def test_round_trip_is_exact(self, hg):
+        data = json.loads(json.dumps(hypergraph_to_dict(hg)))
+        assert data["version"] == 2
+        back = hypergraph_from_dict(data)
+        assert_same_hypergraph(back, hg)
+        assert instance_digest(back) == instance_digest(hg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(task_hypergraphs())
+    def test_from_csr_equals_from_hyperedges(self, hg):
+        from_csr = TaskHypergraph.from_csr(
+            hg.n_tasks, hg.n_procs, hg.hedge_task, hg.hedge_ptr,
+            hg.hedge_procs, hg.hedge_w,
+        )
+        from_lists = TaskHypergraph.from_hyperedges(
+            hg.n_tasks, hg.n_procs, hg.hedge_task,
+            [hg.hedge_proc_set(h).tolist() for h in range(hg.n_hedges)],
+            hg.hedge_w,
+        )
+        assert_same_hypergraph(from_csr, from_lists)
+
+    def test_weights_are_bit_exact(self):
+        w = np.array([0.1, 1 / 3, 2.0**-40, 1e300])
+        hg = TaskHypergraph.from_configurations(
+            [[[0], [1]], [[0, 1], [1]]], n_procs=2
+        ).with_weights(w)
+        back = hypergraph_from_dict(hypergraph_to_dict(hg))
+        assert back.hedge_w.tobytes() == w.tobytes()
+
+    def test_large_instance_round_trip(self):
+        hg = generate_multiproc(
+            640, 64, g=4, dv=3, dh=6, weights="random", seed=3
+        )
+        back = hypergraph_from_dict(hypergraph_to_dict(hg))
+        assert_same_hypergraph(back, hg)
+        assert instance_digest(back) == instance_digest(hg)
+
+    def test_value_beyond_int32_is_rejected(self):
+        hg = TaskHypergraph.from_configurations([[[0]]], n_procs=1)
+        too_big = dataclasses.replace(
+            hg, n_procs=2**31 + 1, hedge_procs=np.array([2**31])
+        )
+        with pytest.raises(GraphStructureError, match="int32"):
+            hypergraph_to_dict(too_big)
+
+    def test_v1_dict_still_loads(self):
+        hg = hypergraph_from_dict(V1_DICT)
+        assert hg.hedge_task.tolist() == [0, 0, 1]
+        assert hg.hedge_ptr.tolist() == [0, 1, 3, 4]
+        assert hg.hedge_procs.tolist() == [0, 2, 1, 2]
+        assert hg.hedge_w.tolist() == [1.0, 2.5, 0.1]
+        # re-serialised as v2, it is the same instance
+        assert_same_hypergraph(
+            hypergraph_from_dict(hypergraph_to_dict(hg)), hg
+        )
+
+    def test_v1_file_still_loads(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(V1_DICT))
+        assert_same_hypergraph(
+            load_instance(path), hypergraph_from_dict(V1_DICT)
+        )
+
+    @pytest.mark.parametrize(
+        "case,data", MALFORMED_V2, ids=[case for case, _ in MALFORMED_V2]
+    )
+    def test_malformed_v2_is_rejected(self, case, data):
+        # a missing field is a malformed request (KeyError); every
+        # other defect is a structural one
+        expected = KeyError if case == "missing-field" else GraphStructureError
+        with pytest.raises(expected):
+            hypergraph_from_dict(data)
 
 
 class TestFileIO:

@@ -216,6 +216,15 @@ class TestSolveRoundTrip:
         assert np.array_equal(first.assignment, second.assignment)
         assert cache.stats()["misses"] == 1
 
+    def test_parse_step_memoizes_the_digest(self):
+        # the on-loop dedup key must be a memo lookup, not a SHA-256 pass
+        from repro.engine.cache import instance_digest
+        from repro.service import instance_to_wire
+
+        (hg,) = small_instances(1)
+        parsed = SolveServer()._parse_instance(instance_to_wire(hg))
+        assert parsed._digest_cache == instance_digest(hg)
+
     def test_solve_errors_carry_typed_codes(self):
         (hg,) = small_instances(1)
         with running_server() as (server, _loop):
@@ -652,6 +661,28 @@ class TestShutdownDrain:
 
             assert on_loop(loop, stop_then_list_serving()) == []
 
+    def test_reclaim_after_executor_shutdown_stays_quiet(self):
+        """A connection that drops after its loop's default executor
+        shut down (loop or interpreter teardown) still reclaims its
+        sessions, and the loop reports no unhandled exception."""
+        (hg,) = small_instances(1)
+        with running_server() as (server, loop):
+            errors: list = []
+            loop.call_soon_threadsafe(
+                loop.set_exception_handler,
+                lambda _loop, context: errors.append(context),
+            )
+            client = ServiceClient(port=server.port)
+            client.open_session(hg)
+            on_loop(loop, loop.shutdown_default_executor())
+            client.close()
+            deadline = 50
+            while len(server.sessions) and deadline:
+                deadline -= 1
+                threading.Event().wait(0.02)
+            assert len(server.sessions) == 0
+            assert errors == []
+
     def test_stop_drains_inflight_and_delivers_response(self):
         """``stop()`` lets a briefly-busy handler finish inside the
         drain window and its response still reaches the client."""
@@ -855,6 +886,41 @@ class TestMalformedFrames:
                     json.loads(rfile.readline())["error"]["code"]
                     == "bad-request"
                 )
+            finally:
+                rfile.close()
+                sock.close()
+
+    def test_malformed_v2_instances_answer_typed_codes(self):
+        from strategies import malformed_v2_dicts
+
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                for case, data in malformed_v2_dicts():
+                    with pytest.raises(RemoteError) as exc:
+                        client.call("solve", instance=data)
+                    assert exc.value.code in (
+                        "graph-structure", "bad-request"
+                    ), (case, exc.value.code, str(exc.value))
+                # the connection survives every rejection
+                assert client.ping()["pong"] is True
+            counters = server.metrics.snapshot()["counters"]
+        assert counters.get("errors.internal", 0) == 0
+
+    def test_large_frames_decode_off_loop_in_order(self):
+        """A frame over the executor-decode floor is answered before
+        the frame that followed it on the same connection."""
+        from repro.service.server import _EXECUTOR_DECODE_BYTES
+
+        big = b'{"v": 1,' + b" " * _EXECUTOR_DECODE_BYTES + b"\n"
+        with running_server() as (server, _loop):
+            sock = self._raw(server.port)
+            rfile = sock.makefile("rb")
+            try:
+                sock.sendall(big + encode_frame(request("ping", 1)))
+                first = json.loads(rfile.readline())
+                assert first["error"]["code"] == "bad-frame"
+                second = json.loads(rfile.readline())
+                assert second["ok"] is True and second["id"] == 1
             finally:
                 rfile.close()
                 sock.close()

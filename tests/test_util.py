@@ -12,6 +12,7 @@ from repro._util import (
     Timer,
     as_rng,
     check_1d_int,
+    csr_group,
     stable_argsort,
 )
 
@@ -74,6 +75,24 @@ class TestStableArgsort:
         # on this
         keys = np.array([1, 0, 1, 0, 1])
         assert stable_argsort(keys).tolist() == [1, 3, 0, 2, 4]
+
+
+class TestCsrGroup:
+    @pytest.mark.parametrize("n_keys", [1, 7, 1 << 16, (1 << 16) + 1, 200_000])
+    def test_matches_stable_argsort_and_bincount(self, n_keys):
+        # both sort paths: radix on uint16 keys, combined keys above
+        keys = np.random.default_rng(n_keys).integers(0, n_keys, size=5000)
+        ptr, order = csr_group(keys, n_keys)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert ptr[0] == 0 and ptr.shape == (n_keys + 1,)
+        assert np.array_equal(
+            np.diff(ptr), np.bincount(keys, minlength=n_keys)
+        )
+
+    def test_empty(self):
+        ptr, order = csr_group(np.empty(0, dtype=np.int64), 3)
+        assert ptr.tolist() == [0, 0, 0, 0] and order.size == 0
 
 
 class TestBoundedLRU:
