@@ -152,11 +152,24 @@ class BoundedLRU:
     def put(self, key: Hashable, value: Any) -> int:
         """Insert or replace ``key`` as the most recent entry; returns
         how many entries were evicted to make room."""
+        return self._insert(key, value, replace_only=False)
+
+    def reprice(self, key: Hashable, value: Any) -> int:
+        """Re-price ``value`` after it grew in place, as a :meth:`put`
+        that happens only while ``key`` still maps to this very value
+        (an evicted or replaced value is never brought back); returns
+        how many entries were evicted."""
+        return self._insert(key, value, replace_only=True)
+
+    def _insert(self, key: Hashable, value: Any, *, replace_only: bool) -> int:
         size = self._sizeof(value) if self._sizeof is not None else 0
         victims = []
         with self._lock:
-            old = self._data.pop(key, None)
+            old = self._data.get(key)
+            if replace_only and (old is None or old[0] is not value):
+                return 0
             if old is not None:
+                del self._data[key]
                 self._nbytes -= old[1]
             self._data[key] = (value, size)
             self._nbytes += size

@@ -76,14 +76,15 @@ def randomized_greedy(
     if backend == "numpy":
         ci = compile_instance(hg)
         tptr = hg.task_ptr
-        gptr, gpins, gw, ghedge = ci.g_ptr, ci.g_pins, ci.g_w, ci.g_hedge
+        gptr, gpins, ghedge = ci.g_ptr, ci.g_pins, ci.g_hedge
+        pin_w = ci.g_pin_w
         for v in stable_argsort(hg.task_degrees()):
             a, b = tptr[v], tptr[v + 1]
             p0 = gptr[a]
             # max(l(u)) + w == max(l(u) + w): fold the lookahead into
             # the reduceat so one call yields every candidate's key
             keys = np.maximum.reduceat(
-                loads[gpins[p0 : gptr[b]]] + ci.g_pin_w[p0 : gptr[b]],
+                loads[gpins[p0 : gptr[b]]] + pin_w[p0 : gptr[b]],
                 gptr[a:b] - p0,
             )
             best = keys.min()

@@ -99,6 +99,7 @@ def _local_search_python(
 ) -> LocalSearchReport:
     hg: TaskHypergraph = start.hypergraph
     hptr, hprocs, w = hg.hedge_ptr, hg.hedge_procs, hg.hedge_w
+    proc_ptr, proc_hedges = hg.proc_ptr, hg.proc_hedges
     assign = start.hedge_of_task.copy()
     loads = start.loads()
     initial_mk = start.makespan
@@ -113,8 +114,8 @@ def _local_search_python(
         # tasks whose current configuration touches a bottleneck processor
         cand_tasks: set[int] = set()
         for u in bottleneck:
-            lo, hi = hg.proc_ptr[u], hg.proc_ptr[u + 1]
-            for h in hg.proc_hedges[lo:hi]:
+            lo, hi = proc_ptr[u], proc_ptr[u + 1]
+            for h in proc_hedges[lo:hi]:
                 if assign[hg.hedge_task[h]] == h:
                     cand_tasks.add(int(hg.hedge_task[h]))
         for v in sorted(cand_tasks):
@@ -195,10 +196,11 @@ def _first_improving_move(
     mk = loads.max()
     bottleneck = np.flatnonzero(loads >= mk - 1e-12)
     # candidate tasks: assigned configurations touching a bottleneck proc
+    proc_ptr = hg.proc_ptr
     hs = hg.proc_hedges[
         flat_ranges(
-            hg.proc_ptr[bottleneck],
-            hg.proc_ptr[bottleneck + 1] - hg.proc_ptr[bottleneck],
+            proc_ptr[bottleneck],
+            proc_ptr[bottleneck + 1] - proc_ptr[bottleneck],
         )
     ]
     ts = hg.hedge_task[hs]

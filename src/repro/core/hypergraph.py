@@ -30,7 +30,7 @@ __all__ = ["TaskHypergraph"]
 
 
 def _check_distinct_pins(
-    ptr: np.ndarray, pins: np.ndarray, pin_owner: np.ndarray, n_procs: int
+    ptr: np.ndarray, pins: np.ndarray, n_procs: int
 ) -> None:
     """Reject a hyperedge that lists one processor twice.
 
@@ -45,7 +45,7 @@ def _check_distinct_pins(
     rising[ptr[1:-1] - 1] = True
     if rising.all():
         return
-    keys = pin_owner * n_procs + pins
+    keys = _pin_owner(ptr) * n_procs + pins
     keys.sort()
     dup = keys[1:] == keys[:-1]
     if np.any(dup):
@@ -53,6 +53,13 @@ def _check_distinct_pins(
         raise GraphStructureError(
             f"hyperedge {bad} contains duplicate processors"
         )
+
+
+def _pin_owner(ptr: np.ndarray) -> np.ndarray:
+    """The hyperedge of every pin of the CSR pointer ``ptr``."""
+    return np.repeat(
+        np.arange(ptr.shape[0] - 1, dtype=np.int64), np.diff(ptr)
+    )
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,12 @@ class TaskHypergraph:
         CSR index from tasks to their incident hyperedges (the
         configurations ``S_i``).
     proc_ptr, proc_hedges:
-        CSR index from processors to incident hyperedges.
+        CSR index from processors to incident hyperedges.  The greedy
+        heuristics never read it, so it is not a constructor field: it
+        is built on first access and published atomically as one
+        ``(proc_ptr, proc_hedges)`` memo, never one array without the
+        other.  The memo is not a dataclass field either, so
+        :func:`dataclasses.replace` cannot carry it onto changed pins.
     """
 
     n_tasks: int
@@ -87,8 +99,6 @@ class TaskHypergraph:
     hedge_w: np.ndarray
     task_ptr: np.ndarray
     task_hedges: np.ndarray
-    proc_ptr: np.ndarray
-    proc_hedges: np.ndarray
 
     # ------------------------------------------------------------------
     # construction
@@ -182,11 +192,9 @@ class TaskHypergraph:
             )
         if pins.size and (pins.min() < 0 or pins.max() >= n_procs):
             raise GraphStructureError("hyperedge processor id out of range")
-        pin_owner = np.repeat(np.arange(nh, dtype=np.int64), sizes)
-        _check_distinct_pins(ptr, pins, pin_owner, n_procs)
+        _check_distinct_pins(ptr, pins, n_procs)
 
         task_ptr, task_hedges = csr_group(ht, n_tasks)
-        proc_ptr, order_p = csr_group(pins, n_procs)
         return TaskHypergraph(
             n_tasks=n_tasks,
             n_procs=n_procs,
@@ -197,8 +205,6 @@ class TaskHypergraph:
             hedge_w=w,
             task_ptr=task_ptr,
             task_hedges=task_hedges,
-            proc_ptr=proc_ptr,
-            proc_hedges=pin_owner[order_p],
         )
 
     @staticmethod
@@ -238,6 +244,38 @@ class TaskHypergraph:
     # ------------------------------------------------------------------
     # properties and views
     # ------------------------------------------------------------------
+    @property
+    def proc_ptr(self) -> np.ndarray:
+        """CSR pointer of the processor index (built on first access)."""
+        return self._proc_index()[0]
+
+    @property
+    def proc_hedges(self) -> np.ndarray:
+        """Hyperedges of processor ``u`` are
+        ``proc_hedges[proc_ptr[u]:proc_ptr[u + 1]]``, ascending."""
+        return self._proc_index()[1]
+
+    def _proc_index(self) -> tuple[np.ndarray, np.ndarray]:
+        index = self.__dict__.get("_proc_index_memo")
+        if index is None:
+            proc_ptr, order = csr_group(self.hedge_procs, self.n_procs)
+            index = self._publish_proc_index(
+                proc_ptr, _pin_owner(self.hedge_ptr)[order]
+            )
+        return index
+
+    def _publish_proc_index(
+        self, proc_ptr: np.ndarray, proc_hedges: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Publish the processor index as one memo and return the memo
+        that stands.  Like the digest memo it is set on the frozen
+        instance behind its back; ``setdefault`` is one atomic step, so
+        two threads racing on the first access both read the index the
+        first of them published."""
+        return self.__dict__.setdefault(
+            "_proc_index_memo", (proc_ptr, proc_hedges)
+        )
+
     @property
     def total_pins(self) -> int:
         """Total pin count ``Σ_h |h ∩ V2|`` (reported in paper Table I)."""
@@ -302,7 +340,7 @@ class TaskHypergraph:
             )
         if self.n_hedges and (not np.all(np.isfinite(w)) or np.any(w <= 0)):
             raise GraphStructureError("hyperedge weights must be finite and positive")
-        return TaskHypergraph(
+        out = TaskHypergraph(
             n_tasks=self.n_tasks,
             n_procs=self.n_procs,
             n_hedges=self.n_hedges,
@@ -312,9 +350,12 @@ class TaskHypergraph:
             hedge_w=w,
             task_ptr=self.task_ptr,
             task_hedges=self.task_hedges,
-            proc_ptr=self.proc_ptr,
-            proc_hedges=self.proc_hedges,
         )
+        # same structure, so an index already built still holds
+        index = self.__dict__.get("_proc_index_memo")
+        if index is not None:
+            out._publish_proc_index(*index)
+        return out
 
     def unit(self) -> "TaskHypergraph":
         """Return the unweighted (unit-weight) version of this hypergraph."""

@@ -38,9 +38,10 @@ __all__ = ["CachedSolve", "ResultCache", "instance_digest"]
 def instance_digest(hg: TaskHypergraph) -> str:
     """SHA-256 digest of the arrays that define ``hg``.
 
-    ``task_ptr``/``proc_ptr`` and friends are derived from the hyperedge
-    arrays, so hashing ``hedge_task``, ``hedge_ptr``, ``hedge_procs`` and
-    ``hedge_w`` (plus the vertex counts) identifies the instance.
+    ``task_ptr``/``task_hedges`` and the lazily built processor index
+    are derived from the hyperedge arrays, so hashing ``hedge_task``,
+    ``hedge_ptr``, ``hedge_procs`` and ``hedge_w`` (plus the vertex
+    counts) identifies the instance, and hashing never builds an index.
 
     The digest is memoized on the (immutable) instance: both the result
     cache and the kernel compile cache key on it, so one solve would

@@ -5,7 +5,7 @@ worker serialises every CSR array through a pipe — twice (submit and
 the executor's internal bookkeeping) — which at n=10240 costs more
 than the dispatch it feeds.  This module ships instances through
 :mod:`multiprocessing.shared_memory` instead: the parent copies the
-eight defining arrays into one digest-keyed segment, workers map the
+six constructor arrays into one digest-keyed segment, workers map the
 segment and rebuild the instance as *views* — no serialisation, no
 copy, and repeated batches over the same instance reuse both the
 segment and the worker's cached attachment (so its kernel compilation
@@ -58,7 +58,9 @@ __all__ = [
     "instance_nbytes",
 ]
 
-#: The arrays that define an instance, in segment layout order.
+#: The constructor arrays of an instance, in segment layout order.
+#: The processor index is not among them: a worker builds it lazily,
+#: and only when a solver (local search) reads it.
 #: ``hedge_w`` is float64, everything else int64 — all 8-byte dtypes,
 #: so natural alignment holds at any offset the layout produces.
 _FIELDS = (
@@ -68,8 +70,6 @@ _FIELDS = (
     "hedge_w",
     "task_ptr",
     "task_hedges",
-    "proc_ptr",
-    "proc_hedges",
 )
 
 

@@ -83,6 +83,12 @@ class CompiledKernels:
         duplicate-free).
     hedge_gpos:
         Inverse of ``g_hedge``: the grouped position of each hyperedge.
+
+    ``g_pin_w`` through ``u_procs`` form the pin-union index.  Only
+    VGH, EVG, GRASP and local search read it, so it is not a
+    constructor field: it is built on first access and published
+    atomically as one memo (a reader never sees ``u_ptr`` without
+    ``u_procs``), and a compile-cache entry is re-priced when it is.
     """
 
     hypergraph: TaskHypergraph
@@ -92,12 +98,54 @@ class CompiledKernels:
     g_size: np.ndarray
     g_ptr: np.ndarray
     g_pins: np.ndarray
-    g_pin_w: np.ndarray
-    g_pin_row: np.ndarray
-    g_pin_pos: np.ndarray
-    u_ptr: np.ndarray
-    u_procs: np.ndarray
     hedge_gpos: np.ndarray
+
+    # -- the lazily built pin-union index --------------------------------
+    @property
+    def g_pin_w(self) -> np.ndarray:
+        return self._union_index()[0]
+
+    @property
+    def g_pin_row(self) -> np.ndarray:
+        return self._union_index()[1]
+
+    @property
+    def g_pin_pos(self) -> np.ndarray:
+        return self._union_index()[2]
+
+    @property
+    def u_ptr(self) -> np.ndarray:
+        return self._union_index()[3]
+
+    @property
+    def u_procs(self) -> np.ndarray:
+        return self._union_index()[4]
+
+    def _union_index(self) -> tuple[np.ndarray, ...]:
+        index = self.__dict__.get("_union_memo")
+        if index is None:
+            built = _build_union(self)
+            index = self._publish_union(*built)
+            if index[0] is built[0]:
+                # this thread published: the compile cache priced the
+                # entry without its union index, so re-price it
+                _CACHE.reprice(self.digest, self)
+        return index
+
+    def _publish_union(
+        self,
+        g_pin_w: np.ndarray,
+        g_pin_row: np.ndarray,
+        g_pin_pos: np.ndarray,
+        u_ptr: np.ndarray,
+        u_procs: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """Publish the pin-union index as one memo and return the memo
+        that stands (first writer wins: ``setdefault`` is one atomic
+        step, as in :meth:`TaskHypergraph._publish_proc_index`)."""
+        return self.__dict__.setdefault(
+            "_union_memo", (g_pin_w, g_pin_row, g_pin_pos, u_ptr, u_procs)
+        )
 
     # -- delegated shape properties -------------------------------------
     @property
@@ -148,7 +196,27 @@ def _compile(hg: TaskHypergraph, digest: str) -> CompiledKernels:
     np.cumsum(g_size, out=g_ptr[1:])
     pin_idx = flat_ranges(hg.hedge_ptr[:-1][g_hedge], g_size)
     g_pins = np.ascontiguousarray(hg.hedge_procs[pin_idx])
-    g_pin_w = np.repeat(g_w, g_size)
+    hedge_gpos = np.empty(nh, dtype=np.int64)
+    hedge_gpos[g_hedge] = np.arange(nh, dtype=np.int64)
+
+    return CompiledKernels(
+        hypergraph=hg,
+        digest=digest,
+        g_hedge=g_hedge,
+        g_w=g_w,
+        g_size=g_size,
+        g_ptr=g_ptr,
+        g_pins=g_pins,
+        hedge_gpos=hedge_gpos,
+    )
+
+
+def _build_union(ck: CompiledKernels) -> tuple[np.ndarray, ...]:
+    """The pin-union index of ``ck``, in ``_publish_union`` order."""
+    hg = ck.hypergraph
+    nh = hg.n_hedges
+    g_size, g_pins = ck.g_size, ck.g_pins
+    g_pin_w = np.repeat(ck.g_w, g_size)
 
     deg = np.diff(hg.task_ptr)
     task_of_g = np.repeat(np.arange(hg.n_tasks, dtype=np.int64), deg)
@@ -191,42 +259,25 @@ def _compile(hg: TaskHypergraph, digest: str) -> CompiledKernels:
         u_procs = np.empty(0, dtype=np.int64)
         u_ptr = np.zeros(hg.n_tasks + 1, dtype=np.int64)
         g_pin_pos = np.empty(0, dtype=np.int64)
-
-    hedge_gpos = np.empty(nh, dtype=np.int64)
-    hedge_gpos[g_hedge] = np.arange(nh, dtype=np.int64)
-
-    return CompiledKernels(
-        hypergraph=hg,
-        digest=digest,
-        g_hedge=g_hedge,
-        g_w=g_w,
-        g_size=g_size,
-        g_ptr=g_ptr,
-        g_pins=g_pins,
-        g_pin_w=g_pin_w,
-        g_pin_row=g_pin_row,
-        g_pin_pos=g_pin_pos,
-        u_ptr=u_ptr,
-        u_procs=u_procs,
-        hedge_gpos=hedge_gpos,
-    )
+    return g_pin_w, g_pin_row, g_pin_pos, u_ptr, u_procs
 
 
 def compiled_nbytes(compiled: CompiledKernels) -> int:
     """Approximate heap footprint of one compilation: the sum over its
     unique array buffers (kernel fields share storage with the
     hypergraph's CSR arrays and with prior copy-on-write emissions, so
-    buffers are deduplicated by identity)."""
+    buffers are deduplicated by identity).  The lazily built indexes
+    count only once built; pricing never builds them."""
     hg = compiled.hypergraph
     seen: set[int] = set()
     total = 0
     for arr in (
         compiled.g_hedge, compiled.g_w, compiled.g_size, compiled.g_ptr,
-        compiled.g_pins, compiled.g_pin_w, compiled.g_pin_row,
-        compiled.g_pin_pos, compiled.u_ptr, compiled.u_procs,
-        compiled.hedge_gpos, hg.hedge_task, hg.hedge_ptr, hg.hedge_procs,
-        hg.hedge_w, hg.task_ptr, hg.task_hedges, hg.proc_ptr,
-        hg.proc_hedges,
+        compiled.g_pins, compiled.hedge_gpos,
+        *compiled.__dict__.get("_union_memo", ()),
+        hg.hedge_task, hg.hedge_ptr, hg.hedge_procs, hg.hedge_w,
+        hg.task_ptr, hg.task_hedges,
+        *hg.__dict__.get("_proc_index_memo", ()),
     ):
         buf = arr.base if arr.base is not None else arr
         if id(buf) not in seen:

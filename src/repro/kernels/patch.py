@@ -26,7 +26,10 @@ from-scratch :func:`compile_instance` of the canonically compiled
 instance produces — bit-identical, dtype-identical (asserted by the
 differential harness and a Hypothesis property test), so digests,
 result-cache keys and solver outputs cannot tell a patched compilation
-from a fresh one.
+from a fresh one.  Emissions publish the two indexes a from-scratch
+compile builds only on first access — the processor index and the
+pin-union index — eagerly: sessions solve with EVG, which reads the
+union, and the delta tiers splice both from the previous emission.
 
 The module deliberately does not import :mod:`repro.dynamic` (which
 imports the kernels back); mutation records are consumed through their
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import csr_group
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 from .compiled import CompiledKernels, flat_ranges, register_compiled
@@ -483,28 +485,29 @@ class KernelPatcher:
             hedge_w=w,
             task_ptr=old.task_ptr,
             task_hedges=old.task_hedges,
-            proc_ptr=old.proc_ptr,
-            proc_hedges=old.proc_hedges,
         )
+        hg._publish_proc_index(old.proc_ptr, old.proc_hedges)
         ok = last.kernels
-        g_pin_w = np.repeat(w, ok.g_size)
+        kernels = CompiledKernels(
+            hypergraph=hg,
+            digest="",  # filled by _finish
+            g_hedge=ok.g_hedge,
+            g_w=w,
+            g_size=ok.g_size,
+            g_ptr=ok.g_ptr,
+            g_pins=ok.g_pins,
+            hedge_gpos=ok.hedge_gpos,
+        )
+        kernels._publish_union(
+            np.repeat(w, ok.g_size),
+            ok.g_pin_row,
+            ok.g_pin_pos,
+            ok.u_ptr,
+            ok.u_procs,
+        )
         artifact = self._finish(
             hg,
-            CompiledKernels(
-                hypergraph=hg,
-                digest="",  # filled by _finish
-                g_hedge=ok.g_hedge,
-                g_w=w,
-                g_size=ok.g_size,
-                g_ptr=ok.g_ptr,
-                g_pins=ok.g_pins,
-                g_pin_w=g_pin_w,
-                g_pin_row=ok.g_pin_row,
-                g_pin_pos=ok.g_pin_pos,
-                u_ptr=ok.u_ptr,
-                u_procs=ok.u_procs,
-                hedge_gpos=ok.hedge_gpos,
-            ),
+            kernels,
             last.task_handles,
             last.proc_handles,
             last.hedge_handles,
@@ -578,9 +581,8 @@ class KernelPatcher:
             hedge_w=w,
             task_ptr=task_ptr,
             task_hedges=task_hedges,
-            proc_ptr=proc_ptr,
-            proc_hedges=proc_hedges,
         )
+        hg._publish_proc_index(proc_ptr, proc_hedges)
         union = self._union[t]
         kernels = CompiledKernels(
             hypergraph=hg,
@@ -590,21 +592,18 @@ class KernelPatcher:
             g_size=np.concatenate((k0.g_size, sizes_new)),
             g_ptr=hedge_ptr,
             g_pins=hedge_procs,
-            g_pin_w=np.concatenate(
-                (k0.g_pin_w, np.repeat(w_new, sizes_new))
-            ),
-            g_pin_row=np.concatenate(
+            hedge_gpos=task_hedges,
+        )
+        kernels._publish_union(
+            np.concatenate((k0.g_pin_w, np.repeat(w_new, sizes_new))),
+            np.concatenate(
                 (
                     k0.g_pin_row,
-                    np.repeat(
-                        np.arange(kcfg, dtype=np.int64), sizes_new
-                    ),
+                    np.repeat(np.arange(kcfg, dtype=np.int64), sizes_new),
                 )
             ),
-            g_pin_pos=np.concatenate(
-                (k0.g_pin_pos, self._pin_pos[p0 : p0 + pn])
-            ),
-            u_ptr=np.concatenate(
+            np.concatenate((k0.g_pin_pos, self._pin_pos[p0 : p0 + pn])),
+            np.concatenate(
                 (
                     k0.u_ptr,
                     np.array(
@@ -613,10 +612,7 @@ class KernelPatcher:
                     ),
                 )
             ),
-            u_procs=np.concatenate(
-                (k0.u_procs, np.searchsorted(proc_sorted, union))
-            ),
-            hedge_gpos=task_hedges,
+            np.concatenate((k0.u_procs, np.searchsorted(proc_sorted, union))),
         )
         artifact = self._finish(
             hg,
@@ -690,9 +686,8 @@ class KernelPatcher:
             hedge_w=w,
             task_ptr=task_ptr,
             task_hedges=task_hedges,
-            proc_ptr=proc_ptr,
-            proc_hedges=proc_hedges,
         )
+        hg._publish_proc_index(proc_ptr, proc_hedges)
         ua, ub = int(k0.u_ptr[dt]), int(k0.u_ptr[dt + 1])
         kernels = CompiledKernels(
             hypergraph=hg,
@@ -702,22 +697,14 @@ class KernelPatcher:
             g_size=np.concatenate((k0.g_size[:a], k0.g_size[b:])),
             g_ptr=hedge_ptr,
             g_pins=hedge_procs,
-            g_pin_w=np.concatenate(
-                (k0.g_pin_w[:pa], k0.g_pin_w[pb:])
-            ),
-            g_pin_row=np.concatenate(
-                (k0.g_pin_row[:pa], k0.g_pin_row[pb:])
-            ),
-            g_pin_pos=np.concatenate(
-                (k0.g_pin_pos[:pa], k0.g_pin_pos[pb:])
-            ),
-            u_ptr=np.concatenate(
-                (k0.u_ptr[:dt], k0.u_ptr[dt + 1 :] - (ub - ua))
-            ),
-            u_procs=np.concatenate(
-                (k0.u_procs[:ua], k0.u_procs[ub:])
-            ),
             hedge_gpos=task_hedges,
+        )
+        kernels._publish_union(
+            np.concatenate((k0.g_pin_w[:pa], k0.g_pin_w[pb:])),
+            np.concatenate((k0.g_pin_row[:pa], k0.g_pin_row[pb:])),
+            np.concatenate((k0.g_pin_pos[:pa], k0.g_pin_pos[pb:])),
+            np.concatenate((k0.u_ptr[:dt], k0.u_ptr[dt + 1 :] - (ub - ua))),
+            np.concatenate((k0.u_procs[:ua], k0.u_procs[ub:])),
         )
         artifact = self._finish(
             hg,
@@ -784,12 +771,6 @@ class KernelPatcher:
             remap = np.empty(0, dtype=np.int64)
             hedge_procs = np.empty(0, dtype=np.int64)
 
-        # processor CSR: the same stable grouping TaskHypergraph.from_csr
-        # builds, so a patched instance equals a freshly built one
-        pin_owner = np.repeat(np.arange(nh, dtype=np.int64), sizes)
-        proc_ptr, order_p = csr_group(hedge_procs, n_procs)
-        proc_hedges = pin_owner[order_p]
-
         hg = TaskHypergraph(
             n_tasks=n_tasks,
             n_procs=n_procs,
@@ -800,9 +781,10 @@ class KernelPatcher:
             hedge_w=w,
             task_ptr=task_ptr,
             task_hedges=task_hedges,
-            proc_ptr=proc_ptr,
-            proc_hedges=proc_hedges,
         )
+        # the delta tiers splice this emission's processor index, so
+        # build it now, through the builder a lazy first access runs
+        hg._proc_index()
 
         # per-task sorted unions, remapped handle -> dense (the flat
         # image is maintained incrementally by the mutation hooks)
@@ -823,14 +805,14 @@ class KernelPatcher:
             g_size=sizes,
             g_ptr=hedge_ptr,
             g_pins=hedge_procs,
-            g_pin_w=np.repeat(w, sizes),
-            g_pin_row=np.repeat(
-                task_hedges - task_ptr[hedge_task], sizes
-            ),
-            g_pin_pos=pos,
-            u_ptr=u_ptr,
-            u_procs=u_procs,
             hedge_gpos=task_hedges,
+        )
+        kernels._publish_union(
+            np.repeat(w, sizes),
+            np.repeat(task_hedges - task_ptr[hedge_task], sizes),
+            pos,
+            u_ptr,
+            u_procs,
         )
         artifact = self._finish(
             hg,

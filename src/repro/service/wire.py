@@ -12,10 +12,11 @@ from __future__ import annotations
 import threading
 from typing import Any
 
+from ..core.errors import GraphStructureError
 from ..core.hypergraph import TaskHypergraph
 from ..dynamic import DynamicInstance
 from ..engine.transport import attach_instance, is_descriptor
-from .protocol import ErrorCode, ProtocolError
+from .protocol import MAX_FRAME_BYTES, ErrorCode, ProtocolError
 
 __all__ = [
     "hypergraph_from_wire",
@@ -52,6 +53,12 @@ def hypergraph_from_descriptor(data: dict) -> TaskHypergraph:
 
 _KINDS = ("hypergraph", "bipartite", "dynamic-instance")
 
+#: The largest vertex count a wire instance may declare: no count may
+#: make one int64 pointer array larger than the largest frame.  Without
+#: it a few-hundred-byte request could name ``n_procs = 2**40`` and the
+#: first solver array over the processors would fail untyped.
+MAX_WIRE_VERTICES = MAX_FRAME_BYTES // 8
+
 
 def _checked_kind(data: Any, what: str) -> str:
     if not isinstance(data, dict):
@@ -76,6 +83,18 @@ def hypergraph_from_wire(data: Any, what: str = "instance") -> TaskHypergraph:
     ``dynamic-instance`` states are accepted too — solving one means
     solving its current compiled content."""
     kind = _checked_kind(data, what)
+    if kind != "dynamic-instance":
+        for key in ("n_tasks", "n_procs"):
+            value = data.get(key)
+            if (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and value > MAX_WIRE_VERTICES
+            ):
+                raise GraphStructureError(
+                    f"{what} {key}={value} exceeds the wire limit of "
+                    f"{MAX_WIRE_VERTICES} vertices"
+                )
     if kind == "hypergraph":
         from ..io.serialize import hypergraph_from_dict
 

@@ -458,6 +458,28 @@ class TestTransportAndWarmPool:
                 ra.matching.hedge_of_task, rb.matching.hedge_of_task
             )
 
+    def test_shm_local_search_matches_local_solve(self, batch):
+        """Segments carry no processor index: a worker builds it on
+        its own when local search reads it, to the same answer."""
+        from repro.api import solve
+        from repro.engine.transport import transport_available
+
+        if not transport_available():  # pragma: no cover
+            pytest.skip("no POSIX shared memory here")
+        with BatchSolver(
+            max_workers=2, executor="process", cache=False, transport="shm"
+        ) as engine:
+            remote = engine.solve_many(batch, method="EVG+ls")
+            stats = engine.transport_stats()
+        assert stats["exports"] == len(batch) and stats["failures"] == 0
+        # exporting never built the index on the front-end's instances
+        assert all("_proc_index_memo" not in hg.__dict__ for hg in batch)
+        for hg, r in zip(batch, remote):
+            local = solve(hg, method="EVG+ls")
+            np.testing.assert_array_equal(
+                r.matching.hedge_of_task, local.matching.hedge_of_task
+            )
+
     def test_worker_pids_stable_across_calls(self, batch):
         """Satellite regression: consecutive solve_many calls on one
         engine reuse the same worker processes (the pool is warm)."""

@@ -1,0 +1,236 @@
+"""The processor index and the pin-union index are built on first access.
+
+:class:`TaskHypergraph` builds ``proc_ptr``/``proc_hedges`` and
+:class:`CompiledKernels` builds ``g_pin_w``/``g_pin_row``/``g_pin_pos``/
+``u_ptr``/``u_procs`` only when a solver reads them.  These tests hold
+the laziness (SGH and EGH build neither index, locally or behind the
+service), the publication rules (one memo, first writer wins, never
+copied by ``dataclasses.replace``), pickling, and the compile cache's
+byte budget once an index appears after the entry was priced.  That
+the lazily built arrays equal the patcher's eager emissions is held by
+``test_patch.assert_identical_compilation``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import pickle
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.api import solve
+from repro.engine.cache import instance_digest
+from repro.generators import generate_multiproc
+from repro.io import hypergraph_from_dict, hypergraph_to_dict
+from repro.kernels import (
+    clear_compile_cache,
+    compile_cache_stats,
+    compile_instance,
+)
+from repro.kernels.compiled import _CACHE, _compile, compiled_nbytes
+
+from strategies import task_hypergraphs
+
+_PROC_MEMO = "_proc_index_memo"
+_UNION_MEMO = "_union_memo"
+_UNION_FIELDS = ("g_pin_w", "g_pin_row", "g_pin_pos", "u_ptr", "u_procs")
+
+
+def _instance(seed: int = 3):
+    # a wire round-trip, so the instance is built by from_csr alone
+    hg = generate_multiproc(96, 16, g=4, weights="related", seed=seed)
+    return hypergraph_from_dict(hypergraph_to_dict(hg))
+
+
+def _proc_built(hg) -> bool:
+    # read the memo, never the field: reading the field builds it
+    return _PROC_MEMO in hg.__dict__
+
+
+def _union_built(ck) -> bool:
+    return _UNION_MEMO in ck.__dict__
+
+
+def _cached_compilations():
+    with _CACHE._lock:
+        return [value for value, _size in _CACHE._data.values()]
+
+
+@pytest.fixture
+def fresh_cache():
+    # a result-cache hit would skip the solve whose builds are checked
+    from repro.engine.batch import default_engine
+
+    default_engine().cache.clear()
+    clear_compile_cache()
+    yield
+    clear_compile_cache()
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestSolversReadOnlyWhatTheyNeed:
+    @pytest.mark.parametrize("method", ["SGH", "EGH"])
+    def test_sgh_and_egh_build_neither_index(self, method):
+        hg = _instance()
+        solve(hg, method=method)
+        (ck,) = _cached_compilations()
+        assert ck.hypergraph is hg
+        assert not _proc_built(hg)
+        assert not _union_built(ck)
+
+    @pytest.mark.parametrize("method", ["VGH", "EVG"])
+    def test_ranking_solvers_build_only_the_union_index(self, method):
+        hg = _instance()
+        solve(hg, method=method)
+        (ck,) = _cached_compilations()
+        assert _union_built(ck)
+        assert not _proc_built(hg)
+
+    def test_local_search_builds_the_processor_index(self):
+        hg = _instance()
+        solve(hg, method="SGH+ls")
+        assert _proc_built(hg)
+
+    @pytest.mark.parametrize("method", ["SGH", "EGH"])
+    def test_service_solve_builds_neither_index(self, method):
+        from test_service import running_server
+
+        from repro.service import ServiceClient
+
+        hg = _instance()
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                remote = client.solve(hg, method=method)
+        local = solve(hg, method=method)
+        assert np.array_equal(remote.assignment, local.hedge_of_task)
+        # the server's own parse of the wire instance is the other entry
+        served = [
+            ck for ck in _cached_compilations() if ck.hypergraph is not hg
+        ]
+        assert len(served) == 1
+        assert not _proc_built(served[0].hypergraph)
+        assert not _union_built(served[0])
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestPublication:
+    def test_first_access_builds_and_memoizes(self):
+        hg = _instance()
+        assert not _proc_built(hg)
+        ptr = hg.proc_ptr
+        assert _proc_built(hg)
+        assert hg.proc_ptr is ptr
+        memo = hg.__dict__[_PROC_MEMO]
+        assert memo[0] is ptr and memo[1] is hg.proc_hedges
+        ck = compile_instance(hg)
+        assert not _union_built(ck)
+        u_procs = ck.u_procs
+        assert ck.__dict__[_UNION_MEMO][4] is u_procs
+        assert all(
+            getattr(ck, f) is a
+            for f, a in zip(_UNION_FIELDS, ck.__dict__[_UNION_MEMO])
+        )
+
+    def test_replace_never_carries_a_stale_index(self):
+        hg = _instance()
+        hg.proc_ptr  # build it
+        moved = dataclasses.replace(hg, n_procs=hg.n_procs + 1)
+        assert not _proc_built(moved)
+        assert moved.proc_ptr.shape == (hg.n_procs + 2,)
+
+    def test_with_weights_carries_the_built_index(self):
+        hg = _instance()
+        assert not _proc_built(hg.unit())
+        index = (hg.proc_ptr, hg.proc_hedges)
+        unit = hg.unit()
+        assert unit.proc_ptr is index[0] and unit.proc_hedges is index[1]
+
+    def test_two_threads_see_one_complete_index(self):
+        hg = _instance()
+        ck = compile_instance(hg)
+        barrier = threading.Barrier(2, timeout=30)
+        seen: list[tuple] = [None, None]
+
+        def first_access(slot: int) -> None:
+            barrier.wait()
+            u_procs, g_pin_pos = ck.u_procs, ck.g_pin_pos
+            proc_hedges = hg.proc_hedges
+            seen[slot] = (u_procs, g_pin_pos, proc_hedges, hg.proc_ptr)
+
+        threads = [
+            threading.Thread(target=first_access, args=(k,)) for k in (0, 1)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        union, procs = ck.__dict__[_UNION_MEMO], hg.__dict__[_PROC_MEMO]
+        for u_procs, g_pin_pos, proc_hedges, proc_ptr in seen:
+            # both readers got the arrays of the one published memo
+            assert u_procs is union[4] and g_pin_pos is union[2]
+            assert proc_hedges is procs[1] and proc_ptr is procs[0]
+
+
+class TestPickling:
+    @given(task_hypergraphs(weighted=True))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_before_and_after_the_build(self, hg):
+        hg = dataclasses.replace(hg)  # a copy whose memos start empty
+        digest = instance_digest(hg)
+        ck = _compile(hg, digest)
+        before = pickle.loads(pickle.dumps(ck))
+        assert not _proc_built(before.hypergraph)
+        assert not _union_built(before)
+        hg.proc_ptr, ck.u_ptr  # build both
+        after = pickle.loads(pickle.dumps(ck))
+        assert _proc_built(after.hypergraph) and _union_built(after)
+        for copy in (before, after):
+            assert copy.digest == digest
+            assert instance_digest(copy.hypergraph) == digest
+            for f in ("proc_ptr", "proc_hedges"):
+                np.testing.assert_array_equal(
+                    getattr(copy.hypergraph, f), getattr(hg, f), err_msg=f
+                )
+            for f in _UNION_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(copy, f), getattr(ck, f), err_msg=f
+                )
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestCompileCacheBudget:
+    def test_union_build_reprices_the_entry(self):
+        hg = _instance()
+        compile_instance(hg)
+        grouped = compile_cache_stats()["bytes"]
+        solve(hg, method="VGH")
+        (ck,) = _cached_compilations()
+        assert _union_built(ck)
+        assert compile_cache_stats()["bytes"] == compiled_nbytes(ck)
+        assert compiled_nbytes(ck) > grouped
+
+    def test_bytes_match_the_entries_after_mixed_solves(self):
+        for seed, method in ((1, "VGH"), (2, "SGH"), (3, "EVG"), (4, "EGH")):
+            solve(_instance(seed), method=method)
+        entries = _cached_compilations()
+        assert len(entries) == 4
+        assert compile_cache_stats()["bytes"] == sum(
+            compiled_nbytes(ck) for ck in entries
+        )
+
+    def test_pricing_never_builds(self):
+        hg = _instance()
+        ck = compile_instance(hg)
+        compiled_nbytes(ck)
+        assert not _union_built(ck) and not _proc_built(hg)
+
+    def test_evicted_entry_is_not_brought_back(self):
+        hg = _instance()
+        ck = compile_instance(hg)
+        clear_compile_cache()
+        ck.u_ptr  # build after eviction
+        assert compile_cache_stats()["entries"] == 0

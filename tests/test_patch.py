@@ -55,6 +55,10 @@ def assert_identical_compilation(inst: DynamicInstance) -> None:
     from-scratch compilation of the same state, bit for bit."""
     patched = inst.compile()
     oracle = inst._compile_full()
+    # the patcher emits both indexes eagerly; the from-scratch oracle
+    # builds them lazily, on the first read below
+    assert "_proc_index_memo" in patched.hypergraph.__dict__
+    assert "_proc_index_memo" not in oracle.hypergraph.__dict__
     for f in _HG_FIELDS:
         a = getattr(patched.hypergraph, f)
         b = getattr(oracle.hypergraph, f)
@@ -69,6 +73,8 @@ def assert_identical_compilation(inst: DynamicInstance) -> None:
     # the kernels the patcher emitted vs a from-scratch _compile
     pk = inst.compiled_kernels()
     ok = _compile(oracle.hypergraph, digest)
+    assert "_union_memo" in pk.__dict__
+    assert "_union_memo" not in ok.__dict__
     for f in _KERNEL_FIELDS:
         a, b = getattr(pk, f), getattr(ok, f)
         assert a.dtype == b.dtype, f

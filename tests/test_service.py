@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.api import SolveOptions, solve as api_solve
+from repro.core import TaskHypergraph
 from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.engine import ResultCache
 from repro.engine.batch import BatchSolver
@@ -903,6 +904,26 @@ class TestMalformedFrames:
                     ), (case, exc.value.code, str(exc.value))
                 # the connection survives every rejection
                 assert client.ping()["pong"] is True
+            counters = server.metrics.snapshot()["counters"]
+        assert counters.get("errors.internal", 0) == 0
+
+    def test_absurd_vertex_counts_answer_graph_structure(self):
+        """A few-hundred-byte request naming 2**40 vertices is refused
+        at parse, typed, before any array over the vertices exists."""
+        from repro.io import hypergraph_to_dict
+
+        hg = TaskHypergraph.from_configurations([[[0, 1]], [[1]]])
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                for key in ("n_procs", "n_tasks"):
+                    data = hypergraph_to_dict(hg) | {key: 2**40}
+                    assert len(encode_frame(request(
+                        "solve", 1, instance=data
+                    ))) < 400
+                    with pytest.raises(RemoteError) as exc:
+                        client.call("solve", instance=data)
+                    assert exc.value.code == "graph-structure", key
+                    assert key in str(exc.value)
             counters = server.metrics.snapshot()["counters"]
         assert counters.get("errors.internal", 0) == 0
 

@@ -123,6 +123,27 @@ class TestBoundedLRU:
         lru.put("a", "xx")
         assert lru.stats()["bytes"] == 2 and len(lru) == 1
 
+    def test_reprice_prices_a_value_that_grew_in_place(self):
+        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        a, b = ["x"] * 4, ["y"] * 4
+        lru.put("a", a)
+        lru.put("b", b)
+        a.extend("xxx")  # 7 now, still priced as 4
+        # 7 + 4 > 10, and "a" became the newest entry: "b" goes
+        assert lru.reprice("a", a) == 1
+        assert lru.get("b") is None
+        assert lru.stats()["entries"] == 1 and lru.stats()["bytes"] == 7
+
+    def test_reprice_never_brings_a_value_back(self):
+        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        a = ["x"] * 4
+        lru.put("a", a)
+        lru.pop("a")
+        assert lru.reprice("a", a) == 0 and len(lru) == 0
+        lru.put("a", ["z"])
+        assert lru.reprice("a", a) == 0  # "a" maps to another value
+        assert lru.get("a") == ["z"] and lru.stats()["bytes"] == 1
+
     def test_single_over_budget_entry_survives(self):
         lru = BoundedLRU(10, max_bytes=4, sizeof=len)
         lru.put("small", "xx")
