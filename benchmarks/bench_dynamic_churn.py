@@ -26,8 +26,13 @@ runs anywhere the test suite runs.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import statistics
 import time
+
+import numpy as np
+import pytest
 
 from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.engine.dispatch import solve_hypergraph
@@ -176,3 +181,42 @@ def test_repair_is_dominated_by_local_work():
     # the initial solve is a full solve; churn must not add many more
     assert stats.fallbacks <= 0.1 * len(trace), stats.as_dict()
     assert stats.local_repairs >= 0.5 * len(trace), stats.as_dict()
+
+
+#: the session-pool shape: a fewgmanyg n=5120 session repaired under
+#: EVG in 16-mutation batches (full mode only — it gates nothing, it
+#: prints where repair time goes on a session-sized instance)
+REPLAY_N, REPLAY_P, REPLAY_BATCH, REPLAY_BATCHES = 5120, 1024, 16, 80
+
+
+@pytest.mark.skipif(SMOKE, reason="full-mode sizing replay")
+def test_session_replay_cold_and_steady():
+    """A fresh solver replays the session-pool churn stream batch by
+    batch: the first three batches run cold, the rest steady.  Prints
+    both, the move count and a hash of the bottleneck stream (equal
+    hashes mean an identical move sequence)."""
+    hg = generate_multiproc(
+        REPLAY_N, REPLAY_P, family="fewgmanyg", g=32, weights="related",
+        seed=1,
+    )
+    trace = churn_trace(hg, REPLAY_BATCH * REPLAY_BATCHES, seed=1)
+    inst = DynamicInstance.from_hypergraph(hg)
+    solver = IncrementalSolver(inst, method="EVG")
+    stream = [solver.bottleneck()]
+    batch_ms = []
+    for lo in range(0, len(trace), REPLAY_BATCH):
+        t0 = time.perf_counter()
+        for m in trace[lo : lo + REPLAY_BATCH]:
+            inst.apply(m)
+        stream.append(solver.bottleneck())
+        batch_ms.append(1e3 * (time.perf_counter() - t0))
+    digest = hashlib.sha256(
+        np.asarray(stream, dtype=np.float64).tobytes()
+    ).hexdigest()[:16]
+    cold = " / ".join(f"{ms:.0f}" for ms in batch_ms[:3])
+    print(
+        f"\nsession replay {REPLAY_BATCHES}x{REPLAY_BATCH} mutations on "
+        f"{REPLAY_N}x{REPLAY_P}: cold batches 1-3 = {cold} ms, steady "
+        f"median = {statistics.median(batch_ms[3:]):.1f} ms, "
+        f"ls_moves={solver.stats.ls_moves}, stream {digest}"
+    )

@@ -18,6 +18,7 @@ __all__ = [
     "check_1d_int",
     "stable_argsort",
     "csr_group",
+    "grown",
     "BoundedLRU",
 ]
 
@@ -98,6 +99,20 @@ def csr_group(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
     combined = keys * n + np.arange(n, dtype=np.int64)
     combined.sort()
     return ptr, combined % n
+
+
+def grown(arr: np.ndarray, need: int, fill=None) -> np.ndarray:
+    """``arr`` with capacity >= ``need`` (doubling; contents kept, new
+    slots set to ``fill``, or left uninitialised when it is ``None``)."""
+    cap = arr.shape[0]
+    if need <= cap:
+        return arr
+    new_cap = max(need, 2 * cap, 16)
+    out = np.empty(new_cap, dtype=arr.dtype)
+    out[:cap] = arr
+    if fill is not None:
+        out[cap:] = fill
+    return out
 
 
 class BoundedLRU:

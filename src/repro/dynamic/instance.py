@@ -2,9 +2,11 @@
 
 The core instance types are immutable CSR arrays — ideal for solver
 kernels, hostile to churn.  :class:`DynamicInstance` keeps the *logical*
-MULTIPROC instance in handle-indexed dictionaries instead: tasks and
-processors get stable integer handles that survive arbitrary arrivals
-and departures, every mutation appends to a :class:`~repro.dynamic.journal.DeltaJournal`
+MULTIPROC instance in one handle-level row store instead (flat arrays
+with capacity doubling and tombstones, see :class:`_ConfigStore`; the
+incremental solver reads the same arrays): tasks and processors get
+stable integer handles that survive arbitrary arrivals and departures,
+every mutation appends to a :class:`~repro.dynamic.journal.DeltaJournal`
 (giving ``snapshot()``/``rollback()``/``replay()``), and the frozen CSR
 form is *compiled on demand* — and cached by version — whenever a
 solver, digest or serialisation needs it.
@@ -26,22 +28,212 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .._util import grown
 from ..core.errors import GraphStructureError, InfeasibleError
 from ..core.hypergraph import TaskHypergraph
+from ..kernels.compiled import flat_ranges, segment_starts
 from .journal import DeltaJournal, Mutation
 
 __all__ = ["DynamicInstance", "CompiledInstance"]
 
 
-@dataclass(frozen=True)
-class _Config:
-    """One configuration of one task: a pin set, a weight, and whether a
-    processor failure has disabled it.  Config indices are stable for the
-    lifetime of their task (disabled entries keep their slot)."""
+def _row_arrays(confs):
+    """``(pin counts, flat pins, weights, alive flags)`` of
+    ``(sorted pins, weight, alive)`` triples."""
+    return (
+        np.array([len(pins) for pins, _, _ in confs], dtype=np.int64),
+        np.array([u for pins, _, _ in confs for u in pins], dtype=np.int64),
+        np.array([w for _, w, _ in confs], dtype=np.float64),
+        np.array([alive for _, _, alive in confs], dtype=bool),
+    )
 
-    pins: tuple[int, ...]
-    weight: float
-    alive: bool = True
+
+class _ConfigStore:
+    """Every configuration of every task, as handle-level flat arrays.
+
+    Task handle ``t`` owns rows ``task_lo[t] .. task_lo[t] + task_n[t]``
+    (``task_n[t] == 0``: no such task) and its configuration ``j`` is
+    row ``task_lo[t] + j``.  Row ``r`` holds the sorted pins
+    ``pins[row_ptr[r] : row_ptr[r] + row_len[r]]``, the weight
+    ``row_w[r]``, its owner ``row_task[r]`` and ``row_alive[r]`` (false
+    once a processor failure disabled the configuration or its task
+    departed).
+
+    A departed task's rows stay behind as garbage; once garbage is more
+    than half of all rows, :meth:`compact` repacks the live tasks' rows
+    in handle order.  Configuration indices survive that, row ids do
+    not — so row ids never leave the instance and its solver, which
+    read these arrays directly (and re-read them after every mutation:
+    growth and compaction replace them).
+    """
+
+    def __init__(self) -> None:
+        self.task_lo = np.zeros(0, dtype=np.int64)
+        self.task_n = np.zeros(0, dtype=np.int64)
+        self.row_ptr = np.zeros(0, dtype=np.int64)
+        self.row_len = np.zeros(0, dtype=np.int64)
+        self.row_task = np.zeros(0, dtype=np.int64)
+        self.row_w = np.zeros(0, dtype=np.float64)
+        self.row_alive = np.zeros(0, dtype=bool)
+        self.pins = np.zeros(0, dtype=np.int64)
+        self.n_rows = 0
+        self.n_pins = 0
+        self.n_tasks = 0
+        self.garbage = 0
+
+    # -- reading --------------------------------------------------------
+    def live_tasks(self) -> np.ndarray:
+        """Task handles present, ascending."""
+        return np.flatnonzero(self.task_n > 0)
+
+    def has(self, task: int) -> bool:
+        return 0 <= task < self.task_n.shape[0] and self.task_n[task] > 0
+
+    def extent(self, task: int) -> tuple[int, int]:
+        """``(first row, configuration count)`` of ``task``."""
+        if not self.has(task):
+            raise GraphStructureError(f"unknown task handle {task}")
+        return int(self.task_lo[task]), int(self.task_n[task])
+
+    def row_pins(self, row: int) -> np.ndarray:
+        p0 = self.row_ptr[row]
+        return self.pins[p0 : p0 + self.row_len[row]]
+
+    def rows_of(self, tasks: np.ndarray) -> np.ndarray:
+        """Every row of ``tasks``, grouped by task in the given order."""
+        return flat_ranges(self.task_lo[tasks], self.task_n[tasks])
+
+    def pins_of(self, rows: np.ndarray) -> np.ndarray:
+        """The concatenated pins of ``rows``."""
+        return self.pins[flat_ranges(self.row_ptr[rows], self.row_len[rows])]
+
+    def configs(self, task: int) -> list[tuple[tuple[int, ...], float, bool]]:
+        """``(pins, weight, alive)`` of every configuration of ``task``."""
+        lo, n = self.extent(task)
+        return self._triples(np.arange(lo, lo + n))
+
+    def items(self):
+        """``(task, configs)`` for every task, handles ascending — one
+        gather per 1024 tasks, sliced per task (chunked so the Python
+        objects alive at once stay few)."""
+        live = self.live_tasks()
+        for lo in range(0, live.shape[0], 1024):
+            tasks = live[lo : lo + 1024]
+            triples = self._triples(self.rows_of(tasks))
+            at = 0
+            for t, c in zip(tasks.tolist(), self.task_n[tasks].tolist()):
+                yield t, triples[at : at + c]
+                at += c
+
+    def _triples(self, rows: np.ndarray) -> list:
+        flat = self.pins_of(rows).tolist()
+        out = []
+        at = 0
+        for ln, w, alive in zip(
+            self.row_len[rows].tolist(),
+            self.row_w[rows].tolist(),
+            self.row_alive[rows].tolist(),
+        ):
+            out.append((tuple(flat[at : at + ln]), w, alive))
+            at += ln
+        return out
+
+    # -- writing --------------------------------------------------------
+    def extend(
+        self,
+        tasks: np.ndarray,
+        counts: np.ndarray,
+        lens: np.ndarray,
+        flat: np.ndarray,
+        weights: np.ndarray,
+        alive: np.ndarray,
+    ) -> None:
+        """Append the configurations of new ``tasks``: ``counts[i]``
+        rows each, in task order, with pin counts ``lens``, sorted pins
+        ``flat``, ``weights`` and ``alive`` flags per row."""
+        r0, p0 = self.n_rows, self.n_pins
+        r1, p1 = r0 + lens.shape[0], p0 + flat.shape[0]
+        for name in (
+            "row_ptr", "row_len", "row_task", "row_w", "row_alive"
+        ):
+            setattr(self, name, grown(getattr(self, name), r1))
+        self.pins = grown(self.pins, p1)
+        self.row_len[r0:r1] = lens
+        self.row_ptr[r0:r1] = p0 + segment_starts(lens)
+        self.row_task[r0:r1] = np.repeat(tasks, counts)
+        self.row_w[r0:r1] = weights
+        self.row_alive[r0:r1] = alive
+        self.pins[p0:p1] = flat
+        top = int(tasks.max()) + 1 if tasks.shape[0] else 0
+        self.task_lo = grown(self.task_lo, top)
+        self.task_n = grown(self.task_n, top, fill=0)
+        self.task_lo[tasks] = r0 + segment_starts(counts)
+        self.task_n[tasks] = counts
+        self.n_rows, self.n_pins = r1, p1
+        self.n_tasks += tasks.shape[0]
+
+    def add(self, task: int, confs) -> None:
+        """Append one task from ``(sorted pins, weight, alive)``
+        triples."""
+        self.extend(
+            np.array([task], dtype=np.int64),
+            np.array([len(confs)], dtype=np.int64),
+            *_row_arrays(confs),
+        )
+
+    def drop(self, task: int) -> list[tuple[tuple[int, ...], float, bool]]:
+        """Remove ``task``; returns its configurations (the undo
+        record)."""
+        confs = self.configs(task)
+        lo, n = self.extent(task)
+        self.row_alive[lo : lo + n] = False
+        self.task_n[task] = 0
+        self.n_tasks -= 1
+        self.garbage += n
+        if 2 * self.garbage > self.n_rows:
+            self.compact()
+        return confs
+
+    def kill(self, proc: int) -> tuple[np.ndarray, np.ndarray]:
+        """Disable every alive configuration pinned to ``proc``; returns
+        the ``(tasks, config indices)`` it disabled.  Raises
+        :class:`InfeasibleError`, changing nothing, when that would
+        leave some task without an alive configuration."""
+        at = np.flatnonzero(self.pins[: self.n_pins] == proc)
+        # row_ptr rises with the row id (rows are appended in order and
+        # compaction keeps it), so a pin's row is a sorted search away;
+        # a row lists each processor once, so the rows are distinct
+        rows = np.searchsorted(self.row_ptr[: self.n_rows], at, "right") - 1
+        rows = rows[self.row_alive[rows]]
+        tasks = self.row_task[rows]
+        hit, killed = np.unique(tasks, return_counts=True)
+        if hit.size:
+            alive = self.row_alive[self.rows_of(hit)].astype(np.int64)
+            starts = segment_starts(self.task_n[hit])
+            stranded = hit[np.add.reduceat(alive, starts) == killed]
+            if stranded.size:
+                raise InfeasibleError(
+                    f"removing processor {proc} leaves task "
+                    f"{int(stranded[0])} with no configuration"
+                )
+        self.row_alive[rows] = False
+        return tasks, rows - self.task_lo[tasks]
+
+    def revive(self, tasks: np.ndarray, slots: np.ndarray) -> None:
+        self.row_alive[self.task_lo[tasks] + slots] = True
+
+    def compact(self) -> None:
+        """Repack the live tasks' rows in handle order, dropping
+        garbage."""
+        tasks = self.live_tasks()
+        counts = self.task_n[tasks]
+        rows = self.rows_of(tasks)
+        lens = self.row_len[rows].copy()
+        flat = self.pins_of(rows)
+        weights = self.row_w[rows].copy()
+        alive = self.row_alive[rows].copy()
+        self.n_rows = self.n_pins = self.n_tasks = self.garbage = 0
+        self.extend(tasks, counts, lens, flat, weights, alive)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +313,6 @@ class CompiledInstance:
             out[dense] = index[(handle, assignment[handle])]
         return out
 
-    def assignment_from_dense(
-        self, hedge_of_task: np.ndarray
-    ) -> dict[int, int]:
-        """Inverse of :meth:`assignment_to_dense`."""
-        hedges = np.asarray(hedge_of_task, dtype=np.int64)
-        return dict(
-            zip(
-                self.hedge_handles[hedges].tolist(),
-                self.hedge_slots[hedges].tolist(),
-            )
-        )
-
 
 class DynamicInstance:
     """A MULTIPROC instance that mutates.
@@ -151,7 +331,7 @@ class DynamicInstance:
     """
 
     def __init__(self, *, patching: bool = True) -> None:
-        self._tasks: dict[int, list[_Config]] = {}
+        self._store = _ConfigStore()
         self._procs: set[int] = set()
         self._next_task = 0
         self._next_proc = 0
@@ -212,22 +392,27 @@ class DynamicInstance:
         inst = DynamicInstance(patching=patching)
         inst._procs = set(range(hg.n_procs))
         inst._next_proc = hg.n_procs
-        for i in range(hg.n_tasks):
-            # pins are stored sorted, exactly as add_task stores them:
-            # the digest's equal-content-equal-key guarantee needs one
-            # canonical pin order whatever the source spelled
-            confs = [
-                _Config(
-                    tuple(sorted(int(u) for u in hg.hedge_proc_set(int(h)))),
-                    float(hg.hedge_w[int(h)]),
-                )
-                for h in hg.task_hedge_ids(i)
-            ]
-            if not confs:
-                raise GraphStructureError(
-                    f"task {i} has no configuration; no semi-matching exists"
-                )
-            inst._tasks[i] = confs
+        counts = np.diff(hg.task_ptr)
+        if counts.size and counts.min() == 0:
+            i = int(np.flatnonzero(counts == 0)[0])
+            raise GraphStructureError(
+                f"task {i} has no configuration; no semi-matching exists"
+            )
+        hedges = hg.task_hedges
+        lens = np.diff(hg.hedge_ptr)[hedges]
+        flat = hg.hedge_procs[flat_ranges(hg.hedge_ptr[hedges], lens)]
+        # pins are stored sorted, exactly as add_task stores them: the
+        # digest's equal-content-equal-key guarantee needs one canonical
+        # pin order whatever the source spelled
+        owner = np.repeat(np.arange(hedges.shape[0]), lens)
+        inst._store.extend(
+            np.arange(hg.n_tasks, dtype=np.int64),
+            counts,
+            lens,
+            flat[np.lexsort((flat, owner))],
+            hg.hedge_w[hedges],
+            np.ones(hedges.shape[0], dtype=bool),
+        )
         inst._next_task = hg.n_tasks
         return inst
 
@@ -236,7 +421,7 @@ class DynamicInstance:
     # ------------------------------------------------------------------
     @property
     def n_tasks(self) -> int:
-        return len(self._tasks)
+        return self._store.n_tasks
 
     @property
     def n_procs(self) -> int:
@@ -250,14 +435,14 @@ class DynamicInstance:
 
     def tasks(self) -> list[int]:
         """Alive task handles, ascending."""
-        return sorted(self._tasks)
+        return self._store.live_tasks().tolist()
 
     def procs(self) -> list[int]:
         """Alive processor handles, ascending."""
         return sorted(self._procs)
 
     def has_task(self, task: int) -> bool:
-        return task in self._tasks
+        return self._store.has(task)
 
     def has_proc(self, proc: int) -> bool:
         return proc in self._procs
@@ -267,20 +452,19 @@ class DynamicInstance:
     ) -> list[tuple[int, tuple[int, ...], float]]:
         """Alive ``(config index, pins, weight)`` triples of ``task``."""
         return [
-            (j, c.pins, c.weight)
-            for j, c in enumerate(self._task(task))
-            if c.alive
+            (j, pins, w)
+            for j, (pins, w, alive) in enumerate(self._store.configs(task))
+            if alive
         ]
 
     def config(self, task: int, index: int) -> tuple[tuple[int, ...], float]:
         """``(pins, weight)`` of one alive configuration."""
-        confs = self._task(task)
-        if not 0 <= index < len(confs) or not confs[index].alive:
+        confs = self._store.configs(task)
+        if not 0 <= index < len(confs) or not confs[index][2]:
             raise GraphStructureError(
                 f"task {task} has no alive configuration {index}"
             )
-        c = confs[index]
-        return c.pins, c.weight
+        return confs[index][:2]
 
     def config_any(
         self, task: int, index: int
@@ -288,19 +472,12 @@ class DynamicInstance:
         """``(pins, weight, alive)`` of a configuration, disabled ones
         included — the repair path needs the pins of a configuration a
         processor failure just killed."""
-        confs = self._task(task)
+        confs = self._store.configs(task)
         if not 0 <= index < len(confs):
             raise GraphStructureError(
                 f"task {task} has no configuration {index}"
             )
-        c = confs[index]
-        return c.pins, c.weight, c.alive
-
-    def _task(self, task: int) -> list[_Config]:
-        try:
-            return self._tasks[task]
-        except KeyError:
-            raise GraphStructureError(f"unknown task handle {task}") from None
+        return confs[index]
 
     # ------------------------------------------------------------------
     # mutations
@@ -317,7 +494,7 @@ class DynamicInstance:
         """A task arrives with its configuration set ``S_i``; returns
         its handle.  ``configurations`` is a sequence of
         ``(processor handles, weight)`` pairs."""
-        confs: list[_Config] = []
+        confs: list[tuple[tuple[int, ...], float, bool]] = []
         for procs, w in configurations:
             pins = tuple(sorted({int(u) for u in procs}))
             if not pins:
@@ -330,23 +507,21 @@ class DynamicInstance:
             w = float(w)
             if not (w > 0 and np.isfinite(w)):
                 raise GraphStructureError(f"bad weight {w!r}")
-            confs.append(_Config(pins, w))
+            confs.append((pins, w, True))
         if not confs:
             raise GraphStructureError(
                 "a task needs at least one configuration"
             )
         task = self._next_task
         self._next_task += 1
-        self._tasks[task] = confs
+        self._store.add(task, confs)
         self._bump()
         self.journal.append(
             Mutation(
                 "add_task",
                 {
                     "task": task,
-                    "configs": [
-                        [list(c.pins), c.weight] for c in confs
-                    ],
+                    "configs": [[list(pins), w] for pins, w, _ in confs],
                 },
             )
         )
@@ -355,8 +530,7 @@ class DynamicInstance:
 
     def remove_task(self, task: int) -> None:
         """The task finishes (or is cancelled) and leaves the instance."""
-        confs = self._task(task)
-        del self._tasks[task]
+        confs = self._store.drop(task)
         self._bump()
         self.journal.append(
             Mutation(
@@ -386,24 +560,7 @@ class DynamicInstance:
         configuration."""
         if proc not in self._procs:
             raise GraphStructureError(f"unknown processor handle {proc}")
-        killed: list[tuple[int, int]] = []
-        for task, confs in self._tasks.items():
-            survivors = 0
-            for j, c in enumerate(confs):
-                if not c.alive:
-                    continue
-                if proc in c.pins:
-                    killed.append((task, j))
-                else:
-                    survivors += 1
-            if survivors == 0:
-                raise InfeasibleError(
-                    f"removing processor {proc} leaves task {task} with "
-                    "no configuration"
-                )
-        for task, j in killed:
-            confs = self._tasks[task]
-            confs[j] = _Config(confs[j].pins, confs[j].weight, alive=False)
+        killed = self._store.kill(proc)
         self._procs.discard(proc)
         self._bump()
         self.journal.append(
@@ -417,16 +574,11 @@ class DynamicInstance:
 
     def update_weight(self, task: int, config: int, weight: float) -> None:
         """The execution time of one configuration drifts."""
-        confs = self._task(task)
-        if not 0 <= config < len(confs) or not confs[config].alive:
-            raise GraphStructureError(
-                f"task {task} has no alive configuration {config}"
-            )
+        _pins, old = self.config(task, config)
         weight = float(weight)
         if not (weight > 0 and np.isfinite(weight)):
             raise GraphStructureError(f"bad weight {weight!r}")
-        old = confs[config].weight
-        confs[config] = _Config(confs[config].pins, weight)
+        self._store.row_w[self._store.task_lo[task] + config] = weight
         self._bump()
         self.journal.append(
             Mutation(
@@ -511,13 +663,14 @@ class DynamicInstance:
 
     def _undo(self, m: Mutation) -> None:
         p = m.payload
+        st = self._store
         if m.op == "add_task":
             task = int(p["task"])
-            del self._tasks[task]
+            st.drop(task)
             if task == self._next_task - 1:
                 self._next_task -= 1  # keep replay-determinism of handles
         elif m.op == "remove_task":
-            self._tasks[int(p["task"])] = list(m.undo["configs"])
+            st.add(int(p["task"]), m.undo["configs"])
         elif m.op == "add_processor":
             proc = int(p["proc"])
             self._procs.discard(proc)
@@ -525,13 +678,10 @@ class DynamicInstance:
                 self._next_proc -= 1
         elif m.op == "remove_processor":
             self._procs.add(int(p["proc"]))
-            for task, j in m.undo["killed"]:
-                confs = self._tasks[task]
-                confs[j] = _Config(confs[j].pins, confs[j].weight)
+            st.revive(*m.undo["killed"])
         elif m.op == "update_weight":
             task, j = int(p["task"]), int(p["config"])
-            confs = self._tasks[task]
-            confs[j] = _Config(confs[j].pins, float(m.undo["old"]))
+            st.row_w[st.task_lo[task] + j] = float(m.undo["old"])
         else:  # pragma: no cover - journal only holds known ops
             raise ValueError(f"cannot undo mutation op {m.op!r}")
 
@@ -554,10 +704,8 @@ class DynamicInstance:
             "next_task": self._next_task,
             "next_proc": self._next_proc,
             "tasks": {
-                str(t): [
-                    [list(c.pins), c.weight, c.alive] for c in confs
-                ]
-                for t, confs in sorted(self._tasks.items())
+                str(t): [[list(pins), w, alive] for pins, w, alive in confs]
+                for t, confs in self._store.items()
             },
         }
 
@@ -571,35 +719,54 @@ class DynamicInstance:
                 f"expected kind 'dynamic-instance', got {data.get('kind')!r}"
             )
         inst = DynamicInstance(patching=patching)
+        inst._next_task = int(data["next_task"])
+        inst._next_proc = int(data["next_proc"])
         inst._procs = {int(u) for u in data["procs"]}
+        # handles index the store's (and a solver's) arrays: check them
+        # against the counters before anything is allocated by them
+        if inst._procs and not (
+            min(inst._procs) >= 0 and max(inst._procs) < inst._next_proc
+        ):
+            raise GraphStructureError("next_proc collides with a live handle")
+        tasks: list[int] = []
+        rows: list[tuple[tuple[int, ...], float, bool]] = []
+        counts: list[int] = []
         for t, confs in data["tasks"].items():
-            parsed = [
-                _Config(
-                    tuple(sorted(int(u) for u in pins)),
-                    float(w),
-                    bool(alive),
+            t = int(t)
+            if not 0 <= t < inst._next_task:
+                raise GraphStructureError(
+                    "next_task collides with a live handle"
                 )
+            parsed = [
+                (tuple(sorted(int(u) for u in pins)), float(w), bool(alive))
                 for pins, w, alive in confs
             ]
-            if not any(c.alive for c in parsed):
+            if not any(alive for _, _, alive in parsed):
                 raise GraphStructureError(
                     f"task {t} has no alive configuration"
                 )
-            for c in parsed:
-                if c.alive and not set(c.pins) <= inst._procs:
+            for pins, w, alive in parsed:
+                # a disabled configuration's processors existed once:
+                # they are handles below the counter all the same
+                if (alive and not set(pins) <= inst._procs) or (
+                    pins and not 0 <= pins[0] <= pins[-1] < inst._next_proc
+                ):
                     raise GraphStructureError(
                         f"task {t} has a configuration pinned to an "
                         "unknown processor"
                     )
-                if not (c.weight > 0 and np.isfinite(c.weight)):
-                    raise GraphStructureError(f"bad weight {c.weight!r}")
-            inst._tasks[int(t)] = parsed
-        inst._next_task = int(data["next_task"])
-        inst._next_proc = int(data["next_proc"])
-        if inst._tasks and max(inst._tasks) >= inst._next_task:
-            raise GraphStructureError("next_task collides with a live handle")
-        if inst._procs and max(inst._procs) >= inst._next_proc:
-            raise GraphStructureError("next_proc collides with a live handle")
+                if not (w > 0 and np.isfinite(w)):
+                    raise GraphStructureError(f"bad weight {w!r}")
+            tasks.append(t)
+            counts.append(len(parsed))
+            rows.extend(parsed)
+        if len(set(tasks)) != len(tasks):
+            raise GraphStructureError("a task handle is listed twice")
+        inst._store.extend(
+            np.array(tasks, dtype=np.int64),
+            np.array(counts, dtype=np.int64),
+            *_row_arrays(rows),
+        )
         return inst
 
     # ------------------------------------------------------------------
@@ -635,7 +802,7 @@ class DynamicInstance:
     def _compile_full(self) -> CompiledInstance:
         """From-scratch canonical compilation (the patcher's oracle:
         the differential tests hold :meth:`compile` to its arrays)."""
-        task_handles = tuple(sorted(self._tasks))
+        task_handles = tuple(self.tasks())
         proc_handles = tuple(sorted(self._procs))
         proc_index = {u: d for d, u in enumerate(proc_handles)}
         hedge_task: list[int] = []
@@ -643,13 +810,13 @@ class DynamicInstance:
         weights: list[float] = []
         hedge_handles: list[int] = []
         hedge_slots: list[int] = []
-        for dense, task in enumerate(task_handles):
-            for j, c in enumerate(self._tasks[task]):
-                if not c.alive:
+        for dense, (task, confs) in enumerate(self._store.items()):
+            for j, (pins, w, alive) in enumerate(confs):
+                if not alive:
                     continue
                 hedge_task.append(dense)
-                plists.append([proc_index[u] for u in c.pins])
-                weights.append(c.weight)
+                plists.append([proc_index[u] for u in pins])
+                weights.append(w)
                 hedge_handles.append(task)
                 hedge_slots.append(j)
         hg = TaskHypergraph.from_hyperedges(
@@ -669,10 +836,7 @@ class DynamicInstance:
 
     # -- incremental compilation ----------------------------------------
     def _patcher_state(self):
-        return (
-            (t, [(c.pins, c.weight, c.alive) for c in confs])
-            for t, confs in sorted(self._tasks.items())
-        )
+        return self._store.items()
 
     def _rebuild_patcher(self) -> None:
         from ..kernels.patch import KernelPatcher

@@ -16,13 +16,23 @@ the delta journal —
 and every direct fix is followed by a *bounded local search*: the
 vector-improving single-task moves of
 :func:`repro.algorithms.local_search`, restricted to tasks assigned
-inside the repair region and capped by a move budget.  Candidate moves
-are screened by their affected maxima and the residual ties resolved
-through the kernels' batched move evaluation
-(:func:`repro.kernels.batch_lex_signs`) — the same primitive the
-static local search runs on.  Accepted moves strictly improve the
-multiset-lexicographic load vector, so the global bottleneck never
-worsens through repair.
+inside the repair region and capped by a move budget.  Accepted moves
+strictly improve the multiset-lexicographic load vector, so the global
+bottleneck never worsens through repair.
+
+The state is arrays: loads and a live mask by processor handle, the
+chosen configuration index by task handle, the repair region as a mask
+over processor handles.  Configurations are read straight from the
+instance's row store, never copied.  The move scan takes the region's
+bottleneck processors in ascending order and evaluates all of one
+processor's candidate moves in one vectorized pass: it gathers the
+alternatives, screens them by their affected maxima
+(``np.maximum.reduceat``), and resolves the equal-maxima ones before
+the first sure improvement in one batched
+:func:`repro.kernels.first_lex_improving` call — the primitive the
+static local search runs on.  Every float operation is the one the
+per-candidate scalar scan performed (kept as the test oracle), so the
+move sequence, and with it every bottleneck, is bit-identical to it.
 
 When one mutation displaces more than ``max(min_fallback_region,
 fallback_ratio * n_tasks)`` tasks the solver gives up on locality
@@ -42,13 +52,15 @@ drifts above from-scratch quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import grown
 from ..core.hypergraph import TaskHypergraph
 from ..core.semimatching import HyperSemiMatching
 from ..kernels import first_lex_improving
+from ..kernels.compiled import flat_ranges, segment_starts
 from ..obs.trace import span
 from .instance import DynamicInstance
 from .journal import Mutation
@@ -136,10 +148,14 @@ class IncrementalSolver:
         self.min_fallback_region = int(min_fallback_region)
         self.ls_budget = int(ls_moves)
         self.stats = RepairStats()
-        self._assign: dict[int, int] = {}
-        self._loads: dict[int, float] = {}
+        # loads and liveness by processor handle, the chosen
+        # configuration by task handle (-1: no such task)
+        self._loads = np.zeros(0, dtype=np.float64)
+        self._live = np.zeros(0, dtype=bool)
+        self._assign = np.zeros(0, dtype=np.int64)
         self._on_proc: dict[int, set[int]] = {}
         self._cursor = _Cursor()
+        self._detached = False
         self._full_resolve()
         # repair must run in lockstep with the journal: fixing mutation
         # k needs the instance *as of k*, which only the moment of the
@@ -147,7 +163,9 @@ class IncrementalSolver:
         self.instance.subscribe(self.sync)
 
     def detach(self) -> None:
-        """Stop tracking the instance (the solver keeps its last state)."""
+        """Stop tracking the instance (the solver keeps its last state:
+        every accessor answers from it, nothing repairs any more)."""
+        self._detached = True
         self.instance.unsubscribe(self.sync)
 
     def compile_stats(self) -> dict[str, int]:
@@ -165,26 +183,29 @@ class IncrementalSolver:
     def loads(self) -> dict[int, float]:
         """Per-processor loads, keyed by processor *handle* (a copy)."""
         self.sync()
-        return dict(self._loads)
+        procs = np.flatnonzero(self._live)
+        return dict(zip(procs.tolist(), self._loads[procs].tolist()))
 
     def bottleneck(self) -> float:
         """``max_u l(u)`` — the maintained objective value."""
         self.sync()
-        return max(self._loads.values(), default=0.0)
+        live = self._loads[self._live]
+        return float(live.max()) if live.size else 0.0
 
     def assignment(self) -> dict[int, int]:
         """Chosen configuration index per task handle (a copy)."""
         self.sync()
-        return dict(self._assign)
+        tasks = np.flatnonzero(self._assign >= 0)
+        return dict(zip(tasks.tolist(), self._assign[tasks].tolist()))
 
     def matching(self) -> HyperSemiMatching:
         """The maintained assignment as a validated
         :class:`HyperSemiMatching` over the compiled current state."""
-        self.sync()
+        assignment = self.assignment()  # syncs
         compiled = self.instance.compile()
         return HyperSemiMatching(
             compiled.hypergraph,
-            compiled.assignment_to_dense(self._assign),
+            compiled.assignment_to_dense(assignment),
         )
 
     # ------------------------------------------------------------------
@@ -193,7 +214,9 @@ class IncrementalSolver:
     def sync(self) -> int:
         """Catch up with the instance's journal; returns how many
         mutations were processed.  A rollback (journal truncation)
-        forces one full re-solve."""
+        forces one full re-solve.  A detached solver never syncs."""
+        if self._detached:
+            return 0
         journal = self.instance.journal
         if self._cursor.truncations != journal.truncations:
             self._full_resolve()
@@ -242,171 +265,228 @@ class IncrementalSolver:
 
     def _apply_direct(
         self, m: Mutation
-    ) -> tuple[set[int], int] | None:
+    ) -> tuple[np.ndarray, int] | None:
         """Apply the mutation's direct consequences to the assignment.
 
         Returns ``(repair region, displaced task count)`` — the seed
-        processors for the bounded local search and the damage measure
-        the fallback thresholds on — or ``None`` when no rebalancing
-        can help."""
+        processors for the bounded local search, as a mask over
+        processor handles, and the damage measure the fallback
+        thresholds on — or ``None`` when no rebalancing can help."""
         p = m.payload
         if m.op == "add_processor":
-            self._loads[int(p["proc"])] = 0.0
+            proc = int(p["proc"])
+            self._loads = grown(self._loads, proc + 1, fill=0.0)
+            self._live = grown(self._live, proc + 1, fill=False)
+            self._loads[proc] = 0.0
+            self._live[proc] = True
             # an empty processor cannot worsen anything, but tasks may
             # profitably migrate onto it once it gains configurations —
             # which only happens through later mutations
             return None
 
+        region = np.zeros(self._loads.shape[0], dtype=bool)
         if m.op == "add_task":
             task = int(p["task"])
-            pins = self._place_greedy(task)
-            return set(pins), 1
+            self._assign = grown(self._assign, task + 1, fill=-1)
+            region[self._place_greedy(task)] = True
+            return region, 1
 
         if m.op == "remove_task":
             task = int(p["task"])
-            cfg = self._assign.pop(task)
-            conf = m.undo["configs"][cfg]
-            self._unload(task, conf.pins, conf.weight)
-            return set(conf.pins), 0
+            pins, w, _alive = m.undo["configs"][int(self._assign[task])]
+            pins = np.array(pins, dtype=np.int64)
+            self._assign[task] = -1
+            self._unload(task, pins, w)
+            region[pins] = True
+            return region, 0
 
         if m.op == "remove_processor":
             proc = int(p["proc"])
-            region: set[int] = set()
             displaced = 0
-            for task in sorted(self._on_proc.get(proc, set())):
-                cfg = self._assign[task]
-                pins, w, _alive = self.instance.config_any(task, cfg)
+            for task in sorted(self._on_proc.pop(proc, ())):
+                pins, w = self._config(task, int(self._assign[task]))
                 self._unload(task, pins, w)
-                del self._assign[task]
-                region.update(pins)
-                region.update(self._place_greedy(task))
+                region[pins] = True
+                region[self._place_greedy(task)] = True
                 displaced += 1
-            self._on_proc.pop(proc, None)
-            self._loads.pop(proc, None)
-            region.discard(proc)
-            return (region, displaced) if region else None
+            self._live[proc] = False
+            region[proc] = False
+            return (region, displaced) if region.any() else None
 
         if m.op == "update_weight":
             task, cfg = int(p["task"]), int(p["config"])
             new_w, old_w = float(p["weight"]), float(m.undo["old"])
-            pins, _, _ = self.instance.config_any(task, cfg)
-            if self._assign.get(task) == cfg:
-                for u in pins:
-                    self._loads[u] += new_w - old_w
-                return set(pins), 1
+            pins, _ = self._config(task, cfg)
+            region[pins] = True
+            current = int(self._assign[task])
+            if current == cfg:
+                self._loads[pins] += new_w - old_w
+                return region, 1
             # a non-chosen configuration changed price: only a decrease
             # can make the affected task want to move
             if new_w < old_w:
-                current = self._assign[task]
-                cur_pins, _, _ = self.instance.config_any(task, current)
-                return set(pins) | set(cur_pins), 1
+                region[self._config(task, current)[0]] = True
+                return region, 1
             return None
 
         raise ValueError(f"unknown mutation op {m.op!r}")
 
     # -- primitive load/assignment updates ------------------------------
-    def _load(self, task: int, pins: tuple[int, ...], w: float) -> None:
-        for u in pins:
-            self._loads[u] += w
+    def _config(self, task: int, cfg: int) -> tuple[np.ndarray, float]:
+        """``(pins, weight)`` of configuration ``cfg`` of ``task``, read
+        from the instance's row store (alive or not)."""
+        st = self.instance._store
+        r = st.task_lo[task] + cfg
+        return st.row_pins(r), float(st.row_w[r])
+
+    def _load(self, task: int, pins: np.ndarray, w: float) -> None:
+        self._loads[pins] += w
+        for u in pins.tolist():
             self._on_proc.setdefault(u, set()).add(task)
 
-    def _unload(self, task: int, pins: tuple[int, ...], w: float) -> None:
-        for u in pins:
-            if u in self._loads:
-                self._loads[u] -= w
+    def _unload(self, task: int, pins: np.ndarray, w: float) -> None:
+        self._loads[pins] -= w
+        for u in pins.tolist():
             procs = self._on_proc.get(u)
             if procs is not None:
                 procs.discard(task)
 
-    def _place_greedy(self, task: int) -> tuple[int, ...]:
+    def _place_greedy(self, task: int) -> np.ndarray:
         """Assign ``task`` the configuration with the smallest resulting
         bottleneck (ties: least added work, then config order) and
         return its pins."""
-        best_cfg = -1
-        best_key: tuple[float, float] | None = None
-        best_pins: tuple[int, ...] = ()
-        best_w = 0.0
-        for cfg, pins, w in self.instance.task_configs(task):
-            peak = max(self._loads[u] for u in pins) + w
-            key = (peak, w * len(pins))
-            if best_key is None or key < best_key:
-                best_cfg, best_key, best_pins, best_w = cfg, key, pins, w
-        self._assign[task] = best_cfg
-        self._load(task, best_pins, best_w)
+        st = self.instance._store
+        lo, n = st.extent(task)
+        rows = np.arange(lo, lo + n)
+        rows = rows[st.row_alive[rows]]
+        lens = st.row_len[rows]
+        at = segment_starts(lens)
+        pins = st.pins_of(rows)
+        w = st.row_w[rows]
+        peak = np.maximum.reduceat(self._loads[pins], at) + w
+        # lexsort is stable: the first configuration of the least key
+        best = int(np.lexsort((w * lens, peak))[0])
+        self._assign[task] = rows[best] - lo
+        best_pins = pins[at[best] : at[best] + lens[best]]
+        self._load(task, best_pins, float(w[best]))
         return best_pins
 
     # -- bounded local search -------------------------------------------
-    #: candidate moves evaluated per kernel batch during repair
-    _MOVE_CHUNK = 32
+    def _first_improving_move(
+        self, region: np.ndarray, peak: float
+    ) -> tuple[int, int] | None:
+        """The first vector-improving move ``(task, config)`` in scan
+        order: the region's bottleneck processors ascending, their
+        tasks ascending (each task once), a task's configurations in
+        index order."""
+        hot = region & self._live & ~(self._loads < peak - 1e-12)
+        seen: set[int] = set()
+        for u in np.flatnonzero(hot).tolist():
+            tasks = [
+                t for t in sorted(self._on_proc.get(u, ())) if t not in seen
+            ]
+            if tasks:
+                seen.update(tasks)
+                move = self._scan(np.array(tasks, dtype=np.int64))
+                if move is not None:
+                    return move
+        return None
 
-    @staticmethod
-    def _first_improving_of(pending) -> tuple | None:
-        """Kernel-evaluate buffered maybe-moves; first improving or
-        None.  ``pending`` holds ``(move, before, after)`` rows in scan
-        order, padded here with ``-inf`` to a rectangle."""
-        if not pending:
-            return None
-        kmax = max(len(before) for _, before, _ in pending)
-        pad = [-np.inf] * kmax
-        b = np.array([r + pad[len(r) :] for _, r, _ in pending])
-        a = np.array([r + pad[len(r) :] for _, _, r in pending])
-        i = first_lex_improving(a, b)
-        return pending[i][0] if i is not None else None
+    def _scan(self, tasks: np.ndarray) -> tuple[int, int] | None:
+        """The first improving move, in scan order, of ``tasks`` to one
+        of their other alive configurations, all evaluated in one pass.
 
-    def _first_improving_move(self, region: set[int], peak: float):
-        """The first vector-improving move in scan order (region procs
-        ascending, their tasks ascending, configurations in index
-        order).
+        A move is screened by its affected maxima (the first entry of
+        the descending multisets): a larger maximum after the move
+        cannot improve, a smaller one certainly does.  Only the
+        equal-maxima moves before the first sure improvement need the
+        full comparison, in one batched
+        :func:`~repro.kernels.first_lex_improving` call.
 
-        Most moves are decided by their affected maxima alone (the
-        first entry of the descending multisets): a larger maximum
-        cannot improve, a smaller one certainly does.  Only
-        equal-maxima moves need the full comparison, and those buffer
-        up for the batched move-evaluation kernel
-        (:func:`repro.kernels.batch_lex_signs`) instead of one
-        comparison call per candidate move.
+        The float operations are the per-pin ones of the scalar scan —
+        ``(l - cur_w) + w`` on a pin both configurations share,
+        ``l - cur_w`` and ``l + w`` elsewhere — so every decision is
+        bit-identical to it.  The maximum after the move needs no
+        per-move pass over the current pins: ``fl(l - c)`` is monotone
+        in ``l``, so their maximum is ``max(l) - cur_w``, and a shared
+        pin's ``(l - cur_w) + w`` is at least its ``l - cur_w``.
         """
+        st = self.instance._store
         loads = self._loads
-        seen: set[tuple[int, int]] = set()
-        pending: list[tuple[tuple, list, list]] = []
-        for u in sorted(region):
-            if loads.get(u, -1.0) < peak - 1e-12:
-                continue
-            for task in sorted(self._on_proc.get(u, set())):
-                cur = self._assign[task]
-                cur_pins, cur_w, _ = self.instance.config_any(task, cur)
-                old_set = set(cur_pins)
-                for cfg, pins, w in self.instance.task_configs(task):
-                    if cfg == cur or (task, cfg) in seen:
-                        continue
-                    seen.add((task, cfg))
-                    affected = sorted(old_set | set(pins))
-                    before = [loads[x] for x in affected]
-                    new_set = set(pins)
-                    after = list(before)
-                    for i, x in enumerate(affected):
-                        if x in old_set:
-                            after[i] -= cur_w
-                        if x in new_set:
-                            after[i] += w
-                    ma, mb = max(after), max(before)
-                    if ma > mb:
-                        continue  # lex-larger for sure: not a move
-                    move = (task, cfg, cur_pins, cur_w, pins, w)
-                    if ma < mb:
-                        # improving for sure — but an earlier buffered
-                        # maybe-move may improve too and must win
-                        first = self._first_improving_of(pending)
-                        return first if first is not None else move
-                    pending.append((move, before, after))
-                    if len(pending) >= self._MOVE_CHUNK:
-                        first = self._first_improving_of(pending)
-                        if first is not None:
-                            return first
-                        pending = []
-        return self._first_improving_of(pending)
+        k = tasks.shape[0]
+        lo = st.task_lo[tasks]
+        # the current configurations
+        cur_rows = lo + self._assign[tasks]
+        cur_w = st.row_w[cur_rows]
+        cur_len = st.row_len[cur_rows]
+        cur_at = segment_starts(cur_len)
+        cur_pins = st.pins_of(cur_rows)
+        cur_max = np.maximum.reduceat(loads[cur_pins], cur_at)
+        # the alternatives, in scan order
+        rows = st.rows_of(tasks)
+        owner = np.repeat(np.arange(k), st.task_n[tasks])
+        alt = st.row_alive[rows] & (rows != cur_rows[owner])
+        rows, owner = rows[alt], owner[alt]
+        if rows.size == 0:
+            return None
+        lens = st.row_len[rows]
+        at = segment_starts(lens)
+        pins = st.pins_of(rows)
+        pin_owner = np.repeat(owner, lens)
+        before = loads[pins]
+        # which new pins the current configuration holds: (task, pin)
+        # keys, sorted because a row's pins are
+        width = loads.shape[0]
+        cur_keys = np.repeat(np.arange(k), cur_len) * width + cur_pins
+        keys = pin_owner * width + pins
+        shared = _member(keys, cur_keys)
+        w_pin = np.repeat(st.row_w[rows], lens)
+        cw_pin = cur_w[pin_owner]
+        after = np.where(shared, (before - cw_pin) + w_pin, before + w_pin)
+        max_after = np.maximum(
+            cur_max[owner] - cur_w[owner], np.maximum.reduceat(after, at)
+        )
+        max_before = np.maximum(
+            cur_max[owner], np.maximum.reduceat(before, at)
+        )
+        sure = np.flatnonzero(max_after < max_before)
+        stop = int(sure[0]) if sure.size else rows.shape[0]
+        pick = stop if sure.size else None
+        ties = np.flatnonzero(max_after[:stop] == max_before[:stop])
+        if ties.size:
+            # the equal-maxima moves as full affected multisets: the
+            # current pins each move leaves (l -> l - cur_w), then every
+            # pin of its new configuration
+            m = ties.shape[0]
+            t_owner = owner[ties]
+            t_len = cur_len[t_owner]
+            held = cur_pins[flat_ranges(cur_at[t_owner], t_len)]
+            leaves = ~_member(
+                np.repeat(ties, t_len) * width + held,
+                np.repeat(np.arange(rows.shape[0]), lens) * width + pins,
+            )
+            new = flat_ranges(at[ties], lens[ties])
+            row_of = np.concatenate(
+                (
+                    np.repeat(np.arange(m), t_len)[leaves],
+                    np.repeat(np.arange(m), lens[ties]),
+                )
+            )
+            l_left = loads[held][leaves]
+            cw_left = np.repeat(cur_w[t_owner], t_len)[leaves]
+            a = np.concatenate((l_left - cw_left, after[new]))
+            b = np.concatenate((l_left, before[new]))
+            i = first_lex_improving(
+                _padded(row_of, a, m), _padded(row_of, b, m)
+            )
+            if i is not None:
+                pick = int(ties[i])
+        if pick is None:
+            return None
+        o = owner[pick]
+        return int(tasks[o]), int(rows[pick] - lo[o])
 
-    def _bounded_local_search(self, region: set[int]) -> None:
+    def _bounded_local_search(self, region: np.ndarray) -> None:
         """Vector-improving single-task moves off the region's
         bottleneck processors (the restriction
         :func:`repro.algorithms.local_search` uses globally).
@@ -417,45 +497,54 @@ class IncrementalSolver:
         """
         budget = self.ls_budget
         while budget > 0:
-            peak = max(
-                (self._loads.get(u, 0.0) for u in region), default=0.0
-            )
+            inside = self._loads[region & self._live]
+            peak = inside.max() if inside.size else 0.0
             # only tasks on a region-bottleneck processor can host the
             # move that lowers it
             mv = self._first_improving_move(region, peak)
             if mv is None:
                 break
-            task, cfg, cur_pins, cur_w, pins, w = mv
-            self._unload(task, cur_pins, cur_w)
+            task, cfg = mv
+            self._unload(task, *self._config(task, int(self._assign[task])))
             self._assign[task] = cfg
+            pins, w = self._config(task, cfg)
             self._load(task, pins, w)
-            region.update(pins)
+            region[pins] = True
             self.stats.ls_moves += 1
             budget -= 1
 
     # ------------------------------------------------------------------
     # full solves
     # ------------------------------------------------------------------
+    def _adopt(self, tasks: np.ndarray, cfgs: np.ndarray) -> None:
+        """Replace the state by the assignment ``tasks[i] ->
+        cfgs[i]`` (tasks ascending) of the current instance."""
+        inst = self.instance
+        self._loads = np.zeros(inst._next_proc, dtype=np.float64)
+        self._live = np.zeros(inst._next_proc, dtype=bool)
+        self._live[inst.procs()] = True
+        self._assign = np.full(inst._next_task, -1, dtype=np.int64)
+        self._on_proc = {}
+        for task, cfg in zip(tasks.tolist(), cfgs.tolist()):
+            self._assign[task] = cfg
+            self._load(task, *self._config(task, cfg))
+
     def _full_resolve(self) -> None:
         """Drop the incremental state and solve the current instance
         from scratch with the configured registry method (through the
         default engine, so the content digest keys the shared cache)."""
         inst = self.instance
         self.stats.full_solves += 1
-        self._loads = {u: 0.0 for u in inst.procs()}
-        self._on_proc = {}
-        self._assign = {}
+        tasks = cfgs = np.zeros(0, dtype=np.int64)
         if inst.n_tasks:
             from ..api import solve as api_solve
 
             compiled = inst.compile()
             result = api_solve(compiled.hypergraph, method=self.method)
-            self._assign = compiled.assignment_from_dense(
-                result.matching.hedge_of_task
-            )
-            for task, cfg in self._assign.items():
-                pins, w = inst.config(task, cfg)
-                self._load(task, pins, w)
+            hedges = result.matching.hedge_of_task
+            tasks = compiled.hedge_handles[hedges]
+            cfgs = compiled.hedge_slots[hedges]
+        self._adopt(tasks, cfgs)
         self._cursor = _Cursor(
             position=inst.journal.snapshot(),
             truncations=inst.journal.truncations,
@@ -478,17 +567,33 @@ class IncrementalSolver:
             compiled = inst.compile()
             result = api_solve(compiled.hypergraph, method=self.method)
         if result.makespan < current:
-            self._loads = {u: 0.0 for u in inst.procs()}
-            self._on_proc = {}
-            self._assign = compiled.assignment_from_dense(
-                result.matching.hedge_of_task
+            hedges = result.matching.hedge_of_task
+            self._adopt(
+                compiled.hedge_handles[hedges], compiled.hedge_slots[hedges]
             )
-            for task, cfg in self._assign.items():
-                pins, w = inst.config(task, cfg)
-                self._load(task, pins, w)
             self.stats.full_solves += 1
             return result.makespan
         return current
+
+
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` occurs in the ascending ``sorted_keys``
+    (non-empty)."""
+    at = np.searchsorted(sorted_keys, keys)
+    np.minimum(at, sorted_keys.shape[0] - 1, out=at)
+    return sorted_keys[at] == keys
+
+
+def _padded(row_of: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """``values`` laid out as ``m`` rows (``row_of`` names each value's
+    row), padded with ``-inf`` to a rectangle."""
+    order = np.argsort(row_of, kind="stable")
+    rows = row_of[order]
+    counts = np.bincount(rows, minlength=m)
+    cols = np.arange(rows.shape[0]) - segment_starts(counts)[rows]
+    out = np.full((m, int(counts.max())), -np.inf)
+    out[rows, cols] = values[order]
+    return out
 
 
 def incremental_solve(hg: TaskHypergraph) -> HyperSemiMatching:

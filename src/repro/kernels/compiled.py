@@ -37,7 +37,15 @@ __all__ = [
     "clear_compile_cache",
     "compile_cache_stats",
     "flat_ranges",
+    "segment_starts",
 ]
+
+
+def segment_starts(lengths: np.ndarray) -> np.ndarray:
+    """Where each of consecutive segments of ``lengths`` starts."""
+    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    return offsets
 
 
 def flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -46,9 +54,7 @@ def flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    offsets = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    return np.repeat(starts - offsets, lengths) + np.arange(
+    return np.repeat(starts - segment_starts(lengths), lengths) + np.arange(
         total, dtype=np.int64
     )
 

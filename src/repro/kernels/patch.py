@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import grown
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 from .compiled import CompiledKernels, flat_ranges, register_compiled
@@ -93,17 +94,6 @@ class PatchStats:
             "emits_delta": self.emits_delta,
             "reused": self.reused,
         }
-
-
-def _grown(arr: np.ndarray, need: int) -> np.ndarray:
-    """``arr`` with capacity >= ``need`` (doubling; contents kept)."""
-    cap = arr.shape[0]
-    if need <= cap:
-        return arr
-    new_cap = max(need, 2 * cap, 16)
-    out = np.empty(new_cap, dtype=arr.dtype)
-    out[:cap] = arr
-    return out
 
 
 class KernelPatcher:
@@ -346,12 +336,12 @@ class KernelPatcher:
         n_new = len(configs)
         lo = self._nrows
         need_rows = lo + n_new
-        self._row_task = _grown(self._row_task, need_rows)
-        self._row_slot = _grown(self._row_slot, need_rows)
-        self._row_w = _grown(self._row_w, need_rows)
-        self._row_len = _grown(self._row_len, need_rows)
-        self._row_alive = _grown(self._row_alive, need_rows)
-        self._row_ptr = _grown(self._row_ptr, need_rows)
+        self._row_task = grown(self._row_task, need_rows)
+        self._row_slot = grown(self._row_slot, need_rows)
+        self._row_w = grown(self._row_w, need_rows)
+        self._row_len = grown(self._row_len, need_rows)
+        self._row_alive = grown(self._row_alive, need_rows)
+        self._row_ptr = grown(self._row_ptr, need_rows)
         pins_flat: list[int] = []
         for j, (pins, w) in enumerate(configs):
             r = lo + j
@@ -364,9 +354,9 @@ class KernelPatcher:
             self._row_ptr[r] = self._pin_used + len(pins_flat)
             pins_flat.extend(sorted_pins)
         need_pins = self._pin_used + len(pins_flat)
-        self._pins = _grown(self._pins, need_pins)
-        self._pin_pos = _grown(self._pin_pos, need_pins)
-        self._pin_row = _grown(self._pin_row, need_pins)
+        self._pins = grown(self._pins, need_pins)
+        self._pin_pos = grown(self._pin_pos, need_pins)
+        self._pin_row = grown(self._pin_row, need_pins)
         new_pins = np.asarray(pins_flat, dtype=np.int64)
         self._pins[self._pin_used : need_pins] = new_pins
         self._pin_row[self._pin_used : need_pins] = np.repeat(

@@ -53,8 +53,9 @@ def hypergraph_from_descriptor(data: dict) -> TaskHypergraph:
 
 _KINDS = ("hypergraph", "bipartite", "dynamic-instance")
 
-#: The largest vertex count a wire instance may declare: no count may
-#: make one int64 pointer array larger than the largest frame.  Without
+#: The largest vertex count a wire instance may declare (for a dynamic
+#: state, the largest handle counter): no count may make one int64
+#: array over the vertices larger than the largest frame.  Without
 #: it a few-hundred-byte request could name ``n_procs = 2**40`` and the
 #: first solver array over the processors would fail untyped.
 MAX_WIRE_VERTICES = MAX_FRAME_BYTES // 8
@@ -74,6 +75,24 @@ def _checked_kind(data: Any, what: str) -> str:
             f"{list(_KINDS)})",
             code=ErrorCode.BAD_REQUEST,
         )
+    # a dynamic state's arrays are indexed by handle, so its handle
+    # counters bound its allocation the way the vertex counts do
+    keys = (
+        ("next_task", "next_proc")
+        if kind == "dynamic-instance"
+        else ("n_tasks", "n_procs")
+    )
+    for key in keys:
+        value = data.get(key)
+        if (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and value > MAX_WIRE_VERTICES
+        ):
+            raise GraphStructureError(
+                f"{what} {key}={value} exceeds the wire limit of "
+                f"{MAX_WIRE_VERTICES} vertices"
+            )
     return kind
 
 
@@ -83,18 +102,6 @@ def hypergraph_from_wire(data: Any, what: str = "instance") -> TaskHypergraph:
     ``dynamic-instance`` states are accepted too — solving one means
     solving its current compiled content."""
     kind = _checked_kind(data, what)
-    if kind != "dynamic-instance":
-        for key in ("n_tasks", "n_procs"):
-            value = data.get(key)
-            if (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and value > MAX_WIRE_VERTICES
-            ):
-                raise GraphStructureError(
-                    f"{what} {key}={value} exceeds the wire limit of "
-                    f"{MAX_WIRE_VERTICES} vertices"
-                )
     if kind == "hypergraph":
         from ..io.serialize import hypergraph_from_dict
 

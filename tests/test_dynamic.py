@@ -128,6 +128,31 @@ class TestDynamicInstance:
         assert inst.snapshot() == before  # nothing journaled
         assert inst.has_proc(a)
 
+    def test_row_store_compaction_keeps_config_indices(self):
+        """Departed tasks leave garbage rows that compaction reclaims;
+        configuration indices, disabled slots and rollback survive it."""
+        inst = DynamicInstance()
+        a, b, c = (inst.add_processor() for _ in range(3))
+        keep = inst.add_task([((a,), 1.0), ((b,), 2.0), ((b, c), 3.0)])
+        gone = inst.add_task([((c,), 4.0), ((a, b), 5.0)])
+        inst.remove_processor(a)  # keep's config 0 is now a dead slot
+        solver = IncrementalSolver(inst)
+        mark = inst.snapshot()
+        digest = inst.digest()
+        inst.remove_task(gone)
+        for i in range(40):
+            inst.remove_task(inst.add_task([((b,), i + 1.0), ((c,), 1.0)]))
+        # compaction keeps the store within twice its live rows
+        assert inst._store.n_rows <= 2 * 3 + 2
+        assert inst.task_configs(keep) == [(1, (b,), 2.0), (2, (b, c), 3.0)]
+        assert inst.config_any(keep, 0) == ((a,), 1.0, False)
+        assert_consistent(inst, solver)
+        inst.rollback(mark)
+        assert inst.digest() == digest
+        assert inst.task_configs(gone) == [(0, (c,), 4.0)]
+        assert inst.config_any(gone, 1) == ((a, b), 5.0, False)
+        assert_consistent(inst, solver)
+
     def test_validation_errors(self):
         inst = DynamicInstance()
         a = inst.add_processor()
@@ -263,8 +288,9 @@ class TestIncrementalSolver:
         solver.detach()
         inst.add_processor()
         inst.add_task([((inst.procs()[0],), 100.0)])
-        # detached: the maintained state is frozen at detach time
-        assert max(solver._loads.values()) == before
+        # detached: the maintained state is frozen at detach time, and
+        # the accessors answer from it instead of syncing
+        assert solver.bottleneck() == before
 
     def test_compact_never_worse_than_scratch(self):
         inst = DynamicInstance.from_hypergraph(small_hg(4))
@@ -402,6 +428,29 @@ class TestTraces:
         bad["next_task"] = 0
         with pytest.raises(GraphStructureError):
             DynamicInstance.from_state(bad)
+        # a disabled slot must name a processor handle the counter has
+        # issued (the store holds pins as int64)
+        bad = inst.to_state()
+        bad["tasks"][str(inst.tasks()[0])].append([[2**70], 1.0, False])
+        with pytest.raises(GraphStructureError):
+            DynamicInstance.from_state(bad)
+
+    def test_state_round_trip_past_one_gather_chunk(self):
+        """``to_state`` and the patcher's seed walk the row store in
+        chunks of 1024 tasks; a sparse, churned store past one chunk
+        round-trips exactly."""
+        hg = generate_multiproc(
+            1100, 16, family="fewgmanyg", g=4, weights="related", seed=3
+        )
+        inst = DynamicInstance.from_hypergraph(hg)
+        for task in range(0, 1100, 7):
+            inst.remove_task(task)
+        clone = DynamicInstance.from_state(inst.to_state())
+        assert clone.tasks() == inst.tasks()
+        assert clone.digest() == inst.digest()
+        assert inst._compile_full().hedge_slots.tolist() == (
+            inst.compile().hedge_slots.tolist()
+        )
 
     def test_trace_without_baseline(self, tmp_path):
         path = tmp_path / "t.jsonl"

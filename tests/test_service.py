@@ -909,14 +909,28 @@ class TestMalformedFrames:
 
     def test_absurd_vertex_counts_answer_graph_structure(self):
         """A few-hundred-byte request naming 2**40 vertices is refused
-        at parse, typed, before any array over the vertices exists."""
+        at parse, typed, before any array over the vertices exists.  A
+        dynamic state's handle counters bound its handle-indexed arrays
+        the same way."""
         from repro.io import hypergraph_to_dict
 
         hg = TaskHypergraph.from_configurations([[[0, 1]], [[1]]])
+        state = DynamicInstance.from_hypergraph(hg).to_state()
+        cases = [
+            (key, hypergraph_to_dict(hg) | {key: 2**40})
+            for key in ("n_procs", "n_tasks")
+        ] + [
+            ("next_task", state | {
+                "next_task": 2**40,
+                "tasks": {str(2**40 - 1): [[[0], 1.0, True]]},
+            }),
+            ("next_proc", state | {
+                "next_proc": 2**40, "procs": [0, 1, 2**40 - 1],
+            }),
+        ]
         with running_server() as (server, _loop):
             with ServiceClient(port=server.port) as client:
-                for key in ("n_procs", "n_tasks"):
-                    data = hypergraph_to_dict(hg) | {key: 2**40}
+                for key, data in cases:
                     assert len(encode_frame(request(
                         "solve", 1, instance=data
                     ))) < 400
