@@ -70,7 +70,6 @@ _INSTRUMENTED = {
     "repro.engine.cache": ("span",),
     "repro.engine.transport": ("span",),
     "repro.kernels.compiled": ("span",),
-    "repro.kernels.patch": ("span",),
     "repro.dynamic.solver": ("span",),
 }
 

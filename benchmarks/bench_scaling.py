@@ -43,15 +43,14 @@ SOLVERS = ("SGH", "VGH", "EGH", "EVG")
 GUARDED = ("VGH", "EVG")
 MIN_SPEEDUP = 3.0
 
-#: churn guard: the steady-state per-mutation cost of keeping the
-#: compilation patched (KernelPatcher) must stay at or below this
-#: fraction of a from-scratch compile at the guarded size
-MAX_PATCH_RATIO = 0.10
+#: churn guard: the steady-state per-record cost of a dynamic
+#: instance's row-store compile must stay at or below this fraction of
+#: the per-task reference compile at the guarded size
+MAX_COMPILE_RATIO = 0.10
 CHURN_EVENTS = 60
-#: records skipped before measuring: the first emissions run while the
-#: allocator heap is still filling toward the compile-cache byte
-#: budgets; "marginal cost under churn" means the steady state after
-#: page recycling kicks in
+#: records skipped before measuring: the first compiles run while the
+#: allocator heap is still filling; "cost under churn" means the
+#: steady state after page recycling kicks in
 CHURN_WARMUP = 15
 
 #: transport guard workload: shared-memory instance shipping must beat
@@ -119,72 +118,54 @@ def _time(fn, *args, repeats=1, **kwargs):
 
 
 def _compile_section(sizes, seed: int) -> list[dict]:
-    """Full-compile vs patched per-mutation compile cost under the
+    """Row-store vs reference per-record compile cost under the
     canonical churn model (:func:`repro.generators.churn_trace`).
 
-    ``full`` is what a non-patching instance pays for *one* mutation:
-    rebuild the canonical hypergraph and recompile the kernels.
-    ``patch`` is the steady-state mean over a churn stream with one
-    emission per journal record — the solve-per-mutate session
-    pattern the patcher exists for.
+    After every journal record — the solve-per-mutate session pattern —
+    the instance compiles its snapshot twice: through
+    :meth:`~repro.dynamic.DynamicInstance.compile` (one vectorized pass
+    over the row store) and through the per-task
+    ``_compile_reference``.  Both are steady-state means past
+    ``CHURN_WARMUP`` records.
     """
     from repro.dynamic import DynamicInstance
     from repro.generators import churn_trace
-    from repro.kernels import clear_compile_cache
 
     rows = []
     for n, p in sizes:
         hg = _instance(n, p, seed)
-        off = DynamicInstance.from_hypergraph(hg, patching=False)
-        task = off.tasks()[0]
-        cfg, _pins, w0 = off.task_configs(task)[0]
-        t_full = np.inf
-        for r in range(3):
-            off.update_weight(task, cfg, w0 + r + 1.0)
-            clear_compile_cache()
-            t0 = time.perf_counter()
-            off.compiled_kernels()
-            t_full = min(t_full, time.perf_counter() - t0)
-
-        on = DynamicInstance.from_hypergraph(hg)
-        on.compiled_kernels()
+        inst = DynamicInstance.from_hypergraph(hg)
         trace = churn_trace(hg, CHURN_EVENTS, seed=seed + 1)
-        total, measured = 0.0, 0
+        t_store = t_reference = 0.0
+        measured = 0
         for i, m in enumerate(trace):
-            on.apply(m)
+            inst.apply(m)
             t0 = time.perf_counter()
-            on.compiled_kernels()
-            dt = time.perf_counter() - t0
+            inst.compile()
+            t1 = time.perf_counter()
+            inst._compile_reference()
+            t2 = time.perf_counter()
             if i >= CHURN_WARMUP:
-                total += dt
+                t_store += t1 - t0
+                t_reference += t2 - t1
                 measured += 1
-        t_patch = total / max(measured, 1)
-        stats = on.compile_stats()
+        t_store /= max(measured, 1)
+        t_reference /= max(measured, 1)
+        ratio = t_store / max(t_reference, 1e-9)
         rows.append(
             {
                 "n": n,
                 "p": p,
                 "records": len(trace),
                 "measured": measured,
-                "t_full_compile_s": round(t_full, 6),
-                "t_patch_per_mutation_s": round(t_patch, 6),
-                "patch_ratio": round(t_patch / max(t_full, 1e-9), 4),
-                "emits": {
-                    k: stats[k]
-                    for k in (
-                        "full_builds",
-                        "compactions",
-                        "emits_full",
-                        "emits_weight",
-                        "emits_delta",
-                    )
-                },
+                "t_reference_compile_s": round(t_reference, 6),
+                "t_compile_s": round(t_store, 6),
+                "compile_ratio": round(ratio, 4),
             }
         )
         print(
-            f"compile n={n:6d}: full={t_full * 1000:7.1f}ms "
-            f"patch/mutation={t_patch * 1000:6.2f}ms "
-            f"-> ratio {t_patch / max(t_full, 1e-9):.3f}"
+            f"compile n={n:6d}: reference={t_reference * 1000:7.1f}ms "
+            f"row store={t_store * 1000:6.2f}ms -> ratio {ratio:.3f}"
         )
     return rows
 
@@ -305,7 +286,7 @@ def run_harness(
         "min_speedup": MIN_SPEEDUP,
         "guarded_solvers": list(GUARDED),
         "guarded_size": {"n": n_max, "p": p_max},
-        "max_patch_ratio": MAX_PATCH_RATIO,
+        "max_compile_ratio": MAX_COMPILE_RATIO,
         "results": rows,
         "compile": compile_rows,
         "transport": transport,
@@ -326,18 +307,18 @@ def run_harness(
         + ", ".join(f"{s}={largest[s]:.2f}x" for s in GUARDED)
     )
 
-    # churn-compile guard: patched compilation must stay marginal
+    # churn-compile guard: the row-store compile must stay marginal
     for row in compile_rows:
-        if row["n"] >= 5120 and row["patch_ratio"] > MAX_PATCH_RATIO:
+        if row["n"] >= 5120 and row["compile_ratio"] > MAX_COMPILE_RATIO:
             raise AssertionError(
-                f"patch-compile regression: per-mutation cost is "
-                f"{row['patch_ratio']:.3f} of a full compile at "
-                f"n={row['n']} (budget {MAX_PATCH_RATIO})"
+                f"churn-compile regression: the row-store compile costs "
+                f"{row['compile_ratio']:.3f} of the reference compile at "
+                f"n={row['n']} (budget {MAX_COMPILE_RATIO})"
             )
     print(
-        "patch-compile guard OK: "
+        "churn-compile guard OK: "
         + ", ".join(
-            f"n={r['n']}:{r['patch_ratio']:.3f}" for r in compile_rows
+            f"n={r['n']}:{r['compile_ratio']:.3f}" for r in compile_rows
         )
     )
 

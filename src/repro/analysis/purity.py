@@ -6,8 +6,9 @@ content-addressed caches require instance digests to be cheap and
 stable.  Four hazard classes, each with a concrete in-repo precedent:
 
 * ``.tobytes()`` — copies the whole buffer; digesting megabytes per
-  patched emit was a measured regression in PR 6.  Hash the ``.data``
-  memoryview instead (see ``engine/cache.instance_digest``).
+  dynamic-instance mutation was a measured regression in PR 6.  Hash
+  the ``.data`` memoryview instead (see
+  ``engine/cache.instance_digest``).
 * unseeded RNG — ``np.random.rand()``, ``default_rng()`` with no
   seed, ``random.random()``: any sampling that doesn't flow from the
   experiment seed breaks replayability of Tables I–III.

@@ -15,7 +15,7 @@ flags:
   ``dynamic/``, or a ``# repro: domain=kernel`` marker): kernel inner
   loops are the one place span overhead could actually show, so the
   default is *no spans at all*.  The blessed boundary spans (compile
-  on a digest miss, patch emit, dynamic repair — once per call, never
+  on a digest miss, dynamic repair and compaction — once per call, never
   per edge) carry ``# repro: ignore[RULE]`` suppressions whose
   justifications document exactly why they are safe;
 * the **piggyback boundary**: a handler that collects spans with

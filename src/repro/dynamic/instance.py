@@ -246,11 +246,8 @@ class CompiledInstance:
 
     * ``task_handles[i]`` / ``proc_handles[u]`` — dense → handle;
     * ``hedge_handles[h]`` / ``hedge_slots[h]`` — the task handle and
-      config index a dense hyperedge was compiled from;
-    * ``task_index`` / ``proc_index`` / ``hedge_index`` /
-      ``hedge_origin`` — dict views of the above, built lazily (the
-      patched-compilation path hands over bare arrays; most consumers
-      never need the dicts).
+      config index a dense hyperedge was compiled from, ascending by
+      ``(handle, slot)``.
     """
 
     hypergraph: TaskHypergraph
@@ -259,59 +256,38 @@ class CompiledInstance:
     hedge_handles: np.ndarray
     hedge_slots: np.ndarray
 
-    def _lazy(self, name: str, build):
-        cached = self.__dict__.get(name)
-        if cached is None:
-            cached = build()
-            object.__setattr__(self, name, cached)
-        return cached
-
-    @property
-    def hedge_origin(self) -> tuple[tuple[int, int], ...]:
-        """``(task handle, config index)`` per dense hyperedge."""
-        return self._lazy(
-            "_hedge_origin",
-            lambda: tuple(
-                zip(
-                    self.hedge_handles.tolist(),
-                    self.hedge_slots.tolist(),
-                )
-            ),
-        )
-
-    @property
-    def task_index(self) -> dict[int, int]:
-        return self._lazy(
-            "_task_index",
-            lambda: {t: d for d, t in enumerate(self.task_handles)},
-        )
-
-    @property
-    def proc_index(self) -> dict[int, int]:
-        return self._lazy(
-            "_proc_index",
-            lambda: {u: d for d, u in enumerate(self.proc_handles)},
-        )
-
-    @property
-    def hedge_index(self) -> dict[tuple[int, int], int]:
-        return self._lazy(
-            "_hedge_index",
-            lambda: {
-                origin: h for h, origin in enumerate(self.hedge_origin)
-            },
-        )
-
     def assignment_to_dense(
         self, assignment: dict[int, int]
     ) -> np.ndarray:
         """Translate a handle-level assignment (task → config index)
-        into the ``hedge_of_task`` array of the compiled hypergraph."""
-        out = np.empty(len(self.task_handles), dtype=np.int64)
-        index = self.hedge_index
-        for dense, handle in enumerate(self.task_handles):
-            out[dense] = index[(handle, assignment[handle])]
-        return out
+        into the ``hedge_of_task`` array of the compiled hypergraph.
+        Raises :class:`GraphStructureError` when a task has no entry or
+        its entry names no alive configuration."""
+        n = len(self.task_handles)
+        slots = np.fromiter(
+            (assignment.get(t, -1) for t in self.task_handles),
+            dtype=np.int64,
+            count=n,
+        )
+        # hyperedges ascend by (handle, slot), so one key per pair keeps
+        # that order and a sorted search finds every chosen hyperedge
+        width = 1 + max(
+            int(self.hedge_slots.max(initial=0)), int(slots.max(initial=0))
+        )
+        keys = self.hedge_handles * width + self.hedge_slots
+        want = np.asarray(self.task_handles, dtype=np.int64) * width + slots
+        at = np.searchsorted(keys, want)
+        found = (slots >= 0) & (at < keys.shape[0])
+        found[found] = keys[at[found]] == want[found]
+        if not found.all():
+            i = int(np.flatnonzero(~found)[0])
+            task = self.task_handles[i]
+            if task not in assignment:
+                raise GraphStructureError(f"no configuration for task {task}")
+            raise GraphStructureError(
+                f"task {task} has no alive configuration {assignment[task]}"
+            )
+        return at
 
 
 class DynamicInstance:
@@ -330,7 +306,7 @@ class DynamicInstance:
     trace file).
     """
 
-    def __init__(self, *, patching: bool = True) -> None:
+    def __init__(self) -> None:
         self._store = _ConfigStore()
         self._procs: set[int] = set()
         self._next_task = 0
@@ -340,13 +316,7 @@ class DynamicInstance:
         self._compiled: tuple[int, CompiledInstance] | None = None
         self._digest: tuple[int, str] | None = None
         self._listeners: list = []
-        # incremental compilation (see repro.kernels.patch): the patcher
-        # trails the journal; its emitted artifact is cached by version
-        self._patching = bool(patching)
-        self._patcher = None
-        self._patcher_pos = 0
-        self._artifact = None  # (version, PatchedCompilation)
-        self._compile_stats = {"full_builds": 0, "compactions": 0}
+        self._compiles = 0
 
     # ------------------------------------------------------------------
     # change notification
@@ -377,9 +347,7 @@ class DynamicInstance:
     # construction
     # ------------------------------------------------------------------
     @staticmethod
-    def from_hypergraph(
-        hg: TaskHypergraph, *, patching: bool = True
-    ) -> "DynamicInstance":
+    def from_hypergraph(hg: TaskHypergraph) -> "DynamicInstance":
         """Seed a dynamic instance from a static one.
 
         Task ``i`` gets handle ``i``, processor ``u`` handle ``u``, and
@@ -389,7 +357,7 @@ class DynamicInstance:
         The seeding is *not* journaled: the baseline is the state a
         trace's mutations apply to.
         """
-        inst = DynamicInstance(patching=patching)
+        inst = DynamicInstance()
         inst._procs = set(range(hg.n_procs))
         inst._next_proc = hg.n_procs
         counts = np.diff(hg.task_ptr)
@@ -652,11 +620,6 @@ class DynamicInstance:
             self._undo(m)
             undone += 1
         if undone:
-            # mutations the patcher already consumed cannot be
-            # un-applied (it keeps no undo state) — drop it and rebuild
-            # lazily; a patcher that had not caught up yet stays valid
-            if self._patcher is not None and self._patcher_pos > marker:
-                self._patcher = None
             self._bump()
             self._notify()
         return undone
@@ -710,15 +673,13 @@ class DynamicInstance:
         }
 
     @staticmethod
-    def from_state(
-        data: dict, *, patching: bool = True
-    ) -> "DynamicInstance":
+    def from_state(data: dict) -> "DynamicInstance":
         """Inverse of :meth:`to_state` (journal starts empty)."""
         if data.get("kind") != "dynamic-instance":
             raise GraphStructureError(
                 f"expected kind 'dynamic-instance', got {data.get('kind')!r}"
             )
-        inst = DynamicInstance(patching=patching)
+        inst = DynamicInstance()
         inst._next_task = int(data["next_task"])
         inst._next_proc = int(data["next_proc"])
         inst._procs = {int(u) for u in data["procs"]}
@@ -779,29 +740,49 @@ class DynamicInstance:
         compiles to identical arrays (and hence an identical digest)
         whatever the mutation history.
 
-        With patching enabled (the default) the snapshot is produced by
-        the :class:`~repro.kernels.KernelPatcher`: one full build, then
-        bounded array edits per mutation — bit-identical to
-        :meth:`_compile_full` (the retained from-scratch oracle)."""
+        One vectorized pass over the row store: gather the live tasks'
+        alive rows, remap their pins to dense processor ids through one
+        lookup array, and validate the result with one
+        :meth:`TaskHypergraph.from_csr`.  Every array is freshly
+        gathered: :func:`~repro.engine.cache.instance_digest` freezes
+        what it hashes, so none may alias the store the next mutation
+        writes."""
         if self._compiled is not None and self._compiled[0] == self._version:
             return self._compiled[1]
-        if self._patching:
-            art = self._patched()
-            compiled = CompiledInstance(
-                hypergraph=art.hypergraph,
-                task_handles=tuple(art.task_handles.tolist()),
-                proc_handles=tuple(art.proc_handles.tolist()),
-                hedge_handles=art.hedge_handles,
-                hedge_slots=art.hedge_slots,
-            )
-        else:
-            compiled = self._compile_full()
+        st = self._store
+        tasks = st.live_tasks()
+        rows = st.rows_of(tasks)
+        rows = rows[st.row_alive[rows]]
+        procs = np.array(sorted(self._procs), dtype=np.int64)
+        dense_proc = np.full(self._next_proc, -1, dtype=np.int64)
+        dense_proc[procs] = np.arange(procs.shape[0], dtype=np.int64)
+        lens = st.row_len[rows]
+        hedge_ptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lens, out=hedge_ptr[1:])
+        owner = st.row_task[rows]
+        hg = TaskHypergraph.from_csr(
+            tasks.shape[0],
+            procs.shape[0],
+            np.searchsorted(tasks, owner),
+            hedge_ptr,
+            dense_proc[st.pins_of(rows)],
+            st.row_w[rows],
+        )
+        compiled = CompiledInstance(
+            hypergraph=hg,
+            task_handles=tuple(tasks.tolist()),
+            proc_handles=tuple(procs.tolist()),
+            hedge_handles=owner,
+            hedge_slots=rows - st.task_lo[owner],
+        )
+        self._compiles += 1
         self._compiled = (self._version, compiled)
         return compiled
 
-    def _compile_full(self) -> CompiledInstance:
-        """From-scratch canonical compilation (the patcher's oracle:
-        the differential tests hold :meth:`compile` to its arrays)."""
+    def _compile_reference(self) -> CompiledInstance:
+        """From-scratch canonical compilation, one task at a time (the
+        test oracle :meth:`compile` is held to; nothing else calls
+        it)."""
         task_handles = tuple(self.tasks())
         proc_handles = tuple(sorted(self._procs))
         proc_index = {u: d for d, u in enumerate(proc_handles)}
@@ -834,58 +815,25 @@ class DynamicInstance:
             hedge_slots=np.asarray(hedge_slots, dtype=np.int64),
         )
 
-    # -- incremental compilation ----------------------------------------
-    def _patcher_state(self):
-        return self._store.items()
-
-    def _rebuild_patcher(self) -> None:
-        from ..kernels.patch import KernelPatcher
-
-        self._patcher = KernelPatcher(self._patcher_state(), self._procs)
-        self._patcher_pos = len(self.journal)
-        self._compile_stats["full_builds"] += 1
-
-    def _patched(self):
-        """The current :class:`~repro.kernels.PatchedCompilation`
-        (cached by version): catch the patcher up with the journal and
-        rebuild it when compaction pressure or a rollback demands."""
-        if self._artifact is not None and self._artifact[0] == self._version:
-            return self._artifact[1]
-        journal = self.journal
-        if self._patcher is None or self._patcher_pos > len(journal):
-            self._rebuild_patcher()
-        else:
-            for m in journal.entries_since(self._patcher_pos):
-                self._patcher.apply(m)
-            self._patcher_pos = len(journal)
-            if self._patcher.needs_compaction:
-                self._compile_stats["compactions"] += 1
-                self._rebuild_patcher()
-        artifact = self._patcher.emit()
-        self._artifact = (self._version, artifact)
-        return artifact
-
     def compiled_kernels(self):
         """The :class:`~repro.kernels.CompiledKernels` of the current
-        state — patched, not recompiled, and pre-registered in the
-        kernel compile cache so any solver's ``compile_instance`` of
-        :meth:`to_hypergraph` is a hit."""
-        if self._patching:
-            return self._patched().kernels
+        state, through the kernel compile cache (keyed by
+        :meth:`digest`), so every solver of this version shares it."""
         from ..kernels import compile_instance
 
-        return compile_instance(self.to_hypergraph())
+        return compile_instance(self.to_hypergraph(), digest=self.digest())
 
     def compile_stats(self) -> dict[str, int]:
-        """Observable compile-path counters: ``full_builds`` (patcher
-        builds from state), ``compactions``, plus the patcher's own
-        emission counters."""
-        from ..kernels.patch import PatchStats
-
-        patch = (
-            self._patcher.stats if self._patcher is not None else PatchStats()
-        )
-        return {**self._compile_stats, **patch.as_dict()}
+        """Compile-path counters: every :meth:`compile` that built a
+        snapshot (a version read for the first time) counts once in
+        ``full_builds`` and once in ``emits_full``; ``emits_weight``
+        and ``emits_delta`` are always 0."""
+        return {
+            "full_builds": self._compiles,
+            "emits_full": self._compiles,
+            "emits_weight": 0,
+            "emits_delta": 0,
+        }
 
     def to_hypergraph(self) -> TaskHypergraph:
         """The current state as an immutable :class:`TaskHypergraph`."""

@@ -170,11 +170,10 @@ class IncrementalSolver:
 
     def compile_stats(self) -> dict[str, int]:
         """Compile-path counters of the tracked instance (see
-        :meth:`DynamicInstance.compile_stats`).  Every full re-solve and
-        :meth:`matching` call compiles through the instance's patcher,
-        so under churn the patched/reused counters grow while
-        ``full_builds`` stays at the initial build — the service
-        surfaces these per session."""
+        :meth:`DynamicInstance.compile_stats`).  Repair reads the row
+        store, never a snapshot: only full re-solves and
+        :meth:`matching` compile, once per version they read — the
+        service surfaces these per session."""
         return self.instance.compile_stats()
 
     # ------------------------------------------------------------------
@@ -611,8 +610,11 @@ def incremental_solve(hg: TaskHypergraph) -> HyperSemiMatching:
     # the maintained assignment speaks (task handle, config index);
     # translate to *this* hypergraph's hyperedge ids — the dynamic
     # overlay's canonical compilation may order hyperedges differently,
-    # and the engine caches/validates against the caller's instance
-    hedges = np.empty(hg.n_tasks, dtype=np.int64)
-    for i in range(hg.n_tasks):
-        hedges[i] = hg.task_hedge_ids(i)[assignment[i]]
-    return HyperSemiMatching(hg, hedges)
+    # and the engine caches/validates against the caller's instance.
+    # Task i has handle i and its config j is its j-th hyperedge.
+    cfgs = np.fromiter(
+        (assignment[i] for i in range(hg.n_tasks)),
+        dtype=np.int64,
+        count=hg.n_tasks,
+    )
+    return HyperSemiMatching(hg, hg.task_hedges[hg.task_ptr[:-1] + cfgs])

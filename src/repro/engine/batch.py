@@ -264,9 +264,8 @@ class BatchSolver:
         if hasattr(instance, "to_hypergraph"):
             # DynamicInstance (duck-typed: repro.dynamic imports the
             # engine's cache, so naming the class here would cycle).
-            # Under patching its snapshot arrives pre-compiled — the
-            # kernels are already registered under the hypergraph's
-            # digest, so the solve pays no compile.
+            # Its snapshot is cached by version, so repeat solves of one
+            # version share one hypergraph and one kernel compilation.
             return None, instance.to_hypergraph()
         raise TypeError(
             "instances must be SchedulingProblem, TaskHypergraph or "

@@ -54,7 +54,7 @@ def instance_digest(hg: TaskHypergraph) -> str:
     h.update(f"{hg.n_tasks}|{hg.n_procs}|{hg.n_hedges}|".encode())
     for arr in (hg.hedge_task, hg.hedge_ptr, hg.hedge_procs):
         # hash the buffer directly — tobytes() would copy megabytes per
-        # call, and this sits on the patcher's per-mutation emit path
+        # call, and a dynamic instance digests every version it reads
         h.update(np.ascontiguousarray(arr, dtype=np.int64).data)
         h.update(b"#")
     h.update(np.ascontiguousarray(hg.hedge_w, dtype=np.float64).data)

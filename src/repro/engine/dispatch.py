@@ -76,8 +76,8 @@ def solve_hypergraph_outcome(
     The engine's unit of work: returns the matching plus the winning
     solver and per-entry portfolio statistics.  Accepts a
     :class:`~repro.dynamic.DynamicInstance` in place of a hypergraph
-    (duck-typed to avoid an import cycle): its patched compilation is
-    taken as the snapshot, so the solve itself compiles nothing.
+    (duck-typed to avoid an import cycle): its compiled snapshot of the
+    current version is the instance solved.
     """
     if not isinstance(hg, TaskHypergraph) and hasattr(hg, "to_hypergraph"):
         hg = hg.to_hypergraph()

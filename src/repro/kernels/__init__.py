@@ -22,7 +22,11 @@ registered solver by ``tests/test_conformance.py``.
 
 Compilations are cached by the engine's content digest
 (:func:`repro.engine.cache.instance_digest`), so one instance is
-compiled once no matter how many solvers race over it.
+compiled once no matter how many solvers race over it.  A mutating
+:class:`~repro.dynamic.DynamicInstance` compiles each version it is
+read at the same way: its row store lowers to a hypergraph in one
+vectorized pass, and that hypergraph goes through
+:func:`compile_instance` like any other.
 """
 
 from __future__ import annotations
@@ -34,9 +38,7 @@ from .compiled import (
     clear_compile_cache,
     evict_compiled,
     flat_ranges,
-    register_compiled,
 )
-from .patch import KernelPatcher, PatchedCompilation
 from .ops import (
     batch_lex_signs,
     first_lex_improving,
@@ -48,10 +50,7 @@ from .ops import (
 __all__ = [
     "KNOWN_BACKENDS",
     "CompiledKernels",
-    "KernelPatcher",
-    "PatchedCompilation",
     "compile_instance",
-    "register_compiled",
     "evict_compiled",
     "clear_compile_cache",
     "compile_cache_stats",

@@ -32,7 +32,6 @@ from ..obs.trace import span
 __all__ = [
     "CompiledKernels",
     "compile_instance",
-    "register_compiled",
     "evict_compiled",
     "clear_compile_cache",
     "compile_cache_stats",
@@ -271,9 +270,9 @@ def _build_union(ck: CompiledKernels) -> tuple[np.ndarray, ...]:
 def compiled_nbytes(compiled: CompiledKernels) -> int:
     """Approximate heap footprint of one compilation: the sum over its
     unique array buffers (kernel fields share storage with the
-    hypergraph's CSR arrays and with prior copy-on-write emissions, so
-    buffers are deduplicated by identity).  The lazily built indexes
-    count only once built; pricing never builds them."""
+    hypergraph's CSR arrays, so buffers are deduplicated by identity).
+    The lazily built indexes count only once built; pricing never
+    builds them."""
     hg = compiled.hypergraph
     seen: set[int] = set()
     total = 0
@@ -294,14 +293,15 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
 
 #: Digest-keyed LRU of compilations (one instance is compiled once no
 #: matter how many solvers, portfolio entries or sweeps touch it).
-#: The byte budget sits alongside the entry cap: a mutation stream emits
-#: a fresh multi-MB compilation per journal record, and retaining every
-#: dead version until 128 of them pile up costs hundreds of MB and —
-#: worse — forces the allocator to fault fresh pages for every emission
-#: instead of recycling the freed ones (measured: struct patches
-#: degrade ~6x once the heap stops turning over).  The budget keeps
-#: churn workloads in the recycling regime; distinct *live* instances
-#: small enough to fit are unaffected.
+#: The byte budget sits alongside the entry cap: a dynamic instance
+#: compiled after every mutation adds a fresh multi-MB compilation per
+#: version, and retaining every dead version until 128 of them pile up
+#: costs hundreds of MB and — worse — forces the allocator to fault
+#: fresh pages for every compile instead of recycling the freed ones
+#: (measured: per-mutation compiles degraded ~6x once the heap stopped
+#: turning over).  The budget keeps churn workloads in the recycling
+#: regime; distinct *live* instances small enough to fit are
+#: unaffected.
 _CACHE = BoundedLRU(128, max_bytes=192 * 1024 * 1024, sizeof=compiled_nbytes)
 
 
@@ -330,14 +330,6 @@ def compile_instance(
             sp.set(digest=digest[:12], n_tasks=hg.n_tasks)
     _CACHE.put(digest, compiled)
     return compiled
-
-
-def register_compiled(compiled: CompiledKernels) -> None:
-    """Publish an externally built compilation (the
-    :class:`~repro.kernels.patch.KernelPatcher` emission path) under
-    its content digest, so a later :func:`compile_instance` of equal
-    content is a hit instead of a recompile."""
-    _CACHE.put(compiled.digest, compiled)
 
 
 def evict_compiled(digest: str) -> None:

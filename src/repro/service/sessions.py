@@ -60,10 +60,9 @@ class Session:
             "bottleneck": self.solver.bottleneck(),
             "mutations": self.mutations,
             "repair": self.solver.stats.as_dict(),
-            # the instance's patched-compilation counters: a session's
-            # Nth snapshot is array edits on the first, never a fresh
-            # compile — ``full_builds`` staying at 1 across a mutation
-            # stream is the observable form of that guarantee
+            # the instance's compile counters: a snapshot is compiled
+            # only when a version is read, so a mutate stream alone
+            # leaves ``full_builds`` at the open's single compile
             "compile": self.instance.compile_stats(),
         }
 

@@ -300,7 +300,7 @@ class TestSelfCheck:
         # the wire), the supervisor's in-process spawn/handshake errors
         # (same — local to the front-end, never serialized), and the
         # blessed once-per-call boundary spans in kernel-domain modules
-        # (compile on digest miss, patch emit tiers, dynamic repair),
+        # (compile on digest miss, dynamic repair and compaction),
         # and the two on-loop decodes of small frames (the server's
         # below-the-floor branch and the client's response reader).
         # A new suppression anywhere in src/repro must update this.
@@ -319,7 +319,6 @@ class TestSelfCheck:
             ("src/repro/service/server.py", ("async-blocking",)): 1,
             ("src/repro/service/supervisor.py", ("contract-sync",)): 2,
             ("src/repro/kernels/compiled.py", ("span-hygiene",)): 1,
-            ("src/repro/kernels/patch.py", ("span-hygiene",)): 4,
             ("src/repro/dynamic/solver.py", ("span-hygiene",)): 2,
         }
 

@@ -436,7 +436,7 @@ class TestTraces:
             DynamicInstance.from_state(bad)
 
     def test_state_round_trip_past_one_gather_chunk(self):
-        """``to_state`` and the patcher's seed walk the row store in
+        """``to_state`` and the reference compile walk the row store in
         chunks of 1024 tasks; a sparse, churned store past one chunk
         round-trips exactly."""
         hg = generate_multiproc(
@@ -448,7 +448,7 @@ class TestTraces:
         clone = DynamicInstance.from_state(inst.to_state())
         assert clone.tasks() == inst.tasks()
         assert clone.digest() == inst.digest()
-        assert inst._compile_full().hedge_slots.tolist() == (
+        assert inst._compile_reference().hedge_slots.tolist() == (
             inst.compile().hedge_slots.tolist()
         )
 

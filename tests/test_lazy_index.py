@@ -6,9 +6,9 @@
 the laziness (SGH and EGH build neither index, locally or behind the
 service), the publication rules (one memo, first writer wins, never
 copied by ``dataclasses.replace``), pickling, and the compile cache's
-byte budget once an index appears after the entry was priced.  That
-the lazily built arrays equal the patcher's eager emissions is held by
-``test_patch.assert_identical_compilation``.
+byte budget once an index appears after the entry was priced.  The
+pickling property also holds the vectorized union build to a per-task
+``np.unique`` oracle (:func:`_union_oracle`).
 """
 
 from __future__ import annotations
@@ -52,6 +52,31 @@ def _proc_built(hg) -> bool:
 
 def _union_built(ck) -> bool:
     return _UNION_MEMO in ck.__dict__
+
+
+def _union_oracle(ck) -> tuple[np.ndarray, ...]:
+    """The pin-union index of ``ck``, one task at a time with
+    ``np.unique``, in ``_UNION_FIELDS`` order."""
+    ptr = ck.hypergraph.task_ptr
+    pin_w, pin_row, pin_pos, unions = [], [], [], []
+    for v in range(ck.n_tasks):
+        cands = range(ptr[v], ptr[v + 1])
+        pins = [ck.g_pins[ck.g_ptr[k] : ck.g_ptr[k + 1]] for k in cands]
+        union = np.unique(np.concatenate(pins)) if pins else pins
+        unions.append(np.asarray(union, dtype=np.int64))
+        for row, (k, part) in enumerate(zip(cands, pins)):
+            pin_w.extend([ck.g_w[k]] * part.shape[0])
+            pin_row.extend([row] * part.shape[0])
+            pin_pos.extend(np.searchsorted(union, part).tolist())
+    u_ptr = np.zeros(ck.n_tasks + 1, dtype=np.int64)
+    np.cumsum([u.shape[0] for u in unions], out=u_ptr[1:])
+    return (
+        np.asarray(pin_w, dtype=np.float64),
+        np.asarray(pin_row, dtype=np.int64),
+        np.asarray(pin_pos, dtype=np.int64),
+        u_ptr,
+        np.concatenate(unions or [np.empty(0, dtype=np.int64)]),
+    )
 
 
 def _cached_compilations():
@@ -186,6 +211,10 @@ class TestPickling:
         assert not _proc_built(before.hypergraph)
         assert not _union_built(before)
         hg.proc_ptr, ck.u_ptr  # build both
+        for f, want in zip(_UNION_FIELDS, _union_oracle(ck)):
+            got = getattr(ck, f)
+            assert got.dtype == want.dtype, f
+            np.testing.assert_array_equal(got, want, err_msg=f)
         after = pickle.loads(pickle.dumps(ck))
         assert _proc_built(after.hypergraph) and _union_built(after)
         for copy in (before, after):

@@ -498,11 +498,11 @@ class TestSessions:
                 client.open_session(hg)  # slot freed
 
     def test_session_streams_never_recompile(self):
-        """The session threads its patched compilation across mutates:
-        after the open's single full build, every later solve works off
-        bounded array edits.  ``describe()`` exposes the counters on the
-        wire; an in-process manager drives per-step solves to show
-        emissions accumulate while ``full_builds`` stays at 1."""
+        """A session compiles a snapshot only when a version is read.
+        ``describe()`` exposes the counters on the wire, where a mutate
+        stream compiles nothing after the open's single compile; an
+        in-process manager then reads every version twice to show one
+        compile per version read and none for a repeat read."""
         hg = generate_multiproc(
             48, 12, g=4, dv=3, dh=4, weights="related", seed=9
         )
@@ -525,24 +525,24 @@ class TestSessions:
                 for record in records:
                     out = session.apply(record)
                 assert out["compile"]["full_builds"] == 1
-                assert out["compile"]["compactions"] == 0
+                assert out["compile"]["emits_full"] == 1
                 session.close()
 
-        # per-step matchings compile through the patcher: N solves,
-        # N patched emissions, still exactly one full build
         from repro.service import instance_to_wire
         from repro.service.sessions import SessionManager
 
         manager = SessionManager()
         info = manager.open({"baseline": instance_to_wire(hg)}, owner=1)
         session = manager._get(info["session"], 1)
-        for record in records:
+        opened = session.describe()["compile"]["full_builds"]
+        for k, record in enumerate(records, 1):
             manager.mutate(info["session"], [record], owner=1)
-            session.solver.matching()
-        stats = session.describe()["compile"]
-        assert stats["full_builds"] == 1
-        assert stats["compactions"] == 0
-        assert stats["emits_weight"] >= len(records)
+            first = session.solver.matching()
+            again = session.solver.matching()
+            assert again.hypergraph is first.hypergraph
+            stats = session.describe()["compile"]
+            assert stats["full_builds"] == stats["emits_full"] == opened + k
+        assert stats["emits_weight"] == stats["emits_delta"] == 0
         manager.close(info["session"], owner=1)
 
     def test_sessions_are_connection_scoped_and_reclaimed(self):
