@@ -14,8 +14,8 @@ family swept at fixed ``n/p`` ratio):
   largest size:
 
   - backends are **bit-identical** per solver (conformance re-check);
-  - the vector heuristics (VGH, EVG — the kernels' raison d'être) are
-    at least ``MIN_SPEEDUP``x faster on the numpy backend.
+  - VGH, EGH and EVG are at least ``MIN_SPEEDUP``x faster on the
+    numpy backend.
 
 All instances derive from one ``--bench-seed`` (default 0), so the
 JSON numbers are reproducible run-to-run.
@@ -38,9 +38,11 @@ from repro.kernels import compile_instance
 SIZES = [(320, 64), (1280, 256), (5120, 1024)]
 FULL_SIZES = SIZES + [(10240, 2048)]
 SOLVERS = ("SGH", "VGH", "EGH", "EVG")
-#: solvers held to the speedup floor (the vector heuristics, whose
-#: per-candidate comparisons the kernel core exists to batch)
-GUARDED = ("VGH", "EVG")
+#: solvers held to the speedup floor: the vector heuristics, whose
+#: per-candidate comparisons the kernel core exists to batch, and EGH.
+#: SGH's Python loop makes one max per candidate, so its speedup sits
+#: near the floor and is recorded, not guarded
+GUARDED = ("VGH", "EGH", "EVG")
 MIN_SPEEDUP = 3.0
 
 #: churn guard: the steady-state per-record cost of a dynamic

@@ -43,7 +43,12 @@ from ..core.errors import InfeasibleError
 from ..core.hypergraph import TaskHypergraph
 from ..core.loadvec import lex_compare_desc, lex_compare_multisets, sorted_desc
 from ..core.semimatching import HyperSemiMatching
-from ..kernels import check_backend, compile_instance, lex_best_row
+from ..kernels import (
+    CompiledKernels,
+    check_backend,
+    compile_instance,
+    lex_best_row,
+)
 from .._util import stable_argsort
 
 __all__ = [
@@ -115,6 +120,14 @@ def _sgh_python(
     return HyperSemiMatching(hg, hedge_of_task)
 
 
+def _reduceat_offsets(hg: TaskHypergraph, ci: CompiledKernels) -> np.ndarray:
+    """``goff[a:b]``: the pin offsets of task ``v``'s grouped candidates
+    ``a:b`` relative to the task's first pin (its reduceat indices)."""
+    return ci.g_ptr[:-1] - np.repeat(
+        ci.g_ptr[hg.task_ptr[:-1]], hg.task_degrees()
+    )
+
+
 def _sgh_numpy(
     hg: TaskHypergraph, lookahead: bool, sort_by_degree: bool
 ) -> HyperSemiMatching:
@@ -134,11 +147,7 @@ def _sgh_numpy(
     gptr = ci.g_ptr.tolist()
     gw_list = gw.tolist()
     ghedge = ci.g_hedge.tolist()
-    # goff[a:b] = pin offsets of task v's rows relative to its first pin
-    row_task = np.repeat(
-        np.arange(hg.n_tasks, dtype=np.int64), np.diff(hg.task_ptr)
-    )
-    goff = ci.g_ptr[:-1] - ci.g_ptr[hg.task_ptr[row_task]]
+    goff = _reduceat_offsets(hg, ci)
     maximum_reduceat = np.maximum.reduceat
 
     for v in _visit_order(hg, sort_by_degree).tolist():
@@ -235,18 +244,37 @@ def _vgh_python(
     return HyperSemiMatching(hg, hedge_of_task)
 
 
+def _rank_cells(hg: TaskHypergraph, ci: CompiledKernels) -> np.ndarray:
+    """Flat cell of every grouped pin in its task's ranking matrix.
+
+    Task ``v``'s candidates are ranked over a ``(d_v, |U_v|)`` matrix
+    (row = candidate, column = position in the sorted pin-union
+    ``U_v``); pin ``i`` of the task lands at ``row * |U_v| + pos``, so
+    one 1-D scatter fills the whole matrix.
+    """
+    task_pins = np.diff(ci.g_ptr[hg.task_ptr])
+    union_size = np.diff(ci.u_ptr)
+    return ci.g_pin_row * np.repeat(union_size, task_pins) + ci.g_pin_pos
+
+
 def _vgh_numpy(
     hg: TaskHypergraph, sort_by_degree: bool
 ) -> HyperSemiMatching:
+    # per-step dispatch trimmed as in _sgh_numpy: list pointers, one
+    # 1-D scatter into the ranking matrix, one-sort ranking
     ci = compile_instance(hg)
     loads = np.zeros(hg.n_procs, dtype=np.float64)
-    hedge_of_task = np.empty(hg.n_tasks, dtype=np.int64)
-    tptr = hg.task_ptr
-    gptr, gpins, gw, ghedge = ci.g_ptr, ci.g_pins, ci.g_w, ci.g_hedge
-    uptr, uprocs = ci.u_ptr, ci.u_procs
-    pin_w, pin_row, pin_pos = ci.g_pin_w, ci.g_pin_row, ci.g_pin_pos
+    chosen = [0] * hg.n_tasks
+    tptr = hg.task_ptr.tolist()
+    gptr = ci.g_ptr.tolist()
+    uptr = ci.u_ptr.tolist()
+    ghedge = ci.g_hedge.tolist()
+    gw = ci.g_w.tolist()
+    gpins, uprocs, pin_w = ci.g_pins, ci.u_procs, ci.g_pin_w
+    cell = _rank_cells(hg, ci)
+    empty = np.empty
 
-    for v in _visit_order(hg, sort_by_degree):
+    for v in _visit_order(hg, sort_by_degree).tolist():
         a, b = tptr[v], tptr[v + 1]
         if b - a == 1:
             k = a
@@ -255,14 +283,15 @@ def _vgh_numpy(
             # row i is the resulting loads of candidate i restricted to
             # the union (sound by the multiset lemma).
             p0, p1 = gptr[a], gptr[b]
-            base = loads[uprocs[uptr[v] : uptr[v + 1]]]
-            rows = np.repeat(base[None, :], b - a, axis=0)
-            rows[pin_row[p0:p1], pin_pos[p0:p1]] += pin_w[p0:p1]
+            u0, u1 = uptr[v], uptr[v + 1]
+            rows = empty((b - a, u1 - u0))
+            rows[:] = loads[uprocs[u0:u1]]
+            rows.ravel()[cell[p0:p1]] += pin_w[p0:p1]
             k = a + lex_best_row(rows)
-        hedge_of_task[v] = ghedge[k]
+        chosen[v] = ghedge[k]
         loads[gpins[gptr[k] : gptr[k + 1]]] += gw[k]
 
-    return HyperSemiMatching(hg, hedge_of_task)
+    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -334,45 +363,56 @@ def _egh_python(
     return HyperSemiMatching(hg, hedge_of_task)
 
 
+def _expected_shares(
+    hg: TaskHypergraph, ci: CompiledKernels
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per grouped candidate: the share ``w/d_v`` it spreads and the gain
+    ``w - w/d_v`` realising it adds — the same element-wise float ops
+    the Python loops make per step, made once for all candidates."""
+    deg = hg.task_degrees()
+    share = ci.g_w / np.repeat(deg, deg)
+    return share, ci.g_w - share
+
+
 def _egh_numpy(
     hg: TaskHypergraph, lookahead: bool, sort_by_degree: bool
 ) -> HyperSemiMatching:
     ci = compile_instance(hg)
     o = _expected_loads(hg)
-    hedge_of_task = np.empty(hg.n_tasks, dtype=np.int64)
-    tptr = hg.task_ptr
-    gptr, gpins, gw, ghedge, gsize = (
-        ci.g_ptr,
-        ci.g_pins,
-        ci.g_w,
-        ci.g_hedge,
-        ci.g_size,
-    )
-    maximum_reduceat = np.maximum.reduceat
+    chosen = [0] * hg.n_tasks
+    tptr = hg.task_ptr.tolist()
+    gptr = ci.g_ptr.tolist()
+    ghedge = ci.g_hedge.tolist()
+    gpins = ci.g_pins
+    share, gain = _expected_shares(hg, ci)
+    # collapsing the distribution: every pin of a sibling withdraws its
+    # share, every pin of the chosen candidate realises its gain
+    pin_drop = np.repeat(-share, ci.g_size)
+    pin_gain = np.repeat(gain, ci.g_size)
+    goff = _reduceat_offsets(hg, ci)
+    maximum_reduceat, add_at = np.maximum.reduceat, np.add.at
 
-    for v in _visit_order(hg, sort_by_degree):
+    for v in _visit_order(hg, sort_by_degree).tolist():
         a, b = tptr[v], tptr[v + 1]
-        dv = float(b - a)
-        p0, p1 = gptr[a], gptr[b]
-        wslice = gw[a:b]
-        share = wslice / dv
         if b - a == 1:
-            j = 0
-        else:
-            keys = maximum_reduceat(o[gpins[p0:p1]], gptr[a:b] - p0)
-            if lookahead:
-                keys = keys + (wslice - share)
-            j = int(np.argmin(keys))
-        k = a + j
-        hedge_of_task[v] = ghedge[k]
-        # collapse the distribution: the chosen candidate realises
-        # (w - w/d_v), the siblings withdraw their shares — applied in
-        # candidate order, matching the Python loop's accumulation
-        delta = -share
-        delta[j] = wslice[j] - share[j]
-        np.add.at(o, gpins[p0:p1], np.repeat(delta, gsize[a:b]))
+            # realising the only candidate adds w - w/1 == +0.0
+            chosen[v] = ghedge[a]
+            continue
+        p0, p1 = gptr[a], gptr[b]
+        pins = gpins[p0:p1]
+        keys = maximum_reduceat(o[pins], goff[a:b])
+        if lookahead:
+            keys += gain[a:b]
+        k = a + int(keys.argmin())
+        chosen[v] = ghedge[k]
+        # applied in candidate order, matching the Python loop's
+        # accumulation when candidates share a processor
+        q0, q1 = gptr[k], gptr[k + 1]
+        delta = pin_drop[p0:p1].copy()
+        delta[q0 - p0 : q1 - p0] = pin_gain[q0:q1]
+        add_at(o, pins, delta)
 
-    return HyperSemiMatching(hg, hedge_of_task)
+    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -465,38 +505,41 @@ def _evg_numpy(
 ) -> HyperSemiMatching:
     ci = compile_instance(hg)
     o = _expected_loads(hg)
-    hedge_of_task = np.empty(hg.n_tasks, dtype=np.int64)
-    tptr = hg.task_ptr
-    gptr, gw, ghedge = ci.g_ptr, ci.g_w, ci.g_hedge
-    uptr, uprocs = ci.u_ptr, ci.u_procs
-    pin_w, pin_row, pin_pos = ci.g_pin_w, ci.g_pin_row, ci.g_pin_pos
+    chosen = [0] * hg.n_tasks
+    tptr = hg.task_ptr.tolist()
+    gptr = ci.g_ptr.tolist()
+    uptr = ci.u_ptr.tolist()
+    ghedge = ci.g_hedge.tolist()
+    uprocs, pin_w, pin_pos = ci.u_procs, ci.g_pin_w, ci.g_pin_pos
+    pin_share = np.repeat(_expected_shares(hg, ci)[0], ci.g_size)
+    cell = _rank_cells(hg, ci)
+    empty, subtract_at = np.empty, np.subtract.at
 
-    for v in _visit_order(hg, sort_by_degree):
+    for v in _visit_order(hg, sort_by_degree).tolist():
         a, b = tptr[v], tptr[v + 1]
-        dv = float(b - a)
         p0, p1 = gptr[a], gptr[b]
         u0, u1 = uptr[v], uptr[v + 1]
-        pos = pin_pos[p0:p1]
+        union = uprocs[u0:u1]
         # every sibling withdraws its share, in candidate order (the
         # elementwise subtract.at matches the Python loop's order; the
         # buffered fancy subtract is identical — and cheaper — when no
         # processor appears in two of the task's candidates)
-        common = o[uprocs[u0:u1]].copy()
+        common = o[union]
         if p1 - p0 == u1 - u0:
-            common[pos] -= pin_w[p0:p1] / dv
+            common[pin_pos[p0:p1]] -= pin_share[p0:p1]
         else:
-            np.subtract.at(common, pos, pin_w[p0:p1] / dv)
+            subtract_at(common, pin_pos[p0:p1], pin_share[p0:p1])
         if b - a == 1:
-            j = 0
-            final = common
-            final[pos] += pin_w[p0:p1]
+            k = a
         else:
-            rows = np.repeat(common[None, :], b - a, axis=0)
-            rows[pin_row[p0:p1], pos] += pin_w[p0:p1]
-            j = lex_best_row(rows)
-            final = rows[j]
-        k = a + j
-        hedge_of_task[v] = ghedge[k]
-        o[uprocs[u0:u1]] = final
+            rows = empty((b - a, u1 - u0))
+            rows[:] = common
+            rows.ravel()[cell[p0:p1]] += pin_w[p0:p1]
+            k = a + lex_best_row(rows)
+        chosen[v] = ghedge[k]
+        # commit: o restricted to the union becomes the realised row
+        q0, q1 = gptr[k], gptr[k + 1]
+        common[pin_pos[q0:q1]] += pin_w[q0:q1]
+        o[union] = common
 
-    return HyperSemiMatching(hg, hedge_of_task)
+    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))

@@ -18,18 +18,28 @@ earlier task, so the per-task dependency chain is irreducible — there is
 no batched formulation over tasks without changing the algorithm (and
 hence the matching).  What the numpy backend vectorizes is the *inner*
 dimension (all of a task's candidates and pins at once); the outer loop
-keeps a fixed per-task cost of a few ufunc dispatches (gather, reduceat,
-argmin, scatter-add), about 3-4 µs/task regardless of instance size.
+keeps a fixed per-task cost of ufunc dispatches.  All four kernels trim
+it the same way: pointers become Python lists once per solve, every
+per-candidate constant (reduceat offsets, EGH/EVG's ``w/d_v`` shares and
+``w - w/d_v`` gains, each pin's cell in its task's ranking matrix) is
+built in one whole-array pass, and :func:`lex_best_row` ranks with one
+sort and one ``argmin``.  Warm per-task cost on the ``bench_scaling``
+family (fewgmanyg, g=32, 2-CPU VM) at n=5120 / n=10240:
 
-The Python oracle pays ~3 µs *per candidate pin list*, so the speedup of
-the numpy path approaches (mean pins per task) x (dispatch ratio) and
-measures ~3x on the benchmark families (g=16: 69 ms → 22 ms at n=5120)
-— not the 10-50x of the batch kernels below, whose work has no
-cross-item dependency.  Squeezing the remaining per-step constant means
-removing interpreter dispatch itself (a native/compiled loop), not more
-vectorization; the micro-optimisations that *are* worthwhile at this
-frontier (Python-list pointer indexing, precomputed reduceat offsets,
-in-place key updates) live in ``_sgh_numpy`` and are annotated there.
+====  ================  ==========================================
+SGH   ≈ 5 / 5.5 µs      gather, ``maximum.reduceat``, argmin, scatter
+EGH   ≈ 6.5 / 7.5 µs    SGH's step + the ordered ``np.add.at`` collapse
+VGH   ≈ 12 / 11 µs      ranking-matrix scatter + one-sort rank
+EVG   ≈ 14 / 13 µs      VGH's step + the shares withdrawn over the union
+====  ================  ==========================================
+
+The Python oracle pays a few µs *per candidate*, so the numpy path's
+speedup grows with the per-step work it batches: about 3x for SGH, 4x
+for EGH and 6-8x for VGH/EVG at these sizes — not the 10-50x of the
+batch kernels below, whose work has no cross-item dependency.
+Squeezing the remaining per-step constant means removing interpreter
+dispatch itself (a native/compiled loop) or stepping many independent
+instances in lockstep, not more vectorization within one instance.
 """
 
 from __future__ import annotations
@@ -100,14 +110,26 @@ def lex_best_row(rows: np.ndarray) -> int:
 
     Rows are value multisets (unsorted); ties keep the smallest index,
     matching the strict-``<`` incumbent rule of the Python loops.
+    ``rows`` is sorted in place.
+
+    Non-negative doubles order like their big-endian bytes, so once
+    every row is sorted, the reversed (descending) rows viewed as
+    ``8k``-byte strings compare by ``memcmp`` exactly as the multisets
+    compare descending-lexicographically, and the winner is one
+    ``argmin``.  A row holding a negative value (expected loads can
+    round below zero) goes through the sign-aware :func:`_inv_sort_keys`.
+    Values must be NaN-free and never ``-0.0``, which sums and
+    differences of finite loads cannot produce.
     """
-    keys = _inv_sort_keys(rows)
-    best = 0
-    bk = keys[0]
-    for i in range(1, keys.shape[0]):
-        if keys[i] > bk:  # inverted keys: memcmp-larger == lex-smaller
-            best, bk = i, keys[i]
-    return best
+    k = rows.shape[1]
+    if k == 0:
+        return 0
+    rows.sort(axis=1)
+    # argmin + item: a fraction of the cost of the reduction .min()
+    if rows.item(rows.argmin()) < 0.0:
+        # inverted keys: memcmp-larger == lex-smaller
+        return int(_inv_sort_keys(rows).argmax())
+    return int(rows[:, ::-1].astype(">f8").view(f"S{8 * k}").argmin())
 
 
 def batch_lex_signs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the Section IV-D hypergraph greedy heuristics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from repro.algorithms import (
 )
 from repro.core import TaskHypergraph
 from repro.core.errors import InfeasibleError
+from repro.kernels import compile_instance
+from repro.kernels import ops as kernel_ops
 
 from strategies import task_hypergraphs
 
@@ -113,6 +117,57 @@ class TestExpected:
         )
         m = expected_greedy_hyp(hg)
         assert m.makespan == 1.0
+
+
+def _shared_processor_tasks(hg):
+    """Tasks with two or more candidates that share a processor (their
+    pin count exceeds their pin-union)."""
+    ci = compile_instance(hg)
+    task_pins = np.diff(ci.g_ptr[hg.task_ptr])
+    return np.flatnonzero(
+        (hg.task_degrees() > 1) & (task_pins > np.diff(ci.u_ptr))
+    )
+
+
+class TestNumpyRarePaths:
+    """Instances that pin the numpy kernels' rarely taken branches, each
+    bit-equal to the Python oracle."""
+
+    def test_evg_rounding_below_zero_takes_sign_aware_ranking(self):
+        # w = 0.1 + 0.2 and d_v = 3: withdrawing the two shares from
+        # o(P1) = w/3 + 0.7/3 leaves -2.8e-17, so every candidate row
+        # that does not realise P1 holds a negative value
+        hg = TaskHypergraph.from_configurations(
+            [[[0], [0, 1], [1]]],
+            n_procs=2,
+            weights=[[0.1 + 0.2, 0.1 + 0.2, 0.7]],
+        )
+        with mock.patch.object(
+            kernel_ops, "_inv_sort_keys", wraps=kernel_ops._inv_sort_keys
+        ) as spy:
+            fast = expected_vector_greedy_hyp(hg)
+        assert spy.called
+        slow = expected_vector_greedy_hyp(hg, backend="python")
+        assert np.array_equal(fast.hedge_of_task, slow.hedge_of_task)
+        assert fast.hedge_of_task.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "algo", [expected_greedy_hyp, expected_vector_greedy_hyp]
+    )
+    def test_shared_processor_collapse_keeps_candidate_order(self, algo):
+        # both tasks' candidates share their processors, so the collapse
+        # withdraws several shares from one processor: EGH's ordered
+        # np.add.at and EVG's np.subtract.at branch; applying those
+        # shares buffered or in another order changes a decision here
+        hg = TaskHypergraph.from_configurations(
+            [[[0], [0]], [[0, 1], [0, 1]]],
+            n_procs=2,
+            weights=[[0.1 + 0.2, 0.1], [0.1 + 0.2, 0.3]],
+        )
+        assert _shared_processor_tasks(hg).tolist() == [0, 1]
+        fast = algo(hg)
+        slow = algo(hg, backend="python")
+        assert np.array_equal(fast.hedge_of_task, slow.hedge_of_task)
 
 
 class TestInfeasible:

@@ -15,13 +15,17 @@ The solver-level guarantee — ``backend="numpy"`` bit-equal to
 ``test_conformance.py``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.loadvec import lex_compare_multisets
 from repro.core.validation import compute_loads_hypergraph
+from repro.kernels import ops as kernel_ops
 from repro.kernels import (
     CompiledKernels,
     batch_lex_signs,
@@ -122,27 +126,59 @@ class TestCompiledKernels:
 _VALUES = st.sampled_from(
     [0.0, 1.0, 1.5, 2.0, 3.0, 0.1 + 0.2, -1e-16, 7.25]
 )
+#: values that keep ``lex_best_row`` on its byte-key path
+_NON_NEGATIVE = st.sampled_from(
+    [0.0, 1.0, 1.5, 2.0, 3.0, 0.1 + 0.2, 7.25, 1e300]
+)
+
+
+def _oracle_best_row(rows):
+    """Strict-``<`` incumbent scan with the pairwise reference."""
+    best = 0
+    for i in range(1, rows.shape[0]):
+        if lex_compare_multisets(rows[i], rows[best]) < 0:
+            best = i
+    return best
 
 
 class TestLexKernels:
     @given(
-        st.integers(1, 6),
-        st.integers(1, 8),
+        st.integers(1, 12),
+        st.integers(1, 64),
+        st.sampled_from(["mixed", "non-negative", "negative"]),
         st.data(),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_lex_best_row_matches_pairwise_oracle(self, m, k, data):
-        rows = np.array(
-            [
-                [data.draw(_VALUES) for _ in range(k)]
-                for _ in range(m)
-            ]
-        )
-        best = 0
+    @settings(max_examples=150, deadline=None)
+    def test_lex_best_row_matches_pairwise_oracle(self, m, k, sign, data):
+        values = _NON_NEGATIVE if sign == "non-negative" else _VALUES
+        rows = data.draw(arrays(np.float64, (m, k), elements=values))
+        # ties: a row may repeat an earlier row's multiset in another
+        # order (tied through the last column), or repeat all but its
+        # smallest value (tied up to the last column)
         for i in range(1, m):
-            if lex_compare_multisets(rows[i], rows[best]) < 0:
-                best = i
-        assert lex_best_row(rows) == best
+            tie = data.draw(st.sampled_from(["none", "full", "last"]))
+            if tie == "none":
+                continue
+            order = data.draw(st.permutations(range(k)))
+            rows[i] = rows[data.draw(st.integers(0, i - 1))][order]
+            if tie == "last":
+                rows[i, int(np.argmin(rows[i]))] = data.draw(values)
+        if sign == "negative":
+            i = data.draw(st.integers(0, m - 1))
+            rows[i, data.draw(st.integers(0, k - 1))] = -1e-16
+        best = _oracle_best_row(rows)
+        negative = bool((rows < 0).any())
+        with mock.patch.object(
+            kernel_ops, "_inv_sort_keys", wraps=kernel_ops._inv_sort_keys
+        ) as spy:
+            got = lex_best_row(rows)
+        assert got == best
+        # negative values take the sign-aware keys, the rest the byte key
+        assert spy.called == negative
+
+    def test_lex_best_row_without_columns(self):
+        # empty multisets all tie, so the first row wins
+        assert lex_best_row(np.empty((3, 0))) == 0
 
     @given(st.integers(1, 6), st.integers(1, 8), st.data())
     @settings(max_examples=80, deadline=None)
