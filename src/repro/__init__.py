@@ -20,9 +20,14 @@ Quick start
 >>> schedule.makespan
 3.0
 
-Batches of instances go through the engine instead — pooled workers, an
-instance-hash result cache, and an optional *portfolio mode* that races
-several algorithms per instance and keeps the best makespan::
+The strategy is one ``method`` expression: a solver name (``"EVG"``),
+``"EVG+ls"`` to refine with local search, ``"portfolio(SGH,EVG+ls)"``
+to race entries and keep the best makespan (bare ``"portfolio"`` races
+the generated default line-up).  Every entry point takes the fields of
+``SolveOptions`` (``method``, ``seed``, ``time_budget``, ``backend``)
+as keywords, or a prepared ``options=`` object, never both.  Batches of
+instances go through the engine — pooled workers and an instance-hash
+result cache::
 
     from repro import solve_many
     schedules = solve_many(problems, method="portfolio", max_workers=8)

@@ -7,7 +7,7 @@ capabilities and auto-selection traits, and ``known_methods()`` and
 the default portfolio are *generated* from that metadata.
 
 Requests are typed: a frozen :class:`SolveOptions` (method expression,
-refinement, seed, portfolio, time budget) normalizes to one canonical
+seed, time budget, backend) normalizes to one canonical
 :class:`MethodExpr`, which also feeds the engine's cache key.  Results
 are rich: :class:`SolveResult` wraps the matching with provenance —
 winning solver, wall time, lower bound and optimality gap, cache-hit
@@ -74,19 +74,19 @@ __all__ = [
 
 
 def solve(
-    instance: Any, *, options: SolveOptions | None = None, **kwargs: Any
+    instance: Any, *, options: SolveOptions | None = None, **fields: Any
 ) -> SolveResult:
     """Solve one instance through the default engine.
 
     ``instance`` is a :class:`~repro.sched.model.SchedulingProblem` or a
     :class:`~repro.core.hypergraph.TaskHypergraph`.  Pass a prepared
     :class:`SolveOptions` via ``options=`` or its fields as keyword
-    arguments (``method=``, ``refine=``, ``seed=``, ``portfolio=``,
-    ``time_budget=``).  Returns a :class:`SolveResult`.
+    arguments (``method=``, ``seed=``, ``time_budget=``, ``backend=``),
+    not both.  Returns a :class:`SolveResult`.
     """
     from ..engine.batch import default_engine
 
-    return default_engine().solve(instance, options=options, **kwargs)
+    return default_engine().solve(instance, options=options, **fields)
 
 
 def known_methods() -> list[str]:

@@ -1,38 +1,31 @@
 """Typed, frozen solve options with canonical normalization.
 
-:class:`SolveOptions` is the single request object for every solve path
-(``repro.sched.solve``, ``repro.engine.solve_many``, the experiment
-harness).  It accepts the historical keyword spellings (``method=`` as a
-string, ``refine=``, ``portfolio=`` as a name tuple) and *normalizes*
-them to one canonical :class:`~repro.api.methods.MethodExpr`:
+:class:`SolveOptions` is the one place that declares which fields a
+solve request has and what their defaults are.  Every entry point
+(:func:`repro.api.solve`, :func:`repro.sched.solve`,
+:func:`repro.engine.solve_hypergraph`, :class:`~repro.engine.BatchSolver`,
+:func:`repro.engine.solve_many`, the service client and server) takes
+``options: SolveOptions | None = None, **fields`` and builds the request
+through :meth:`SolveOptions.merge`: a prepared object *or* keyword
+fields, never both.
 
-* ``portfolio=`` (or ``method="portfolio"``) becomes a
-  :class:`~repro.api.methods.Portfolio`, defaulting to the registry's
-  generated line-up;
-* ``refine=True`` folds into the expression (``Refine`` around the
-  method, or around every portfolio entry — exactly the historical
-  semantics, including the no-op on the exhaustive oracle);
-* aliases resolve to primary solver names.
-
-Two spellings of the same request therefore normalize to the same
-expression, which is what the engine's cache key hashes — ``"EVG+ls"``,
-``method="EVG", refine=True`` and ``Refine("EVG")`` share one cache
-entry.  The seed enters the key only for seed-sensitive (randomized)
-expressions.
+The strategy is one field, ``method``: a string (``"EVG"``,
+``"EVG+ls"``, ``"portfolio(SGH,grasp)"``) or a
+:class:`~repro.api.methods.MethodExpr` (``Refine("EVG")``,
+``Portfolio("SGH", Refine("EVG"))``).  Normalization parses it into one
+canonical, resolved expression — aliases become primary solver names and
+an entry-less ``Portfolio`` becomes the registry's generated line-up —
+so every spelling of a request shares one engine cache key.  The seed
+enters the key only for seed-sensitive (randomized) expressions.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Any, Mapping, Union
 
-from .methods import (
-    MethodExpr,
-    Portfolio,
-    Refine,
-    Solver,
-    parse_method,
-)
+from .methods import MethodExpr, Portfolio, parse_method
 from .registry import SolverRegistry, get_registry
 from ..kernels import check_backend
 
@@ -50,21 +43,14 @@ class SolveOptions:
     method:
         A method name, method string (``"EVG+ls"``,
         ``"portfolio(SGH,grasp)"``) or :class:`MethodExpr`.
-    refine:
-        Post-process with local search (folded into the expression on
-        normalization; never worsens the makespan).
     seed:
         Seed for randomized methods; deterministic methods ignore it.
-    portfolio:
-        Legacy spelling: a tuple of entry names/expressions races them
-        and keeps the best makespan, overriding ``method``.  ``None``
-        means "no portfolio requested" (an empty tuple is an error).
+        An integer (numpy integers included), never a ``bool``.
     time_budget:
         Wall-clock budget in seconds for portfolio races: once spent, no
         further entries start (at least one always runs).  ``None``
         disables the budget.  Budgeted portfolio results depend on
-        machine speed and are therefore excluded from result caching
-        only through the key (the budget is part of it).
+        machine speed; the budget is part of the cache key.
     backend:
         Kernel execution backend for backend-aware solvers:
         ``"numpy"`` (default, the vectorized CSR kernels of
@@ -75,9 +61,7 @@ class SolveOptions:
     """
 
     method: MethodLike = "auto"
-    refine: bool = False
     seed: int = 0
-    portfolio: tuple[MethodLike, ...] | None = None
     time_budget: float | None = None
     backend: str = "numpy"
 
@@ -87,30 +71,49 @@ class SolveOptions:
                 "method must be a string or MethodExpr, got "
                 f"{type(self.method).__name__}"
             )
-        if self.portfolio is not None:
-            if isinstance(self.portfolio, (str, MethodExpr)):
-                raise TypeError(
-                    "portfolio must be a sequence of entries, not a "
-                    "single method; wrap it in a tuple"
-                )
-            object.__setattr__(self, "portfolio", tuple(self.portfolio))
-        if self.time_budget is not None and self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
-        check_backend(self.backend)
+        # fields arrive from the wire too: a bool is not a seed, and a
+        # float seed must not be truncated into another seed's answers
+        if isinstance(self.seed, bool) or not isinstance(
+            self.seed, numbers.Integral
+        ):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.time_budget is not None:
+            if isinstance(self.time_budget, bool) or not isinstance(
+                self.time_budget, numbers.Real
+            ):
+                raise TypeError(
+                    "time_budget must be a number of seconds, got "
+                    f"{self.time_budget!r}"
+                )
+            if not self.time_budget > 0:
+                raise ValueError("time_budget must be positive")
+        check_backend(self.backend)
+
+    @classmethod
+    def merge(
+        cls,
+        options: "SolveOptions | None",
+        fields: Mapping[str, Any],
+        base: "SolveOptions | None" = None,
+    ) -> "SolveOptions":
+        """The request an entry point was given: ``options`` as is, or
+        ``fields`` over ``base`` (default: the field defaults).  Passing
+        both ``options`` and fields is a :class:`TypeError`."""
+        if options is not None:
+            if fields:
+                raise TypeError("pass options= or keyword fields, not both")
+            return options
+        if base is None:
+            return cls(**fields)
+        return replace(base, **fields) if fields else base
 
     # ------------------------------------------------------------------
     @property
     def is_normalized(self) -> bool:
-        return (
-            isinstance(self.method, MethodExpr)
-            and self.portfolio is None
-            and not self.refine
-            # an entry-less Portfolio still needs the default line-up
-            and not (
-                isinstance(self.method, Portfolio)
-                and not self.method.entries
-            )
+        # an entry-less Portfolio still needs the default line-up
+        return isinstance(self.method, MethodExpr) and not (
+            isinstance(self.method, Portfolio) and not self.method.entries
         )
 
     def expression(
@@ -119,52 +122,21 @@ class SolveOptions:
         """The canonical expression this request denotes."""
         registry = registry if registry is not None else get_registry()
         expr = parse_method(self.method)
-        if self.portfolio is not None:
-            # legacy precedence: an explicit portfolio wins over method
-            if len(self.portfolio) == 0:
-                raise ValueError("portfolio needs at least one algorithm")
-            expr = Portfolio(*self.portfolio)
-        if isinstance(expr, Portfolio):
-            entries = expr.entries or tuple(
-                parse_method(name)
-                for name in registry.default_portfolio()
+        if isinstance(expr, Portfolio) and not expr.entries:
+            expr = Portfolio(
+                *(parse_method(n) for n in registry.default_portfolio())
             )
-            if self.refine:
-                entries = tuple(Refine(e) for e in entries)
-            expr = Portfolio(*entries)
-        elif self.refine:
-            skip = False
-            if isinstance(expr, Solver):
-                spec = registry.resolve(expr.name)
-                # refining the exhaustive oracle is pointless by
-                # construction (result already optimal); historical
-                # dispatch skipped it, so normalization does too
-                skip = (
-                    spec.domain == "hypergraph"
-                    and "exact" in spec.capabilities
-                )
-            if not skip:
-                expr = Refine(expr)
         return expr.resolved(registry)
 
     def normalized(
         self, registry: SolverRegistry | None = None
     ) -> "SolveOptions":
-        """Canonical form: ``refine``/``portfolio`` folded into one
-        resolved :class:`MethodExpr`.  Idempotent."""
-        if self.is_normalized:
-            expr = self.method.resolved(
-                registry if registry is not None else get_registry()
-            )
-            if expr is self.method:
-                return self
-            return replace(self, method=expr)
-        return replace(
-            self,
-            method=self.expression(registry),
-            refine=False,
-            portfolio=None,
-        )
+        """Canonical form: ``method`` as one resolved
+        :class:`MethodExpr`.  Idempotent."""
+        expr = self.expression(registry)
+        if expr is self.method:
+            return self
+        return replace(self, method=expr)
 
     def cache_token(
         self, registry: SolverRegistry | None = None
@@ -177,11 +149,7 @@ class SolveOptions:
         registry = registry if registry is not None else get_registry()
         # resolve even pre-normalized expressions: an alias-built
         # MethodExpr must key identically to its primary-name spelling
-        expr = (
-            self.method.resolved(registry)
-            if self.is_normalized
-            else self.expression(registry)
-        )
+        expr = self.expression(registry)
         return (
             expr.canonical(),
             self.seed if expr.is_randomized(registry) else None,

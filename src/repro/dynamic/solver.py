@@ -52,6 +52,7 @@ drifts above from-scratch quality.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +137,26 @@ class IncrementalSolver:
                 "instance must be a DynamicInstance, TaskHypergraph or "
                 f"None, got {type(instance).__name__}"
             )
-        if fallback_ratio < 0:
+        # the knobs arrive from the wire too: reject bools and
+        # fractional counts rather than coercing them
+        if isinstance(fallback_ratio, bool) or not isinstance(
+            fallback_ratio, numbers.Real
+        ):
+            raise TypeError(
+                f"fallback_ratio must be a number, got {fallback_ratio!r}"
+            )
+        if not fallback_ratio >= 0:
             raise ValueError("fallback_ratio must be non-negative")
-        if min_fallback_region < 0:
-            raise ValueError("min_fallback_region must be non-negative")
-        if ls_moves < 0:
-            raise ValueError("ls_moves must be non-negative")
+        for name, value in (
+            ("min_fallback_region", min_fallback_region),
+            ("ls_moves", ls_moves),
+        ):
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
         self.instance = instance
         self.method = method
         self.fallback_ratio = float(fallback_ratio)

@@ -18,12 +18,7 @@ registry, so a newly registered solver is instantly usable here.
 
 from .batch import BatchSolver, default_cache, default_engine, solve_many
 from .cache import CachedSolve, ResultCache, instance_digest
-from .dispatch import (
-    known_methods,
-    solve_hypergraph,
-    solve_hypergraph_outcome,
-    solve_portfolio,
-)
+from .dispatch import known_methods, solve_hypergraph, solve_hypergraph_outcome
 
 __all__ = [
     "BatchSolver",
@@ -36,6 +31,5 @@ __all__ = [
     "known_methods",
     "solve_hypergraph",
     "solve_hypergraph_outcome",
-    "solve_portfolio",
 ]
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Iterable, Sequence, Union
+from typing import Any, Iterable, Union
 
 from ..api.methods import EntryStat, Outcome
 from ..api.options import SolveOptions
@@ -154,14 +154,11 @@ class BatchSolver:
         ``True`` (default) — share the process-wide
         :func:`default_cache`; a :class:`ResultCache` — use that
         instance; ``False``/``None`` — never cache.
-    options:
-        Default :class:`~repro.api.SolveOptions`, overridable per
-        :meth:`solve_many` call.
-    method, refine, portfolio, seed, time_budget:
-        Historical field-by-field spelling of ``options`` (ignored when
-        ``options`` is passed).  ``portfolio`` (a tuple of method
-        expressions/names, optionally suffixed ``"+ls"``) switches an
-        instance to portfolio mode, as does ``method="portfolio"``.
+    options, **fields:
+        The default request, as a prepared
+        :class:`~repro.api.SolveOptions` or its fields as keywords
+        (``method=``, ``seed=``, ``time_budget=``, ``backend=``), not
+        both.  :meth:`solve_many` keywords override single fields of it.
     transport:
         How instances travel to process-pool workers.  ``"auto"``
         (default) ships instances at or above ``shm_min_bytes`` through
@@ -190,15 +187,10 @@ class BatchSolver:
         chunk_size: int | None = None,
         cache: ResultCache | bool | None = True,
         options: SolveOptions | None = None,
-        method: str = "auto",
-        refine: bool = False,
-        portfolio: Sequence[str] | None = None,
-        seed: int = 0,
-        time_budget: float | None = None,
-        backend: str = "numpy",
         transport: str = "auto",
         shm_min_bytes: int = _SHM_MIN_BYTES,
         idle_timeout: float | None = None,
+        **fields: Any,
     ):
         if executor not in _EXECUTORS:
             raise ValueError(
@@ -226,20 +218,7 @@ class BatchSolver:
             self.cache = None
         else:
             self.cache = cache
-        self.defaults = (
-            options
-            if options is not None
-            else SolveOptions(
-                method=method,
-                refine=refine,
-                portfolio=(
-                    tuple(portfolio) if portfolio is not None else None
-                ),
-                seed=seed,
-                time_budget=time_budget,
-                backend=backend,
-            )
-        )
+        self.defaults = SolveOptions.merge(options, fields)
         self.transport = transport
         self.shm_min_bytes = int(shm_min_bytes)
         self.idle_timeout = idle_timeout
@@ -272,62 +251,33 @@ class BatchSolver:
             f"DynamicInstance, got {type(instance).__name__}"
         )
 
-    def _options(
-        self,
-        method,
-        refine,
-        portfolio,
-        seed,
-        time_budget,
-        backend,
-        options: SolveOptions | None,
-    ) -> SolveOptions:
-        if options is not None:
-            return options
-        d = self.defaults
-        # The engine-level portfolio default only applies when the call
-        # names no strategy at all: an explicit per-call ``method`` must
-        # win (normalization gives portfolio precedence over method, so
-        # inheriting the default portfolio here would silently shadow it).
-        if portfolio is None and method is None:
-            portfolio = d.portfolio
-        return SolveOptions(
-            method=method if method is not None else d.method,
-            refine=refine if refine is not None else d.refine,
-            portfolio=tuple(portfolio) if portfolio is not None else None,
-            seed=seed if seed is not None else d.seed,
-            time_budget=(
-                time_budget if time_budget is not None else d.time_budget
-            ),
-            backend=backend if backend is not None else d.backend,
-        )
-
     # ------------------------------------------------------------------
-    def solve(self, instance: Instance, **overrides) -> SolveResult:
+    def solve(
+        self,
+        instance: Instance,
+        *,
+        options: SolveOptions | None = None,
+        **fields: Any,
+    ) -> SolveResult:
         """Solve one instance (serial fast path; still cached)."""
-        return self.solve_many([instance], **overrides)[0]
+        return self.solve_many([instance], options=options, **fields)[0]
 
     def solve_many(
         self,
         instances: Iterable[Instance],
         *,
-        method: str | None = None,
-        refine: bool | None = None,
-        portfolio: Sequence[str] | None = None,
-        seed: int | None = None,
-        time_budget: float | None = None,
-        backend: str | None = None,
         options: SolveOptions | None = None,
+        **fields: Any,
     ) -> list[SolveResult]:
         """Solve every instance; results come back in input order.
 
-        Every result is a :class:`~repro.api.SolveResult`;
-        :class:`SchedulingProblem` inputs additionally carry their
-        :class:`Schedule` view in ``result.schedule``.
+        ``options=`` replaces the engine's default request; keyword
+        fields override single fields of it; not both.  Every result is
+        a :class:`~repro.api.SolveResult`; :class:`SchedulingProblem`
+        inputs additionally carry their :class:`Schedule` view in
+        ``result.schedule``.
         """
-        opts = self._options(
-            method, refine, portfolio, seed, time_budget, backend, options
-        ).normalized()
+        opts = SolveOptions.merge(options, fields, self.defaults).normalized()
         token = opts.cache_token()
         pairs = [self._coerce(x) for x in instances]
         results: list[SolveResult | None] = [None] * len(pairs)
@@ -648,12 +598,6 @@ def _shared_engine(
 def solve_many(
     instances: Iterable[Instance],
     *,
-    method: str = "auto",
-    refine: bool = False,
-    portfolio: Sequence[str] | None = None,
-    seed: int = 0,
-    time_budget: float | None = None,
-    backend: str = "numpy",
     options: SolveOptions | None = None,
     max_workers: int | None = None,
     executor: str = "process",
@@ -661,8 +605,11 @@ def solve_many(
     cache: ResultCache | bool | None = True,
     transport: str = "auto",
     shm_min_bytes: int = _SHM_MIN_BYTES,
+    **fields: Any,
 ) -> list[SolveResult]:
     """One-call batch solve (see :class:`BatchSolver` for the knobs).
+
+    The request is ``options=`` or its fields as keywords, not both.
 
     Calls with plain-flag caching (``cache=True/False/None``) are served
     by a process-wide warm engine per pool shape: its worker pool stays
@@ -680,18 +627,7 @@ def solve_many(
     >>> [s.makespan for s in solve_many(probs, max_workers=1)]
     [1.0, 2.0, 2.0]
     """
-    opts = (
-        options
-        if options is not None
-        else SolveOptions(
-            method=method,
-            refine=refine,
-            portfolio=tuple(portfolio) if portfolio is not None else None,
-            seed=seed,
-            time_budget=time_budget,
-            backend=backend,
-        )
-    )
+    opts = SolveOptions.merge(options, fields)
     engine = _shared_engine(
         executor, max_workers, chunk_size, cache, transport, shm_min_bytes
     )

@@ -13,10 +13,10 @@ portfolio statistics), so cache hits return fully populated
 A cache entry is only valid for the exact request it was computed under,
 so the full key is ``(instance digest, canonical options token)``.  The
 token comes from :meth:`SolveOptions.cache_token`: the *canonical method
-expression* (aliases resolved, ``refine`` folded in), the seed only when
-the expression is seed-sensitive, and the time budget.  Equivalent
-spellings — ``method="EVG", refine=True`` vs ``"EVG+ls"`` — therefore
-share one entry.  The cache is a bounded LRU and is thread-safe; the
+expression* (aliases resolved, the default portfolio line-up filled
+in), the seed only when the expression is seed-sensitive, and the time
+budget.  Equivalent spellings — ``"EVG+ls"`` vs ``Refine("EVG")`` —
+therefore share one entry.  The cache is a bounded LRU and is thread-safe; the
 default shared instance lives in :mod:`repro.engine.batch` so repeated
 sweeps (``experiments.sweep``, the Table I–III harness) never recompute.
 """

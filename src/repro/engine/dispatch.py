@@ -1,15 +1,12 @@
 """Hypergraph-level solve dispatch, driven by the solver registry.
 
 Both the user-facing :func:`repro.sched.solve` and the batch engine's
-worker processes call :func:`solve_hypergraph`, so sequential and pooled
-solving are guaranteed to agree bit-for-bit.  Since the unified API
-landed, this module is a thin execution shim: method strings parse into
-:class:`~repro.api.MethodExpr` trees (``Solver``/``Refine``/
-``Portfolio``/``Auto``), options normalize into a canonical
-:class:`~repro.api.SolveOptions`, and evaluation walks the expression
-against the capability-aware registry — the old if/elif chains are gone.
-
-Dispatch semantics (unchanged, now registry queries):
+worker processes evaluate requests through
+:func:`solve_hypergraph_outcome`, so sequential and pooled solving agree
+bit-for-bit.  A request is a :class:`~repro.api.SolveOptions`; its
+``method`` parses into a :class:`~repro.api.MethodExpr` tree
+(``Solver``/``Refine``/``Portfolio``/``Auto``) and evaluation walks that
+tree against the capability-aware registry:
 
 * ``method="auto"`` — the registry's recommended solver for the
   instance trait: SINGLEPROC-UNIT instances get the exact polynomial
@@ -19,10 +16,10 @@ Dispatch semantics (unchanged, now registry queries):
 * any registered name or alias (``"SGH"``, ``"EVG"``,
   ``"sorted-greedy"``, ...) forces that solver; bipartite solvers are
   lifted and guarded against MULTIPROC instances;
-* composable strings work everywhere: ``"EVG+ls"``,
-  ``"portfolio(SGH,grasp)"``;
-* ``method="portfolio"`` races the generated default line-up and keeps
-  the best makespan (see :func:`solve_portfolio`).
+* ``"X+ls"`` (``Refine(X)``) post-processes ``X`` with local search;
+* ``"portfolio(SGH,grasp)"`` (``Portfolio(...)``) races the entries and
+  keeps the best makespan; bare ``"portfolio"`` races the generated
+  default line-up.
 
 ``known_methods()`` and the default portfolio line-up are generated
 from the registry — registering a solver makes it instantly available
@@ -32,7 +29,7 @@ here, in portfolio mode, in sweeps and in the CLI.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Any
 
 from ..api.methods import EvalContext, Outcome, evaluate
 from ..api.options import SolveOptions
@@ -45,7 +42,6 @@ __all__ = [
     "known_methods",
     "solve_hypergraph",
     "solve_hypergraph_outcome",
-    "solve_portfolio",
 ]
 
 
@@ -92,52 +88,14 @@ def solve_hypergraph_outcome(
 def solve_hypergraph(
     hg: TaskHypergraph,
     *,
-    method: str = "auto",
-    refine: bool = False,
-    portfolio: Sequence[str] | None = None,
-    seed: int = 0,
-    backend: str = "numpy",
+    options: SolveOptions | None = None,
+    **fields: Any,
 ) -> HyperSemiMatching:
     """Solve one hypergraph instance and return the bare matching.
 
-    ``refine=True`` post-processes heuristic solutions with
-    :func:`repro.algorithms.local_search` (never worsens the makespan).
-    ``seed`` only affects the randomised methods (``"grasp"`` and any
-    portfolio entry using it); every other method is deterministic.
-    ``backend`` selects the kernel execution path for backend-aware
-    solvers ("numpy" kernels vs the "python" oracle — bit-identical).
+    Pass a prepared :class:`~repro.api.SolveOptions` via ``options=`` or
+    its fields as keywords (``method=``, ``seed=``, ``time_budget=``,
+    ``backend=``), not both.
     """
-    options = SolveOptions(
-        method=method,
-        refine=refine,
-        portfolio=tuple(portfolio) if portfolio is not None else None,
-        seed=seed,
-        backend=backend,
-    )
-    return solve_hypergraph_outcome(hg, options).matching
-
-
-def solve_portfolio(
-    hg: TaskHypergraph,
-    *,
-    algorithms: Sequence[str] | None = None,
-    refine: bool = False,
-    seed: int = 0,
-    backend: str = "numpy",
-) -> HyperSemiMatching:
-    """Race ``algorithms`` on one instance and keep the best makespan.
-
-    ``algorithms`` defaults to the registry-generated line-up,
-    ``get_registry().default_portfolio()``.  By construction the result is never
-    worse than any single constituent algorithm; ties keep the earliest
-    entry, so the outcome is deterministic for a fixed line-up and seed.
-    """
-    lineup = (
-        tuple(algorithms)
-        if algorithms is not None
-        else get_registry().default_portfolio()
-    )
-    options = SolveOptions(
-        portfolio=lineup, refine=refine, seed=seed, backend=backend
-    )
+    options = SolveOptions.merge(options, fields)
     return solve_hypergraph_outcome(hg, options).matching

@@ -109,11 +109,9 @@ def main(argv: list[str] | None = None) -> int:
     slv.add_argument(
         "--method", default="EVG",
         help="any registered solver name or method expression "
-             "('EVG', 'EVG+ls', 'portfolio(SGH,grasp)', ...); "
+             "('EVG', 'portfolio(SGH,grasp)', ...); X+ls post-optimises "
+             "method X with local search ('EVG+ls'); "
              "see `semimatch solvers` for the full registry",
-    )
-    slv.add_argument(
-        "--refine", action="store_true", help="post-optimise with local search"
     )
 
     subs.add_parser(
@@ -207,11 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     sb.add_argument("--port", type=int, default=7431)
     sb.add_argument(
         "--method", default=None,
-        help="any registered solver name or method expression "
+        help="any registered solver name or method expression; X+ls "
+             "post-optimises method X with local search "
              "(default: the server's configured default)",
-    )
-    sb.add_argument(
-        "--refine", action="store_true", help="post-optimise with local search"
     )
     sb.add_argument(
         "--repeat", type=int, default=1, metavar="N",
@@ -440,11 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         from ..service import RemoteError, ServiceClient
 
         inst = load_instance(args.path)
-        fields = {}
-        if args.method is not None:
-            fields["method"] = args.method
-        if args.refine:
-            fields["refine"] = True
+        fields = {} if args.method is None else {"method": args.method}
         try:
             with ServiceClient(host=args.host, port=args.port) as client:
                 for _ in range(max(args.repeat, 1)):
@@ -553,9 +545,7 @@ def main(argv: list[str] | None = None) -> int:
             from ..engine import solve_hypergraph
 
             try:
-                m = solve_hypergraph(
-                    inst, method=args.method, refine=args.refine
-                )
+                m = solve_hypergraph(inst, method=args.method)
             except ValueError as exc:
                 # UnknownSolverError, bad '+suffix' parses, and
                 # SINGLEPROC-on-MULTIPROC capability guards all derive
@@ -564,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(str(exc))
             lb = averaged_work_bound(inst)
             print(
-                f"{args.method}{' + local-search' if args.refine else ''}: "
+                f"{args.method}: "
                 f"makespan {m.makespan:g} "
                 f"(LB {lb:g}, quality {m.makespan / lb:.3f})"
             )

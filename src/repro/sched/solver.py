@@ -1,13 +1,14 @@
-"""High-level ``solve`` entry point: pick the right algorithm for the
-instance and return a rich :class:`~repro.api.SolveResult`.
+"""High-level ``solve`` entry point for named scheduling problems.
 
-Since the unified API landed, this is a thin veneer over
-:func:`repro.api.solve`: method strings (including composable forms like
-``"EVG+ls"`` and ``"portfolio(SGH,grasp)"``) normalize into
-:class:`~repro.api.SolveOptions`, dispatch is a registry query (see
-:mod:`repro.api.solvers` for what ``"auto"`` selects), and ``solve``
-routes through the shared default engine so single-instance calls hit
-the same content-addressed result cache as batch runs and sweeps.
+:func:`solve` is :func:`repro.api.solve` under its historical import
+path: the request is a :class:`~repro.api.SolveOptions` (``options=``)
+or its fields as keywords (``method=``, ``seed=``, ``time_budget=``,
+``backend=``), never both.  ``method`` is one expression — a solver name,
+``"EVG+ls"``, ``"portfolio(SGH,grasp)"`` — and ``"auto"`` (the default)
+lets the registry pick the solver for the instance (see
+:mod:`repro.api.solvers`).  Calls route through the shared default
+engine, so single-instance solves hit the same content-addressed result
+cache as batch runs and sweeps.
 
 The returned :class:`~repro.api.SolveResult` exposes the full
 :class:`~repro.sched.schedule.Schedule` surface (``makespan``,
@@ -21,40 +22,6 @@ semantics, pooled execution.
 
 from __future__ import annotations
 
-from .model import SchedulingProblem
+from ..api import solve
 
 __all__ = ["solve"]
-
-
-def solve(
-    problem: SchedulingProblem,
-    *,
-    method: str = "auto",
-    refine: bool = False,
-    seed: int = 0,
-    time_budget: float | None = None,
-    backend: str = "numpy",
-    options=None,
-):
-    """Solve a :class:`SchedulingProblem`; returns a
-    :class:`~repro.api.SolveResult` carrying the schedule.
-
-    ``refine=True`` post-processes heuristic solutions with
-    :func:`repro.algorithms.local_search` (never worsens the makespan).
-    ``backend`` selects the kernel execution path for backend-aware
-    solvers ("numpy" kernels vs the bit-identical "python" oracle).
-    Pass a prepared :class:`~repro.api.SolveOptions` via ``options=`` to
-    override all other keywords.
-    """
-    from ..api import solve as api_solve
-
-    if options is not None:
-        return api_solve(problem, options=options)
-    return api_solve(
-        problem,
-        method=method,
-        refine=refine,
-        seed=seed,
-        time_budget=time_budget,
-        backend=backend,
-    )

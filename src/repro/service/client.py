@@ -27,6 +27,7 @@ from typing import Any, Coroutine, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from ..api.methods import parse_method
 from ..api.options import SolveOptions
 from ..core.bipartite import BipartiteGraph
 from ..core.hypergraph import TaskHypergraph
@@ -90,27 +91,18 @@ def instance_to_wire(instance: Any) -> dict:
 def options_to_wire(
     options: SolveOptions | None = None, **fields: Any
 ) -> dict | None:
-    """A :class:`SolveOptions` (or its keyword fields) as the protocol's
-    options dict; ``None`` when nothing was requested (server
-    defaults)."""
-    if options is None:
-        if not fields:
-            return None
-        options = SolveOptions(**fields)
-    elif fields:
-        raise TypeError("pass options= or keyword fields, not both")
-    method = options.method
+    """A :class:`SolveOptions` (or its keyword fields, not both) as the
+    protocol's options dict; ``None`` when nothing was requested (server
+    defaults).  Names are resolved by the server, which answers an
+    unknown one with ``unknown-solver``."""
+    if options is None and not fields:
+        return None
+    options = SolveOptions.merge(options, fields)
     out: dict[str, Any] = {
-        "method": method if isinstance(method, str) else method.canonical(),
-        "refine": options.refine,
+        "method": parse_method(options.method).canonical(),
         "seed": options.seed,
         "backend": options.backend,
     }
-    if options.portfolio is not None:
-        out["portfolio"] = [
-            e if isinstance(e, str) else e.canonical()
-            for e in options.portfolio
-        ]
     if options.time_budget is not None:
         out["time_budget"] = options.time_budget
     return out
@@ -517,19 +509,25 @@ class ServiceClient:
         self,
         baseline: Any,
         *,
-        method: str = "auto",
-        fallback_ratio: float = 0.25,
-        min_fallback_region: int = 4,
-        ls_moves: int = 64,
+        method: str | None = None,
+        fallback_ratio: float | None = None,
+        min_fallback_region: int | None = None,
+        ls_moves: int | None = None,
     ) -> RemoteSession:
-        """Host ``baseline`` in a server-side dynamic session."""
+        """Host ``baseline`` in a server-side dynamic session.
+
+        Only the knobs given are sent; the rest take
+        :class:`~repro.dynamic.IncrementalSolver`'s defaults."""
+        knobs = {
+            "method": method,
+            "fallback_ratio": fallback_ratio,
+            "min_fallback_region": min_fallback_region,
+            "ls_moves": ls_moves,
+        }
         info = self.call(
             "session.open",
             baseline=instance_to_wire(baseline),
-            method=method,
-            fallback_ratio=fallback_ratio,
-            min_fallback_region=min_fallback_region,
-            ls_moves=ls_moves,
+            **{k: v for k, v in knobs.items() if v is not None},
         )
         return RemoteSession(self, info)
 

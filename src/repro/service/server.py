@@ -37,7 +37,7 @@ import asyncio
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Any
 
@@ -628,14 +628,11 @@ class SolveServer:
 
     @staticmethod
     def _solve_wire(result: SolveResult) -> dict:
-        method = result.options.method
         return {
             "assignment": result.matching.hedge_of_task.tolist(),
             "makespan": float(result.makespan),
             "winner": result.winner,
-            "method": (
-                method if isinstance(method, str) else method.canonical()
-            ),
+            "method": result.options.method.canonical(),
             "cache_hit": bool(result.cache_hit),
             "wall_time_s": float(result.wall_time_s),
             "stats": dict(result.stats),
@@ -660,9 +657,7 @@ class SolveServer:
         instance_digest(hg)
         return hg
 
-    _OPTION_FIELDS = (
-        "method", "refine", "seed", "portfolio", "time_budget", "backend",
-    )
+    _OPTION_FIELDS = tuple(f.name for f in fields(SolveOptions))
 
     def _normalized_options(
         self, data: Any
@@ -705,15 +700,7 @@ class SolveServer:
                 f"{list(self._OPTION_FIELDS)}",
                 code=ErrorCode.BAD_REQUEST,
             )
-        fields = dict(data)
-        if "portfolio" in fields and fields["portfolio"] is not None:
-            if not isinstance(fields["portfolio"], list):
-                raise ProtocolError(
-                    "'portfolio' must be a list of method strings",
-                    code=ErrorCode.BAD_REQUEST,
-                )
-            fields["portfolio"] = tuple(fields["portfolio"])
-        return SolveOptions(**fields)
+        return SolveOptions(**data)
 
     # -- observability ---------------------------------------------------
     def _op_trace(self, payload: dict) -> dict:

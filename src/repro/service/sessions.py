@@ -67,6 +67,10 @@ class Session:
         }
 
 
+#: the ``session.open`` fields forwarded to :class:`IncrementalSolver`
+_SESSION_KNOBS = ("method", "fallback_ratio", "min_fallback_region", "ls_moves")
+
+
 class SessionManager:
     """Owns every live session of one server."""
 
@@ -86,13 +90,10 @@ class SessionManager:
     def open(self, payload: dict[str, Any], *, owner: int) -> dict[str, Any]:
         """Create a session; returns its initial description."""
         instance = dynamic_from_wire(payload.get("baseline"))
-        solver = IncrementalSolver(
-            instance,
-            method=str(payload.get("method", "auto")),
-            fallback_ratio=float(payload.get("fallback_ratio", 0.25)),
-            min_fallback_region=int(payload.get("min_fallback_region", 4)),
-            ls_moves=int(payload.get("ls_moves", 64)),
-        )
+        # forward only the knobs the client sent: the defaults live in
+        # IncrementalSolver, which also validates every value
+        knobs = {k: payload[k] for k in _SESSION_KNOBS if k in payload}
+        solver = IncrementalSolver(instance, **knobs)
         with self._lock:
             if len(self._sessions) >= self.max_sessions:
                 solver.detach()

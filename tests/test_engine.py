@@ -7,13 +7,8 @@ import pytest
 
 from repro import BatchSolver, SchedulingProblem, SolveResult, solve, solve_many
 from repro.core import TaskHypergraph
-from repro.api import get_registry
-from repro.engine import (
-    ResultCache,
-    instance_digest,
-    solve_hypergraph,
-    solve_portfolio,
-)
+from repro.api import Portfolio, get_registry
+from repro.engine import ResultCache, instance_digest, solve_hypergraph
 from repro.experiments import run_instances
 from repro.experiments.instances import SMALL_SPECS
 from repro.sched import Schedule
@@ -145,7 +140,7 @@ class TestDeterminism:
 class TestPortfolio:
     def test_never_worse_than_any_constituent(self, instances):
         for hg in instances:
-            port = solve_portfolio(hg, seed=3)
+            port = solve_hypergraph(hg, method=Portfolio(), seed=3)
             for entry in ("SGH", "VGH", "EGH", "EVG"):
                 single = solve_hypergraph(hg, method=entry)
                 assert port.makespan <= single.makespan
@@ -155,7 +150,7 @@ class TestPortfolio:
         returns exactly the minimum of their makespans."""
         lineup = ("SGH", "VGH", "EGH", "EVG")
         for hg in instances:
-            port = solve_portfolio(hg, algorithms=lineup)
+            port = solve_hypergraph(hg, method=Portfolio(*lineup))
             best = min(
                 solve_hypergraph(hg, method=e).makespan for e in lineup
             )
@@ -170,42 +165,48 @@ class TestPortfolio:
         engine = BatchSolver(max_workers=3, executor="thread", cache=False)
         out = engine.solve_many(instances, method="portfolio")
         for hg, m in zip(instances, out):
-            assert m.makespan == solve_portfolio(hg).makespan
+            assert m.makespan == solve_hypergraph(
+                hg, method=Portfolio()
+            ).makespan
 
     def test_ls_suffix_refines(self, instances):
         for hg in instances:
             base = solve_hypergraph(hg, method="SGH")
-            refined = solve_portfolio(hg, algorithms=("SGH+ls",))
+            refined = solve_hypergraph(hg, method=Portfolio("SGH+ls"))
             assert refined.makespan <= base.makespan
 
     def test_rejects_empty_lineup(self, instances):
+        # normalization fills an entry-less Portfolio with the default
+        # line-up; evaluating one that skipped normalization is an error
+        from repro.api.methods import EvalContext, evaluate
+
+        ctx = EvalContext(registry=get_registry())
         with pytest.raises(ValueError, match="at least one"):
-            solve_portfolio(instances[0], algorithms=())
+            evaluate(instances[0], Portfolio(), ctx)
 
     def test_rejects_unknown_entry(self, instances):
         with pytest.raises(ValueError, match="unknown portfolio entry"):
-            solve_portfolio(instances[0], algorithms=("quantum",))
+            solve_hypergraph(instances[0], method=Portfolio("quantum"))
 
     def test_explicit_method_beats_engine_default_portfolio(self, instances):
         """A per-call method override must not be shadowed by an
         engine-level portfolio default."""
         hg = instances[0]
-        engine = BatchSolver(
-            max_workers=1, portfolio=get_registry().default_portfolio(),
-            cache=False,
-        )
+        engine = BatchSolver(max_workers=1, method="portfolio", cache=False)
         (via_engine,) = engine.solve_many([hg], method="SGH")
         plain = solve_hypergraph(hg, method="SGH")
         assert np.array_equal(via_engine.hedge_of_task, plain.hedge_of_task)
         # without a per-call method, the default portfolio does apply
         (defaulted,) = engine.solve_many([hg])
-        assert defaulted.makespan == solve_portfolio(hg).makespan
+        assert defaulted.makespan == solve_hypergraph(
+            hg, method=Portfolio()
+        ).makespan
 
     def test_default_portfolio_names_resolve(self, instances):
         # the advertised default line-up must actually run
-        m = solve_portfolio(
+        m = solve_hypergraph(
             instances[0],
-            algorithms=get_registry().default_portfolio(),
+            method=Portfolio(*get_registry().default_portfolio()),
             seed=1,
         )
         assert m.makespan > 0
@@ -252,7 +253,7 @@ class TestCache:
         hg = instances[0]
         engine.solve_many([hg], method="SGH")
         engine.solve_many([hg], method="EVG")
-        engine.solve_many([hg], method="SGH", refine=True)
+        engine.solve_many([hg], method="SGH+ls")
         assert cache.hits == 0
         assert len(cache) == 3
 

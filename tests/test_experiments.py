@@ -174,9 +174,10 @@ class TestCLI:
         path = tmp_path / "inst.json"
         main(["generate", "MG-5-1-MP", "-o", str(path)])
         capsys.readouterr()
-        assert main(["solve", str(path), "--method", "EGH",
-                     "--refine"]) == 0
-        assert "local-search" in capsys.readouterr().out
+        assert main(["solve", str(path), "--method", "SGH+ls"]) == 0
+        out = capsys.readouterr().out
+        assert "SGH+ls: makespan" in out
+        assert "quality" in out
 
     def test_solve_bipartite_instance(self, capsys, tmp_path):
         from repro.generators import fewgmanyg_bipartite

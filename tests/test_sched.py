@@ -124,7 +124,7 @@ class TestSolve:
 
     def test_refine_never_worsens(self, hetero_problem):
         base = solve(hetero_problem, method="SGH")
-        refined = solve(hetero_problem, method="SGH", refine=True)
+        refined = solve(hetero_problem, method="SGH+ls")
         assert refined.makespan <= base.makespan
 
     def test_empty_problem(self):

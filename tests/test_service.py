@@ -20,7 +20,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.api import SolveOptions, solve as api_solve
+from repro.api import Refine, SolveOptions, solve as api_solve
 from repro.core import TaskHypergraph
 from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.engine import ResultCache
@@ -37,6 +37,7 @@ from repro.service import (
     RemoteError,
     ServiceClient,
     SolveServer,
+    instance_to_wire,
 )
 from repro.service.protocol import (
     decode_frame,
@@ -209,10 +210,10 @@ class TestSolveRoundTrip:
         engine = BatchSolver(max_workers=1, executor="serial", cache=cache)
         with running_server(engine=engine) as (server, _loop):
             with ServiceClient(port=server.port) as client:
-                first = client.solve(hg, method="EVG", refine=True)
-                second = client.solve(
-                    hg, options=SolveOptions(method="EVG+ls")
+                first = client.solve(
+                    hg, options=SolveOptions(method=Refine("EVG"))
                 )
+                second = client.solve(hg, method="EVG+ls")
         assert not first.cache_hit and second.cache_hit
         assert np.array_equal(first.assignment, second.assignment)
         assert cache.stats()["misses"] == 1
@@ -243,6 +244,32 @@ class TestSolveRoundTrip:
                     )
                 assert exc.value.code == "bad-request"
                 # the connection survives every error above
+                assert client.ping()["pong"] is True
+
+
+    @pytest.mark.parametrize("options", [
+        {"seed": True},
+        {"seed": "7"},
+        {"seed": 2.5},
+        {"seed": 2.7},
+        {"time_budget": True},
+        {"time_budget": "x"},
+        {"refine": True},
+        {"portfolio": ["SGH", "EVG"]},
+    ])
+    def test_bad_wire_options_answer_bad_request(self, options):
+        (hg,) = small_instances(1)
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(RemoteError) as exc:
+                    client.call(
+                        "solve",
+                        instance=instance_to_wire(hg),
+                        options=options,
+                    )
+                assert exc.value.code == "bad-request"
+                (field,) = options
+                assert field in str(exc.value)
                 assert client.ping()["pong"] is True
 
 
@@ -458,6 +485,52 @@ class TestSessions:
             str(p): load for p, load in local_solver.loads().items()
         }
         assert closed["mutations"] == len(mutations)
+
+    @pytest.mark.parametrize("knob,value", [
+        ("ls_moves", 2.9),
+        ("ls_moves", True),
+        ("min_fallback_region", True),
+        ("min_fallback_region", 2.5),
+        ("fallback_ratio", True),
+        ("fallback_ratio", "x"),
+    ])
+    def test_bad_session_knobs_answer_bad_request(self, knob, value):
+        inst = DynamicInstance()
+        p = inst.add_processor()
+        inst.add_task([((p,), 2.0)])
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(RemoteError) as exc:
+                    client.call(
+                        "session.open",
+                        baseline=instance_to_wire(inst),
+                        **{knob: value},
+                    )
+                assert exc.value.code == "bad-request"
+                assert knob in str(exc.value)
+                assert len(server.sessions) == 0
+
+    def test_session_knobs_default_in_the_solver(self):
+        """Unset knobs are not sent, and the server forwards only the
+        keys present: the session runs IncrementalSolver's defaults."""
+        import inspect
+
+        defaults = inspect.signature(IncrementalSolver).parameters
+        inst = DynamicInstance()
+        p = inst.add_processor()
+        inst.add_task([((p,), 2.0)])
+        with running_server() as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                client.open_session(inst, ls_moves=3)
+                (session,) = server.sessions._sessions.values()
+        solver = session.solver
+        assert solver.ls_budget == 3
+        assert solver.method == defaults["method"].default
+        assert solver.fallback_ratio == defaults["fallback_ratio"].default
+        assert (
+            solver.min_fallback_region
+            == defaults["min_fallback_region"].default
+        )
 
     def test_mutation_batches_are_transactional(self):
         """A failing batch rolls back: the session never holds half a

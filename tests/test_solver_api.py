@@ -19,6 +19,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     BatchSolver,
@@ -36,7 +37,7 @@ from repro import (
 )
 from repro.api import AUTO, Solver, known_methods
 from repro.core import HyperSemiMatching, TaskHypergraph
-from repro.engine import solve_hypergraph, solve_portfolio
+from repro.engine import solve_hypergraph
 
 from strategies import random_hypergraph, task_hypergraphs
 
@@ -305,12 +306,6 @@ class TestSolveOptions:
         with pytest.raises(dataclasses.FrozenInstanceError):
             opts.method = "SGH"
 
-    def test_refine_folds_into_expression(self):
-        a = SolveOptions(method="EVG", refine=True)
-        b = SolveOptions(method="EVG+ls")
-        assert a.expression() == b.expression() == Refine("EVG")
-        assert a.cache_token() == b.cache_token()
-
     def test_alias_normalizes_to_primary(self):
         a = SolveOptions(method="expected-vector-greedy-hyp")
         b = SolveOptions(method="EVG")
@@ -327,31 +322,18 @@ class TestSolveOptions:
         rnd2 = SolveOptions(method="grasp", seed=2).cache_token()
         assert rnd1 != rnd2
 
-    def test_portfolio_overrides_method(self):
-        opts = SolveOptions(method="SGH", portfolio=("EVG", "EGH"))
-        assert opts.expression() == Portfolio("EVG", "EGH")
-
-    def test_refine_skipped_for_exhaustive(self):
-        # historical: refine was a no-op on the exhaustive oracle
-        opts = SolveOptions(method="exhaustive", refine=True)
-        assert opts.expression() == Solver("exhaustive")
-
-    def test_empty_portfolio_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            SolveOptions(portfolio=()).normalized()
-
     def test_unknown_portfolio_entry_message(self):
         with pytest.raises(
             UnknownSolverError, match="unknown portfolio entry"
         ):
-            SolveOptions(portfolio=("quantum",)).normalized()
+            SolveOptions(method=Portfolio("quantum")).normalized()
 
     def test_default_portfolio_expansion(self):
         expr = SolveOptions(method="portfolio").expression()
         assert expr == Portfolio(*get_registry().default_portfolio())
 
     def test_normalized_idempotent(self):
-        opts = SolveOptions(method="EVG", refine=True).normalized()
+        opts = SolveOptions(method="EVG+ls").normalized()
         assert opts.normalized() == opts
         assert opts.is_normalized
 
@@ -359,11 +341,149 @@ class TestSolveOptions:
         with pytest.raises(ValueError, match="positive"):
             SolveOptions(time_budget=0.0)
 
+    @pytest.mark.parametrize("field,value,error", [
+        ("seed", True, TypeError),
+        ("seed", "7", TypeError),
+        ("seed", 2.5, TypeError),
+        ("seed", 2.7, TypeError),  # once truncated into seed=2's answers
+        ("seed", None, TypeError),
+        ("time_budget", True, TypeError),
+        ("time_budget", "x", TypeError),
+        ("time_budget", -1, ValueError),
+        ("time_budget", float("nan"), ValueError),
+    ])
+    def test_rejects_bad_field_values(self, field, value, error):
+        with pytest.raises(error, match=field):
+            SolveOptions(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 7),
+        ("seed", np.int64(7)),
+        ("seed", np.int32(7)),
+        ("time_budget", 1),
+        ("time_budget", 0.5),
+        ("time_budget", np.float64(2.0)),
+    ])
+    def test_accepts_good_field_values(self, field, value):
+        opts = SolveOptions(**{field: value})
+        assert getattr(opts, field) == value
+        assert type(opts.seed) is int
+
     def test_options_pickle(self):
         opts = SolveOptions(
             method=Portfolio("SGH", Refine("EVG")), seed=3
         ).normalized()
         assert pickle.loads(pickle.dumps(opts)) == opts
+
+
+# ---------------------------------------------------------------------------
+# every entry point reads the same request
+# ---------------------------------------------------------------------------
+_METHODS = st.sampled_from([
+    "auto", "SGH", "EVG+ls", "grasp", "portfolio", "portfolio(SGH,grasp)",
+    "expected-vector-greedy-hyp",
+    Refine("EVG"), Portfolio("SGH", Refine("VGH")), Solver("grasp"),
+])
+_SEEDS = st.integers(0, 2**31 - 1)
+_REQUEST_FIELDS = st.fixed_dictionaries({}, optional={
+    "method": _METHODS,
+    "seed": st.one_of(_SEEDS, _SEEDS.map(np.int64)),
+    "time_budget": st.none() | st.floats(0.5, 100.0),
+    "backend": st.sampled_from(["numpy", "python"]),
+})
+
+
+def _dispatched_options(fields):
+    """The normalized options :func:`solve_hypergraph` hands the engine."""
+    from unittest import mock
+
+    import repro.engine.dispatch as dispatch
+
+    with mock.patch.object(
+        dispatch,
+        "solve_hypergraph_outcome",
+        wraps=dispatch.solve_hypergraph_outcome,
+    ) as spy:
+        solve_hypergraph(_TINY, **fields)
+    _hg, options = spy.call_args.args
+    return options.normalized()
+
+
+_TINY = random_hypergraph(np.random.default_rng(5), max_tasks=4)
+
+
+class TestEntryPoints:
+    @settings(max_examples=25, deadline=None)
+    @given(_REQUEST_FIELDS)
+    def test_every_entry_point_reads_the_same_request(self, fields):
+        from repro.sched import solve as sched_solve
+        from repro.service import options_to_wire
+        from repro.service.server import SolveServer
+
+        expected = SolveOptions(**fields).normalized()
+        quiet = dict(max_workers=1, executor="serial", cache=False)
+        seen = {
+            "api.solve": solve(_TINY, **fields).options,
+            "sched.solve": sched_solve(_TINY, **fields).options,
+            "BatchSolver(**f).solve": (
+                BatchSolver(**quiet, **fields).solve(_TINY).options
+            ),
+            "BatchSolver().solve_many": (
+                BatchSolver(**quiet).solve_many([_TINY], **fields)[0].options
+            ),
+            "solve_many": solve_many([_TINY], **quiet, **fields)[0].options,
+            "solve_hypergraph": _dispatched_options(fields),
+            "server": SolveServer()._normalized_options(
+                options_to_wire(**fields)
+            )[0],
+        }
+        for entry, options in seen.items():
+            assert options == expected, entry
+            assert options.cache_token() == expected.cache_token(), entry
+
+    def test_options_and_fields_together_is_a_type_error(self):
+        from repro.sched import solve as sched_solve
+        from repro.service import options_to_wire
+
+        opts = SolveOptions(method="SGH")
+        quiet = dict(max_workers=1, executor="serial", cache=False)
+        calls = {
+            "api.solve": lambda: solve(_TINY, options=opts, method="EVG"),
+            "sched.solve": (
+                lambda: sched_solve(_TINY, options=opts, method="EVG")
+            ),
+            "solve_hypergraph": (
+                lambda: solve_hypergraph(_TINY, options=opts, method="EVG")
+            ),
+            "BatchSolver()": (
+                lambda: BatchSolver(**quiet, options=opts, method="EVG")
+            ),
+            "BatchSolver.solve": lambda: BatchSolver(**quiet).solve(
+                _TINY, options=opts, method="EVG"
+            ),
+            "BatchSolver.solve_many": lambda: BatchSolver(**quiet).solve_many(
+                [_TINY], options=opts, method="EVG"
+            ),
+            "solve_many": lambda: solve_many(
+                [_TINY], **quiet, options=opts, method="EVG"
+            ),
+            "options_to_wire": (
+                lambda: options_to_wire(opts, method="EVG")
+            ),
+        }
+        for entry, call in calls.items():
+            with pytest.raises(TypeError, match="not both"):
+                call()
+                pytest.fail(entry)
+
+    def test_per_call_fields_override_engine_defaults(self, hg):
+        engine = BatchSolver(
+            max_workers=1, executor="serial", cache=False,
+            method="grasp", seed=4,
+        )
+        r = engine.solve(hg, seed=9)
+        assert r.options == SolveOptions(method="grasp", seed=9).normalized()
+        assert engine.solve(hg).options.seed == 4
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +545,8 @@ class TestBitIdentical:
                 assert via.makespan == direct.makespan, spec.name
 
     def test_portfolio_string_and_expression_agree(self, hg, engine):
-        via_kwarg = solve_portfolio(
-            hg, algorithms=("SGH", "EVG+ls"), seed=1
+        via_string = solve_hypergraph(
+            hg, method="portfolio(SGH,EVG+ls)", seed=1
         )
         via_expr = engine.solve(
             hg,
@@ -435,7 +555,7 @@ class TestBitIdentical:
             ),
         )
         assert np.array_equal(
-            via_kwarg.hedge_of_task, via_expr.hedge_of_task
+            via_string.hedge_of_task, via_expr.hedge_of_task
         )
 
 
@@ -463,7 +583,7 @@ class TestSolveResultProperties:
     def test_portfolio_metadata_matches_matching(self, hg):
         engine = BatchSolver(max_workers=1, executor="serial", cache=False)
         result = engine.solve(
-            hg, portfolio=("SGH", "VGH", "EVG"), seed=0
+            hg, method=Portfolio("SGH", "VGH", "EVG"), seed=0
         )
         stats = result.portfolio
         assert stats is not None and len(stats) == 3
@@ -545,7 +665,7 @@ class TestProvenance:
         engine = BatchSolver(
             max_workers=1, executor="serial", cache=cache
         )
-        engine.solve(hg, method="EVG", refine=True)
+        engine.solve(hg, method=Refine("EVG"))
         r = engine.solve(hg, method="EVG+ls")
         assert r.cache_hit
         assert cache.stats()["entries"] == 1
