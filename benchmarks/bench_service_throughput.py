@@ -1,4 +1,4 @@
-"""Service throughput bench: ``BENCH_service.json`` + two hard guards.
+"""Service throughput bench: ``BENCH_service.json`` + its hard guards.
 
 Four workloads against a real :class:`repro.service.SolveServer` on a
 loopback TCP port (a fresh server — and a fresh private result cache —
@@ -29,6 +29,15 @@ mode on every push):
   needs real cores — on hosts with fewer than 4 CPUs it is *waived*
   (recorded in the report, never fabricated).
 
+* ingest: a large instance's whole wire path —
+  ``instance_to_wire`` + ``encode_frame`` + ``decode_frame`` +
+  ``hypergraph_from_wire`` at n=10240, p=2048 — costs at most
+  ``MAX_INGEST_OVER_CSR`` (3x) one ``TaskHypergraph.from_csr`` of the
+  same arrays.  A ratio of two in-process timings on one host, so it
+  binds on any hardware.  The ``wire_ingest`` block also times the
+  same request in the serialize v2 dict (base64 buffers in the JSON
+  line, the wire encoding before binary attachments) for reference.
+
 A fifth workload block, ``sharded_sweep``, ramps concurrency
 100 → 1000 → 10000 against a 4-worker :class:`ShardedSolveServer` and
 records req/s plus per-shard latency at each level.
@@ -50,20 +59,33 @@ import threading
 import time
 from pathlib import Path
 
+from repro.core import TaskHypergraph
 from repro.engine import ResultCache
 from repro.engine.batch import BatchSolver
 from repro.generators import generate_multiproc
+from repro.io.serialize import (
+    hypergraph_from_dict,
+    hypergraph_to_dict,
+    pack_hypergraph,
+)
 from repro.service import (
     AsyncServiceClient,
     ServiceClient,
     ShardedSolveServer,
     SolveServer,
+    instance_to_wire,
 )
+from repro.service.protocol import decode_frame, encode_frame, request
 from repro.service.supervisor import WorkerSpec
+from repro.service.wire import hypergraph_from_wire
 
 MIN_BATCHING_GAIN = 2.0
 MIN_DEDUP_GAIN = 10.0
 MIN_SHARDED_GAIN = 1.8
+MAX_INGEST_OVER_CSR = 3.0
+
+#: the ingest guard's instance: perfbench large-cold's size
+INGEST_TASKS, INGEST_PROCS = 10240, 2048
 
 #: tiny instances: the per-request overhead the batcher amortises
 #: dominates, which is exactly the regime micro-batching exists for
@@ -416,6 +438,64 @@ def bench_sharded_scaling(n_requests: int) -> dict:
     }
 
 
+def bench_wire_ingest(repeats: int) -> dict:
+    """A large solve request's ingest, in process: the attachment wire
+    path against ``from_csr`` alone on the same int32 arrays, and the
+    serialize v2 (base64-in-JSON) request for reference.  Min of
+    ``repeats`` interleaved rounds per leg."""
+    hg = generate_multiproc(
+        INGEST_TASKS, INGEST_PROCS, family="fewgmanyg", g=32,
+        weights="related", seed=1,
+    )
+    packed = pack_hypergraph(hg)
+
+    def from_csr():
+        return TaskHypergraph.from_csr(
+            hg.n_tasks, hg.n_procs, packed["hedge_task"],
+            packed["hedge_ptr"], packed["hedge_procs"], packed["weights"],
+        )
+
+    def wire():
+        frame = encode_frame(
+            request("solve", 1, instance=instance_to_wire(hg))
+        )
+        return hypergraph_from_wire(decode_frame(frame)["instance"]), frame
+
+    def base64_v2():
+        line = (
+            json.dumps(
+                request("solve", 1, instance=hypergraph_to_dict(hg)),
+                separators=(",", ":"),
+            )
+            + "\n"
+        ).encode()
+        return hypergraph_from_dict(json.loads(line)["instance"]), line
+
+    legs = {"from_csr": from_csr, "wire": wire, "base64_v2": base64_v2}
+    best = dict.fromkeys(legs, float("inf"))
+    sizes = {}
+    for _ in range(repeats):
+        for name, leg in legs.items():
+            t0 = time.perf_counter()
+            out = leg()
+            best[name] = min(best[name], time.perf_counter() - t0)
+            if name != "from_csr":
+                parsed, frame = out
+                assert parsed.hedge_w.tobytes() == hg.hedge_w.tobytes()
+                sizes[name] = len(frame)
+    return {
+        "instance": [INGEST_TASKS, INGEST_PROCS],
+        "repeats": repeats,
+        "from_csr_ms": best["from_csr"] * 1e3,
+        "wire_ingest_ms": best["wire"] * 1e3,
+        "base64_v2_ingest_ms": best["base64_v2"] * 1e3,
+        "wire_frame_mib": sizes["wire"] / 2**20,
+        "base64_v2_frame_mib": sizes["base64_v2"] / 2**20,
+        "wire_over_from_csr": best["wire"] / best["from_csr"],
+        "base64_v2_over_from_csr": best["base64_v2"] / best["from_csr"],
+    }
+
+
 def run_bench(smoke: bool) -> dict:
     n_small = 100 if smoke else 300
     n_dedup = 32 if smoke else 128
@@ -432,6 +512,8 @@ def run_bench(smoke: bool) -> dict:
 
     dedup = bench_dedup(n_dedup)
     dedup_gain = dedup["speedup_vs_serial_solves"]
+
+    ingest = bench_wire_ingest(5 if smoke else 9)
 
     sweep_levels = [100, 1000] if smoke else [100, 1000, 10000]
     sweep = bench_sharded_sweep(sweep_levels)
@@ -453,6 +535,7 @@ def run_bench(smoke: bool) -> dict:
             "dedup_identical": dedup,
             "sharded_sweep": sweep,
             "sharded_scaling": scaling,
+            "wire_ingest": ingest,
         },
         "assertions": {
             "batching_gain": batching_gain,
@@ -463,6 +546,8 @@ def run_bench(smoke: bool) -> dict:
             "sharded_gain": scaling["sharded_gain"],
             "min_sharded_gain": MIN_SHARDED_GAIN,
             "sharded_guard_waived": sharded_waived,
+            "ingest_over_from_csr": ingest["wire_over_from_csr"],
+            "max_ingest_over_from_csr": MAX_INGEST_OVER_CSR,
         },
     }
     if sharded_waived:
@@ -483,6 +568,11 @@ def check(report: dict) -> None:
     assert a["dedup_gain"] >= a["min_dedup_gain"], (
         f"single-flight dedup gained only {a['dedup_gain']:.2f}x on the "
         f"all-duplicates workload (floor {a['min_dedup_gain']:g}x)"
+    )
+    assert a["ingest_over_from_csr"] <= a["max_ingest_over_from_csr"], (
+        f"wire ingest of an n={INGEST_TASKS} instance costs "
+        f"{a['ingest_over_from_csr']:.2f}x from_csr alone (ceiling "
+        f"{a['max_ingest_over_from_csr']:g}x)"
     )
     if not a.get("sharded_guard_waived"):
         assert a["sharded_gain"] >= a["min_sharded_gain"], (
@@ -536,11 +626,19 @@ def main(argv=None) -> int:
         f"cold {SCALE_METHOD})"
         + ("  [guard waived: too few cpus]" if waived else "")
     )
+    ingest = w["wire_ingest"]
+    print(
+        f"ingest   : {ingest['wire_ingest_ms']:8.1f} ms wire "
+        f"({ingest['wire_over_from_csr']:.2f}x from_csr), "
+        f"{ingest['base64_v2_ingest_ms']:.1f} ms base64 v2 "
+        f"({ingest['base64_v2_over_from_csr']:.1f}x)"
+    )
     print(f"wrote {args.out}")
     check(report)
     print(
         f"OK: batching >= {MIN_BATCHING_GAIN:g}x, "
-        f"dedup >= {MIN_DEDUP_GAIN:g}x"
+        f"dedup >= {MIN_DEDUP_GAIN:g}x, "
+        f"ingest <= {MAX_INGEST_OVER_CSR:g}x from_csr"
         + (
             ""
             if waived

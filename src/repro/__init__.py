@@ -52,9 +52,10 @@ Package map
 * :mod:`repro.engine` — batch solving: ``BatchSolver``/``solve_many``
   (process/thread pools, chunked distribution), portfolio racing, and a
   content-addressed result cache shared with ``solve``;
-* :mod:`repro.service` — the traffic front-end: an asyncio NDJSON/TCP
-  solve server with adaptive micro-batching, single-flight dedup of
-  identical in-flight requests, sessioned dynamic instances and
+* :mod:`repro.service` — the traffic front-end: an asyncio TCP solve
+  server (JSON header lines, binary array attachments) with adaptive
+  micro-batching, single-flight dedup of identical in-flight
+  requests, sessioned dynamic instances and
   admission control (``semimatch serve`` / ``semimatch submit``), plus
   blocking and asyncio clients;
 * :mod:`repro.experiments` — the paper's tables (engine-accelerated via

@@ -17,9 +17,10 @@ Flagged inside ``async def`` bodies in ``service``-domain modules:
   engine is synchronous by design, services must route it through the
   executor (the micro-batcher) instead;
 * CPU-bound wire parsing (``hypergraph_from_wire`` & friends, and
-  ``decode_frame``): deserializing a multi-MB instance builds numpy
-  arrays, and ``json.loads`` of its frame alone takes tens of
-  milliseconds — just as loop-hostile as a sleep;
+  ``decode_frame``/``decode_header``): deserializing a multi-MB
+  instance builds numpy arrays, and ``json.loads`` of a multi-MB JSON
+  header alone takes tens of milliseconds — just as loop-hostile as a
+  sleep;
 * calls to *same-module sync helpers* that themselves do any of the
   above (one transitive hop) — the helper indirection is exactly how
   the pre-fix ``server._op_solve`` hid its on-loop parse behind
@@ -60,6 +61,7 @@ BLOCKING_NAMES = frozenset({"open", "input"})
 #: kernel compilation is pure numpy churn and must run on the executor
 CPU_BOUND = frozenset({
     "decode_frame",
+    "decode_header",
     "hypergraph_from_wire",
     "dynamic_from_wire",
     "compile_instance",

@@ -149,7 +149,8 @@ class TaskHypergraph:
         ``hedge_procs[hedge_ptr[h]:hedge_ptr[h + 1]]``; every other
         argument is as in :meth:`from_hyperedges`.  Every check is a
         vectorized pass, so this is the constructor for instances that
-        arrive as flat arrays (the serialize v2 dict, the wire).
+        arrive as flat arrays (the serialize v2 dict, the wire's frame
+        attachments).
         """
         n_tasks, n_procs = int(n_tasks), int(n_procs)
         if n_tasks < 0 or n_procs < 0:

@@ -1,10 +1,13 @@
 """JSON-friendly serialisation of graphs, hypergraphs and matchings.
 
 Instances round-trip through plain dictionaries, so they can be stored
-with :mod:`json`, shipped between processes (the solve service's wire
-instances are these dicts), or checked into a repository as fixtures.
-Files written by :func:`save_instance` carry a ``kind`` tag and a
-format version.
+with :mod:`json` or checked into a repository as fixtures.  Files
+written by :func:`save_instance` carry a ``kind`` tag and a format
+version.  These dicts are the *file* format: the solve service sends a
+hypergraph's arrays as binary frame attachments instead (see
+:mod:`repro.service.protocol`), built from the same
+:func:`pack_hypergraph` arrays and read back through the same
+:func:`unpack_hypergraph`.
 
 Hypergraph dicts (``kind: "hypergraph"``) are written as **version 2**,
 the packed CSR form of :class:`~repro.core.hypergraph.TaskHypergraph`::
@@ -47,6 +50,8 @@ __all__ = [
     "bipartite_from_dict",
     "hypergraph_to_dict",
     "hypergraph_from_dict",
+    "pack_hypergraph",
+    "unpack_hypergraph",
     "matching_to_dict",
     "save_instance",
     "load_instance",
@@ -96,20 +101,19 @@ def bipartite_from_dict(data: dict[str, Any]) -> BipartiteGraph:
     )
 
 
-def hypergraph_to_dict(hg: TaskHypergraph) -> dict[str, Any]:
-    """Serialise a hypergraph as a version 2 (packed CSR) dict."""
+def pack_hypergraph(hg: TaskHypergraph) -> dict[str, np.ndarray]:
+    """A hypergraph's CSR arrays in their packed dtypes
+    (``hedge_task``, ``hedge_ptr``, ``hedge_procs`` as little-endian
+    int32, ``weights`` as little-endian float64).
+
+    Raises :class:`GraphStructureError` for a value beyond int32."""
     arrays = {
         "hedge_task": hg.hedge_task,
         "hedge_ptr": hg.hedge_ptr,
         "hedge_procs": hg.hedge_procs,
         "weights": hg.hedge_w,
     }
-    out: dict[str, Any] = {
-        "kind": "hypergraph",
-        "version": _HYPERGRAPH_VERSION,
-        "n_tasks": int(hg.n_tasks),
-        "n_procs": int(hg.n_procs),
-    }
+    out = {}
     for key, arr in arrays.items():
         dtype = _PACKED[key]
         if dtype == "<i4" and arr.size and arr.max() > _INT32_MAX:
@@ -117,7 +121,52 @@ def hypergraph_to_dict(hg: TaskHypergraph) -> dict[str, Any]:
                 f"{key} holds a value outside int32; the instance is too "
                 "large for the serialized form"
             )
-        packed = np.ascontiguousarray(arr, dtype=dtype)
+        out[key] = np.ascontiguousarray(arr, dtype=dtype)
+    return out
+
+
+def unpack_hypergraph(data: dict[str, Any]) -> TaskHypergraph:
+    """The inverse of :func:`pack_hypergraph`: ``data`` holds the
+    ``n_tasks``/``n_procs`` counts and the four packed arrays under
+    their field names.
+
+    Every array must be a numpy array of its packed dtype; the CSR
+    content is validated by :meth:`TaskHypergraph.from_csr`.  A
+    malformed count or array raises :class:`GraphStructureError`, a
+    missing field ``KeyError``."""
+    n_tasks = _field(data, "n_tasks")
+    n_procs = _field(data, "n_procs")
+    for key, value in (("n_tasks", n_tasks), ("n_procs", n_procs)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise GraphStructureError(f"{key} must be an integer")
+    arrays = {key: _field(data, key) for key in _PACKED}
+    for key, arr in arrays.items():
+        if not isinstance(arr, np.ndarray) or arr.dtype != _PACKED[key]:
+            got = arr.dtype.str if isinstance(arr, np.ndarray) else type(arr).__name__
+            raise GraphStructureError(
+                f"{key} must be {_PACKED[key]} data, got {got}"
+            )
+    return TaskHypergraph.from_csr(
+        n_tasks,
+        n_procs,
+        arrays["hedge_task"],
+        arrays["hedge_ptr"],
+        arrays["hedge_procs"],
+        # from_csr keeps float64 weights as given; a copy stops them
+        # from pinning the (much larger) buffer they were read from
+        arrays["weights"].copy(),
+    )
+
+
+def hypergraph_to_dict(hg: TaskHypergraph) -> dict[str, Any]:
+    """Serialise a hypergraph as a version 2 (packed CSR) dict."""
+    out: dict[str, Any] = {
+        "kind": "hypergraph",
+        "version": _HYPERGRAPH_VERSION,
+        "n_tasks": int(hg.n_tasks),
+        "n_procs": int(hg.n_procs),
+    }
+    for key, packed in pack_hypergraph(hg).items():
         out[key] = base64.b64encode(packed.data).decode("ascii")
     return out
 
@@ -142,19 +191,8 @@ def hypergraph_from_dict(data: dict[str, Any]) -> TaskHypergraph:
             f"unsupported hypergraph dict version {version!r} "
             f"(this reader knows 1 and {_HYPERGRAPH_VERSION})"
         )
-    n_tasks = _field(data, "n_tasks")
-    n_procs = _field(data, "n_procs")
-    for key, value in (("n_tasks", n_tasks), ("n_procs", n_procs)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise GraphStructureError(f"{key} must be an integer")
-    arrays = {key: _unpack(data, key) for key in _PACKED}
-    return TaskHypergraph.from_csr(
-        n_tasks,
-        n_procs,
-        arrays["hedge_task"],
-        arrays["hedge_ptr"],
-        arrays["hedge_procs"],
-        arrays["weights"],
+    return unpack_hypergraph(
+        {**data, **{key: _unpack(data, key) for key in _PACKED}}
     )
 
 

@@ -22,6 +22,7 @@ compilation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -267,12 +268,32 @@ def _build_union(ck: CompiledKernels) -> tuple[np.ndarray, ...]:
     return g_pin_w, g_pin_row, g_pin_pos, u_ptr, u_procs
 
 
+def _owner(arr: np.ndarray) -> tuple[Any, int]:
+    """The object whose memory ``arr`` keeps alive — the end of its
+    chain of ``.base`` arrays and ``memoryview.obj`` exporters — and
+    that object's size in bytes."""
+    obj: Any = arr
+    while True:
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            obj = obj.base
+        elif isinstance(obj, memoryview) and obj.obj is not None:
+            obj = obj.obj
+        else:
+            break
+    try:
+        with memoryview(obj) as view:
+            return obj, view.nbytes
+    except TypeError:  # not a buffer exporter: price the array alone
+        return obj, arr.nbytes
+
+
 def compiled_nbytes(compiled: CompiledKernels) -> int:
-    """Approximate heap footprint of one compilation: the sum over its
-    unique array buffers (kernel fields share storage with the
-    hypergraph's CSR arrays, so buffers are deduplicated by identity).
-    The lazily built indexes count only once built; pricing never
-    builds them."""
+    """Approximate heap footprint of one compilation: the sum over the
+    unique buffers its arrays keep alive (kernel fields share storage
+    with the hypergraph's CSR arrays, so buffers are deduplicated by
+    identity).  A view is priced at the whole buffer it pins — a
+    weights view over a received frame costs the frame.  The lazily
+    built indexes count only once built; pricing never builds them."""
     hg = compiled.hypergraph
     seen: set[int] = set()
     total = 0
@@ -284,10 +305,10 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
         hg.task_ptr, hg.task_hedges,
         *hg.__dict__.get("_proc_index_memo", ()),
     ):
-        buf = arr.base if arr.base is not None else arr
-        if id(buf) not in seen:
-            seen.add(id(buf))
-            total += getattr(buf, "nbytes", arr.nbytes)
+        owner, nbytes = _owner(arr)
+        if id(owner) not in seen:
+            seen.add(id(owner))
+            total += nbytes
     return total
 
 

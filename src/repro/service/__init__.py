@@ -1,8 +1,9 @@
 """repro.service — the async solve server and its clients.
 
 Everything before this package answers *library* calls; this one
-answers **traffic**: a long-lived asyncio TCP server speaking
-newline-delimited JSON (:mod:`~repro.service.protocol`), built so the
+answers **traffic**: a long-lived asyncio TCP server speaking JSON
+header lines with binary array attachments
+(:mod:`~repro.service.protocol`), built so the
 engine's throughput machinery finally amortizes across requests
 instead of across one process's loop —
 

@@ -66,7 +66,11 @@ __all__ = [
 # wire conversion
 # ----------------------------------------------------------------------
 def instance_to_wire(instance: Any) -> dict:
-    """An instance as its protocol dict (pass-through for dicts)."""
+    """An instance as its protocol dict (pass-through for dicts).
+
+    A hypergraph becomes its packed CSR arrays (little-endian int32
+    and float64), which :func:`~repro.service.protocol.encode_frame`
+    sends as frame attachments."""
     if isinstance(instance, dict):
         return instance
     if isinstance(instance, SchedulingProblem):
@@ -74,9 +78,14 @@ def instance_to_wire(instance: Any) -> dict:
     if isinstance(instance, DynamicInstance):
         return instance.to_state()
     if isinstance(instance, TaskHypergraph):
-        from ..io.serialize import hypergraph_to_dict
+        from ..io.serialize import pack_hypergraph
 
-        return hypergraph_to_dict(instance)
+        return {
+            "kind": "hypergraph",
+            "n_tasks": int(instance.n_tasks),
+            "n_procs": int(instance.n_procs),
+            **pack_hypergraph(instance),
+        }
     if isinstance(instance, BipartiteGraph):
         from ..io.serialize import bipartite_to_dict
 

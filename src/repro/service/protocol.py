@@ -1,34 +1,68 @@
-"""The wire protocol of the solve service: newline-delimited JSON.
+"""The wire protocol of the solve service: JSON header lines with
+optional binary tails.
 
-One *frame* is one JSON object on one line, UTF-8, terminated by
-``\\n``.  Clients send versioned request envelopes and read versioned
-response envelopes; requests carry a client-chosen correlation ``id``
-that the server echoes verbatim, so responses may come back in any
-order (the micro-batcher and the single-flight layer both reorder
-completions) and a client can keep many requests in flight on one
-connection.
+One *frame* is one JSON object on one line (UTF-8, terminated by
+``\\n``), its *header*, optionally followed by a raw binary *tail*
+of numeric arrays, its *attachments*.  Clients send versioned request
+envelopes and read versioned response envelopes; requests carry a
+client-chosen correlation ``id`` that the server echoes verbatim, so
+responses may come back in any order (the micro-batcher and the
+single-flight layer both reorder completions) and a client can keep
+many requests in flight on one connection.
 
 Request envelope::
 
     {"v": 1, "id": <any JSON value>, "op": "<op>", ...payload...}
 
+Attachments.  A header with a tail carries an ``"attachments"`` table,
+one ``[dtype, nbytes]`` pair per array, in tail order; each array's
+place in the envelope holds the placeholder ``{"$attachment": k}``
+(``k`` indexes the table)::
+
+    {"v": 1, "id": 7, "op": "solve",
+     "instance": {"kind": "hypergraph", "n_tasks": 2, "n_procs": 3,
+                  "hedge_task": {"$attachment": 0},
+                  "hedge_ptr": {"$attachment": 1},
+                  "hedge_procs": {"$attachment": 2},
+                  "weights": {"$attachment": 3}},
+     "attachments": [["<i4", 12], ["<i4", 16], ["<i4", 16], ["<f8", 24]]}
+    <12 + 16 + 16 + 24 raw bytes>
+
+* The dtypes are ``"<i4"`` (little-endian int32) and ``"<f8"``
+  (little-endian IEEE-754 binary64, so weights arrive bit-exact);
+  nothing else.  Every length is a non-negative integer multiple of
+  its item size.
+* The header line plus the tail total at most :data:`MAX_FRAME_BYTES`.
+  A reader refuses a larger table before reading any of the tail.
+* Every placeholder names an entry of the table and every entry is
+  named by exactly one placeholder.
+* A malformed table (not a list of pairs, an unknown dtype, a bool,
+  negative, fractional or misaligned length) or a tail cut short by
+  end-of-stream answers ``bad-frame``, an oversized one
+  ``frame-too-large``; the reader cannot find the next frame after
+  either, so the server closes the connection.  A bad placeholder
+  answers ``bad-frame`` and the connection stays usable.
+
+:func:`encode_frame` turns every 1-D ``<i4``/``<f8`` numpy array in an
+envelope into an attachment; :func:`decode_frame` resolves the
+placeholders to read-only arrays viewing the tail.
+
 Instances (the ``instance`` of ``solve``, the ``baseline`` of
-``session.open``) are :mod:`repro.io.serialize` dicts.  A hypergraph
-travels as the version 2 packed CSR dict::
+``session.open``).  A hypergraph travels as its CSR arrays, attached::
 
-    {"kind": "hypergraph", "version": 2, "n_tasks": 2, "n_procs": 3,
-     "hedge_task": "<base64>", "hedge_ptr": "<base64>",
-     "hedge_procs": "<base64>", "weights": "<base64>"}
+    {"kind": "hypergraph", "n_tasks": <int>, "n_procs": <int>,
+     "hedge_task": <"<i4">, "hedge_ptr": <"<i4">,
+     "hedge_procs": <"<i4">, "weights": <"<f8">}
 
-``hedge_task`` (one task id per hyperedge), ``hedge_ptr`` (``n_hedges
-+ 1`` offsets into ``hedge_procs``) and ``hedge_procs`` (the processor
-ids of every hyperedge, back to back) are little-endian ``int32``
-buffers; ``weights`` is a little-endian ``float64`` buffer, so weights
-arrive bit-exact.  Every buffer is encoded in the standard base64
-alphabet (RFC 4648, padded).  Servers still read the version 1 form
-(``hedge_task``, ``pins`` — one list of processor ids per hyperedge —
-and ``weights`` as JSON lists).  A malformed instance answers
-``graph-structure``; a missing field answers ``bad-request``.
+``hedge_task`` holds one task id per hyperedge, ``hedge_ptr`` the
+``n_hedges + 1`` offsets into ``hedge_procs`` (the processor ids of
+every hyperedge, back to back) and ``weights`` one weight per
+hyperedge.  A malformed instance (a wrong dtype, a failed CSR check)
+answers ``graph-structure``; a missing field answers ``bad-request``.
+So does a hypergraph dict in the :mod:`repro.io.serialize` file
+format (version 1 pin lists, version 2 base64 buffers): those are
+files' encoding, and the wire has one.  Bipartite dicts and
+``DynamicInstance.to_state()`` dicts travel as plain JSON.
 
 A request may additionally carry an optional ``"trace"`` field —
 ``{"id": "<trace id>", "span": "<parent span id>"}`` — propagating the
@@ -49,9 +83,9 @@ Error codes are *stable machine-readable identifiers* — the same
 transport-level codes defined here.  Clients switch on ``code``, never
 on ``message``.
 
-The module is dependency-free on purpose (stdlib ``json`` only, no
-numpy, no repro imports): it *is* the protocol spec, equally usable by
-a non-Python client author as documentation.
+The module depends on the stdlib ``json`` and numpy only (no repro
+imports): it *is* the protocol spec, equally usable by a non-Python
+client author as documentation.
 """
 
 from __future__ import annotations
@@ -59,9 +93,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
+    "ATTACHMENT_DTYPES",
     "OPS",
     "ErrorCode",
     "ERROR_CODES",
@@ -75,6 +112,8 @@ __all__ = [
     "RemoteError",
     "encode_frame",
     "decode_frame",
+    "decode_header",
+    "resolve_attachments",
     "request",
     "ok_response",
     "error_response",
@@ -86,8 +125,18 @@ __all__ = [
 #: changes; servers reject frames claiming any other version.
 PROTOCOL_VERSION = 1
 
-#: Upper bound on one frame's size (requests carry whole instances).
+#: Upper bound on one frame's size, header line plus tail (requests
+#: carry whole instances).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: The dtypes an attachment may declare: little-endian int32 and
+#: float64.
+ATTACHMENT_DTYPES = ("<i4", "<f8")
+
+#: The header field holding the attachment table, and the key of a
+#: placeholder object.
+_TABLE = "attachments"
+_PLACEHOLDER = "$attachment"
 
 #: Every operation a server answers.
 OPS = (
@@ -153,9 +202,20 @@ class ServiceError(Exception):
 
 class ProtocolError(ServiceError):
     """A frame or envelope the server cannot accept (bad JSON, wrong
-    version, unknown op, malformed payload)."""
+    version, unknown op, malformed payload).
+
+    ``fatal`` marks an error after which the reader cannot find the
+    next frame in the stream (an unreadable attachment table, a
+    truncated tail): the server answers it and closes the
+    connection."""
 
     code = ErrorCode.BAD_FRAME
+
+    def __init__(
+        self, message: str, *, code: str | None = None, fatal: bool = False
+    ) -> None:
+        super().__init__(message, code=code)
+        self.fatal = fatal
 
 
 class OverloadedError(ServiceError):
@@ -207,30 +267,192 @@ class RemoteError(ServiceError):
 # framing
 # ----------------------------------------------------------------------
 def encode_frame(obj: dict[str, Any]) -> bytes:
-    """One envelope as one NDJSON line (compact separators, UTF-8).
+    """One envelope as one frame: a compact JSON header line, then the
+    tail of its attachments.
 
+    Every 1-D numpy array of an attachment dtype anywhere in ``obj``
+    becomes an attachment (any other array is a ``TypeError``).
     ``json.dumps`` emits the shortest round-tripping representation of
-    every float, so makespans and weights survive the wire bit-exactly.
+    every float, so makespans survive the wire bit-exactly.
     """
-    return (
-        json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
-    ).encode("utf-8")
+    tail: list[np.ndarray] = []
+
+    def attach(value: Any) -> dict[str, int]:
+        if (
+            isinstance(value, np.ndarray)
+            and value.ndim == 1
+            and value.dtype.str in ATTACHMENT_DTYPES
+        ):
+            tail.append(np.ascontiguousarray(value))
+            return {_PLACEHOLDER: len(tail) - 1}
+        raise TypeError(
+            f"cannot put a {type(value).__name__} on the wire (arrays "
+            f"must be 1-D and one of {list(ATTACHMENT_DTYPES)})"
+        )
+
+    if _TABLE in obj:
+        raise ValueError(f"{_TABLE!r} is reserved for the frame's table")
+    header = json.dumps(
+        obj, separators=(",", ":"), allow_nan=False, default=attach
+    )
+    if not tail:
+        return (header + "\n").encode("utf-8")
+    table = json.dumps(
+        [[arr.dtype.str, arr.nbytes] for arr in tail], separators=(",", ":")
+    )
+    # the table is known only once the envelope is written: splice it
+    # in as the header's last field
+    header = f'{header[:-1]}{"," if len(header) > 2 else ""}"{_TABLE}":{table}}}'
+    parts: list[bytes | memoryview] = [(header + "\n").encode("utf-8")]
+    parts.extend(arr.data for arr in tail)
+    return b"".join(parts)
 
 
-def decode_frame(line: bytes | str) -> dict[str, Any]:
-    """Parse one line into an envelope dict.
+def decode_header(
+    line: bytes | str,
+) -> tuple[dict[str, Any], list[tuple[str, int]]]:
+    """Parse one header line: ``(envelope, attachment table)``.
 
-    Raises :class:`ProtocolError` (code ``bad-frame``) for anything
-    that is not one JSON object.
+    The table (``[(dtype, nbytes), ...]``, empty for a frame without a
+    tail) is taken out of the envelope.  Raises :class:`ProtocolError`:
+    ``bad-frame`` for anything that is not one JSON object, and a
+    *fatal* ``bad-frame`` or ``frame-too-large`` for a table that
+    cannot be read or whose frame exceeds :data:`MAX_FRAME_BYTES`.
     """
     try:
         obj = json.loads(line)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise ProtocolError(f"frame is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError(
             f"frame must be a JSON object, got {type(obj).__name__}"
         )
+    if _TABLE not in obj:
+        return obj, []
+    table = obj.pop(_TABLE)
+    if not isinstance(table, list):
+        raise ProtocolError(
+            f"{_TABLE!r} must be a list of [dtype, nbytes] pairs",
+            fatal=True,
+        )
+    out: list[tuple[str, int]] = []
+    total = len(line)
+    for k, entry in enumerate(table):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ProtocolError(
+                f"attachment {k} must be a [dtype, nbytes] pair",
+                fatal=True,
+            )
+        dtype, nbytes = entry
+        if dtype not in ATTACHMENT_DTYPES:
+            raise ProtocolError(
+                f"attachment {k} has dtype {dtype!r}; allowed: "
+                f"{list(ATTACHMENT_DTYPES)}",
+                fatal=True,
+            )
+        if (
+            isinstance(nbytes, bool)
+            or not isinstance(nbytes, int)
+            or nbytes < 0
+            or nbytes % int(dtype[-1])
+        ):
+            raise ProtocolError(
+                f"attachment {k} length {nbytes!r} is not a non-negative "
+                f"multiple of the {dtype[-1]}-byte item size",
+                fatal=True,
+            )
+        total += nbytes
+        if total > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"frame exceeds {MAX_FRAME_BYTES} bytes",
+                code=ErrorCode.FRAME_TOO_LARGE,
+                fatal=True,
+            )
+        out.append((dtype, nbytes))
+    return obj, out
+
+
+def resolve_attachments(
+    obj: dict[str, Any],
+    table: list[tuple[str, int]],
+    tail: bytes | memoryview,
+) -> dict[str, Any]:
+    """Replace the placeholders of a decoded header by read-only arrays
+    viewing ``tail`` (no copy).  Raises :class:`ProtocolError`
+    (``bad-frame``) when ``tail`` is not exactly the table's length or
+    the placeholders do not name every entry exactly once."""
+    declared = sum(nbytes for _, nbytes in table)
+    if declared != len(tail):
+        raise ProtocolError(
+            f"frame tail holds {len(tail)} bytes; its table declares "
+            f"{declared}"
+        )
+    arrays: list[np.ndarray | None] = []
+    offset = 0
+    for dtype, nbytes in table:
+        arrays.append(
+            np.frombuffer(
+                tail, dtype=dtype, count=nbytes // int(dtype[-1]),
+                offset=offset,
+            )
+        )
+        offset += nbytes
+
+    def take(ref: dict) -> np.ndarray:
+        k = ref[_PLACEHOLDER]
+        arr = (
+            arrays[k]
+            if len(ref) == 1
+            and isinstance(k, int)
+            and not isinstance(k, bool)
+            and 0 <= k < len(arrays)
+            else None
+        )
+        if arr is None:
+            raise ProtocolError(
+                f"placeholder {ref!r} names no unused attachment of "
+                f"the {len(arrays)} in this frame"
+            )
+        arrays[k] = None
+        return arr
+
+    # an explicit stack: a header nested as deep as json.loads allows
+    # must not overflow a recursive walk
+    stack: list[Any] = [obj]
+    while stack:
+        node = stack.pop()
+        for key, value in (
+            node.items() if isinstance(node, dict) else enumerate(node)
+        ):
+            if isinstance(value, dict) and _PLACEHOLDER in value:
+                node[key] = take(value)
+            elif isinstance(value, (dict, list)):
+                stack.append(value)
+    unused = [k for k, arr in enumerate(arrays) if arr is not None]
+    if unused:
+        raise ProtocolError(
+            f"attachments {unused} are named by no placeholder"
+        )
+    return obj
+
+
+def decode_frame(frame: bytes | str) -> dict[str, Any]:
+    """Parse one whole frame (header line plus tail) into an envelope.
+
+    Raises :class:`ProtocolError` (code ``bad-frame``) for anything
+    that is not one JSON object followed by exactly the tail its
+    table declares.
+    """
+    if isinstance(frame, str):
+        # lone surrogates survive the encode for json.loads to reject
+        frame = frame.encode("utf-8", "surrogatepass")
+    end = frame.find(b"\n") + 1 or len(frame)
+    obj, table = decode_header(frame[:end])
+    tail = memoryview(frame)[end:]
+    if table:
+        return resolve_attachments(obj, table, tail)
+    if bytes(tail).strip():
+        raise ProtocolError("frame has bytes after its header line")
     return obj
 
 

@@ -4,7 +4,8 @@ One :class:`SolveServer` owns the whole serving stack on one TCP
 endpoint:
 
 * the **protocol** layer (:mod:`repro.service.protocol`) frames and
-  validates NDJSON envelopes;
+  validates envelopes (a JSON header line, then any binary
+  attachments);
 * **admission control** bounds work before it starts: a global cap on
   queued solves plus a per-connection in-flight cap, and anything over
   either limit is answered immediately with the ``overloaded``
@@ -66,11 +67,12 @@ from .protocol import (
     MAX_FRAME_BYTES,
     ErrorCode,
     ProtocolError,
-    decode_frame,
+    decode_header,
     encode_frame,
     error_code_for,
     error_response,
     ok_response,
+    resolve_attachments,
     validate_request,
 )
 from .sessions import SessionManager
@@ -87,9 +89,10 @@ __all__ = ["SolveServer"]
 #: on a saturated server — you can always ask it how it is doing).
 _ADMITTED_OPS = ("solve", "session.open", "session.mutate")
 
-#: frames at least this long are decoded on the executor: a large v1
-#: (pin-list) instance costs tens of milliseconds of ``json.loads``,
-#: which on the loop would stall every other connection
+#: header lines at least this long are decoded on the executor: a
+#: large JSON payload (a dynamic-instance state, a bipartite graph)
+#: costs tens of milliseconds of ``json.loads``, which on the loop
+#: would stall every other connection
 _EXECUTOR_DECODE_BYTES = 1 << 20
 
 
@@ -130,7 +133,8 @@ class _SolveTicket:
 
 
 class SolveServer:
-    """A long-lived NDJSON-over-TCP solve service.
+    """A long-lived solve service over TCP (see
+    :mod:`repro.service.protocol` for the frames).
 
     Parameters
     ----------
@@ -332,7 +336,8 @@ class SolveServer:
                     break
                 if not line.strip():
                     continue
-                await self._dispatch_frame(conn, line)
+                if not await self._dispatch_frame(conn, reader, line):
+                    break
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -373,20 +378,46 @@ class SolveServer:
         if closed:
             self.metrics.incr("sessions_reclaimed", closed)
 
-    async def _dispatch_frame(self, conn: _Conn, line: bytes) -> None:
+    async def _dispatch_frame(
+        self, conn: _Conn, reader: asyncio.StreamReader, line: bytes
+    ) -> bool:
+        """Read the rest of the frame ``line`` heads and dispatch it.
+        ``False`` when the stream cannot go on: the frame's attachment
+        table was unreadable or its tail was cut short."""
         req_id: Any = None
         trace_ctx = None
+        loop = asyncio.get_running_loop()
+        # the connection's read loop awaits this dispatch, so its
+        # frames still dispatch in arrival order
+        off_loop = len(line) >= _EXECUTOR_DECODE_BYTES
         try:
-            if len(line) >= _EXECUTOR_DECODE_BYTES:
-                # the connection's read loop awaits this dispatch, so
-                # its frames still dispatch in arrival order
-                obj = await asyncio.get_running_loop().run_in_executor(
-                    None, decode_frame, line
+            if off_loop:
+                obj, table = await loop.run_in_executor(
+                    None, decode_header, line
                 )
             else:
-                # repro: ignore[async-blocking] — below the floor a v2 (packed CSR) frame decodes in under 2 ms; only larger frames are worth an executor hop
-                obj = decode_frame(line)
+                # repro: ignore[async-blocking] — below the floor a header decodes in well under a millisecond (a hypergraph's arrays ride in the binary tail, not the JSON); only larger headers are worth an executor hop
+                obj, table = decode_header(line)
             req_id = obj.get("id")
+            if table:
+                try:
+                    tail = await reader.readexactly(sum(n for _, n in table))
+                except asyncio.IncompleteReadError:
+                    raise ProtocolError(
+                        "frame truncated: the stream ended inside its "
+                        "attachments",
+                        fatal=True,
+                    ) from None
+                # views on the tail, no copy: the walk is over the
+                # header only, and per-field copies on the loop thread
+                # cost resident memory for nothing (the parse copies)
+                obj = (
+                    await loop.run_in_executor(
+                        None, resolve_attachments, obj, table, tail
+                    )
+                    if off_loop
+                    else resolve_attachments(obj, table, tail)
+                )
             trace_ctx = obj.get("trace")
             op, req_id, payload = validate_request(obj)
         except ProtocolError as exc:
@@ -395,7 +426,7 @@ class SolveServer:
             await self._send(
                 conn, error_response(req_id, exc.code, str(exc))
             )
-            return
+            return not exc.fatal
         self.metrics.incr("requests")
         self.metrics.incr(f"requests.{op}")
         admitted = op in _ADMITTED_OPS
@@ -422,7 +453,7 @@ class SolveServer:
                             f"connection); retry later",
                         ),
                     )
-            return
+            return True
         ticket: _SolveTicket | None = None
         if admitted:
             # account at admission time, not inside the handler task:
@@ -448,6 +479,7 @@ class SolveServer:
             self._consume(ticket)
 
         task.add_done_callback(_release)
+        return True
 
     def _consume(self, ticket: _SolveTicket | None) -> None:
         """Retire a solve's expected-arrivals slot (idempotent)."""

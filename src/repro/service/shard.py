@@ -20,7 +20,10 @@ own on a loopback port:
 * **instances cross the hop zero-copy** when they are big enough:
   the front-end parses once, exports the arrays to shared memory
   (:mod:`repro.engine.transport`) and forwards a descriptor; the
-  worker attaches the segment instead of re-deserialising JSON.
+  worker attaches the segment instead of parsing the arrays again.
+  Smaller instances (and every ``session.open`` baseline) are
+  forwarded as received: the decoded attachment arrays go back out
+  as the forwarded frame's attachments.
 * **sessions are pinned**: ``session.open`` picks the least-loaded
   live worker and every later op on that session goes to the same
   worker (incremental state cannot move).  If the worker drains or
@@ -184,8 +187,8 @@ class ShardedSolveServer(SolveServer):
         Virtual nodes per worker slot on the hash ring.
     shm_min_bytes:
         Instances at least this large cross the front-end → worker hop
-        as shared-memory descriptors instead of JSON (0 forces shm for
-        everything, ``None`` disables it).
+        as shared-memory descriptors instead of frame attachments (0
+        forces shm for everything, ``None`` disables it).
     start_timeout_s:
         Per-worker startup budget (import + bind + port handshake).
     """

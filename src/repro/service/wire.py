@@ -1,8 +1,11 @@
 """Wire instance dicts → library objects, shared by every server op.
 
-``solve`` and ``session.open`` both receive instances as the
-:mod:`repro.io.serialize` dicts; parsing lives here once so the two
-paths accept the same kinds and reject unknown ones with the same
+``solve`` and ``session.open`` both receive instances as wire dicts: a
+hypergraph as its CSR arrays in frame attachments (see
+:mod:`repro.service.protocol`), a bipartite graph as its
+:mod:`repro.io.serialize` dict, a dynamic instance as its
+``DynamicInstance.to_state()`` dict.  Parsing lives here once so the
+two paths accept the same kinds and reject unknown ones with the same
 ``bad-request`` code (a client switching on error codes must not see
 two different answers for the identical mistake).
 """
@@ -16,6 +19,7 @@ from ..core.errors import GraphStructureError
 from ..core.hypergraph import TaskHypergraph
 from ..dynamic import DynamicInstance
 from ..engine.transport import attach_instance, is_descriptor
+from ..io.serialize import unpack_hypergraph
 from .protocol import MAX_FRAME_BYTES, ErrorCode, ProtocolError
 
 __all__ = [
@@ -37,7 +41,7 @@ def hypergraph_from_descriptor(data: dict) -> TaskHypergraph:
 
     This is the sharded front-end → worker fast path: the front-end
     already parsed and exported the instance, and the worker attaches
-    the segment instead of re-deserialising JSON.  Only endpoints
+    the segment instead of parsing the arrays again.  Only endpoints
     opted in via ``SolveServer(accept_shm_instances=True)`` reach
     here — an external client must not be able to name arbitrary
     segments."""
@@ -99,13 +103,22 @@ def _checked_kind(data: Any, what: str) -> str:
 def hypergraph_from_wire(data: Any, what: str = "instance") -> TaskHypergraph:
     """The wire dict as an immutable :class:`TaskHypergraph`.
 
-    ``dynamic-instance`` states are accepted too — solving one means
-    solving its current compiled content."""
+    A hypergraph's array fields must be numpy arrays (frame
+    attachments, once decoded).  A :mod:`repro.io.serialize` file dict
+    (it carries a ``version``: 1 for pin lists, 2 for base64 buffers)
+    answers ``bad-request``, and so does an unversioned pin-list dict,
+    which lacks ``hedge_ptr``.  ``dynamic-instance`` states are accepted too —
+    solving one means solving its current compiled content."""
     kind = _checked_kind(data, what)
     if kind == "hypergraph":
-        from ..io.serialize import hypergraph_from_dict
-
-        return hypergraph_from_dict(data)
+        if "version" in data:
+            raise ProtocolError(
+                f"{what} is a hypergraph in the file format "
+                "(repro.io.serialize version 1 or 2); over the wire a "
+                "hypergraph's arrays travel as frame attachments",
+                code=ErrorCode.BAD_REQUEST,
+            )
+        return unpack_hypergraph(data)
     if kind == "bipartite":
         from ..io.serialize import bipartite_from_dict
 

@@ -23,6 +23,7 @@ __all__ = [
     "apply_random_mutations",
     "hyp_solver",
     "malformed_v2_dicts",
+    "malformed_wire_dicts",
 ]
 
 
@@ -251,6 +252,47 @@ def malformed_v2_dicts() -> list[tuple[str, dict]]:
         "count-not-int": {"n_tasks": "2"},
         "negative-count": {"n_procs": -3},
         "unknown-version": {"version": 3},
+    }
+    out = [(name, {**good, **patch}) for name, patch in cases.items()]
+    out.append(("missing-field", missing))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# malformed wire (attachment-form) instance dicts
+# ---------------------------------------------------------------------------
+def malformed_wire_dicts() -> list[tuple[str, dict]]:
+    """``(case, dict)`` pairs: a valid wire hypergraph dict (its arrays
+    go out as frame attachments) with exactly one defect each, on the
+    base instance of :func:`malformed_v2_dicts`."""
+
+    def arr(values, dtype="<i4"):
+        return np.asarray(values, dtype=dtype)
+
+    good = {
+        "kind": "hypergraph",
+        "n_tasks": 2,
+        "n_procs": 3,
+        "hedge_task": arr([0, 0, 1]),
+        "hedge_ptr": arr([0, 1, 3, 4]),
+        "hedge_procs": arr([0, 1, 2, 2]),
+        "weights": arr([1.0, 2.0, 3.0], "<f8"),
+    }
+    missing = dict(good)
+    del missing["hedge_ptr"]
+    cases = {
+        "ptr0-nonzero": {"hedge_ptr": arr([1, 1, 3, 4])},
+        "ptr-non-monotone": {"hedge_ptr": arr([0, 3, 1, 4])},
+        "ptr-wrong-length": {"hedge_ptr": arr([0, 1, 4])},
+        "proc-out-of-range": {"hedge_procs": arr([0, 1, 7, 2])},
+        "negative-proc": {"hedge_procs": arr([0, -1, 2, 2])},
+        "task-out-of-range": {"hedge_task": arr([0, 0, 5])},
+        "ptr-as-float64": {"hedge_ptr": arr([0, 1, 3, 4], "<f8")},
+        "weights-as-int32": {"weights": arr([1, 2, 3])},
+        "nan-weight": {"weights": arr([1.0, np.nan, 3.0], "<f8")},
+        "weights-wrong-length": {"weights": arr([1.0, 2.0], "<f8")},
+        "count-not-int": {"n_tasks": "2"},
+        "json-list-field": {"hedge_task": [0, 0, 1]},
     }
     out = [(name, {**good, **patch}) for name, patch in cases.items()]
     out.append(("missing-field", missing))

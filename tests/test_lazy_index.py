@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.api import solve
+from repro.core import TaskHypergraph
 from repro.engine.cache import instance_digest
 from repro.generators import generate_multiproc
 from repro.io import hypergraph_from_dict, hypergraph_to_dict
@@ -40,7 +41,7 @@ _UNION_FIELDS = ("g_pin_w", "g_pin_row", "g_pin_pos", "u_ptr", "u_procs")
 
 
 def _instance(seed: int = 3):
-    # a wire round-trip, so the instance is built by from_csr alone
+    # a serialize round-trip, so the instance is built by from_csr alone
     hg = generate_multiproc(96, 16, g=4, weights="related", seed=seed)
     return hypergraph_from_dict(hypergraph_to_dict(hg))
 
@@ -250,6 +251,23 @@ class TestCompileCacheBudget:
         assert compile_cache_stats()["bytes"] == sum(
             compiled_nbytes(ck) for ck in entries
         )
+
+    def test_a_view_is_priced_at_the_buffer_it_pins(self):
+        """Weights viewing a slice of a larger buffer (a received frame)
+        keep that whole buffer alive, so the entry costs all of it."""
+        hg = _instance()
+        pad = 1 << 20
+        frame = bytes(pad) + hg.hedge_w.astype("<f8").tobytes()
+        view = np.frombuffer(memoryview(frame)[pad:], dtype="<f8")
+        csr = (hg.n_tasks, hg.n_procs, hg.hedge_task, hg.hedge_ptr,
+               hg.hedge_procs)
+        viewed = TaskHypergraph.from_csr(*csr, view)
+        assert viewed.hedge_w.base is not None  # still the view
+        priced_view = compiled_nbytes(compile_instance(viewed))
+        clear_compile_cache()
+        owned = TaskHypergraph.from_csr(*csr, view.copy())
+        priced_owned = compiled_nbytes(compile_instance(owned))
+        assert priced_view - priced_owned == len(frame) - view.nbytes
 
     def test_pricing_never_builds(self):
         hg = _instance()

@@ -964,12 +964,12 @@ class TestMalformedFrames:
                 rfile.close()
                 sock.close()
 
-    def test_malformed_v2_instances_answer_typed_codes(self):
-        from strategies import malformed_v2_dicts
+    def test_malformed_wire_instances_answer_typed_codes(self):
+        from strategies import malformed_wire_dicts
 
         with running_server() as (server, _loop):
             with ServiceClient(port=server.port) as client:
-                for case, data in malformed_v2_dicts():
+                for case, data in malformed_wire_dicts():
                     with pytest.raises(RemoteError) as exc:
                         client.call("solve", instance=data)
                     assert exc.value.code in (
@@ -985,12 +985,10 @@ class TestMalformedFrames:
         at parse, typed, before any array over the vertices exists.  A
         dynamic state's handle counters bound its handle-indexed arrays
         the same way."""
-        from repro.io import hypergraph_to_dict
-
         hg = TaskHypergraph.from_configurations([[[0, 1]], [[1]]])
         state = DynamicInstance.from_hypergraph(hg).to_state()
         cases = [
-            (key, hypergraph_to_dict(hg) | {key: 2**40})
+            (key, instance_to_wire(hg) | {key: 2**40})
             for key in ("n_procs", "n_tasks")
         ] + [
             ("next_task", state | {
