@@ -27,7 +27,12 @@ mode on every push):
 * sharding: 4 supervised workers solve a CPU-bound cold workload at
   least ``MIN_SHARDED_GAIN`` (1.8x) faster than 1 worker.  This guard
   needs real cores — on hosts with fewer than 4 CPUs it is *waived*
-  (recorded in the report, never fabricated).
+  (recorded in the report, never fabricated).  2 workers must beat 1
+  by ``MIN_SHARDED_GAIN_2V1`` (1.2x); that guard binds from 2 CPUs
+  on.  (A worker used to run a burst's batches on several executor
+  threads at once, and GIL-bound solves slowed each other ≈ 3x there,
+  which let 4 workers read 3.2–3.95x over 1 on 2 CPUs; a serial
+  engine's batches now run one at a time.)
 
 * ingest: a large instance's whole wire path —
   ``instance_to_wire`` + ``encode_frame`` + ``decode_frame`` +
@@ -37,6 +42,18 @@ mode on every push):
   binds on any hardware.  The ``wire_ingest`` block also times the
   same request in the serialize v2 dict (base64 buffers in the JSON
   line, the wire encoding before binary attachments) for reference.
+
+* cold-stream memory: a plain server in a child process serves
+  distinct weight variants of one fewgmanyg base (n=10240; n=2560 in
+  ``--smoke``), perfbench large-cold's traffic.  Its peak RSS (VmHWM)
+  may grow at most ``MAX_STREAM_GROWTH_COMPILES`` (8) compilations of
+  one instance over its ready RSS, and a warm request may take at most
+  ``MAX_STREAM_FAULTS_PER_REQUEST`` (200) minor page faults at the
+  median (summed over ``/proc/<pid>/task/*/stat``).  The first binds a
+  compile cache that keeps one-shot compilations; the second binds one
+  that keeps none, so the heap is handed back and re-faulted every
+  request.  Linux only (``/proc``).  ``--reference-src DIR`` records
+  the same leg against a server from another source tree.
 
 A fifth workload block, ``sharded_sweep``, ramps concurrency
 100 → 1000 → 10000 against a 4-worker :class:`ShardedSolveServer` and
@@ -53,16 +70,23 @@ import argparse
 import asyncio
 import json
 import os
+import re
 import statistics
+import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
+import repro
 from repro.core import TaskHypergraph
 from repro.engine import ResultCache
 from repro.engine.batch import BatchSolver
 from repro.generators import generate_multiproc
+from repro.kernels import compile_instance
+from repro.kernels.compiled import compiled_nbytes
 from repro.io.serialize import (
     hypergraph_from_dict,
     hypergraph_to_dict,
@@ -82,10 +106,28 @@ from repro.service.wire import hypergraph_from_wire
 MIN_BATCHING_GAIN = 2.0
 MIN_DEDUP_GAIN = 10.0
 MIN_SHARDED_GAIN = 1.8
+#: 2 workers over 1 on the same CPU-bound workload: binds on any host
+#: with 2 or more CPUs (≈ 1.3–1.5x measured on 2 CPUs, where the
+#: front-end and the client share the cores with the workers)
+MIN_SHARDED_GAIN_2V1 = 1.2
 MAX_INGEST_OVER_CSR = 3.0
+#: cold-stream memory: a plain server's peak RSS growth over its ready
+#: RSS, in compilations of one stream instance.  Two retained
+#: compilations plus one request's working set fit; a compile cache
+#: that keeps every one-shot compilation (≈ 21x at n=10240) does not
+MAX_STREAM_GROWTH_COMPILES = 8.0
+#: cold-stream memory: median minor page faults per warm request.  A
+#: heap that keeps its pages faults ≈ 0 per request; one handed back to
+#: the kernel after every request re-faults ≈ 2000 at n=10240
+MAX_STREAM_FAULTS_PER_REQUEST = 200
 
 #: the ingest guard's instance: perfbench large-cold's size
 INGEST_TASKS, INGEST_PROCS = 10240, 2048
+
+#: the cold-stream instance: perfbench large-cold's size (and a
+#: quarter of it in smoke mode)
+STREAM_TASKS, STREAM_PROCS = 10240, 2048
+STREAM_SMOKE_TASKS, STREAM_SMOKE_PROCS = 5120, 1024
 
 #: tiny instances: the per-request overhead the batcher amortises
 #: dominates, which is exactly the regime micro-batching exists for
@@ -393,10 +435,12 @@ def bench_sharded_sweep(levels: list[int], n_workers: int = 4) -> dict:
     return out
 
 
-def bench_sharded_scaling(n_requests: int) -> dict:
-    """The 4-worker acceptance ratio: the same CPU-bound cold workload
-    against a 1-worker and a 4-worker pool (fresh pools, fresh caches —
-    worker caches die with their processes)."""
+def bench_sharded_scaling(n_requests: int, attempts: int = 3) -> dict:
+    """The same CPU-bound cold workload against a 1-, 2- and 4-worker
+    pool (fresh pools, fresh caches — worker caches die with their
+    processes).  The 2-vs-1 pair is the binding ratio on small hosts,
+    so it is measured up to ``attempts`` times (each pair fresh) until
+    it clears its floor; every attempt is recorded."""
     instances = _instances(
         n_requests, n_tasks=SCALE_TASKS, n_procs=SCALE_PROCS, seed0=777
     )
@@ -426,15 +470,129 @@ def bench_sharded_scaling(n_requests: int) -> dict:
             assert not any(r.cache_hit or r.deduped for r in results)
         return n_requests / wall
 
-    one = throughput(1)
+    pairs = []
+    for _ in range(attempts):
+        pairs.append((throughput(1), throughput(2)))
+        if pairs[-1][1] / pairs[-1][0] >= MIN_SHARDED_GAIN_2V1:
+            break
+    one, two = max(pairs, key=lambda pair: pair[1] / pair[0])
     four = throughput(4)
     return {
         "requests": n_requests,
         "instance": [SCALE_TASKS, SCALE_PROCS],
         "method": SCALE_METHOD,
         "workers_1_req_per_s": one,
+        "workers_2_req_per_s": two,
         "workers_4_req_per_s": four,
         "sharded_gain": four / one,
+        "sharded_gain_2v1": two / one,
+        "sharded_gain_2v1_attempts": [b / a for a, b in pairs],
+    }
+
+
+class _ChildServer:
+    """A plain ``semimatch serve`` in its own process, so its memory
+    and page faults are its own.  ``src`` picks the source tree the
+    child imports ``repro`` from (default: the one this bench runs)."""
+
+    def __init__(self, src: str | None = None):
+        src = src or str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.cli", "serve",
+             "--port", "0", "--allow-shutdown"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        line = self.proc.stdout.readline()
+        found = re.search(r":(\d+) ", line)
+        if found is None:
+            self.proc.kill()
+            self.proc.wait(10)
+            raise RuntimeError(f"server did not start: {line!r}")
+        self.port = int(found.group(1))
+        self.pid = self.proc.pid
+
+    def status_kib(self, field: str) -> int:
+        """A ``/proc/<pid>/status`` field, in KiB (``VmRSS``, ...)."""
+        text = Path(f"/proc/{self.pid}/status").read_text()
+        return int(re.search(rf"^{field}:\s+(\d+)", text, re.M).group(1))
+
+    def minor_faults(self) -> int:
+        """Minor page faults, summed over the live threads."""
+        total = 0
+        for stat in Path(f"/proc/{self.pid}/task").glob("*/stat"):
+            try:
+                fields = stat.read_text().rsplit(")", 1)[1].split()
+            except OSError:  # the thread exited meanwhile
+                continue
+            total += int(fields[7])  # field 10 of stat(5): minflt
+        return total
+
+    def __enter__(self) -> "_ChildServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        try:
+            with ServiceClient(port=self.port) as client:
+                client.shutdown()
+            self.proc.wait(30)
+        except Exception:
+            self.proc.kill()
+            self.proc.wait(10)
+        self.proc.stdout.close()
+
+
+def bench_cold_stream_memory(
+    n_requests: int,
+    *,
+    n_tasks: int,
+    n_procs: int,
+    warmup: int = 4,
+    src: str | None = None,
+) -> dict:
+    """A plain server in a child process serves distinct weight
+    variants of one fewgmanyg base (large-cold's traffic) one at a
+    time.  Records its ready RSS, its VmHWM after the stream, and the
+    minor faults of every request after ``warmup``."""
+    base = generate_multiproc(
+        n_tasks, n_procs, family="fewgmanyg", g=32,
+        weights="related", seed=1,
+    )
+    per_compile = compiled_nbytes(compile_instance(base))
+    rng = np.random.default_rng(7)
+
+    def variant():
+        scale = rng.uniform(0.5, 1.5, size=base.n_hedges)
+        return base.with_weights(base.hedge_w * scale)
+
+    faults = []
+    with _ChildServer(src) as child:
+        ready_kib = child.status_kib("VmRSS")
+        with ServiceClient(port=child.port, timeout=600.0) as client:
+            for k in range(warmup + n_requests):
+                hg = variant()
+                before = child.minor_faults()
+                client.solve(hg, method="SGH")
+                if k >= warmup:
+                    faults.append(child.minor_faults() - before)
+            hwm_kib = child.status_kib("VmHWM")
+            caches = client.metrics().get("caches")
+    growth = (hwm_kib - ready_kib) * 1024
+    return {
+        "instance": [n_tasks, n_procs],
+        "requests": n_requests,
+        "warmup": warmup,
+        "compiled_mib": per_compile / 2**20,
+        "ready_rss_mib": ready_kib / 1024,
+        "vmhwm_mib": hwm_kib / 1024,
+        "growth_mib": growth / 2**20,
+        "growth_over_compiled": growth / per_compile,
+        "faults_per_request_median": statistics.median(faults),
+        "faults_per_request_max": max(faults),
+        "compile_cache": caches["compile"] if caches else None,
     }
 
 
@@ -496,9 +654,14 @@ def bench_wire_ingest(repeats: int) -> dict:
     }
 
 
-def run_bench(smoke: bool) -> dict:
+def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
     n_small = 100 if smoke else 300
     n_dedup = 32 if smoke else 128
+    stream_size = dict(
+        n_requests=32 if smoke else 40,
+        n_tasks=STREAM_SMOKE_TASKS if smoke else STREAM_TASKS,
+        n_procs=STREAM_SMOKE_PROCS if smoke else STREAM_PROCS,
+    )
 
     # a perf ratio on shared CI hardware deserves a retry: each attempt
     # is already best-of-3 per side, and every attempt is recorded
@@ -515,11 +678,20 @@ def run_bench(smoke: bool) -> dict:
 
     ingest = bench_wire_ingest(5 if smoke else 9)
 
+    stream = bench_cold_stream_memory(**stream_size)
+    if reference_src is not None:
+        # the same leg against a server from another source tree (say,
+        # a checkout of the parent commit): recorded, never asserted
+        stream["reference"] = bench_cold_stream_memory(
+            **stream_size, src=reference_src
+        )
+
     sweep_levels = [100, 1000] if smoke else [100, 1000, 10000]
     sweep = bench_sharded_sweep(sweep_levels)
     scaling = bench_sharded_scaling(24 if smoke else 48)
     cpus = os.cpu_count() or 1
     sharded_waived = cpus < 4
+    sharded_2v1_waived = cpus < 2
     report = {
         "bench": "service_throughput",
         "smoke": smoke,
@@ -536,6 +708,7 @@ def run_bench(smoke: bool) -> dict:
             "sharded_sweep": sweep,
             "sharded_scaling": scaling,
             "wire_ingest": ingest,
+            "cold_stream_memory": stream,
         },
         "assertions": {
             "batching_gain": batching_gain,
@@ -546,8 +719,15 @@ def run_bench(smoke: bool) -> dict:
             "sharded_gain": scaling["sharded_gain"],
             "min_sharded_gain": MIN_SHARDED_GAIN,
             "sharded_guard_waived": sharded_waived,
+            "sharded_gain_2v1": scaling["sharded_gain_2v1"],
+            "min_sharded_gain_2v1": MIN_SHARDED_GAIN_2V1,
+            "sharded_2v1_guard_waived": sharded_2v1_waived,
             "ingest_over_from_csr": ingest["wire_over_from_csr"],
             "max_ingest_over_from_csr": MAX_INGEST_OVER_CSR,
+            "stream_growth_over_compiled": stream["growth_over_compiled"],
+            "max_stream_growth_over_compiled": MAX_STREAM_GROWTH_COMPILES,
+            "stream_faults_per_request": stream["faults_per_request_median"],
+            "max_stream_faults_per_request": MAX_STREAM_FAULTS_PER_REQUEST,
         },
     }
     if sharded_waived:
@@ -574,11 +754,33 @@ def check(report: dict) -> None:
         f"{a['ingest_over_from_csr']:.2f}x from_csr alone (ceiling "
         f"{a['max_ingest_over_from_csr']:g}x)"
     )
+    assert (
+        a["stream_growth_over_compiled"]
+        <= a["max_stream_growth_over_compiled"]
+    ), (
+        f"a cold stream grew the server's peak RSS by "
+        f"{a['stream_growth_over_compiled']:.1f} compilations of one "
+        f"instance over its ready RSS (ceiling "
+        f"{a['max_stream_growth_over_compiled']:g})"
+    )
+    assert (
+        a["stream_faults_per_request"] <= a["max_stream_faults_per_request"]
+    ), (
+        f"a warm cold-stream request took "
+        f"{a['stream_faults_per_request']:g} minor page faults at the "
+        f"median (ceiling {a['max_stream_faults_per_request']})"
+    )
     if not a.get("sharded_guard_waived"):
         assert a["sharded_gain"] >= a["min_sharded_gain"], (
             f"4 workers gained only {a['sharded_gain']:.2f}x over 1 "
             f"worker on the CPU-bound cold workload (floor "
             f"{a['min_sharded_gain']:g}x)"
+        )
+    if not a.get("sharded_2v1_guard_waived"):
+        assert a["sharded_gain_2v1"] >= a["min_sharded_gain_2v1"], (
+            f"2 workers gained only {a['sharded_gain_2v1']:.2f}x over 1 "
+            f"worker on the CPU-bound cold workload (floor "
+            f"{a['min_sharded_gain_2v1']:g}x)"
         )
 
 
@@ -597,9 +799,15 @@ def main(argv=None) -> int:
         "--out", default="BENCH_service.json", metavar="PATH",
         help="where to write the JSON report",
     )
+    ap.add_argument(
+        "--reference-src", default=None, metavar="DIR",
+        help="also run the cold-stream memory leg against a server "
+             "importing repro from DIR (e.g. the src/ of a checkout of "
+             "the parent commit) and record it beside this tree's",
+    )
     args = ap.parse_args(argv)
 
-    report = run_bench(smoke=args.smoke)
+    report = run_bench(smoke=args.smoke, reference_src=args.reference_src)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
     w = report["workloads"]
@@ -626,6 +834,9 @@ def main(argv=None) -> int:
         f"cold {SCALE_METHOD})"
         + ("  [guard waived: too few cpus]" if waived else "")
     )
+    print(
+        f"scaling  : {scaling['sharded_gain_2v1']:.2f}x (2 vs 1 workers)"
+    )
     ingest = w["wire_ingest"]
     print(
         f"ingest   : {ingest['wire_ingest_ms']:8.1f} ms wire "
@@ -633,12 +844,24 @@ def main(argv=None) -> int:
         f"{ingest['base64_v2_ingest_ms']:.1f} ms base64 v2 "
         f"({ingest['base64_v2_over_from_csr']:.1f}x)"
     )
+    stream = w["cold_stream_memory"]
+    for label, leg in (("stream", stream), ("ref", stream.get("reference"))):
+        if leg is not None:
+            print(
+                f"{label:<9}: peak +{leg['growth_mib']:.0f} MiB over ready "
+                f"({leg['growth_over_compiled']:.1f}x one compilation), "
+                f"{leg['faults_per_request_median']:g} faults/request"
+            )
     print(f"wrote {args.out}")
     check(report)
     print(
         f"OK: batching >= {MIN_BATCHING_GAIN:g}x, "
         f"dedup >= {MIN_DEDUP_GAIN:g}x, "
-        f"ingest <= {MAX_INGEST_OVER_CSR:g}x from_csr"
+        f"2 vs 1 workers >= {MIN_SHARDED_GAIN_2V1:g}x, "
+        f"ingest <= {MAX_INGEST_OVER_CSR:g}x from_csr, "
+        f"cold-stream growth <= {MAX_STREAM_GROWTH_COMPILES:g} "
+        f"compilations and <= {MAX_STREAM_FAULTS_PER_REQUEST} "
+        f"faults/request"
         + (
             ""
             if waived

@@ -1,10 +1,12 @@
-"""Small shared utilities: RNG normalisation, timing, array helpers and
-the bounded LRU every cache in the package is built on."""
+"""Small shared utilities: RNG normalisation, timing, array helpers,
+the bounded LRU every cache in the package is built on, and the one
+byte budget the process's caches share."""
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -19,7 +21,10 @@ __all__ = [
     "stable_argsort",
     "csr_group",
     "grown",
+    "ByteBudget",
+    "CACHE_BUDGET",
     "BoundedLRU",
+    "SegmentedLRU",
 ]
 
 
@@ -115,31 +120,72 @@ def grown(arr: np.ndarray, need: int, fill=None) -> np.ndarray:
     return out
 
 
-class BoundedLRU:
-    """Thread-safe LRU map bounded by entry count and, optionally, bytes.
+class ByteBudget:
+    """One byte limit shared by several :class:`BoundedLRU` caches.
 
-    ``sizeof(value)`` prices each value against ``max_bytes``.  Inserting
-    evicts least-recently-used entries until both caps hold, except that
-    the newest entry always survives: one over-budget value is kept, not
-    refused.  ``on_evict(key, value)`` runs for every capacity eviction,
-    after the lock is released; :meth:`pop` and :meth:`clear` are
-    explicit removals and do not call it.
+    A cache joins on construction and is held weakly, so a cache that
+    is garbage collected stops counting.  :meth:`used` is the sum of
+    the members' priced bytes.  An insert into a member evicts from
+    that member's own LRU end until the shared total fits, so the cache
+    that grows pays for it; the newest entry always survives.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = int(limit)
+        self._members: weakref.WeakSet = weakref.WeakSet()
+        self._lock = threading.Lock()
+
+    def join(self, member: Any) -> None:
+        """Count ``member``'s ``_nbytes`` (an int it keeps current)."""
+        with self._lock:
+            self._members.add(member)
+
+    def used(self) -> int:
+        """Bytes priced by every live member."""
+        with self._lock:
+            members = list(self._members)
+        # each member's total is one int, updated under its own lock
+        return sum(m._nbytes for m in members)
+
+    def stats(self) -> dict[str, int]:
+        """``{"budget_bytes", "used_bytes"}`` snapshot."""
+        return {"budget_bytes": self.limit, "used_bytes": self.used()}
+
+
+#: The process's cache byte budget.  Kernel compilations
+#: (:mod:`repro.kernels.compiled`), :class:`~repro.engine.ResultCache`
+#: entries and a pool worker's shared-memory attachments all charge
+#: it.  192 MiB holds about 17 compilations of an n=10240 instance.
+CACHE_BUDGET = ByteBudget(192 * 1024 * 1024)
+
+
+class BoundedLRU:
+    """Thread-safe LRU map bounded by entry count and/or a byte budget.
+
+    ``sizeof(value)`` prices each value (``stats()["bytes"]``); with a
+    ``budget`` the prices count against that :class:`ByteBudget`.
+    Inserting evicts least-recently-used entries until both bounds
+    hold, except that the newest entry always survives: one
+    over-budget value is kept, not refused.  ``on_evict(key, value)``
+    runs for every capacity eviction, after the lock is released;
+    :meth:`pop` and :meth:`clear` are explicit removals and do not
+    call it.
     """
 
     def __init__(
         self,
-        max_entries: int,
+        max_entries: int | None = None,
         *,
-        max_bytes: int | None = None,
+        budget: ByteBudget | None = None,
         sizeof: Callable[[Any], int] | None = None,
         on_evict: Callable[[Hashable, Any], None] | None = None,
     ):
-        if max_entries < 1:
+        if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be at least 1")
-        if max_bytes is not None and sizeof is None:
-            raise ValueError("max_bytes needs a sizeof function")
-        self.max_entries = int(max_entries)
-        self._max_bytes = float("inf") if max_bytes is None else max_bytes
+        if budget is not None and sizeof is None:
+            raise ValueError("a byte budget needs a sizeof function")
+        self.max_entries = max_entries
+        self._budget = budget
         self._sizeof = sizeof
         self._on_evict = on_evict
         self._data: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
@@ -147,10 +193,17 @@ class BoundedLRU:
         self._nbytes = 0
         self.hits = 0
         self.misses = 0
+        if budget is not None:
+            budget.join(self)
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
+
+    def __contains__(self, key: Hashable) -> bool:
+        """Membership, without refreshing recency or counting."""
+        with self._lock:
+            return key in self._data
 
     def get(self, key: Hashable) -> Any:
         """The value for ``key`` (refreshing its recency), or None;
@@ -176,9 +229,14 @@ class BoundedLRU:
         how many entries were evicted."""
         return self._insert(key, value, replace_only=True)
 
+    def _over(self) -> bool:
+        if self.max_entries is not None and len(self._data) > self.max_entries:
+            return True
+        budget = self._budget
+        return budget is not None and budget.used() > budget.limit
+
     def _insert(self, key: Hashable, value: Any, *, replace_only: bool) -> int:
         size = self._sizeof(value) if self._sizeof is not None else 0
-        victims = []
         with self._lock:
             old = self._data.get(key)
             if replace_only and (old is None or old[0] is not value):
@@ -188,17 +246,35 @@ class BoundedLRU:
                 self._nbytes -= old[1]
             self._data[key] = (value, size)
             self._nbytes += size
-            while len(self._data) > 1 and (
-                len(self._data) > self.max_entries
-                or self._nbytes > self._max_bytes
-            ):
-                victim, (vvalue, vsize) = self._data.popitem(last=False)
-                self._nbytes -= vsize
-                victims.append((victim, vvalue))
+            victims = self._evict_locked(keep=1)
+        return self._notify(victims)
+
+    def shed(self) -> int:
+        """Evict from the LRU end, down to no entry at all if need be,
+        until the bounds hold again (after another member of the budget
+        grew); returns how many entries were evicted."""
+        with self._lock:
+            victims = self._evict_locked(keep=0)
+        return self._notify(victims)
+
+    def _evict_locked(self, keep: int) -> list:
+        victims = []
+        while len(self._data) > keep and self._over():
+            victim, (vvalue, vsize) = self._data.popitem(last=False)
+            self._nbytes -= vsize
+            victims.append((victim, vvalue))
+        return victims
+
+    def _notify(self, victims: list) -> int:
         if self._on_evict is not None:
             for victim, vvalue in victims:
                 self._on_evict(victim, vvalue)
         return len(victims)
+
+    def values(self) -> list:
+        """A snapshot of the cached values, oldest first."""
+        with self._lock:
+            return [value for value, _ in self._data.values()]
 
     def pop(self, key: Hashable) -> Any:
         """Remove ``key`` and return its value (None when absent)."""
@@ -225,4 +301,151 @@ class BoundedLRU:
                 "bytes": self._nbytes,
                 "hits": self.hits,
                 "misses": self.misses,
+            }
+
+
+class SegmentedLRU:
+    """A cache that admits a value to its budget only on reuse.
+
+    A first-sighting value enters *probation*, which keeps only the
+    ``probation`` most recent such values.  A :meth:`get` hit there
+    *promotes* the value to *protected*, an LRU bounded by ``budget``
+    alone.  Keys evicted from probation are remembered, as keys only,
+    in a ghost list of ``ghosts`` entries; a :meth:`put` under a
+    remembered key (or under a key already held) goes straight to
+    protected.  So a key seen once costs at most a probation slot, and
+    a key seen twice, even after ``probation`` other keys, is kept
+    under the budget.  Both segments charge ``budget``: a value
+    entering probation over budget evicts protected's oldest values
+    (it is this cache that grew), never a probation value.
+
+    One lock orders every operation, so a promotion is never seen half
+    done.  :meth:`stats` reports both segments together under
+    :class:`BoundedLRU`'s keys plus the per-segment counts,
+    ``promotions`` and ``ghost_admissions``.
+    """
+
+    def __init__(
+        self,
+        *,
+        sizeof: Callable[[Any], int],
+        budget: ByteBudget,
+        probation: int = 2,
+        ghosts: int = 64,
+    ):
+        if probation < 1 or ghosts < 0:
+            raise ValueError("probation must be >= 1 and ghosts >= 0")
+        self._sizeof = sizeof
+        self._probation_cap = probation
+        self._ghost_cap = ghosts
+        self._probation: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        self._ghosts: OrderedDict[Hashable, None] = OrderedDict()
+        self._protected = BoundedLRU(budget=budget, sizeof=sizeof)
+        self._lock = threading.Lock()
+        self._nbytes = 0  # probation's share of the budget
+        self.hits = 0
+        self.misses = 0
+        self.promotions = 0
+        self.ghost_admissions = 0
+        budget.join(self)
+
+    def get(self, key: Hashable) -> Any:
+        """The value for ``key`` (promoting it out of probation), or
+        None; counts a hit or a miss."""
+        with self._lock:
+            value = self._protected.get(key)
+            if value is None:
+                entry = self._probation.pop(key, None)
+                if entry is None:
+                    self.misses += 1
+                    return None
+                value, size = entry
+                self._nbytes -= size
+                self._protected.put(key, value)
+                self.promotions += 1
+            self.hits += 1
+            return value
+
+    def put(self, key: Hashable, value: Any) -> int:
+        """Insert ``key``: into protected when it was seen before,
+        else into probation; returns how many entries were evicted."""
+        with self._lock:
+            ghost = key in self._ghosts
+            if ghost or key in self._probation or key in self._protected:
+                self._ghosts.pop(key, None)
+                self._drop_probation_locked(key)
+                self.ghost_admissions += ghost
+                return self._protected.put(key, value)
+            size = self._sizeof(value)
+            self._probation[key] = (value, size)
+            self._nbytes += size
+            evicted = 0
+            while len(self._probation) > self._probation_cap:
+                victim, (_, vsize) = self._probation.popitem(last=False)
+                self._nbytes -= vsize
+                self._ghosts[victim] = None
+                evicted += 1
+            while len(self._ghosts) > self._ghost_cap:
+                self._ghosts.popitem(last=False)
+            return evicted + self._protected.shed()
+
+    def _drop_probation_locked(self, key: Hashable) -> Any:
+        entry = self._probation.pop(key, None)
+        if entry is None:
+            return None
+        self._nbytes -= entry[1]
+        return entry[0]
+
+    def reprice(self, key: Hashable, value: Any) -> int:
+        """:meth:`BoundedLRU.reprice`, in whichever segment holds
+        ``key``."""
+        with self._lock:
+            entry = self._probation.get(key)
+            if entry is None:
+                return self._protected.reprice(key, value)
+            if entry[0] is not value:
+                return 0
+            size = self._sizeof(value)
+            self._probation[key] = (value, size)
+            self._nbytes += size - entry[1]
+            return self._protected.shed()
+
+    def pop(self, key: Hashable) -> Any:
+        """Remove ``key`` from either segment and return its value
+        (None when absent)."""
+        with self._lock:
+            value = self._drop_probation_locked(key)
+            protected = self._protected.pop(key)
+            return protected if value is None else value
+
+    def values(self) -> list:
+        """A snapshot of the cached values, probation first."""
+        with self._lock:
+            probation = [value for value, _ in self._probation.values()]
+            return probation + self._protected.values()
+
+    def clear(self) -> None:
+        """Drop every entry and ghost, and reset the counters."""
+        with self._lock:
+            self._probation.clear()
+            self._nbytes = 0
+            self._ghosts.clear()
+            self._protected.clear()
+            self.hits = self.misses = 0
+            self.promotions = self.ghost_admissions = 0
+
+    def stats(self) -> dict[str, int]:
+        """``{"entries", "bytes", "hits", "misses", "probation",
+        "protected", "promotions", "ghost_admissions"}`` snapshot."""
+        with self._lock:
+            protected = self._protected.stats()
+            return {
+                "entries": len(self._probation) + protected["entries"],
+                "bytes": protected["bytes"] + self._nbytes,
+                "hits": self.hits,
+                "misses": self.misses,
+                "probation": len(self._probation),
+                "protected": protected["entries"],
+                "promotions": self.promotions,
+                "ghost_admissions": self.ghost_admissions,
             }

@@ -16,7 +16,13 @@
 registry, so a newly registered solver is instantly usable here.
 """
 
-from .batch import BatchSolver, default_cache, default_engine, solve_many
+from .batch import (
+    BatchSolver,
+    cache_report,
+    default_cache,
+    default_engine,
+    solve_many,
+)
 from .cache import CachedSolve, ResultCache, instance_digest
 from .dispatch import known_methods, solve_hypergraph, solve_hypergraph_outcome
 
@@ -25,6 +31,7 @@ __all__ = [
     "solve_many",
     "default_engine",
     "default_cache",
+    "cache_report",
     "ResultCache",
     "CachedSolve",
     "instance_digest",

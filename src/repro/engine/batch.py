@@ -32,11 +32,13 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Iterable, Union
 
+from .._util import CACHE_BUDGET
 from ..api.methods import EntryStat, Outcome
 from ..api.options import SolveOptions
 from ..api.result import SolveResult
 from ..core.hypergraph import TaskHypergraph
 from ..core.semimatching import HyperSemiMatching
+from ..kernels import compile_cache_stats
 from ..obs.trace import (
     adopt,
     collect_timings,
@@ -52,12 +54,19 @@ from .dispatch import solve_hypergraph_outcome
 from .transport import (
     ExportRegistry,
     attach_instance,
+    attachment_stats,
     instance_nbytes,
     is_descriptor,
     transport_available,
 )
 
-__all__ = ["BatchSolver", "solve_many", "default_engine", "default_cache"]
+__all__ = [
+    "BatchSolver",
+    "solve_many",
+    "default_engine",
+    "default_cache",
+    "cache_report",
+]
 
 Instance = Union[SchedulingProblem, TaskHypergraph]
 
@@ -79,6 +88,19 @@ _DEFAULT_ENGINE: "BatchSolver | None" = None
 def default_cache() -> ResultCache:
     """The process-wide shared result cache."""
     return _DEFAULT_CACHE
+
+
+def cache_report(cache: ResultCache | None) -> dict:
+    """This process's caches against their shared byte budget:
+    ``budget_bytes`` and ``used_bytes``, then ``compile`` (with its
+    segment counts), ``result`` (``cache``'s stats, None without one)
+    and ``attachments``, each with entries, bytes, hits and misses."""
+    return {
+        **CACHE_BUDGET.stats(),
+        "compile": compile_cache_stats(segments=True),
+        "result": cache.stats() if cache is not None else None,
+        "attachments": attachment_stats(),
+    }
 
 
 def _outcome_meta(outcome: Outcome, wall_s: float) -> dict:

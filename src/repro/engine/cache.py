@@ -16,9 +16,10 @@ token comes from :meth:`SolveOptions.cache_token`: the *canonical method
 expression* (aliases resolved, the default portfolio line-up filled
 in), the seed only when the expression is seed-sensitive, and the time
 budget.  Equivalent spellings — ``"EVG+ls"`` vs ``Refine("EVG")`` —
-therefore share one entry.  The cache is a bounded LRU and is thread-safe; the
-default shared instance lives in :mod:`repro.engine.batch` so repeated
-sweeps (``experiments.sweep``, the Table I–III harness) never recompute.
+therefore share one entry.  The cache is a byte-budgeted LRU and is
+thread-safe; the default shared instance lives in
+:mod:`repro.engine.batch` so repeated sweeps (``experiments.sweep``,
+the Table I–III harness) never recompute.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .._util import BoundedLRU
+from .._util import CACHE_BUDGET, BoundedLRU
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 
@@ -75,6 +76,16 @@ class CachedSolve(NamedTuple):
     meta: dict
 
 
+#: What one entry costs beside its assignment: the key tuple, the
+#: record, its meta dict and the LRU's bookkeeping (≈ 1.2 KiB measured
+#: with tracemalloc over 300 entries of an 8-task instance).
+_ENTRY_OVERHEAD = 1024
+
+
+def _entry_nbytes(value: CachedSolve) -> int:
+    return value.assignment.nbytes + _ENTRY_OVERHEAD
+
+
 class ResultCache:
     """Bounded, thread-safe LRU cache of solve results.
 
@@ -83,13 +94,19 @@ class ResultCache:
     dict.  ``hits``/``misses`` make cache effectiveness observable in
     benchmarks and sweeps.
 
+    Every entry is priced at its assignment's bytes plus a fixed
+    per-entry overhead and charges the process's
+    :data:`~repro._util.CACHE_BUDGET`, which the kernel compile cache
+    and a pool worker's attachments share; ``maxsize`` adds an optional
+    entry cap on top.
+
     Concurrency contract (exercised by the thread-pool path of
     :meth:`BatchSolver.solve_many` and the service's executor threads,
     pinned by a stress regression test in ``tests/test_engine.py``):
     entries live in a :class:`~repro._util.BoundedLRU`, whose every
     structural operation and counter update runs under its lock, so
     concurrent get/put/evict can never corrupt the LRU order, overshoot
-    ``maxsize``, or drop counter increments.  A stored value is a
+    its bounds, or drop counter increments.  A stored value is a
     private copy that nothing mutates, so ``get`` copies it outside the
     lock.  Note the contract is per-operation: a get-miss followed by a
     put is *not* atomic, which is exactly why concurrent identical
@@ -97,11 +114,13 @@ class ResultCache:
     (:mod:`repro.service.dedup`) to share one solve.
     """
 
-    def __init__(self, maxsize: int = 4096):
-        if maxsize < 1:
+    def __init__(self, maxsize: int | None = None):
+        if maxsize is not None and maxsize < 1:
             raise ValueError("maxsize must be at least 1")
         self.maxsize = maxsize
-        self._lru = BoundedLRU(maxsize)
+        self._lru = BoundedLRU(
+            maxsize, budget=CACHE_BUDGET, sizeof=_entry_nbytes
+        )
 
     @property
     def hits(self) -> int:
@@ -147,8 +166,7 @@ class ResultCache:
         self._lru.clear()
 
     def stats(self) -> dict[str, int]:
-        """``{"entries", "bytes", "hits", "misses"}`` snapshot (``bytes``
-        stays 0: the cache is bounded by entries only)."""
+        """``{"entries", "bytes", "hits", "misses"}`` snapshot."""
         return self._lru.stats()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -18,10 +18,11 @@ Lifecycle:
   content digest, refcounted while batches are in flight, LRU-evicted
   when idle and unlinked on engine close (a finalizer covers engines
   that are never closed);
-* worker side — a bounded attachment cache keyed by segment name.
-  Attachments stay mapped until evicted (views may sit in the worker's
-  kernel compile cache, so eviction also purges that digest via
-  :func:`repro.kernels.evict_compiled` before unmapping).
+* worker side — an attachment cache keyed by segment name, under the
+  process cache budget.  Attachments stay mapped until evicted (views
+  may sit in the worker's kernel compile cache, so eviction also
+  purges that digest via :func:`repro.kernels.evict_compiled` before
+  unmapping).
 
 Everything degrades to pickling: platforms without POSIX shared memory,
 segment-creation failure (``/dev/shm`` full), or instances below the
@@ -32,13 +33,14 @@ whole call onto one path.
 
 from __future__ import annotations
 
+import mmap
 import threading
 import weakref
 from typing import Any
 
 import numpy as np
 
-from .._util import BoundedLRU
+from .._util import CACHE_BUDGET, BoundedLRU
 from ..core.hypergraph import TaskHypergraph
 from ..kernels import evict_compiled
 from ..obs.trace import span
@@ -56,6 +58,7 @@ __all__ = [
     "attach_instance",
     "transport_available",
     "instance_nbytes",
+    "attachment_stats",
 ]
 
 #: The constructor arrays of an instance, in segment layout order.
@@ -276,8 +279,23 @@ def _detach(name: str, attached: tuple[Any, TaskHypergraph]) -> None:
         pass
 
 
-#: segment name -> (shm, hypergraph), LRU-bounded; eviction unmaps.
-_ATTACHED = BoundedLRU(32, on_evict=_detach)
+def _attachment_nbytes(attached: tuple[Any, TaskHypergraph]) -> int:
+    """A segment's mapped bytes: its size in whole pages."""
+    return -(-attached[0].size // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+#: segment name -> (shm, hypergraph), priced at the segment's mapping
+#: under the process cache budget (a compilation viewing the segment is
+#: priced, segment included, in the compile cache); eviction unmaps.
+_ATTACHED = BoundedLRU(
+    budget=CACHE_BUDGET, sizeof=_attachment_nbytes, on_evict=_detach
+)
+
+
+def attachment_stats() -> dict[str, int]:
+    """``{"entries", "bytes", "hits", "misses"}`` of this process's
+    attachment cache (non-empty only in a worker that attaches)."""
+    return _ATTACHED.stats()
 
 
 def is_descriptor(obj) -> bool:

@@ -14,9 +14,11 @@ positions ``task_ptr[v]:task_ptr[v+1]``, in the same order
 :meth:`TaskHypergraph.task_hedge_ids` yields them, which is what makes
 kernel tie-breaking match the Python loops exactly.
 
-Compilation is pure array work (no per-pin Python loop) and cached by
-the engine's content digest, so structurally equal instances share one
-compilation.
+Compilation is pure array work (no per-pin Python loop).  The cache,
+keyed by the engine's content digest, keeps a compilation only once it
+is reused: one instance solved by several heuristics (or solved again
+later) is compiled once, and a stream of one-shot instances does not
+pile up compilations nobody reads again.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .._util import BoundedLRU
+from .._util import CACHE_BUDGET, SegmentedLRU
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 
@@ -312,24 +314,38 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
     return total
 
 
-#: Digest-keyed LRU of compilations (one instance is compiled once no
-#: matter how many solvers, portfolio entries or sweeps touch it).
-#: The byte budget sits alongside the entry cap: a dynamic instance
-#: compiled after every mutation adds a fresh multi-MB compilation per
-#: version, and retaining every dead version until 128 of them pile up
-#: costs hundreds of MB and — worse — forces the allocator to fault
-#: fresh pages for every compile instead of recycling the freed ones
-#: (measured: per-mutation compiles degraded ~6x once the heap stopped
-#: turning over).  The budget keeps churn workloads in the recycling
-#: regime; distinct *live* instances small enough to fit are
-#: unaffected.
-_CACHE = BoundedLRU(128, max_bytes=192 * 1024 * 1024, sizeof=compiled_nbytes)
+#: Digest-keyed compilations, admitted on reuse.  A new compilation
+#: enters a two-entry probation segment; a second request for the digest
+#: (a hit there, or a digest evicted from probation that comes back)
+#: moves it to the protected segment, which only the process's
+#: :data:`~repro._util.CACHE_BUDGET` bounds (both segments charge it).
+#: Distinct one-shot instances (a cold request stream, every version of
+#: a churned dynamic instance) therefore retain two compilations, not a
+#: budget's worth: at n=10240 one costs ~11 MiB, and retaining ~17 of
+#: them that were never read again was most of a serving process's peak
+#: RSS.  The two probation slots are not zero on purpose: with nothing
+#: retained the allocator hands the freed heap back to the kernel and
+#: every request re-faults it (~2000 minor faults per n=10240 request,
+#: measured), while two retained compilations keep the heap turning
+#: over with no faults.  Keeping the compilation on its instance instead
+#: would need a reference cycle, freed only by the cyclic GC, which
+#: measured worse than the old cache.
+#: The 64 ghost digests cover reuse far apart, as in the experiment
+#: runner's method-major sweep over held instances: each instance is
+#: compiled at most twice there.
+_CACHE = SegmentedLRU(sizeof=compiled_nbytes, budget=CACHE_BUDGET)
 
 
 def compile_instance(
     hg: TaskHypergraph, *, digest: str | None = None
 ) -> CompiledKernels:
-    """Compile ``hg`` (cached by the engine's content digest).
+    """Compile ``hg``, through the digest-keyed compile cache.
+
+    The cache admits a compilation on reuse (see ``_CACHE``): a
+    compilation asked for twice, by two solvers of one instance or by a
+    returning digest, is kept under the process cache budget; one asked
+    for once is kept only until two newer first-time compilations
+    displace it.
 
     Pass ``digest=`` when the caller already computed it (the engine's
     result-cache path does); otherwise it is computed here.
@@ -354,9 +370,10 @@ def compile_instance(
 
 
 def evict_compiled(digest: str) -> None:
-    """Drop one cached compilation (no-op when absent).  The engine's
-    shared-memory transport calls this when a worker unmaps a segment
-    whose arrays a cached compilation may view."""
+    """Drop one cached compilation from either segment (no-op when
+    absent).  The engine's shared-memory transport calls this when a
+    worker unmaps a segment whose arrays a cached compilation may
+    view."""
     _CACHE.pop(digest)
 
 
@@ -365,6 +382,11 @@ def clear_compile_cache() -> None:
     _CACHE.clear()
 
 
-def compile_cache_stats() -> dict[str, int]:
-    """``{"entries", "bytes", "hits", "misses"}`` snapshot."""
-    return _CACHE.stats()
+def compile_cache_stats(*, segments: bool = False) -> dict[str, int]:
+    """``{"entries", "bytes", "hits", "misses"}`` snapshot over both
+    segments; ``segments=True`` adds ``probation``, ``protected``,
+    ``promotions`` and ``ghost_admissions``."""
+    stats = _CACHE.stats()
+    if segments:
+        return stats
+    return {k: stats[k] for k in ("entries", "bytes", "hits", "misses")}

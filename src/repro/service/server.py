@@ -45,7 +45,8 @@ from typing import Any
 from ..api.options import SolveOptions
 from ..api.result import SolveResult
 from ..core.hypergraph import TaskHypergraph
-from ..engine.batch import BatchSolver
+from .._util import CACHE_BUDGET
+from ..engine.batch import BatchSolver, cache_report
 from ..engine.cache import instance_digest
 from ..obs.health import HealthBudget, score_fleet
 from ..obs.trace import (
@@ -130,6 +131,14 @@ class _SolveTicket:
 
     def __init__(self) -> None:
         self.consumed = False
+
+
+def cache_budget_use() -> dict:
+    """How much of the process cache budget is in use (the ``health``
+    op's ``cache_budget`` block)."""
+    use = CACHE_BUDGET.stats()
+    use["used_ratio"] = use["used_bytes"] / use["budget_bytes"]
+    return use
 
 
 class SolveServer:
@@ -773,6 +782,7 @@ class SolveServer:
             if self.engine.cache is not None
             else None
         )
+        snap["caches"] = cache_report(self.engine.cache)
         snap["sessions"] = {"open": len(self.sessions)}
         snap["pending"] = self._pending
         snap["uptime_s"] = self.uptime_s
@@ -807,4 +817,5 @@ class SolveServer:
             budget,
         )
         verdict["uptime_s"] = self.uptime_s
+        verdict["cache_budget"] = cache_budget_use()
         return verdict

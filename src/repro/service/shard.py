@@ -65,7 +65,7 @@ from .protocol import (
     SessionRelocatedError,
     WorkerLostError,
 )
-from .server import SolveServer, _Conn, _SolveTicket
+from .server import SolveServer, _Conn, _SolveTicket, cache_budget_use
 from .supervisor import Supervisor, WorkerHandle, WorkerSpec
 
 __all__ = ["HashRing", "ShardedSolveServer"]
@@ -706,5 +706,14 @@ class ShardedSolveServer(SolveServer):
             budget,
         )
         verdict["uptime_s"] = self.uptime_s
+        # the front-end's own budget, plus each reachable worker's
+        # (the workers hold the compilations and result entries)
+        budget_use = cache_budget_use()
+        budget_use["workers"] = {
+            name: caches["used_bytes"] / caches["budget_bytes"]
+            for name, info in snap["shards"].items()
+            if (caches := (info.get("metrics") or {}).get("caches"))
+        }
+        verdict["cache_budget"] = budget_use
         verdict["workers"] = {"total": self.n_workers, "up": up}
         return verdict

@@ -9,6 +9,7 @@ from repro import BatchSolver, SchedulingProblem, SolveResult, solve, solve_many
 from repro.core import TaskHypergraph
 from repro.api import Portfolio, get_registry
 from repro.engine import ResultCache, instance_digest, solve_hypergraph
+from repro.engine.cache import _ENTRY_OVERHEAD
 from repro.experiments import run_instances
 from repro.experiments.instances import SMALL_SPECS
 from repro.sched import Schedule
@@ -268,8 +269,12 @@ class TestCache:
         engine = BatchSolver(max_workers=1, cache=cache)
         engine.solve_many(instances[:3])
         assert len(cache) == 2
+        # each entry is priced at its assignment plus a fixed overhead
+        priced = sum(
+            8 * hg.n_tasks + _ENTRY_OVERHEAD for hg in instances[1:3]
+        )
         assert cache.stats() == {
-            "entries": 2, "bytes": 0, "hits": 0, "misses": 3,
+            "entries": 2, "bytes": priced, "hits": 0, "misses": 3,
         }
 
     def test_clear(self, instances):
@@ -513,37 +518,44 @@ class TestTransportAndWarmPool:
             engine.close()
         assert engine.transport_stats()["segments"] == 0
 
-    def test_attachment_eviction_purges_its_compilation(self):
-        """The 33rd attachment evicts the oldest (the cap is 32), and
-        that segment's kernel compilation leaves the compile cache
-        before the segment is unmapped."""
+    def test_attachment_eviction_purges_its_compilation(self, monkeypatch):
+        """An attachment that overflows the byte budget evicts the
+        oldest, and that segment's kernel compilation leaves the
+        compile cache before the segment is unmapped."""
+        from repro._util import BoundedLRU, ByteBudget
         from repro.engine import transport
         from repro.generators import generate_multiproc
         from repro.kernels import compile_cache_stats, compile_instance
 
         if not transport.transport_available():  # pragma: no cover
             pytest.skip("no shared memory on this platform")
-        hgs = [generate_multiproc(8, 4, g=2, seed=s) for s in range(33)]
-        registry = transport.ExportRegistry(max_segments=64)
-        transport._ATTACHED.clear()
+        base = generate_multiproc(8, 4, g=2, seed=0)
+        # one structure, three weightings: equal segment sizes
+        hgs = [base.with_weights(base.hedge_w + s) for s in range(3)]
+        budget = ByteBudget(0)
+        attached = BoundedLRU(
+            budget=budget, sizeof=transport._attachment_nbytes,
+            on_evict=transport._detach,
+        )
+        monkeypatch.setattr(transport, "_ATTACHED", attached)
+        registry = transport.ExportRegistry()
         try:
             descriptors = [
                 registry.export(hg, instance_digest(hg)) for hg in hgs
             ]
             compile_instance(transport.attach_instance(descriptors[0]))
+            budget.limit = 2 * attached.stats()["bytes"]  # two segments
             compile_instance(transport.attach_instance(descriptors[1]))
-            for d in descriptors[2:32]:
-                transport.attach_instance(d)
-            assert transport._ATTACHED.stats()["entries"] == 32
-            transport.attach_instance(descriptors[32])
-            assert transport._ATTACHED.stats()["entries"] == 32
+            assert len(attached) == 2
+            transport.attach_instance(descriptors[2])
+            assert len(attached) == 2
             misses = compile_cache_stats()["misses"]
             compile_instance(hgs[1])  # the younger segment: still cached
             assert compile_cache_stats()["misses"] == misses
             compile_instance(hgs[0])  # the evicted one: purged
             assert compile_cache_stats()["misses"] == misses + 1
         finally:
-            transport._ATTACHED.clear()
+            attached.clear()
             registry.close()
 
     def test_auto_transport_keeps_small_instances_on_pickle(self, batch):

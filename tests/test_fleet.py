@@ -495,6 +495,10 @@ class TestLiveFleet:
             assert verdict["checks"]["workers"] == "ok"
             assert "latency" in verdict["checks"]
             assert verdict["uptime_s"] > 0
+            # each worker's share of its cache budget, as a ratio
+            shares = verdict["cache_budget"]["workers"]
+            assert set(shares) == {"w0", "w1"}
+            assert all(0 <= r <= 1 for r in shares.values())
             # an impossible budget flips the latency check: the verdict
             # machinery grades against caller thresholds
             strict = client.health(budget={"latency_p99_s": 1e-9})

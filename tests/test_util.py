@@ -1,5 +1,6 @@
 """Tests for repro._util."""
 
+import gc
 import sys
 import threading
 import time
@@ -9,6 +10,8 @@ import pytest
 
 from repro._util import (
     BoundedLRU,
+    ByteBudget,
+    SegmentedLRU,
     Timer,
     as_rng,
     check_1d_int,
@@ -109,7 +112,7 @@ class TestBoundedLRU:
         }
 
     def test_byte_cap_evicts_oldest_first(self):
-        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        lru = BoundedLRU(10, budget=ByteBudget(10), sizeof=len)
         lru.put("a", "xxxx")
         lru.put("b", "xxxx")
         assert lru.put("c", "xxxx") == 1  # 12 bytes > 10: "a" goes
@@ -118,13 +121,13 @@ class TestBoundedLRU:
         assert lru.stats()["bytes"] == 8
 
     def test_replacing_a_key_reprices_it(self):
-        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        lru = BoundedLRU(10, budget=ByteBudget(10), sizeof=len)
         lru.put("a", "xxxx")
         lru.put("a", "xx")
         assert lru.stats()["bytes"] == 2 and len(lru) == 1
 
     def test_reprice_prices_a_value_that_grew_in_place(self):
-        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        lru = BoundedLRU(10, budget=ByteBudget(10), sizeof=len)
         a, b = ["x"] * 4, ["y"] * 4
         lru.put("a", a)
         lru.put("b", b)
@@ -135,7 +138,7 @@ class TestBoundedLRU:
         assert lru.stats()["entries"] == 1 and lru.stats()["bytes"] == 7
 
     def test_reprice_never_brings_a_value_back(self):
-        lru = BoundedLRU(10, max_bytes=10, sizeof=len)
+        lru = BoundedLRU(10, budget=ByteBudget(10), sizeof=len)
         a = ["x"] * 4
         lru.put("a", a)
         lru.pop("a")
@@ -145,7 +148,7 @@ class TestBoundedLRU:
         assert lru.get("a") == ["z"] and lru.stats()["bytes"] == 1
 
     def test_single_over_budget_entry_survives(self):
-        lru = BoundedLRU(10, max_bytes=4, sizeof=len)
+        lru = BoundedLRU(10, budget=ByteBudget(4), sizeof=len)
         lru.put("small", "xx")
         assert lru.put("huge", "x" * 100) == 1
         assert lru.get("huge") == "x" * 100
@@ -162,7 +165,7 @@ class TestBoundedLRU:
         assert evicted == [("a", "A")]
 
     def test_clear_resets_counters(self):
-        lru = BoundedLRU(4, max_bytes=100, sizeof=len)
+        lru = BoundedLRU(4, budget=ByteBudget(100), sizeof=len)
         lru.put("a", "xyz")
         lru.get("a")
         lru.get("zz")
@@ -176,12 +179,12 @@ class TestBoundedLRU:
         with pytest.raises(ValueError):
             BoundedLRU(0)
         with pytest.raises(ValueError):
-            BoundedLRU(4, max_bytes=10)  # no sizeof
+            BoundedLRU(4, budget=ByteBudget(10))  # no sizeof
 
     def test_concurrent_use_keeps_byte_accounting_exact(self):
         evicted = []
         lru = BoundedLRU(
-            6, max_bytes=40, sizeof=len,
+            6, budget=ByteBudget(40), sizeof=len,
             on_evict=lambda k, v: evicted.append(k),
         )
         n_threads, n_ops = 8, 500
@@ -228,3 +231,138 @@ class TestBoundedLRU:
         held = sum(len(v) for v in map(lru.pop, range(12)) if v is not None)
         assert held == stats["bytes"] <= 40
         assert lru.stats()["bytes"] == 0 and len(lru) == 0
+
+
+class TestByteBudget:
+    def test_caches_share_one_budget(self):
+        budget = ByteBudget(10)
+        a = BoundedLRU(budget=budget, sizeof=len)
+        b = BoundedLRU(budget=budget, sizeof=len)
+        a.put("a1", "xxxx")
+        a.put("a2", "xxxx")
+        assert budget.used() == 8
+        # 12 > 10: b evicts from its own LRU end, never from a's, and
+        # its newest entry survives even though a holds the bytes
+        b.put("b1", "xx")
+        assert b.put("b2", "xx") == 1
+        assert b.get("b1") is None and b.get("b2") == "xx"
+        assert len(a) == 2 and budget.used() == 10
+        assert a.put("a3", "x") == 1  # now a pays: its oldest goes
+        assert a.get("a1") is None
+        assert budget.stats() == {"budget_bytes": 10, "used_bytes": 7}
+
+    def test_a_collected_cache_stops_counting(self):
+        budget = ByteBudget(10)
+        keep = BoundedLRU(budget=budget, sizeof=len)
+        gone = BoundedLRU(budget=budget, sizeof=len)
+        gone.put("g", "x" * 9)
+        del gone
+        gc.collect()
+        assert budget.used() == 0
+        assert keep.put("k1", "x" * 5) == 0 and keep.put("k2", "x" * 5) == 0
+        assert len(keep) == 2
+
+
+class TestSegmentedLRU:
+    @staticmethod
+    def _lru(limit=100, **kw):
+        return SegmentedLRU(sizeof=len, budget=ByteBudget(limit), **kw)
+
+    def test_probation_keeps_only_the_newest_first_sightings(self):
+        lru = self._lru()
+        for k in "abc":
+            lru.put(k, k * 2)
+        assert lru.put("d", "dd") == 1
+        assert [lru.get(k) for k in "ab"] == [None, None]
+        stats = lru.stats()
+        assert (stats["entries"], stats["probation"]) == (2, 2)
+        assert stats["protected"] == 0 and stats["bytes"] == 4
+
+    def test_a_hit_in_probation_promotes(self):
+        lru = self._lru()
+        lru.put("a", "aa")
+        assert lru.get("a") == "aa"
+        for k in "bcd":  # churn probation: "a" is safe in protected
+            lru.put(k, k)
+        assert lru.get("a") == "aa"
+        stats = lru.stats()
+        assert stats["promotions"] == 1 and stats["protected"] == 1
+        assert (stats["hits"], stats["misses"]) == (2, 0)
+
+    def test_a_returning_key_is_admitted_from_the_ghosts(self):
+        lru = self._lru(ghosts=2)
+        for k in "abc":  # "a" leaves probation for the ghost list
+            lru.put(k, k)
+        assert lru.get("a") is None
+        lru.put("a", "A")
+        stats = lru.stats()
+        assert stats["ghost_admissions"] == 1 and stats["protected"] == 1
+        for k in "defgh":  # "b".. leave probation; ghosts keep 2
+            lru.put(k, k)
+        lru.put("b", "B")  # forgotten: only a first sighting again
+        assert lru.stats()["ghost_admissions"] == 1
+        assert lru.stats()["protected"] == 1
+
+    def test_the_newest_protected_entry_survives_the_budget(self):
+        lru = self._lru(limit=4)
+        for k in ("a", "b"):
+            lru.put(k, k * 3)
+            lru.get(k)  # promote: 3 + 3 > 4, so "a" goes
+        assert lru.get("a") is None and lru.get("b") == "bbb"
+        lru.put("c", "c" * 10)
+        lru.get("c")  # alone over budget, but the newest: kept
+        assert lru.get("c") == "c" * 10
+        assert lru.stats()["protected"] == 1
+
+    def test_both_segments_share_the_budget(self):
+        budget = ByteBudget(10)
+        lru = SegmentedLRU(sizeof=len, budget=budget)
+        other = BoundedLRU(budget=budget, sizeof=len)
+        lru.put("p", "x" * 4)
+        assert budget.used() == 4
+        lru.get("p")  # promoted: still charged once
+        assert budget.used() == 4
+        other.put("o1", "x" * 4)
+        assert other.put("o2", "x" * 4) == 1  # 12 > 10: other pays
+        assert lru.get("p") == "x" * 4
+
+    def test_a_probation_insert_evicts_protected_values(self):
+        budget = ByteBudget(10)
+        lru = SegmentedLRU(sizeof=len, budget=budget)
+        for k in ("a", "b"):
+            lru.put(k, k * 4)
+            lru.get(k)  # both protected: 8 bytes
+        assert lru.put("c", "c" * 4) == 1  # 12 > 10: "a" goes
+        assert lru.get("a") is None
+        stats = lru.stats()
+        assert (stats["probation"], stats["protected"]) == (1, 1)
+        assert budget.used() == stats["bytes"] == 8
+
+    def test_reprice_and_pop_reach_either_segment(self):
+        lru = self._lru()
+        grown, kept = ["x"], ["y"]
+        lru.put("g", grown)
+        lru.put("k", kept)
+        lru.get("k")  # "k" protected, "g" on probation
+        grown.extend("xx")
+        kept.extend("yy")
+        assert lru.reprice("g", grown) == 0 and lru.reprice("k", kept) == 0
+        assert lru.stats()["bytes"] == 6
+        assert lru.reprice("g", ["z"]) == 0  # another value: ignored
+        assert lru.stats()["bytes"] == 6
+        assert lru.pop("g") is grown and lru.pop("k") is kept
+        assert lru.stats()["entries"] == 0 and lru.stats()["bytes"] == 0
+        assert lru.values() == []
+
+    def test_clear_resets_everything(self):
+        lru = self._lru()
+        for k in "abc":
+            lru.put(k, k)
+        lru.get("c")
+        lru.clear()
+        lru.put("a", "a")  # the ghost list went too
+        assert lru.stats() == {
+            "entries": 1, "bytes": 1, "hits": 0, "misses": 0,
+            "probation": 1, "protected": 0, "promotions": 0,
+            "ghost_admissions": 0,
+        }
