@@ -29,10 +29,9 @@ mode on every push):
   needs real cores — on hosts with fewer than 4 CPUs it is *waived*
   (recorded in the report, never fabricated).  2 workers must beat 1
   by ``MIN_SHARDED_GAIN_2V1`` (1.2x); that guard binds from 2 CPUs
-  on.  (A worker used to run a burst's batches on several executor
-  threads at once, and GIL-bound solves slowed each other ≈ 3x there,
-  which let 4 workers read 3.2–3.95x over 1 on 2 CPUs; a serial
-  engine's batches now run one at a time.)
+  on.  Both ratios rest on a worker running its batches one at a
+  time: GIL-bound solves run concurrently on executor threads slow
+  each other ≈ 3x, which would inflate the 1-worker leg.
 
 * ingest: a large instance's whole wire path —
   ``instance_to_wire`` + ``encode_frame`` + ``decode_frame`` +
@@ -44,7 +43,7 @@ mode on every push):
   line, the wire encoding before binary attachments) for reference.
 
 * cold-stream memory: a plain server in a child process serves
-  distinct weight variants of one fewgmanyg base (n=10240; n=2560 in
+  distinct weight variants of one fewgmanyg base (n=10240; n=5120 in
   ``--smoke``), perfbench large-cold's traffic.  Its peak RSS (VmHWM)
   may grow at most ``MAX_STREAM_GROWTH_COMPILES`` (8) compilations of
   one instance over its ready RSS, and a warm request may take at most
@@ -124,8 +123,8 @@ MAX_STREAM_FAULTS_PER_REQUEST = 200
 #: the ingest guard's instance: perfbench large-cold's size
 INGEST_TASKS, INGEST_PROCS = 10240, 2048
 
-#: the cold-stream instance: perfbench large-cold's size (and a
-#: quarter of it in smoke mode)
+#: the cold-stream instance: perfbench large-cold's size (half of it
+#: in smoke mode)
 STREAM_TASKS, STREAM_PROCS = 10240, 2048
 STREAM_SMOKE_TASKS, STREAM_SMOKE_PROCS = 5120, 1024
 

@@ -147,9 +147,14 @@ class ByteBudget:
         # each member's total is one int, updated under its own lock
         return sum(m._nbytes for m in members)
 
-    def stats(self) -> dict[str, int]:
-        """``{"budget_bytes", "used_bytes"}`` snapshot."""
-        return {"budget_bytes": self.limit, "used_bytes": self.used()}
+    def stats(self) -> dict:
+        """``{"budget_bytes", "used_bytes", "used_ratio"}`` snapshot."""
+        used = self.used()
+        return {
+            "budget_bytes": self.limit,
+            "used_bytes": used,
+            "used_ratio": used / self.limit,
+        }
 
 
 #: The process's cache byte budget.  Kernel compilations

@@ -133,14 +133,6 @@ class _SolveTicket:
         self.consumed = False
 
 
-def cache_budget_use() -> dict:
-    """How much of the process cache budget is in use (the ``health``
-    op's ``cache_budget`` block)."""
-    use = CACHE_BUDGET.stats()
-    use["used_ratio"] = use["used_bytes"] / use["budget_bytes"]
-    return use
-
-
 class SolveServer:
     """A long-lived solve service over TCP (see
     :mod:`repro.service.protocol` for the frames).
@@ -817,5 +809,5 @@ class SolveServer:
             budget,
         )
         verdict["uptime_s"] = self.uptime_s
-        verdict["cache_budget"] = cache_budget_use()
+        verdict["cache_budget"] = CACHE_BUDGET.stats()
         return verdict

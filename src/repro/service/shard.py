@@ -49,6 +49,7 @@ from functools import partial
 from hashlib import blake2b
 from typing import Any, Hashable
 
+from .._util import CACHE_BUDGET
 from ..core.hypergraph import TaskHypergraph
 from ..engine.cache import instance_digest
 from ..engine.transport import (
@@ -65,7 +66,7 @@ from .protocol import (
     SessionRelocatedError,
     WorkerLostError,
 )
-from .server import SolveServer, _Conn, _SolveTicket, cache_budget_use
+from .server import SolveServer, _Conn, _SolveTicket
 from .supervisor import Supervisor, WorkerHandle, WorkerSpec
 
 __all__ = ["HashRing", "ShardedSolveServer"]
@@ -708,9 +709,9 @@ class ShardedSolveServer(SolveServer):
         verdict["uptime_s"] = self.uptime_s
         # the front-end's own budget, plus each reachable worker's
         # (the workers hold the compilations and result entries)
-        budget_use = cache_budget_use()
+        budget_use = CACHE_BUDGET.stats()
         budget_use["workers"] = {
-            name: caches["used_bytes"] / caches["budget_bytes"]
+            name: caches["used_ratio"]
             for name, info in snap["shards"].items()
             if (caches := (info.get("metrics") or {}).get("caches"))
         }

@@ -249,7 +249,9 @@ class TestByteBudget:
         assert len(a) == 2 and budget.used() == 10
         assert a.put("a3", "x") == 1  # now a pays: its oldest goes
         assert a.get("a1") is None
-        assert budget.stats() == {"budget_bytes": 10, "used_bytes": 7}
+        assert budget.stats() == {
+            "budget_bytes": 10, "used_bytes": 7, "used_ratio": 0.7,
+        }
 
     def test_a_collected_cache_stops_counting(self):
         budget = ByteBudget(10)
