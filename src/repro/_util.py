@@ -121,24 +121,35 @@ def grown(arr: np.ndarray, need: int, fill=None) -> np.ndarray:
 
 
 class ByteBudget:
-    """One byte limit shared by several :class:`BoundedLRU` caches.
+    """One byte limit shared by several caches.
 
-    A cache joins on construction and is held weakly, so a cache that
-    is garbage collected stops counting.  :meth:`used` is the sum of
-    the members' priced bytes.  An insert into a member evicts from
-    that member's own LRU end until the shared total fits, so the cache
-    that grows pays for it; the newest entry always survives.
+    A cache joins with a *share*: the fraction of the limit it keeps
+    however much the others want.  Members are held weakly, so a cache
+    that is garbage collected stops counting.  :meth:`used` is the sum
+    of the members' priced bytes.  After an insert, :meth:`fit` evicts
+    until the total fits again, each time from the LRU end of the
+    member the furthest above its share.  So a cache that grows first
+    cannot keep the budget: once another wants room, the one over its
+    share pays, and while the shares sum to at most 1 a member within
+    its share never loses an entry to another's growth.  The newest
+    entry of the cache just inserted into always survives.
     """
 
     def __init__(self, limit: int):
         self.limit = int(limit)
-        self._members: weakref.WeakSet = weakref.WeakSet()
+        self._members: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
         self._lock = threading.Lock()
 
-    def join(self, member: Any) -> None:
-        """Count ``member``'s ``_nbytes`` (an int it keeps current)."""
+    def join(self, member: Any, share: float = 0.0) -> None:
+        """Count ``member``'s ``_nbytes`` (an int it keeps current);
+        :meth:`fit` takes entries back through its
+        ``_evict_oldest(keep)``."""
+        if not 0.0 <= share <= 1.0:
+            raise ValueError("a budget share is a fraction in [0, 1]")
         with self._lock:
-            self._members.add(member)
+            self._members[member] = share
 
     def used(self) -> int:
         """Bytes priced by every live member."""
@@ -146,6 +157,24 @@ class ByteBudget:
             members = list(self._members)
         # each member's total is one int, updated under its own lock
         return sum(m._nbytes for m in members)
+
+    def fit(self, grown: Any) -> int:
+        """Evict until the members fit the limit, most-over-share member
+        first, keeping ``grown``'s newest entry; returns how many
+        entries were evicted.  Runs with no member lock held, so an
+        eviction callback may reach any cache."""
+        evicted = 0
+        while True:
+            with self._lock:
+                members = list(self._members.items())
+            if sum(m._nbytes for m, _ in members) <= self.limit:
+                return evicted
+            members.sort(key=lambda ms: ms[1] * self.limit - ms[0]._nbytes)
+            if not any(
+                m._evict_oldest(keep=int(m is grown)) for m, _ in members
+            ):
+                return evicted
+            evicted += 1
 
     def stats(self) -> dict:
         """``{"budget_bytes", "used_bytes", "used_ratio"}`` snapshot."""
@@ -161,6 +190,8 @@ class ByteBudget:
 #: (:mod:`repro.kernels.compiled`), :class:`~repro.engine.ResultCache`
 #: entries and a pool worker's shared-memory attachments all charge
 #: it.  192 MiB holds about 17 compilations of an n=10240 instance.
+#: The shares: reused compilations keep half of it, each result cache
+#: and the attachment map a quarter.
 CACHE_BUDGET = ByteBudget(192 * 1024 * 1024)
 
 
@@ -168,13 +199,14 @@ class BoundedLRU:
     """Thread-safe LRU map bounded by entry count and/or a byte budget.
 
     ``sizeof(value)`` prices each value (``stats()["bytes"]``); with a
-    ``budget`` the prices count against that :class:`ByteBudget`.
-    Inserting evicts least-recently-used entries until both bounds
-    hold, except that the newest entry always survives: one
-    over-budget value is kept, not refused.  ``on_evict(key, value)``
-    runs for every capacity eviction, after the lock is released;
-    :meth:`pop` and :meth:`clear` are explicit removals and do not
-    call it.
+    ``budget`` the prices count against that :class:`ByteBudget`, which
+    the cache joins with ``share``.  Inserting evicts least-recently-used
+    entries until both bounds hold — the byte bound possibly from
+    another member of the budget, see :meth:`ByteBudget.fit` — except
+    that the newest entry always survives: one over-budget value is
+    kept, not refused.  ``on_evict(key, value)`` runs for every capacity
+    eviction, after the lock is released; :meth:`pop` and :meth:`clear`
+    are explicit removals and do not call it.
     """
 
     def __init__(
@@ -182,6 +214,7 @@ class BoundedLRU:
         max_entries: int | None = None,
         *,
         budget: ByteBudget | None = None,
+        share: float = 0.0,
         sizeof: Callable[[Any], int] | None = None,
         on_evict: Callable[[Hashable, Any], None] | None = None,
     ):
@@ -199,7 +232,7 @@ class BoundedLRU:
         self.hits = 0
         self.misses = 0
         if budget is not None:
-            budget.join(self)
+            budget.join(self, share)
 
     def __len__(self) -> int:
         with self._lock:
@@ -225,23 +258,20 @@ class BoundedLRU:
     def put(self, key: Hashable, value: Any) -> int:
         """Insert or replace ``key`` as the most recent entry; returns
         how many entries were evicted to make room."""
-        return self._insert(key, value, replace_only=False)
+        return self._fit(self._insert(key, value, replace_only=False))
 
     def reprice(self, key: Hashable, value: Any) -> int:
         """Re-price ``value`` after it grew in place, as a :meth:`put`
         that happens only while ``key`` still maps to this very value
         (an evicted or replaced value is never brought back); returns
         how many entries were evicted."""
-        return self._insert(key, value, replace_only=True)
-
-    def _over(self) -> bool:
-        if self.max_entries is not None and len(self._data) > self.max_entries:
-            return True
-        budget = self._budget
-        return budget is not None and budget.used() > budget.limit
+        return self._fit(self._insert(key, value, replace_only=True))
 
     def _insert(self, key: Hashable, value: Any, *, replace_only: bool) -> int:
+        """The insert under the entry cap alone; the byte budget is
+        :meth:`_fit`'s, once no lock is held."""
         size = self._sizeof(value) if self._sizeof is not None else 0
+        victims = []
         with self._lock:
             old = self._data.get(key)
             if replace_only and (old is None or old[0] is not value):
@@ -251,30 +281,34 @@ class BoundedLRU:
                 self._nbytes -= old[1]
             self._data[key] = (value, size)
             self._nbytes += size
-            victims = self._evict_locked(keep=1)
-        return self._notify(victims)
+            cap = self.max_entries
+            while cap is not None and len(self._data) > cap:
+                victim, (vvalue, vsize) = self._data.popitem(last=False)
+                self._nbytes -= vsize
+                victims.append((victim, vvalue))
+        self._notify(victims)
+        return len(victims)
 
-    def shed(self) -> int:
-        """Evict from the LRU end, down to no entry at all if need be,
-        until the bounds hold again (after another member of the budget
-        grew); returns how many entries were evicted."""
+    def _fit(self, evicted: int) -> int:
+        if self._budget is None:
+            return evicted
+        return evicted + self._budget.fit(self)
+
+    def _evict_oldest(self, keep: int) -> bool:
+        """Evict the least recently used entry unless only ``keep``
+        remain; whether one went."""
         with self._lock:
-            victims = self._evict_locked(keep=0)
-        return self._notify(victims)
-
-    def _evict_locked(self, keep: int) -> list:
-        victims = []
-        while len(self._data) > keep and self._over():
+            if len(self._data) <= keep:
+                return False
             victim, (vvalue, vsize) = self._data.popitem(last=False)
             self._nbytes -= vsize
-            victims.append((victim, vvalue))
-        return victims
+        self._notify([(victim, vvalue)])
+        return True
 
-    def _notify(self, victims: list) -> int:
+    def _notify(self, victims: list) -> None:
         if self._on_evict is not None:
             for victim, vvalue in victims:
                 self._on_evict(victim, vvalue)
-        return len(victims)
 
     def values(self) -> list:
         """A snapshot of the cached values, oldest first."""
@@ -309,25 +343,43 @@ class BoundedLRU:
             }
 
 
+#: How many first-sighting values a :class:`SegmentedLRU` keeps on
+#: probation.  Two, not one or zero, for the compile cache: with fewer
+#: retained the allocator hands the freed heap back to the kernel and a
+#: stream of one-shot n=10240 compilations re-faults it on every request
+#: (~500 minor faults a request with one slot, ~2000 with none; 0 with
+#: two, measured).
+PROBATION_ENTRIES = 2
+
+#: How many keys evicted from probation a :class:`SegmentedLRU`
+#: remembers.  A 64-character digest key costs ~240 bytes here (the
+#: string and its LRU slot, measured), so the list stays under 1 MiB
+#: while it outlasts a method-major sweep over 4096 held instances,
+#: whose instances cost far more than their keys.
+GHOST_KEYS = 4096
+
+
 class SegmentedLRU:
     """A cache that admits a value to its budget only on reuse.
 
     A first-sighting value enters *probation*, which keeps only the
-    ``probation`` most recent such values.  A :meth:`get` hit there
-    *promotes* the value to *protected*, an LRU bounded by ``budget``
-    alone.  Keys evicted from probation are remembered, as keys only,
-    in a ghost list of ``ghosts`` entries; a :meth:`put` under a
-    remembered key (or under a key already held) goes straight to
-    protected.  So a key seen once costs at most a probation slot, and
-    a key seen twice, even after ``probation`` other keys, is kept
-    under the budget.  Both segments charge ``budget``: a value
-    entering probation over budget evicts protected's oldest values
-    (it is this cache that grew), never a probation value.
+    :data:`PROBATION_ENTRIES` most recent such values.  A :meth:`get`
+    hit there *promotes* the value to *protected*, an LRU bounded by
+    ``budget`` alone, which it joins with ``share``.  Keys evicted from
+    probation are remembered, as keys only, in a ghost list of
+    :data:`GHOST_KEYS` entries; a :meth:`put` under a remembered key
+    (or under a key already held) goes straight to protected.  So a
+    key seen once costs at most a probation slot, and a key seen twice,
+    even after other keys pushed it out of probation, is kept under the
+    budget.  Both segments are :class:`BoundedLRU` members of
+    ``budget``; probation's share is 0, so under pressure it gives up
+    its older slot before a member within its share loses anything.
 
     One lock orders every operation, so a promotion is never seen half
-    done.  :meth:`stats` reports both segments together under
-    :class:`BoundedLRU`'s keys plus the per-segment counts,
-    ``promotions`` and ``ghost_admissions``.
+    done; budget evictions run after it is released.  :meth:`stats`
+    reports both segments together under :class:`BoundedLRU`'s keys
+    plus the per-segment counts, ``promotions`` and
+    ``ghost_admissions``.
     """
 
     def __init__(
@@ -335,107 +387,81 @@ class SegmentedLRU:
         *,
         sizeof: Callable[[Any], int],
         budget: ByteBudget,
-        probation: int = 2,
-        ghosts: int = 64,
+        share: float = 0.0,
     ):
-        if probation < 1 or ghosts < 0:
-            raise ValueError("probation must be >= 1 and ghosts >= 0")
-        self._sizeof = sizeof
-        self._probation_cap = probation
-        self._ghost_cap = ghosts
-        self._probation: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
-        self._ghosts: OrderedDict[Hashable, None] = OrderedDict()
-        self._protected = BoundedLRU(budget=budget, sizeof=sizeof)
+        ghosts = BoundedLRU(GHOST_KEYS)
+        self._ghosts = ghosts
+        self._probation = BoundedLRU(
+            PROBATION_ENTRIES, budget=budget, sizeof=sizeof,
+            on_evict=lambda key, _: ghosts.put(key, True),
+        )
+        self._protected = BoundedLRU(budget=budget, share=share, sizeof=sizeof)
         self._lock = threading.Lock()
-        self._nbytes = 0  # probation's share of the budget
         self.hits = 0
         self.misses = 0
         self.promotions = 0
         self.ghost_admissions = 0
-        budget.join(self)
 
     def get(self, key: Hashable) -> Any:
         """The value for ``key`` (promoting it out of probation), or
         None; counts a hit or a miss."""
         with self._lock:
             value = self._protected.get(key)
-            if value is None:
-                entry = self._probation.pop(key, None)
-                if entry is None:
+            promoted = value is None
+            if promoted:
+                value = self._probation.pop(key)
+                if value is None:
                     self.misses += 1
                     return None
-                value, size = entry
-                self._nbytes -= size
-                self._protected.put(key, value)
+                self._protected._insert(key, value, replace_only=False)
                 self.promotions += 1
             self.hits += 1
-            return value
+        if promoted:
+            self._protected._fit(0)
+        return value
 
     def put(self, key: Hashable, value: Any) -> int:
         """Insert ``key``: into protected when it was seen before,
         else into probation; returns how many entries were evicted."""
         with self._lock:
-            ghost = key in self._ghosts
-            if ghost or key in self._probation or key in self._protected:
-                self._ghosts.pop(key, None)
-                self._drop_probation_locked(key)
+            ghost = self._ghosts.pop(key) is not None
+            held = self._probation.pop(key) is not None
+            if ghost or held or key in self._protected:
                 self.ghost_admissions += ghost
-                return self._protected.put(key, value)
-            size = self._sizeof(value)
-            self._probation[key] = (value, size)
-            self._nbytes += size
-            evicted = 0
-            while len(self._probation) > self._probation_cap:
-                victim, (_, vsize) = self._probation.popitem(last=False)
-                self._nbytes -= vsize
-                self._ghosts[victim] = None
-                evicted += 1
-            while len(self._ghosts) > self._ghost_cap:
-                self._ghosts.popitem(last=False)
-            return evicted + self._protected.shed()
-
-    def _drop_probation_locked(self, key: Hashable) -> Any:
-        entry = self._probation.pop(key, None)
-        if entry is None:
-            return None
-        self._nbytes -= entry[1]
-        return entry[0]
+                segment = self._protected
+            else:
+                segment = self._probation
+            evicted = segment._insert(key, value, replace_only=False)
+        return segment._fit(evicted)
 
     def reprice(self, key: Hashable, value: Any) -> int:
         """:meth:`BoundedLRU.reprice`, in whichever segment holds
         ``key``."""
         with self._lock:
-            entry = self._probation.get(key)
-            if entry is None:
-                return self._protected.reprice(key, value)
-            if entry[0] is not value:
-                return 0
-            size = self._sizeof(value)
-            self._probation[key] = (value, size)
-            self._nbytes += size - entry[1]
-            return self._protected.shed()
+            segment = (
+                self._probation if key in self._probation else self._protected
+            )
+            evicted = segment._insert(key, value, replace_only=True)
+        return segment._fit(evicted)
 
     def pop(self, key: Hashable) -> Any:
         """Remove ``key`` from either segment and return its value
         (None when absent)."""
         with self._lock:
-            value = self._drop_probation_locked(key)
+            value = self._probation.pop(key)
             protected = self._protected.pop(key)
             return protected if value is None else value
 
     def values(self) -> list:
         """A snapshot of the cached values, probation first."""
         with self._lock:
-            probation = [value for value, _ in self._probation.values()]
-            return probation + self._protected.values()
+            return self._probation.values() + self._protected.values()
 
     def clear(self) -> None:
         """Drop every entry and ghost, and reset the counters."""
         with self._lock:
-            self._probation.clear()
-            self._nbytes = 0
-            self._ghosts.clear()
-            self._protected.clear()
+            for segment in (self._probation, self._protected, self._ghosts):
+                segment.clear()
             self.hits = self.misses = 0
             self.promotions = self.ghost_admissions = 0
 
@@ -443,13 +469,14 @@ class SegmentedLRU:
         """``{"entries", "bytes", "hits", "misses", "probation",
         "protected", "promotions", "ghost_admissions"}`` snapshot."""
         with self._lock:
+            probation = self._probation.stats()
             protected = self._protected.stats()
             return {
-                "entries": len(self._probation) + protected["entries"],
-                "bytes": protected["bytes"] + self._nbytes,
+                "entries": probation["entries"] + protected["entries"],
+                "bytes": probation["bytes"] + protected["bytes"],
                 "hits": self.hits,
                 "misses": self.misses,
-                "probation": len(self._probation),
+                "probation": probation["entries"],
                 "protected": protected["entries"],
                 "promotions": self.promotions,
                 "ghost_admissions": self.ghost_admissions,

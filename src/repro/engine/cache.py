@@ -82,6 +82,12 @@ class CachedSolve(NamedTuple):
 _ENTRY_OVERHEAD = 1024
 
 
+#: The part of the budget each result cache keeps however many
+#: compilations want the rest (48 MiB: ~600 n=10240 entries, tens of
+#: thousands of small ones).
+_BUDGET_SHARE = 0.25
+
+
 def _entry_nbytes(value: CachedSolve) -> int:
     return value.assignment.nbytes + _ENTRY_OVERHEAD
 
@@ -97,8 +103,10 @@ class ResultCache:
     Every entry is priced at its assignment's bytes plus a fixed
     per-entry overhead and charges the process's
     :data:`~repro._util.CACHE_BUDGET`, which the kernel compile cache
-    and a pool worker's attachments share; ``maxsize`` adds an optional
-    entry cap on top.
+    and a pool worker's attachments share.  The cache keeps a quarter
+    of the budget however much the others want; beyond that it grows
+    into what they leave free.  ``maxsize`` adds an optional entry cap
+    on top.
 
     Concurrency contract (exercised by the thread-pool path of
     :meth:`BatchSolver.solve_many` and the service's executor threads,
@@ -119,7 +127,8 @@ class ResultCache:
             raise ValueError("maxsize must be at least 1")
         self.maxsize = maxsize
         self._lru = BoundedLRU(
-            maxsize, budget=CACHE_BUDGET, sizeof=_entry_nbytes
+            maxsize, budget=CACHE_BUDGET, share=_BUDGET_SHARE,
+            sizeof=_entry_nbytes,
         )
 
     @property

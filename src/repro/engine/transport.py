@@ -286,9 +286,11 @@ def _attachment_nbytes(attached: tuple[Any, TaskHypergraph]) -> int:
 
 #: segment name -> (shm, hypergraph), priced at the segment's mapping
 #: under the process cache budget (a compilation viewing the segment is
-#: priced, segment included, in the compile cache); eviction unmaps.
+#: priced, segment included, in the compile cache), with a quarter of
+#: the budget as its share; eviction unmaps.
 _ATTACHED = BoundedLRU(
-    budget=CACHE_BUDGET, sizeof=_attachment_nbytes, on_evict=_detach
+    budget=CACHE_BUDGET, share=0.25, sizeof=_attachment_nbytes,
+    on_evict=_detach,
 )
 
 

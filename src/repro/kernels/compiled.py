@@ -289,13 +289,24 @@ def _owner(arr: np.ndarray) -> tuple[Any, int]:
         return obj, arr.nbytes
 
 
+#: What one compilation costs beside its array buffers: the
+#: CompiledKernels and TaskHypergraph objects, a dozen ndarray headers,
+#: the digest and the cache's bookkeeping (2.7–3.3 KiB measured with
+#: tracemalloc over hundreds of cached n=6 and n=24 compilations).
+#: Without it an n=6 compilation is priced at half of what it costs, and
+#: the budget would keep twice as many small compilations as fit in it.
+_COMPILED_OVERHEAD = 3584
+
+
 def compiled_nbytes(compiled: CompiledKernels) -> int:
     """Approximate heap footprint of one compilation: the sum over the
     unique buffers its arrays keep alive (kernel fields share storage
     with the hypergraph's CSR arrays, so buffers are deduplicated by
     identity).  A view is priced at the whole buffer it pins — a
     weights view over a received frame costs the frame.  The lazily
-    built indexes count only once built; pricing never builds them."""
+    built indexes count only once built; pricing never builds them.
+    A fixed per-compilation overhead covers the objects around the
+    buffers."""
     hg = compiled.hypergraph
     seen: set[int] = set()
     total = 0
@@ -311,14 +322,15 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
         if id(owner) not in seen:
             seen.add(id(owner))
             total += nbytes
-    return total
+    return total + _COMPILED_OVERHEAD
 
 
 #: Digest-keyed compilations, admitted on reuse.  A new compilation
 #: enters a two-entry probation segment; a second request for the digest
 #: (a hit there, or a digest evicted from probation that comes back)
 #: moves it to the protected segment, which only the process's
-#: :data:`~repro._util.CACHE_BUDGET` bounds (both segments charge it).
+#: :data:`~repro._util.CACHE_BUDGET` bounds (both segments charge it;
+#: protected keeps half the budget however much the other caches want).
 #: Distinct one-shot instances (a cold request stream, every version of
 #: a churned dynamic instance) therefore retain two compilations, not a
 #: budget's worth: at n=10240 one costs ~11 MiB, and retaining ~17 of
@@ -330,10 +342,12 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
 #: over with no faults.  Keeping the compilation on its instance instead
 #: would need a reference cycle, freed only by the cyclic GC, which
 #: measured worse than the old cache.
-#: The 64 ghost digests cover reuse far apart, as in the experiment
-#: runner's method-major sweep over held instances: each instance is
-#: compiled at most twice there.
-_CACHE = SegmentedLRU(sizeof=compiled_nbytes, budget=CACHE_BUDGET)
+#: The ghost digests (:data:`~repro._util.GHOST_KEYS`) cover reuse far
+#: apart, such as a method-major sweep over held instances through an
+#: engine: each instance is compiled at most twice there.
+_CACHE = SegmentedLRU(
+    sizeof=compiled_nbytes, budget=CACHE_BUDGET, share=0.5
+)
 
 
 def compile_instance(

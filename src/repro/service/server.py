@@ -145,8 +145,8 @@ class SolveServer:
     engine:
         The :class:`BatchSolver` behind every solve.  Defaults to a
         serial engine on the process-wide shared result cache — solves
-        then run one at a time inside executor threads, where the
-        kernels' compile cache and the result cache stay warm.
+        then run one at a time on the batcher's solver thread, where
+        the kernels' compile cache and the result cache stay warm.
     max_batch, max_delay_s:
         Micro-batcher knobs (see :class:`MicroBatcher`).
     max_pending:

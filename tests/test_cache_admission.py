@@ -4,8 +4,9 @@ caches share one byte budget.
 Engine-level consequences of :class:`repro._util.SegmentedLRU` behind
 ``repro.kernels.compiled._CACHE``: a stream of one-shot instances
 retains at most the two probation compilations, one instance solved by
-the paper's four heuristics compiles once, the experiment runner's
-method-major order compiles each held instance at most twice, the
+the paper's four heuristics compiles once, the experiment runner
+compiles each held instance once (at most twice through an engine's
+method-major batches), a compilation's price bounds its memory, the
 union-index re-price and the shared-memory detach reach either
 segment, and the service reports the caches (``metrics``) and the
 budget's use (``health``).
@@ -13,12 +14,16 @@ budget's use (``health``).
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+from repro._util import CACHE_BUDGET
+
 from repro.engine import BatchSolver, ResultCache, instance_digest
-from repro.experiments.instances import SMALL_SPECS
+from repro.experiments.instances import InstanceSpec
 from repro.experiments.runner import run_instances
 from repro.generators import generate_multiproc
 from repro.kernels import (
@@ -30,6 +35,7 @@ from repro.kernels import compiled
 from repro.kernels.compiled import compiled_nbytes
 
 PAPER_METHODS = ("SGH", "VGH", "EGH", "EVG")
+_SPEC = InstanceSpec("fewgmanyg-small", "fewgmanyg", g=4, n=96, p=16)
 
 
 def _instances(n: int, seed0: int = 0):
@@ -81,12 +87,25 @@ class TestAdmission:
         assert (stats["protected"], stats["probation"]) == (1, 0)
         assert stats["hits"] == len(PAPER_METHODS) - 1
 
-    def test_method_major_runner_compiles_each_instance_at_most_twice(
+    def test_the_runner_compiles_each_instance_once(self, compiles):
+        # more held instances than any fixed ghost list of old (64)
+        n_seeds = 70
+        run_instances(
+            [_SPEC], algorithms=PAPER_METHODS, n_seeds=n_seeds,
+        )
+        assert len(compiles) == n_seeds
+        assert set(compiles.values()) == {1}
+        stats = _segments()
+        assert stats["promotions"] == n_seeds
+        assert stats["ghost_admissions"] == 0
+
+    def test_a_method_major_engine_sweep_compiles_at_most_twice(
         self, compiles
     ):
-        n_seeds = 10
+        n_seeds = 70
         run_instances(
-            SMALL_SPECS[:1], algorithms=PAPER_METHODS, n_seeds=n_seeds,
+            [_SPEC], algorithms=PAPER_METHODS, n_seeds=n_seeds,
+            engine=_serial_engine(),
         )
         assert len(compiles) == n_seeds
         assert max(compiles.values()) <= 2
@@ -95,6 +114,33 @@ class TestAdmission:
         stats = _segments()
         assert stats["ghost_admissions"] == n_seeds - 2
         assert stats["protected"] == n_seeds
+
+
+class TestPricing:
+    def test_many_small_reused_compilations_stay_within_the_budget(
+        self, compiles, monkeypatch
+    ):
+        """The price of a compilation covers what it really holds, so
+        the budget bounds the memory of many tiny reused instances."""
+        compile_instance(generate_multiproc(6, 2, g=2, seed=10**6))
+        clear_compile_cache()  # one-time allocations happen before
+        monkeypatch.setattr(CACHE_BUDGET, "limit", 1 << 20)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for seed in range(600):
+                hg = generate_multiproc(6, 2, g=2, seed=seed)
+                compile_instance(hg)
+                compile_instance(hg)  # reused: promoted
+            del hg
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        stats = _segments()
+        assert 100 < stats["protected"] < 600  # the budget binds
+        assert held <= 1.1 * CACHE_BUDGET.limit
 
 
 class TestEitherSegment:
@@ -151,7 +197,6 @@ class TestServiceReportsTheCaches:
     def test_metrics_and_health_carry_the_budget(self, compiles):
         from test_service import running_server
 
-        from repro._util import CACHE_BUDGET
         from repro.service import ServiceClient
 
         (hg,) = _instances(1, seed0=90)

@@ -322,6 +322,42 @@ class TestMicroBatching:
             local = api_solve(hg, method="SGH" if k % 2 else "EVG")
             assert np.array_equal(remote.assignment, local.hedge_of_task)
 
+    def test_a_serial_engine_runs_its_batches_one_at_a_time(self):
+        """Flushed batches of a serial engine queue at one thread of
+        the batcher's own: never two solves at once, whatever the
+        number of concurrent flushes."""
+        from types import SimpleNamespace
+
+        from repro.service.batching import MicroBatcher
+
+        running, peak, threads = [0], [0], set()
+        lock = threading.Lock()
+
+        class SlowSerialEngine:
+            executor = "serial"
+
+            def solve_many(self, instances, *, options):
+                with lock:
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                    threads.add(threading.get_ident())
+                time.sleep(0.02)
+                with lock:
+                    running[0] -= 1
+                return [SimpleNamespace(stats={}) for _ in instances]
+
+        async def burst():
+            batcher = MicroBatcher(SlowSerialEngine(), max_batch=1)
+            options = SolveOptions(method="SGH")
+            return await asyncio.gather(
+                *(batcher.solve(hg, options) for hg in small_instances(6))
+            )
+
+        results = asyncio.run(burst())
+        assert len(results) == 6
+        assert peak[0] == 1 and len(threads) == 1
+        assert all(r.stats["queue_s"] >= 0 for r in results)
+
     def test_sparse_traffic_flushes_without_waiting_the_budget(self):
         """Adaptivity: lone requests must not idle out max_delay_s."""
         import time

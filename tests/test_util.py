@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro._util import (
+    GHOST_KEYS,
+    PROBATION_ENTRIES,
     BoundedLRU,
     ByteBudget,
     SegmentedLRU,
@@ -234,24 +236,55 @@ class TestBoundedLRU:
 
 
 class TestByteBudget:
-    def test_caches_share_one_budget(self):
+    def test_the_member_furthest_over_its_share_pays(self):
+        budget = ByteBudget(10)
+        a = BoundedLRU(budget=budget, share=0.5, sizeof=len)
+        b = BoundedLRU(budget=budget, share=0.5, sizeof=len)
+        a.put("a1", "xxxx")
+        a.put("a2", "xxxx")
+        assert budget.used() == 8
+        assert b.put("b1", "xx") == 0  # 10: fits
+        # 12 > 10: a holds 3 over its 5-byte share, b is under its
+        # own, so a's oldest goes although b grew
+        assert b.put("b2", "xx") == 1
+        assert a.get("a1") is None and len(a) == 1 and len(b) == 2
+        assert budget.stats() == {
+            "budget_bytes": 10, "used_bytes": 8, "used_ratio": 0.8,
+        }
+        assert b.put("b3", "xxxx") == 1  # now b is the one over: it pays
+        assert b.get("b1") is None and a.get("a2") == "xxxx"
+
+    def test_a_cache_that_filled_the_budget_first_cannot_keep_it(self):
+        budget = ByteBudget(100)
+        results = BoundedLRU(budget=budget, share=0.25, sizeof=len)
+        compiled = SegmentedLRU(sizeof=len, budget=budget, share=0.5)
+        for k in range(10):
+            results.put(k, "r" * 10)
+        assert budget.used() == 100
+        compiled.put("c", "c" * 20)
+        compiled.get("c")  # reused: promoted into its share
+        for k in range(10, 40):  # the results keep streaming in
+            results.put(k, "r" * 10)
+        assert compiled.get("c") == "c" * 20
+        assert results.stats()["bytes"] == 80
+        # and the other way round: compilations filling the budget
+        # leave the results their share
+        for k in range(10):
+            compiled.put(k, "c" * 10)
+            compiled.get(k)
+        for k in range(40, 50):
+            results.put(k, "r" * 10)
+        assert all(results.get(k) is not None for k in (48, 49))
+        assert results.stats()["bytes"] >= 25
+        assert budget.used() <= 100
+
+    def test_the_newest_entry_survives_whoever_pays(self):
         budget = ByteBudget(10)
         a = BoundedLRU(budget=budget, sizeof=len)
         b = BoundedLRU(budget=budget, sizeof=len)
         a.put("a1", "xxxx")
-        a.put("a2", "xxxx")
-        assert budget.used() == 8
-        # 12 > 10: b evicts from its own LRU end, never from a's, and
-        # its newest entry survives even though a holds the bytes
-        b.put("b1", "xx")
-        assert b.put("b2", "xx") == 1
-        assert b.get("b1") is None and b.get("b2") == "xx"
-        assert len(a) == 2 and budget.used() == 10
-        assert a.put("a3", "x") == 1  # now a pays: its oldest goes
-        assert a.get("a1") is None
-        assert budget.stats() == {
-            "budget_bytes": 10, "used_bytes": 7, "used_ratio": 0.7,
-        }
+        assert b.put("huge", "x" * 100) == 1  # a's entry goes, huge stays
+        assert len(a) == 0 and b.get("huge") == "x" * 100
 
     def test_a_collected_cache_stops_counting(self):
         budget = ByteBudget(10)
@@ -264,11 +297,15 @@ class TestByteBudget:
         assert keep.put("k1", "x" * 5) == 0 and keep.put("k2", "x" * 5) == 0
         assert len(keep) == 2
 
+    def test_a_share_is_a_fraction(self):
+        with pytest.raises(ValueError):
+            BoundedLRU(budget=ByteBudget(10), share=1.5, sizeof=len)
+
 
 class TestSegmentedLRU:
     @staticmethod
-    def _lru(limit=100, **kw):
-        return SegmentedLRU(sizeof=len, budget=ByteBudget(limit), **kw)
+    def _lru(limit=100):
+        return SegmentedLRU(sizeof=len, budget=ByteBudget(limit))
 
     def test_probation_keeps_only_the_newest_first_sightings(self):
         lru = self._lru()
@@ -292,18 +329,21 @@ class TestSegmentedLRU:
         assert (stats["hits"], stats["misses"]) == (2, 0)
 
     def test_a_returning_key_is_admitted_from_the_ghosts(self):
-        lru = self._lru(ghosts=2)
+        lru = self._lru(limit=10**6)
         for k in "abc":  # "a" leaves probation for the ghost list
             lru.put(k, k)
         assert lru.get("a") is None
         lru.put("a", "A")
         stats = lru.stats()
         assert stats["ghost_admissions"] == 1 and stats["protected"] == 1
-        for k in "defgh":  # "b".. leave probation; ghosts keep 2
-            lru.put(k, k)
-        lru.put("b", "B")  # forgotten: only a first sighting again
+        # "b", then GHOST_KEYS more keys leave probation: "b" is forgotten
+        for k in range(GHOST_KEYS + PROBATION_ENTRIES + 1):
+            lru.put(k, "v")
+        lru.put("b", "B")  # only a first sighting again
         assert lru.stats()["ghost_admissions"] == 1
         assert lru.stats()["protected"] == 1
+        lru.put(PROBATION_ENTRIES + 1, "v")  # still remembered
+        assert lru.stats()["ghost_admissions"] == 2
 
     def test_the_newest_protected_entry_survives_the_budget(self):
         lru = self._lru(limit=4)
