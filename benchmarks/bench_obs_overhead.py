@@ -269,7 +269,6 @@ def _sharded_pool(*, tracing: bool, n_workers: int = 2):
     server = ShardedSolveServer(
         n_workers=n_workers,
         allow_shutdown=True,
-        shm_min_bytes=0,
         tracing=tracing,
         # never retain: the bench measures, the flight recorder is not
         # under test and a retained burst trace would skew nothing but

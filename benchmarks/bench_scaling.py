@@ -190,12 +190,14 @@ def _transport_section(seed: int, repeats: int) -> dict:
         "p": TRANSPORT_P,
         "batch": TRANSPORT_BATCH,
     }
-    for transport in ("pickle", "shm"):
+    # the engine's one transport knob: no floor pickles every
+    # instance, a zero floor ships every instance by segment
+    for transport, shm_min_bytes in (("pickle", None), ("shm", 0)):
         eng = BatchSolver(
             max_workers=2,
             executor="process",
             cache=False,
-            transport=transport,
+            shm_min_bytes=shm_min_bytes,
         )
         try:
             t_cold, _ = _time(eng.solve_many, batch, method="SGH")

@@ -54,6 +54,15 @@ mode on every push):
   request.  Linux only (``/proc``).  ``--reference-src DIR`` records
   the same leg against a server from another source tree.
 
+* pool cold-stream memory: the same stream through ``semimatch serve
+  --workers 2``.  The front-end's peak RSS may grow at most
+  ``MAX_POOL_STREAM_GROWTH_INSTANCES`` (12) times one instance's
+  arrays over its ready RSS.  A front-end that forwards attachments
+  holds nothing per request (≈ 4x measured, n=5120 and n=10240); one
+  that keeps a shared-memory segment per distinct instance grows with
+  the stream (≈ 40–47x over 36–44 requests).  ``--reference-src``
+  records this leg for the other tree too.
+
 A fifth workload block, ``sharded_sweep``, ramps concurrency
 100 → 1000 → 10000 against a 4-worker :class:`ShardedSolveServer` and
 records req/s plus per-shard latency at each level.
@@ -83,6 +92,7 @@ import repro
 from repro.core import TaskHypergraph
 from repro.engine import ResultCache
 from repro.engine.batch import BatchSolver
+from repro.engine.transport import instance_nbytes
 from repro.generators import generate_multiproc
 from repro.kernels import compile_instance
 from repro.kernels.compiled import compiled_nbytes
@@ -119,6 +129,11 @@ MAX_STREAM_GROWTH_COMPILES = 8.0
 #: heap that keeps its pages faults ≈ 0 per request; one handed back to
 #: the kernel after every request re-faults ≈ 2000 at n=10240
 MAX_STREAM_FAULTS_PER_REQUEST = 200
+#: pool cold-stream memory: a 2-worker pool front-end's peak RSS growth
+#: over its ready RSS, in one stream instance's arrays
+#: (``instance_nbytes``).  Forwarding attachments measured ≈ 4.0–4.6x;
+#: keeping a shared-memory export per distinct instance ≈ 40–47x
+MAX_POOL_STREAM_GROWTH_INSTANCES = 12.0
 
 #: the ingest guard's instance: perfbench large-cold's size
 INGEST_TASKS, INGEST_PROCS = 10240, 2048
@@ -490,11 +505,13 @@ def bench_sharded_scaling(n_requests: int, attempts: int = 3) -> dict:
 
 
 class _ChildServer:
-    """A plain ``semimatch serve`` in its own process, so its memory
-    and page faults are its own.  ``src`` picks the source tree the
-    child imports ``repro`` from (default: the one this bench runs)."""
+    """A ``semimatch serve`` in its own process, so its memory and page
+    faults are its own: a plain server, or with ``workers`` > 0 a
+    sharded pool's front-end (its workers are processes of their own).
+    ``src`` picks the source tree the child imports ``repro`` from
+    (default: the one this bench runs)."""
 
-    def __init__(self, src: str | None = None):
+    def __init__(self, src: str | None = None, workers: int = 0):
         src = src or str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -502,7 +519,8 @@ class _ChildServer:
         )
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments.cli", "serve",
-             "--port", "0", "--allow-shutdown"],
+             "--port", "0", "--allow-shutdown",
+             "--workers", str(workers)],
             stdout=subprocess.PIPE, text=True, env=env,
         )
         line = self.proc.stdout.readline()
@@ -550,17 +568,20 @@ def bench_cold_stream_memory(
     n_tasks: int,
     n_procs: int,
     warmup: int = 4,
+    workers: int = 0,
     src: str | None = None,
 ) -> dict:
-    """A plain server in a child process serves distinct weight
-    variants of one fewgmanyg base (large-cold's traffic) one at a
-    time.  Records its ready RSS, its VmHWM after the stream, and the
-    minor faults of every request after ``warmup``."""
+    """A server in a child process serves distinct weight variants of
+    one fewgmanyg base (large-cold's traffic) one at a time: a plain
+    server, or with ``workers`` > 0 a sharded pool, whose front-end is
+    the process measured.  Records its ready RSS, its VmHWM after the
+    stream, and the minor faults of every request after ``warmup``."""
     base = generate_multiproc(
         n_tasks, n_procs, family="fewgmanyg", g=32,
         weights="related", seed=1,
     )
     per_compile = compiled_nbytes(compile_instance(base))
+    per_instance = instance_nbytes(base)
     rng = np.random.default_rng(7)
 
     def variant():
@@ -568,7 +589,7 @@ def bench_cold_stream_memory(
         return base.with_weights(base.hedge_w * scale)
 
     faults = []
-    with _ChildServer(src) as child:
+    with _ChildServer(src, workers) as child:
         ready_kib = child.status_kib("VmRSS")
         with ServiceClient(port=child.port, timeout=600.0) as client:
             for k in range(warmup + n_requests):
@@ -582,13 +603,16 @@ def bench_cold_stream_memory(
     growth = (hwm_kib - ready_kib) * 1024
     return {
         "instance": [n_tasks, n_procs],
+        "workers": workers,
         "requests": n_requests,
         "warmup": warmup,
         "compiled_mib": per_compile / 2**20,
+        "instance_mib": per_instance / 2**20,
         "ready_rss_mib": ready_kib / 1024,
         "vmhwm_mib": hwm_kib / 1024,
         "growth_mib": growth / 2**20,
         "growth_over_compiled": growth / per_compile,
+        "growth_over_instance": growth / per_instance,
         "faults_per_request_median": statistics.median(faults),
         "faults_per_request_max": max(faults),
         "compile_cache": caches["compile"] if caches else None,
@@ -678,11 +702,15 @@ def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
     ingest = bench_wire_ingest(5 if smoke else 9)
 
     stream = bench_cold_stream_memory(**stream_size)
+    pool_stream = bench_cold_stream_memory(**stream_size, workers=2)
     if reference_src is not None:
-        # the same leg against a server from another source tree (say,
+        # the same legs against servers from another source tree (say,
         # a checkout of the parent commit): recorded, never asserted
         stream["reference"] = bench_cold_stream_memory(
             **stream_size, src=reference_src
+        )
+        pool_stream["reference"] = bench_cold_stream_memory(
+            **stream_size, workers=2, src=reference_src
         )
 
     sweep_levels = [100, 1000] if smoke else [100, 1000, 10000]
@@ -708,6 +736,7 @@ def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
             "sharded_scaling": scaling,
             "wire_ingest": ingest,
             "cold_stream_memory": stream,
+            "pool_cold_stream_memory": pool_stream,
         },
         "assertions": {
             "batching_gain": batching_gain,
@@ -727,6 +756,12 @@ def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
             "max_stream_growth_over_compiled": MAX_STREAM_GROWTH_COMPILES,
             "stream_faults_per_request": stream["faults_per_request_median"],
             "max_stream_faults_per_request": MAX_STREAM_FAULTS_PER_REQUEST,
+            "pool_stream_growth_over_instance": pool_stream[
+                "growth_over_instance"
+            ],
+            "max_pool_stream_growth_over_instance": (
+                MAX_POOL_STREAM_GROWTH_INSTANCES
+            ),
         },
     }
     if sharded_waived:
@@ -768,6 +803,15 @@ def check(report: dict) -> None:
         f"a warm cold-stream request took "
         f"{a['stream_faults_per_request']:g} minor page faults at the "
         f"median (ceiling {a['max_stream_faults_per_request']})"
+    )
+    assert (
+        a["pool_stream_growth_over_instance"]
+        <= a["max_pool_stream_growth_over_instance"]
+    ), (
+        f"a cold stream grew a 2-worker pool front-end's peak RSS by "
+        f"{a['pool_stream_growth_over_instance']:.1f} instances' arrays "
+        f"over its ready RSS (ceiling "
+        f"{a['max_pool_stream_growth_over_instance']:g})"
     )
     if not a.get("sharded_guard_waived"):
         assert a["sharded_gain"] >= a["min_sharded_gain"], (
@@ -851,6 +895,16 @@ def main(argv=None) -> int:
                 f"({leg['growth_over_compiled']:.1f}x one compilation), "
                 f"{leg['faults_per_request_median']:g} faults/request"
             )
+    pool_stream = w["pool_cold_stream_memory"]
+    for label, leg in (
+        ("pool", pool_stream), ("pool ref", pool_stream.get("reference"))
+    ):
+        if leg is not None:
+            print(
+                f"{label:<9}: front-end peak +{leg['growth_mib']:.0f} MiB "
+                f"over ready ({leg['growth_over_instance']:.1f}x one "
+                f"instance's arrays)"
+            )
     print(f"wrote {args.out}")
     check(report)
     print(
@@ -860,7 +914,8 @@ def main(argv=None) -> int:
         f"ingest <= {MAX_INGEST_OVER_CSR:g}x from_csr, "
         f"cold-stream growth <= {MAX_STREAM_GROWTH_COMPILES:g} "
         f"compilations and <= {MAX_STREAM_FAULTS_PER_REQUEST} "
-        f"faults/request"
+        f"faults/request, pool front-end growth <= "
+        f"{MAX_POOL_STREAM_GROWTH_INSTANCES:g} instances"
         + (
             ""
             if waived

@@ -50,7 +50,7 @@ Package map
   (localized repair instead of re-solving), plus JSONL mutation traces
   (``semimatch replay``);
 * :mod:`repro.engine` — batch solving: ``BatchSolver``/``solve_many``
-  (process/thread pools, chunked distribution), portfolio racing, and a
+  (process pools, chunked distribution), portfolio racing, and a
   content-addressed result cache shared with ``solve``;
 * :mod:`repro.service` — the traffic front-end: an asyncio TCP solve
   server (JSON header lines, binary array attachments) with adaptive

@@ -1,7 +1,7 @@
 """Batch-solving engine: pooled execution, portfolio racing, result cache.
 
 * :class:`BatchSolver` / :func:`solve_many` — solve many instances
-  concurrently on a process or thread pool, with chunked distribution;
+  concurrently on a process pool, with chunked distribution;
   every solve returns a rich :class:`~repro.api.SolveResult`;
 * portfolio mode — race several registered algorithms per instance and
   keep the best makespan;

@@ -7,8 +7,8 @@ instance at a time.  This module turns the same dispatch into an engine:
 * **batching** — hand over many :class:`~repro.sched.model.SchedulingProblem`
   or :class:`~repro.core.hypergraph.TaskHypergraph` instances at once;
 * **pooling** — instances are solved concurrently on a
-  :mod:`concurrent.futures` process (or thread) pool, distributed in
-  chunks so per-task pickling overhead amortises;
+  :mod:`concurrent.futures` process pool, distributed in chunks so
+  per-task pickling overhead amortises;
 * **portfolio mode** — race several algorithms per instance and keep the
   best makespan (never worse than any single constituent);
 * **caching** — a content-addressed LRU of solved assignments, so
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable, Union
 
 from .._util import CACHE_BUDGET
@@ -70,12 +70,11 @@ __all__ = [
 
 Instance = Union[SchedulingProblem, TaskHypergraph]
 
-_EXECUTORS = ("process", "thread", "serial")
-_TRANSPORTS = ("auto", "shm", "pickle")
+_EXECUTORS = ("process", "serial")
 
 #: Below this payload size a pickle through the pipe beats the shm
-#: round-trip (segment syscall + memcpy + descriptor pickle), so
-#: ``transport="auto"`` keeps small instances on the pickle path.
+#: round-trip (segment syscall + memcpy + descriptor pickle), so the
+#: default ``shm_min_bytes`` keeps small instances on the pickle path.
 _SHM_MIN_BYTES = 64 * 1024
 
 #: Cache shared by every engine created with ``cache=True`` (including
@@ -165,9 +164,8 @@ class BatchSolver:
         (no pool, no pickling).
     executor:
         ``"process"`` (default; real parallelism for these CPU-bound,
-        GIL-holding algorithms), ``"thread"`` (cheap to spin up, useful
-        for tests and IO-adjacent callers) or ``"serial"`` (always
-        inline, whatever ``max_workers`` says).
+        GIL-holding algorithms) or ``"serial"`` (always inline,
+        whatever ``max_workers`` says).
     chunk_size:
         Instances per pool task; defaults to ``ceil(pending / (4 *
         max_workers))`` so each worker sees a handful of chunks (good
@@ -181,19 +179,17 @@ class BatchSolver:
         :class:`~repro.api.SolveOptions` or its fields as keywords
         (``method=``, ``seed=``, ``time_budget=``, ``backend=``), not
         both.  :meth:`solve_many` keywords override single fields of it.
-    transport:
-        How instances travel to process-pool workers.  ``"auto"``
-        (default) ships instances at or above ``shm_min_bytes`` through
-        :mod:`multiprocessing.shared_memory` (digest-keyed segments,
-        attached as zero-copy views in the worker) and pickles the
-        rest; ``"shm"`` forces shared memory regardless of size;
-        ``"pickle"`` disables it.  Shared memory silently degrades to
-        pickling per instance when the platform lacks it or segment
-        creation fails, so results never depend on the transport.
-        Thread and serial executors always hand over references.
     shm_min_bytes:
-        The ``"auto"`` size floor (default 64 KiB): below it a pickle
-        beats the segment syscall + memcpy.
+        How instances travel to process-pool workers: those of at
+        least this many bytes (default 64 KiB; below it a pickle beats
+        the segment syscall + memcpy) go through
+        :mod:`multiprocessing.shared_memory` (digest-keyed segments,
+        attached as zero-copy views in the worker), the rest are
+        pickled.  ``0`` ships every instance by segment, ``None``
+        pickles them all.  Shared memory silently degrades to pickling
+        per instance when the platform lacks it or segment creation
+        fails, so results never depend on the transport.  The serial
+        executor always hands over references.
     idle_timeout:
         Seconds of inactivity after which the worker pool is shut down
         (``None`` — keep it until :meth:`close`).  The next pooled call
@@ -209,8 +205,7 @@ class BatchSolver:
         chunk_size: int | None = None,
         cache: ResultCache | bool | None = True,
         options: SolveOptions | None = None,
-        transport: str = "auto",
-        shm_min_bytes: int = _SHM_MIN_BYTES,
+        shm_min_bytes: int | None = _SHM_MIN_BYTES,
         idle_timeout: float | None = None,
         **fields: Any,
     ):
@@ -218,10 +213,8 @@ class BatchSolver:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {_EXECUTORS}"
             )
-        if transport not in _TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; choose from {_TRANSPORTS}"
-            )
+        if shm_min_bytes is not None and shm_min_bytes < 0:
+            raise ValueError("shm_min_bytes must be non-negative or None")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         if chunk_size is not None and chunk_size < 1:
@@ -241,8 +234,7 @@ class BatchSolver:
         else:
             self.cache = cache
         self.defaults = SolveOptions.merge(options, fields)
-        self.transport = transport
-        self.shm_min_bytes = int(shm_min_bytes)
+        self.shm_min_bytes = shm_min_bytes
         self.idle_timeout = idle_timeout
         self._exports = ExportRegistry()
         self._pool = None  # lazily created, reused across solve_many calls
@@ -419,21 +411,14 @@ class BatchSolver:
         """Shared-memory descriptors for the pending instances that
         should travel by segment, plus the digests whose export refs the
         caller must release when the batch lands."""
-        use_shm = (
-            self.executor == "process"
-            and self.transport != "pickle"
-            and transport_available()
-        )
         payloads: dict[int, dict] = {}
         held: list[str] = []
-        if not use_shm:
+        floor = self.shm_min_bytes
+        if floor is None or not transport_available():
             return payloads, held
         for i in pending:
             hg = pairs[i][1]
-            if (
-                self.transport == "auto"
-                and instance_nbytes(hg) < self.shm_min_bytes
-            ):
+            if instance_nbytes(hg) < floor:
                 continue
             descriptor = self._exports.export(hg, instance_digest(hg))
             if descriptor is not None:  # None: creation failed → pickle
@@ -494,11 +479,7 @@ class BatchSolver:
                 self._idle_timer.cancel()
                 self._idle_timer = None
             if self._pool is None:
-                pool_cls = (
-                    ProcessPoolExecutor if self.executor == "process"
-                    else ThreadPoolExecutor
-                )
-                self._pool = pool_cls(max_workers=self.max_workers)
+                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
             return self._pool
 
     def _release_pool(self) -> None:
@@ -530,12 +511,12 @@ class BatchSolver:
             pool.shutdown(wait=False)
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the live process-pool workers (empty for thread or
-        serial executors, or while no pool exists).  Lets tests and
-        diagnostics observe pool reuse across calls."""
+        """PIDs of the live process-pool workers (empty for the serial
+        executor, or while no pool exists).  Lets tests and diagnostics
+        observe pool reuse across calls."""
         with self._pool_lock:
             pool = self._pool
-        if pool is None or self.executor != "process":
+        if pool is None:
             return []
         return sorted(getattr(pool, "_processes", None) or ())
 
@@ -585,8 +566,7 @@ def _shared_engine(
     max_workers: int | None,
     chunk_size: int | None,
     cache: ResultCache | bool | None,
-    transport: str,
-    shm_min_bytes: int,
+    shm_min_bytes: int | None,
 ) -> BatchSolver | None:
     """The warm engine for this pool shape, or ``None`` when the call
     needs a private one (a caller-owned :class:`ResultCache` must not
@@ -598,7 +578,6 @@ def _shared_engine(
         max_workers,
         chunk_size,
         bool(cache),
-        transport,
         shm_min_bytes,
     )
     with _SHARED_LOCK:
@@ -609,7 +588,6 @@ def _shared_engine(
                 executor=executor,
                 chunk_size=chunk_size,
                 cache=bool(cache),
-                transport=transport,
                 shm_min_bytes=shm_min_bytes,
                 idle_timeout=_WARM_IDLE_TIMEOUT,
             )
@@ -625,8 +603,7 @@ def solve_many(
     executor: str = "process",
     chunk_size: int | None = None,
     cache: ResultCache | bool | None = True,
-    transport: str = "auto",
-    shm_min_bytes: int = _SHM_MIN_BYTES,
+    shm_min_bytes: int | None = _SHM_MIN_BYTES,
     **fields: Any,
 ) -> list[SolveResult]:
     """One-call batch solve (see :class:`BatchSolver` for the knobs).
@@ -651,7 +628,7 @@ def solve_many(
     """
     opts = SolveOptions.merge(options, fields)
     engine = _shared_engine(
-        executor, max_workers, chunk_size, cache, transport, shm_min_bytes
+        executor, max_workers, chunk_size, cache, shm_min_bytes
     )
     if engine is not None:
         return engine.solve_many(instances, options=opts)
@@ -660,7 +637,6 @@ def solve_many(
         executor=executor,
         chunk_size=chunk_size,
         cache=cache,
-        transport=transport,
         shm_min_bytes=shm_min_bytes,
     ) as private:
         # the pool is private to this call, so shut it down eagerly

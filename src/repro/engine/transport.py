@@ -24,11 +24,19 @@ Lifecycle:
   purges that digest via :func:`repro.kernels.evict_compiled` before
   unmapping).
 
+Trust boundary: only a :class:`~repro.engine.BatchSolver`'s own pool
+workers attach, and only to segments their parent engine created from
+instances it already holds, so :func:`attach_instance` rebuilds views
+without repeating ``TaskHypergraph.from_csr``'s checks.  No wire
+payload can name a segment: the service and its sharded pool carry
+instances only as frame attachments, parsed and checked like any
+client's.
+
 Everything degrades to pickling: platforms without POSIX shared memory,
 segment-creation failure (``/dev/shm`` full), or instances below the
-size floor where a memcpy + syscall loses to a small pickle.  The
-fallback is per-instance, so one oversized batch member never forces a
-whole call onto one path.
+engine's ``shm_min_bytes`` floor, where a memcpy + syscall loses to a
+small pickle.  The fallback is per-instance, so one oversized batch
+member never forces a whole call onto one path.
 """
 
 from __future__ import annotations

@@ -77,11 +77,7 @@ from .protocol import (
     validate_request,
 )
 from .sessions import SessionManager
-from .wire import (
-    hypergraph_from_descriptor,
-    hypergraph_from_wire,
-    is_descriptor,
-)
+from .wire import hypergraph_from_wire
 
 __all__ = ["SolveServer"]
 
@@ -159,11 +155,6 @@ class SolveServer:
     allow_shutdown:
         Honor the ``shutdown`` op (tests, benches and supervised
         deployments); off by default.
-    accept_shm_instances:
-        Accept ``solve`` instances as shared-memory descriptors
-        (:mod:`repro.engine.transport`) and attach them zero-copy.
-        Only the sharded front-end's workers turn this on — a public
-        endpoint must not let clients name arbitrary segments.
     tracing:
         Enable cross-layer span tracing for the server's lifetime
         (on by default — span cost is negligible next to wire I/O, and
@@ -187,7 +178,6 @@ class SolveServer:
         per_conn_inflight: int = 256,
         max_sessions: int = 64,
         allow_shutdown: bool = False,
-        accept_shm_instances: bool = False,
         tracing: bool = True,
         trace_threshold_s: float = 0.05,
         trace_keep: int = 32,
@@ -216,7 +206,6 @@ class SolveServer:
         self.max_pending = int(max_pending)
         self.per_conn_inflight = int(per_conn_inflight)
         self.allow_shutdown = bool(allow_shutdown)
-        self.accept_shm_instances = bool(accept_shm_instances)
         self.tracing = bool(tracing)
         self.trace_threshold_s = float(trace_threshold_s)
         self.trace_keep = int(trace_keep)
@@ -672,21 +661,9 @@ class SolveServer:
         }
 
     def _parse_instance(self, data: Any) -> TaskHypergraph:
-        if is_descriptor(data):
-            # shard workers attach the front-end's shared-memory export
-            # zero-copy; every other endpoint rejects descriptors — an
-            # external client must not get to name arbitrary segments
-            if not self.accept_shm_instances:
-                raise ProtocolError(
-                    "shared-memory instance descriptors are not "
-                    "accepted on this endpoint",
-                    code=ErrorCode.BAD_REQUEST,
-                )
-            return hypergraph_from_descriptor(data)
         hg = hypergraph_from_wire(data)
         # digest here, on the executor: the memo then makes the on-loop
-        # dedup/routing key a lookup (attached descriptors arrive with
-        # the front-end's digest already memoized)
+        # dedup/routing key a lookup
         instance_digest(hg)
         return hg
 

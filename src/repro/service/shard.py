@@ -17,13 +17,11 @@ own on a loopback port:
 * **single-flight still applies in front**: concurrent identical
   requests collapse to one forward, and the worker's own result cache
   answers the stragglers.
-* **instances cross the hop zero-copy** when they are big enough:
-  the front-end parses once, exports the arrays to shared memory
-  (:mod:`repro.engine.transport`) and forwards a descriptor; the
-  worker attaches the segment instead of parsing the arrays again.
-  Smaller instances (and every ``session.open`` baseline) are
-  forwarded as received: the decoded attachment arrays go back out
-  as the forwarded frame's attachments.
+* **instances cross the hop as frame attachments**, whatever their
+  size: the front-end parses once (the digest is the routing key), and
+  the decoded attachment arrays go back out as the forwarded frame's
+  attachments, exactly as ``session.open`` baselines do.  The worker
+  parses them like any client's; nothing outlives the request.
 * **sessions are pinned**: ``session.open`` picks the least-loaded
   live worker and every later op on that session goes to the same
   worker (incremental state cannot move).  If the worker drains or
@@ -50,13 +48,7 @@ from hashlib import blake2b
 from typing import Any, Hashable
 
 from .._util import CACHE_BUDGET
-from ..core.hypergraph import TaskHypergraph
 from ..engine.cache import instance_digest
-from ..engine.transport import (
-    ExportRegistry,
-    instance_nbytes,
-    transport_available,
-)
 from ..obs.fleet import aggregate_fleet, unreachable_marker
 from ..obs.health import score_fleet
 from ..obs.trace import carry, measured_span, span
@@ -186,10 +178,6 @@ class ShardedSolveServer(SolveServer):
         front-end's own batching/admission knobs.
     ring_replicas:
         Virtual nodes per worker slot on the hash ring.
-    shm_min_bytes:
-        Instances at least this large cross the front-end → worker hop
-        as shared-memory descriptors instead of frame attachments (0
-        forces shm for everything, ``None`` disables it).
     start_timeout_s:
         Per-worker startup budget (import + bind + port handshake).
     """
@@ -200,7 +188,6 @@ class ShardedSolveServer(SolveServer):
         n_workers: int | None = None,
         worker_spec: WorkerSpec | None = None,
         ring_replicas: int = 64,
-        shm_min_bytes: int | None = 32768,
         start_timeout_s: float = 60.0,
         **kwargs: Any,
     ):
@@ -224,12 +211,6 @@ class ShardedSolveServer(SolveServer):
             start_timeout_s=start_timeout_s,
         )
         self.ring = HashRing(self.n_workers, replicas=ring_replicas)
-        self.shm_min_bytes = shm_min_bytes
-        self._exports: ExportRegistry | None = (
-            ExportRegistry()
-            if shm_min_bytes is not None and transport_available()
-            else None
-        )
         self._shards: dict[int, _Shard] = {}
         self._pins: dict[str, _Pin] = {}
         self._relocated: dict[str, str] = {}  # fid -> reason (bounded)
@@ -280,8 +261,6 @@ class ShardedSolveServer(SolveServer):
             await self._close_client(shard)
             shard.state = "down"
         await self.supervisor.stop()
-        if self._exports is not None:
-            self._exports.close()
 
     @staticmethod
     async def _close_client(shard: _Shard) -> None:
@@ -343,35 +322,15 @@ class ShardedSolveServer(SolveServer):
         finally:
             shard.inflight -= 1
 
-    async def _forward_solve(
-        self, key: tuple, digest: str, hg: TaskHypergraph, payload: dict
-    ) -> dict:
+    async def _forward_solve(self, key: tuple, payload: dict) -> dict:
         shard = self._route(key)
-        instance_wire: Any = payload.get("instance")
-        exported: str | None = None
-        if (
-            self._exports is not None
-            and instance_nbytes(hg) >= int(self.shm_min_bytes or 0)
-        ):
-            # the export memcpys the arrays into the segment — executor
-            # work, same as the parse that produced them
-            descriptor = await asyncio.get_running_loop().run_in_executor(
-                None, partial(self._exports.export, hg, digest)
-            )
-            if descriptor is not None:
-                instance_wire = descriptor
-                exported = digest
-        forward: dict[str, Any] = {"instance": instance_wire}
+        forward: dict[str, Any] = {"instance": payload.get("instance")}
         if payload.get("options") is not None:
             forward["options"] = payload["options"]
-        try:
-            with span("service.shard.forward") as sp:
-                if sp.recording:
-                    sp.set(shard=shard.name, shm=exported is not None)
-                wire = await self._call_worker(shard, "solve", forward)
-        finally:
-            if exported is not None and self._exports is not None:
-                self._exports.release(exported)
+        with span("service.shard.forward") as sp:
+            if sp.recording:
+                sp.set(shard=shard.name)
+            wire = await self._call_worker(shard, "solve", forward)
         wire["shard"] = shard.name
         self.metrics.incr(f"shard.{shard.name}.solves")
         return wire
@@ -381,8 +340,7 @@ class ShardedSolveServer(SolveServer):
     ) -> dict:
         with measured_span("service.op.solve") as op_sp:
             # parse off-loop exactly like the plain server: the digest
-            # is the routing key, and the parsed arrays feed the shm
-            # export, so the work is needed here either way
+            # is the routing key, so the work is needed here either way
             hg = await asyncio.get_running_loop().run_in_executor(
                 None,
                 carry(
@@ -391,11 +349,9 @@ class ShardedSolveServer(SolveServer):
             )
             self._consume(ticket)
             _, token = self._normalized_options(payload.get("options"))
-            digest = instance_digest(hg)
-            key = (digest, *token)
+            key = (instance_digest(hg), *token)
             wire, shared = await self.flight.run(
-                key,
-                lambda: self._forward_solve(key, digest, hg, payload),
+                key, lambda: self._forward_solve(key, payload)
             )
             if shared:
                 self.metrics.incr("dedup_followers")
@@ -667,9 +623,6 @@ class ShardedSolveServer(SolveServer):
             # contract.
             snap["fleet"] = aggregate_fleet(scraped)
         snap["supervisor"] = self.supervisor.stats()
-        snap["transport"] = (
-            self._exports.stats() if self._exports is not None else None
-        )
         snap["sessions"] = {"open": len(self._pins)}
         return snap
 

@@ -76,8 +76,6 @@ class WorkerSpec:
             "tracing": self.tracing,
             # the front-end drains/retires workers via the shutdown op
             "allow_shutdown": True,
-            # the front-end ships parsed instances as shm descriptors
-            "accept_shm_instances": True,
         }
 
 

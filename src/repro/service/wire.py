@@ -12,48 +12,15 @@ two different answers for the identical mistake).
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from ..core.errors import GraphStructureError
 from ..core.hypergraph import TaskHypergraph
 from ..dynamic import DynamicInstance
-from ..engine.transport import attach_instance, is_descriptor
 from ..io.serialize import unpack_hypergraph
 from .protocol import MAX_FRAME_BYTES, ErrorCode, ProtocolError
 
-__all__ = [
-    "hypergraph_from_wire",
-    "dynamic_from_wire",
-    "hypergraph_from_descriptor",
-    "is_descriptor",
-]
-
-#: The worker-side attachment cache in :mod:`repro.engine.transport`
-#: assumes single-threaded chunk execution; a shard worker parses
-#: instances from *executor threads*, so attaches serialise here.
-_ATTACH_LOCK = threading.Lock()
-
-
-def hypergraph_from_descriptor(data: dict) -> TaskHypergraph:
-    """A shared-memory descriptor (see :mod:`repro.engine.transport`)
-    as a zero-copy :class:`TaskHypergraph` view.
-
-    This is the sharded front-end → worker fast path: the front-end
-    already parsed and exported the instance, and the worker attaches
-    the segment instead of parsing the arrays again.  Only endpoints
-    opted in via ``SolveServer(accept_shm_instances=True)`` reach
-    here — an external client must not be able to name arbitrary
-    segments."""
-    try:
-        with _ATTACH_LOCK:
-            return attach_instance(data)
-    except Exception as exc:
-        raise ProtocolError(
-            f"cannot attach shared-memory instance "
-            f"{data.get('__shm__')!r}: {exc}",
-            code=ErrorCode.BAD_REQUEST,
-        ) from exc
+__all__ = ["hypergraph_from_wire", "dynamic_from_wire"]
 
 _KINDS = ("hypergraph", "bipartite", "dynamic-instance")
 

@@ -9,10 +9,44 @@ was imported first under the same module name.
 
 from __future__ import annotations
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
 from repro.core import BipartiteGraph, TaskHypergraph
+
+_SHM_DIR = "/dev/shm"
+
+
+def _shm_segments() -> set[str]:
+    """This host's POSIX shared-memory segments made by
+    :mod:`multiprocessing.shared_memory` (empty where there is no
+    ``/dev/shm``)."""
+    try:
+        return {n for n in os.listdir(_SHM_DIR) if n.startswith("psm_")}
+    except OSError:
+        return set()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_shm_segments():
+    """Fail any test that leaves a new shared-memory segment behind.
+
+    An engine's export registry unlinks its segments on ``close()`` or
+    when it is collected, so garbage is collected before the verdict;
+    only when a new segment shows up, since a collection per test would
+    slow the suite for nothing."""
+    before = _shm_segments()
+    yield
+    if _shm_segments() - before:
+        gc.collect()
+        leaked = _shm_segments() - before
+        if leaked:
+            pytest.fail(
+                f"test left shared-memory segments behind: {sorted(leaked)}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ class TestDispatch:
 
 class TestBatchEquality:
     @pytest.mark.parametrize("executor,workers", [
-        ("serial", 1), ("thread", 3), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_pool_matches_sequential_solve(
         self, instances, executor, workers
@@ -127,13 +127,13 @@ class TestDeterminism:
         reference = BatchSolver(
             max_workers=1, executor="serial", cache=False
         ).solve_many(instances, method="grasp", seed=5)
-        engine = BatchSolver(
+        with BatchSolver(
             max_workers=workers,
-            executor="thread",
+            executor="process",
             chunk_size=chunk,
             cache=False,
-        )
-        out = engine.solve_many(instances, method="grasp", seed=5)
+        ) as engine:
+            out = engine.solve_many(instances, method="grasp", seed=5)
         for a, b in zip(out, reference):
             assert np.array_equal(a.hedge_of_task, b.hedge_of_task)
 
@@ -163,8 +163,10 @@ class TestPortfolio:
             assert port.makespan <= solve(prob).makespan
 
     def test_batch_portfolio(self, instances):
-        engine = BatchSolver(max_workers=3, executor="thread", cache=False)
-        out = engine.solve_many(instances, method="portfolio")
+        with BatchSolver(
+            max_workers=2, executor="process", cache=False
+        ) as engine:
+            out = engine.solve_many(instances, method="portfolio")
         for hg, m in zip(instances, out):
             assert m.makespan == solve_hypergraph(
                 hg, method=Portfolio()
@@ -289,7 +291,7 @@ class TestRunnerIntegration:
     def test_engine_matches_sequential_runner(self):
         specs = SMALL_SPECS[:1]
         engine = BatchSolver(
-            max_workers=2, executor="thread", cache=ResultCache()
+            max_workers=1, executor="serial", cache=ResultCache()
         )
         seq = run_instances(specs, n_seeds=2, algorithms=("SGH", "EVG"))
         eng = run_instances(
@@ -383,7 +385,7 @@ class TestCacheConcurrency:
         assert stats["hits"] + stats["misses"] == sum(gets)
 
     def test_lazy_pool_creation_never_leaks_a_second_pool(self):
-        engine = BatchSolver(max_workers=2, executor="thread")
+        engine = BatchSolver(max_workers=2, executor="process")
         barrier = threading.Barrier(8)
         pools: list = []
 
@@ -410,7 +412,7 @@ class TestCacheConcurrency:
             ).solve_many(instances)
         ]
         engine = BatchSolver(
-            max_workers=2, executor="thread", cache=ResultCache(maxsize=4)
+            max_workers=2, executor="process", cache=ResultCache(maxsize=4)
         )
         results: dict[int, list] = {}
         errors: list[Exception] = []
@@ -450,9 +452,10 @@ class TestTransportAndWarmPool:
 
     def test_shm_results_match_pickle_transport(self, batch):
         with BatchSolver(
-            max_workers=2, executor="process", cache=False, transport="shm"
+            max_workers=2, executor="process", cache=False, shm_min_bytes=0
         ) as shm_engine, BatchSolver(
-            max_workers=2, executor="process", cache=False, transport="pickle"
+            max_workers=2, executor="process", cache=False,
+            shm_min_bytes=None,
         ) as pickle_engine:
             a = shm_engine.solve_many(batch)
             stats = shm_engine.transport_stats()
@@ -473,7 +476,7 @@ class TestTransportAndWarmPool:
         if not transport_available():  # pragma: no cover
             pytest.skip("no POSIX shared memory here")
         with BatchSolver(
-            max_workers=2, executor="process", cache=False, transport="shm"
+            max_workers=2, executor="process", cache=False, shm_min_bytes=0
         ) as engine:
             remote = engine.solve_many(batch, method="EVG+ls")
             stats = engine.transport_stats()
@@ -505,7 +508,7 @@ class TestTransportAndWarmPool:
         if not transport_available():  # pragma: no cover
             pytest.skip("no shared memory on this platform")
         engine = BatchSolver(
-            max_workers=2, executor="process", cache=False, transport="shm"
+            max_workers=2, executor="process", cache=False, shm_min_bytes=0
         )
         try:
             engine.solve_many(batch)
@@ -561,13 +564,24 @@ class TestTransportAndWarmPool:
     def test_auto_transport_keeps_small_instances_on_pickle(self, batch):
         engine = BatchSolver(
             max_workers=2, executor="process", cache=False,
-            transport="auto", shm_min_bytes=1 << 30,
+            shm_min_bytes=1 << 30,
         )
         try:
             engine.solve_many(batch)
             assert engine.transport_stats()["exports"] == 0
         finally:
             engine.close()
+
+    def test_no_floor_pickles_every_instance(self, batch):
+        """``shm_min_bytes=None`` turns shared memory off, where a zero
+        floor would ship every instance of the batch by segment."""
+        with BatchSolver(
+            max_workers=2, executor="process", cache=False,
+            shm_min_bytes=None,
+        ) as engine:
+            out = engine.solve_many(batch)
+            assert engine.transport_stats()["exports"] == 0
+        assert len(out) == len(batch)
 
     def test_idle_timeout_recycles_pool(self, batch):
         import time as _time
@@ -636,7 +650,9 @@ class TestTransportAndWarmPool:
         assert via_dyn[0].makespan == baseline[0].makespan
 
     def test_bad_transport_rejected(self):
-        with pytest.raises(ValueError):
-            BatchSolver(transport="carrier-pigeon")
+        with pytest.raises(ValueError, match="shm_min_bytes"):
+            BatchSolver(shm_min_bytes=-1)
+        with pytest.raises(ValueError, match="unknown executor"):
+            BatchSolver(executor="thread")
         with pytest.raises(ValueError):
             BatchSolver(idle_timeout=0.0)

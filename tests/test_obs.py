@@ -179,13 +179,13 @@ class TestPropagation:
         with adopt(None) as shipped:
             assert shipped is None
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_one_trace_id_through_a_pool(self, executor):
         solver = BatchSolver(
             max_workers=2,
             executor=executor,
             cache=False,
-            shm_min_bytes=0,  # force shm transport where eligible
+            shm_min_bytes=0,  # ship every instance by shm segment
         )
         instances = [hg_for(seed=s) for s in range(4)]
         try:
@@ -201,8 +201,7 @@ class TestPropagation:
         names = {r["name"] for r in spans}
         assert {"engine.solve_many", "engine.solve", "engine.dispatch"} \
             <= names
-        if executor == "process":
-            assert len({r["pid"] for r in spans}) > 1
+        assert len({r["pid"] for r in spans}) > 1
 
     def test_stats_ride_on_solve_results(self):
         solver = BatchSolver(max_workers=1, executor="serial", cache=False)

@@ -18,6 +18,7 @@ layer keeps the protocol's contracts under crash and drain:
 from __future__ import annotations
 
 import asyncio
+import glob
 import json
 import os
 import socket
@@ -32,6 +33,7 @@ from repro.api import solve as api_solve
 from repro.obs import trace as trace_mod
 from repro.obs.trace import TraceRecorder, span
 from repro.dynamic import DynamicInstance, IncrementalSolver
+from repro.engine.transport import instance_nbytes
 from repro.generators import churn_trace, generate_multiproc
 from repro.service import (
     AsyncServiceClient,
@@ -46,6 +48,7 @@ from repro.service.protocol import (
     error_response,
     ok_response,
 )
+from repro.service.supervisor import WorkerSpec
 
 
 def on_loop(loop, coro, timeout=60):
@@ -68,10 +71,6 @@ def running_pool(n_workers=2, **config):
     """A live sharded server (real worker processes) on an ephemeral
     port, torn down afterwards."""
     config.setdefault("allow_shutdown", True)
-    # force the shm hop for everything so the zero-copy path is what
-    # these tests actually exercise (it falls back to JSON wherever
-    # /dev/shm is unavailable)
-    config.setdefault("shm_min_bytes", 0)
     server = ShardedSolveServer(n_workers=n_workers, port=0, **config)
     loop = asyncio.new_event_loop()
     started = threading.Event()
@@ -215,6 +214,55 @@ class TestShardedSolve:
                     },
                 )
             assert exc.value.code == ErrorCode.BAD_REQUEST
+
+    def test_worker_server_rejects_a_real_shm_export(self):
+        """A pool worker's server is a plain :class:`SolveServer`: the
+        descriptor of a live segment answers ``bad-request`` instead of
+        being attached."""
+        from test_service import running_server
+
+        from repro.engine.cache import instance_digest
+        from repro.engine.transport import ExportRegistry
+
+        hg = small_instances(1, seed0=400)[0]
+        registry = ExportRegistry()
+        try:
+            descriptor = registry.export(hg, instance_digest(hg))
+            if descriptor is None:  # pragma: no cover
+                pytest.skip("no shared memory on this platform")
+            with running_server(**WorkerSpec().server_kwargs()) as (
+                server, _loop,
+            ):
+                with ServiceClient(port=server.port) as client:
+                    with pytest.raises(RemoteError) as exc:
+                        client.call("solve", instance=descriptor)
+            assert exc.value.code == ErrorCode.BAD_REQUEST
+        finally:
+            registry.close()
+
+    def test_cold_stream_leaves_no_shm_segment(self):
+        """Instances above 32 KiB cross the hop as attachments too: a
+        cold stream through the pool creates no shared-memory segment
+        while the pool is up."""
+        instances = [
+            generate_multiproc(
+                600, 32, family="fewgmanyg", g=4, dv=3, dh=5,
+                weights="related", seed=seed,
+            )
+            for seed in range(4)
+        ]
+        assert min(map(instance_nbytes, instances)) >= 32768
+        before = set(glob.glob("/dev/shm/psm_*"))
+        with running_pool(n_workers=2) as (server, _loop):
+            with ServiceClient(port=server.port, timeout=120.0) as client:
+                for hg in instances:
+                    remote = client.solve(hg, method="SGH")
+                    np.testing.assert_array_equal(
+                        remote.assignment,
+                        api_solve(hg, method="SGH").matching.hedge_of_task,
+                    )
+            leaked = set(glob.glob("/dev/shm/psm_*")) - before
+        assert not leaked
 
     def test_metrics_expose_per_shard_labels(self, pool):
         server, _loop = pool

@@ -638,7 +638,7 @@ class TestProvenance:
 
     def test_pooled_results_carry_provenance(self, problems):
         with BatchSolver(
-            max_workers=2, executor="thread", chunk_size=1, cache=False
+            max_workers=2, executor="process", chunk_size=1, cache=False
         ) as engine:
             out = engine.solve_many(problems, method="portfolio")
         for r in out:

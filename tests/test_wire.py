@@ -10,8 +10,8 @@ Three groups, all over real sockets:
   connection task outlives its socket;
 * **one encoding** — hypergraph dicts in the file format (serialize
   version 1 and base64 version 2) answer ``bad-request`` from both;
-* **bit-equality** — attachment solves through a pool, with the
-  shared-memory hop on and off, equal a local ``api.solve``.
+* **bit-equality** — attachment solves through a pool, for instances
+  below and above 32 KiB, equal a local ``api.solve``.
 
 CI runs this module under ``python -X dev -W error::ResourceWarning``,
 so a transport or task leaked on a cut-short frame fails the build.
@@ -41,13 +41,12 @@ TYPED = ("bad-frame", "bad-request", "frame-too-large", "graph-structure")
 
 @pytest.fixture(scope="module", params=["plain", "pool"])
 def endpoint(request):
-    """A plain server, then a 2-worker pool on its default shm
-    threshold (instances below it cross the hop as attachments)."""
+    """A plain server, then a 2-worker pool."""
     if request.param == "plain":
         with running_server() as (server, _loop):
             yield server
     else:
-        with running_pool(n_workers=2, shm_min_bytes=32768) as (server, _):
+        with running_pool(n_workers=2) as (server, _):
             yield server
 
 
@@ -236,11 +235,10 @@ def test_file_format_instances_answer_bad_request(endpoint):
 # ---------------------------------------------------------------------------
 # bit-equality through the pool's two hops
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("shm_min_bytes", [None, 32768])
-def test_pool_attachment_solves_equal_local(shm_min_bytes):
-    """Small instances cross the front-end → worker hop as re-emitted
-    attachments; with the default threshold the large ones cross it by
-    shared-memory descriptor.  Every answer equals a local solve."""
+def test_pool_attachment_solves_equal_local():
+    """Every instance, below and above 32 KiB, crosses the front-end →
+    worker hop as re-emitted attachments.  Every answer equals a local
+    solve."""
     instances = [
         generate_multiproc(
             n, p, family="fewgmanyg", g=4, dv=3, dh=5, weights="related",
@@ -248,9 +246,7 @@ def test_pool_attachment_solves_equal_local(shm_min_bytes):
         )
         for seed, (n, p) in enumerate([(24, 8), (40, 8), (1200, 64)])
     ]
-    with running_pool(n_workers=2, shm_min_bytes=shm_min_bytes) as (
-        server, _loop,
-    ):
+    with running_pool(n_workers=2) as (server, _loop):
         with ServiceClient(port=server.port) as client:
             for hg in instances:
                 for method in ("SGH", "EVG"):
@@ -260,8 +256,3 @@ def test_pool_attachment_solves_equal_local(shm_min_bytes):
                         remote.assignment, local.matching.hedge_of_task
                     ), (hg.n_tasks, method)
                     assert remote.makespan == local.makespan
-            transport = client.metrics()["transport"]
-    if shm_min_bytes is None:
-        assert transport is None
-    elif transport is not None:  # shared memory available on this host
-        assert transport["exports"] >= 1
