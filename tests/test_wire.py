@@ -11,7 +11,8 @@ Three groups, all over real sockets:
 * **one encoding** — hypergraph dicts in the file format (serialize
   version 1 and base64 version 2) answer ``bad-request`` from both;
 * **bit-equality** — attachment solves through a pool, for instances
-  below and above 32 KiB, equal a local ``api.solve``.
+  below and above 32 KiB, equal a local ``api.solve`` and a process
+  engine's batch solve, with the engine's shared-memory hop on and off.
 
 CI runs this module under ``python -X dev -W error::ResourceWarning``,
 so a transport or task leaked on a cut-short frame fails the build.
@@ -28,6 +29,8 @@ import pytest
 
 from repro.api import solve as api_solve
 from repro.core import TaskHypergraph
+from repro.engine import BatchSolver
+from repro.engine.transport import transport_available
 from repro.generators import generate_multiproc
 from repro.io import hypergraph_to_dict
 from repro.service import RemoteError, ServiceClient, instance_to_wire
@@ -235,10 +238,13 @@ def test_file_format_instances_answer_bad_request(endpoint):
 # ---------------------------------------------------------------------------
 # bit-equality through the pool's two hops
 # ---------------------------------------------------------------------------
-def test_pool_attachment_solves_equal_local():
+@pytest.mark.parametrize("shm_min_bytes", [None, 32768])
+def test_pool_attachment_solves_equal_local(shm_min_bytes):
     """Every instance, below and above 32 KiB, crosses the front-end →
     worker hop as re-emitted attachments.  Every answer equals a local
-    solve."""
+    solve and a 2-worker process engine's batch solve; with the
+    engine's 32 KiB threshold the large instance reaches its worker by
+    shared-memory segment, with ``None`` by pickle."""
     instances = [
         generate_multiproc(
             n, p, family="fewgmanyg", g=4, dv=3, dh=5, weights="related",
@@ -246,13 +252,27 @@ def test_pool_attachment_solves_equal_local():
         )
         for seed, (n, p) in enumerate([(24, 8), (40, 8), (1200, 64)])
     ]
-    with running_pool(n_workers=2) as (server, _loop):
+    with running_pool(n_workers=2) as (server, _loop), BatchSolver(
+        max_workers=2, executor="process", cache=False,
+        shm_min_bytes=shm_min_bytes,
+    ) as engine:
         with ServiceClient(port=server.port) as client:
-            for hg in instances:
-                for method in ("SGH", "EVG"):
+            for method in ("SGH", "EVG"):
+                batch = engine.solve_many(instances, method=method)
+                for hg, engine_result in zip(instances, batch):
                     remote = client.solve(hg, method=method)
                     local = api_solve(hg, method=method)
-                    assert np.array_equal(
-                        remote.assignment, local.matching.hedge_of_task
-                    ), (hg.n_tasks, method)
+                    for hedge_of_task in (
+                        local.matching.hedge_of_task,
+                        engine_result.matching.hedge_of_task,
+                    ):
+                        assert np.array_equal(
+                            remote.assignment, hedge_of_task
+                        ), (hg.n_tasks, method)
                     assert remote.makespan == local.makespan
+                    assert engine_result.makespan == local.makespan
+        stats = engine.transport_stats()
+    if shm_min_bytes is None or not transport_available():
+        assert stats["exports"] == 0
+    else:
+        assert stats["exports"] >= 1 and stats["failures"] == 0
