@@ -15,7 +15,14 @@ family swept at fixed ``n/p`` ratio):
 
   - backends are **bit-identical** per solver (conformance re-check);
   - VGH, EGH and EVG are at least ``MIN_SPEEDUP``x faster on the
-    numpy backend.
+    numpy backend;
+
+  and three more on their own legs: the churn compile, shared-memory
+  transport and incremental repair (``repair``: a session-sized
+  instance repaired under EVG in 16-mutation churn batches, its cost
+  per local-search move held to ``MAX_MOVE_STEPS`` warm EVG kernel
+  steps).  ``--reference-src DIR`` records the repair leg against
+  another checkout's ``src/`` too, as ``repair.reference``.
 
 All instances derive from one ``--bench-seed`` (default 0), so the
 JSON numbers are reproducible run-to-run.
@@ -25,6 +32,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -59,6 +69,24 @@ CHURN_WARMUP = 15
 #: pickling on a warm batch of large instances
 TRANSPORT_N, TRANSPORT_P = 10240, 2048
 TRANSPORT_BATCH = 4
+
+#: repair leg: the ``session-pool`` shape — a fewgmanyg n=5120, p=1024
+#: (g=32, related weights) session repaired under EVG, 16 mutations of
+#: :func:`repro.generators.churn_trace` per batch.  A fresh solver's
+#: first ~40 batches run up to twice as slow as the rest, so the
+#: warm-up covers them and the leg times the steady state
+REPAIR_N, REPAIR_P, REPAIR_BATCH = 5120, 1024, 16
+REPAIR_WARMUP = 48
+REPAIR_BATCHES = {True: 32, False: 96}  # smoke / full
+REPAIR_GROUP = 4
+#: the repair guard: one local-search move may cost at most this many
+#: warm per-task EVG kernel steps on the same instance (a ratio of two
+#: timings on one host, so it holds across machine speeds).  On a
+#: 2-CPU VM the scan that finds shared pins by union position reads
+#: 16.2–16.7 steps per move; one that matches them by a sorted search
+#: over (task, pin) keys, gathering current and alternative rows
+#: apart, reads 19.9–21.4
+MAX_MOVE_STEPS = 18.5
 
 
 def _hyp_algo(name):
@@ -224,8 +252,109 @@ def _transport_section(seed: int, repeats: int) -> dict:
     return out
 
 
+def _repair_section(smoke: bool, seed: int) -> dict:
+    """Incremental repair on the ``session-pool`` shape: steady-state
+    batch times, local-search moves, the cost of one move, the share of
+    repair spent in the move scan, and the guard's denominator — the
+    warm EVG kernel's time per task on the same instance."""
+    from repro.dynamic import DynamicInstance, IncrementalSolver
+    from repro.generators import churn_trace
+
+    hg = generate_multiproc(
+        REPAIR_N, REPAIR_P, family="fewgmanyg", g=32, weights="related",
+        seed=np.random.default_rng([seed, 1]),
+    )
+    evg = _hyp_algo("EVG")
+    compile_instance(hg)
+    evg(hg, backend="numpy")  # warm
+    measured = REPAIR_BATCHES[smoke]
+    trace = churn_trace(
+        hg, (REPAIR_WARMUP + measured) * REPAIR_BATCH, seed=seed + 1
+    )
+    inst = DynamicInstance.from_hypergraph(hg)
+    solver = IncrementalSolver(inst, method="EVG")
+    scan, scanned = solver._scan, [0.0]
+
+    def timed_scan(tasks):
+        t0 = time.perf_counter()
+        try:
+            return scan(tasks)
+        finally:
+            scanned[0] += time.perf_counter() - t0
+
+    solver._scan = timed_scan
+    batch_s, moves = [], []
+    # the guard's ratio is taken per group of REPAIR_GROUP steady
+    # batches against an EVG solve timed right after the group, so a
+    # drift in host speed scales both sides; the median group counts
+    move_us, step_us = [], []
+    for i, lo in enumerate(range(0, len(trace), REPAIR_BATCH)):
+        if i == REPAIR_WARMUP:
+            scanned[0] = 0.0
+        before = solver.stats.ls_moves
+        t0 = time.perf_counter()
+        for m in trace[lo : lo + REPAIR_BATCH]:
+            inst.apply(m)
+        batch_s.append(time.perf_counter() - t0)
+        moves.append(solver.stats.ls_moves - before)
+        done = i + 1 - REPAIR_WARMUP
+        if done > 0 and done % REPAIR_GROUP == 0:
+            group = slice(i + 1 - REPAIR_GROUP, i + 1)
+            move_us.append(
+                1e6 * sum(batch_s[group]) / max(sum(moves[group]), 1)
+            )
+            t_evg, _ = _time(evg, hg, backend="numpy", repeats=2)
+            step_us.append(1e6 * t_evg / hg.n_tasks)
+    steady_s = sum(batch_s[REPAIR_WARMUP:])
+    steady_moves = max(sum(moves[REPAIR_WARMUP:]), 1)
+    us_per_move = statistics.median(move_us)
+    step = statistics.median(step_us)
+    move_steps = statistics.median(m / s for m, s in zip(move_us, step_us))
+    row = {
+        "n": REPAIR_N,
+        "p": REPAIR_P,
+        "batch": REPAIR_BATCH,
+        "warmup_batches": REPAIR_WARMUP,
+        "batches": measured,
+        "batch_ms_median": round(
+            1e3 * statistics.median(batch_s[REPAIR_WARMUP:]), 3
+        ),
+        "moves_per_batch": round(steady_moves / measured, 2),
+        "us_per_move": round(us_per_move, 2),
+        "scan_share": round(scanned[0] / max(steady_s, 1e-9), 4),
+        "evg_step_us": round(step, 3),
+        "move_steps": round(move_steps, 3),
+        "bottleneck": solver.bottleneck(),
+    }
+    print(
+        f"repair n={REPAIR_N}: batch median={row['batch_ms_median']:.1f}ms "
+        f"moves/batch={row['moves_per_batch']:.1f} "
+        f"move={us_per_move:.1f}us scan share={row['scan_share']:.2f} "
+        f"EVG step={step:.2f}us -> {move_steps:.2f} steps/move"
+    )
+    return row
+
+
+def _reference_repair(src: str, smoke: bool, seed: int) -> dict:
+    """The repair leg measured against another checkout's ``src/`` in a
+    child interpreter (this file's code, that tree's ``repro``)."""
+    here = Path(__file__).resolve().parent
+    code = (
+        f"import json, sys; sys.path.insert(0, {str(here)!r}); "
+        "import bench_scaling; "
+        f"print(json.dumps(bench_scaling._repair_section({smoke}, {seed})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def run_harness(
-    *, smoke: bool = True, seed: int = 0, out: str | Path | None = None
+    *, smoke: bool = True, seed: int = 0, out: str | Path | None = None,
+    reference_src: str | None = None,
 ) -> dict:
     sizes = SIZES if smoke else FULL_SIZES
     # min-of-N timing: N=2 even in smoke keeps the guard's speedup
@@ -272,6 +401,9 @@ def run_harness(
 
     compile_rows = _compile_section(sizes, seed)
     transport = _transport_section(seed, repeats)
+    repair = _repair_section(smoke, seed)
+    if reference_src is not None:
+        repair["reference"] = _reference_repair(reference_src, smoke, seed)
 
     # the speedup floor is asserted at the largest *smoke* size (the
     # size CI measures every push); the full sweep's extra sizes are
@@ -291,9 +423,11 @@ def run_harness(
         "guarded_solvers": list(GUARDED),
         "guarded_size": {"n": n_max, "p": p_max},
         "max_compile_ratio": MAX_COMPILE_RATIO,
+        "max_move_steps": MAX_MOVE_STEPS,
         "results": rows,
         "compile": compile_rows,
         "transport": transport,
+        "repair": repair,
     }
     if out:
         Path(out).write_text(json.dumps(report, indent=2) + "\n")
@@ -338,6 +472,18 @@ def run_harness(
         f"transport guard OK at n={TRANSPORT_N}: shm beats pickle "
         f"{transport['warm_speedup']:.2f}x warm"
     )
+
+    # repair guard: one local-search move within its kernel-step budget
+    if repair["move_steps"] > MAX_MOVE_STEPS:
+        raise AssertionError(
+            f"repair regression: one local-search move costs "
+            f"{repair['move_steps']:.2f} warm EVG kernel steps at "
+            f"n={REPAIR_N} (budget {MAX_MOVE_STEPS})"
+        )
+    print(
+        f"repair guard OK at n={REPAIR_N}: {repair['move_steps']:.2f} "
+        f"steps per move (budget {MAX_MOVE_STEPS})"
+    )
     return report
 
 
@@ -355,8 +501,16 @@ def main(argv=None) -> int:
         "--out", default="BENCH_kernels.json",
         help="where to write the JSON report",
     )
+    ap.add_argument(
+        "--reference-src", default=None, metavar="DIR",
+        help="also measure the repair leg against DIR (another "
+        "checkout's src/), recorded as repair.reference",
+    )
     args = ap.parse_args(argv)
-    run_harness(smoke=args.smoke, seed=args.bench_seed, out=args.out)
+    run_harness(
+        smoke=args.smoke, seed=args.bench_seed, out=args.out,
+        reference_src=args.reference_src,
+    )
     return 0
 
 

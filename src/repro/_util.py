@@ -188,10 +188,11 @@ class ByteBudget:
 
 #: The process's cache byte budget.  Kernel compilations
 #: (:mod:`repro.kernels.compiled`), :class:`~repro.engine.ResultCache`
-#: entries and a pool worker's shared-memory attachments all charge
-#: it.  192 MiB holds about 17 compilations of an n=10240 instance.
-#: The shares: reused compilations keep half of it, each result cache
-#: and the attachment map a quarter.
+#: entries, a pool worker's shared-memory attachments and an engine's
+#: idle shared-memory exports all charge it.  192 MiB holds about 17
+#: compilations of an n=10240 instance.  The shares: reused
+#: compilations keep half of it, each result cache, the attachment map
+#: and each engine's idle exports a quarter.
 CACHE_BUDGET = ByteBudget(192 * 1024 * 1024)
 
 

@@ -16,7 +16,7 @@ This rule recovers that contract by inference instead of annotation:
 ``__init__``/``__post_init__`` are construction (no concurrent reader
 can exist yet) and are exempt.  Methods named ``*_locked`` follow the
 repo convention of "caller holds the lock" and count as locked
-context — :meth:`ExportRegistry._evict_idle_locked` relies on this.
+context.
 
 The same inference runs at module scope: modules that create a
 module-level lock (the warm-engine table, the default metrics registry)

@@ -22,11 +22,14 @@ bottleneck never worsens through repair.
 
 The state is arrays: loads and a live mask by processor handle, the
 chosen configuration index by task handle, the repair region as a mask
-over processor handles.  Configurations are read straight from the
-instance's row store, never copied.  The move scan takes the region's
-bottleneck processors in ascending order and evaluates all of one
-processor's candidate moves in one vectorized pass: it gathers the
-alternatives, screens them by their affected maxima
+over processor handles, and for each processor the set of tasks whose
+chosen configuration holds it.  Configurations are read straight from
+the instance's row store, never copied.  The move scan takes the
+region's bottleneck processors in ascending order and evaluates all of
+one processor's candidate moves in one vectorized pass: it gathers
+every row of the processor's tasks at once, finds the pins each
+alternative shares with the current configuration through the store's
+pin-union positions, screens the alternatives by their affected maxima
 (``np.maximum.reduceat``), and resolves the equal-maxima ones before
 the first sure improvement in one batched
 :func:`repro.kernels.first_lex_improving` call — the primitive the
@@ -168,7 +171,8 @@ class IncrementalSolver:
         self._loads = np.zeros(0, dtype=np.float64)
         self._live = np.zeros(0, dtype=bool)
         self._assign = np.zeros(0, dtype=np.int64)
-        self._on_proc: dict[int, set[int]] = {}
+        # the tasks whose chosen configuration holds each processor
+        self._on_proc: list[set[int]] = []
         self._cursor = _Cursor()
         self._detached = False
         self._full_resolve()
@@ -293,6 +297,9 @@ class IncrementalSolver:
             self._live = grown(self._live, proc + 1, fill=False)
             self._loads[proc] = 0.0
             self._live[proc] = True
+            self._on_proc += [
+                set() for _ in range(proc + 1 - len(self._on_proc))
+            ]
             # an empty processor cannot worsen anything, but tasks may
             # profitably migrate onto it once it gains configurations —
             # which only happens through later mutations
@@ -317,7 +324,8 @@ class IncrementalSolver:
         if m.op == "remove_processor":
             proc = int(p["proc"])
             displaced = 0
-            for task in sorted(self._on_proc.pop(proc, ())):
+            on_proc, self._on_proc[proc] = self._on_proc[proc], set()
+            for task in sorted(on_proc):
                 pins, w = self._config(task, int(self._assign[task]))
                 self._unload(task, pins, w)
                 region[pins] = True
@@ -351,19 +359,19 @@ class IncrementalSolver:
         from the instance's row store (alive or not)."""
         st = self.instance._store
         r = st.task_lo[task] + cfg
-        return st.row_pins(r), float(st.row_w[r])
+        return st.row_pins(r), st.row_w[r]
 
     def _load(self, task: int, pins: np.ndarray, w: float) -> None:
         self._loads[pins] += w
+        on_proc = self._on_proc
         for u in pins.tolist():
-            self._on_proc.setdefault(u, set()).add(task)
+            on_proc[u].add(task)
 
     def _unload(self, task: int, pins: np.ndarray, w: float) -> None:
         self._loads[pins] -= w
+        on_proc = self._on_proc
         for u in pins.tolist():
-            procs = self._on_proc.get(u)
-            if procs is not None:
-                procs.discard(task)
+            on_proc[u].discard(task)
 
     def _place_greedy(self, task: int) -> np.ndarray:
         """Assign ``task`` the configuration with the smallest resulting
@@ -382,26 +390,24 @@ class IncrementalSolver:
         best = int(np.lexsort((w * lens, peak))[0])
         self._assign[task] = rows[best] - lo
         best_pins = pins[at[best] : at[best] + lens[best]]
-        self._load(task, best_pins, float(w[best]))
+        self._load(task, best_pins, w[best])
         return best_pins
 
     # -- bounded local search -------------------------------------------
     def _first_improving_move(
-        self, region: np.ndarray, peak: float
+        self, procs: np.ndarray, peak: float
     ) -> tuple[int, int] | None:
         """The first vector-improving move ``(task, config)`` in scan
-        order: the region's bottleneck processors ascending, their
-        tasks ascending (each task once), a task's configurations in
-        index order."""
-        hot = region & self._live & ~(self._loads < peak - 1e-12)
+        order: the bottleneck processors among ``procs`` (the region's
+        live processors, ascending) in order, their tasks ascending
+        (each task once), a task's configurations in index order."""
+        on_proc = self._on_proc
         seen: set[int] = set()
-        for u in np.flatnonzero(hot).tolist():
-            tasks = [
-                t for t in sorted(self._on_proc.get(u, ())) if t not in seen
-            ]
+        for u in procs[self._loads[procs] >= peak - 1e-12].tolist():
+            tasks = on_proc[u] - seen
             if tasks:
-                seen.update(tasks)
-                move = self._scan(np.array(tasks, dtype=np.int64))
+                seen |= tasks
+                move = self._scan(np.array(sorted(tasks), dtype=np.int64))
                 if move is not None:
                     return move
         return None
@@ -410,84 +416,99 @@ class IncrementalSolver:
         """The first improving move, in scan order, of ``tasks`` to one
         of their other alive configurations, all evaluated in one pass.
 
-        A move is screened by its affected maxima (the first entry of
-        the descending multisets): a larger maximum after the move
-        cannot improve, a smaller one certainly does.  Only the
-        equal-maxima moves before the first sure improvement need the
-        full comparison, in one batched
+        One flat gather reads every row of ``tasks`` — current
+        configurations and alternatives alike — and takes each row's
+        maximum load once.  A move is screened by its affected maxima
+        (the first entry of the descending multisets): a larger maximum
+        after the move cannot improve, a smaller one certainly does.
+        Only the equal-maxima moves before the first sure improvement
+        need the full comparison, in one batched
         :func:`~repro.kernels.first_lex_improving` call.
 
-        The float operations are the per-pin ones of the scalar scan —
-        ``(l - cur_w) + w`` on a pin both configurations share,
-        ``l - cur_w`` and ``l + w`` elsewhere — so every decision is
-        bit-identical to it.  The maximum after the move needs no
+        The pins an alternative shares with the current configuration
+        are found through the row store's pin-union positions (see
+        :class:`~repro.dynamic.instance._ConfigStore`), with no key
+        build or sorted search: each scanned task owns a stretch of a
+        buffer as long as its gathered pins, its current row marks its
+        pins' union positions there, and an alternative's pin is shared
+        exactly when its position is marked (the tie path does the same
+        per tied move, marking the move's new pins).  The float
+        operations are unchanged, the per-pin ones of the scalar scan —
+        ``(l - cur_w) + w`` on a shared pin, ``l - cur_w`` and
+        ``l + w`` elsewhere — so every decision is bit-identical to it.
+        The maximum after the move needs no
         per-move pass over the current pins: ``fl(l - c)`` is monotone
         in ``l``, so their maximum is ``max(l) - cur_w``, and a shared
         pin's ``(l - cur_w) + w`` is at least its ``l - cur_w``.
         """
         st = self.instance._store
-        loads = self._loads
-        k = tasks.shape[0]
-        lo = st.task_lo[tasks]
-        # the current configurations
-        cur_rows = lo + self._assign[tasks]
-        cur_w = st.row_w[cur_rows]
-        cur_len = st.row_len[cur_rows]
-        cur_at = segment_starts(cur_len)
-        cur_pins = st.pins_of(cur_rows)
-        cur_max = np.maximum.reduceat(loads[cur_pins], cur_at)
-        # the alternatives, in scan order
-        rows = st.rows_of(tasks)
-        owner = np.repeat(np.arange(k), st.task_n[tasks])
-        alt = st.row_alive[rows] & (rows != cur_rows[owner])
-        rows, owner = rows[alt], owner[alt]
-        if rows.size == 0:
-            return None
+        # one flat gather of every row of ``tasks``, grouped by task;
+        # task ``o`` owns rows ``first[o]:ends[o]``, row ``r`` the pins
+        # ``at[r]:at[r] + lens[r]``
+        counts = st.task_n[tasks]
+        ends = counts.cumsum()
+        first = ends - counts
+        rows = (st.task_lo[tasks] - first).repeat(counts) + np.arange(ends[-1])
         lens = st.row_len[rows]
-        at = segment_starts(lens)
-        pins = st.pins_of(rows)
-        pin_owner = np.repeat(owner, lens)
-        before = loads[pins]
-        # which new pins the current configuration holds: (task, pin)
-        # keys, sorted because a row's pins are
-        width = loads.shape[0]
-        cur_keys = np.repeat(np.arange(k), cur_len) * width + cur_pins
-        keys = pin_owner * width + pins
-        shared = _member(keys, cur_keys)
-        w_pin = np.repeat(st.row_w[rows], lens)
-        cw_pin = cur_w[pin_owner]
-        after = np.where(shared, (before - cw_pin) + w_pin, before + w_pin)
+        pend = lens.cumsum()
+        at = pend - lens
+        flat = (st.row_ptr[rows] - at).repeat(lens) + np.arange(pend[-1])
+        before = self._loads[st.pins[flat]]
+        row_max = np.maximum.reduceat(before, at)
+        w = st.row_w[rows]
+        cur = first + self._assign[tasks]
+        cur_w = w[cur]
+        cur_max = row_max[cur]
+        cur_len = lens[cur]
+        is_cur = np.zeros(rows.shape[0], dtype=bool)
+        is_cur[cur] = True
+        # a task's union positions index its own stretch of the pins
+        # (a union is no longer than its rows' pins together); the
+        # current rows mark theirs with cur_w, so a pin's mark is what
+        # the move takes off it first
+        upos = at[first].repeat(counts).repeat(lens) + st.pin_pos[flat]
+        held = np.zeros(pend[-1])
+        held[upos[is_cur.repeat(lens)]] = cur_w.repeat(cur_len)
+        # (l - 0.0) + w is l + w exactly: an unshared pin's mark is 0
+        after = (before - held[upos]) + w.repeat(lens)
         max_after = np.maximum(
-            cur_max[owner] - cur_w[owner], np.maximum.reduceat(after, at)
+            (cur_max - cur_w).repeat(counts), np.maximum.reduceat(after, at)
         )
-        max_before = np.maximum(
-            cur_max[owner], np.maximum.reduceat(before, at)
-        )
-        sure = np.flatnonzero(max_after < max_before)
+        max_before = np.maximum(cur_max.repeat(counts), row_max)
+        # a row that is no alternative (the current one, a disabled
+        # one) neither improves nor ties
+        max_after[is_cur | ~st.row_alive[rows]] = np.inf
+        sure = (max_after < max_before).nonzero()[0]
         stop = int(sure[0]) if sure.size else rows.shape[0]
         pick = stop if sure.size else None
-        ties = np.flatnonzero(max_after[:stop] == max_before[:stop])
+        ties = (max_after[:stop] == max_before[:stop]).nonzero()[0]
         if ties.size:
             # the equal-maxima moves as full affected multisets: the
             # current pins each move leaves (l -> l - cur_w), then every
             # pin of its new configuration
             m = ties.shape[0]
-            t_owner = owner[ties]
+            t_owner = np.searchsorted(ends, ties, side="right")
+            t_cur = cur[t_owner]
             t_len = cur_len[t_owner]
-            held = cur_pins[flat_ranges(cur_at[t_owner], t_len)]
-            leaves = ~_member(
-                np.repeat(ties, t_len) * width + held,
-                np.repeat(np.arange(rows.shape[0]), lens) * width + pins,
-            )
-            new = flat_ranges(at[ties], lens[ties])
+            new_len = lens[ties]
+            # each tied move marks its new pins' union positions in a
+            # copy of its task's stretch; a held pin leaves unless marked
+            t_lo = at[first[t_owner]]
+            t_span = np.append(at, pend[-1])[ends[t_owner]] - t_lo
+            t_base = segment_starts(t_span) - t_lo
+            new = flat_ranges(at[ties], new_len)
+            stays = np.zeros(int(t_span.sum()), dtype=bool)
+            stays[t_base.repeat(new_len) + upos[new]] = True
+            kept = flat_ranges(at[t_cur], t_len)
+            leaves = ~stays[t_base.repeat(t_len) + upos[kept]]
             row_of = np.concatenate(
                 (
                     np.repeat(np.arange(m), t_len)[leaves],
-                    np.repeat(np.arange(m), lens[ties]),
+                    np.repeat(np.arange(m), new_len),
                 )
             )
-            l_left = loads[held][leaves]
-            cw_left = np.repeat(cur_w[t_owner], t_len)[leaves]
+            l_left = before[kept][leaves]
+            cw_left = cur_w[t_owner].repeat(t_len)[leaves]
             a = np.concatenate((l_left - cw_left, after[new]))
             b = np.concatenate((l_left, before[new]))
             i = first_lex_improving(
@@ -497,8 +518,9 @@ class IncrementalSolver:
                 pick = int(ties[i])
         if pick is None:
             return None
-        o = owner[pick]
-        return int(tasks[o]), int(rows[pick] - lo[o])
+        row = int(rows[pick])
+        task = int(st.row_task[row])
+        return task, row - int(st.task_lo[task])
 
     def _bounded_local_search(self, region: np.ndarray) -> None:
         """Vector-improving single-task moves off the region's
@@ -509,23 +531,22 @@ class IncrementalSolver:
         it); the move budget — not the region size — bounds the work,
         so a repair ripples as far as it is productive and no further.
         """
-        budget = self.ls_budget
-        while budget > 0:
-            inside = self._loads[region & self._live]
-            peak = inside.max() if inside.size else 0.0
+        for _ in range(self.ls_budget):
+            procs = (region & self._live).nonzero()[0]
+            if not procs.size:
+                break
             # only tasks on a region-bottleneck processor can host the
             # move that lowers it
-            mv = self._first_improving_move(region, peak)
+            mv = self._first_improving_move(procs, self._loads[procs].max())
             if mv is None:
                 break
             task, cfg = mv
-            self._unload(task, *self._config(task, int(self._assign[task])))
+            self._unload(task, *self._config(task, self._assign[task]))
             self._assign[task] = cfg
             pins, w = self._config(task, cfg)
             self._load(task, pins, w)
             region[pins] = True
             self.stats.ls_moves += 1
-            budget -= 1
 
     # ------------------------------------------------------------------
     # full solves
@@ -538,7 +559,7 @@ class IncrementalSolver:
         self._live = np.zeros(inst._next_proc, dtype=bool)
         self._live[inst.procs()] = True
         self._assign = np.full(inst._next_task, -1, dtype=np.int64)
-        self._on_proc = {}
+        self._on_proc = [set() for _ in range(inst._next_proc)]
         for task, cfg in zip(tasks.tolist(), cfgs.tolist()):
             self._assign[task] = cfg
             self._load(task, *self._config(task, cfg))
@@ -588,14 +609,6 @@ class IncrementalSolver:
             self.stats.full_solves += 1
             return result.makespan
         return current
-
-
-def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Whether each of ``keys`` occurs in the ascending ``sorted_keys``
-    (non-empty)."""
-    at = np.searchsorted(sorted_keys, keys)
-    np.minimum(at, sorted_keys.shape[0] - 1, out=at)
-    return sorted_keys[at] == keys
 
 
 def _padded(row_of: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:

@@ -522,7 +522,8 @@ class BatchSolver:
 
     def transport_stats(self) -> dict[str, int]:
         """Export-registry counters: ``segments`` currently mapped,
-        ``exports`` created, ``reuses`` served, ``failures``."""
+        ``idle_bytes`` priced under the cache budget, ``exports``
+        created, ``reuses`` served, ``failures``."""
         return self._exports.stats()
 
     def close(self) -> None:

@@ -15,9 +15,10 @@ Lifecycle:
 
 * parent side — an :class:`ExportRegistry` per
   :class:`~repro.engine.BatchSolver`: segments are created once per
-  content digest, refcounted while batches are in flight, LRU-evicted
-  when idle and unlinked on engine close (a finalizer covers engines
-  that are never closed);
+  content digest and refcounted while batches are in flight.  An idle
+  segment is priced at its mapping under the process cache budget and
+  unlinked when the budget evicts it; all are unlinked on engine close
+  (a finalizer covers engines that are never closed);
 * worker side — an attachment cache keyed by segment name, under the
   process cache budget.  Attachments stay mapped until evicted (views
   may sit in the worker's kernel compile cache, so eviction also
@@ -44,6 +45,7 @@ from __future__ import annotations
 import mmap
 import threading
 import weakref
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -131,26 +133,57 @@ class _Export:
         self.refs = 0
 
 
+def _mapped_nbytes(shm) -> int:
+    """A segment's mapping: its size in whole pages."""
+    return -(-shm.size // mmap.PAGESIZE) * mmap.PAGESIZE
+
+
+def _unlink(export: _Export) -> None:
+    try:
+        export.shm.close()
+        export.shm.unlink()
+    except Exception:  # pragma: no cover - already gone
+        pass
+
+
 def _close_all(segments: dict) -> None:
     for export in segments.values():
-        try:
-            export.shm.close()
-            export.shm.unlink()
-        except Exception:  # pragma: no cover - already gone
-            pass
+        _unlink(export)
     segments.clear()
 
 
-class ExportRegistry:
-    """Digest-keyed, refcounted shared-memory exports (parent side)."""
+def _drop_idle(
+    segments: dict, lock: threading.Lock, digest: str, export: _Export
+) -> None:
+    """Unlink an idle export the cache budget evicted, unless a batch
+    took it back in flight meanwhile (or the registry closed)."""
+    with lock:
+        if export.refs or segments.get(digest) is not export:
+            return
+        del segments[digest]
+    _unlink(export)
 
-    def __init__(self, max_segments: int = 64):
-        if max_segments < 1:
-            raise ValueError("max_segments must be at least 1")
-        self.max_segments = int(max_segments)
+
+class ExportRegistry:
+    """Digest-keyed, refcounted shared-memory exports (parent side).
+
+    An export is pinned while batches hold references to it.  Once idle
+    (no references) it is priced at its segment's mapping under the
+    process cache budget, where it holds the quarter share that a pool
+    worker's attachments hold on the other side; the budget evicts the
+    least recently released idle export first, which unlinks it."""
+
+    def __init__(self):
         self._segments: dict[str, _Export] = {}
-        self._order: list[str] = []  # LRU, oldest first
         self._lock = threading.Lock()
+        # idle exports by digest, charged to the budget; the eviction
+        # callback holds the table and its lock, not the registry, so a
+        # registry nobody references is collected (and unlinked) at once
+        self._idle = BoundedLRU(
+            budget=CACHE_BUDGET, share=0.25,
+            sizeof=lambda export: _mapped_nbytes(export.shm),
+            on_evict=partial(_drop_idle, self._segments, self._lock),
+        )
         self.exports = 0
         self.reuses = 0
         self.failures = 0
@@ -177,8 +210,7 @@ class ExportRegistry:
             if export is not None:
                 export.refs += 1
                 self.reuses += 1
-                self._order.remove(digest)
-                self._order.append(digest)
+                self._idle.pop(digest)  # in flight again: pinned
                 return export.descriptor
         try:
             with span("engine.transport.export") as sp:
@@ -194,17 +226,12 @@ class ExportRegistry:
             if raced is not None:  # another thread won: keep theirs
                 raced.refs += 1
                 self.reuses += 1
-                try:
-                    export.shm.close()
-                    export.shm.unlink()
-                except Exception:  # pragma: no cover
-                    pass
+                self._idle.pop(digest)
+                _unlink(export)
                 return raced.descriptor
             export.refs = 1
             self._segments[digest] = export
-            self._order.append(digest)
             self.exports += 1
-            self._evict_idle_locked()
             return export.descriptor
 
     def _create(self, hg: TaskHypergraph, digest: str) -> _Export:
@@ -230,43 +257,33 @@ class ExportRegistry:
         return _Export(shm, descriptor)
 
     def release(self, digest: str) -> None:
-        """Drop one reference taken by :meth:`export`."""
+        """Drop one reference taken by :meth:`export`; the last one
+        puts the export under the cache budget."""
         with self._lock:
             export = self._segments.get(digest)
-            if export is not None and export.refs > 0:
-                export.refs -= 1
-            self._evict_idle_locked()
-
-    def _evict_idle_locked(self) -> None:
-        while len(self._segments) > self.max_segments:
-            victim = next(
-                (
-                    d
-                    for d in self._order
-                    if self._segments[d].refs == 0
-                ),
-                None,
-            )
-            if victim is None:  # everything in flight: over-cap is fine
-                break
-            export = self._segments.pop(victim)
-            self._order.remove(victim)
-            try:
-                export.shm.close()
-                export.shm.unlink()
-            except Exception:  # pragma: no cover
-                pass
+            if export is None or export.refs == 0:
+                return
+            export.refs -= 1
+            if export.refs:
+                return
+        # outside the lock: the insert may evict, and an eviction takes
+        # it.  An export taken back meanwhile is only priced until the
+        # budget drops it, which then leaves it mapped (see _drop_idle)
+        self._idle.put(digest, export)
 
     def close(self) -> None:
         """Unlink every segment (engine shutdown)."""
         with self._lock:
+            self._idle.clear()
             _close_all(self._segments)
-            self._order.clear()
 
     def stats(self) -> dict[str, int]:
+        """``segments`` mapped, ``idle_bytes`` priced under the cache
+        budget, and the ``exports``/``reuses``/``failures`` counts."""
         with self._lock:
             return {
                 "segments": len(self._segments),
+                "idle_bytes": self._idle.stats()["bytes"],
                 "exports": self.exports,
                 "reuses": self.reuses,
                 "failures": self.failures,
@@ -289,7 +306,7 @@ def _detach(name: str, attached: tuple[Any, TaskHypergraph]) -> None:
 
 def _attachment_nbytes(attached: tuple[Any, TaskHypergraph]) -> int:
     """A segment's mapped bytes: its size in whole pages."""
-    return -(-attached[0].size // mmap.PAGESIZE) * mmap.PAGESIZE
+    return _mapped_nbytes(attached[0])
 
 
 #: segment name -> (shm, hypergraph), priced at the segment's mapping

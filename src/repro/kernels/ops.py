@@ -40,6 +40,25 @@ batch kernels below, whose work has no cross-item dependency.
 Squeezing the remaining per-step constant means removing interpreter
 dispatch itself (a native/compiled loop) or stepping many independent
 instances in lockstep, not more vectorization within one instance.
+
+Three ways around the chain within one instance were measured, and
+none pays:
+
+* *Speculation.*  Under the exact chosen-pin rule, a choice made
+  against stale loads stays valid while no earlier commit in its
+  window touches the chosen candidate's pins: loads only grow, and
+  IEEE addition is monotone, so no other candidate can overtake it.
+  But the runs that rule lets commit are short — 3.46 tasks on
+  average on the n=10240, p=2048 ``large-cold`` instance and 1.6-2.7
+  tasks on the Table I specs up to n=5120 — too short to beat the
+  cost of checking each window.
+* *A pure-Python SGH loop.*  A list-based loop gives bit-identical
+  answers but runs about 1.8-2x slower than the numpy kernel at
+  n=10240.
+* *A bottleneck-first VGH screen.*  A candidate could be accepted
+  without ranking when its SGH key is the unique minimum and lies above
+  the maximum load of the union.  That settles no step on unit-weight
+  Table I instances and only 5-12% of steps on the ``-W`` ones.
 """
 
 from __future__ import annotations

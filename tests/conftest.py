@@ -10,12 +10,16 @@ was imported first under the same module name.
 from __future__ import annotations
 
 import gc
+import multiprocessing.forkserver
+import multiprocessing.resource_tracker
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import BipartiteGraph, TaskHypergraph
+from repro.engine import batch as _batch
 
 _SHM_DIR = "/dev/shm"
 
@@ -47,6 +51,69 @@ def no_leaked_shm_segments():
             pytest.fail(
                 f"test left shared-memory segments behind: {sorted(leaked)}"
             )
+
+
+#: how long a module's children get to exit after its last fixture
+#: closed them (a pool's workers leave a moment after their shutdown)
+CHILD_REAP_S = 3.0
+
+
+def _live_children() -> set[int]:
+    """Pids of this process's children that have not exited, read from
+    ``/proc`` (empty where there is none).  Multiprocessing's resource
+    tracker and fork server serve the whole test session, and the warm
+    engines behind the module-level ``solve_many`` keep their workers
+    between calls by design (until their idle timeout), so none of
+    them is counted."""
+    me = os.getpid()
+    tracker = multiprocessing.resource_tracker._resource_tracker
+    server = multiprocessing.forkserver._forkserver
+    helpers = {
+        getattr(tracker, "_pid", None),
+        getattr(server, "_forkserver_pid", None),
+    }
+    with _batch._SHARED_LOCK:
+        warm = list(_batch._SHARED_ENGINES.values())
+    helpers.update(pid for engine in warm for pid in engine.worker_pids())
+    try:
+        entries = os.listdir("/proc")
+    except OSError:
+        return set()
+    children = set()
+    for name in entries:
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                stat = f.read()
+        except OSError:
+            continue  # gone meanwhile
+        # the command name may hold spaces: state and ppid follow its ")"
+        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
+        if int(ppid) == me and state != "Z" and int(name) not in helpers:
+            children.add(int(name))
+    return children
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_child_processes():
+    """Fail a test module that leaves a live child process behind.
+
+    Module-scoped and autouse, so it is set up before the module's
+    other fixtures and torn down after them: a server or pool fixture
+    has closed by the time the verdict is taken.  Children alive before
+    the module started (a session fixture's) are not the module's."""
+    before = _live_children()
+    yield
+    deadline = time.monotonic() + CHILD_REAP_S
+    leaked = _live_children() - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leaked = _live_children() - before
+    if leaked:
+        pytest.fail(
+            f"test module left child processes running: {sorted(leaked)}"
+        )
 
 
 # ---------------------------------------------------------------------------

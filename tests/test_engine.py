@@ -561,6 +561,132 @@ class TestTransportAndWarmPool:
             attached.clear()
             registry.close()
 
+    def test_idle_exports_live_under_the_cache_budget(self, monkeypatch):
+        """An export is free while in flight and priced at its mapping
+        once idle; the budget evicts the least recently released idle
+        export, which unlinks it, and never one still in flight."""
+        from repro._util import ByteBudget
+        from repro.engine import transport
+        from repro.generators import generate_multiproc
+
+        if not transport.transport_available():  # pragma: no cover
+            pytest.skip("no shared memory on this platform")
+        base = generate_multiproc(8, 4, g=2, seed=0)
+        hgs = [base.with_weights(base.hedge_w + s) for s in range(4)]
+        digests = [instance_digest(hg) for hg in hgs]
+        budget = ByteBudget(1 << 30)
+        monkeypatch.setattr(transport, "CACHE_BUDGET", budget)
+        registry = transport.ExportRegistry()
+        try:
+            names = [registry.export(hg, d)["__shm__"] for hg, d in zip(
+                hgs[:2], digests
+            )]
+            assert registry.stats()["idle_bytes"] == budget.used() == 0
+            registry.release(digests[0])
+            page = registry.stats()["idle_bytes"]
+            assert page > 0 and budget.used() == page
+            # room for one idle export: the next release evicts the
+            # first, while the second stays pinned over the limit
+            budget.limit = page
+            registry.export(hgs[2], digests[2])
+            registry.release(digests[2])
+            assert registry.stats()["segments"] == 2
+            with pytest.raises(FileNotFoundError):  # unlinked
+                transport._attach_segment(names[0])
+            transport._attach_segment(names[1]).close()  # pinned
+            # taking an idle export back pins it again
+            registry.export(hgs[2], digests[2])
+            assert registry.stats()["idle_bytes"] == 0
+            assert registry.stats()["reuses"] == 1
+            registry.release(digests[2])
+            registry.release(digests[1])
+            assert registry.stats()["segments"] == 1
+        finally:
+            registry.close()
+        assert registry.stats() == {
+            "segments": 0, "idle_bytes": 0, "exports": 3, "reuses": 1,
+            "failures": 0,
+        }
+
+    def test_an_evicted_export_taken_back_stays_mapped(self):
+        """The budget's eviction callback runs without the registry's
+        lock; an export re-taken in between is left mapped."""
+        from repro.engine import transport
+        from repro.generators import generate_multiproc
+
+        if not transport.transport_available():  # pragma: no cover
+            pytest.skip("no shared memory on this platform")
+        hg = generate_multiproc(8, 4, g=2, seed=0)
+        digest = instance_digest(hg)
+        registry = transport.ExportRegistry()
+        try:
+            registry.export(hg, digest)
+            export = registry._segments[digest]
+            transport._drop_idle(
+                registry._segments, registry._lock, digest, export
+            )
+            assert registry.stats()["segments"] == 1
+            registry.release(digest)
+            transport._drop_idle(
+                registry._segments, registry._lock, digest, export
+            )
+            assert registry.stats()["segments"] == 0
+        finally:
+            registry.close()
+
+    def test_no_export_in_flight_is_unlinked_under_eviction_churn(
+        self, monkeypatch
+    ):
+        """More threads than cores export, attach and release a few
+        instances through one registry whose budget holds a single idle
+        segment, with a short switch interval: every attach finds its
+        segment, and close leaves none."""
+        import sys
+        from multiprocessing import shared_memory
+
+        from repro._util import ByteBudget
+        from repro.engine import transport
+        from repro.generators import generate_multiproc
+
+        if not transport.transport_available():  # pragma: no cover
+            pytest.skip("no shared memory on this platform")
+        base = generate_multiproc(8, 4, g=2, seed=0)
+        hgs = [base.with_weights(base.hedge_w + s) for s in range(3)]
+        digests = [instance_digest(hg) for hg in hgs]
+        monkeypatch.setattr(transport, "CACHE_BUDGET", ByteBudget(4096))
+        registry = transport.ExportRegistry()
+        errors = []
+
+        def churn(k: int) -> None:
+            try:
+                for i in range(60):
+                    j = (k + i) % len(hgs)
+                    name = registry.export(hgs[j], digests[j])["__shm__"]
+                    # opened by name as a worker would (but tracked:
+                    # the untracked attach swaps a process-wide hook,
+                    # which only a single-threaded worker may do)
+                    shared_memory.SharedMemory(name=name).close()
+                    registry.release(digests[j])
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(k,)) for k in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            registry.close()
+        assert errors == []
+        assert registry.stats()["segments"] == 0
+
     def test_auto_transport_keeps_small_instances_on_pickle(self, batch):
         engine = BatchSolver(
             max_workers=2, executor="process", cache=False,

@@ -9,16 +9,24 @@ equivalence property; these tests pin *local* repair:
   counters;
 * a Hypothesis property holds the solver's vectorized move scan to a
   scalar oracle (the per-candidate Python scan it replaced) on random
-  churn with nonzero thresholds.
+  churn with nonzero thresholds;
+* a second property does the same on streams built around the cases
+  that finding shared pins by pin-union position creates — a lone
+  alive row, configurations sharing several pins, processor handles
+  growing mid-stream, rows killed by a failure before the row store
+  compacts, tasks replaced by new configuration sets and a bottleneck
+  held by a single task — and checks the store's union positions.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import InfeasibleError
 from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.generators import churn_trace, generate_multiproc
 from repro.kernels import first_lex_improving
+from repro.kernels.compiled import flat_ranges
 
 from strategies import apply_random_mutations, random_hypergraph
 
@@ -134,7 +142,7 @@ def scalar_first_improving_move(solver, region: set[int], peak: float):
     for u in sorted(region):
         if loads.get(u, -1.0) < peak - 1e-12:
             continue
-        for task in sorted(solver._on_proc.get(u, set())):
+        for task in sorted(solver._on_proc[u]):
             cur = int(assign[task])
             cur_pins, cur_w, _ = inst.config_any(task, cur)
             old_set = set(cur_pins)
@@ -172,11 +180,9 @@ class OracleCheckedSolver(IncrementalSolver):
 
     scans = 0
 
-    def _first_improving_move(self, region, peak):
-        move = super()._first_improving_move(region, peak)
-        expected = scalar_first_improving_move(
-            self, set(np.flatnonzero(region).tolist()), peak
-        )
+    def _first_improving_move(self, procs, peak):
+        move = super()._first_improving_move(procs, peak)
+        expected = scalar_first_improving_move(self, set(procs.tolist()), peak)
         assert move == expected
         type(self).scans += 1
         return move
@@ -218,3 +224,174 @@ def test_vectorized_scan_matches_scalar_oracle(seed, n_events, ratio, decimal):
     )
     apply_random_mutations(inst, rng, n_events)
     solver.bottleneck()
+
+
+# ---------------------------------------------------------------------------
+# the oracle on the cases shared-pin detection by union position creates
+# ---------------------------------------------------------------------------
+def _weight(rng, decimal: bool) -> float:
+    if decimal:
+        return float(rng.choice([0.1, 0.2, 0.3, 0.7]))
+    return float(rng.integers(1, 6))
+
+
+def _pick(rng, items, k: int) -> list[int]:
+    return [int(x) for x in rng.choice(items, size=k, replace=False)]
+
+
+def lone_configuration(inst, rng, decimal):
+    """A task with one configuration: its only alive row is the one it
+    holds."""
+    procs = inst.procs()
+    inst.add_task(
+        [(_pick(rng, procs, min(2, len(procs))), _weight(rng, decimal))]
+    )
+
+
+def shared_core(inst, rng, decimal):
+    """A task whose configurations share several pins: one common core,
+    alone and with each of up to three other processors."""
+    while inst.n_procs < 4:
+        inst.add_processor()
+    procs = inst.procs()
+    core = _pick(rng, procs, int(rng.integers(2, 4)))
+    rest = [u for u in procs if u not in core]
+    extra = _pick(rng, rest, min(3, len(rest)))
+    inst.add_task(
+        [(core, _weight(rng, decimal))]
+        + [(core + [u], _weight(rng, decimal)) for u in extra]
+    )
+
+
+def new_processor(inst, rng, decimal):
+    """A processor joins and a task arrives that can use it, so the
+    processor handles (and the solver's arrays) grow mid-stream."""
+    others = inst.procs()
+    u = inst.add_processor()
+    inst.add_task(
+        [([u], _weight(rng, decimal)), ([u, others[0]], _weight(rng, decimal))]
+        + [(_pick(rng, others, 1), _weight(rng, decimal))]
+    )
+
+
+def processor_failure(inst, rng, decimal):
+    """A processor fails and its rows die (unless that strands a
+    task)."""
+    if inst.n_procs > 1:
+        try:
+            inst.remove_processor(int(rng.choice(inst.procs())))
+        except InfeasibleError:
+            pass
+
+
+def replace_task(inst, rng, decimal, task=None):
+    """A task leaves and one arrives with a new configuration set over
+    the processors the old one could use."""
+    if task is None:
+        task = int(rng.choice(inst.tasks()))
+    procs = sorted({u for _, pins, _ in inst.task_configs(task) for u in pins})
+    inst.remove_task(task)
+    inst.add_task(
+        [
+            (_pick(rng, procs, int(rng.integers(1, len(procs) + 1))),
+             _weight(rng, decimal))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+    )
+
+
+def compaction(inst, rng, decimal):
+    """Every task replaced, and one more: the departed rows outgrow the
+    live ones and the row store compacts."""
+    tasks = inst.tasks()
+    for task in tasks + [None]:
+        replace_task(inst, rng, decimal, task)
+
+
+def lone_hot_processor(inst, rng, decimal):
+    """A heavy task that takes a new processor to itself: the region's
+    bottleneck is held by a single task."""
+    others = inst.procs()
+    u = inst.add_processor()
+    w = 20 * _weight(rng, decimal)
+    inst.add_task([([u], w), (_pick(rng, others, 1), w)])
+
+
+EDGE_CASES = [
+    lone_configuration, shared_core, new_processor, processor_failure,
+    replace_task, compaction, lone_hot_processor,
+]
+
+
+def assert_union_positions(inst) -> None:
+    """Every pin of the row store sits at its processor's rank in its
+    task's pin-union (all rows, disabled ones included)."""
+    st = inst._store
+    for task in inst.tasks():
+        lo, n = st.extent(task)
+        rows = np.arange(lo, lo + n)
+        pins = st.pins_of(rows)
+        pos = st.pin_pos[flat_ranges(st.row_ptr[rows], st.row_len[rows])]
+        union = np.unique(pins)
+        np.testing.assert_array_equal(pos, np.searchsorted(union, pins))
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    cases=st.lists(st.sampled_from(EDGE_CASES), min_size=1, max_size=10),
+    ratio=st.sampled_from([0.5, 1.0]),
+    decimal=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_scan_matches_scalar_oracle_on_edge_cases(seed, cases, ratio, decimal):
+    """Lone rows, shared cores, growing processor handles, failures
+    then compaction, re-added tasks and a single-task bottleneck, each
+    interleaved with random churn: every move scan returns the scalar
+    oracle's move, and the row store's union positions stay exact."""
+    rng = np.random.default_rng(seed)
+    hg = random_hypergraph(rng, max_tasks=10, max_procs=6)
+    inst = DynamicInstance.from_hypergraph(hg)
+    solver = OracleCheckedSolver(
+        inst, fallback_ratio=ratio, min_fallback_region=4
+    )
+    for case in cases:
+        case(inst, rng, decimal)
+        apply_random_mutations(inst, rng, int(rng.integers(0, 3)))
+        if not inst.n_tasks:
+            lone_configuration(inst, rng, decimal)
+    solver.bottleneck()
+    assert_union_positions(inst)
+    assert solver.stats.mutations == len(inst.journal)
+
+
+def test_each_edge_case_does_what_it_says():
+    """The edge-case builders reach their cases: a lone row scans to no
+    move, a store compaction happens, handles grow, and a new
+    processor can be a bottleneck held by a single task."""
+    rng = np.random.default_rng(3)
+    hg = random_hypergraph(rng, max_tasks=8, max_procs=5)
+    inst = DynamicInstance.from_hypergraph(hg)
+    solver = OracleCheckedSolver(inst, fallback_ratio=1.0)
+    lone_configuration(inst, rng, False)
+    lone = inst.tasks()[-1]
+    assert solver._scan(np.array([lone])) is None
+
+    store, compacted = inst._store, []
+    compact = store.compact
+    store.compact = lambda: compacted.append(compact())
+    compaction(inst, rng, False)
+    assert compacted
+    assert_union_positions(inst)
+
+    procs = inst.n_procs
+    lone_hot_processor(inst, rng, False)
+    u = inst.procs()[-1]
+    assert inst.n_procs == procs + 1
+    assert solver._on_proc[u] == {inst.tasks()[-1]}
+    assert solver.loads()[u] == solver.bottleneck()
+
+    shared_core(inst, rng, False)
+    confs = inst.task_configs(inst.tasks()[-1])
+    core = set(confs[0][1])
+    assert len(core) >= 2 and all(core < set(p) for _, p, _ in confs[1:])
+    assert_union_positions(inst)
