@@ -261,7 +261,7 @@ def _instances(n: int, *, n_tasks: int, n_procs: int, seed0: int = 0):
 
 
 def _histogram_ms(server: SolveServer) -> dict:
-    snap = server.metrics.snapshot()["request_latency_s"]
+    snap = server._op_metrics()["request_latency_s"]
     return {
         "p50_ms": snap["p50"] * 1e3,
         "p99_ms": snap["p99"] * 1e3,
@@ -313,7 +313,7 @@ def bench_serial_vs_batched(
                     batched_best,
                     n_requests / (time.perf_counter() - t0),
                 )
-            counters = h.server.metrics.snapshot()["counters"]
+            counters = h.server._op_metrics()["counters"]
             batched_stats = _histogram_ms(h.server)
 
             t0 = time.perf_counter()

@@ -43,7 +43,7 @@ Package map
   (``Refine``/``Portfolio``/``parse_method``);
 * :mod:`repro.generators` — random families, worst cases, X3C, churn
   traces;
-* :mod:`repro.sched` — named scheduling problems and ``solve``;
+* :mod:`repro.sched` — named scheduling problems and their schedules;
 * :mod:`repro.dynamic` — incremental solving for mutating instances:
   ``DynamicInstance`` (mutable overlay, delta journal,
   snapshot/rollback, content digest) and ``IncrementalSolver``
@@ -91,6 +91,7 @@ from .api import (
     get_registry,
     parse_method,
     register_solver,
+    solve,
 )
 from .core import (
     BipartiteGraph,
@@ -107,7 +108,7 @@ from .dynamic import DynamicInstance, IncrementalSolver
 from .engine import BatchSolver, ResultCache, solve_many
 from .kernels import CompiledKernels, compile_instance
 from .generators import churn_trace, generate_multiproc
-from .sched import Schedule, SchedulingProblem, TaskSpec, solve
+from .sched import Schedule, SchedulingProblem, TaskSpec
 
 __version__ = "1.0.0"
 

@@ -225,6 +225,9 @@ class BatchSolver:
             max_workers if max_workers is not None else (os.cpu_count() or 1)
         )
         self.executor = executor
+        #: solves run in the calling thread: no pool, no pickling.  The
+        #: service's batcher gives such an engine one solver thread.
+        self.inline = executor == "serial" or self.max_workers == 1
         self.chunk_size = chunk_size
         # identity checks: an empty ResultCache is falsy (it has __len__)
         if cache is True:
@@ -324,11 +327,7 @@ class BatchSolver:
 
             # 2. solve the rest, pooled when it pays off
             if pending:
-                if (
-                    self.executor == "serial"
-                    or self.max_workers == 1
-                    or len(pending) == 1
-                ):
+                if self.inline or len(pending) == 1:
                     for i in pending:
                         with collect_timings() as timings:
                             with measured_span("engine.solve") as sp:

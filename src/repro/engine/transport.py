@@ -96,6 +96,14 @@ def instance_nbytes(hg: TaskHypergraph) -> int:
     return sum(getattr(hg, f).nbytes for f in _FIELDS)
 
 
+#: Serialises the resource-tracker ``register`` swap in
+#: :func:`_attach_segment` against this module's own segment creation:
+#: the swap is process-wide, so a segment created in another thread
+#: while it is in place would go unregistered, and its later unlink
+#: would make the tracker print ``KeyError`` tracebacks.
+_TRACKER_LOCK = threading.Lock()
+
+
 def _attach_segment(name: str):
     """Attach to an existing segment without tracking it.
 
@@ -106,20 +114,24 @@ def _attach_segment(name: str):
     ``fork`` (shared tracker process) a later unregister collides with
     the parent's own and the tracker logs KeyError tracebacks.
     Python 3.13+ has ``track=False`` for exactly this; earlier versions
-    get it by suppressing ``register`` around the attach (chunk
-    execution is single-threaded per worker, so the swap is safe).
+    get it by suppressing ``register`` around the attach.  That swap
+    replaces the function for every thread of the process, so it runs
+    under ``_TRACKER_LOCK``, which :class:`ExportRegistry` also holds
+    while it creates a segment; a registration by other code in
+    another thread can still fall inside it.
     """
     try:
         return _shm.SharedMemory(name=name, track=False)
     except TypeError:  # pragma: no cover - Python < 3.13
         from multiprocessing import resource_tracker
 
-        original = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            return _shm.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+        with _TRACKER_LOCK:
+            original = resource_tracker.register
+            resource_tracker.register = lambda *a, **k: None
+            try:
+                return _shm.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = original
 
 
 class _Export:
@@ -241,7 +253,8 @@ class ExportRegistry:
             arr = getattr(hg, f)
             layout.append((f, offset, int(arr.shape[0])))
             offset += arr.nbytes
-        shm = _shm.SharedMemory(create=True, size=max(offset, 1))
+        with _TRACKER_LOCK:  # never inside an attach's register swap
+            shm = _shm.SharedMemory(create=True, size=max(offset, 1))
         for (f, off, n) in layout:
             arr = getattr(hg, f)
             dst = np.ndarray(

@@ -6,35 +6,31 @@ reproduces this for any list of :class:`InstanceSpec` and any set of
 registered algorithms, recording per-instance quality ratios
 (makespan / LB, eq. (1)), instance statistics and wall-clock times.
 
-Execution backends
-------------------
-By default every (instance, algorithm) pair is solved inline, exactly as
-the seed did.  Passing ``engine=`` (a :class:`repro.engine.BatchSolver`)
-or ``max_workers=`` routes each algorithm's seed-batch through the batch
-engine instead — pooled across instances, cached across repeated sweeps.
-Measured makespans are identical either way (the engine runs the same
-dispatch); only the wall-clock accounting changes from per-call to
-per-batch (still reported as mean seconds per instance).
-
-Inline, the runner goes instance by instance, every algorithm on one
-instance before the next: the first algorithm's time includes compiling
-the instance's kernels (:func:`repro.kernels.compile_instance`) and the
-others reuse that compilation.  Through an engine each algorithm's batch
-covers all instances, so in a serial engine the compile cache sees each
-instance again only after the others; it admits the instance's
-compilation on that second sighting, so the second algorithm's batch
-pays a second compile per instance and the rest reuse it.
+Execution
+---------
+Every solve goes through a :class:`repro.engine.BatchSolver`: the
+caller's ``engine=``, or else one the runner builds (``max_workers``
+workers, 1 by default, with a private result cache) and closes before
+returning.  An inline engine (serial, or one worker) goes instance by
+instance, every algorithm on one instance before the next, one
+single-instance ``solve_many`` each: the first algorithm's time
+includes compiling the instance's kernels
+(:func:`repro.kernels.compile_instance`) and the others reuse that
+compilation.  A pooled engine solves each algorithm's instances in one
+``solve_many`` batch instead, timed per batch (still reported as mean
+seconds per instance).  Measured makespans are identical either way.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..algorithms.lower_bounds import averaged_work_bound
-from ..api import get_registry
 from .._util import Timer
+from ..engine import BatchSolver, ResultCache
 from .instances import InstanceSpec
 
 __all__ = ["InstanceResult", "ExperimentResult", "run_instances", "DEFAULT_ALGOS"]
@@ -95,22 +91,36 @@ def run_instances(
     with the same arguments are identical and different families still
     see different graphs.
 
-    ``engine`` (a :class:`repro.engine.BatchSolver`) or ``max_workers``
-    (shorthand for a fresh process-pool engine) batch each algorithm's
-    instances through :meth:`BatchSolver.solve_many`.
+    Solves run on ``engine`` (a :class:`repro.engine.BatchSolver`), or
+    on a private engine of ``max_workers`` workers (default 1) closed
+    before returning; see the module docstring for the solve order.
     """
-    if engine is None and max_workers is not None:
-        from ..engine import BatchSolver, ResultCache
-
-        # a private cache: sharing the process-wide one would let a
-        # repeated run be answered from cache and wreck the reported
-        # time_s (the paper's 'Average time' row)
-        engine = BatchSolver(max_workers=max_workers, cache=ResultCache())
     result = ExperimentResult(algorithms=tuple(algorithms))
-    for spec in specs:
-        rows = _run_one(spec, algorithms, n_seeds, seed0, verbose, engine)
-        result.rows.append(rows)
+    with sweep_engine(engine, max_workers) as eng:
+        for spec in specs:
+            result.rows.append(
+                _run_one(spec, algorithms, n_seeds, seed0, verbose, eng)
+            )
     return result
+
+
+@contextmanager
+def sweep_engine(engine=None, max_workers: int | None = None):
+    """``engine`` itself, or a private engine closed on exit.
+
+    The private engine has ``max_workers`` workers (default 1) and its
+    own result cache: sharing the process-wide one would let a repeated
+    run be answered from cache and wreck the reported ``time_s`` (the
+    paper's 'Average time' row).
+    """
+    if engine is not None:
+        yield engine
+        return
+    owned = BatchSolver(max_workers=max_workers or 1, cache=ResultCache())
+    try:
+        yield owned
+    finally:
+        owned.close()
 
 
 def _run_one(
@@ -128,23 +138,17 @@ def _run_one(
     timers: dict[str, Timer] = {a: Timer() for a in algorithms}
 
     runs: dict[str, list] = {a: [] for a in algorithms}
-    if engine is not None:
-        for a in algorithms:
-            with timers[a]:
-                runs[a] = engine.solve_many(hgs, method=a)
-    else:
-        solvers = {
-            a: get_registry().resolve(
-                a, domain="hypergraph", context="hypergraph algorithm"
-            )
-            for a in algorithms
-        }
+    if engine.inline:
         # instance-major: the compilation the first algorithm pays for
         # serves the others straight from the compile cache
         for hg in hgs:
             for a in algorithms:
                 with timers[a]:
-                    runs[a].append(solvers[a].run(hg))
+                    runs[a] += engine.solve_many([hg], method=a)
+    else:
+        for a in algorithms:
+            with timers[a]:
+                runs[a] = engine.solve_many(hgs, method=a)
     for a in algorithms:
         for m, lb in zip(runs[a], lbs):
             makespans[a].append(m.makespan)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .instances import InstanceSpec
-from .runner import DEFAULT_ALGOS, run_instances
+from .runner import DEFAULT_ALGOS, run_instances, sweep_engine
 
 __all__ = ["RankingSweep", "ranking_sweep"]
 
@@ -68,38 +68,35 @@ def ranking_sweep(
     instance noise does not manufacture spurious ranking flips — the
     paper's claim is about the *meaningful* order.
 
-    ``engine``/``max_workers`` run each cell through the batch engine
-    (see :func:`repro.experiments.runner.run_instances`); the engine's
-    result cache means re-running a sweep — or overlapping grids — never
-    recomputes a solved instance.
+    Every cell runs on ``engine``, or on one private engine of
+    ``max_workers`` workers (default 1) that the whole grid shares and
+    that is closed before returning (see
+    :func:`repro.experiments.runner.run_instances`).  A caller's engine
+    keeps its result cache across sweeps, so re-running a sweep or an
+    overlapping grid on it never recomputes a solved instance.
     """
-    if engine is None and max_workers is not None:
-        from ..engine import BatchSolver, ResultCache
-
-        # private cache (shared across the grid's cells, not the
-        # process) — see run_instances for the timing rationale
-        engine = BatchSolver(max_workers=max_workers, cache=ResultCache())
     rankings: dict[tuple[int, int], tuple[str, ...]] = {}
     averages: dict[tuple[int, int], dict[str, float]] = {}
-    for dv in dv_values:
-        for dh in dh_values:
-            specs = [replace(s, dv=dv, dh=dh) for s in base_specs]
-            res = run_instances(
-                specs,
-                algorithms=algorithms,
-                n_seeds=n_seeds,
-                seed0=seed0,
-                engine=engine,
-            )
-            avg = res.average_quality()
-            averages[(dv, dh)] = avg
-            # stable rank with tolerance-based tie merging
-            order = sorted(
-                algorithms,
-                key=lambda a: (
-                    round(avg[a] / rank_tolerance) * rank_tolerance,
-                    algorithms.index(a),
-                ),
-            )
-            rankings[(dv, dh)] = tuple(order)
+    with sweep_engine(engine, max_workers) as eng:
+        for dv in dv_values:
+            for dh in dh_values:
+                specs = [replace(s, dv=dv, dh=dh) for s in base_specs]
+                res = run_instances(
+                    specs,
+                    algorithms=algorithms,
+                    n_seeds=n_seeds,
+                    seed0=seed0,
+                    engine=eng,
+                )
+                avg = res.average_quality()
+                averages[(dv, dh)] = avg
+                # stable rank with tolerance-based tie merging
+                order = sorted(
+                    algorithms,
+                    key=lambda a: (
+                        round(avg[a] / rank_tolerance) * rank_tolerance,
+                        algorithms.index(a),
+                    ),
+                )
+                rankings[(dv, dh)] = tuple(order)
     return RankingSweep(rankings=rankings, average_quality=averages)

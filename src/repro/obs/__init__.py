@@ -10,9 +10,10 @@ Four dependency-free quarters:
   export and a slow-solve flight recorder.  Off by default;
   :func:`enable_tracing` costs one flag flip and the disabled path
   allocates nothing.
-* :mod:`repro.obs.metrics` — the process-wide metrics registry
-  (counters / gauges / histograms) with JSON and Prometheus-text
-  exposition.  :mod:`repro.service.metrics` is a thin view over it.
+* :mod:`repro.obs.metrics` — the metrics registry (counters / gauges
+  / histograms) with JSON and Prometheus-text exposition: one
+  process-wide default, plus a private one per solve server, whose
+  ``metrics`` op serves it.
 * :mod:`repro.obs.fleet` — fleet aggregation: per-worker metrics
   snapshots fold into one view (counters sum, fixed-bucket histograms
   merge bucket-wise, gauges tag per worker).

@@ -97,8 +97,7 @@ class Histogram:
     ``window`` raw observations so :meth:`snapshot` can report exact
     recent quantiles alongside the cumulative buckets.
 
-    Not locked by itself: the owning registry (or the service
-    ``Metrics`` wrapper) serialises access.
+    Not locked by itself: the owning registry serialises access.
     """
 
     def __init__(self, bounds: Sequence[float], *, window: int = 512):

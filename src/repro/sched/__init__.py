@@ -1,7 +1,9 @@
-"""User-facing scheduling layer: named problems, solve(), schedules."""
+"""User-facing scheduling layer: named problems and their schedules.
+
+Solve a :class:`SchedulingProblem` with :func:`repro.solve`.
+"""
 
 from .model import SchedulingProblem, TaskSpec
 from .schedule import PlacedPart, Schedule
-from .solver import solve
 
-__all__ = ["SchedulingProblem", "TaskSpec", "Schedule", "PlacedPart", "solve"]
+__all__ = ["SchedulingProblem", "TaskSpec", "Schedule", "PlacedPart"]

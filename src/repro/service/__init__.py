@@ -17,8 +17,9 @@ instead of across one process's loop —
   :class:`~repro.dynamic.DynamicInstance` streams repaired by the
   :class:`~repro.dynamic.IncrementalSolver`;
 * **admission control** sheds overload with a typed error instead of
-  queueing into timeouts, and :class:`Metrics` serves counters and
-  latency/batch-size histograms over the same protocol;
+  queueing into timeouts, and the ``metrics`` op serves each server's
+  counters and latency/batch-size histograms (a private
+  :class:`~repro.obs.MetricsRegistry`) over the same protocol;
 * **sharding** (:class:`ShardedSolveServer`) puts the same front-end
   over a supervised pool of solver worker processes, routed by
   consistent hash of the engine cache key so each worker's caches stay
@@ -51,7 +52,6 @@ from .client import (
     options_to_wire,
 )
 from .dedup import SingleFlight
-from .metrics import Histogram, Metrics
 from .protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,
@@ -86,8 +86,6 @@ __all__ = [
     "SingleFlight",
     "SessionManager",
     "Session",
-    "Metrics",
-    "Histogram",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "OPS",

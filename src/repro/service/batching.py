@@ -31,8 +31,9 @@ The window is **adaptive** under a hard latency budget
   latency: their inter-arrival gaps look dense to the EMA, but their
   lone in-flight request is provably alone.
 
-Flushed batches of a *serial* engine (the server's default, which
-solves in the calling thread) run on one thread of the batcher's own,
+Flushed batches of an *inline* engine (``BatchSolver.inline``: serial
+or one worker, so it solves in the calling thread, like the server's
+default engine) run on one thread of the batcher's own,
 one at a time and back to back.  The solves are GIL-bound, and running
 them on several executor threads at once makes each slower without
 making the set faster: 24 GRASP solves (n=96) take 2.2 s on one thread
@@ -61,9 +62,14 @@ from ..obs.trace import carry, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.batch import BatchSolver
-    from .metrics import Metrics
+    from ..obs.metrics import MetricsRegistry
 
 __all__ = ["MicroBatcher"]
+
+#: Registry name and buckets of the flushed-batch-size histogram
+#: (requests coalesced per engine call).
+BATCH_SIZE = "service.batch_size"
+BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 @dataclass
@@ -99,6 +105,10 @@ class MicroBatcher:
         Floor for the adaptive window (one event-loop tick's worth),
         so a dense burst still coalesces instead of degenerating into
         per-request flushes.
+    metrics:
+        A :class:`~repro.obs.metrics.MetricsRegistry` to record each
+        flushed batch on: its size into ``service.batch_size`` and the
+        ``service.batches``/``service.batched_requests`` counters.
     pending_fn:
         Zero-argument callable reporting how many admitted solve
         requests have not yet arrived at the batcher (nor been exempted
@@ -114,7 +124,7 @@ class MicroBatcher:
         max_batch: int = 64,
         max_delay_s: float = 0.002,
         min_delay_s: float = 0.0002,
-        metrics: "Metrics | None" = None,
+        metrics: "MetricsRegistry | None" = None,
         pending_fn=None,
     ):
         if max_batch < 1:
@@ -126,6 +136,8 @@ class MicroBatcher:
         self.max_delay_s = float(max_delay_s)
         self.min_delay_s = float(min_delay_s)
         self.metrics = metrics
+        if metrics is not None:
+            metrics.histogram(BATCH_SIZE, BATCH_BUCKETS)
         self.pending_fn = pending_fn
         self._groups: dict[tuple, _Group] = {}
         self._tasks: set[asyncio.Task] = set()
@@ -136,7 +148,7 @@ class MicroBatcher:
         # (see the module docstring); others use the loop's executor
         self._solver = (
             ThreadPoolExecutor(1, thread_name_prefix="repro-solve")
-            if getattr(engine, "executor", None) == "serial"
+            if engine.inline
             else None
         )
 
@@ -273,7 +285,9 @@ class MicroBatcher:
                         fut.exception()  # mark retrieved when abandoned
                 return
         if self.metrics is not None:
-            self.metrics.observe_batch(len(group.items))
+            self.metrics.observe(BATCH_SIZE, float(len(group.items)))
+            self.metrics.inc("service.batches")
+            self.metrics.inc("service.batched_requests", len(group.items))
         for (_, fut, enqueued), result in zip(group.items, results):
             result.stats["queue_s"] = max(0.0, started - enqueued)
             if not fut.done():

@@ -20,8 +20,10 @@ endpoint:
 * **sessions** (:mod:`repro.service.sessions`) host server-side
   :class:`~repro.dynamic.DynamicInstance` + incremental solvers fed by
   wire mutation records;
-* **metrics** (:mod:`repro.service.metrics`) count it all and serve it
-  back through the ``metrics`` op.
+* **metrics**: a private :class:`~repro.obs.metrics.MetricsRegistry`
+  counts it all under ``service.``-prefixed names, and the ``metrics``
+  op serves it back (JSON with the prefix stripped, or Prometheus
+  text).
 
 The engine is shared across every path — by default a serial
 :class:`BatchSolver` on the process-wide result cache, so warm-path
@@ -49,6 +51,7 @@ from .._util import CACHE_BUDGET
 from ..engine.batch import BatchSolver, cache_report
 from ..engine.cache import instance_digest
 from ..obs.health import HealthBudget, score_fleet
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import (
     RECORDER,
     attached,
@@ -61,9 +64,8 @@ from ..obs.trace import (
     span,
     tracing_enabled,
 )
-from .batching import MicroBatcher
+from .batching import BATCH_SIZE, MicroBatcher
 from .dedup import SingleFlight
-from .metrics import Metrics
 from .protocol import (
     MAX_FRAME_BYTES,
     ErrorCode,
@@ -85,6 +87,19 @@ __all__ = ["SolveServer"]
 #: control (``ping``/``metrics``/``session.close`` stay answerable even
 #: on a saturated server — you can always ask it how it is doing).
 _ADMITTED_OPS = ("solve", "session.open", "session.mutate")
+
+#: Solve latency buckets (seconds): ~100µs to ~10s, log-spaced.
+LATENCY_BUCKETS_S = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
+
+#: Every service instrument's registry name starts with this prefix,
+#: which the ``metrics`` op's JSON strips from counter names (the
+#: Prometheus text keeps it: ``repro_service_*``).
+_PREFIX = "service."
+#: Registry name of the per-request solve latency histogram.
+_LATENCY = "service.request_latency_s"
 
 #: header lines at least this long are decoded on the executor: a
 #: large JSON payload (a dynamic-instance state, a bipartite graph)
@@ -193,7 +208,11 @@ class SolveServer:
             if engine is not None
             else BatchSolver(max_workers=1, executor="serial", cache=True)
         )
-        self.metrics = Metrics()
+        # private, not the process-wide default registry: several
+        # servers often share one process (tests, benches), and their
+        # counts must not bleed into each other
+        self.metrics = MetricsRegistry()
+        self.metrics.histogram(_LATENCY, LATENCY_BUCKETS_S)
         self.batcher = MicroBatcher(
             self.engine,
             max_batch=max_batch,
@@ -305,7 +324,7 @@ class SolveServer:
             task.add_done_callback(self._serving.discard)
         conn = _Conn(id=next(self._conn_ids), writer=writer)
         self._conns.add(conn)
-        self.metrics.incr("connections")
+        self.metrics.inc("service.connections")
         try:
             while True:
                 try:
@@ -366,7 +385,7 @@ class SolveServer:
         else:
             closed = await reclaim
         if closed:
-            self.metrics.incr("sessions_reclaimed", closed)
+            self.metrics.inc("service.sessions_reclaimed", closed)
 
     async def _dispatch_frame(
         self, conn: _Conn, reader: asyncio.StreamReader, line: bytes
@@ -411,21 +430,21 @@ class SolveServer:
             trace_ctx = obj.get("trace")
             op, req_id, payload = validate_request(obj)
         except ProtocolError as exc:
-            self.metrics.incr("requests")
-            self.metrics.incr(f"errors.{exc.code}")
+            self.metrics.inc("service.requests")
+            self.metrics.inc(f"service.errors.{exc.code}")
             await self._send(
                 conn, error_response(req_id, exc.code, str(exc))
             )
             return not exc.fatal
-        self.metrics.incr("requests")
-        self.metrics.incr(f"requests.{op}")
+        self.metrics.inc("service.requests")
+        self.metrics.inc(f"service.requests.{op}")
         admitted = op in _ADMITTED_OPS
         if admitted and (
             self._pending >= self.max_pending
             or conn.inflight >= self.per_conn_inflight
         ):
-            self.metrics.incr("load_shed")
-            self.metrics.incr(f"errors.{ErrorCode.OVERLOADED}")
+            self.metrics.inc("service.load_shed")
+            self.metrics.inc(f"service.errors.{ErrorCode.OVERLOADED}")
             # a shed request still leaves a (tiny) trace: "the server
             # turned me away" is exactly what a latency investigation
             # wants to see in the timeline
@@ -519,7 +538,7 @@ class SolveServer:
                         raise
                     except Exception as exc:
                         code = error_code_for(exc)
-                        self.metrics.incr(f"errors.{code}")
+                        self.metrics.inc(f"service.errors.{code}")
                         envelope = error_response(req_id, code, str(exc))
                     else:
                         envelope = ok_response(req_id, result)
@@ -632,12 +651,12 @@ class SolveServer:
                 key, lambda: self._solve_batched(hg, normalized, token)
             )
             if shared:
-                self.metrics.incr("dedup_followers")
+                self.metrics.inc("service.dedup_followers")
             elif wire["cache_hit"]:
-                self.metrics.incr("cache_hits")
+                self.metrics.inc("service.cache_hits")
             if op_sp.recording:
                 op_sp.set(deduped=shared, cache_hit=wire["cache_hit"])
-        self.metrics.observe_latency(op_sp.duration_s)
+        self.metrics.observe(_LATENCY, op_sp.duration_s)
         result = dict(wire)
         result["deduped"] = shared
         return result
@@ -740,7 +759,16 @@ class SolveServer:
                 "known: 'json', 'prometheus'",
                 code=ErrorCode.BAD_REQUEST,
             )
-        snap = self.metrics.snapshot()
+        registry = self.metrics.snapshot()
+        snap: dict[str, Any] = {
+            "counters": {
+                name[len(_PREFIX):]: value
+                for name, value in registry["counters"].items()
+                if name.startswith(_PREFIX)
+            },
+            "request_latency_s": registry["histograms"][_LATENCY],
+            "batch_size": registry["histograms"][BATCH_SIZE],
+        }
         snap["dedup"] = {
             "leaders": self.flight.leaders,
             "followers": self.flight.followers,
@@ -776,9 +804,9 @@ class SolveServer:
         budget = self._health_budget(payload)
         verdict = score_fleet(
             {
-                "requests": self.metrics.counter("requests"),
-                "load_shed": self.metrics.counter("load_shed"),
-                "latency_p99_s": self.metrics.request_latency_s.quantile(
+                "requests": self.metrics.counter_value("service.requests"),
+                "load_shed": self.metrics.counter_value("service.load_shed"),
+                "latency_p99_s": self.metrics.histogram(_LATENCY).quantile(
                     0.99
                 ),
                 "uptime_s": self.uptime_s,

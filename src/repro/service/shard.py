@@ -58,7 +58,7 @@ from .protocol import (
     SessionRelocatedError,
     WorkerLostError,
 )
-from .server import SolveServer, _Conn, _SolveTicket
+from .server import _LATENCY, SolveServer, _Conn, _SolveTicket
 from .supervisor import Supervisor, WorkerHandle, WorkerSpec
 
 __all__ = ["HashRing", "ShardedSolveServer"]
@@ -176,10 +176,6 @@ class ShardedSolveServer(SolveServer):
     worker_spec:
         Per-worker server configuration; defaults to mirroring the
         front-end's own batching/admission knobs.
-    ring_replicas:
-        Virtual nodes per worker slot on the hash ring.
-    start_timeout_s:
-        Per-worker startup budget (import + bind + port handshake).
     """
 
     def __init__(
@@ -187,8 +183,6 @@ class ShardedSolveServer(SolveServer):
         *,
         n_workers: int | None = None,
         worker_spec: WorkerSpec | None = None,
-        ring_replicas: int = 64,
-        start_timeout_s: float = 60.0,
         **kwargs: Any,
     ):
         super().__init__(**kwargs)
@@ -208,9 +202,8 @@ class ShardedSolveServer(SolveServer):
             self.n_workers,
             self.worker_spec,
             on_death=self._worker_died,
-            start_timeout_s=start_timeout_s,
         )
-        self.ring = HashRing(self.n_workers, replicas=ring_replicas)
+        self.ring = HashRing(self.n_workers)
         self._shards: dict[int, _Shard] = {}
         self._pins: dict[str, _Pin] = {}
         self._relocated: dict[str, str] = {}  # fid -> reason (bounded)
@@ -332,7 +325,7 @@ class ShardedSolveServer(SolveServer):
                 sp.set(shard=shard.name)
             wire = await self._call_worker(shard, "solve", forward)
         wire["shard"] = shard.name
-        self.metrics.incr(f"shard.{shard.name}.solves")
+        self.metrics.inc(f"service.shard.{shard.name}.solves")
         return wire
 
     async def _op_solve(
@@ -354,10 +347,10 @@ class ShardedSolveServer(SolveServer):
                 key, lambda: self._forward_solve(key, payload)
             )
             if shared:
-                self.metrics.incr("dedup_followers")
+                self.metrics.inc("service.dedup_followers")
             if op_sp.recording:
                 op_sp.set(deduped=shared, shard=wire.get("shard"))
-        self.metrics.observe_latency(op_sp.duration_s)
+        self.metrics.observe(_LATENCY, op_sp.duration_s)
         result = dict(wire)
         # deduped on either side of the hop reads as deduped: the
         # client asked "did my request share another's solve?"
@@ -385,7 +378,7 @@ class ShardedSolveServer(SolveServer):
             del self._pins[fid]
             self._tombstone(fid, reason)
         if moved:
-            self.metrics.incr("sessions_relocated", len(moved))
+            self.metrics.inc("service.sessions_relocated", len(moved))
 
     async def _op_session_open(self, conn: _Conn, payload: dict) -> dict:
         # sessions have no cache key to route by; least-loaded keeps
@@ -435,7 +428,7 @@ class ShardedSolveServer(SolveServer):
             # the relocation task has not caught up yet; same answer
             self._pins.pop(fid, None)
             self._tombstone(fid, "worker lost")
-            self.metrics.incr("sessions_relocated")
+            self.metrics.inc("service.sessions_relocated")
             raise SessionRelocatedError(
                 f"session {fid!r} is gone (worker lost); re-open it "
                 f"from your own baseline"
@@ -467,7 +460,7 @@ class ShardedSolveServer(SolveServer):
             # count before the worker-side close: "no pin" must imply
             # "counted as reclaimed" at every await point, or a metrics
             # reader can watch a session vanish without a trace
-            self.metrics.incr("sessions_reclaimed")
+            self.metrics.inc("service.sessions_reclaimed")
             shard = self._shards.get(pin.idx)
             if (
                 shard is not None
@@ -514,7 +507,7 @@ class ShardedSolveServer(SolveServer):
         await self._close_client(shard)
         await self.supervisor.join(shard.handle)
         shard.state = "down"
-        self.metrics.incr("workers_drained")
+        self.metrics.inc("service.workers_drained")
 
     async def restart_worker(self, idx: int) -> None:
         """Bring a down (or drained) slot back under a new generation."""
@@ -527,7 +520,7 @@ class ShardedSolveServer(SolveServer):
         shard.generation = handle.generation
         shard.client = await AsyncServiceClient.connect(port=handle.port)
         shard.state = "up"
-        self.metrics.incr("worker_restarts")
+        self.metrics.inc("service.worker_restarts")
 
     def _worker_died(self, handle: WorkerHandle) -> None:
         """Supervisor death-watch callback (sync, on the loop)."""
@@ -541,8 +534,8 @@ class ShardedSolveServer(SolveServer):
         shard = self._shards.get(handle.idx)
         if shard is None or shard.generation != handle.generation:
             return  # a stale death report for an already-replaced slot
-        self.metrics.incr("workers_lost")
-        self.metrics.incr(f"shard.{shard.name}.lost")
+        self.metrics.inc("service.workers_lost")
+        self.metrics.inc(f"service.shard.{shard.name}.lost")
         shard.state = "down"
         # closing the client cancels its read loop, which fails every
         # parked waiter with ConnectionError (surfacing as
@@ -558,7 +551,7 @@ class ShardedSolveServer(SolveServer):
         except Exception:
             # the slot stays down; the ring routes around it, and the
             # operator sees the counter
-            self.metrics.incr("worker_restart_failures")
+            self.metrics.inc("service.worker_restart_failures")
 
     # ------------------------------------------------------------------
     # dispatch
@@ -610,7 +603,7 @@ class ShardedSolveServer(SolveServer):
                     info["metrics"] = unreachable_marker(
                         f"{type(exc).__name__}: {exc}"
                     )
-                    self.metrics.incr("workers_unreachable")
+                    self.metrics.inc("service.workers_unreachable")
                 scraped[shard.name] = info["metrics"]
             shards[shard.name] = info
         snap["shards"] = shards
@@ -642,15 +635,17 @@ class ShardedSolveServer(SolveServer):
                 "workers_unreachable": len(
                     fleet.get("workers_unreachable") or ()
                 ),
-                "requests": self.metrics.counter("requests"),
-                "load_shed": self.metrics.counter("load_shed"),
+                "requests": self.metrics.counter_value("service.requests"),
+                "load_shed": self.metrics.counter_value("service.load_shed"),
                 # the client-visible SLO: the front-end's own latency
                 # histogram, not a worker aggregate (one request would
                 # count on both sides of the hop)
-                "latency_p99_s": self.metrics.request_latency_s.quantile(
+                "latency_p99_s": self.metrics.histogram(_LATENCY).quantile(
                     0.99
                 ),
-                "workers_lost": self.metrics.counter("workers_lost"),
+                "workers_lost": self.metrics.counter_value(
+                    "service.workers_lost"
+                ),
                 "uptime_s": self.uptime_s,
                 "pins_open": len(self._pins),
                 "pins_capacity": self.sessions.max_sessions,

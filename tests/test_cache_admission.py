@@ -5,8 +5,8 @@ Engine-level consequences of :class:`repro._util.SegmentedLRU` behind
 ``repro.kernels.compiled._CACHE``: a stream of one-shot instances
 retains at most the two probation compilations, one instance solved by
 the paper's four heuristics compiles once, the experiment runner
-compiles each held instance once (at most twice through an engine's
-method-major batches), a compilation's price bounds its memory, the
+compiles each held instance once (an engine's method-major batches
+compile it at most twice), a compilation's price bounds its memory, the
 union-index re-price and the shared-memory detach reach either
 segment, and the service reports the caches (``metrics``) and the
 budget's use (``health``).
@@ -99,14 +99,27 @@ class TestAdmission:
         assert stats["promotions"] == n_seeds
         assert stats["ghost_admissions"] == 0
 
-    def test_a_method_major_engine_sweep_compiles_at_most_twice(
+    def test_a_serial_engine_in_the_runner_compiles_each_instance_once(
         self, compiles
     ):
-        n_seeds = 70
+        # a caller's inline engine goes instance by instance as well
+        n_seeds = 10
+        misses = _segments()["misses"]
         run_instances(
             [_SPEC], algorithms=PAPER_METHODS, n_seeds=n_seeds,
             engine=_serial_engine(),
         )
+        assert _segments()["misses"] - misses == n_seeds
+        assert set(compiles.values()) == {1}
+
+    def test_a_method_major_engine_sweep_compiles_at_most_twice(
+        self, compiles
+    ):
+        n_seeds = 70
+        engine = _serial_engine()
+        hgs = [_SPEC.generate(k) for k in range(n_seeds)]
+        for method in PAPER_METHODS:
+            engine.solve_many(hgs, method=method)
         assert len(compiles) == n_seeds
         assert max(compiles.values()) <= 2
         # the first heuristic's pass leaves all but the last two

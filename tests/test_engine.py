@@ -663,8 +663,7 @@ class TestTransportAndWarmPool:
                     j = (k + i) % len(hgs)
                     name = registry.export(hgs[j], digests[j])["__shm__"]
                     # opened by name as a worker would (but tracked:
-                    # the untracked attach swaps a process-wide hook,
-                    # which only a single-threaded worker may do)
+                    # the untracked attach has its own test below)
                     shared_memory.SharedMemory(name=name).close()
                     registry.release(digests[j])
             except Exception as exc:  # pragma: no cover - the failure
@@ -686,6 +685,53 @@ class TestTransportAndWarmPool:
             registry.close()
         assert errors == []
         assert registry.stats()["segments"] == 0
+
+    def test_threaded_untracked_attach_leaves_creations_tracked(self):
+        """Six threads of one process create, attach untracked and
+        unlink segments side by side.  Before Python 3.13 the attach
+        swaps the resource tracker's ``register`` for the whole
+        process; a creation that fell inside that swap would go
+        unregistered, and its unlink would make the tracker print a
+        ``KeyError``.  The tracker is a child of the process that
+        registers, so the churn runs in a fresh interpreter and its
+        stderr (which the tracker shares) is read back."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.engine import transport
+
+        if not transport.transport_available():  # pragma: no cover
+            pytest.skip("no shared memory on this platform")
+        script = (
+            "import sys, threading\n"
+            "from repro.core import TaskHypergraph\n"
+            "from repro.engine.transport import (\n"
+            "    ExportRegistry, _attach_segment)\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "hg = TaskHypergraph.from_configurations(\n"
+            "    [[[0, 1]], [[1]], [[0], [2]]])\n"
+            "def churn(k):\n"
+            "    for i in range(100):\n"
+            "        registry = ExportRegistry()\n"
+            "        name = registry.export(hg, f'{k}.{i}')['__shm__']\n"
+            "        _attach_segment(name).close()\n"
+            "        registry.close()\n"
+            "threads = [threading.Thread(target=churn, args=(k,))\n"
+            "           for k in range(6)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join()\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr[-2000:]
 
     def test_auto_transport_keeps_small_instances_on_pickle(self, batch):
         engine = BatchSolver(

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (instances, runners, tables, CLI)."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.experiments import (
     render_comparison,
     render_quality_table,
     render_table1,
+    ranking_sweep,
     run_instances,
     run_singleproc,
     singleproc_specs,
@@ -98,6 +101,30 @@ class TestRunner:
             np.mean([r.quality["SGH"] for r in res.rows])
         )
         assert set(res.average_time()) == {"SGH"}
+
+
+class TestOneSweepPath:
+    """The runner solves through a :class:`BatchSolver` whatever it is
+    given (a pooled one in method-major batches), with the makespans of
+    the serial run, and closes an engine it built."""
+
+    def test_a_pooled_run_matches_the_serial_run(self):
+        children = set(multiprocessing.active_children())
+        serial = run_instances(_tiny_specs(), n_seeds=3)
+        pooled = run_instances(_tiny_specs(), n_seeds=3, max_workers=2)
+        assert pooled.rows[0].makespan == serial.rows[0].makespan
+        assert pooled.rows[0].quality == serial.rows[0].quality
+        # the runner closed the engine it built
+        assert set(multiprocessing.active_children()) <= children
+
+    def test_a_pooled_sweep_matches_the_serial_sweep(self):
+        grid = dict(dv_values=(2,), dh_values=(2, 3), n_seeds=2)
+        children = set(multiprocessing.active_children())
+        serial = ranking_sweep(_tiny_specs(), **grid)
+        pooled = ranking_sweep(_tiny_specs(), max_workers=2, **grid)
+        assert pooled.average_quality == serial.average_quality
+        assert pooled.rankings == serial.rankings
+        assert set(multiprocessing.active_children()) <= children
 
 
 class TestSingleproc:

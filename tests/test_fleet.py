@@ -467,7 +467,8 @@ class TestLiveFleet:
                 raise ConnectionError("scrape stub: worker is gone")
 
         shard = server._shards[0]
-        before = server.metrics.counter("workers_unreachable")
+        unreachable = "service.workers_unreachable"
+        before = server.metrics.counter_value(unreachable)
         real_client = shard.client
         shard.client = _DeadClient()
         try:
@@ -478,7 +479,7 @@ class TestLiveFleet:
         info = snap["shards"][shard.name]
         assert info["metrics"]["unreachable"] is True
         assert "reason" in info["metrics"]
-        assert server.metrics.counter("workers_unreachable") == before + 1
+        assert server.metrics.counter_value(unreachable) == before + 1
         assert snap["fleet"]["workers_unreachable"] == [shard.name]
         assert shard.name not in snap["fleet"]["workers"]
         # the marker never poisons the merge: the other worker's

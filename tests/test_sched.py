@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import GraphStructureError
-from repro.sched import SchedulingProblem, solve
+from repro import solve
+from repro.sched import SchedulingProblem
 
 
 @pytest.fixture

@@ -26,13 +26,13 @@ from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.engine import ResultCache
 from repro.engine.batch import BatchSolver
 from repro.generators import churn_trace, generate_multiproc
+from repro.obs import Histogram
 from repro.service import (
     ERROR_CODES,
     OPS,
     PROTOCOL_VERSION,
     AsyncServiceClient,
     ErrorCode,
-    Histogram,
     ProtocolError,
     RemoteError,
     ServiceClient,
@@ -285,7 +285,7 @@ class TestMicroBatching:
         with running_server(max_delay_s=0.05) as (server, _loop):
             with ServiceClient(port=server.port) as client:
                 results = client.solve_pipelined(instances, method="SGH")
-            snapshot = server.metrics.snapshot()
+            snapshot = server._op_metrics()
         for hg, remote in zip(instances, results):
             local = api_solve(hg, method="SGH")
             assert np.array_equal(remote.assignment, local.hedge_of_task)
@@ -312,7 +312,7 @@ class TestMicroBatching:
                     await client.close()
 
             results = on_loop(loop, burst())
-            counters = server.metrics.snapshot()["counters"]
+            counters = server._op_metrics()["counters"]
         # requests with different option tokens may not coalesce: at
         # least one flush per distinct token (timing decides whether
         # same-token pairs coalesced, so only bound it from below)
@@ -334,7 +334,7 @@ class TestMicroBatching:
         lock = threading.Lock()
 
         class SlowSerialEngine:
-            executor = "serial"
+            inline = True
 
             def solve_many(self, instances, *, options):
                 with lock:
@@ -357,6 +357,25 @@ class TestMicroBatching:
         assert len(results) == 6
         assert peak[0] == 1 and len(threads) == 1
         assert all(r.stats["queue_s"] >= 0 for r in results)
+
+    def test_a_one_worker_engine_flushes_on_the_solver_thread(self):
+        """``BatchSolver(max_workers=1)`` solves in the calling thread
+        just like a serial engine, so the server hands its batches to
+        the batcher's one solver thread too, not to the loop's
+        executor threads."""
+        engine = BatchSolver(max_workers=1, cache=ResultCache())
+        solve_many, threads = engine.solve_many, []
+
+        def recording(instances, **kwargs):
+            threads.append(threading.current_thread().name)
+            return solve_many(instances, **kwargs)
+
+        engine.solve_many = recording
+        with running_server(engine=engine) as (server, _loop):
+            with ServiceClient(port=server.port) as client:
+                client.solve_pipelined(small_instances(4), method="SGH")
+        assert threads
+        assert all(name.startswith("repro-solve") for name in threads)
 
     def test_sparse_traffic_flushes_without_waiting_the_budget(self):
         """Adaptivity: lone requests must not idle out max_delay_s."""
@@ -735,12 +754,13 @@ class TestSessions:
                     threading.Event().wait(0.02)
                 assert len(server.sessions) == 0
                 deadline = time.monotonic() + 10
+                reclaimed = "service.sessions_reclaimed"
                 while (
-                    server.metrics.counter("sessions_reclaimed") == 0
+                    server.metrics.counter_value(reclaimed) == 0
                     and time.monotonic() < deadline
                 ):
                     threading.Event().wait(0.02)
-                assert server.metrics.counter("sessions_reclaimed") == 1
+                assert server.metrics.counter_value(reclaimed) == 1
             finally:
                 release.set()
                 rfile.close()
@@ -918,7 +938,7 @@ class TestLoadShedding:
             finally:
                 rfile.close()
                 sock.close()
-            counters = server.metrics.snapshot()["counters"]
+            counters = server._op_metrics()["counters"]
             shed = [r for r in replies if not r["ok"]]
             served = [r for r in replies if r["ok"]]
             assert shed and served
@@ -1013,7 +1033,7 @@ class TestMalformedFrames:
                     ), (case, exc.value.code, str(exc.value))
                 # the connection survives every rejection
                 assert client.ping()["pong"] is True
-            counters = server.metrics.snapshot()["counters"]
+            counters = server._op_metrics()["counters"]
         assert counters.get("errors.internal", 0) == 0
 
     def test_absurd_vertex_counts_answer_graph_structure(self):
@@ -1045,7 +1065,7 @@ class TestMalformedFrames:
                         client.call("solve", instance=data)
                     assert exc.value.code == "graph-structure", key
                     assert key in str(exc.value)
-            counters = server.metrics.snapshot()["counters"]
+            counters = server._op_metrics()["counters"]
         assert counters.get("errors.internal", 0) == 0
 
     def test_large_frames_decode_off_loop_in_order(self):

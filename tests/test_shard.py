@@ -321,7 +321,7 @@ class TestShardedSessions:
                 fresh = client.open_session(hg)
                 assert fresh.info["shard"] != f"w{victim}"
                 fresh.close()
-                counters = server.metrics.snapshot()["counters"]
+                counters = server._op_metrics()["counters"]
                 assert counters["sessions_relocated"] >= 1
                 assert counters["workers_drained"] >= 1
             finally:
@@ -344,7 +344,8 @@ class TestShardedSessions:
     def test_dropped_connection_reclaims_pins(self, pool):
         server, _loop = pool
         hg = small_instances(1, seed0=23)[0]
-        before = server.metrics.counter("sessions_reclaimed")
+        reclaimed = "service.sessions_reclaimed"
+        before = server.metrics.counter_value(reclaimed)
         client = ServiceClient(port=server.port, timeout=120.0)
         client.open_session(hg)
         assert len(server._pins) >= 1
@@ -353,7 +354,7 @@ class TestShardedSessions:
         while server._pins and time.monotonic() < deadline:
             time.sleep(0.02)
         assert not server._pins
-        assert server.metrics.counter("sessions_reclaimed") == before + 1
+        assert server.metrics.counter_value(reclaimed) == before + 1
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +418,7 @@ class TestChaos:
                 np.testing.assert_array_equal(
                     remote.assignment, local.matching.hedge_of_task
                 )
-            counters = server.metrics.snapshot()["counters"]
+            counters = server._op_metrics()["counters"]
             assert counters["workers_lost"] >= 1
             assert counters["worker_restarts"] >= 1
 

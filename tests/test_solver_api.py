@@ -416,7 +416,6 @@ class TestEntryPoints:
     @settings(max_examples=25, deadline=None)
     @given(_REQUEST_FIELDS)
     def test_every_entry_point_reads_the_same_request(self, fields):
-        from repro.sched import solve as sched_solve
         from repro.service import options_to_wire
         from repro.service.server import SolveServer
 
@@ -424,7 +423,6 @@ class TestEntryPoints:
         quiet = dict(max_workers=1, executor="serial", cache=False)
         seen = {
             "api.solve": solve(_TINY, **fields).options,
-            "sched.solve": sched_solve(_TINY, **fields).options,
             "BatchSolver(**f).solve": (
                 BatchSolver(**quiet, **fields).solve(_TINY).options
             ),
@@ -442,16 +440,12 @@ class TestEntryPoints:
             assert options.cache_token() == expected.cache_token(), entry
 
     def test_options_and_fields_together_is_a_type_error(self):
-        from repro.sched import solve as sched_solve
         from repro.service import options_to_wire
 
         opts = SolveOptions(method="SGH")
         quiet = dict(max_workers=1, executor="serial", cache=False)
         calls = {
             "api.solve": lambda: solve(_TINY, options=opts, method="EVG"),
-            "sched.solve": (
-                lambda: sched_solve(_TINY, options=opts, method="EVG")
-            ),
             "solve_hypergraph": (
                 lambda: solve_hypergraph(_TINY, options=opts, method="EVG")
             ),

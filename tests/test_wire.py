@@ -193,7 +193,8 @@ CASES = _cases()
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_bad_attachment_frames_answer_typed_or_close(endpoint, case):
     data, eof, codes, n_replies, stays_open = CASES[case]
-    before = endpoint.metrics.counter("errors.internal")
+    internal = "service.errors.internal"
+    before = endpoint.metrics.counter_value(internal)
     replies, open_after = _talk(
         endpoint.port, data, replies=n_replies, probe=stays_open, eof=eof
     )
@@ -201,7 +202,7 @@ def test_bad_attachment_frames_answer_typed_or_close(endpoint, case):
     assert len(got) == n_replies, (case, replies)
     assert set(got) <= set(codes) and set(got) <= set(TYPED), (case, got)
     assert open_after is stays_open, case
-    assert endpoint.metrics.counter("errors.internal") == before
+    assert endpoint.metrics.counter_value(internal) == before
     _settled(endpoint)
 
 
