@@ -31,24 +31,24 @@ import numpy as np
 from .._util import grown
 from ..core.errors import GraphStructureError, InfeasibleError
 from ..core.hypergraph import TaskHypergraph
-from ..kernels.compiled import flat_ranges, segment_starts
+from ..kernels.compiled import flat_ranges, segment_starts, union_positions
 from .journal import DeltaJournal, Mutation
 
 __all__ = ["DynamicInstance", "CompiledInstance"]
 
 
-def _union_positions(
+def _union_shifts(
     counts: np.ndarray, lens: np.ndarray, flat: np.ndarray
 ) -> np.ndarray:
-    """Each pin's position in its task's pin-union (the sorted distinct
-    processors of all the task's rows), for tasks laid out as
-    ``counts[i]`` rows each with pin counts ``lens`` and sorted pins
-    ``flat``."""
-    owner = np.repeat(np.repeat(np.arange(counts.shape[0]), counts), lens)
-    width = int(flat.max()) + 1 if flat.shape[0] else 1
-    keys, inverse = np.unique(owner * width + flat, return_inverse=True)
-    sizes = np.bincount(keys // width, minlength=counts.shape[0])
-    return inverse - segment_starts(sizes)[owner]
+    """Each pin's union shift (see :class:`_ConfigStore`), for tasks
+    laid out as ``counts[i]`` rows each with pin counts ``lens`` and
+    sorted pins ``flat``."""
+    n = counts.shape[0]
+    owner = np.repeat(np.repeat(np.arange(n), counts), lens)
+    pos = union_positions(owner, flat, n)[0]
+    # pos - (the pin's place among its task's pins)
+    first = segment_starts(np.bincount(owner, minlength=n))
+    return pos + first[owner] - np.arange(flat.shape[0])
 
 
 def _row_arrays(confs):
@@ -73,17 +73,22 @@ class _ConfigStore:
     once a processor failure disabled the configuration or its task
     departed).
 
-    Every pin also knows its place in its task's *pin-union* (the
-    sorted distinct processors of all the task's rows, disabled ones
-    included): ``pin_pos[i]`` is the position of ``pins[i]`` there —
-    the dynamic analogue of the compiled kernels' ``g_pin_pos``.  Two
-    rows of one task share a processor exactly when they hold pins of
-    equal position, and a union is never longer than its task's pins
-    together, so the incremental solver's move scan finds shared pins
-    by marking positions in a buffer sized by the pins it scans.
-    Positions are set when a task's rows are appended and carried
-    through compaction; killing, reviving or re-weighting a row leaves
-    them valid, since the union counts disabled rows too.
+    A task's rows are appended together, so they hold consecutive
+    pins: its configurations are one stretch of ``pins``.  Every pin
+    also knows its place in its task's *pin-union* (the sorted distinct
+    processors of all the task's rows, disabled ones included), as a
+    shift from its own place in that stretch: when the task's pins
+    start at ``s``, ``pins[i]`` sits at union position
+    ``i - s + pin_shift[i]`` — the dynamic analogue of the compiled
+    kernels' ``g_pin_pos``.  Two rows of one task share a processor
+    exactly when they hold pins of equal union position, and a union is
+    never longer than its task's pins together, so the incremental
+    solver's move scan finds shared pins by marking positions in a
+    buffer laid out like the pins it scans: a pin's mark sits
+    ``pin_shift`` away from the pin.  Shifts are set when a task's rows
+    are appended and carried unchanged through compaction (which moves
+    a task's stretch whole); killing, reviving or re-weighting a row
+    leaves them valid, since the union counts disabled rows too.
 
     A departed task's rows stay behind as garbage; once garbage is more
     than half of all rows, :meth:`compact` repacks the live tasks' rows
@@ -102,7 +107,7 @@ class _ConfigStore:
         self.row_w = np.zeros(0, dtype=np.float64)
         self.row_alive = np.zeros(0, dtype=bool)
         self.pins = np.zeros(0, dtype=np.int64)
-        self.pin_pos = np.zeros(0, dtype=np.int64)
+        self.pin_shift = np.zeros(0, dtype=np.int64)
         self.n_rows = 0
         self.n_pins = 0
         self.n_tasks = 0
@@ -123,8 +128,8 @@ class _ConfigStore:
         return int(self.task_lo[task]), int(self.task_n[task])
 
     def row_pins(self, row: int) -> np.ndarray:
-        p0 = self.row_ptr[row]
-        return self.pins[p0 : p0 + self.row_len[row]]
+        p0 = self.row_ptr.item(row)
+        return self.pins[p0 : p0 + self.row_len.item(row)]
 
     def rows_of(self, tasks: np.ndarray) -> np.ndarray:
         """Every row of ``tasks``, grouped by task in the given order."""
@@ -174,15 +179,15 @@ class _ConfigStore:
         flat: np.ndarray,
         weights: np.ndarray,
         alive: np.ndarray,
-        pos: np.ndarray | None = None,
+        shift: np.ndarray | None = None,
     ) -> None:
         """Append the configurations of new ``tasks``: ``counts[i]``
         rows each, in task order, with pin counts ``lens``, sorted pins
-        ``flat``, ``weights`` and ``alive`` flags per row.  ``pos`` are
-        the pins' union positions when already known (compaction);
+        ``flat``, ``weights`` and ``alive`` flags per row.  ``shift``
+        are the pins' union shifts when already known (compaction);
         otherwise they are derived from the pins."""
-        if pos is None:
-            pos = _union_positions(counts, lens, flat)
+        if shift is None:
+            shift = _union_shifts(counts, lens, flat)
         r0, p0 = self.n_rows, self.n_pins
         r1, p1 = r0 + lens.shape[0], p0 + flat.shape[0]
         for name in (
@@ -190,14 +195,14 @@ class _ConfigStore:
         ):
             setattr(self, name, grown(getattr(self, name), r1))
         self.pins = grown(self.pins, p1)
-        self.pin_pos = grown(self.pin_pos, p1)
+        self.pin_shift = grown(self.pin_shift, p1)
         self.row_len[r0:r1] = lens
         self.row_ptr[r0:r1] = p0 + segment_starts(lens)
         self.row_task[r0:r1] = np.repeat(tasks, counts)
         self.row_w[r0:r1] = weights
         self.row_alive[r0:r1] = alive
         self.pins[p0:p1] = flat
-        self.pin_pos[p0:p1] = pos
+        self.pin_shift[p0:p1] = shift
         top = int(tasks.max()) + 1 if tasks.shape[0] else 0
         self.task_lo = grown(self.task_lo, top)
         self.task_n = grown(self.task_n, top, fill=0)
@@ -267,9 +272,9 @@ class _ConfigStore:
         flat = self.pins[at]
         weights = self.row_w[rows].copy()
         alive = self.row_alive[rows].copy()
-        pos = self.pin_pos[at]
+        shift = self.pin_shift[at]
         self.n_rows = self.n_pins = self.n_tasks = self.garbage = 0
-        self.extend(tasks, counts, lens, flat, weights, alive, pos)
+        self.extend(tasks, counts, lens, flat, weights, alive, shift)
 
 
 @dataclass(frozen=True, eq=False)

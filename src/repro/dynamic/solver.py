@@ -25,17 +25,21 @@ chosen configuration index by task handle, the repair region as a mask
 over processor handles, and for each processor the set of tasks whose
 chosen configuration holds it.  Configurations are read straight from
 the instance's row store, never copied.  The move scan takes the
-region's bottleneck processors in ascending order and evaluates all of
-one processor's candidate moves in one vectorized pass: it gathers
-every row of the processor's tasks at once, finds the pins each
-alternative shares with the current configuration through the store's
-pin-union positions, screens the alternatives by their affected maxima
-(``np.maximum.reduceat``), and resolves the equal-maxima ones before
-the first sure improvement in one batched
-:func:`repro.kernels.first_lex_improving` call — the primitive the
-static local search runs on.  Every float operation is the one the
-per-candidate scalar scan performed (kept as the test oracle), so the
-move sequence, and with it every bottleneck, is bit-identical to it.
+region's bottleneck processors in ascending order and evaluates one
+processor's candidate moves in vectorized passes over its tasks, first
+the ``SCAN_PREFIX`` lowest handles and then the rest (most picks sit in
+the first part, and the split changes neither the order nor the rule,
+so not the pick).  A pass gathers every row of its tasks at once — a
+task's rows are one stretch of the store's pins, laid out by one
+repeat per task — finds the pins each alternative shares with the
+current configuration through the store's pin-union shifts, screens
+the alternatives by their affected maxima (``np.maximum.reduceat``),
+and resolves the equal-maxima ones before the first sure improvement
+in one batched :func:`repro.kernels.first_lex_improving` call — the
+primitive the static local search runs on.  Every float operation is
+the one the per-candidate scalar scan performed (kept as the test
+oracle), so the move sequence, and with it every bottleneck, is
+bit-identical to it.
 
 When one mutation displaces more than ``max(min_fallback_region,
 fallback_ratio * n_tasks)`` tasks the solver gives up on locality
@@ -70,6 +74,10 @@ from .instance import DynamicInstance
 from .journal import Mutation
 
 __all__ = ["IncrementalSolver", "RepairStats", "incremental_solve"]
+
+#: how many of a bottleneck processor's tasks the move scan reads before
+#: the rest (see :meth:`IncrementalSolver._first_improving_move`)
+SCAN_PREFIX = 16
 
 
 @dataclass
@@ -358,8 +366,8 @@ class IncrementalSolver:
         """``(pins, weight)`` of configuration ``cfg`` of ``task``, read
         from the instance's row store (alive or not)."""
         st = self.instance._store
-        r = st.task_lo[task] + cfg
-        return st.row_pins(r), st.row_w[r]
+        r = st.task_lo.item(task) + cfg
+        return st.row_pins(r), st.row_w.item(r)
 
     def _load(self, task: int, pins: np.ndarray, w: float) -> None:
         self._loads[pins] += w
@@ -395,19 +403,29 @@ class IncrementalSolver:
 
     # -- bounded local search -------------------------------------------
     def _first_improving_move(
-        self, procs: np.ndarray, peak: float
+        self, hot: np.ndarray
     ) -> tuple[int, int] | None:
         """The first vector-improving move ``(task, config)`` in scan
-        order: the bottleneck processors among ``procs`` (the region's
-        live processors, ascending) in order, their tasks ascending
-        (each task once), a task's configurations in index order."""
+        order: the bottleneck processors ``hot`` (ascending) in order,
+        their tasks ascending (each task once), a task's configurations
+        in index order.
+
+        A processor's tasks are scanned in two parts, the first
+        ``SCAN_PREFIX`` of them and then the rest: the scan order and
+        the first-improving rule are those of one scan over all of
+        them, so the pick is the same, and most picks sit in the first
+        part."""
         on_proc = self._on_proc
         seen: set[int] = set()
-        for u in procs[self._loads[procs] >= peak - 1e-12].tolist():
+        for u in hot.tolist():
             tasks = on_proc[u] - seen
             if tasks:
                 seen |= tasks
-                move = self._scan(np.array(sorted(tasks), dtype=np.int64))
+                order = np.fromiter(tasks, np.int64, len(tasks))
+                order.sort()
+                move = self._scan(order[:SCAN_PREFIX])
+                if move is None and order.shape[0] > SCAN_PREFIX:
+                    move = self._scan(order[SCAN_PREFIX:])
                 if move is not None:
                     return move
         return None
@@ -425,34 +443,42 @@ class IncrementalSolver:
         need the full comparison, in one batched
         :func:`~repro.kernels.first_lex_improving` call.
 
-        The pins an alternative shares with the current configuration
-        are found through the row store's pin-union positions (see
-        :class:`~repro.dynamic.instance._ConfigStore`), with no key
-        build or sorted search: each scanned task owns a stretch of a
-        buffer as long as its gathered pins, its current row marks its
-        pins' union positions there, and an alternative's pin is shared
-        exactly when its position is marked (the tie path does the same
-        per tied move, marking the move's new pins).  The float
-        operations are unchanged, the per-pin ones of the scalar scan —
-        ``(l - cur_w) + w`` on a shared pin, ``l - cur_w`` and
-        ``l + w`` elsewhere — so every decision is bit-identical to it.
-        The maximum after the move needs no
-        per-move pass over the current pins: ``fl(l - c)`` is monotone
-        in ``l``, so their maximum is ``max(l) - cur_w``, and a shared
-        pin's ``(l - cur_w) + w`` is at least its ``l - cur_w``.
+        A task's rows hold one stretch of the store's pins, so the
+        gather is one store range per task, and a pin's union position
+        is its shift away from it (see
+        :class:`~repro.dynamic.instance._ConfigStore`): the shared pins
+        are found with no key build or sorted search.  Each scanned
+        task owns a stretch of a buffer as long as its gathered pins,
+        its current row marks its pins' union positions there, and an
+        alternative's pin is shared exactly when its position is marked
+        (the tie path does the same per tied move, marking the move's
+        new pins).  The float operations are unchanged, the per-pin
+        ones of the scalar scan — ``(l - cur_w) + w`` on a shared pin,
+        ``l - cur_w`` and ``l + w`` elsewhere — so every decision is
+        bit-identical to it.  Rounding is monotone, which spares two
+        per-pin passes: the current pins' largest ``l - cur_w`` is
+        ``max(l) - cur_w`` (and a shared pin's ``(l - cur_w) + w`` is
+        at least its ``l - cur_w``), and a row's largest ``(l - mark) +
+        w`` is its largest ``l - mark``, plus ``w``.
         """
         st = self.instance._store
         # one flat gather of every row of ``tasks``, grouped by task;
         # task ``o`` owns rows ``first[o]:ends[o]``, row ``r`` the pins
         # ``at[r]:at[r] + lens[r]``
+        lo = st.task_lo[tasks]
         counts = st.task_n[tasks]
-        ends = counts.cumsum()
+        ends = np.add.accumulate(counts)
         first = ends - counts
-        rows = (st.task_lo[tasks] - first).repeat(counts) + np.arange(ends[-1])
+        rows = (lo - first).repeat(counts) + np.arange(ends[-1])
         lens = st.row_len[rows]
-        pend = lens.cumsum()
+        pend = np.add.accumulate(lens)
         at = pend - lens
-        flat = (st.row_ptr[rows] - at).repeat(lens) + np.arange(pend[-1])
+        # a task's rows hold consecutive pins in the store, so its
+        # stretch of the gather is one store range: one repeat per task
+        t_at = at[first]
+        t_pins = np.add.reduceat(lens, first)
+        place = np.arange(pend[-1])
+        flat = (st.row_ptr[lo] - t_at).repeat(t_pins) + place
         before = self._loads[st.pins[flat]]
         row_max = np.maximum.reduceat(before, at)
         w = st.row_w[rows]
@@ -462,17 +488,18 @@ class IncrementalSolver:
         cur_len = lens[cur]
         is_cur = np.zeros(rows.shape[0], dtype=bool)
         is_cur[cur] = True
-        # a task's union positions index its own stretch of the pins
-        # (a union is no longer than its rows' pins together); the
-        # current rows mark theirs with cur_w, so a pin's mark is what
-        # the move takes off it first
-        upos = at[first].repeat(counts).repeat(lens) + st.pin_pos[flat]
-        held = np.zeros(pend[-1])
+        # a task's union positions index its own stretch of the gather
+        # (a union is no longer than its rows' pins together), a pin's
+        # one its shift away from the pin; the current rows mark theirs
+        # with cur_w, so a pin's mark is what the move takes off it first
+        upos = place + st.pin_shift[flat]
+        held = np.zeros(place.shape[0])
         held[upos[is_cur.repeat(lens)]] = cur_w.repeat(cur_len)
-        # (l - 0.0) + w is l + w exactly: an unshared pin's mark is 0
-        after = (before - held[upos]) + w.repeat(lens)
+        # (l - 0.0) is l exactly: an unshared pin's mark is 0
+        left = before - held[upos]
         max_after = np.maximum(
-            (cur_max - cur_w).repeat(counts), np.maximum.reduceat(after, at)
+            (cur_max - cur_w).repeat(counts),
+            np.maximum.reduceat(left, at) + w,
         )
         max_before = np.maximum(cur_max.repeat(counts), row_max)
         # a row that is no alternative (the current one, a disabled
@@ -493,9 +520,8 @@ class IncrementalSolver:
             new_len = lens[ties]
             # each tied move marks its new pins' union positions in a
             # copy of its task's stretch; a held pin leaves unless marked
-            t_lo = at[first[t_owner]]
-            t_span = np.append(at, pend[-1])[ends[t_owner]] - t_lo
-            t_base = segment_starts(t_span) - t_lo
+            t_span = t_pins[t_owner]
+            t_base = segment_starts(t_span) - t_at[t_owner]
             new = flat_ranges(at[ties], new_len)
             stays = np.zeros(int(t_span.sum()), dtype=bool)
             stays[t_base.repeat(new_len) + upos[new]] = True
@@ -509,7 +535,9 @@ class IncrementalSolver:
             )
             l_left = before[kept][leaves]
             cw_left = cur_w[t_owner].repeat(t_len)[leaves]
-            a = np.concatenate((l_left - cw_left, after[new]))
+            a = np.concatenate(
+                (l_left - cw_left, left[new] + w[ties].repeat(new_len))
+            )
             b = np.concatenate((l_left, before[new]))
             i = first_lex_improving(
                 _padded(row_of, a, m), _padded(row_of, b, m)
@@ -518,9 +546,9 @@ class IncrementalSolver:
                 pick = int(ties[i])
         if pick is None:
             return None
-        row = int(rows[pick])
-        task = int(st.row_task[row])
-        return task, row - int(st.task_lo[task])
+        row = rows.item(pick)
+        task = st.row_task.item(row)
+        return task, row - st.task_lo.item(task)
 
     def _bounded_local_search(self, region: np.ndarray) -> None:
         """Vector-improving single-task moves off the region's
@@ -537,11 +565,14 @@ class IncrementalSolver:
                 break
             # only tasks on a region-bottleneck processor can host the
             # move that lowers it
-            mv = self._first_improving_move(procs, self._loads[procs].max())
+            loads = self._loads[procs]
+            mv = self._first_improving_move(
+                procs[loads >= loads.max() - 1e-12]
+            )
             if mv is None:
                 break
             task, cfg = mv
-            self._unload(task, *self._config(task, self._assign[task]))
+            self._unload(task, *self._config(task, self._assign.item(task)))
             self._assign[task] = cfg
             pins, w = self._config(task, cfg)
             self._load(task, pins, w)

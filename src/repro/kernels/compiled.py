@@ -40,6 +40,7 @@ __all__ = [
     "compile_cache_stats",
     "flat_ranges",
     "segment_starts",
+    "union_positions",
 ]
 
 
@@ -59,6 +60,48 @@ def flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - segment_starts(lengths), lengths) + np.arange(
         total, dtype=np.int64
     )
+
+
+def union_positions(
+    owner: np.ndarray, pins: np.ndarray, n_owners: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pin's position in its owner's *pin-union* (the sorted
+    distinct pins of all the owner's rows), and the unions themselves.
+
+    ``owner[i]`` (``0 <= owner[i] < n_owners``) owns the non-negative
+    ``pins[i]``.  Returns ``(pos, u_ptr, u_procs)``: owner ``v``'s union
+    is ``u_procs[u_ptr[v]:u_ptr[v+1]]`` and ``pins[i]`` sits at
+    ``u_procs[u_ptr[owner[i]] + pos[i]]``.
+
+    One stable argsort of ``owner * width + pin``: pins arrive sorted
+    within each row and rows grouped by owner, so the keys come in long
+    ascending runs the sort merges cheaply."""
+    total = pins.shape[0]
+    u_ptr = np.zeros(n_owners + 1, dtype=np.int64)
+    if not total:
+        return np.empty(0, dtype=np.int64), u_ptr, np.empty(0, dtype=np.int64)
+    width = int(pins.max()) + 1
+    labels = None
+    if n_owners * width >= 2**63:
+        # pin ids too sparse for one int64 key: key on their ranks
+        labels, pins = np.unique(pins, return_inverse=True)
+        width = labels.shape[0]
+    keys = owner * width + pins
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(total, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = keys[new]
+    u_procs = distinct % width
+    if labels is not None:
+        u_procs = labels[u_procs]
+    sizes = np.bincount(distinct // width, minlength=n_owners)
+    np.cumsum(sizes, out=u_ptr[1:])
+    pos = np.empty(total, dtype=np.int64)
+    pos[order] = np.cumsum(new) - 1
+    pos -= u_ptr[owner]
+    return pos, u_ptr, u_procs
 
 
 @dataclass(frozen=True)
@@ -234,39 +277,9 @@ def _build_union(ck: CompiledKernels) -> tuple[np.ndarray, ...]:
     )
     g_pin_row = np.repeat(local, g_size)
 
-    # per-task sorted pin-union + each pin's position inside it
-    task_of_pin = np.repeat(task_of_g, g_size)
-    total_pins = g_pins.shape[0]
-    if total_pins:
-        # stable sort by (task, pin): folding both keys plus the
-        # original index into one int64 makes every key unique, so a
-        # plain sort reproduces the lexsort permutation (ties keep
-        # input order) at a fraction of its cost
-        span = hg.n_tasks * hg.n_procs
-        if span and span < (2**62) // total_pins:
-            combined = (
-                task_of_pin * hg.n_procs + g_pins
-            ) * total_pins + np.arange(total_pins, dtype=np.int64)
-            combined.sort()
-            order = combined % total_pins
-        else:
-            order = np.lexsort((g_pins, task_of_pin))
-        sp = g_pins[order]
-        stt = task_of_pin[order]
-        new = np.ones(total_pins, dtype=bool)
-        new[1:] = (sp[1:] != sp[:-1]) | (stt[1:] != stt[:-1])
-        u_procs = np.ascontiguousarray(sp[new])
-        counts = np.bincount(stt[new], minlength=hg.n_tasks)
-        u_ptr = np.zeros(hg.n_tasks + 1, dtype=np.int64)
-        np.cumsum(counts, out=u_ptr[1:])
-        rank = np.cumsum(new) - 1  # union index of each sorted pin
-        pos = np.empty(total_pins, dtype=np.int64)
-        pos[order] = rank
-        g_pin_pos = pos - u_ptr[task_of_pin]
-    else:
-        u_procs = np.empty(0, dtype=np.int64)
-        u_ptr = np.zeros(hg.n_tasks + 1, dtype=np.int64)
-        g_pin_pos = np.empty(0, dtype=np.int64)
+    g_pin_pos, u_ptr, u_procs = union_positions(
+        np.repeat(task_of_g, g_size), g_pins, hg.n_tasks
+    )
     return g_pin_w, g_pin_row, g_pin_pos, u_ptr, u_procs
 
 

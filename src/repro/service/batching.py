@@ -209,6 +209,13 @@ class MicroBatcher:
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
 
+    def close(self) -> None:
+        """Stop an inline engine's solver thread.  Call it once no batch
+        is in flight, after the final :meth:`flush_all`: the thread is
+        idle then, so the join is immediate."""
+        if self._solver is not None:
+            self._solver.shutdown()
+
     # ------------------------------------------------------------------
     # adaptivity
     # ------------------------------------------------------------------

@@ -275,7 +275,8 @@ class SolveServer:
         await self._stopping.wait()
 
     async def stop(self, *, drain_s: float = 5.0) -> None:
-        """Stop accepting, drain in-flight handlers, release sessions.
+        """Stop accepting, drain in-flight handlers, release sessions
+        and the micro-batcher's solver thread.
 
         Drain is **bounded**: in-flight handler tasks get up to
         ``drain_s`` to finish (their responses still go out), then the
@@ -299,8 +300,10 @@ class SolveServer:
         tasks.discard(asyncio.current_task())
         await _finish(tasks, drain_s)
         # a drained handler may have enqueued new batch work (admitted
-        # before the listener closed): flush again so nothing dangles
+        # before the listener closed): flush again so nothing dangles,
+        # then stop the batcher's solver thread
         await self.batcher.flush_all()
+        self.batcher.close()
         for conn in list(self._conns):
             conn.writer.close()
         # connection tasks outlive their ``_conns`` entry while they

@@ -13,6 +13,7 @@ import gc
 import multiprocessing.forkserver
 import multiprocessing.resource_tracker
 import os
+import threading
 import time
 
 import numpy as np
@@ -113,6 +114,51 @@ def no_leaked_child_processes():
     if leaked:
         pytest.fail(
             f"test module left child processes running: {sorted(leaked)}"
+        )
+
+
+def _live_threads() -> set[threading.Thread]:
+    """This process's live threads but the warm module-level
+    ``solve_many`` engines' (their pools keep a management thread, a
+    queue feeder and an idle timer between calls, by design, as they
+    keep their workers)."""
+    with _batch._SHARED_LOCK:
+        warm = list(_batch._SHARED_ENGINES.values())
+    exempt = set()
+    for engine in warm:
+        pool = getattr(engine, "_pool", None)
+        queue = getattr(pool, "_call_queue", None)
+        exempt.update(
+            t
+            for t in (
+                getattr(engine, "_idle_timer", None),
+                getattr(pool, "_executor_manager_thread", None),
+                getattr(queue, "_thread", None),
+            )
+            if t is not None
+        )
+    return {t for t in threading.enumerate() if t.is_alive()} - exempt
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_threads():
+    """Fail a test module that leaves a new live thread behind (a
+    server's solver thread, a client's loop thread, a pool's manager).
+
+    Module-scoped and autouse like :func:`no_leaked_child_processes`;
+    threads get the same reap wait, since a shut-down executor's
+    threads leave a moment after it."""
+    before = _live_threads()
+    yield
+    deadline = time.monotonic() + CHILD_REAP_S
+    leaked = _live_threads() - before
+    while leaked and time.monotonic() < deadline:
+        time.sleep(0.05)
+        leaked = _live_threads() - before
+    if leaked:
+        pytest.fail(
+            "test module left threads running: "
+            + ", ".join(sorted(t.name for t in leaked))
         )
 
 

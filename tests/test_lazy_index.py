@@ -8,7 +8,9 @@ service), the publication rules (one memo, first writer wins, never
 copied by ``dataclasses.replace``), pickling, and the compile cache's
 byte budget once an index appears after the entry was priced.  The
 pickling property also holds the vectorized union build to a per-task
-``np.unique`` oracle (:func:`_union_oracle`).
+``np.unique`` oracle (:func:`_union_oracle`), and the shared
+:func:`~repro.kernels.compiled.union_positions` helper is checked on
+pin ids too sparse for its int64 key.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from repro.kernels import (
     compile_cache_stats,
     compile_instance,
 )
-from repro.kernels.compiled import _CACHE, _compile, compiled_nbytes
+from repro.kernels.compiled import (
+    _CACHE,
+    _compile,
+    compiled_nbytes,
+    union_positions,
+)
 
 from strategies import task_hypergraphs
 
@@ -228,6 +235,31 @@ class TestPickling:
                 np.testing.assert_array_equal(
                     getattr(copy, f), getattr(ck, f), err_msg=f
                 )
+
+
+class TestUnionPositions:
+    def test_sparse_pin_ids_are_ranked_before_keying(self):
+        """Pin ids too far apart for one ``owner * width + pin`` int64
+        key are keyed on their ranks: same positions and unions as the
+        dense ids they rank to."""
+        big = 2**62
+        owner = np.array([0, 0, 1, 1, 1, 2])
+        pins = np.array([5, big, 3, big, 5, big - 1])
+        pos, u_ptr, u_procs = union_positions(owner, pins, 3)
+        np.testing.assert_array_equal(pos, [0, 1, 0, 2, 1, 0])
+        np.testing.assert_array_equal(u_ptr, [0, 2, 5, 6])
+        np.testing.assert_array_equal(u_procs, [5, big, 3, 5, big, big - 1])
+        dense = np.searchsorted(np.unique(pins), pins)
+        got = union_positions(owner, dense, 3)
+        np.testing.assert_array_equal(got[0], pos)
+        np.testing.assert_array_equal(got[1], u_ptr)
+
+    def test_no_pins(self):
+        pos, u_ptr, u_procs = union_positions(
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 2
+        )
+        assert pos.size == u_procs.size == 0
+        np.testing.assert_array_equal(u_ptr, [0, 0, 0])
 
 
 @pytest.mark.usefixtures("fresh_cache")

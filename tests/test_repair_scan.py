@@ -14,8 +14,12 @@ equivalence property; these tests pin *local* repair:
   that finding shared pins by pin-union position creates — a lone
   alive row, configurations sharing several pins, processor handles
   growing mid-stream, rows killed by a failure before the row store
-  compacts, tasks replaced by new configuration sets and a bottleneck
-  held by a single task — and checks the store's union positions.
+  compacts, tasks replaced by new configuration sets, a bottleneck
+  held by a single task and one hosting more tasks than the scan's
+  first part — and checks the store's union positions;
+* hand-built states pin the two-part scan: a pick in the first part,
+  a pick in the rest, equal-maxima picks across the boundary and no
+  pick at all.
 """
 
 import numpy as np
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InfeasibleError
 from repro.dynamic import DynamicInstance, IncrementalSolver
+from repro.dynamic.solver import SCAN_PREFIX
 from repro.generators import churn_trace, generate_multiproc
 from repro.kernels import first_lex_improving
 from repro.kernels.compiled import flat_ranges
@@ -180,9 +185,11 @@ class OracleCheckedSolver(IncrementalSolver):
 
     scans = 0
 
-    def _first_improving_move(self, procs, peak):
-        move = super()._first_improving_move(procs, peak)
-        expected = scalar_first_improving_move(self, set(procs.tolist()), peak)
+    def _first_improving_move(self, hot):
+        move = super()._first_improving_move(hot)
+        # ``hot`` holds the region's processors at its peak load
+        peak = float(self._loads[hot].max())
+        expected = scalar_first_improving_move(self, set(hot.tolist()), peak)
         assert move == expected
         type(self).scans += 1
         return move
@@ -317,21 +324,40 @@ def lone_hot_processor(inst, rng, decimal):
     inst.add_task([([u], w), (_pick(rng, others, 1), w)])
 
 
+def crowded_processor(inst, rng, decimal):
+    """More tasks than the scan's first part holds arrive on one new
+    processor: each configuration holds it, so all of them stay on it
+    and its move scan runs in two parts."""
+    others = inst.procs()
+    u = inst.add_processor()
+    for _ in range(SCAN_PREFIX + int(rng.integers(1, 9))):
+        inst.add_task(
+            [([u], _weight(rng, decimal))]
+            + [
+                ([u] + _pick(rng, others, 1), _weight(rng, decimal))
+                for _ in range(int(rng.integers(1, 3)))
+            ]
+        )
+
+
 EDGE_CASES = [
     lone_configuration, shared_core, new_processor, processor_failure,
-    replace_task, compaction, lone_hot_processor,
+    replace_task, compaction, lone_hot_processor, crowded_processor,
 ]
 
 
 def assert_union_positions(inst) -> None:
-    """Every pin of the row store sits at its processor's rank in its
-    task's pin-union (all rows, disabled ones included)."""
+    """Every task's rows hold one stretch of the row store's pins, and
+    every pin's shift takes it to its processor's rank in its task's
+    pin-union (all rows, disabled ones included)."""
     st = inst._store
     for task in inst.tasks():
         lo, n = st.extent(task)
         rows = np.arange(lo, lo + n)
-        pins = st.pins_of(rows)
-        pos = st.pin_pos[flat_ranges(st.row_ptr[rows], st.row_len[rows])]
+        at = flat_ranges(st.row_ptr[rows], st.row_len[rows])
+        np.testing.assert_array_equal(at, np.arange(at[0], at[0] + at.size))
+        pins = st.pins[at]
+        pos = at - at[0] + st.pin_shift[at]
         union = np.unique(pins)
         np.testing.assert_array_equal(pos, np.searchsorted(union, pins))
 
@@ -366,8 +392,9 @@ def test_scan_matches_scalar_oracle_on_edge_cases(seed, cases, ratio, decimal):
 
 def test_each_edge_case_does_what_it_says():
     """The edge-case builders reach their cases: a lone row scans to no
-    move, a store compaction happens, handles grow, and a new
-    processor can be a bottleneck held by a single task."""
+    move, a store compaction happens, handles grow, a new processor can
+    be a bottleneck held by a single task, and one can hold more tasks
+    than the scan's first part."""
     rng = np.random.default_rng(3)
     hg = random_hypergraph(rng, max_tasks=8, max_procs=5)
     inst = DynamicInstance.from_hypergraph(hg)
@@ -395,3 +422,112 @@ def test_each_edge_case_does_what_it_says():
     core = set(confs[0][1])
     assert len(core) >= 2 and all(core < set(p) for _, p, _ in confs[1:])
     assert_union_positions(inst)
+
+    crowded_processor(inst, rng, False)
+    assert len(solver._on_proc[inst.procs()[-1]]) > SCAN_PREFIX
+
+
+# ---------------------------------------------------------------------------
+# the two-part scan, on hand-built states
+# ---------------------------------------------------------------------------
+#: tasks on the crowded hub processor: a first part and 8 more
+N_HUB = SCAN_PREFIX + 8
+
+#: one hub task's move off the hub, from configuration 0 ({hub, a}, weight
+#: 1) to configuration 1 ({b}); the hub is at load N_HUB, the peak
+MOVES = {
+    # b ends above the peak
+    "worse": dict(b_w=N_HUB + 1, a_load=0),
+    # every affected load ends below the peak
+    "sure": dict(b_w=1, a_load=0),
+    # b ends at the peak and the hub's N_HUB - 1 is now second: worse
+    "tie": dict(b_w=N_HUB, a_load=0),
+    # as "tie", but a was at the peak too and drops below it: better
+    "tie-better": dict(b_w=N_HUB, a_load=N_HUB - 1),
+}
+
+
+def hub_solver(kinds: dict[int, str]):
+    """A solver whose hub processor holds ``N_HUB`` tasks, each at
+    configuration 0; hub task ``i`` has the move ``kinds.get(i,
+    "worse")``.  Returns the solver, the hub tasks and the peak
+    processors, ascending."""
+    inst = DynamicInstance()
+    hub = inst.add_processor()
+    hub_tasks, fillers = [], []
+    for i in range(N_HUB):
+        move = MOVES[kinds.get(i, "worse")]
+        a, b = inst.add_processor(), inst.add_processor()
+        hub_tasks.append(inst.add_task([([hub, a], 1.0), ([b], move["b_w"])]))
+        if move["a_load"]:
+            # a one-configuration task sets a's load
+            fillers.append(inst.add_task([([a], move["a_load"])]))
+    solver = IncrementalSolver(inst, fallback_ratio=1.0)
+    every = np.array(sorted(hub_tasks + fillers))
+    solver._adopt(every, np.zeros_like(every))
+    procs = np.flatnonzero(solver._live)
+    hot = procs[solver._loads[procs] == solver._loads[procs].max()]
+    assert hot[0] == hub and solver._on_proc[hub] == set(hub_tasks)
+    return solver, hub_tasks, hot
+
+
+def scanned_parts(solver, hot):
+    """The move, and the task count of every ``_scan`` call it took."""
+    sizes, scan = [], solver._scan
+
+    def counting(tasks):
+        sizes.append(tasks.shape[0])
+        return scan(tasks)
+
+    solver._scan = counting
+    move = solver._first_improving_move(hot)
+    del solver._scan
+    peak = float(solver._loads[hot].max())
+    assert move == scalar_first_improving_move(
+        solver, set(hot.tolist()), peak
+    )
+    return move, sizes
+
+
+def test_a_pick_in_the_first_part_scans_it_alone():
+    solver, hub_tasks, hot = hub_solver({3: "sure", SCAN_PREFIX + 1: "sure"})
+    move, sizes = scanned_parts(solver, hot)
+    assert move == (hub_tasks[3], 1)
+    assert sizes == [SCAN_PREFIX]
+
+
+def test_a_pick_in_the_rest_scans_both_parts():
+    solver, hub_tasks, hot = hub_solver({2: "tie", SCAN_PREFIX + 3: "sure"})
+    move, sizes = scanned_parts(solver, hot)
+    assert move == (hub_tasks[SCAN_PREFIX + 3], 1)
+    assert sizes == [SCAN_PREFIX, N_HUB - SCAN_PREFIX]
+
+
+def test_equal_maxima_picks_across_the_boundary():
+    # the first part's only candidates tie without improving; the rest
+    # holds a tie that improves, then a sure improvement: the tie wins
+    solver, hub_tasks, hot = hub_solver(
+        {
+            1: "tie", SCAN_PREFIX - 1: "tie",
+            SCAN_PREFIX + 2: "tie-better", SCAN_PREFIX + 5: "sure",
+        }
+    )
+    move, sizes = scanned_parts(solver, hot)
+    assert move == (hub_tasks[SCAN_PREFIX + 2], 1)
+    assert sizes == [SCAN_PREFIX, N_HUB - SCAN_PREFIX]
+    # an improving tie in the first part beats a sure move in the rest
+    solver, hub_tasks, hot = hub_solver(
+        {4: "tie-better", SCAN_PREFIX: "sure"}
+    )
+    move, sizes = scanned_parts(solver, hot)
+    assert move == (hub_tasks[4], 1)
+    assert sizes == [SCAN_PREFIX]
+
+
+def test_no_pick_scans_both_parts():
+    solver, hub_tasks, hot = hub_solver(
+        {0: "tie", SCAN_PREFIX - 1: "tie", SCAN_PREFIX: "tie"}
+    )
+    move, sizes = scanned_parts(solver, hot)
+    assert move is None
+    assert sizes == [SCAN_PREFIX, N_HUB - SCAN_PREFIX]

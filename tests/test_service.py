@@ -772,6 +772,22 @@ class TestSessions:
 # shutdown drain
 # ---------------------------------------------------------------------------
 class TestShutdownDrain:
+    def test_stop_releases_the_solver_thread(self):
+        """Five start/solve/stop cycles of a server on an inline engine
+        leave no ``repro-solve`` thread behind: ``stop()`` shuts the
+        micro-batcher's solver thread down after its final flush."""
+        (hg,) = small_instances(1)
+        before = set(threading.enumerate())
+        for _ in range(5):
+            with running_server() as (server, _loop):
+                with ServiceClient(port=server.port) as client:
+                    client.solve(hg)
+        left = [
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("repro-solve")
+        ]
+        assert left == []
+
     def test_stop_leaves_no_connection_task_pending(self):
         """A connection the client just closed is still finishing its
         ``_serve_connection`` (reclaiming, closing the writer) after it
