@@ -42,6 +42,17 @@ mode on every push):
   same request in the serialize v2 dict (base64 buffers in the JSON
   line, the wire encoding before binary attachments) for reference.
 
+* egress: the same instance's SGH answer, encoded by the server
+  (``SolveServer._solve_wire`` + ``encode_frame``) and decoded by the
+  client (``decode_frame`` + ``RemoteSolveResult.from_wire``), costs
+  at most ``MAX_EGRESS_OVER_JSON_LIST`` (0.25x) the same answer with
+  the assignment as a JSON list.
+
+* digest: the digest a server takes of that instance as it arrived
+  (``instance_digest`` over the frame's attachment views) costs at
+  most ``MAX_DIGEST_OVER_TAIL_SHA256`` (1.15x) one sha256 pass over
+  the frame's tail bytes.  Both are in-process ratios too.
+
 * cold-stream memory: a plain server in a child process serves
   distinct weight variants of one fewgmanyg base (n=10240; n=5120 in
   ``--smoke``), perfbench large-cold's traffic.  Its peak RSS (VmHWM)
@@ -76,6 +87,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
 import json
 import os
 import re
@@ -89,8 +101,9 @@ from pathlib import Path
 import numpy as np
 
 import repro
+from repro.api import solve as api_solve
 from repro.core import TaskHypergraph
-from repro.engine import ResultCache
+from repro.engine import ResultCache, instance_digest
 from repro.engine.batch import BatchSolver
 from repro.engine.transport import instance_nbytes
 from repro.generators import generate_multiproc
@@ -103,14 +116,20 @@ from repro.io.serialize import (
 )
 from repro.service import (
     AsyncServiceClient,
+    RemoteSolveResult,
     ServiceClient,
     ShardedSolveServer,
     SolveServer,
     instance_to_wire,
 )
-from repro.service.protocol import decode_frame, encode_frame, request
+from repro.service.protocol import (
+    decode_frame,
+    encode_frame,
+    ok_response,
+    request,
+)
 from repro.service.supervisor import WorkerSpec
-from repro.service.wire import hypergraph_from_wire
+from repro.service.wire import hypergraph_from_wire, packed_arrays
 
 MIN_BATCHING_GAIN = 2.0
 MIN_DEDUP_GAIN = 10.0
@@ -120,6 +139,15 @@ MIN_SHARDED_GAIN = 1.8
 #: front-end and the client share the cores with the workers)
 MIN_SHARDED_GAIN_2V1 = 1.2
 MAX_INGEST_OVER_CSR = 3.0
+#: egress: an n=10240 solve answer's server encode plus client decode
+#: with the assignment as an ``<i4`` attachment, over the same answer
+#: with the JSON list it replaced (≈ 0.07x measured; the list itself
+#: reads 1.0x)
+MAX_EGRESS_OVER_JSON_LIST = 0.25
+#: digest: a wire instance's digest, hashed over its frame attachments,
+#: over one sha256 pass over the frame's tail bytes (≈ 1.0x measured;
+#: hashing the int64 library arrays reads ≈ 1.9x)
+MAX_DIGEST_OVER_TAIL_SHA256 = 1.15
 #: cold-stream memory: a plain server's peak RSS growth over its ready
 #: RSS, in compilations of one stream instance.  Two retained
 #: compilations plus one request's working set fit; a compile cache
@@ -620,15 +648,34 @@ def bench_cold_stream_memory(
 
 
 def bench_wire_ingest(repeats: int) -> dict:
-    """A large solve request's ingest, in process: the attachment wire
-    path against ``from_csr`` alone on the same int32 arrays, and the
-    serialize v2 (base64-in-JSON) request for reference.  Min of
-    ``repeats`` interleaved rounds per leg."""
+    """A large solve request's ingest and its answer's egress, in
+    process, min of ``repeats`` interleaved rounds per leg:
+
+    * ingest: the attachment wire path against ``from_csr`` alone on
+      the same int32 arrays, and the serialize v2 (base64-in-JSON)
+      request for reference;
+    * egress: the server's answer (``SolveServer._solve_wire``) through
+      ``encode_frame`` and the client's ``RemoteSolveResult.from_wire``
+      of the decoded frame, against the same answer with the
+      assignment as the JSON list it used to be;
+    * digest: the digest the server takes of a parsed wire instance
+      (over the frame's attachment views) against one sha256 pass
+      over the frame's tail bytes."""
     hg = generate_multiproc(
         INGEST_TASKS, INGEST_PROCS, family="fewgmanyg", g=32,
         weights="related", seed=1,
     )
     packed = pack_hypergraph(hg)
+    request_frame = encode_frame(
+        request("solve", 1, instance=instance_to_wire(hg))
+    )
+    instance = decode_frame(request_frame)["instance"]
+    tail = request_frame[request_frame.index(b"\n") + 1 :]
+    answer = api_solve(hg, method="SGH")
+    shipped = SolveServer._solve_wire(answer)
+    as_list = dict(
+        shipped, assignment=answer.matching.hedge_of_task.tolist()
+    )
 
     def from_csr():
         return TaskHypergraph.from_csr(
@@ -652,18 +699,48 @@ def bench_wire_ingest(repeats: int) -> dict:
         ).encode()
         return hypergraph_from_dict(json.loads(line)["instance"]), line
 
-    legs = {"from_csr": from_csr, "wire": wire, "base64_v2": base64_v2}
-    best = dict.fromkeys(legs, float("inf"))
+    def egress(result):
+        def leg():
+            reply = encode_frame(ok_response(1, result))
+            return (
+                RemoteSolveResult.from_wire(decode_frame(reply)["result"]),
+                reply,
+            )
+
+        return leg
+
+    legs = {
+        "from_csr": from_csr, "wire": wire, "base64_v2": base64_v2,
+        "egress": egress(shipped), "egress_json_list": egress(as_list),
+    }
+    best = dict.fromkeys([*legs, "digest", "tail_sha256"], float("inf"))
     sizes = {}
     for _ in range(repeats):
         for name, leg in legs.items():
             t0 = time.perf_counter()
             out = leg()
             best[name] = min(best[name], time.perf_counter() - t0)
-            if name != "from_csr":
+            if name in ("wire", "base64_v2"):
                 parsed, frame = out
                 assert parsed.hedge_w.tobytes() == hg.hedge_w.tobytes()
                 sizes[name] = len(frame)
+            elif name != "from_csr":
+                result, reply = out
+                assert np.array_equal(
+                    result.assignment, answer.matching.hedge_of_task
+                )
+                sizes[name] = len(reply)
+        # the digest memoizes on the instance: a fresh parse per round
+        parsed = hypergraph_from_wire(instance)
+        t0 = time.perf_counter()
+        digest = instance_digest(parsed, packed=packed_arrays(instance))
+        best["digest"] = min(best["digest"], time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        hashlib.sha256(tail).hexdigest()
+        best["tail_sha256"] = min(
+            best["tail_sha256"], time.perf_counter() - t0
+        )
+        assert digest == instance_digest(hg)
     return {
         "instance": [INGEST_TASKS, INGEST_PROCS],
         "repeats": repeats,
@@ -674,6 +751,16 @@ def bench_wire_ingest(repeats: int) -> dict:
         "base64_v2_frame_mib": sizes["base64_v2"] / 2**20,
         "wire_over_from_csr": best["wire"] / best["from_csr"],
         "base64_v2_over_from_csr": best["base64_v2"] / best["from_csr"],
+        "egress_ms": best["egress"] * 1e3,
+        "egress_json_list_ms": best["egress_json_list"] * 1e3,
+        "answer_kib": sizes["egress"] / 1024,
+        "answer_json_list_kib": sizes["egress_json_list"] / 1024,
+        "egress_over_json_list": (
+            best["egress"] / best["egress_json_list"]
+        ),
+        "digest_ms": best["digest"] * 1e3,
+        "tail_sha256_ms": best["tail_sha256"] * 1e3,
+        "digest_over_tail_sha256": best["digest"] / best["tail_sha256"],
     }
 
 
@@ -752,6 +839,10 @@ def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
             "sharded_2v1_guard_waived": sharded_2v1_waived,
             "ingest_over_from_csr": ingest["wire_over_from_csr"],
             "max_ingest_over_from_csr": MAX_INGEST_OVER_CSR,
+            "egress_over_json_list": ingest["egress_over_json_list"],
+            "max_egress_over_json_list": MAX_EGRESS_OVER_JSON_LIST,
+            "digest_over_tail_sha256": ingest["digest_over_tail_sha256"],
+            "max_digest_over_tail_sha256": MAX_DIGEST_OVER_TAIL_SHA256,
             "stream_growth_over_compiled": stream["growth_over_compiled"],
             "max_stream_growth_over_compiled": MAX_STREAM_GROWTH_COMPILES,
             "stream_faults_per_request": stream["faults_per_request_median"],
@@ -787,6 +878,18 @@ def check(report: dict) -> None:
         f"wire ingest of an n={INGEST_TASKS} instance costs "
         f"{a['ingest_over_from_csr']:.2f}x from_csr alone (ceiling "
         f"{a['max_ingest_over_from_csr']:g}x)"
+    )
+    assert a["egress_over_json_list"] <= a["max_egress_over_json_list"], (
+        f"an n={INGEST_TASKS} solve answer's encode plus decode costs "
+        f"{a['egress_over_json_list']:.2f}x the same answer with a JSON "
+        f"list assignment (ceiling {a['max_egress_over_json_list']:g}x)"
+    )
+    assert (
+        a["digest_over_tail_sha256"] <= a["max_digest_over_tail_sha256"]
+    ), (
+        f"a wire instance's digest costs "
+        f"{a['digest_over_tail_sha256']:.2f}x one sha256 pass over its "
+        f"frame tail (ceiling {a['max_digest_over_tail_sha256']:g}x)"
     )
     assert (
         a["stream_growth_over_compiled"]
@@ -886,6 +989,15 @@ def main(argv=None) -> int:
         f"({ingest['wire_over_from_csr']:.2f}x from_csr), "
         f"{ingest['base64_v2_ingest_ms']:.1f} ms base64 v2 "
         f"({ingest['base64_v2_over_from_csr']:.1f}x)"
+    )
+    print(
+        f"egress   : {ingest['egress_ms']:8.2f} ms answer encode+decode "
+        f"({ingest['egress_over_json_list']:.2f}x the JSON list's "
+        f"{ingest['egress_json_list_ms']:.2f} ms)"
+    )
+    print(
+        f"digest   : {ingest['digest_ms']:8.2f} ms "
+        f"({ingest['digest_over_tail_sha256']:.2f}x sha256 of the tail)"
     )
     stream = w["cold_stream_memory"]
     for label, leg in (("stream", stream), ("ref", stream.get("reference"))):

@@ -25,7 +25,7 @@ the Table I–III harness) never recompute.
 from __future__ import annotations
 
 import hashlib
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,13 +36,29 @@ from ..obs.trace import span
 __all__ = ["CachedSolve", "ResultCache", "instance_digest"]
 
 
-def instance_digest(hg: TaskHypergraph) -> str:
+#: The largest value a packed (``<i4``) index array holds.
+_INT32_MAX = 2**31 - 1
+
+
+def instance_digest(
+    hg: TaskHypergraph, packed: Sequence[np.ndarray] | None = None
+) -> str:
     """SHA-256 digest of the arrays that define ``hg``.
 
     ``task_ptr``/``task_hedges`` and the lazily built processor index
-    are derived from the hyperedge arrays, so hashing ``hedge_task``,
-    ``hedge_ptr``, ``hedge_procs`` and ``hedge_w`` (plus the vertex
-    counts) identifies the instance, and hashing never builds an index.
+    are derived from the hyperedge arrays, so hashing the vertex counts
+    and ``hedge_task``, ``hedge_ptr``, ``hedge_procs`` and ``hedge_w``
+    identifies the instance, and hashing never builds an index.  The
+    arrays are hashed in one pass in their wire dtypes: the three index
+    arrays as little-endian int32, the weights as little-endian
+    float64.  An instance with a count beyond int32 (so possibly an id
+    or offset beyond it) hashes its index arrays as int64 under a
+    distinct prefix instead.
+
+    ``packed`` is the caller's copy of the four arrays already in those
+    dtypes (a frame's attachment views, which ``from_csr`` checked
+    equal ``hg``'s), hashed as they are instead of narrowing ``hg``'s
+    own: both give the same digest.
 
     The digest is memoized on the (immutable) instance: both the result
     cache and the kernel compile cache key on it, so one solve would
@@ -51,14 +67,25 @@ def instance_digest(hg: TaskHypergraph) -> str:
     cached = getattr(hg, "_digest_cache", None)
     if cached is not None:
         return cached
-    h = hashlib.sha256()
-    h.update(f"{hg.n_tasks}|{hg.n_procs}|{hg.n_hedges}|".encode())
-    for arr in (hg.hedge_task, hg.hedge_ptr, hg.hedge_procs):
-        # hash the buffer directly — tobytes() would copy megabytes per
-        # call, and a dynamic instance digests every version it reads
-        h.update(np.ascontiguousarray(arr, dtype=np.int64).data)
-        h.update(b"#")
-    h.update(np.ascontiguousarray(hg.hedge_w, dtype=np.float64).data)
+    # every id and offset is below one of these counts (the hypergraph
+    # invariants from_csr checks), so they bound the index values
+    if max(hg.n_tasks, hg.n_procs, hg.hedge_procs.shape[0]) <= _INT32_MAX:
+        prefix, index_dtype = "i4", "<i4"
+    else:
+        prefix, index_dtype = "i8", "<i8"
+        packed = None
+    arrays = (
+        (hg.hedge_task, hg.hedge_ptr, hg.hedge_procs, hg.hedge_w)
+        if packed is None
+        else packed
+    )
+    h = hashlib.sha256(
+        f"{prefix}|{hg.n_tasks}|{hg.n_procs}|{hg.n_hedges}|".encode()
+    )
+    for arr, dtype in zip(arrays, (index_dtype,) * 3 + ("<f8",)):
+        # hash the buffer directly: an array already in its dtype (a
+        # frame's attachment, the weights) is not copied
+        h.update(np.ascontiguousarray(arr, dtype=dtype).data)
     digest = h.hexdigest()
     # freeze the hashed arrays so the memoized digest cannot go stale
     # through in-place mutation (which would also desynchronize the
@@ -83,7 +110,7 @@ _ENTRY_OVERHEAD = 1024
 
 
 #: The part of the budget each result cache keeps however many
-#: compilations want the rest (48 MiB: ~600 n=10240 entries, tens of
+#: compilations want the rest (48 MiB: ~1200 n=10240 entries, tens of
 #: thousands of small ones).
 _BUDGET_SHARE = 0.25
 
@@ -96,9 +123,10 @@ class ResultCache:
     """Bounded, thread-safe LRU cache of solve results.
 
     Values are ``hedge_of_task`` arrays (stored and returned as copies, so
-    neither side can mutate the other's view) plus a small provenance
-    dict.  ``hits``/``misses`` make cache effectiveness observable in
-    benchmarks and sweeps.
+    neither side can mutate the other's view; int32 when the ids fit,
+    as they do below 2**31 hyperedges, int64 otherwise) plus a small
+    provenance dict.  ``hits``/``misses`` make cache effectiveness
+    observable in benchmarks and sweeps.
 
     Every entry is priced at its assignment's bytes plus a fixed
     per-entry overhead and charges the process's
@@ -159,8 +187,14 @@ class ResultCache:
         self, key: tuple, assignment: np.ndarray, meta: dict | None = None
     ) -> None:
         """Store an assignment (+ provenance), evicting the LRU entry."""
+        stored = np.asarray(assignment)
+        # hyperedge ids as int32 (half the bytes, and the wire's dtype)
+        # whenever they fit, which is below 2**31 hyperedges
+        fits = stored.size == 0 or (
+            stored.min() >= 0 and stored.max() <= _INT32_MAX
+        )
         value = CachedSolve(
-            np.ascontiguousarray(assignment, dtype=np.int64).copy(),
+            np.array(stored, dtype="<i4" if fits else np.int64),
             dict(meta) if meta else {},
         )
         with span("engine.cache.put"):

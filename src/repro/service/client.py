@@ -12,10 +12,11 @@ answer — and is that asyncio client run on a private event loop.
 Solve answers come back as :class:`RemoteSolveResult`: the assignment
 as an int64 array plus the provenance the server reported.  Matchings
 are **bit-identical** to a local :func:`repro.api.solve` of the same
-``(instance, options)`` — the wire is JSON, ints survive exactly and
-floats round-trip through the shortest-repr encoding — and
-:meth:`RemoteSolveResult.matching` re-validates against the caller's
-own instance, exactly like the engine's cache-hit path does.
+``(instance, options)`` — the assignment arrives as an int32
+attachment and floats round-trip through JSON's shortest-repr
+encoding — and :meth:`RemoteSolveResult.matching` re-validates
+against the caller's own instance, exactly like the engine's
+cache-hit path does.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ from ..core.semimatching import HyperSemiMatching
 from ..dynamic import DynamicInstance, Mutation
 from ..obs.trace import ingest, wire_context
 from ..sched.model import SchedulingProblem
+from .framing import FrameStream
 from .protocol import (
-    MAX_FRAME_BYTES,
     ErrorCode,
+    ProtocolError,
     RemoteError,
-    decode_frame,
-    encode_frame,
+    decode_header,
+    frame_parts,
     request,
+    resolve_attachments,
 )
 
 #: how many times the clients re-send a solve answered ``worker-lost``
@@ -151,7 +154,12 @@ def _worker_lost(envelope: dict) -> bool:
 # ----------------------------------------------------------------------
 @dataclass
 class RemoteSolveResult:
-    """One solve answer as it came off the wire."""
+    """One solve answer as it came off the wire.
+
+    ``assignment`` is int64; ``raw`` is the answer's ``result`` object
+    as received, its ``"assignment"`` the read-only ``<i4`` attachment
+    array (so ``encode_frame(ok_response(rid, raw))`` forwards it as it
+    came)."""
 
     assignment: np.ndarray
     makespan: float
@@ -239,11 +247,8 @@ class AsyncServiceClient:
     ...     *(client.solve(hg) for hg in instances))
     """
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, stream: FrameStream):
+        self._stream = stream
         self._ids = itertools.count(1)
         self._waiters: dict[Any, asyncio.Future] = {}
         self._dead: Exception | None = None
@@ -253,17 +258,33 @@ class AsyncServiceClient:
     async def connect(
         cls, host: str = "127.0.0.1", port: int = 7431
     ) -> "AsyncServiceClient":
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=MAX_FRAME_BYTES
+        _transport, stream = await asyncio.get_running_loop().create_connection(
+            FrameStream, host, port
         )
-        return cls(reader, writer)
+        return cls(stream)
 
     async def _read_loop(self) -> None:
+        """Route every answer to its waiter.  A frame the client cannot
+        read (a ``ProtocolError``: bad JSON, a lying table) fails every
+        waiter with it, and the end of the stream, inside a frame or
+        not, with ``ConnectionError``; either way the connection
+        closes, since no next frame can be found after it."""
+        stream = self._stream
         try:
-            while line := await self._reader.readline():
-                # repro: ignore[async-blocking] — responses carry one assignment (one int per task), never an instance: small frames
-                envelope = decode_frame(line)
-                fut = self._waiters.pop(envelope.get("id"), None)
+            while line := await stream.readline():
+                # repro: ignore[async-blocking] — responses carry one assignment (an attachment), never an instance: small headers
+                envelope, table = decode_header(line)
+                if table:
+                    try:
+                        tail = await stream.readexactly(
+                            sum(n for _, n in table)
+                        )
+                    except ProtocolError:
+                        break  # the server went away inside a frame
+                    envelope = resolve_attachments(envelope, table, tail)
+                rid = envelope.get("id")
+                # the client's ids are ints: anything else answers no one
+                fut = self._waiters.pop(rid, None) if type(rid) is int else None
                 if fut is not None and not fut.done():
                     fut.set_result(envelope)
             self._fail_waiters(ConnectionError("server closed the connection"))
@@ -275,6 +296,8 @@ class AsyncServiceClient:
             raise
         except Exception as exc:
             self._fail_waiters(exc)
+        finally:
+            stream.close()
 
     def _fail_waiters(self, exc: Exception) -> None:
         # flag first, then fail the waiters: an exchange registered
@@ -304,13 +327,14 @@ class AsyncServiceClient:
                 raise ConnectionError(
                     f"connection is closed: {self._dead}"
                 ) from self._dead
-            self._writer.write(
-                b"".join(
-                    encode_frame(_traced_request(op, rid, payload))
+            self._stream.write(
+                [
+                    part
                     for rid, payload in zip(rids, payloads)
-                )
+                    for part in frame_parts(_traced_request(op, rid, payload))
+                ]
             )
-            await self._writer.drain()
+            await self._stream.drain()
             # every waiter is registered: awaiting them in turn waits for
             # the last answer, whatever order the answers arrive in
             envelopes = [await fut for fut in futs]
@@ -420,11 +444,8 @@ class AsyncServiceClient:
             await self._pump
         except (asyncio.CancelledError, Exception):
             pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        self._stream.close()
+        await self._stream.wait_closed()
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,9 @@ place in the envelope holds the placeholder ``{"$attachment": k}``
 * The header line plus the tail total at most :data:`MAX_FRAME_BYTES`.
   A reader refuses a larger table before reading any of the tail.
 * Every placeholder names an entry of the table and every entry is
-  named by exactly one placeholder.
+  named by exactly one placeholder.  Placeholders stand in the payload
+  only: one in ``v``, ``id``, ``op``, ``ok`` or ``trace`` is not
+  resolved, so its attachment goes unused.
 * A malformed table (not a list of pairs, an unknown dtype, a bool,
   negative, fractional or misaligned length) or a tail cut short by
   end-of-stream answers ``bad-frame``, an oversized one
@@ -44,8 +46,10 @@ place in the envelope holds the placeholder ``{"$attachment": k}``
   answers ``bad-frame`` and the connection stays usable.
 
 :func:`encode_frame` turns every 1-D ``<i4``/``<f8`` numpy array in an
-envelope into an attachment; :func:`decode_frame` resolves the
-placeholders to read-only arrays viewing the tail.
+envelope into an attachment (:func:`frame_parts` gives the same frame
+as a header line plus one view per array, for writers that send it
+without joining); :func:`decode_frame` resolves the placeholders to
+read-only arrays viewing the tail.
 
 Instances (the ``instance`` of ``solve``, the ``baseline`` of
 ``session.open``).  A hypergraph travels as its CSR arrays, attached::
@@ -76,6 +80,9 @@ Response envelope (exactly one per request)::
     {"v": 1, "id": <echoed>, "ok": true,  "result": {...}}
     {"v": 1, "id": <echoed>, "ok": false,
      "error": {"code": "<kebab-case code>", "message": "<human text>"}}
+
+A ``solve`` answer's ``assignment`` (the hyperedge chosen for each
+task) is one ``"<i4"`` attachment, ``{"$attachment": 0}``.
 
 Error codes are *stable machine-readable identifiers* — the same
 ``code`` strings the library's exception hierarchy carries
@@ -111,6 +118,7 @@ __all__ = [
     "SessionRelocatedError",
     "RemoteError",
     "encode_frame",
+    "frame_parts",
     "decode_frame",
     "decode_header",
     "resolve_attachments",
@@ -118,6 +126,7 @@ __all__ = [
     "ok_response",
     "error_response",
     "validate_request",
+    "echo_id",
     "error_code_for",
 ]
 
@@ -137,6 +146,8 @@ ATTACHMENT_DTYPES = ("<i4", "<f8")
 #: placeholder object.
 _TABLE = "attachments"
 _PLACEHOLDER = "$attachment"
+#: the envelope's own fields, which never hold a placeholder
+_ENVELOPE_FIELDS = ("v", "id", "op", "ok", "trace")
 
 #: Every operation a server answers.
 OPS = (
@@ -266,12 +277,14 @@ class RemoteError(ServiceError):
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def encode_frame(obj: dict[str, Any]) -> bytes:
-    """One envelope as one frame: a compact JSON header line, then the
-    tail of its attachments.
+def frame_parts(obj: dict[str, Any]) -> list[bytes | memoryview]:
+    """One envelope as the buffers of one frame: a compact JSON header
+    line, then one byte view per attachment, in tail order.
 
     Every 1-D numpy array of an attachment dtype anywhere in ``obj``
-    becomes an attachment (any other array is a ``TypeError``).
+    becomes an attachment (any other array is a ``TypeError``); the
+    views share the arrays' memory, so a writer can send a frame
+    without joining it into one buffer.
     ``json.dumps`` emits the shortest round-tripping representation of
     every float, so makespans survive the wire bit-exactly.
     """
@@ -296,7 +309,7 @@ def encode_frame(obj: dict[str, Any]) -> bytes:
         obj, separators=(",", ":"), allow_nan=False, default=attach
     )
     if not tail:
-        return (header + "\n").encode("utf-8")
+        return [(header + "\n").encode("utf-8")]
     table = json.dumps(
         [[arr.dtype.str, arr.nbytes] for arr in tail], separators=(",", ":")
     )
@@ -304,8 +317,14 @@ def encode_frame(obj: dict[str, Any]) -> bytes:
     # in as the header's last field
     header = f'{header[:-1]}{"," if len(header) > 2 else ""}"{_TABLE}":{table}}}'
     parts: list[bytes | memoryview] = [(header + "\n").encode("utf-8")]
-    parts.extend(arr.data for arr in tail)
-    return b"".join(parts)
+    parts.extend(memoryview(arr).cast("B") for arr in tail)
+    return parts
+
+
+def encode_frame(obj: dict[str, Any]) -> bytes:
+    """One envelope as one frame in one buffer (:func:`frame_parts`
+    joined)."""
+    return b"".join(frame_parts(obj))
 
 
 def decode_header(
@@ -424,6 +443,11 @@ def resolve_attachments(
         for key, value in (
             node.items() if isinstance(node, dict) else enumerate(node)
         ):
+            if node is obj and key in _ENVELOPE_FIELDS:
+                # placeholders stand in the payload only: an id holding
+                # one stays a plain object (its attachment goes unused),
+                # so an echoed id never carries an array
+                continue
             if isinstance(value, dict) and _PLACEHOLDER in value:
                 node[key] = take(value)
             elif isinstance(value, (dict, list)):
@@ -481,12 +505,27 @@ def error_response(
     }
 
 
+def echo_id(obj: dict[str, Any]) -> Any:
+    """The envelope's correlation ``id`` as a response can echo it:
+    ``None`` when strict JSON cannot write it back (a non-finite
+    number, or nesting deeper than the encoder recurses)."""
+    rid = obj.get("id")
+    if rid is None or type(rid) in (int, str):
+        return rid
+    try:
+        json.dumps(rid, allow_nan=False)
+    except (ValueError, RecursionError):
+        return None
+    return rid
+
+
 def validate_request(obj: dict[str, Any]) -> tuple[str, Any, dict[str, Any]]:
     """Check a decoded request envelope; returns ``(op, id, payload)``.
 
     Raises :class:`ProtocolError` with the precise code: missing/alien
     version → ``unsupported-version``, unknown op → ``unknown-op``,
-    missing id/op → ``bad-request``.
+    missing id/op or an id no response can echo (:func:`echo_id`) →
+    ``bad-request``.
     """
     version = obj.get("v")
     if version != PROTOCOL_VERSION:
@@ -498,6 +537,12 @@ def validate_request(obj: dict[str, Any]) -> tuple[str, Any, dict[str, Any]]:
     if "id" not in obj:
         raise ProtocolError(
             "request lacks a correlation 'id'", code=ErrorCode.BAD_REQUEST
+        )
+    if obj["id"] is not None and echo_id(obj) is None:
+        raise ProtocolError(
+            "request 'id' holds a value JSON cannot echo (a non-finite "
+            "number, or nesting too deep)",
+            code=ErrorCode.BAD_REQUEST,
         )
     op = obj.get("op")
     if not isinstance(op, str):

@@ -59,27 +59,27 @@ from ..obs.trace import (
     collecting,
     disable_tracing,
     enable_tracing,
-    measured_span,
     shippable,
     span,
     tracing_enabled,
 )
 from .batching import BATCH_SIZE, MicroBatcher
 from .dedup import SingleFlight
+from .framing import FrameStream
 from .protocol import (
-    MAX_FRAME_BYTES,
     ErrorCode,
     ProtocolError,
     decode_header,
-    encode_frame,
+    echo_id,
     error_code_for,
     error_response,
+    frame_parts,
     ok_response,
     resolve_attachments,
     validate_request,
 )
 from .sessions import SessionManager
-from .wire import hypergraph_from_wire
+from .wire import hypergraph_from_wire, packed_arrays
 
 __all__ = ["SolveServer"]
 
@@ -98,7 +98,10 @@ LATENCY_BUCKETS_S = (
 #: which the ``metrics`` op's JSON strips from counter names (the
 #: Prometheus text keeps it: ``repro_service_*``).
 _PREFIX = "service."
-#: Registry name of the per-request solve latency histogram.
+#: Registry name of the per-request solve latency histogram: each
+#: answered solve, from the moment the reader hands its frame's header
+#: over to the end of its response write, so the latency a client sees
+#: but for the network.
 _LATENCY = "service.request_latency_s"
 
 #: header lines at least this long are decoded on the executor: a
@@ -124,7 +127,7 @@ class _Conn:
     """Per-connection state."""
 
     id: int
-    writer: asyncio.StreamWriter
+    stream: FrameStream
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     inflight: int = 0
     tasks: set = field(default_factory=set)
@@ -259,11 +262,10 @@ class SolveServer:
                 threshold_s=self.trace_threshold_s, keep=self.trace_keep
             )
             enable_tracing()
-        self._server = await asyncio.start_server(
-            self._serve_connection,
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(FrameStream, self._serve_connection),
             host=self.host,
             port=self.port,
-            limit=MAX_FRAME_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_monotonic = time.monotonic()
@@ -305,7 +307,7 @@ class SolveServer:
         await self.batcher.flush_all()
         self.batcher.close()
         for conn in list(self._conns):
-            conn.writer.close()
+            conn.stream.close()
         # connection tasks outlive their ``_conns`` entry while they
         # reclaim sessions and close the writer: await those too
         await _finish(self._serving - {asyncio.current_task()}, drain_s)
@@ -318,40 +320,31 @@ class SolveServer:
     # ------------------------------------------------------------------
     # connection loop
     # ------------------------------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve_connection(self, stream: FrameStream) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._serving.add(task)
             task.add_done_callback(self._serving.discard)
-        conn = _Conn(id=next(self._conn_ids), writer=writer)
+        conn = _Conn(id=next(self._conn_ids), stream=stream)
         self._conns.add(conn)
         self.metrics.inc("service.connections")
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
+                    line = await stream.readline()
+                except ProtocolError as exc:
                     # an overlong line cannot be re-synchronised: report
                     # and drop the connection
                     await self._send(
-                        conn,
-                        error_response(
-                            None,
-                            ErrorCode.FRAME_TOO_LARGE,
-                            f"frame exceeds {MAX_FRAME_BYTES} bytes",
-                        ),
+                        conn, error_response(None, exc.code, str(exc))
                     )
                     break
                 if not line:
                     break
                 if not line.strip():
                     continue
-                if not await self._dispatch_frame(conn, reader, line):
+                if not await self._dispatch_frame(conn, line):
                     break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
         finally:
             self._conns.discard(conn)
             for task in list(conn.tasks):
@@ -361,14 +354,11 @@ class SolveServer:
             except asyncio.CancelledError:
                 # loop teardown (asyncio.run cancelling leftovers)
                 # caught us mid-reclaim: the sessions die with the
-                # process, and finishing normally keeps the streams
-                # done-callback from logging a spurious CancelledError
+                # process, and finishing normally still closes the
+                # connection below
                 pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            stream.close()
+            await stream.wait_closed()
 
     async def _reclaim_conn(self, conn: _Conn) -> None:
         """Release everything a dropped connection owned.
@@ -390,12 +380,11 @@ class SolveServer:
         if closed:
             self.metrics.inc("service.sessions_reclaimed", closed)
 
-    async def _dispatch_frame(
-        self, conn: _Conn, reader: asyncio.StreamReader, line: bytes
-    ) -> bool:
+    async def _dispatch_frame(self, conn: _Conn, line: bytes) -> bool:
         """Read the rest of the frame ``line`` heads and dispatch it.
         ``False`` when the stream cannot go on: the frame's attachment
         table was unreadable or its tail was cut short."""
+        received = time.perf_counter()
         req_id: Any = None
         trace_ctx = None
         loop = asyncio.get_running_loop()
@@ -410,16 +399,11 @@ class SolveServer:
             else:
                 # repro: ignore[async-blocking] — below the floor a header decodes in well under a millisecond (a hypergraph's arrays ride in the binary tail, not the JSON); only larger headers are worth an executor hop
                 obj, table = decode_header(line)
-            req_id = obj.get("id")
+            req_id = echo_id(obj)
             if table:
-                try:
-                    tail = await reader.readexactly(sum(n for _, n in table))
-                except asyncio.IncompleteReadError:
-                    raise ProtocolError(
-                        "frame truncated: the stream ended inside its "
-                        "attachments",
-                        fatal=True,
-                    ) from None
+                tail = await conn.stream.readexactly(
+                    sum(n for _, n in table)
+                )
                 # views on the tail, no copy: the walk is over the
                 # header only, and per-field copies on the loop thread
                 # cost resident memory for nothing (the parse copies)
@@ -476,7 +460,9 @@ class SolveServer:
                 self._solve_expected += 1
                 ticket = _SolveTicket()
         task = asyncio.get_running_loop().create_task(
-            self._handle(conn, op, req_id, payload, ticket, trace_ctx)
+            self._handle(
+                conn, op, req_id, payload, ticket, trace_ctx, received
+            )
         )
         conn.tasks.add(task)
 
@@ -500,13 +486,10 @@ class SolveServer:
             self._solve_expected -= 1
 
     async def _send(self, conn: _Conn, envelope: dict) -> None:
-        frame = encode_frame(envelope)
+        parts = frame_parts(envelope)
         async with conn.write_lock:
-            conn.writer.write(frame)
-            try:
-                await conn.writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            conn.stream.write(parts)
+            await conn.stream.drain()
 
     # ------------------------------------------------------------------
     # request handling
@@ -518,7 +501,8 @@ class SolveServer:
         req_id: Any,
         payload: dict,
         ticket: _SolveTicket | None,
-        trace_ctx: dict | None = None,
+        trace_ctx: dict | None,
+        received: float,
     ) -> None:
         # ``local_root``: the client's envelope may name a remote
         # parent span, but *this* span is the one that completes the
@@ -548,6 +532,10 @@ class SolveServer:
             if shipped:
                 envelope["spans"] = shippable(shipped)
             await self._send(conn, envelope)
+        if op == "solve" and envelope["ok"]:
+            # what the client waits for: the parse and the response
+            # write count, not only the solve
+            self.metrics.observe(_LATENCY, time.perf_counter() - received)
 
     async def _execute(
         self,
@@ -621,9 +609,7 @@ class SolveServer:
     async def _op_solve(
         self, payload: dict, ticket: _SolveTicket | None
     ) -> dict:
-        # ``measured_span`` always times — its duration feeds the
-        # latency histogram whether or not tracing is enabled
-        with measured_span("service.op.solve") as op_sp:
+        with span("service.op.solve") as op_sp:
             # parse off-loop: deserializing a multi-MB instance builds
             # numpy arrays and would stall every other connection.  It
             # must also happen *before* the ticket is consumed — the
@@ -659,7 +645,6 @@ class SolveServer:
                 self.metrics.inc("service.cache_hits")
             if op_sp.recording:
                 op_sp.set(deduped=shared, cache_hit=wire["cache_hit"])
-        self.metrics.observe(_LATENCY, op_sp.duration_s)
         result = dict(wire)
         result["deduped"] = shared
         return result
@@ -673,7 +658,9 @@ class SolveServer:
     @staticmethod
     def _solve_wire(result: SolveResult) -> dict:
         return {
-            "assignment": result.matching.hedge_of_task.tolist(),
+            # one <i4 attachment: a frame holds at most 64 MiB, so no
+            # wire instance has 2**31 hyperedges
+            "assignment": result.matching.hedge_of_task.astype("<i4"),
             "makespan": float(result.makespan),
             "winner": result.winner,
             "method": result.options.method.canonical(),
@@ -685,8 +672,10 @@ class SolveServer:
     def _parse_instance(self, data: Any) -> TaskHypergraph:
         hg = hypergraph_from_wire(data)
         # digest here, on the executor: the memo then makes the on-loop
-        # dedup/routing key a lookup
-        instance_digest(hg)
+        # dedup/routing key a lookup.  A hypergraph's digest hashes the
+        # frame's attachment views as they arrived (from_csr checked
+        # them): no narrowing copy
+        instance_digest(hg, packed=packed_arrays(data))
         return hg
 
     _OPTION_FIELDS = tuple(f.name for f in fields(SolveOptions))

@@ -21,7 +21,9 @@ own on a loopback port:
   size: the front-end parses once (the digest is the routing key), and
   the decoded attachment arrays go back out as the forwarded frame's
   attachments, exactly as ``session.open`` baselines do.  The worker
-  parses them like any client's; nothing outlives the request.
+  parses them like any client's; nothing outlives the request.  The
+  answer's assignment comes back as an attachment too, and goes out to
+  the client as the same read-only array.
 * **sessions are pinned**: ``session.open`` picks the least-loaded
   live worker and every later op on that session goes to the same
   worker (incremental state cannot move).  If the worker drains or
@@ -51,7 +53,7 @@ from .._util import CACHE_BUDGET
 from ..engine.cache import instance_digest
 from ..obs.fleet import aggregate_fleet, unreachable_marker
 from ..obs.health import score_fleet
-from ..obs.trace import carry, measured_span, span
+from ..obs.trace import carry, span
 from .client import AsyncServiceClient
 from .protocol import (
     SessionNotFoundError,
@@ -331,7 +333,7 @@ class ShardedSolveServer(SolveServer):
     async def _op_solve(
         self, payload: dict, ticket: _SolveTicket | None
     ) -> dict:
-        with measured_span("service.op.solve") as op_sp:
+        with span("service.op.solve") as op_sp:
             # parse off-loop exactly like the plain server: the digest
             # is the routing key, so the work is needed here either way
             hg = await asyncio.get_running_loop().run_in_executor(
@@ -350,7 +352,6 @@ class ShardedSolveServer(SolveServer):
                 self.metrics.inc("service.dedup_followers")
             if op_sp.recording:
                 op_sp.set(deduped=shared, shard=wire.get("shard"))
-        self.metrics.observe(_LATENCY, op_sp.duration_s)
         result = dict(wire)
         # deduped on either side of the hop reads as deduped: the
         # client asked "did my request share another's solve?"

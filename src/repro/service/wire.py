@@ -20,9 +20,12 @@ from ..dynamic import DynamicInstance
 from ..io.serialize import unpack_hypergraph
 from .protocol import MAX_FRAME_BYTES, ErrorCode, ProtocolError
 
-__all__ = ["hypergraph_from_wire", "dynamic_from_wire"]
+__all__ = ["hypergraph_from_wire", "dynamic_from_wire", "packed_arrays"]
 
 _KINDS = ("hypergraph", "bipartite", "dynamic-instance")
+
+#: a hypergraph's packed arrays, in digest order
+_PACKED_FIELDS = ("hedge_task", "hedge_ptr", "hedge_procs", "weights")
 
 #: The largest vertex count a wire instance may declare (for a dynamic
 #: state, the largest handle counter): no count may make one int64
@@ -91,6 +94,17 @@ def hypergraph_from_wire(data: Any, what: str = "instance") -> TaskHypergraph:
 
         return TaskHypergraph.from_bipartite(bipartite_from_dict(data))
     return DynamicInstance.from_state(data).to_hypergraph()
+
+
+def packed_arrays(data: Any) -> tuple | None:
+    """A ``hypergraph`` wire dict's four packed arrays (``hedge_task``,
+    ``hedge_ptr``, ``hedge_procs``, ``weights``), the frame's
+    attachment views, for :func:`~repro.engine.cache.instance_digest`
+    to hash as they arrived; ``None`` for the other kinds.  Call it on
+    a dict :func:`hypergraph_from_wire` accepted."""
+    if data.get("kind") != "hypergraph":
+        return None
+    return tuple(data[key] for key in _PACKED_FIELDS)
 
 
 def dynamic_from_wire(data: Any, what: str = "baseline") -> DynamicInstance:

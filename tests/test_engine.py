@@ -271,9 +271,10 @@ class TestCache:
         engine = BatchSolver(max_workers=1, cache=cache)
         engine.solve_many(instances[:3])
         assert len(cache) == 2
-        # each entry is priced at its assignment plus a fixed overhead
+        # each entry is priced at its int32 assignment plus a fixed
+        # overhead
         priced = sum(
-            8 * hg.n_tasks + _ENTRY_OVERHEAD for hg in instances[1:3]
+            4 * hg.n_tasks + _ENTRY_OVERHEAD for hg in instances[1:3]
         )
         assert cache.stats() == {
             "entries": 2, "bytes": priced, "hits": 0, "misses": 3,

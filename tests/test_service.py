@@ -19,6 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.api import Refine, SolveOptions, solve as api_solve
 from repro.core import TaskHypergraph
@@ -48,6 +49,8 @@ from repro.service.protocol import (
     request,
     validate_request,
 )
+
+from strategies import task_hypergraphs
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +84,17 @@ def running_server(**config):
         loop.call_soon_threadsafe(loop.stop)
         thread.join(10)
         loop.close()
+
+
+def read_frame(rfile) -> dict | None:
+    """One whole frame off a raw socket's file (its header line, then
+    the tail its attachment table declares), decoded; ``None`` at end
+    of stream."""
+    line = rfile.readline()
+    if not line:
+        return None
+    table = json.loads(line).get("attachments") or []
+    return decode_frame(line + rfile.read(sum(n for _, n in table)))
 
 
 def on_loop(loop, coro, timeout=60):
@@ -186,6 +200,15 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 # solve round trips
 # ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def digest_paths():
+    """A plain server and a 2-worker pool front-end, never started:
+    their parse steps are what the digest property drives."""
+    from repro.service import ShardedSolveServer
+
+    return SolveServer(), ShardedSolveServer(n_workers=2)
+
+
 class TestSolveRoundTrip:
     def test_remote_solve_is_bit_identical_to_local(self):
         instances = small_instances(4, n_tasks=48)
@@ -226,6 +249,71 @@ class TestSolveRoundTrip:
         (hg,) = small_instances(1)
         parsed = SolveServer()._parse_instance(instance_to_wire(hg))
         assert parsed._digest_cache == instance_digest(hg)
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(hg=task_hypergraphs(max_tasks=8, max_procs=6))
+    def test_every_path_gives_one_digest(self, hg, digest_paths):
+        """One instance, one digest: the library object, the plain
+        server's parsed memo (hashed over the frame's attachment
+        views), the pool front-end's routing key, a ``DynamicInstance``
+        and its state round trip, and an instance attached from an
+        engine's shared-memory descriptor."""
+        from repro.engine import transport
+        from repro.engine.cache import instance_digest
+
+        plain, front = digest_paths
+        # a DynamicInstance lists each configuration's processors in
+        # ascending order: draw the instance in that form
+        ptr = hg.hedge_ptr
+        hg = TaskHypergraph.from_csr(
+            hg.n_tasks, hg.n_procs, hg.hedge_task, ptr,
+            np.concatenate(
+                [np.sort(hg.hedge_procs[a:b]) for a, b in zip(ptr, ptr[1:])]
+            ),
+            hg.hedge_w,
+        )
+        library = instance_digest(
+            TaskHypergraph.from_csr(
+                hg.n_tasks, hg.n_procs, hg.hedge_task, hg.hedge_ptr,
+                hg.hedge_procs, hg.hedge_w,
+            )
+        )
+
+        def received():
+            frame = encode_frame(
+                request("solve", 1, instance=instance_to_wire(hg))
+            )
+            return decode_frame(frame)["instance"]
+
+        assert plain._parse_instance(received())._digest_cache == library
+        _, token = front._normalized_options({"method": "SGH"})
+        key = (instance_digest(front._parse_instance(received())), *token)
+        assert key == (library, *token)
+        assert front.ring.route(key) == front.ring.route((library, *token))
+        inst = DynamicInstance.from_hypergraph(hg)
+        assert inst.digest() == library
+        state = json.loads(json.dumps(inst.to_state()))
+        assert DynamicInstance.from_state(state).digest() == library
+        if not transport.transport_available():  # pragma: no cover
+            return
+        registry = transport.ExportRegistry()
+        try:
+            descriptor = registry.export(hg, instance_digest(hg))
+            attached = transport.attach_instance(descriptor)
+            copied = TaskHypergraph.from_csr(
+                attached.n_tasks, attached.n_procs,
+                attached.hedge_task.copy(), attached.hedge_ptr.copy(),
+                attached.hedge_procs.copy(), attached.hedge_w.copy(),
+            )
+            assert instance_digest(attached) == library
+            assert instance_digest(copied) == library
+        finally:
+            name = descriptor["__shm__"]
+            transport._detach(name, transport._ATTACHED.pop(name))
+            registry.close()
 
     def test_solve_errors_carry_typed_codes(self):
         (hg,) = small_instances(1)
@@ -948,9 +1036,7 @@ class TestLoadShedding:
                     for k, hg in enumerate(instances)
                 ]
                 sock.sendall(b"".join(frames))
-                replies = [
-                    json.loads(rfile.readline()) for _ in instances
-                ]
+                replies = [read_frame(rfile) for _ in instances]
             finally:
                 rfile.close()
                 sock.close()
@@ -981,6 +1067,43 @@ class TestLoadShedding:
 # ---------------------------------------------------------------------------
 # malformed input over the wire
 # ---------------------------------------------------------------------------
+class TestRequestLatency:
+    def test_a_solve_sample_covers_parse_and_response_write(self):
+        """``health`` reads its p99 off ``request_latency_s``.  A solve's
+        sample runs from the frame's receipt to the end of its response
+        write, so a slow parse and a slow write both show in it, not
+        only the solve."""
+        (hg,) = small_instances(1)
+        with running_server() as (server, _loop):
+            assert_latency_covers_parse_and_write(server, hg)
+
+
+def assert_latency_covers_parse_and_write(server, hg, delay=0.1):
+    """Slow ``server``'s parse and its answer write by ``delay`` each;
+    one solve's latency sample must hold both."""
+    real_parse, real_send = server._parse_instance, server._send
+
+    def slow_parse(data):
+        time.sleep(delay)
+        return real_parse(data)
+
+    async def slow_send(conn, envelope):
+        if "assignment" in (envelope.get("result") or {}):
+            await asyncio.sleep(delay)
+        await real_send(conn, envelope)
+
+    server._parse_instance, server._send = slow_parse, slow_send
+    try:
+        with ServiceClient(port=server.port) as client:
+            before = client.metrics()["request_latency_s"]
+            client.solve(hg, method="SGH")
+            after = client.metrics()["request_latency_s"]
+    finally:
+        del server._parse_instance, server._send
+    assert after["count"] == before["count"] + 1
+    assert after["sum"] - before["sum"] >= 2 * delay
+
+
 class TestMalformedFrames:
     def _raw(self, port: int) -> socket.socket:
         sock = socket.create_connection(("127.0.0.1", port), timeout=10)

@@ -169,6 +169,16 @@ class TestHashRing:
 # solving through the pool
 # ---------------------------------------------------------------------------
 class TestShardedSolve:
+    def test_front_end_latency_covers_parse_and_response_write(self, pool):
+        """The front-end's ``request_latency_s``, which its ``health``
+        p99 reads, runs from frame receipt to the end of the answer's
+        write, as the plain server's does."""
+        from test_service import assert_latency_covers_parse_and_write
+
+        server, _loop = pool
+        (hg,) = small_instances(1, seed0=700)
+        assert_latency_covers_parse_and_write(server, hg)
+
     def test_remote_solves_bit_identical_to_local(self, pool):
         server, _loop = pool
         instances = small_instances(6)
@@ -583,7 +593,7 @@ class _FlakyServer:
                         ok_response(
                             req.get("id"),
                             {
-                                "assignment": [0],
+                                "assignment": np.zeros(1, dtype="<i4"),
                                 "makespan": float(mark),
                                 "winner": "fake",
                                 "method": "fake",

@@ -2,17 +2,23 @@
 
 Three groups, all over real sockets:
 
-* **frame fuzzing** — every malformed attachment frame (truncated or
-  lying tails, oversized or unreadable tables, bad placeholders) sent
-  raw to a plain :class:`SolveServer` and to a 2-worker
+* **frame fuzzing** — every malformed frame (truncated or lying
+  tails, oversized or unreadable tables, bad placeholders, non-UTF-8
+  or overlong headers, huge or ill-typed envelope fields) sent raw to
+  a plain :class:`SolveServer` and to a 2-worker
   :class:`ShardedSolveServer` gets a typed error code or a clean
   connection close: never a hang, never ``internal``, and no
-  connection task outlives its socket;
+  connection task outlives its socket.  Frames split across writes
+  are answered, and an answer whose table lies to the client fails the
+  call typed or closes the connection, leaving no task or transport;
 * **one encoding** — hypergraph dicts in the file format (serialize
   version 1 and base64 version 2) answer ``bad-request`` from both;
 * **bit-equality** — attachment solves through a pool, for instances
   below and above 32 KiB, equal a local ``api.solve`` and a process
   engine's batch solve, with the engine's shared-memory hop on and off.
+
+The frame reader itself (:class:`~repro.service.framing.FrameStream`)
+is also driven by hand over a recording transport.
 
 CI runs this module under ``python -X dev -W error::ResourceWarning``,
 so a transport or task leaked on a cut-short frame fails the build.
@@ -20,6 +26,7 @@ so a transport or task leaked on a cut-short frame fails the build.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import time
@@ -33,13 +40,22 @@ from repro.engine import BatchSolver
 from repro.engine.transport import transport_available
 from repro.generators import generate_multiproc
 from repro.io import hypergraph_to_dict
-from repro.service import RemoteError, ServiceClient, instance_to_wire
+from repro.service import (
+    AsyncServiceClient,
+    ProtocolError,
+    RemoteError,
+    ServiceClient,
+    instance_to_wire,
+)
 from repro.service.protocol import MAX_FRAME_BYTES, encode_frame, request
 
-from test_service import running_server
+from test_service import read_frame, running_server
 from test_shard import running_pool
 
-TYPED = ("bad-frame", "bad-request", "frame-too-large", "graph-structure")
+TYPED = (
+    "bad-frame", "bad-request", "frame-too-large", "graph-structure",
+    "unsupported-version", "unknown-op",
+)
 
 
 @pytest.fixture(scope="module", params=["plain", "pool"])
@@ -101,10 +117,9 @@ def _talk(
         rfile = sock.makefile("rb")
         try:
             while not (pong and len(got) >= replies):
-                line = rfile.readline()
-                if not line:
+                reply = read_frame(rfile)
+                if reply is None:
                     break
-                reply = json.loads(line)
                 if reply.get("id") == "probe":
                     pong = True
                 else:
@@ -187,7 +202,72 @@ def _cases():
     }
 
 
-CASES = _cases()
+def _envelope_cases():
+    """Headers taken apart before any payload is read: bytes that are
+    not UTF-8, huge or ill-typed envelope fields and attachment tables,
+    and a tail cut in the middle of an array."""
+    env, table, tail = _solve_frame()
+
+    def line(envelope: dict) -> bytes:
+        return json.dumps(envelope).encode() + b"\n"
+
+    def answered(data: bytes, *codes: str):
+        # answered typed; the connection lives on
+        return data, False, codes, 1, True
+
+    ping = {"v": 1, "id": 1, "op": "ping"}
+    placeholder = {"$attachment": 0}
+    return {
+        "non-utf8-header": answered(
+            b'{"v":1,"id":1,"op":"ping","x":"\xff\xfe"}\n', "bad-frame"),
+        "non-utf8-line": answered(b"\xc3\x28\xa0\xa1\n", "bad-frame"),
+        "huge-int-version": answered(
+            line(dict(ping, v=10**300)), "unsupported-version"),
+        "string-version": answered(
+            line(dict(ping, v="1")), "unsupported-version"),
+        "list-version": answered(
+            line(dict(ping, v=[1])), "unsupported-version"),
+        # past the digit limit json.loads puts on an int
+        "int-past-digit-limit": answered(
+            b'{"v":1,"id":' + b"9" * 5000 + b',"op":"ping"}\n',
+            "bad-frame"),
+        "huge-int-id": answered(
+            line(dict(ping, id=10**300, op="nope")), "unknown-op"),
+        # ids JSON cannot write back: refused, never echoed
+        "infinite-id": answered(
+            b'{"v":1,"id":1e400,"op":"ping"}\n', "bad-request"),
+        "nan-id": answered(
+            b'{"v":1,"id":[NaN],"op":"ping"}\n', "bad-request"),
+        "list-op": answered(line(dict(ping, op=["ping"])), "bad-request"),
+        "huge-int-op": answered(line(dict(ping, op=10**300)), "bad-request"),
+        "null-op": answered(line(dict(ping, op=None)), "bad-request"),
+        # placeholders stand in the payload only: these go unused
+        "placeholder-as-id": answered(
+            _frame(dict(ping, id=placeholder), [["<i4", 4]], bytes(4)),
+            "bad-frame"),
+        "placeholder-as-op": answered(
+            _frame(dict(ping, op=placeholder), [["<i4", 4]], bytes(4)),
+            "bad-frame"),
+        "placeholder-as-version": answered(
+            _frame(dict(ping, v=placeholder), [["<i4", 4]], bytes(4)),
+            "bad-frame"),
+        # unreadable tables: answered, then closed
+        "huge-int-attachment-length": (
+            _frame(ping, [["<i4", 4 * 10**300]], b""), False,
+            ("frame-too-large",), 1, False),
+        "attachment-pair-swapped": (
+            _frame(ping, [[4, "<i4"]], b""), False, ("bad-frame",), 1,
+            False),
+        "attachment-dtype-not-a-string": (
+            _frame(ping, [[["<i4"], 4]], b""), False, ("bad-frame",), 1,
+            False),
+        "tail-cut-mid-array": (
+            _frame(env, table, tail[: table[0][1] // 2 + 1]), True,
+            ("bad-frame",), 1, False),
+    }
+
+
+CASES = {**_cases(), **_envelope_cases()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -203,6 +283,59 @@ def test_bad_attachment_frames_answer_typed_or_close(endpoint, case):
     assert set(got) <= set(codes) and set(got) <= set(TYPED), (case, got)
     assert open_after is stays_open, case
     assert endpoint.metrics.counter_value(internal) == before
+    _settled(endpoint)
+
+
+def test_header_past_the_line_limit_answers_frame_too_large(endpoint):
+    """A header line longer than ``MAX_FRAME_BYTES`` is refused with
+    ``frame-too-large`` once the limit is passed, and the connection
+    closes: the reader cannot find where the line would end."""
+    data = b"x" * (MAX_FRAME_BYTES + 1)
+    replies, open_after = _talk(endpoint.port, data, replies=1, probe=False)
+    del data
+    assert _codes(replies) == ["frame-too-large"]
+    assert not open_after
+    _settled(endpoint)
+
+
+def test_two_frames_in_one_write_with_the_second_tail_split(endpoint):
+    """One write holds a whole solve frame and the head of a second;
+    the rest of the second tail follows in a later write.  Both are
+    answered, bit-equal to local solves."""
+    instances = [
+        generate_multiproc(
+            64, 16, family="fewgmanyg", g=4, dv=3, dh=5, weights="related",
+            seed=seed,
+        )
+        for seed in (11, 12)
+    ]
+    frames = [
+        encode_frame(
+            request("solve", k, instance=instance_to_wire(hg),
+                    options={"method": "SGH"})
+        )
+        for k, hg in enumerate(instances)
+    ]
+    split = len(frames[0]) + len(frames[1]) // 2
+    data = b"".join(frames)
+    sock = socket.create_connection(("127.0.0.1", endpoint.port), timeout=20)
+    rfile = sock.makefile("rb")
+    try:
+        sock.sendall(data[:split])
+        time.sleep(0.05)  # the server reads the first part on its own
+        sock.sendall(data[split:])
+        replies = {r["id"]: r for r in (read_frame(rfile) for _ in frames)}
+    finally:
+        rfile.close()
+        sock.close()
+    for k, hg in enumerate(instances):
+        result = replies[k]["result"]
+        local = api_solve(hg, method="SGH")
+        assert result["assignment"].dtype == np.dtype("<i4")
+        assert np.array_equal(
+            result["assignment"], local.matching.hedge_of_task
+        )
+        assert result["makespan"] == local.makespan
     _settled(endpoint)
 
 
@@ -277,3 +410,143 @@ def test_pool_attachment_solves_equal_local(shm_min_bytes):
         assert stats["exports"] == 0
     else:
         assert stats["exports"] >= 1 and stats["failures"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a server whose answer lies to the client
+# ---------------------------------------------------------------------------
+def _answer(rid: int, table: list, tail: bytes, placeholder: int = 0) -> bytes:
+    """A solve-shaped answer to ``rid`` whose assignment is attachment
+    ``placeholder`` of the hand-built ``table``."""
+    result = {"assignment": {"$attachment": placeholder}, "makespan": 1.0}
+    return _frame({"v": 1, "id": rid, "ok": True, "result": result},
+                  table, tail)
+
+
+LIES = {
+    # more declared than sent, then the server leaves: the client
+    # cannot finish the frame and reads a closed connection
+    "tail-shorter-than-table": (
+        lambda rid: _answer(rid, [["<i4", 8]], bytes(4)), True,
+        ConnectionError, None),
+    "unreadable-table": (
+        lambda rid: _answer(rid, [["<i8", 8]], bytes(8)), False,
+        ProtocolError, "bad-frame"),
+    "placeholder-names-nothing": (
+        lambda rid: _answer(rid, [["<i4", 4]], bytes(4), placeholder=3),
+        False, ProtocolError, "bad-frame"),
+    "table-past-max-frame": (
+        lambda rid: _answer(rid, [["<i4", MAX_FRAME_BYTES]], b""), False,
+        ProtocolError, "frame-too-large"),
+}
+
+
+@pytest.mark.parametrize("lie", sorted(LIES))
+def test_a_lying_answer_fails_the_call_typed_and_closes(lie):
+    """Whatever a server's answer claims, the client's call ends in a
+    typed error or a closed connection, never a hang, and closing the
+    client leaves neither its read task nor its transport behind."""
+    reply_for, leave, error, code = LIES[lie]
+
+    async def scenario():
+        async def serve(reader, writer):
+            line = await reader.readline()
+            writer.write(reply_for(json.loads(line)["id"]))
+            await writer.drain()
+            if not leave:
+                await reader.read()  # until the client hangs up
+            writer.close()
+
+        srv = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = srv.sockets[0].getsockname()[1]
+        client = await AsyncServiceClient.connect(port=port)
+        try:
+            with pytest.raises(error) as exc:
+                await asyncio.wait_for(client.call("ping"), timeout=10)
+        finally:
+            await client.close()
+        assert client._pump.done()
+        assert client._stream.transport.is_closing()
+        srv.close()
+        await srv.wait_closed()
+        return exc.value
+
+    raised = asyncio.run(scenario())
+    if code is not None:
+        assert raised.code == code
+
+
+# ---------------------------------------------------------------------------
+# the frame reader, driven by hand
+# ---------------------------------------------------------------------------
+class _Transport(asyncio.Transport):
+    """Records what a :class:`FrameStream` asks of its transport."""
+
+    def __init__(self):
+        super().__init__()
+        self.reading = True
+        self.writes: list[bytes] = []
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def close(self):
+        pass
+
+
+def _feed(stream, data: bytes) -> list[int]:
+    """Deliver ``data`` the way a socket transport does; returns the
+    size of each buffer the stream offered."""
+    offered = []
+    while data:
+        buf = stream.get_buffer(-1)
+        offered.append(len(buf))
+        n = min(len(buf), len(data))
+        buf[:n] = data[:n]
+        stream.buffer_updated(n)
+        data = data[n:]
+    return offered
+
+
+def test_reader_pauses_while_a_line_waits_and_fills_tails_in_place():
+    """Reading pauses while a complete line waits for its reader and
+    resumes when the reader needs more; a tail is received straight
+    into a buffer of its own, sized to what is missing; small frame
+    pieces reach the transport joined, large ones as they are."""
+    from repro.service.framing import FrameStream
+
+    async def scenario():
+        stream = FrameStream()
+        transport = _Transport()
+        stream.connection_made(transport)
+        _feed(stream, b'{"a":1}\n{"b"')
+        assert not transport.reading
+        assert await stream.readline() == b'{"a":1}\n'
+        pending = asyncio.ensure_future(stream.readline())
+        await asyncio.sleep(0)
+        assert transport.reading
+        _feed(stream, b':2}\nTAIL')
+        assert await pending == b'{"b":2}\n'
+        tail = asyncio.ensure_future(stream.readexactly(10))
+        await asyncio.sleep(0)
+        # the four tail bytes that came with the line are in; the tail
+        # buffer takes exactly the six still missing
+        assert _feed(stream, b"-BYTES") == [6]
+        got = await tail
+        assert bytes(got) == b"TAIL-BYTES" and got.readonly
+        big = np.arange(32768, dtype="<i4")
+        stream.write([b"head\n", memoryview(big).cast("B"), b"x", b"y"])
+        assert transport.writes == [b"head\n", big.tobytes(), b"xy"]
+        stream.connection_lost(None)
+        assert await stream.readline() == b""
+        with pytest.raises(ProtocolError) as exc:
+            await stream.readexactly(1)
+        assert exc.value.code == "bad-frame" and exc.value.fatal
+
+    asyncio.run(scenario())
