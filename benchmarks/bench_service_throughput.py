@@ -48,22 +48,34 @@ mode on every push):
   at most ``MAX_EGRESS_OVER_JSON_LIST`` (0.25x) the same answer with
   the assignment as a JSON list.
 
-* digest: the digest a server takes of that instance as it arrived
-  (``instance_digest`` over the frame's attachment views) costs at
-  most ``MAX_DIGEST_OVER_TAIL_SHA256`` (1.15x) one sha256 pass over
-  the frame's tail bytes.  Both are in-process ratios too.
+* digest: the digests a server takes of that instance as it arrived
+  (``packed_digests`` over the frame's attachment views) cost at most
+  ``MAX_DIGEST_OVER_TAIL_SHA256`` (1.15x) one sha256 pass over the
+  frame's tail bytes.  Both are in-process ratios too.
+
+* reweighted ingest: a weight variant of that instance, parsed by a
+  server whose compile cache holds its structure
+  (``SolveServer._parse_instance``) and compiled, costs at most
+  ``MAX_REWEIGHTED_OVER_TAIL_SHA256`` (1.4x) one sha256 pass over its
+  frame tail: the structure is neither re-validated nor re-compiled.
+  ``--reference-src DIR`` records the same leg against another tree.
 
 * cold-stream memory: a plain server in a child process serves
   distinct weight variants of one fewgmanyg base (n=10240; n=5120 in
-  ``--smoke``), perfbench large-cold's traffic.  Its peak RSS (VmHWM)
-  may grow at most ``MAX_STREAM_GROWTH_COMPILES`` (8) compilations of
-  one instance over its ready RSS, and a warm request may take at most
-  ``MAX_STREAM_FAULTS_PER_REQUEST`` (200) minor page faults at the
-  median (summed over ``/proc/<pid>/task/*/stat``).  The first binds a
-  compile cache that keeps one-shot compilations; the second binds one
-  that keeps none, so the heap is handed back and re-faulted every
-  request.  Linux only (``/proc``).  ``--reference-src DIR`` records
-  the same leg against a server from another source tree.
+  ``--smoke``), perfbench large-cold's traffic, and then a stream of
+  distinct *structures* of the same sizes (each request's processors
+  relabelled by a fresh random permutation).  On each stream its peak
+  RSS (VmHWM) may grow at most ``MAX_STREAM_GROWTH_COMPILES`` (8)
+  compilations of one instance over its ready RSS, and a warm request
+  may take at most ``MAX_STREAM_FAULTS_PER_REQUEST`` (200) minor page
+  faults at the median (summed over ``/proc/<pid>/task/*/stat``).
+  Weight variants share one compilation (the compile cache keys by
+  structure), so the distinct stream is the one that exercises
+  compile admission: there the first guard binds a compile cache that
+  keeps one-shot compilations, and the second one that keeps none, so
+  the heap is handed back and re-faulted every request.  Linux only
+  (``/proc``).  ``--reference-src DIR`` records the same legs against a
+  server from another source tree.
 
 * pool cold-stream memory: the same stream through ``semimatch serve
   --workers 2``.  The front-end's peak RSS may grow at most
@@ -129,7 +141,7 @@ from repro.service.protocol import (
     request,
 )
 from repro.service.supervisor import WorkerSpec
-from repro.service.wire import hypergraph_from_wire, packed_arrays
+from repro.service.wire import hypergraph_from_wire
 
 MIN_BATCHING_GAIN = 2.0
 MIN_DEDUP_GAIN = 10.0
@@ -148,6 +160,12 @@ MAX_EGRESS_OVER_JSON_LIST = 0.25
 #: over one sha256 pass over the frame's tail bytes (≈ 1.0x measured;
 #: hashing the int64 library arrays reads ≈ 1.9x)
 MAX_DIGEST_OVER_TAIL_SHA256 = 1.15
+#: reweighted ingest: a weight variant's parse plus compile on a server
+#: whose compile cache holds its structure, over one sha256 pass over
+#: its frame tail (≈ 1.1x measured; a server that re-validates and
+#: re-compiles the structure, its compile cache keyed by instance
+#: digest, read 3.5–3.9x)
+MAX_REWEIGHTED_OVER_TAIL_SHA256 = 1.4
 #: cold-stream memory: a plain server's peak RSS growth over its ready
 #: RSS, in compilations of one stream instance.  Two retained
 #: compilations plus one request's working set fit; a compile cache
@@ -597,13 +615,20 @@ def bench_cold_stream_memory(
     n_procs: int,
     warmup: int = 4,
     workers: int = 0,
+    distinct: bool = False,
     src: str | None = None,
 ) -> dict:
     """A server in a child process serves distinct weight variants of
     one fewgmanyg base (large-cold's traffic) one at a time: a plain
     server, or with ``workers`` > 0 a sharded pool, whose front-end is
     the process measured.  Records its ready RSS, its VmHWM after the
-    stream, and the minor faults of every request after ``warmup``."""
+    stream, and the minor faults of every request after ``warmup``.
+
+    Weight variants share one structure, so one compilation serves the
+    whole stream.  ``distinct=True`` also relabels the processors of
+    every request by a fresh random permutation: each request is then
+    a structure of its own, of the same sizes, which is what exercises
+    the compile cache's admission."""
     base = generate_multiproc(
         n_tasks, n_procs, family="fewgmanyg", g=32,
         weights="related", seed=1,
@@ -614,7 +639,13 @@ def bench_cold_stream_memory(
 
     def variant():
         scale = rng.uniform(0.5, 1.5, size=base.n_hedges)
-        return base.with_weights(base.hedge_w * scale)
+        if not distinct:
+            return base.with_weights(base.hedge_w * scale)
+        relabel = rng.permutation(base.n_procs)
+        return TaskHypergraph.from_csr(
+            base.n_tasks, base.n_procs, base.hedge_task, base.hedge_ptr,
+            relabel[base.hedge_procs], base.hedge_w * scale,
+        )
 
     faults = []
     with _ChildServer(src, workers) as child:
@@ -632,6 +663,7 @@ def bench_cold_stream_memory(
     return {
         "instance": [n_tasks, n_procs],
         "workers": workers,
+        "distinct_structures": distinct,
         "requests": n_requests,
         "warmup": warmup,
         "compiled_mib": per_compile / 2**20,
@@ -658,19 +690,22 @@ def bench_wire_ingest(repeats: int) -> dict:
       ``encode_frame`` and the client's ``RemoteSolveResult.from_wire``
       of the decoded frame, against the same answer with the
       assignment as the JSON list it used to be;
-    * digest: the digest the server takes of a parsed wire instance
-      (over the frame's attachment views) against one sha256 pass
-      over the frame's tail bytes."""
+    * digest: the digests the server takes of a wire instance as it
+      arrived (its checks and ``packed_digests`` over the frame's
+      attachment views) against one sha256 pass over the frame's tail
+      bytes;
+    * reweighted ingest: :func:`bench_reweighted_ingest`."""
+    # imported here, not at module level: the module must import
+    # against an older tree for --reference-src's child processes
+    from repro.engine.cache import packed_digests
+    from repro.service.wire import packed_instance
+
     hg = generate_multiproc(
         INGEST_TASKS, INGEST_PROCS, family="fewgmanyg", g=32,
         weights="related", seed=1,
     )
     packed = pack_hypergraph(hg)
-    request_frame = encode_frame(
-        request("solve", 1, instance=instance_to_wire(hg))
-    )
-    instance = decode_frame(request_frame)["instance"]
-    tail = request_frame[request_frame.index(b"\n") + 1 :]
+    instance, tail = _received(hg)
     answer = api_solve(hg, method="SGH")
     shipped = SolveServer._solve_wire(answer)
     as_list = dict(
@@ -730,10 +765,9 @@ def bench_wire_ingest(repeats: int) -> dict:
                     result.assignment, answer.matching.hedge_of_task
                 )
                 sizes[name] = len(reply)
-        # the digest memoizes on the instance: a fresh parse per round
-        parsed = hypergraph_from_wire(instance)
         t0 = time.perf_counter()
-        digest = instance_digest(parsed, packed=packed_arrays(instance))
+        n_tasks, n_procs, arrays = packed_instance(instance)
+        _, digest = packed_digests(n_tasks, n_procs, *arrays)
         best["digest"] = min(best["digest"], time.perf_counter() - t0)
         t0 = time.perf_counter()
         hashlib.sha256(tail).hexdigest()
@@ -761,7 +795,80 @@ def bench_wire_ingest(repeats: int) -> dict:
         "digest_ms": best["digest"] * 1e3,
         "tail_sha256_ms": best["tail_sha256"] * 1e3,
         "digest_over_tail_sha256": best["digest"] / best["tail_sha256"],
+        **bench_reweighted_ingest(repeats),
     }
+
+
+def bench_reweighted_ingest(repeats: int) -> dict:
+    """A server's ingest of a weight variant whose structure its compile
+    cache holds: ``SolveServer._parse_instance`` of the decoded request
+    plus ``compile_instance`` of the parsed instance, against one sha256
+    pass over the request's frame tail, min of ``repeats`` interleaved
+    rounds (each round a fresh variant, so no digest repeats).
+
+    Uses only names that a checkout without structure-keyed compilation
+    has too, so ``--reference-src`` runs the same leg there (in a child
+    process importing that tree)."""
+    base = generate_multiproc(
+        INGEST_TASKS, INGEST_PROCS, family="fewgmanyg", g=32,
+        weights="related", seed=1,
+    )
+    rng = np.random.default_rng(11)
+    server = SolveServer()
+    compile_instance(server._parse_instance(_received(base)[0]))
+    best = {"reweighted": float("inf"), "tail_sha256": float("inf")}
+    for _ in range(repeats):
+        variant = base.with_weights(
+            base.hedge_w * rng.uniform(0.5, 1.5, size=base.n_hedges)
+        )
+        instance, tail = _received(variant)
+        t0 = time.perf_counter()
+        compiled = compile_instance(server._parse_instance(instance))
+        best["reweighted"] = min(
+            best["reweighted"], time.perf_counter() - t0
+        )
+        t0 = time.perf_counter()
+        hashlib.sha256(tail).hexdigest()
+        best["tail_sha256"] = min(
+            best["tail_sha256"], time.perf_counter() - t0
+        )
+        assert compiled.hypergraph.hedge_w.tobytes() == (
+            variant.hedge_w.tobytes()
+        )
+    return {
+        "reweighted_ingest_ms": best["reweighted"] * 1e3,
+        "reweighted_tail_sha256_ms": best["tail_sha256"] * 1e3,
+        "reweighted_over_tail_sha256": (
+            best["reweighted"] / best["tail_sha256"]
+        ),
+    }
+
+
+def _received(hg: TaskHypergraph) -> tuple[dict, bytes]:
+    """``hg``'s solve request as a server decodes it, and the frame's
+    tail bytes."""
+    frame = encode_frame(request("solve", 1, instance=instance_to_wire(hg)))
+    return (
+        decode_frame(frame)["instance"],
+        frame[frame.index(b"\n") + 1 :],
+    )
+
+
+def _reference_reweighted_ingest(src: str, repeats: int) -> dict:
+    """:func:`bench_reweighted_ingest` in a child process importing
+    ``repro`` from ``src``."""
+    bench_dir = str(Path(__file__).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, bench_dir, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, bench_service_throughput as b; "
+         f"print(json.dumps(b.bench_reweighted_ingest({repeats})))"],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
@@ -786,15 +893,24 @@ def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
     dedup = bench_dedup(n_dedup)
     dedup_gain = dedup["speedup_vs_serial_solves"]
 
-    ingest = bench_wire_ingest(5 if smoke else 9)
+    ingest_repeats = 5 if smoke else 9
+    ingest = bench_wire_ingest(ingest_repeats)
+    if reference_src is not None:
+        ingest["reference"] = _reference_reweighted_ingest(
+            reference_src, ingest_repeats
+        )
 
     stream = bench_cold_stream_memory(**stream_size)
+    distinct_stream = bench_cold_stream_memory(**stream_size, distinct=True)
     pool_stream = bench_cold_stream_memory(**stream_size, workers=2)
     if reference_src is not None:
         # the same legs against servers from another source tree (say,
         # a checkout of the parent commit): recorded, never asserted
         stream["reference"] = bench_cold_stream_memory(
             **stream_size, src=reference_src
+        )
+        distinct_stream["reference"] = bench_cold_stream_memory(
+            **stream_size, distinct=True, src=reference_src
         )
         pool_stream["reference"] = bench_cold_stream_memory(
             **stream_size, workers=2, src=reference_src
@@ -823,6 +939,7 @@ def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
             "sharded_scaling": scaling,
             "wire_ingest": ingest,
             "cold_stream_memory": stream,
+            "cold_stream_distinct_memory": distinct_stream,
             "pool_cold_stream_memory": pool_stream,
         },
         "assertions": {
@@ -843,9 +960,21 @@ def run_bench(smoke: bool, reference_src: str | None = None) -> dict:
             "max_egress_over_json_list": MAX_EGRESS_OVER_JSON_LIST,
             "digest_over_tail_sha256": ingest["digest_over_tail_sha256"],
             "max_digest_over_tail_sha256": MAX_DIGEST_OVER_TAIL_SHA256,
+            "reweighted_over_tail_sha256": ingest[
+                "reweighted_over_tail_sha256"
+            ],
+            "max_reweighted_over_tail_sha256": (
+                MAX_REWEIGHTED_OVER_TAIL_SHA256
+            ),
             "stream_growth_over_compiled": stream["growth_over_compiled"],
             "max_stream_growth_over_compiled": MAX_STREAM_GROWTH_COMPILES,
             "stream_faults_per_request": stream["faults_per_request_median"],
+            "distinct_stream_growth_over_compiled": distinct_stream[
+                "growth_over_compiled"
+            ],
+            "distinct_stream_faults_per_request": distinct_stream[
+                "faults_per_request_median"
+            ],
             "max_stream_faults_per_request": MAX_STREAM_FAULTS_PER_REQUEST,
             "pool_stream_growth_over_instance": pool_stream[
                 "growth_over_instance"
@@ -892,21 +1021,28 @@ def check(report: dict) -> None:
         f"frame tail (ceiling {a['max_digest_over_tail_sha256']:g}x)"
     )
     assert (
-        a["stream_growth_over_compiled"]
-        <= a["max_stream_growth_over_compiled"]
+        a["reweighted_over_tail_sha256"]
+        <= a["max_reweighted_over_tail_sha256"]
     ), (
-        f"a cold stream grew the server's peak RSS by "
-        f"{a['stream_growth_over_compiled']:.1f} compilations of one "
-        f"instance over its ready RSS (ceiling "
-        f"{a['max_stream_growth_over_compiled']:g})"
+        f"a weight variant of a cached structure costs "
+        f"{a['reweighted_over_tail_sha256']:.2f}x one sha256 pass over "
+        f"its frame tail to parse and compile (ceiling "
+        f"{a['max_reweighted_over_tail_sha256']:g}x)"
     )
-    assert (
-        a["stream_faults_per_request"] <= a["max_stream_faults_per_request"]
-    ), (
-        f"a warm cold-stream request took "
-        f"{a['stream_faults_per_request']:g} minor page faults at the "
-        f"median (ceiling {a['max_stream_faults_per_request']})"
-    )
+    for stream in ("stream", "distinct_stream"):
+        growth = a[f"{stream}_growth_over_compiled"]
+        faults = a[f"{stream}_faults_per_request"]
+        what = stream.replace("_", " ")
+        assert growth <= a["max_stream_growth_over_compiled"], (
+            f"a cold {what} grew the server's peak RSS by {growth:.1f} "
+            f"compilations of one instance over its ready RSS (ceiling "
+            f"{a['max_stream_growth_over_compiled']:g})"
+        )
+        assert faults <= a["max_stream_faults_per_request"], (
+            f"a warm cold-{what} request took {faults:g} minor page "
+            f"faults at the median (ceiling "
+            f"{a['max_stream_faults_per_request']})"
+        )
     assert (
         a["pool_stream_growth_over_instance"]
         <= a["max_pool_stream_growth_over_instance"]

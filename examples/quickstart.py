@@ -26,7 +26,7 @@ def backend_demo() -> None:
         2560, 512, family="fewgmanyg", g=16, dv=5, dh=10,
         weights="related", seed=0,
     )
-    compile_instance(hg)  # compiled once, cached by content digest
+    compile_instance(hg)  # compiled once, cached by structure digest
 
     t0 = time.perf_counter()
     slow = solve_hypergraph(hg, method="EVG", backend="python")

@@ -244,6 +244,13 @@ class BoundedLRU:
         with self._lock:
             return key in self._data
 
+    def peek(self, key: Hashable) -> Any:
+        """The value for ``key``, or None, without refreshing its
+        recency or counting."""
+        with self._lock:
+            entry = self._data.get(key)
+            return None if entry is None else entry[0]
+
     def get(self, key: Hashable) -> Any:
         """The value for ``key`` (refreshing its recency), or None;
         counts a hit or a miss."""
@@ -420,6 +427,13 @@ class SegmentedLRU:
         if promoted:
             self._protected._fit(0)
         return value
+
+    def peek(self, key: Hashable) -> Any:
+        """The value for ``key`` in either segment, or None, without
+        promoting, refreshing or counting it."""
+        with self._lock:
+            value = self._protected.peek(key)
+            return self._probation.peek(key) if value is None else value
 
     def put(self, key: Hashable, value: Any) -> int:
         """Insert ``key``: into protected when it was seen before,

@@ -77,7 +77,7 @@ def randomized_greedy(
         ci = compile_instance(hg)
         tptr = hg.task_ptr
         gptr, gpins, ghedge = ci.g_ptr, ci.g_pins, ci.g_hedge
-        pin_w = ci.g_pin_w
+        pin_w = np.repeat(w[ghedge], ci.g_size)
         for v in stable_argsort(hg.task_degrees()):
             a, b = tptr[v], tptr[v + 1]
             p0 = gptr[a]

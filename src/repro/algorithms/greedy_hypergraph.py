@@ -120,11 +120,19 @@ def _sgh_python(
     return HyperSemiMatching(hg, hedge_of_task)
 
 
-def _reduceat_offsets(hg: TaskHypergraph, ci: CompiledKernels) -> np.ndarray:
-    """``goff[a:b]``: the pin offsets of task ``v``'s grouped candidates
-    ``a:b`` relative to the task's first pin (its reduceat indices)."""
-    return ci.g_ptr[:-1] - np.repeat(
-        ci.g_ptr[hg.task_ptr[:-1]], hg.task_degrees()
+def _kernel_order(ci: CompiledKernels, sort_by_degree: bool):
+    """The numpy kernels' visit order: the compilation's memoized list,
+    or the tasks in id order."""
+    return ci.visit_order if sort_by_degree else range(ci.n_tasks)
+
+
+def _matching(
+    hg: TaskHypergraph, ci: CompiledKernels, chosen: list[int]
+) -> HyperSemiMatching:
+    """The matching of the grouped position each task chose: one gather
+    through ``g_hedge`` instead of a lookup per step."""
+    return HyperSemiMatching(
+        hg, ci.g_hedge[np.asarray(chosen, dtype=np.int64)]
     )
 
 
@@ -135,22 +143,21 @@ def _sgh_numpy(
     # committed by every earlier task — so the kernel's job is to make
     # each step's fixed dispatch cost as small as possible (see the
     # "sequential frontier" note in repro.kernels.ops).  Pointer arrays
-    # are pre-converted to Python lists (list[int] indexing is several
-    # times cheaper than ndarray scalar indexing), reduceat offsets are
-    # precomputed for all tasks in one vectorized pass, and the
-    # lookahead add runs in place on the fresh reduceat output.
+    # are Python lists (list[int] indexing is several times cheaper than
+    # ndarray scalar indexing) and the reduceat offsets are precomputed
+    # for all tasks, both memoized on the compilation for every weight
+    # variant of the structure; the lookahead add runs in place on the
+    # fresh reduceat output.
     ci = compile_instance(hg)
     loads = np.zeros(hg.n_procs, dtype=np.float64)
     chosen = [0] * hg.n_tasks
-    tptr = hg.task_ptr.tolist()
-    gpins, gw = ci.g_pins, ci.g_w
-    gptr = ci.g_ptr.tolist()
+    tptr, gptr = ci.task_ptr_list, ci.g_ptr_list
+    gpins, goff = ci.g_pins, ci.reduceat_offsets
+    gw = hg.hedge_w[ci.g_hedge]
     gw_list = gw.tolist()
-    ghedge = ci.g_hedge.tolist()
-    goff = _reduceat_offsets(hg, ci)
     maximum_reduceat = np.maximum.reduceat
 
-    for v in _visit_order(hg, sort_by_degree).tolist():
+    for v in _kernel_order(ci, sort_by_degree):
         a, b = tptr[v], tptr[v + 1]
         if b - a == 1:
             k = a
@@ -161,10 +168,10 @@ def _sgh_numpy(
             if lookahead:
                 keys += gw[a:b]
             k = a + int(keys.argmin())
-        chosen[v] = ghedge[k]
+        chosen[v] = k
         loads[gpins[gptr[k] : gptr[k + 1]]] += gw_list[k]
 
-    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))
+    return _matching(hg, ci, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -244,37 +251,23 @@ def _vgh_python(
     return HyperSemiMatching(hg, hedge_of_task)
 
 
-def _rank_cells(hg: TaskHypergraph, ci: CompiledKernels) -> np.ndarray:
-    """Flat cell of every grouped pin in its task's ranking matrix.
-
-    Task ``v``'s candidates are ranked over a ``(d_v, |U_v|)`` matrix
-    (row = candidate, column = position in the sorted pin-union
-    ``U_v``); pin ``i`` of the task lands at ``row * |U_v| + pos``, so
-    one 1-D scatter fills the whole matrix.
-    """
-    task_pins = np.diff(ci.g_ptr[hg.task_ptr])
-    union_size = np.diff(ci.u_ptr)
-    return ci.g_pin_row * np.repeat(union_size, task_pins) + ci.g_pin_pos
-
-
 def _vgh_numpy(
     hg: TaskHypergraph, sort_by_degree: bool
 ) -> HyperSemiMatching:
     # per-step dispatch trimmed as in _sgh_numpy: list pointers, one
-    # 1-D scatter into the ranking matrix, one-sort ranking
+    # 1-D scatter into the ranking matrix (cells memoized on the
+    # compilation), one-sort ranking
     ci = compile_instance(hg)
     loads = np.zeros(hg.n_procs, dtype=np.float64)
     chosen = [0] * hg.n_tasks
-    tptr = hg.task_ptr.tolist()
-    gptr = ci.g_ptr.tolist()
-    uptr = ci.u_ptr.tolist()
-    ghedge = ci.g_hedge.tolist()
-    gw = ci.g_w.tolist()
-    gpins, uprocs, pin_w = ci.g_pins, ci.u_procs, ci.g_pin_w
-    cell = _rank_cells(hg, ci)
+    tptr, gptr, uptr = ci.task_ptr_list, ci.g_ptr_list, ci.u_ptr_list
+    gpins, uprocs, cell = ci.g_pins, ci.u_procs, ci.rank_cells
+    g_w = hg.hedge_w[ci.g_hedge]
+    gw = g_w.tolist()
+    pin_w = np.repeat(g_w, ci.g_size)
     empty = np.empty
 
-    for v in _visit_order(hg, sort_by_degree).tolist():
+    for v in _kernel_order(ci, sort_by_degree):
         a, b = tptr[v], tptr[v + 1]
         if b - a == 1:
             k = a
@@ -288,10 +281,10 @@ def _vgh_numpy(
             rows[:] = loads[uprocs[u0:u1]]
             rows.ravel()[cell[p0:p1]] += pin_w[p0:p1]
             k = a + lex_best_row(rows)
-        chosen[v] = ghedge[k]
+        chosen[v] = k
         loads[gpins[gptr[k] : gptr[k + 1]]] += gw[k]
 
-    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))
+    return _matching(hg, ci, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +362,10 @@ def _expected_shares(
     """Per grouped candidate: the share ``w/d_v`` it spreads and the gain
     ``w - w/d_v`` realising it adds — the same element-wise float ops
     the Python loops make per step, made once for all candidates."""
+    g_w = hg.hedge_w[ci.g_hedge]
     deg = hg.task_degrees()
-    share = ci.g_w / np.repeat(deg, deg)
-    return share, ci.g_w - share
+    share = g_w / np.repeat(deg, deg)
+    return share, g_w - share
 
 
 def _egh_numpy(
@@ -380,23 +374,20 @@ def _egh_numpy(
     ci = compile_instance(hg)
     o = _expected_loads(hg)
     chosen = [0] * hg.n_tasks
-    tptr = hg.task_ptr.tolist()
-    gptr = ci.g_ptr.tolist()
-    ghedge = ci.g_hedge.tolist()
-    gpins = ci.g_pins
+    tptr, gptr = ci.task_ptr_list, ci.g_ptr_list
+    gpins, goff = ci.g_pins, ci.reduceat_offsets
     share, gain = _expected_shares(hg, ci)
     # collapsing the distribution: every pin of a sibling withdraws its
     # share, every pin of the chosen candidate realises its gain
     pin_drop = np.repeat(-share, ci.g_size)
     pin_gain = np.repeat(gain, ci.g_size)
-    goff = _reduceat_offsets(hg, ci)
     maximum_reduceat, add_at = np.maximum.reduceat, np.add.at
 
-    for v in _visit_order(hg, sort_by_degree).tolist():
+    for v in _kernel_order(ci, sort_by_degree):
         a, b = tptr[v], tptr[v + 1]
         if b - a == 1:
             # realising the only candidate adds w - w/1 == +0.0
-            chosen[v] = ghedge[a]
+            chosen[v] = a
             continue
         p0, p1 = gptr[a], gptr[b]
         pins = gpins[p0:p1]
@@ -404,7 +395,7 @@ def _egh_numpy(
         if lookahead:
             keys += gain[a:b]
         k = a + int(keys.argmin())
-        chosen[v] = ghedge[k]
+        chosen[v] = k
         # applied in candidate order, matching the Python loop's
         # accumulation when candidates share a processor
         q0, q1 = gptr[k], gptr[k + 1]
@@ -412,7 +403,7 @@ def _egh_numpy(
         delta[q0 - p0 : q1 - p0] = pin_gain[q0:q1]
         add_at(o, pins, delta)
 
-    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))
+    return _matching(hg, ci, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +497,13 @@ def _evg_numpy(
     ci = compile_instance(hg)
     o = _expected_loads(hg)
     chosen = [0] * hg.n_tasks
-    tptr = hg.task_ptr.tolist()
-    gptr = ci.g_ptr.tolist()
-    uptr = ci.u_ptr.tolist()
-    ghedge = ci.g_hedge.tolist()
-    uprocs, pin_w, pin_pos = ci.u_procs, ci.g_pin_w, ci.g_pin_pos
+    tptr, gptr, uptr = ci.task_ptr_list, ci.g_ptr_list, ci.u_ptr_list
+    uprocs, pin_pos, cell = ci.u_procs, ci.g_pin_pos, ci.rank_cells
+    pin_w = np.repeat(hg.hedge_w[ci.g_hedge], ci.g_size)
     pin_share = np.repeat(_expected_shares(hg, ci)[0], ci.g_size)
-    cell = _rank_cells(hg, ci)
     empty, subtract_at = np.empty, np.subtract.at
 
-    for v in _visit_order(hg, sort_by_degree).tolist():
+    for v in _kernel_order(ci, sort_by_degree):
         a, b = tptr[v], tptr[v + 1]
         p0, p1 = gptr[a], gptr[b]
         u0, u1 = uptr[v], uptr[v + 1]
@@ -536,10 +524,10 @@ def _evg_numpy(
             rows[:] = common
             rows.ravel()[cell[p0:p1]] += pin_w[p0:p1]
             k = a + lex_best_row(rows)
-        chosen[v] = ghedge[k]
+        chosen[v] = k
         # commit: o restricted to the union becomes the realised row
         q0, q1 = gptr[k], gptr[k + 1]
         common[pin_pos[q0:q1]] += pin_w[q0:q1]
         o[union] = common
 
-    return HyperSemiMatching(hg, np.asarray(chosen, dtype=np.int64))
+    return _matching(hg, ci, chosen)

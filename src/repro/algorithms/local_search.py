@@ -157,6 +157,7 @@ def _local_search_numpy(
     hg: TaskHypergraph = start.hypergraph
     ci = compile_instance(hg)
     hptr, hprocs, w = hg.hedge_ptr, hg.hedge_procs, hg.hedge_w
+    g_w = w[ci.g_hedge]
     assign = start.hedge_of_task.copy()
     loads = start.loads()
     initial_mk = start.makespan
@@ -165,7 +166,7 @@ def _local_search_numpy(
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
-        mv = _first_improving_move(hg, ci, assign, loads)
+        mv = _first_improving_move(hg, ci, g_w, assign, loads)
         if mv is None:
             break
         v, h_new = mv
@@ -188,11 +189,13 @@ def _local_search_numpy(
 def _first_improving_move(
     hg: TaskHypergraph,
     ci,
+    gw: np.ndarray,
     assign: np.ndarray,
     loads: np.ndarray,
 ) -> tuple[int, int] | None:
     """The first vector-improving move in the Python scan order, found
-    by chunked batch evaluation; ``None`` when the round has none."""
+    by chunked batch evaluation; ``None`` when the round has none.
+    ``gw`` is ``hg``'s weights in grouped order."""
     mk = loads.max()
     bottleneck = np.flatnonzero(loads >= mk - 1e-12)
     # candidate tasks: assigned configurations touching a bottleneck proc
@@ -220,7 +223,7 @@ def _first_improving_move(
         return None
     mv_old_gpos = ci.hedge_gpos[assign[mv_task]]
 
-    gptr, gsize, gw = ci.g_ptr, ci.g_size, ci.g_w
+    gptr, gsize = ci.g_ptr, ci.g_size
     uptr, uprocs, pin_pos = ci.u_ptr, ci.u_procs, ci.g_pin_pos
     for c0 in range(0, mv_task.size, _CHUNK):
         c1 = min(c0 + _CHUNK, mv_task.size)

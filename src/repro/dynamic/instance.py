@@ -858,11 +858,12 @@ class DynamicInstance:
 
     def compiled_kernels(self):
         """The :class:`~repro.kernels.CompiledKernels` of the current
-        state, through the kernel compile cache (keyed by
-        :meth:`digest`), so every solver of this version shares it."""
+        state, through the kernel compile cache (keyed by the
+        snapshot's structure digest), so every solver of this version,
+        and of any version that differs only in weights, shares it."""
         from ..kernels import compile_instance
 
-        return compile_instance(self.to_hypergraph(), digest=self.digest())
+        return compile_instance(self.to_hypergraph())
 
     def compile_stats(self) -> dict[str, int]:
         """Compile-path counters: every :meth:`compile` that built a

@@ -23,7 +23,7 @@ from .batch import (
     default_engine,
     solve_many,
 )
-from .cache import CachedSolve, ResultCache, instance_digest
+from .cache import CachedSolve, ResultCache, instance_digest, structure_digest
 from .dispatch import known_methods, solve_hypergraph, solve_hypergraph_outcome
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "ResultCache",
     "CachedSolve",
     "instance_digest",
+    "structure_digest",
     "known_methods",
     "solve_hypergraph",
     "solve_hypergraph_outcome",

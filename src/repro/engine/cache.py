@@ -1,9 +1,12 @@
 """Content-addressed result cache for the batch engine.
 
-Instances are keyed by a SHA-256 digest of their defining arrays, so two
-structurally identical hypergraphs hit the same entry regardless of how
-they were built (``from_configurations``, ``to_hypergraph``, JSON
-round-trip, ...).  The cached value is the chosen ``hedge_of_task``
+Instances are keyed by a SHA-256 digest of their defining arrays, the
+*instance digest*, so two equal hypergraphs (weights included) hit the
+same entry regardless of how they were built (``from_configurations``,
+``to_hypergraph``, JSON round-trip, ...).  The same pass yields the
+*structure digest*, which leaves the weights out and keys the kernel
+compile cache instead (:mod:`repro.kernels.compiled`).  The cached
+value is the chosen ``hedge_of_task``
 assignment — small, picklable, and enough to reconstruct an identical
 :class:`~repro.core.semimatching.HyperSemiMatching` against any equal
 instance — plus the result's provenance metadata (winning solver,
@@ -25,7 +28,7 @@ the Table I–III harness) never recompute.
 from __future__ import annotations
 
 import hashlib
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,67 +36,127 @@ from .._util import CACHE_BUDGET, BoundedLRU
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 
-__all__ = ["CachedSolve", "ResultCache", "instance_digest"]
+__all__ = [
+    "CachedSolve",
+    "ResultCache",
+    "instance_digest",
+    "packed_digests",
+    "seed_digests",
+    "structure_digest",
+]
 
 
 #: The largest value a packed (``<i4``) index array holds.
 _INT32_MAX = 2**31 - 1
 
 
-def instance_digest(
-    hg: TaskHypergraph, packed: Sequence[np.ndarray] | None = None
-) -> str:
-    """SHA-256 digest of the arrays that define ``hg``.
+def packed_digests(
+    n_tasks: int,
+    n_procs: int,
+    hedge_task: np.ndarray,
+    hedge_ptr: np.ndarray,
+    hedge_procs: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[str, str]:
+    """``(structure digest, instance digest)`` of an instance's defining
+    arrays, in one SHA-256 pass.
+
+    The pass hashes a prefix of the vertex counts and the hyperedge
+    count (``hedge_task``'s length), then ``hedge_task``, ``hedge_ptr``
+    and ``hedge_procs``, and then ``hedge_w``.  The structure digest is
+    the hasher copied before the weights go in, so it keys what does
+    not depend on them (the kernel compile cache); the instance digest
+    keys what does (the result cache, single-flight, pool routing).
+
+    The arrays are hashed in their wire dtypes: the three index arrays
+    as little-endian int32, the weights as little-endian float64.  An
+    instance with a count beyond int32 (so possibly an id or offset
+    beyond it) hashes its index arrays as int64 under a distinct prefix
+    instead.  An array already in its dtype (a frame's attachment, the
+    weights) is hashed without a copy.
+
+    Nothing is validated here, and the byte stream carries no array
+    lengths beyond the prefix: two digests are equal only for equal
+    bytes, and the split between ``hedge_ptr`` and ``hedge_procs`` is
+    fixed only once ``hedge_ptr`` has ``len(hedge_task) + 1`` entries,
+    as it has in every valid instance.
+    """
+    n_tasks, n_procs = int(n_tasks), int(n_procs)
+    n_hedges = hedge_task.shape[0]
+    # every id and offset is below one of these counts (the hypergraph
+    # invariants from_csr checks), so they bound the index values
+    if max(n_tasks, n_procs, hedge_procs.shape[0]) <= _INT32_MAX:
+        prefix, index_dtype = "i4", "<i4"
+    else:
+        prefix, index_dtype = "i8", "<i8"
+    h = hashlib.sha256(
+        f"{prefix}|{n_tasks}|{n_procs}|{n_hedges}|".encode()
+    )
+    for arr in (hedge_task, hedge_ptr, hedge_procs):
+        h.update(np.ascontiguousarray(arr, dtype=index_dtype).data)
+    structure = h.copy().hexdigest()
+    h.update(np.ascontiguousarray(weights, dtype="<f8").data)
+    return structure, h.hexdigest()
+
+
+def seed_digests(hg: TaskHypergraph, structure: str, digest: str) -> None:
+    """Memoize digests the caller took of ``hg``'s own arrays (or of an
+    equal copy of them) on ``hg``.
+
+    The hashed arrays are frozen so the memo cannot go stale through
+    in-place mutation (which would also desynchronize the result cache
+    and the kernel compile cache)."""
+    for arr in (hg.hedge_task, hg.hedge_ptr, hg.hedge_procs, hg.hedge_w):
+        arr.setflags(write=False)
+    object.__setattr__(hg, "_structure_digest_cache", structure)
+    object.__setattr__(hg, "_digest_cache", digest)
+
+
+def instance_digest(hg: TaskHypergraph) -> str:
+    """SHA-256 digest of the arrays that define ``hg``: the instance
+    key of the result cache, single-flight and pool routing.
 
     ``task_ptr``/``task_hedges`` and the lazily built processor index
     are derived from the hyperedge arrays, so hashing the vertex counts
     and ``hedge_task``, ``hedge_ptr``, ``hedge_procs`` and ``hedge_w``
     identifies the instance, and hashing never builds an index.  The
-    arrays are hashed in one pass in their wire dtypes: the three index
-    arrays as little-endian int32, the weights as little-endian
-    float64.  An instance with a count beyond int32 (so possibly an id
-    or offset beyond it) hashes its index arrays as int64 under a
-    distinct prefix instead.
+    same pass yields the :func:`structure_digest`, which leaves the
+    weights out and keys the kernel compile cache.
+    :func:`packed_digests` defines both; a server hashes a request's
+    arrays with it as they arrived, before it builds the instance, and
+    seeds the memos with :func:`seed_digests`.
 
-    ``packed`` is the caller's copy of the four arrays already in those
-    dtypes (a frame's attachment views, which ``from_csr`` checked
-    equal ``hg``'s), hashed as they are instead of narrowing ``hg``'s
-    own: both give the same digest.
-
-    The digest is memoized on the (immutable) instance: both the result
-    cache and the kernel compile cache key on it, so one solve would
+    Both digests are memoized on the (immutable) instance, and the
+    hashed arrays are frozen (see :func:`seed_digests`): the result
+    cache and the compile cache both key on them, so one solve would
     otherwise hash the same arrays several times.
     """
     cached = getattr(hg, "_digest_cache", None)
-    if cached is not None:
-        return cached
-    # every id and offset is below one of these counts (the hypergraph
-    # invariants from_csr checks), so they bound the index values
-    if max(hg.n_tasks, hg.n_procs, hg.hedge_procs.shape[0]) <= _INT32_MAX:
-        prefix, index_dtype = "i4", "<i4"
-    else:
-        prefix, index_dtype = "i8", "<i8"
-        packed = None
-    arrays = (
-        (hg.hedge_task, hg.hedge_ptr, hg.hedge_procs, hg.hedge_w)
-        if packed is None
-        else packed
+    if cached is None:
+        cached = _hash(hg)[1]
+    return cached
+
+
+def structure_digest(hg: TaskHypergraph) -> str:
+    """SHA-256 digest of ``hg``'s structure: the vertex counts and
+    ``hedge_task``, ``hedge_ptr``, ``hedge_procs``, without the weights.
+    It keys the kernel compile cache, so every weight variant of one
+    structure shares one compilation.  Taken in the same pass as (and
+    memoized beside) :func:`instance_digest`."""
+    cached = getattr(hg, "_structure_digest_cache", None)
+    if cached is None:
+        cached = _hash(hg)[0]
+    return cached
+
+
+def _hash(hg: TaskHypergraph) -> tuple[str, str]:
+    """Both digests of ``hg``'s own arrays, memoized on it."""
+    digests = packed_digests(
+        hg.n_tasks, hg.n_procs,
+        hg.hedge_task, hg.hedge_ptr, hg.hedge_procs, hg.hedge_w,
     )
-    h = hashlib.sha256(
-        f"{prefix}|{hg.n_tasks}|{hg.n_procs}|{hg.n_hedges}|".encode()
-    )
-    for arr, dtype in zip(arrays, (index_dtype,) * 3 + ("<f8",)):
-        # hash the buffer directly: an array already in its dtype (a
-        # frame's attachment, the weights) is not copied
-        h.update(np.ascontiguousarray(arr, dtype=dtype).data)
-    digest = h.hexdigest()
-    # freeze the hashed arrays so the memoized digest cannot go stale
-    # through in-place mutation (which would also desynchronize the
-    # result cache and the kernel compile cache)
-    for arr in (hg.hedge_task, hg.hedge_ptr, hg.hedge_procs, hg.hedge_w):
-        arr.setflags(write=False)
-    object.__setattr__(hg, "_digest_cache", digest)
-    return digest
+    seed_digests(hg, *digests)
+    return digests
 
 
 class CachedSolve(NamedTuple):

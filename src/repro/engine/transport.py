@@ -23,7 +23,12 @@ Lifecycle:
   process cache budget.  Attachments stay mapped until evicted (views
   may sit in the worker's kernel compile cache, so eviction also
   purges that digest via :func:`repro.kernels.evict_compiled` before
-  unmapping).
+  unmapping).  Compilations are keyed by structure, so a worker's
+  attached instance carries its structure digest beside its instance
+  digest: a detach evicts the compilation of that structure, and no
+  compilation keeps a view into a segment anyway (the grouped arrays
+  and every structural setup are gathered copies), so another weight
+  variant's solve never reads the unmapped segment through it.
 
 Trust boundary: only a :class:`~repro.engine.BatchSolver`'s own pool
 workers attach, and only to segments their parent engine created from
@@ -53,6 +58,7 @@ import numpy as np
 from .._util import CACHE_BUDGET, BoundedLRU
 from ..core.hypergraph import TaskHypergraph
 from ..kernels import evict_compiled
+from .cache import seed_digests, structure_digest
 from ..obs.trace import span
 
 try:  # pragma: no cover - import guard exercised only off-POSIX
@@ -264,6 +270,7 @@ class ExportRegistry:
         descriptor = {
             "__shm__": shm.name,
             "digest": digest,
+            "structure": structure_digest(hg),
             "counts": (hg.n_tasks, hg.n_procs, hg.n_hedges),
             "layout": layout,
         }
@@ -308,9 +315,10 @@ class ExportRegistry:
 # ---------------------------------------------------------------------------
 def _detach(name: str, attached: tuple[Any, TaskHypergraph]) -> None:
     shm, hg = attached
-    # a cached kernel compilation may hold views into the segment;
-    # purge it before unmapping so nothing dangles
-    evict_compiled(getattr(hg, "_digest_cache", ""))
+    # the cached compilation of this structure may have been built
+    # from (and so keep) this instance; purge it before unmapping so
+    # nothing dangles
+    evict_compiled(structure_digest(hg))
     try:
         shm.close()
     except Exception:  # pragma: no cover
@@ -365,10 +373,10 @@ def attach_instance(descriptor: dict) -> TaskHypergraph:
             n_hedges=int(n_hedges),
             **arrays,
         )
-        # the parent computed the digest already; pre-seeding the memo
-        # makes the worker's cache lookups free *and* keeps the frozen-
-        # arrays invariant instance_digest would have established
-        object.__setattr__(hg, "_digest_cache", descriptor["digest"])
+        # the parent computed the digests already; pre-seeding the
+        # memos makes the worker's cache lookups free (the arrays are
+        # read-only views, so freezing them changes nothing)
+        seed_digests(hg, descriptor["structure"], descriptor["digest"])
         if sp.recording:
             sp.set(digest=descriptor["digest"][:12])
     _ATTACHED.put(name, (shm, hg))

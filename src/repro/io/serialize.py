@@ -51,6 +51,7 @@ __all__ = [
     "hypergraph_to_dict",
     "hypergraph_from_dict",
     "pack_hypergraph",
+    "packed_fields",
     "unpack_hypergraph",
     "matching_to_dict",
     "save_instance",
@@ -125,15 +126,15 @@ def pack_hypergraph(hg: TaskHypergraph) -> dict[str, np.ndarray]:
     return out
 
 
-def unpack_hypergraph(data: dict[str, Any]) -> TaskHypergraph:
-    """The inverse of :func:`pack_hypergraph`: ``data`` holds the
-    ``n_tasks``/``n_procs`` counts and the four packed arrays under
-    their field names.
-
-    Every array must be a numpy array of its packed dtype; the CSR
-    content is validated by :meth:`TaskHypergraph.from_csr`.  A
-    malformed count or array raises :class:`GraphStructureError`, a
-    missing field ``KeyError``."""
+def packed_fields(
+    data: dict[str, Any]
+) -> tuple[int, int, tuple[np.ndarray, ...]]:
+    """``(n_tasks, n_procs, (hedge_task, hedge_ptr, hedge_procs,
+    weights))`` of a packed dict, with the counts checked to be
+    integers and every array to be a numpy array of its packed dtype.
+    The CSR content is not checked here: :func:`unpack_hypergraph`
+    does that.  A malformed count or array raises
+    :class:`GraphStructureError`, a missing field ``KeyError``."""
     n_tasks = _field(data, "n_tasks")
     n_procs = _field(data, "n_procs")
     for key, value in (("n_tasks", n_tasks), ("n_procs", n_procs)):
@@ -146,15 +147,26 @@ def unpack_hypergraph(data: dict[str, Any]) -> TaskHypergraph:
             raise GraphStructureError(
                 f"{key} must be {_PACKED[key]} data, got {got}"
             )
+    return int(n_tasks), int(n_procs), tuple(arrays[key] for key in _PACKED)
+
+
+def unpack_hypergraph(data: dict[str, Any]) -> TaskHypergraph:
+    """The inverse of :func:`pack_hypergraph`: ``data`` holds the
+    ``n_tasks``/``n_procs`` counts and the four packed arrays under
+    their field names, as :func:`packed_fields` checks them; the CSR
+    content is validated by :meth:`TaskHypergraph.from_csr`."""
+    n_tasks, n_procs, (hedge_task, hedge_ptr, hedge_procs, weights) = (
+        packed_fields(data)
+    )
     return TaskHypergraph.from_csr(
         n_tasks,
         n_procs,
-        arrays["hedge_task"],
-        arrays["hedge_ptr"],
-        arrays["hedge_procs"],
+        hedge_task,
+        hedge_ptr,
+        hedge_procs,
         # from_csr keeps float64 weights as given; a copy stops them
         # from pinning the (much larger) buffer they were read from
-        arrays["weights"].copy(),
+        weights.copy(),
     )
 
 

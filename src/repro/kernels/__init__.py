@@ -20,9 +20,11 @@ order* as the Python loops it replaces, so ``backend="numpy"`` returns
 bit-identical matchings to ``backend="python"`` — asserted for every
 registered solver by ``tests/test_conformance.py``.
 
-Compilations are cached by the engine's content digest
-(:func:`repro.engine.cache.instance_digest`), so one instance is
-compiled once no matter how many solvers race over it.  A mutating
+Compilations hold the structure only and are cached by its digest
+(:func:`repro.engine.cache.structure_digest`), so one structure is
+compiled once no matter how many solvers race over it or under how many
+weight vectors; kernels gather the weights from the instance they
+solve.  A mutating
 :class:`~repro.dynamic.DynamicInstance` compiles each version it is
 read at the same way: its row store lowers to a hypergraph in one
 vectorized pass, and that hypergraph goes through
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from .compiled import (
     CompiledKernels,
+    cached_structure,
     compile_cache_stats,
     compile_instance,
     clear_compile_cache,
@@ -50,6 +53,7 @@ from .ops import (
 __all__ = [
     "KNOWN_BACKENDS",
     "CompiledKernels",
+    "cached_structure",
     "compile_instance",
     "evict_compiled",
     "clear_compile_cache",

@@ -14,26 +14,41 @@ positions ``task_ptr[v]:task_ptr[v+1]``, in the same order
 :meth:`TaskHypergraph.task_hedge_ids` yields them, which is what makes
 kernel tie-breaking match the Python loops exactly.
 
-Compilation is pure array work (no per-pin Python loop).  The cache,
-keyed by the engine's content digest, keeps a compilation only once it
-is reused: one instance solved by several heuristics (or solved again
-later) is compiled once, and a stream of one-shot instances does not
-pile up compilations nobody reads again.
+A compilation holds the structure only: the grouped arrays and the
+structure-only setup the kernels build on first use (the pin-union
+index, the visit order, the pointer lists, the reduceat offsets and
+ranking cells).  Nothing in it depends on the weights; a kernel gathers
+them from the instance it solves (``hg.hedge_w[ck.g_hedge]``, one
+gather per solve).
+
+Compilation is pure array work (no per-pin Python loop).  The cache is
+keyed by the *structure digest*
+(:func:`~repro.engine.cache.structure_digest`: the vertex counts and
+the pin lists, no weights), so every weight variant of one structure
+shares one compilation, bound per instance by :func:`compile_instance`.
+What depends on the weights is keyed by the *instance digest*
+(:func:`~repro.engine.cache.instance_digest`) elsewhere: the result
+cache, single-flight and pool routing.  The cache keeps a compilation
+only once it is reused: one structure solved by several heuristics,
+under several weights or again later is compiled once, and a stream of
+one-shot structures does not pile up compilations nobody reads again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+import sys
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
-from .._util import CACHE_BUDGET, SegmentedLRU
+from .._util import CACHE_BUDGET, SegmentedLRU, stable_argsort
 from ..core.hypergraph import TaskHypergraph
 from ..obs.trace import span
 
 __all__ = [
     "CompiledKernels",
+    "cached_structure",
     "compile_instance",
     "evict_compiled",
     "clear_compile_cache",
@@ -104,98 +119,197 @@ def union_positions(
     return pos, u_ptr, u_procs
 
 
+class _structural:
+    """A structure-only setup value of a :class:`CompiledKernels`.
+
+    Built from the compilation on first read and memoized in the memo
+    that every compilation of the structure shares (the cached entry
+    and each instance bound to it), so one weight variant's solve
+    reuses what another's built.  First writer wins: ``setdefault`` is
+    one atomic step, so a reader never sees a half-published value.
+    The thread that publishes re-prices the cached entry, which was
+    priced without it."""
+
+    def __init__(self, build: Callable[["CompiledKernels"], Any]):
+        self._build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, ck: "CompiledKernels | None", owner: type | None = None):
+        if ck is None:
+            return self
+        value = ck._memo.get(self._name)
+        if value is None:
+            built = self._build(ck)
+            value = ck._memo.setdefault(self._name, built)
+            if value is built:
+                entry = ck if ck._source is None else ck._source
+                _CACHE.reprice(ck.digest, entry)
+        return value
+
+
 @dataclass(frozen=True)
 class CompiledKernels:
-    """Task-grouped kernel arrays for one :class:`TaskHypergraph`.
+    """Task-grouped kernel arrays for one :class:`TaskHypergraph`
+    structure, bound to one instance of it.
+
+    Everything here depends on the structure alone (the vertex counts
+    and the pin lists), never on the weights, so one compilation
+    serves every weight variant of a structure: the compile cache keys
+    it by structure digest, and :func:`compile_instance` binds the
+    cached compilation to the instance asked for.  Kernels gather the
+    weights from that instance (``hg.hedge_w[ck.g_hedge]``).
 
     Attributes
     ----------
     hypergraph:
-        The source instance (its CSR arrays are shared, not copied).
+        The instance this compilation is bound to (its CSR arrays are
+        shared, not copied).  The cached entry is bound to the instance
+        it was built from.
     digest:
-        The engine's content digest — the compile-cache key.
+        The structure digest
+        (:func:`~repro.engine.cache.structure_digest`) — the
+        compile-cache key.
     g_hedge:
         Hyperedge id at each grouped position (``== task_hedges``).
-    g_w, g_size, g_ptr, g_pins:
-        Weight, pin count, pin CSR pointer and concatenated pin lists in
+    g_size, g_ptr, g_pins:
+        Pin count, pin CSR pointer and concatenated pin lists in
         grouped order: the pins of grouped candidate ``k`` are
         ``g_pins[g_ptr[k]:g_ptr[k+1]]``.
-    g_pin_w:
-        ``g_w`` repeated per pin (scatter payload for ranking kernels).
-    g_pin_row:
-        For each pin, its candidate's index *within its task* (the row
-        of the ranking matrix the pin scatters into).
-    g_pin_pos:
-        For each pin, its position inside the owning task's sorted
-        pin-union (the column of the ranking matrix).
-    u_ptr, u_procs:
-        CSR of per-task sorted pin-unions: the processors task ``v``
-        can touch are ``u_procs[u_ptr[v]:u_ptr[v+1]]`` (sorted,
-        duplicate-free).
     hedge_gpos:
         Inverse of ``g_hedge``: the grouped position of each hyperedge.
 
-    ``g_pin_w`` through ``u_procs`` form the pin-union index.  Only
-    VGH, EVG, GRASP and local search read it, so it is not a
-    constructor field: it is built on first access and published
-    atomically as one memo (a reader never sees ``u_ptr`` without
-    ``u_procs``), and a compile-cache entry is re-priced when it is.
+    The structure-only setup the kernels read is built on first read
+    and shared by every binding of the structure (see
+    :class:`_structural`), and the compile cache prices it once built:
+
+    * the pin-union index (``g_pin_row``, ``g_pin_pos``, ``u_ptr``,
+      ``u_procs``), published as one memo so a reader never sees
+      ``u_ptr`` without ``u_procs``.  Only VGH, EVG, GRASP and local
+      search read it;
+    * the greedy visit order and the pointer lists (``visit_order``,
+      ``task_ptr_list``, ``g_ptr_list``, ``u_ptr_list``): Python lists,
+      because a step indexes them with scalars;
+    * SGH/EGH's reduceat offsets and VGH/EVG's ranking-matrix cells
+      (``reduceat_offsets``, ``rank_cells``).
+
+    Every array here is a gathered copy, never a view of the source
+    instance's arrays, so a weight variant's solve reads nothing a
+    shared-memory segment behind the source instance could unmap.
     """
 
     hypergraph: TaskHypergraph
     digest: str
     g_hedge: np.ndarray
-    g_w: np.ndarray
     g_size: np.ndarray
     g_ptr: np.ndarray
     g_pins: np.ndarray
     hedge_gpos: np.ndarray
+    #: the structural memo, one dict shared by every binding
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+    #: the cached entry a binding was made from (None on the entry)
+    _source: "CompiledKernels | None" = field(
+        default=None, repr=False, compare=False
+    )
 
-    # -- the lazily built pin-union index --------------------------------
-    @property
-    def g_pin_w(self) -> np.ndarray:
-        return self._union_index()[0]
+    def bind(self, hg: TaskHypergraph) -> "CompiledKernels":
+        """This compilation bound to ``hg``, an instance of the same
+        structure: the grouped arrays and the memo are shared, only
+        ``hypergraph`` differs (``self`` when ``hg`` is already its
+        instance)."""
+        if hg is self.hypergraph:
+            return self
+        source = self if self._source is None else self._source
+        return replace(self, hypergraph=hg, _source=source)
+
+    # -- structure-only setup, built on first read -----------------------
+    @_structural
+    def _union(self) -> tuple[np.ndarray, ...]:
+        """The pin-union index, ``(g_pin_row, g_pin_pos, u_ptr,
+        u_procs)``."""
+        hg = self.hypergraph
+        nh = hg.n_hedges
+        deg = np.diff(hg.task_ptr)
+        task_of_g = np.repeat(np.arange(hg.n_tasks, dtype=np.int64), deg)
+        # candidate index within its task, per grouped position then
+        # per pin
+        local = np.arange(nh, dtype=np.int64) - np.repeat(
+            hg.task_ptr[:-1], deg
+        )
+        g_pin_row = np.repeat(local, self.g_size)
+        g_pin_pos, u_ptr, u_procs = union_positions(
+            np.repeat(task_of_g, self.g_size), self.g_pins, hg.n_tasks
+        )
+        return g_pin_row, g_pin_pos, u_ptr, u_procs
 
     @property
     def g_pin_row(self) -> np.ndarray:
-        return self._union_index()[1]
+        """For each pin, its candidate's index *within its task* (the
+        row of the ranking matrix the pin scatters into)."""
+        return self._union[0]
 
     @property
     def g_pin_pos(self) -> np.ndarray:
-        return self._union_index()[2]
+        """For each pin, its position inside the owning task's sorted
+        pin-union (the column of the ranking matrix)."""
+        return self._union[1]
 
     @property
     def u_ptr(self) -> np.ndarray:
-        return self._union_index()[3]
+        """CSR pointer of the per-task sorted pin-unions: the
+        processors task ``v`` can touch are
+        ``u_procs[u_ptr[v]:u_ptr[v+1]]`` (sorted, duplicate-free)."""
+        return self._union[2]
 
     @property
     def u_procs(self) -> np.ndarray:
-        return self._union_index()[4]
+        return self._union[3]
 
-    def _union_index(self) -> tuple[np.ndarray, ...]:
-        index = self.__dict__.get("_union_memo")
-        if index is None:
-            built = _build_union(self)
-            index = self._publish_union(*built)
-            if index[0] is built[0]:
-                # this thread published: the compile cache priced the
-                # entry without its union index, so re-price it
-                _CACHE.reprice(self.digest, self)
-        return index
+    @_structural
+    def visit_order(self) -> list[int]:
+        """The tasks by non-decreasing configuration count, ties in id
+        order (the sorted greedy heuristics' visit order)."""
+        return stable_argsort(np.diff(self.hypergraph.task_ptr)).tolist()
 
-    def _publish_union(
-        self,
-        g_pin_w: np.ndarray,
-        g_pin_row: np.ndarray,
-        g_pin_pos: np.ndarray,
-        u_ptr: np.ndarray,
-        u_procs: np.ndarray,
-    ) -> tuple[np.ndarray, ...]:
-        """Publish the pin-union index as one memo and return the memo
-        that stands (first writer wins: ``setdefault`` is one atomic
-        step, as in :meth:`TaskHypergraph._publish_proc_index`)."""
-        return self.__dict__.setdefault(
-            "_union_memo", (g_pin_w, g_pin_row, g_pin_pos, u_ptr, u_procs)
+    @_structural
+    def task_ptr_list(self) -> list[int]:
+        """``hypergraph.task_ptr`` as a list."""
+        return self.hypergraph.task_ptr.tolist()
+
+    @_structural
+    def g_ptr_list(self) -> list[int]:
+        """``g_ptr`` as a list."""
+        return self.g_ptr.tolist()
+
+    @_structural
+    def u_ptr_list(self) -> list[int]:
+        """``u_ptr`` as a list."""
+        return self.u_ptr.tolist()
+
+    @_structural
+    def reduceat_offsets(self) -> np.ndarray:
+        """``goff[a:b]``: the pin offsets of task ``v``'s grouped
+        candidates ``a:b`` relative to the task's first pin (its
+        reduceat indices)."""
+        ptr = self.hypergraph.task_ptr
+        return self.g_ptr[:-1] - np.repeat(self.g_ptr[ptr[:-1]], np.diff(ptr))
+
+    @_structural
+    def rank_cells(self) -> np.ndarray:
+        """Flat cell of every grouped pin in its task's ranking matrix.
+
+        Task ``v``'s candidates are ranked over a ``(d_v, |U_v|)``
+        matrix (row = candidate, column = position in the sorted
+        pin-union ``U_v``); pin ``i`` of the task lands at
+        ``row * |U_v| + pos``, so one 1-D scatter fills the whole
+        matrix."""
+        task_pins = np.diff(self.g_ptr[self.hypergraph.task_ptr])
+        union_size = np.diff(self.u_ptr)
+        return (
+            self.g_pin_row * np.repeat(union_size, task_pins)
+            + self.g_pin_pos
         )
 
     # -- delegated shape properties -------------------------------------
@@ -218,8 +332,10 @@ class CompiledKernels:
 
     def decompile(self) -> TaskHypergraph:
         """Rebuild an equal :class:`TaskHypergraph` from the grouped
-        arrays alone (round-trip property: ``decompile()`` equals the
-        source instance array-for-array)."""
+        arrays and the bound instance's weights (round-trip property:
+        ``compile_instance(hg).decompile()`` equals ``hg``
+        array-for-array, whichever weight variant of the structure the
+        cached compilation was built from)."""
         hg = self.hypergraph
         task_of_g = np.repeat(
             np.arange(hg.n_tasks, dtype=np.int64), np.diff(hg.task_ptr)
@@ -233,20 +349,22 @@ class CompiledKernels:
                 self.g_pins[self.g_ptr[k] : self.g_ptr[k + 1]]
                 for k in order
             ],
-            self.g_w[order],
+            hg.hedge_w.copy(),
         )
 
 
 def _compile(hg: TaskHypergraph, digest: str) -> CompiledKernels:
     nh = hg.n_hedges
     sizes = np.diff(hg.hedge_ptr)
-    g_hedge = np.ascontiguousarray(hg.task_hedges, dtype=np.int64)
-    g_w = np.ascontiguousarray(hg.hedge_w[g_hedge])
-    g_size = np.ascontiguousarray(sizes[g_hedge])
+    # a copy even when task_hedges is int64 already: the compilation
+    # outlives this instance for every weight variant of the structure,
+    # and this instance's arrays may view a shared-memory segment
+    g_hedge = np.array(hg.task_hedges, dtype=np.int64)
+    g_size = sizes[g_hedge]
     g_ptr = np.zeros(nh + 1, dtype=np.int64)
     np.cumsum(g_size, out=g_ptr[1:])
     pin_idx = flat_ranges(hg.hedge_ptr[:-1][g_hedge], g_size)
-    g_pins = np.ascontiguousarray(hg.hedge_procs[pin_idx])
+    g_pins = hg.hedge_procs[pin_idx]
     hedge_gpos = np.empty(nh, dtype=np.int64)
     hedge_gpos[g_hedge] = np.arange(nh, dtype=np.int64)
 
@@ -254,33 +372,11 @@ def _compile(hg: TaskHypergraph, digest: str) -> CompiledKernels:
         hypergraph=hg,
         digest=digest,
         g_hedge=g_hedge,
-        g_w=g_w,
         g_size=g_size,
         g_ptr=g_ptr,
         g_pins=g_pins,
         hedge_gpos=hedge_gpos,
     )
-
-
-def _build_union(ck: CompiledKernels) -> tuple[np.ndarray, ...]:
-    """The pin-union index of ``ck``, in ``_publish_union`` order."""
-    hg = ck.hypergraph
-    nh = hg.n_hedges
-    g_size, g_pins = ck.g_size, ck.g_pins
-    g_pin_w = np.repeat(ck.g_w, g_size)
-
-    deg = np.diff(hg.task_ptr)
-    task_of_g = np.repeat(np.arange(hg.n_tasks, dtype=np.int64), deg)
-    # candidate index within its task, per grouped position then per pin
-    local = np.arange(nh, dtype=np.int64) - np.repeat(
-        hg.task_ptr[:-1], deg
-    )
-    g_pin_row = np.repeat(local, g_size)
-
-    g_pin_pos, u_ptr, u_procs = union_positions(
-        np.repeat(task_of_g, g_size), g_pins, hg.n_tasks
-    )
-    return g_pin_w, g_pin_row, g_pin_pos, u_ptr, u_procs
 
 
 def _owner(arr: np.ndarray) -> tuple[Any, int]:
@@ -311,26 +407,42 @@ def _owner(arr: np.ndarray) -> tuple[Any, int]:
 _COMPILED_OVERHEAD = 3584
 
 
+#: What one Python ``int`` in a pointer list costs beside its slot in
+#: the list: the int object (28 bytes, allocated in 32-byte blocks).
+#: With the slot, an n=10240 ``g_ptr`` list measured 40.0 bytes per
+#: entry with tracemalloc.
+_LIST_INT_NBYTES = 32
+
+
 def compiled_nbytes(compiled: CompiledKernels) -> int:
     """Approximate heap footprint of one compilation: the sum over the
     unique buffers its arrays keep alive (kernel fields share storage
     with the hypergraph's CSR arrays, so buffers are deduplicated by
-    identity).  A view is priced at the whole buffer it pins — a
-    weights view over a received frame costs the frame.  The lazily
-    built indexes count only once built; pricing never builds them.
-    A fixed per-compilation overhead covers the objects around the
-    buffers."""
+    identity), plus its structural setup once built.  A view is priced
+    at the whole buffer it pins — a weights view over a received frame
+    costs the frame.  The lazily built indexes and setup count only
+    once built; pricing never builds them.  A pointer list is priced at
+    its slots and its int objects.  A fixed per-compilation overhead
+    covers the objects around the buffers."""
     hg = compiled.hypergraph
     seen: set[int] = set()
     total = 0
-    for arr in (
-        compiled.g_hedge, compiled.g_w, compiled.g_size, compiled.g_ptr,
+    arrays = [
+        compiled.g_hedge, compiled.g_size, compiled.g_ptr,
         compiled.g_pins, compiled.hedge_gpos,
-        *compiled.__dict__.get("_union_memo", ()),
         hg.hedge_task, hg.hedge_ptr, hg.hedge_procs, hg.hedge_w,
         hg.task_ptr, hg.task_hedges,
         *hg.__dict__.get("_proc_index_memo", ()),
-    ):
+    ]
+    # a snapshot: another thread may publish setup meanwhile
+    for _, value in sorted(compiled._memo.items()):
+        if isinstance(value, list):
+            total += sys.getsizeof(value) + _LIST_INT_NBYTES * len(value)
+        elif isinstance(value, tuple):
+            arrays.extend(value)
+        else:
+            arrays.append(value)
+    for arr in arrays:
         owner, nbytes = _owner(arr)
         if id(owner) not in seen:
             seen.add(id(owner))
@@ -338,26 +450,32 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
     return total + _COMPILED_OVERHEAD
 
 
-#: Digest-keyed compilations, admitted on reuse.  A new compilation
-#: enters a two-entry probation segment; a second request for the digest
-#: (a hit there, or a digest evicted from probation that comes back)
-#: moves it to the protected segment, which only the process's
-#: :data:`~repro._util.CACHE_BUDGET` bounds (both segments charge it;
-#: protected keeps half the budget however much the other caches want).
-#: Distinct one-shot instances (a cold request stream, every version of
-#: a churned dynamic instance) therefore retain two compilations, not a
-#: budget's worth: at n=10240 one costs ~11 MiB, and retaining ~17 of
-#: them that were never read again was most of a serving process's peak
-#: RSS.  The two probation slots are not zero on purpose: with nothing
-#: retained the allocator hands the freed heap back to the kernel and
-#: every request re-faults it (~2000 minor faults per n=10240 request,
-#: measured), while two retained compilations keep the heap turning
-#: over with no faults.  Keeping the compilation on its instance instead
-#: would need a reference cycle, freed only by the cyclic GC, which
-#: measured worse than the old cache.
+#: Compilations keyed by structure digest, admitted on reuse.  The key
+#: leaves the weights out, so every weight variant of one structure (a
+#: paper table's unit and ``-W`` rows, a stream of reweighted requests)
+#: shares one compilation and its setup; what depends on the weights is
+#: keyed by instance digest elsewhere (the result cache) or gathered per
+#: solve by the kernels.
+#: A new compilation enters a two-entry probation segment; a second
+#: request for the structure (a hit there, or a digest evicted from
+#: probation that comes back) moves it to the protected segment, which
+#: only the process's :data:`~repro._util.CACHE_BUDGET` bounds (both
+#: segments charge it; protected keeps half the budget however much the
+#: other caches want).
+#: Distinct one-shot structures (a cold stream of unrelated instances,
+#: every version of a churned dynamic instance) therefore retain two
+#: compilations, not a budget's worth: at n=10240 one costs ~11 MiB,
+#: and retaining ~17 of them that were never read again was most of a
+#: serving process's peak RSS.  The two probation slots are not zero on
+#: purpose: with nothing retained the allocator hands the freed heap
+#: back to the kernel and every request re-faults it (~2000 minor
+#: faults per n=10240 request, measured), while two retained
+#: compilations keep the heap turning over with no faults.  Keeping the
+#: compilation on its instance instead would need a reference cycle,
+#: freed only by the cyclic GC, which measured worse than the old cache.
 #: The ghost digests (:data:`~repro._util.GHOST_KEYS`) cover reuse far
 #: apart, such as a method-major sweep over held instances through an
-#: engine: each instance is compiled at most twice there.
+#: engine: each structure is compiled at most twice there.
 _CACHE = SegmentedLRU(
     sizeof=compiled_nbytes, budget=CACHE_BUDGET, share=0.5
 )
@@ -366,29 +484,35 @@ _CACHE = SegmentedLRU(
 def compile_instance(
     hg: TaskHypergraph, *, digest: str | None = None
 ) -> CompiledKernels:
-    """Compile ``hg``, through the digest-keyed compile cache.
+    """Compile ``hg``, through the structure-keyed compile cache.
+
+    Returns the compilation bound to ``hg`` (see
+    :meth:`CompiledKernels.bind`): a weight variant of a cached
+    structure gets the cached grouped arrays and setup with its own
+    instance, and kernels read its weights from that instance.
 
     The cache admits a compilation on reuse (see ``_CACHE``): a
-    compilation asked for twice, by two solvers of one instance or by a
-    returning digest, is kept under the process cache budget; one asked
-    for once is kept only until two newer first-time compilations
-    displace it.
+    structure asked for twice, by two solvers of one instance, by two
+    weight variants or by a returning instance, is kept under the
+    process cache budget; one asked for once is kept only until two
+    newer first-time compilations displace it.
 
-    Pass ``digest=`` when the caller already computed it (the engine's
-    result-cache path does); otherwise it is computed here.
+    Pass ``digest=`` when the caller already has the structure digest;
+    otherwise it is read from ``hg``'s memo or computed here
+    (:func:`~repro.engine.cache.structure_digest`).
     """
     if digest is None:
         # runtime import: kernels must stay importable before the
         # engine package (algorithms import kernels at module load)
-        from ..engine.cache import instance_digest
+        from ..engine.cache import structure_digest
 
-        digest = instance_digest(hg)
+        digest = structure_digest(hg)
     hit = _CACHE.get(digest)
     if hit is not None:
-        return hit
-    # boundary span, not a hot loop: one compile per new digest, and the
-    # disabled path is a flag check
-    with span("kernels.compile") as sp:  # repro: ignore[span-hygiene] — cache-miss boundary, runs once per instance digest, never inside solver inner loops
+        return hit.bind(hg)
+    # boundary span, not a hot loop: one compile per new structure, and
+    # the disabled path is a flag check
+    with span("kernels.compile") as sp:  # repro: ignore[span-hygiene] — cache-miss boundary, runs once per structure digest, never inside solver inner loops
         compiled = _compile(hg, digest)
         if sp.recording:
             sp.set(digest=digest[:12], n_tasks=hg.n_tasks)
@@ -396,11 +520,23 @@ def compile_instance(
     return compiled
 
 
+def cached_structure(digest: str) -> TaskHypergraph | None:
+    """The instance the cached compilation of structure ``digest`` was
+    built from, or None.  Its structure passed
+    :meth:`TaskHypergraph.from_csr`'s checks, so a server that receives
+    arrays of the same structure digest builds the request's instance
+    as ``cached_structure(d).with_weights(weights)`` instead of
+    validating them again.  A lookup here neither counts nor promotes:
+    the solve's :func:`compile_instance` does both."""
+    entry = _CACHE.peek(digest)
+    return None if entry is None else entry.hypergraph
+
+
 def evict_compiled(digest: str) -> None:
-    """Drop one cached compilation from either segment (no-op when
-    absent).  The engine's shared-memory transport calls this when a
-    worker unmaps a segment whose arrays a cached compilation may
-    view."""
+    """Drop the cached compilation of structure ``digest`` from either
+    segment (no-op when absent).  The engine's shared-memory transport
+    calls this when a worker unmaps a segment whose instance the cached
+    compilation may have been built from."""
     _CACHE.pop(digest)
 
 

@@ -49,7 +49,8 @@ from ..api.result import SolveResult
 from ..core.hypergraph import TaskHypergraph
 from .._util import CACHE_BUDGET
 from ..engine.batch import BatchSolver, cache_report
-from ..engine.cache import instance_digest
+from ..engine.cache import instance_digest, packed_digests, seed_digests
+from ..kernels import cached_structure
 from ..obs.health import HealthBudget, score_fleet
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import (
@@ -79,7 +80,7 @@ from .protocol import (
     validate_request,
 )
 from .sessions import SessionManager
-from .wire import hypergraph_from_wire, packed_arrays
+from .wire import hypergraph_from_wire, packed_instance
 
 __all__ = ["SolveServer"]
 
@@ -670,12 +671,46 @@ class SolveServer:
         }
 
     def _parse_instance(self, data: Any) -> TaskHypergraph:
-        hg = hypergraph_from_wire(data)
-        # digest here, on the executor: the memo then makes the on-loop
-        # dedup/routing key a lookup.  A hypergraph's digest hashes the
-        # frame's attachment views as they arrived (from_csr checked
-        # them): no narrowing copy
-        instance_digest(hg, packed=packed_arrays(data))
+        """The request's instance, with its digests memoized (runs on
+        the executor, so the on-loop dedup/routing key is a lookup).
+
+        A hypergraph's arrays are checked for kind, count bound,
+        ``version`` and dtype, then hashed first, as they arrived (the
+        frame's attachment views: no narrowing copy), into its
+        *structure* digest (counts and pin lists: the compile cache's
+        key) and its *instance* digest (the weights too: the result
+        cache, single-flight and pool routing key).  When the compile
+        cache holds a compilation of the structure, its instance passed
+        ``from_csr`` already, so the request's instance is that one
+        under the request's weights (``with_weights`` still checks
+        their shape and that they are finite and positive).  Otherwise
+        ``from_csr`` validates everything."""
+        packed = packed_instance(data)
+        if packed is None:
+            hg = hypergraph_from_wire(data)
+            instance_digest(hg)
+            return hg
+        n_tasks, n_procs, arrays = packed
+        hedge_task, hedge_ptr, hedge_procs, weights = arrays
+        structure, digest = packed_digests(n_tasks, n_procs, *arrays)
+        # equal digests mean equal hashed bytes; they split into the
+        # same three arrays only when hedge_ptr has one entry per
+        # hyperedge plus one, as it has in the cached instance
+        cached = (
+            cached_structure(structure)
+            if hedge_task.ndim == hedge_procs.ndim == 1
+            and hedge_ptr.shape == (hedge_task.shape[0] + 1,)
+            else None
+        )
+        # a copy stops the weights from pinning the frame they arrived in
+        weights = weights.copy()
+        if cached is not None:
+            hg = cached.with_weights(weights)
+        else:
+            hg = TaskHypergraph.from_csr(
+                n_tasks, n_procs, hedge_task, hedge_ptr, hedge_procs, weights
+            )
+        seed_digests(hg, structure, digest)
         return hg
 
     _OPTION_FIELDS = tuple(f.name for f in fields(SolveOptions))

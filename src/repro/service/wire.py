@@ -14,18 +14,17 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from ..core.errors import GraphStructureError
 from ..core.hypergraph import TaskHypergraph
 from ..dynamic import DynamicInstance
-from ..io.serialize import unpack_hypergraph
+from ..io.serialize import packed_fields, unpack_hypergraph
 from .protocol import MAX_FRAME_BYTES, ErrorCode, ProtocolError
 
-__all__ = ["hypergraph_from_wire", "dynamic_from_wire", "packed_arrays"]
+__all__ = ["hypergraph_from_wire", "dynamic_from_wire", "packed_instance"]
 
 _KINDS = ("hypergraph", "bipartite", "dynamic-instance")
-
-#: a hypergraph's packed arrays, in digest order
-_PACKED_FIELDS = ("hedge_task", "hedge_ptr", "hedge_procs", "weights")
 
 #: The largest vertex count a wire instance may declare (for a dynamic
 #: state, the largest handle counter): no count may make one int64
@@ -70,6 +69,32 @@ def _checked_kind(data: Any, what: str) -> str:
     return kind
 
 
+def packed_instance(
+    data: Any, what: str = "instance"
+) -> tuple[int, int, tuple[np.ndarray, ...]] | None:
+    """A ``hypergraph`` wire dict's counts and four packed arrays
+    (``hedge_task``, ``hedge_ptr``, ``hedge_procs``, ``weights``: the
+    frame's attachment views, as they arrived), as
+    :func:`~repro.io.serialize.packed_fields` returns them; ``None``
+    for the other kinds.
+
+    Runs every check :func:`hypergraph_from_wire` runs before the CSR
+    content: the kind, the vertex-count bound, the file-format
+    ``version`` and the array dtypes.  The CSR content is left to
+    ``from_csr`` (or, for a structure the compile cache holds, to the
+    checks that built it)."""
+    if _checked_kind(data, what) != "hypergraph":
+        return None
+    if "version" in data:
+        raise ProtocolError(
+            f"{what} is a hypergraph in the file format "
+            "(repro.io.serialize version 1 or 2); over the wire a "
+            "hypergraph's arrays travel as frame attachments",
+            code=ErrorCode.BAD_REQUEST,
+        )
+    return packed_fields(data)
+
+
 def hypergraph_from_wire(data: Any, what: str = "instance") -> TaskHypergraph:
     """The wire dict as an immutable :class:`TaskHypergraph`.
 
@@ -79,32 +104,14 @@ def hypergraph_from_wire(data: Any, what: str = "instance") -> TaskHypergraph:
     answers ``bad-request``, and so does an unversioned pin-list dict,
     which lacks ``hedge_ptr``.  ``dynamic-instance`` states are accepted too —
     solving one means solving its current compiled content."""
-    kind = _checked_kind(data, what)
-    if kind == "hypergraph":
-        if "version" in data:
-            raise ProtocolError(
-                f"{what} is a hypergraph in the file format "
-                "(repro.io.serialize version 1 or 2); over the wire a "
-                "hypergraph's arrays travel as frame attachments",
-                code=ErrorCode.BAD_REQUEST,
-            )
+    if packed_instance(data, what) is not None:
         return unpack_hypergraph(data)
+    kind = data["kind"]
     if kind == "bipartite":
         from ..io.serialize import bipartite_from_dict
 
         return TaskHypergraph.from_bipartite(bipartite_from_dict(data))
     return DynamicInstance.from_state(data).to_hypergraph()
-
-
-def packed_arrays(data: Any) -> tuple | None:
-    """A ``hypergraph`` wire dict's four packed arrays (``hedge_task``,
-    ``hedge_ptr``, ``hedge_procs``, ``weights``), the frame's
-    attachment views, for :func:`~repro.engine.cache.instance_digest`
-    to hash as they arrived; ``None`` for the other kinds.  Call it on
-    a dict :func:`hypergraph_from_wire` accepted."""
-    if data.get("kind") != "hypergraph":
-        return None
-    return tuple(data[key] for key in _PACKED_FIELDS)
 
 
 def dynamic_from_wire(data: Any, what: str = "baseline") -> DynamicInstance:

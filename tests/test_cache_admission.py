@@ -51,7 +51,8 @@ def _segments():
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Counts real compilations per digest (cache misses that built)."""
+    """Counts real compilations per structure digest (cache misses
+    that built)."""
     clear_compile_cache()
     counts: Counter = Counter()
     build = compiled._compile
@@ -86,6 +87,20 @@ class TestAdmission:
         stats = _segments()
         assert (stats["protected"], stats["probation"]) == (1, 0)
         assert stats["hits"] == len(PAPER_METHODS) - 1
+
+    def test_the_weight_variants_of_a_structure_share_one_compilation(
+        self, compiles
+    ):
+        """A paper table's unit and ``-W`` instances of one draw: the
+        second is a return of the structure, so it promotes the one
+        compilation instead of building another."""
+        (hg,) = _instances(1, seed0=50)
+        engine = _serial_engine()
+        engine.solve_many([hg.unit(), hg], method="SGH")
+        assert list(compiles.values()) == [1]
+        stats = _segments()
+        assert (stats["protected"], stats["probation"]) == (1, 0)
+        assert stats["promotions"] == 1
 
     def test_the_runner_compiles_each_instance_once(self, compiles):
         # more held instances than any fixed ghost list of old (64)

@@ -8,7 +8,12 @@ import pytest
 from repro import BatchSolver, SchedulingProblem, SolveResult, solve, solve_many
 from repro.core import TaskHypergraph
 from repro.api import Portfolio, get_registry
-from repro.engine import ResultCache, instance_digest, solve_hypergraph
+from repro.engine import (
+    ResultCache,
+    instance_digest,
+    solve_hypergraph,
+    structure_digest,
+)
 from repro.engine.cache import _ENTRY_OVERHEAD
 from repro.experiments import run_instances
 from repro.experiments.instances import SMALL_SPECS
@@ -524,8 +529,8 @@ class TestTransportAndWarmPool:
 
     def test_attachment_eviction_purges_its_compilation(self, monkeypatch):
         """An attachment that overflows the byte budget evicts the
-        oldest, and that segment's kernel compilation leaves the
-        compile cache before the segment is unmapped."""
+        oldest, and the compilation of that segment's structure leaves
+        the compile cache before the segment is unmapped."""
         from repro._util import BoundedLRU, ByteBudget
         from repro.engine import transport
         from repro.generators import generate_multiproc
@@ -534,8 +539,17 @@ class TestTransportAndWarmPool:
         if not transport.transport_available():  # pragma: no cover
             pytest.skip("no shared memory on this platform")
         base = generate_multiproc(8, 4, g=2, seed=0)
-        # one structure, three weightings: equal segment sizes
-        hgs = [base.with_weights(base.hedge_w + s) for s in range(3)]
+        # three processor relabellings of one instance: equal segment
+        # sizes, three structures (the compile cache keys by structure)
+        hgs = [
+            TaskHypergraph.from_csr(
+                base.n_tasks, base.n_procs, base.hedge_task,
+                base.hedge_ptr, (base.hedge_procs + s) % base.n_procs,
+                base.hedge_w,
+            )
+            for s in range(3)
+        ]
+        assert len({structure_digest(hg) for hg in hgs}) == 3
         budget = ByteBudget(0)
         attached = BoundedLRU(
             budget=budget, sizeof=transport._attachment_nbytes,

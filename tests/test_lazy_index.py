@@ -1,8 +1,8 @@
 """The processor index and the pin-union index are built on first access.
 
 :class:`TaskHypergraph` builds ``proc_ptr``/``proc_hedges`` and
-:class:`CompiledKernels` builds ``g_pin_w``/``g_pin_row``/``g_pin_pos``/
-``u_ptr``/``u_procs`` only when a solver reads them.  These tests hold
+:class:`CompiledKernels` builds ``g_pin_row``/``g_pin_pos``/``u_ptr``/
+``u_procs`` only when a solver reads them.  These tests hold
 the laziness (SGH and EGH build neither index, locally or behind the
 service), the publication rules (one memo, first writer wins, never
 copied by ``dataclasses.replace``), pickling, and the compile cache's
@@ -25,7 +25,7 @@ from hypothesis import given, settings
 
 from repro.api import solve
 from repro.core import TaskHypergraph
-from repro.engine.cache import instance_digest
+from repro.engine.cache import structure_digest
 from repro.generators import generate_multiproc
 from repro.io import hypergraph_from_dict, hypergraph_to_dict
 from repro.kernels import (
@@ -43,8 +43,8 @@ from repro.kernels.compiled import (
 from strategies import task_hypergraphs
 
 _PROC_MEMO = "_proc_index_memo"
-_UNION_MEMO = "_union_memo"
-_UNION_FIELDS = ("g_pin_w", "g_pin_row", "g_pin_pos", "u_ptr", "u_procs")
+_UNION_MEMO = "_union"
+_UNION_FIELDS = ("g_pin_row", "g_pin_pos", "u_ptr", "u_procs")
 
 
 def _instance(seed: int = 3):
@@ -59,27 +59,26 @@ def _proc_built(hg) -> bool:
 
 
 def _union_built(ck) -> bool:
-    return _UNION_MEMO in ck.__dict__
+    # the structural memo every binding of the structure shares
+    return _UNION_MEMO in ck._memo
 
 
 def _union_oracle(ck) -> tuple[np.ndarray, ...]:
     """The pin-union index of ``ck``, one task at a time with
     ``np.unique``, in ``_UNION_FIELDS`` order."""
     ptr = ck.hypergraph.task_ptr
-    pin_w, pin_row, pin_pos, unions = [], [], [], []
+    pin_row, pin_pos, unions = [], [], []
     for v in range(ck.n_tasks):
         cands = range(ptr[v], ptr[v + 1])
         pins = [ck.g_pins[ck.g_ptr[k] : ck.g_ptr[k + 1]] for k in cands]
         union = np.unique(np.concatenate(pins)) if pins else pins
         unions.append(np.asarray(union, dtype=np.int64))
         for row, (k, part) in enumerate(zip(cands, pins)):
-            pin_w.extend([ck.g_w[k]] * part.shape[0])
             pin_row.extend([row] * part.shape[0])
             pin_pos.extend(np.searchsorted(union, part).tolist())
     u_ptr = np.zeros(ck.n_tasks + 1, dtype=np.int64)
     np.cumsum([u.shape[0] for u in unions], out=u_ptr[1:])
     return (
-        np.asarray(pin_w, dtype=np.float64),
         np.asarray(pin_row, dtype=np.int64),
         np.asarray(pin_pos, dtype=np.int64),
         u_ptr,
@@ -138,7 +137,8 @@ class TestSolversReadOnlyWhatTheyNeed:
                 remote = client.solve(hg, method=method)
         local = solve(hg, method=method)
         assert np.array_equal(remote.assignment, local.hedge_of_task)
-        # the server's own parse of the wire instance is the other entry
+        # the server's parse of the wire instance built the one entry,
+        # which the local solve of the same structure reused
         served = [
             ck for ck in _cached_compilations() if ck.hypergraph is not hg
         ]
@@ -160,10 +160,10 @@ class TestPublication:
         ck = compile_instance(hg)
         assert not _union_built(ck)
         u_procs = ck.u_procs
-        assert ck.__dict__[_UNION_MEMO][4] is u_procs
+        assert ck._memo[_UNION_MEMO][3] is u_procs
         assert all(
             getattr(ck, f) is a
-            for f, a in zip(_UNION_FIELDS, ck.__dict__[_UNION_MEMO])
+            for f, a in zip(_UNION_FIELDS, ck._memo[_UNION_MEMO])
         )
 
     def test_replace_never_carries_a_stale_index(self):
@@ -200,10 +200,10 @@ class TestPublication:
         for t in threads:
             t.join(30)
             assert not t.is_alive()
-        union, procs = ck.__dict__[_UNION_MEMO], hg.__dict__[_PROC_MEMO]
+        union, procs = ck._memo[_UNION_MEMO], hg.__dict__[_PROC_MEMO]
         for u_procs, g_pin_pos, proc_hedges, proc_ptr in seen:
             # both readers got the arrays of the one published memo
-            assert u_procs is union[4] and g_pin_pos is union[2]
+            assert u_procs is union[3] and g_pin_pos is union[1]
             assert proc_hedges is procs[1] and proc_ptr is procs[0]
 
 
@@ -212,7 +212,7 @@ class TestPickling:
     @settings(max_examples=25, deadline=None)
     def test_round_trip_before_and_after_the_build(self, hg):
         hg = dataclasses.replace(hg)  # a copy whose memos start empty
-        digest = instance_digest(hg)
+        digest = structure_digest(hg)
         ck = _compile(hg, digest)
         before = pickle.loads(pickle.dumps(ck))
         assert not _proc_built(before.hypergraph)
@@ -226,7 +226,7 @@ class TestPickling:
         assert _proc_built(after.hypergraph) and _union_built(after)
         for copy in (before, after):
             assert copy.digest == digest
-            assert instance_digest(copy.hypergraph) == digest
+            assert structure_digest(copy.hypergraph) == digest
             for f in ("proc_ptr", "proc_hedges"):
                 np.testing.assert_array_equal(
                     getattr(copy.hypergraph, f), getattr(hg, f), err_msg=f

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import GraphStructureError, InfeasibleError
 from repro.dynamic import DynamicInstance
-from repro.engine.cache import instance_digest
+from repro.engine.cache import instance_digest, structure_digest
 from repro.generators import generate_multiproc
 from repro.kernels import compile_instance
 from repro.kernels.compiled import _compile
@@ -40,16 +40,16 @@ _HG_FIELDS = (
 )
 _KERNEL_FIELDS = (
     "g_hedge",
-    "g_w",
     "g_size",
     "g_ptr",
     "g_pins",
-    "g_pin_w",
     "g_pin_row",
     "g_pin_pos",
     "u_ptr",
     "u_procs",
     "hedge_gpos",
+    "reduceat_offsets",
+    "rank_cells",
 )
 
 
@@ -73,12 +73,14 @@ def assert_identical_compilation(inst: DynamicInstance) -> None:
     assert inst.digest() == digest
     # the kernels every solver of this version shares vs a fresh compile
     ck = inst.compiled_kernels()
-    ok = _compile(oracle.hypergraph, digest)
+    assert ck.hypergraph is compiled.hypergraph  # bound to this version
+    structure = structure_digest(oracle.hypergraph)
+    ok = _compile(oracle.hypergraph, structure)
     for f in _KERNEL_FIELDS:
         a, b = getattr(ck, f), getattr(ok, f)
         assert a.dtype == b.dtype, f
         np.testing.assert_array_equal(a, b, err_msg=f)
-    assert ck.digest == ok.digest == digest
+    assert ck.digest == ok.digest == structure
 
 
 def _fresh():
@@ -266,8 +268,8 @@ class TestAssignmentToDense:
 
 def test_compiled_kernels_is_the_cached_compile():
     """``compiled_kernels()`` goes through the compile cache under the
-    snapshot's digest, so a solver compiling ``to_hypergraph()`` gets
-    the very same artifact."""
+    snapshot's structure digest, so a solver compiling
+    ``to_hypergraph()`` gets the very same artifact."""
     hg = generate_multiproc(16, 8, g=4, seed=29)
     inst = DynamicInstance.from_hypergraph(hg)
     inst.add_processor()

@@ -496,6 +496,16 @@ class TestSingleFlight:
         cache = ResultCache()
         engine = BatchSolver(max_workers=1, executor="serial", cache=cache)
         n = 16
+        # the leader's solve is held until every request has arrived, so
+        # the outcome does not depend on how fast the burst is parsed
+        arrived = threading.Event()
+        solve_many = engine.solve_many
+
+        def held_solve_many(*args, **kwargs):
+            assert arrived.wait(60), "the burst never arrived"
+            return solve_many(*args, **kwargs)
+
+        engine.solve_many = held_solve_many
         with running_server(engine=engine, max_delay_s=0.05) as (
             server,
             loop,
@@ -510,7 +520,14 @@ class TestSingleFlight:
                 finally:
                     await client.close()
 
-            results = on_loop(loop, burst())
+            pending = asyncio.run_coroutine_threadsafe(burst(), loop)
+            # every request but the leader's has joined its flight
+            deadline = time.monotonic() + 60
+            while server.flight.followers < n - 1 and not pending.done():
+                assert time.monotonic() < deadline, "followers never came"
+                time.sleep(0.005)
+            arrived.set()
+            results = pending.result(60)
             followers = server.flight.followers
         # exactly ONE engine solve happened for the n requests: every
         # request either shared the flight (a follower) or, if it
