@@ -17,13 +17,17 @@ family swept at fixed ``n/p`` ratio):
   - VGH, EGH and EVG are at least ``MIN_SPEEDUP``x faster on the
     numpy backend;
 
-  and three more on their own legs: the churn compile, shared-memory
-  transport and incremental repair (``repair``: a session-sized
+  and four more on their own legs: the churn compile, shared-memory
+  transport, incremental repair (``repair``: a session-sized
   instance repaired under EVG in 16-mutation churn batches, its cost
   per local-search move held to ``MAX_MOVE_STEPS`` warm EVG kernel
-  steps).  ``--reference-src DIR`` records the repair leg against
-  another checkout's ``src/`` too, as ``repair.reference``, and fails
-  unless both end at the same bottleneck after the same moves.
+  steps) and ranking setup (``ranking``: the compilation's bytes per
+  pin once all four heuristics have solved the guarded size, held to
+  ``MAX_BYTES_PER_PIN``, and the first VGH solve's setup over a warm
+  one).  ``--reference-src DIR`` records the repair and ranking legs
+  against another checkout's ``src/`` too, as ``repair.reference`` and
+  ``ranking.reference``, and fails unless the repair legs end at the
+  same bottleneck after the same moves.
 
 All instances derive from one ``--bench-seed`` (default 0), so the
 JSON numbers are reproducible run-to-run.
@@ -88,6 +92,15 @@ REPAIR_GROUP = 4
 #: pins with one repeat, reads 12.0–13.6 steps per move; one scan over
 #: all of them with per-row and per-pin repeats reads 14.7–16.8
 MAX_MOVE_STEPS = 14.0
+
+#: ranking guard: what one compilation of the guarded size costs per
+#: pin (``compiled_nbytes``) once SGH, VGH, EGH and EVG have all solved
+#: it, its setup built.  VGH and EVG rank a task's candidates over its
+#: own pins: 37.1 bytes per pin; with the pin-union index and its
+#: ranking cells behind them, 61.9
+MAX_BYTES_PER_PIN = 45.0
+#: fresh compilations the ranking leg times a first VGH solve on
+RANKING_ROUNDS = 5
 
 
 def _hyp_algo(name):
@@ -336,14 +349,54 @@ def _repair_section(smoke: bool, seed: int) -> dict:
     return row
 
 
-def _reference_repair(src: str, smoke: bool, seed: int) -> dict:
-    """The repair leg measured against another checkout's ``src/`` in a
-    child interpreter (this file's code, that tree's ``repro``)."""
+def _ranking_section(seed: int) -> dict:
+    """VGH/EVG ranking setup at the guarded size: the compilation's
+    bytes per pin after SGH, VGH, EGH and EVG, and the first VGH solve's
+    setup over a warm one.  Each round compiles afresh, solves SGH (its
+    setup: the visit order and pointer lists), then times VGH twice; the
+    first solve's extra time is what the ranking setup costs.  The
+    median over ``RANKING_ROUNDS`` rounds counts."""
+    from repro.kernels import clear_compile_cache
+    from repro.kernels.compiled import compiled_nbytes
+
+    n, p = SIZES[-1]
+    hg = _instance(n, p, seed)
+    sgh, vgh = _hyp_algo("SGH"), _hyp_algo("VGH")
+    setups = []
+    for _ in range(RANKING_ROUNDS):
+        clear_compile_cache()
+        compile_instance(hg)
+        sgh(hg, backend="numpy")
+        t_first, _ = _time(vgh, hg, backend="numpy")
+        t_warm, _ = _time(vgh, hg, backend="numpy")
+        setups.append((t_first - t_warm) / t_warm)
+    ck = compile_instance(hg)
+    for name in ("EGH", "EVG"):
+        _hyp_algo(name)(hg, backend="numpy")
+    row = {
+        "n": n,
+        "p": p,
+        "pins": int(hg.total_pins),
+        "bytes_per_pin": round(compiled_nbytes(ck) / hg.total_pins, 2),
+        "vgh_setup_over_warm": round(statistics.median(setups), 3),
+    }
+    clear_compile_cache()
+    print(
+        f"ranking n={n}: {row['bytes_per_pin']:.1f} bytes per pin, "
+        f"first VGH setup {row['vgh_setup_over_warm']:.3f}x a warm solve"
+    )
+    return row
+
+
+def _reference_leg(src: str, call: str) -> dict:
+    """``bench_scaling.<call>`` measured against another checkout's
+    ``src/`` in a child interpreter (this file's code, that tree's
+    ``repro``)."""
     here = Path(__file__).resolve().parent
     code = (
         f"import json, sys; sys.path.insert(0, {str(here)!r}); "
         "import bench_scaling; "
-        f"print(json.dumps(bench_scaling._repair_section({smoke}, {seed})))"
+        f"print(json.dumps(bench_scaling.{call}))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     done = subprocess.run(
@@ -403,8 +456,14 @@ def run_harness(
     compile_rows = _compile_section(sizes, seed)
     transport = _transport_section(seed, repeats)
     repair = _repair_section(smoke, seed)
+    ranking = _ranking_section(seed)
     if reference_src is not None:
-        repair["reference"] = _reference_repair(reference_src, smoke, seed)
+        repair["reference"] = _reference_leg(
+            reference_src, f"_repair_section({smoke}, {seed})"
+        )
+        ranking["reference"] = _reference_leg(
+            reference_src, f"_ranking_section({seed})"
+        )
 
     # the speedup floor is asserted at the largest *smoke* size (the
     # size CI measures every push); the full sweep's extra sizes are
@@ -425,10 +484,12 @@ def run_harness(
         "guarded_size": {"n": n_max, "p": p_max},
         "max_compile_ratio": MAX_COMPILE_RATIO,
         "max_move_steps": MAX_MOVE_STEPS,
+        "max_bytes_per_pin": MAX_BYTES_PER_PIN,
         "results": rows,
         "compile": compile_rows,
         "transport": transport,
         "repair": repair,
+        "ranking": ranking,
     }
     if out:
         Path(out).write_text(json.dumps(report, indent=2) + "\n")
@@ -500,6 +561,30 @@ def run_harness(
             "repair reference OK: same bottleneck "
             f"{repair['bottleneck']!r} and moves per batch"
         )
+
+    # ranking guard: the compilation's bytes per pin once every
+    # heuristic's setup is built
+    if ranking["bytes_per_pin"] > MAX_BYTES_PER_PIN:
+        raise AssertionError(
+            f"ranking setup regression: {ranking['bytes_per_pin']:.1f} "
+            f"bytes per pin at n={n_max} (budget {MAX_BYTES_PER_PIN})"
+        )
+    print(
+        f"ranking guard OK at n={n_max}: {ranking['bytes_per_pin']:.1f} "
+        f"bytes per pin (budget {MAX_BYTES_PER_PIN})"
+    )
+    reference = ranking.get("reference")
+    if reference is not None:
+        verdict = (
+            "over the budget"
+            if reference["bytes_per_pin"] > MAX_BYTES_PER_PIN
+            else "within the budget"
+        )
+        print(
+            f"ranking reference: {reference['bytes_per_pin']:.1f} bytes "
+            f"per pin ({verdict}), first VGH setup "
+            f"{reference['vgh_setup_over_warm']:.3f}x a warm solve"
+        )
     return report
 
 
@@ -519,8 +604,9 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--reference-src", default=None, metavar="DIR",
-        help="also measure the repair leg against DIR (another "
-        "checkout's src/), recorded as repair.reference",
+        help="also measure the repair and ranking legs against DIR "
+        "(another checkout's src/), recorded as repair.reference and "
+        "ranking.reference",
     )
     args = ap.parse_args(argv)
     run_harness(

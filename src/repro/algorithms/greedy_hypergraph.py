@@ -260,8 +260,8 @@ def _vgh_numpy(
     ci = compile_instance(hg)
     loads = np.zeros(hg.n_procs, dtype=np.float64)
     chosen = [0] * hg.n_tasks
-    tptr, gptr, uptr = ci.task_ptr_list, ci.g_ptr_list, ci.u_ptr_list
-    gpins, uprocs, cell = ci.g_pins, ci.u_procs, ci.rank_cells
+    tptr, gptr = ci.task_ptr_list, ci.g_ptr_list
+    gpins, cell = ci.g_pins, ci.pin_cells
     g_w = hg.hedge_w[ci.g_hedge]
     gw = g_w.tolist()
     pin_w = np.repeat(g_w, ci.g_size)
@@ -272,13 +272,13 @@ def _vgh_numpy(
         if b - a == 1:
             k = a
         else:
-            # All candidates compared at once over the task's pin-union:
-            # row i is the resulting loads of candidate i restricted to
-            # the union (sound by the multiset lemma).
+            # All candidates compared at once over the task's own pins:
+            # row i is the resulting loads of candidate i on every pin
+            # of the task (sound by the multiset lemma, repeated
+            # processors included: see repro.kernels.ops).
             p0, p1 = gptr[a], gptr[b]
-            u0, u1 = uptr[v], uptr[v + 1]
-            rows = empty((b - a, u1 - u0))
-            rows[:] = loads[uprocs[u0:u1]]
+            rows = empty((b - a, p1 - p0))
+            rows[:] = loads[gpins[p0:p1]]
             rows.ravel()[cell[p0:p1]] += pin_w[p0:p1]
             k = a + lex_best_row(rows)
         chosen[v] = k
@@ -497,8 +497,8 @@ def _evg_numpy(
     ci = compile_instance(hg)
     o = _expected_loads(hg)
     chosen = [0] * hg.n_tasks
-    tptr, gptr, uptr = ci.task_ptr_list, ci.g_ptr_list, ci.u_ptr_list
-    uprocs, pin_pos, cell = ci.u_procs, ci.g_pin_pos, ci.rank_cells
+    tptr, gptr, repeats = ci.task_ptr_list, ci.g_ptr_list, ci.task_repeats
+    gpins, cell = ci.g_pins, ci.pin_cells
     pin_w = np.repeat(hg.hedge_w[ci.g_hedge], ci.g_size)
     pin_share = np.repeat(_expected_shares(hg, ci)[0], ci.g_size)
     empty, subtract_at = np.empty, np.subtract.at
@@ -506,28 +506,25 @@ def _evg_numpy(
     for v in _kernel_order(ci, sort_by_degree):
         a, b = tptr[v], tptr[v + 1]
         p0, p1 = gptr[a], gptr[b]
-        u0, u1 = uptr[v], uptr[v + 1]
-        union = uprocs[u0:u1]
+        pins = gpins[p0:p1]
         # every sibling withdraws its share, in candidate order (the
         # elementwise subtract.at matches the Python loop's order; the
         # buffered fancy subtract is identical — and cheaper — when no
         # processor appears in two of the task's candidates)
-        common = o[union]
-        if p1 - p0 == u1 - u0:
-            common[pin_pos[p0:p1]] -= pin_share[p0:p1]
+        if repeats[v]:
+            subtract_at(o, pins, pin_share[p0:p1])
         else:
-            subtract_at(common, pin_pos[p0:p1], pin_share[p0:p1])
+            o[pins] -= pin_share[p0:p1]
         if b - a == 1:
             k = a
         else:
-            rows = empty((b - a, u1 - u0))
-            rows[:] = common
+            rows = empty((b - a, p1 - p0))
+            rows[:] = o[pins]
             rows.ravel()[cell[p0:p1]] += pin_w[p0:p1]
             k = a + lex_best_row(rows)
         chosen[v] = k
-        # commit: o restricted to the union becomes the realised row
+        # commit: realise the chosen candidate on its pins
         q0, q1 = gptr[k], gptr[k + 1]
-        common[pin_pos[q0:q1]] += pin_w[q0:q1]
-        o[union] = common
+        o[gpins[q0:q1]] += pin_w[q0:q1]
 
     return _matching(hg, ci, chosen)

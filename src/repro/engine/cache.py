@@ -166,10 +166,18 @@ class CachedSolve(NamedTuple):
     meta: dict
 
 
-#: What one entry costs beside its assignment: the key tuple, the
-#: record, its meta dict and the LRU's bookkeeping (≈ 1.2 KiB measured
-#: with tracemalloc over 300 entries of an 8-task instance).
-_ENTRY_OVERHEAD = 1024
+#: What one entry costs beside its assignment: the key tuple and its
+#: digest string, the record, its meta dict, the array's header and the
+#: LRU's bookkeeping.  Built per put as a request builds them, 1000
+#: entries measured 718 bytes each with tracemalloc at 8 and at 10240
+#: tasks, and VmRSS grew 723-868 bytes per entry beyond the
+#: assignments over 500-5000 entries.
+_ENTRY_OVERHEAD = 768
+
+#: What each raced method of a portfolio adds to an entry: its
+#: ``(method, makespan, time_s)`` row in ``meta["entries"]`` (134 bytes
+#: measured with tracemalloc).
+_PORTFOLIO_ROW = 136
 
 
 #: The part of the budget each result cache keeps however many
@@ -179,7 +187,10 @@ _BUDGET_SHARE = 0.25
 
 
 def _entry_nbytes(value: CachedSolve) -> int:
-    return value.assignment.nbytes + _ENTRY_OVERHEAD
+    rows = value.meta.get("entries") or ()
+    return (
+        value.assignment.nbytes + _ENTRY_OVERHEAD + _PORTFOLIO_ROW * len(rows)
+    )
 
 
 class ResultCache:
@@ -191,13 +202,13 @@ class ResultCache:
     provenance dict.  ``hits``/``misses`` make cache effectiveness
     observable in benchmarks and sweeps.
 
-    Every entry is priced at its assignment's bytes plus a fixed
-    per-entry overhead and charges the process's
-    :data:`~repro._util.CACHE_BUDGET`, which the kernel compile cache
-    and a pool worker's attachments share.  The cache keeps a quarter
-    of the budget however much the others want; beyond that it grows
-    into what they leave free.  ``maxsize`` adds an optional entry cap
-    on top.
+    Every entry is priced at its assignment's bytes plus a measured
+    per-entry overhead and a row per raced method of a portfolio, and
+    charges the process's :data:`~repro._util.CACHE_BUDGET`, which the
+    kernel compile cache and a pool worker's attachments share.  The
+    cache keeps a quarter of the budget however much the others want;
+    beyond that it grows into what they leave free.  ``maxsize`` adds an
+    optional entry cap on top.
 
     Concurrency contract (exercised by the thread-pool path of
     :meth:`BatchSolver.solve_many` and the service's executor threads,

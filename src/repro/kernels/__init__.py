@@ -3,11 +3,11 @@
 The paper's heuristics were first implemented as per-candidate Python
 loops over :class:`~repro.core.hypergraph.TaskHypergraph` views.  This
 package compiles an instance once into :class:`CompiledKernels` — a
-set of flat NumPy arrays grouped by task (candidate weights, pin lists,
-and each pin's precomputed position inside its task's sorted
-pin-union) — and provides array kernels for everything the greedy
-heuristics, the local search and the incremental repair loop do per
-candidate:
+set of flat NumPy arrays grouped by task (pin lists and pointers, and
+the setup built on first use: ranking cells, reduceat offsets, local
+search's pin-union index) — and provides array kernels for everything
+the greedy heuristics, the local search and the incremental repair loop
+do per candidate:
 
 * batched load-vector accumulation (:func:`loads_from_assignment`);
 * per-task candidate bottlenecks via ``np.maximum.reduceat``;

@@ -2,11 +2,10 @@
 
 :class:`TaskHypergraph` already stores hyperedges in CSR form, but the
 hot loops need a *task-grouped* arrangement: task ``v``'s candidate
-configurations laid out contiguously, each pin annotated with its
-position inside the task's sorted pin-union.  With those arrays one
-greedy step is a handful of vectorized calls (a gather, a
-``reduceat``, an ``argmin``/``lexsort``, a scatter) instead of a Python
-loop over candidates.
+configurations laid out contiguously, so that its pins are one stretch
+of ``g_pins``.  With those arrays one greedy step is a handful of
+vectorized calls (a gather, a ``reduceat``, an ``argmin``/``lexsort``,
+a scatter) instead of a Python loop over candidates.
 
 Grouped position ``k`` (``0 <= k < n_hedges``) is the ``k``-th entry of
 ``task_hedges`` — i.e. candidates of task ``v`` occupy grouped
@@ -15,11 +14,11 @@ positions ``task_ptr[v]:task_ptr[v+1]``, in the same order
 kernel tie-breaking match the Python loops exactly.
 
 A compilation holds the structure only: the grouped arrays and the
-structure-only setup the kernels build on first use (the pin-union
-index, the visit order, the pointer lists, the reduceat offsets and
-ranking cells).  Nothing in it depends on the weights; a kernel gathers
-them from the instance it solves (``hg.hedge_w[ck.g_hedge]``, one
-gather per solve).
+structure-only setup the kernels build on first use (the visit order,
+the pointer lists, the reduceat offsets, the ranking cells and repeat
+flags, and local search's pin-union index).  Nothing in it depends on
+the weights; a kernel gathers them from the instance it solves
+(``hg.hedge_w[ck.g_hedge]``, one gather per solve).
 
 Compilation is pure array work (no per-pin Python loop).  The cache is
 keyed by the *structure digest*
@@ -185,15 +184,18 @@ class CompiledKernels:
     and shared by every binding of the structure (see
     :class:`_structural`), and the compile cache prices it once built:
 
-    * the pin-union index (``g_pin_row``, ``g_pin_pos``, ``u_ptr``,
-      ``u_procs``), published as one memo so a reader never sees
-      ``u_ptr`` without ``u_procs``.  Only VGH, EVG, GRASP and local
-      search read it;
     * the greedy visit order and the pointer lists (``visit_order``,
-      ``task_ptr_list``, ``g_ptr_list``, ``u_ptr_list``): Python lists,
-      because a step indexes them with scalars;
-    * SGH/EGH's reduceat offsets and VGH/EVG's ranking-matrix cells
-      (``reduceat_offsets``, ``rank_cells``).
+      ``task_ptr_list``, ``g_ptr_list``): Python lists, because a step
+      indexes them with scalars;
+    * SGH/EGH's reduceat offsets (``reduceat_offsets``);
+    * VGH/EVG's ranking cells and repeat flags (``pin_cells``,
+      ``task_repeats``): they rank a task's candidates over the task's
+      own pins, so they need no pin-union;
+    * the pin-union index (``g_pin_pos``, ``u_ptr``, ``u_procs``),
+      published as one memo so a reader never sees ``u_ptr`` without
+      ``u_procs``.  What remains of it is local search's: its move scan
+      compares a task's alternatives over the task's sorted pin-union,
+      and nothing else reads it.
 
     Every array here is a gathered copy, never a view of the source
     instance's arrays, so a weight variant's solve reads nothing a
@@ -227,45 +229,33 @@ class CompiledKernels:
     # -- structure-only setup, built on first read -----------------------
     @_structural
     def _union(self) -> tuple[np.ndarray, ...]:
-        """The pin-union index, ``(g_pin_row, g_pin_pos, u_ptr,
-        u_procs)``."""
-        hg = self.hypergraph
-        nh = hg.n_hedges
-        deg = np.diff(hg.task_ptr)
-        task_of_g = np.repeat(np.arange(hg.n_tasks, dtype=np.int64), deg)
-        # candidate index within its task, per grouped position then
-        # per pin
-        local = np.arange(nh, dtype=np.int64) - np.repeat(
-            hg.task_ptr[:-1], deg
+        """The pin-union index, ``(g_pin_pos, u_ptr, u_procs)``: each
+        task's sorted distinct pins and every pin's position among
+        them.  Local search is its only reader (its move scan compares
+        a task's alternatives over the union); the greedy heuristics
+        rank over a task's own pins instead (:attr:`pin_cells`)."""
+        task_pins = np.diff(self.g_ptr[self.hypergraph.task_ptr])
+        owner = np.repeat(
+            np.arange(self.n_tasks, dtype=np.int64), task_pins
         )
-        g_pin_row = np.repeat(local, self.g_size)
-        g_pin_pos, u_ptr, u_procs = union_positions(
-            np.repeat(task_of_g, self.g_size), self.g_pins, hg.n_tasks
-        )
-        return g_pin_row, g_pin_pos, u_ptr, u_procs
-
-    @property
-    def g_pin_row(self) -> np.ndarray:
-        """For each pin, its candidate's index *within its task* (the
-        row of the ranking matrix the pin scatters into)."""
-        return self._union[0]
+        return union_positions(owner, self.g_pins, self.n_tasks)
 
     @property
     def g_pin_pos(self) -> np.ndarray:
         """For each pin, its position inside the owning task's sorted
-        pin-union (the column of the ranking matrix)."""
-        return self._union[1]
+        pin-union."""
+        return self._union[0]
 
     @property
     def u_ptr(self) -> np.ndarray:
         """CSR pointer of the per-task sorted pin-unions: the
         processors task ``v`` can touch are
         ``u_procs[u_ptr[v]:u_ptr[v+1]]`` (sorted, duplicate-free)."""
-        return self._union[2]
+        return self._union[1]
 
     @property
     def u_procs(self) -> np.ndarray:
-        return self._union[3]
+        return self._union[2]
 
     @_structural
     def visit_order(self) -> list[int]:
@@ -284,11 +274,6 @@ class CompiledKernels:
         return self.g_ptr.tolist()
 
     @_structural
-    def u_ptr_list(self) -> list[int]:
-        """``u_ptr`` as a list."""
-        return self.u_ptr.tolist()
-
-    @_structural
     def reduceat_offsets(self) -> np.ndarray:
         """``goff[a:b]``: the pin offsets of task ``v``'s grouped
         candidates ``a:b`` relative to the task's first pin (its
@@ -297,20 +282,50 @@ class CompiledKernels:
         return self.g_ptr[:-1] - np.repeat(self.g_ptr[ptr[:-1]], np.diff(ptr))
 
     @_structural
-    def rank_cells(self) -> np.ndarray:
+    def pin_cells(self) -> np.ndarray:
         """Flat cell of every grouped pin in its task's ranking matrix.
 
-        Task ``v``'s candidates are ranked over a ``(d_v, |U_v|)``
-        matrix (row = candidate, column = position in the sorted
-        pin-union ``U_v``); pin ``i`` of the task lands at
-        ``row * |U_v| + pos``, so one 1-D scatter fills the whole
-        matrix."""
-        task_pins = np.diff(self.g_ptr[self.hypergraph.task_ptr])
-        union_size = np.diff(self.u_ptr)
-        return (
-            self.g_pin_row * np.repeat(union_size, task_pins)
-            + self.g_pin_pos
+        Task ``v``'s candidates are ranked over a ``(d_v, P_v)`` matrix,
+        ``P_v`` the task's pin count: row ``i`` is candidate ``i`` and
+        column ``j`` the task's ``j``-th pin ``g_pins[p0 + j]`` (a
+        processor that several candidates share has a column for each,
+        see :mod:`repro.kernels.ops`).  Pin ``j`` of the task, owned by
+        candidate ``i``, lands at ``i * P_v + j``, so one 1-D scatter
+        adds every candidate's weight on its own pins."""
+        ptr = self.hypergraph.task_ptr
+        deg = np.diff(ptr)
+        first = self.g_ptr[ptr]
+        task_pins = np.diff(first)
+        local = np.arange(self.n_hedges, dtype=np.int64) - np.repeat(
+            ptr[:-1], deg
         )
+        cells = np.repeat(local, self.g_size) * np.repeat(
+            task_pins, task_pins
+        )
+        cells += np.arange(self.g_pins.shape[0], dtype=np.int64)
+        cells -= np.repeat(first[:-1], task_pins)
+        return cells
+
+    @_structural
+    def task_repeats(self) -> list[bool]:
+        """Per task, whether a processor appears in two of its
+        candidates.  EVG withdraws such a task's shares one by one
+        (``np.subtract.at``), where a buffered subtract would keep only
+        one withdrawal per processor."""
+        n = self.n_tasks
+        flags = np.zeros(n, dtype=bool)
+        if self.g_pins.shape[0]:
+            task_pins = np.diff(self.g_ptr[self.hypergraph.task_ptr])
+            width = self.n_procs
+            keys = np.repeat(
+                np.arange(n, dtype=np.int64) * width, task_pins
+            )
+            keys += self.g_pins
+            # a candidate's pins come sorted: the runs merge cheaply
+            keys.sort(kind="stable")
+            repeat = keys[1:] == keys[:-1]
+            flags[keys[1:][repeat] // width] = True
+        return flags.tolist()
 
     # -- delegated shape properties -------------------------------------
     @property
@@ -410,7 +425,8 @@ _COMPILED_OVERHEAD = 3584
 #: What one Python ``int`` in a pointer list costs beside its slot in
 #: the list: the int object (28 bytes, allocated in 32-byte blocks).
 #: With the slot, an n=10240 ``g_ptr`` list measured 40.0 bytes per
-#: entry with tracemalloc.
+#: entry with tracemalloc.  A list of flags refers to the two ``bool``
+#: singletons and costs its slots alone.
 _LIST_INT_NBYTES = 32
 
 
@@ -422,8 +438,9 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
     at the whole buffer it pins — a weights view over a received frame
     costs the frame.  The lazily built indexes and setup count only
     once built; pricing never builds them.  A pointer list is priced at
-    its slots and its int objects.  A fixed per-compilation overhead
-    covers the objects around the buffers."""
+    its slots and its int objects, a flag list at its slots alone.  A
+    fixed per-compilation overhead covers the objects around the
+    buffers."""
     hg = compiled.hypergraph
     seen: set[int] = set()
     total = 0
@@ -437,7 +454,9 @@ def compiled_nbytes(compiled: CompiledKernels) -> int:
     # a snapshot: another thread may publish setup meanwhile
     for _, value in sorted(compiled._memo.items()):
         if isinstance(value, list):
-            total += sys.getsizeof(value) + _LIST_INT_NBYTES * len(value)
+            total += sys.getsizeof(value)
+            if value and type(value[0]) is not bool:
+                total += _LIST_INT_NBYTES * len(value)
         elif isinstance(value, tuple):
             arrays.extend(value)
         else:

@@ -4,11 +4,18 @@ Each kernel batches the exact floating-point operations of the Python
 loop it replaces (same values, same accumulation order), so results are
 bit-identical — the conformance harness holds every solver to that.
 
-Ranking kernels compare candidates over the *task's full pin-union*
-instead of pairwise unions; by the multiset lemma of
-:mod:`repro.core.loadvec` (untouched loads cancel) the descending-lex
-order is unchanged.  The lemma holds for any totally ordered values, so
-it applies verbatim to the IEEE doubles being compared.
+Ranking kernels compare all of a task's candidates at once over the
+*task's own pins* (``g_pins[p0:p1]``, one column per pin) instead of
+pairwise unions; by the multiset lemma of :mod:`repro.core.loadvec`
+(untouched loads cancel) the descending-lex order is unchanged.  The
+lemma extends to a processor that ``m`` candidates of the task share:
+it has ``m`` columns, and every candidate's row holds its value once
+as the union would (raised by the candidate's weight when the
+candidate holds it) plus ``m - 1`` copies of its untouched value.
+Every row gains the same copies, and common values cancel, so the pick
+is the one a ranking over the task's pin-union makes, bit for bit.  The
+lemma holds for any totally ordered values, so it applies verbatim to
+the IEEE doubles being compared.
 
 The sequential frontier
 -----------------------
@@ -30,7 +37,7 @@ family (fewgmanyg, g=32, 2-CPU VM) at n=5120 / n=10240:
 SGH   ≈ 5 / 5.5 µs      gather, ``maximum.reduceat``, argmin, scatter
 EGH   ≈ 6.5 / 7.5 µs    SGH's step + the ordered ``np.add.at`` collapse
 VGH   ≈ 12 / 11 µs      ranking-matrix scatter + one-sort rank
-EVG   ≈ 14 / 13 µs      VGH's step + the shares withdrawn over the union
+EVG   ≈ 14 / 13 µs      VGH's step + shares withdrawn on its pins
 ====  ================  ==========================================
 
 The Python oracle pays a few µs *per candidate*, so the numpy path's

@@ -6,18 +6,20 @@ Engine-level consequences of :class:`repro._util.SegmentedLRU` behind
 retains at most the two probation compilations, one instance solved by
 the paper's four heuristics compiles once, the experiment runner
 compiles each held instance once (an engine's method-major batches
-compile it at most twice), a compilation's price bounds its memory, the
-union-index re-price and the shared-memory detach reach either
-segment, and the service reports the caches (``metrics``) and the
-budget's use (``health``).
+compile it at most twice), a compilation's price bounds its memory and
+a result entry's price tracks it, the union-index re-price and the
+shared-memory detach reach either segment, and the service reports the
+caches (``metrics``) and the budget's use (``health``).
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro._util import CACHE_BUDGET
@@ -169,6 +171,41 @@ class TestPricing:
         stats = _segments()
         assert 100 < stats["protected"] < 600  # the budget binds
         assert held <= 1.1 * CACHE_BUDGET.limit
+
+    @pytest.mark.parametrize(
+        "n_tasks, count, rows",
+        [(8, 1000, 0), (8, 1000, 4), (10240, 200, 0)],
+        ids=["small", "portfolio", "large"],
+    )
+    def test_result_entries_are_priced_at_what_they_hold(
+        self, n_tasks, count, rows
+    ):
+        """A result entry's price tracks what the cache keeps alive:
+        the stored assignment, and the key, digest and meta a request
+        builds for it and drops once the entry holds them."""
+        source = np.arange(n_tasks, dtype=np.int64)
+        cache = ResultCache()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(count):
+                digest = hashlib.sha256(i.to_bytes(8, "little")).hexdigest()
+                meta = {
+                    "winner": "SGH",
+                    "entries": [
+                        ("SGH", float(i), 1e-3 * i) for _ in range(rows)
+                    ] or None,
+                }
+                cache.put((digest, "SGH", None, None), source, meta)
+            del digest, meta
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        stats = cache.stats()
+        assert stats["entries"] == count
+        assert 0.9 <= stats["bytes"] / held <= 1.12
 
 
 class TestEitherSegment:

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     averaged_work_bound,
@@ -120,13 +121,8 @@ class TestExpected:
 
 
 def _shared_processor_tasks(hg):
-    """Tasks with two or more candidates that share a processor (their
-    pin count exceeds their pin-union)."""
-    ci = compile_instance(hg)
-    task_pins = np.diff(ci.g_ptr[hg.task_ptr])
-    return np.flatnonzero(
-        (hg.task_degrees() > 1) & (task_pins > np.diff(ci.u_ptr))
-    )
+    """Tasks with two or more candidates that share a processor."""
+    return np.flatnonzero(compile_instance(hg).task_repeats)
 
 
 class TestNumpyRarePaths:
@@ -202,6 +198,55 @@ def test_heuristics_bounded_by_lb_and_optimum(hg):
         mk = algo(hg).makespan
         assert mk + 1e-9 >= opt
         assert mk + 1e-9 >= lb
+
+
+@st.composite
+def _shared_processor_instances(draw):
+    """Instances whose tasks' candidates share processors: every task
+    draws its candidates from a pool of at most three processors, and
+    task 0 opens with ``{0}`` and ``{0, 1}``.  Weights are unit,
+    integer or float; float weights take EVG's expected loads off the
+    integers, where withdrawing shares can round below zero."""
+    p = draw(st.integers(2, 6))
+    confs = []
+    for _ in range(draw(st.integers(1, 8))):
+        pool = draw(
+            st.lists(st.integers(0, p - 1), min_size=1, max_size=3,
+                     unique=True)
+        )
+        confs.append([
+            draw(st.lists(st.sampled_from(pool), min_size=1,
+                          max_size=len(pool), unique=True))
+            for _ in range(draw(st.integers(1, 4)))
+        ])
+    confs[0] = [[0], [0, 1]] + confs[0]
+    kind = draw(st.sampled_from(["unit", "integer", "float"]))
+    if kind == "unit":
+        return TaskHypergraph.from_configurations(confs, n_procs=p)
+    weight = (
+        st.integers(1, 9) if kind == "integer"
+        else st.sampled_from([0.1, 0.2, 0.1 + 0.2, 0.7, 1 / 3])
+        | st.floats(0.05, 8.0)
+    )
+    weights = [[draw(weight) for _ in task] for task in confs]
+    return TaskHypergraph.from_configurations(
+        confs, n_procs=p, weights=weights
+    )
+
+
+@given(_shared_processor_instances())
+@settings(max_examples=150, deadline=None)
+def test_ranking_over_repeated_processors_matches_the_oracle(hg):
+    """Property: VGH and EVG rank a task's candidates over its own pins,
+    a processor that several candidates share counted once per
+    candidate; the numpy answers stay bit-equal to the Python oracle,
+    which compares over pin-unions."""
+    assert len(_shared_processor_tasks(hg)) > 0
+    for algo in (vector_greedy_hyp, expected_vector_greedy_hyp):
+        fast = algo(hg)
+        slow = algo(hg, backend="python")
+        assert np.array_equal(fast.hedge_of_task, slow.hedge_of_task)
+        assert fast.makespan == slow.makespan
 
 
 @given(task_hypergraphs(weighted=False))

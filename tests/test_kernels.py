@@ -89,6 +89,17 @@ class TestCompiledKernels:
             assert np.array_equal(
                 aff[ci.g_pin_pos[p0:p1]], ci.g_pins[p0:p1]
             )
+            # a processor repeats when the task's pins outnumber its union
+            assert ci.task_repeats[v] == (p1 - p0 > aff.shape[0])
+            # candidate i's pins fill row i of the (d_v, P_v) ranking
+            # matrix at their own columns
+            width = p1 - p0
+            for i, k in enumerate(range(a, b)):
+                q0, q1 = ci.g_ptr[k], ci.g_ptr[k + 1]
+                assert np.array_equal(
+                    ci.pin_cells[q0:q1],
+                    i * width + np.arange(q0 - p0, q1 - p0),
+                )
 
     def test_empty_instance(self):
         from repro.core import TaskHypergraph

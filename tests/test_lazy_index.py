@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import sys
 import threading
 
 import numpy as np
@@ -44,7 +45,8 @@ from strategies import task_hypergraphs
 
 _PROC_MEMO = "_proc_index_memo"
 _UNION_MEMO = "_union"
-_UNION_FIELDS = ("g_pin_row", "g_pin_pos", "u_ptr", "u_procs")
+_UNION_FIELDS = ("g_pin_pos", "u_ptr", "u_procs")
+_PIN_MEMOS = ("pin_cells", "task_repeats")
 
 
 def _instance(seed: int = 3):
@@ -67,19 +69,17 @@ def _union_oracle(ck) -> tuple[np.ndarray, ...]:
     """The pin-union index of ``ck``, one task at a time with
     ``np.unique``, in ``_UNION_FIELDS`` order."""
     ptr = ck.hypergraph.task_ptr
-    pin_row, pin_pos, unions = [], [], []
+    pin_pos, unions = [], []
     for v in range(ck.n_tasks):
         cands = range(ptr[v], ptr[v + 1])
         pins = [ck.g_pins[ck.g_ptr[k] : ck.g_ptr[k + 1]] for k in cands]
         union = np.unique(np.concatenate(pins)) if pins else pins
         unions.append(np.asarray(union, dtype=np.int64))
-        for row, (k, part) in enumerate(zip(cands, pins)):
-            pin_row.extend([row] * part.shape[0])
+        for part in pins:
             pin_pos.extend(np.searchsorted(union, part).tolist())
     u_ptr = np.zeros(ck.n_tasks + 1, dtype=np.int64)
     np.cumsum([u.shape[0] for u in unions], out=u_ptr[1:])
     return (
-        np.asarray(pin_row, dtype=np.int64),
         np.asarray(pin_pos, dtype=np.int64),
         u_ptr,
         np.concatenate(unions or [np.empty(0, dtype=np.int64)]),
@@ -112,18 +112,32 @@ class TestSolversReadOnlyWhatTheyNeed:
         assert not _proc_built(hg)
         assert not _union_built(ck)
 
-    @pytest.mark.parametrize("method", ["VGH", "EVG"])
-    def test_ranking_solvers_build_only_the_union_index(self, method):
+    @pytest.mark.parametrize(
+        "method, memos",
+        [("VGH", ("pin_cells",)), ("EVG", _PIN_MEMOS)],
+        ids=["VGH", "EVG"],
+    )
+    def test_ranking_solvers_build_only_the_pin_memos(self, method, memos):
         hg = _instance()
         solve(hg, method=method)
         (ck,) = _cached_compilations()
-        assert _union_built(ck)
+        assert [name for name in _PIN_MEMOS if name in ck._memo] == list(
+            memos
+        )
+        assert not _union_built(ck)
         assert not _proc_built(hg)
 
     def test_local_search_builds_the_processor_index(self):
         hg = _instance()
         solve(hg, method="SGH+ls")
         assert _proc_built(hg)
+
+    def test_local_search_builds_the_union_index(self):
+        hg = _instance()
+        solve(hg, method="SGH+ls")
+        (ck,) = _cached_compilations()
+        assert _union_built(ck)
+        assert not any(name in ck._memo for name in _PIN_MEMOS)
 
     @pytest.mark.parametrize("method", ["SGH", "EGH"])
     def test_service_solve_builds_neither_index(self, method):
@@ -160,7 +174,7 @@ class TestPublication:
         ck = compile_instance(hg)
         assert not _union_built(ck)
         u_procs = ck.u_procs
-        assert ck._memo[_UNION_MEMO][3] is u_procs
+        assert ck._memo[_UNION_MEMO][2] is u_procs
         assert all(
             getattr(ck, f) is a
             for f, a in zip(_UNION_FIELDS, ck._memo[_UNION_MEMO])
@@ -203,7 +217,7 @@ class TestPublication:
         union, procs = ck._memo[_UNION_MEMO], hg.__dict__[_PROC_MEMO]
         for u_procs, g_pin_pos, proc_hedges, proc_ptr in seen:
             # both readers got the arrays of the one published memo
-            assert u_procs is union[3] and g_pin_pos is union[1]
+            assert u_procs is union[2] and g_pin_pos is union[0]
             assert proc_hedges is procs[1] and proc_ptr is procs[0]
 
 
@@ -268,11 +282,29 @@ class TestCompileCacheBudget:
         hg = _instance()
         compile_instance(hg)
         grouped = compile_cache_stats()["bytes"]
-        solve(hg, method="VGH")
+        solve(hg, method="SGH+ls")
         (ck,) = _cached_compilations()
         assert _union_built(ck)
         assert compile_cache_stats()["bytes"] == compiled_nbytes(ck)
         assert compiled_nbytes(ck) > grouped
+
+    def test_pin_memos_reprice_the_entry(self):
+        hg = _instance()
+        ck = compile_instance(hg)
+        grouped = compile_cache_stats()["bytes"]
+        solve(hg, method="EVG")
+        assert compile_cache_stats()["bytes"] == compiled_nbytes(ck)
+        assert compiled_nbytes(ck) > grouped
+        # the cells at their buffer, the flags at their slots alone
+        # (they refer to the bool singletons, no int objects)
+        for name, cost in (
+            ("pin_cells", ck.pin_cells.nbytes),
+            ("task_repeats", sys.getsizeof(ck.task_repeats)),
+        ):
+            value = ck._memo.pop(name)
+            without = compiled_nbytes(ck)
+            ck._memo[name] = value
+            assert compiled_nbytes(ck) - without == cost, name
 
     def test_bytes_match_the_entries_after_mixed_solves(self):
         # seed 1 is solved twice (protected); 3 and 4 stay in probation,

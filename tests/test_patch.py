@@ -43,13 +43,12 @@ _KERNEL_FIELDS = (
     "g_size",
     "g_ptr",
     "g_pins",
-    "g_pin_row",
     "g_pin_pos",
     "u_ptr",
     "u_procs",
     "hedge_gpos",
     "reduceat_offsets",
-    "rank_cells",
+    "pin_cells",
 )
 
 
@@ -80,6 +79,7 @@ def assert_identical_compilation(inst: DynamicInstance) -> None:
         a, b = getattr(ck, f), getattr(ok, f)
         assert a.dtype == b.dtype, f
         np.testing.assert_array_equal(a, b, err_msg=f)
+    assert ck.task_repeats == ok.task_repeats
     assert ck.digest == ok.digest == structure
 
 

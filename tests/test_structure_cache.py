@@ -276,7 +276,7 @@ class TestBindings:
         before = compile_cache_stats()["bytes"]
         bound = compile_instance(base.with_weights(base.hedge_w * 2))
         _library(bound.hypergraph, "VGH", "numpy")
-        assert cached.u_procs is bound.u_procs
+        assert cached.pin_cells is bound.pin_cells
         assert cached.visit_order is bound.visit_order
         assert compile_cache_stats()["bytes"] > before
 
@@ -298,7 +298,7 @@ class TestConcurrentSetup:
         barrier = threading.Barrier(n_threads, timeout=30)
         seen: list = [None] * n_threads
         names = ("_union", "visit_order", "task_ptr_list", "g_ptr_list",
-                 "u_ptr_list", "reduceat_offsets", "rank_cells")
+                 "task_repeats", "reduceat_offsets", "pin_cells")
 
         def race(slot: int) -> None:
             bound = compile_instance(
