@@ -15,7 +15,8 @@ family swept at fixed ``n/p`` ratio):
 
   - backends are **bit-identical** per solver (conformance re-check);
   - VGH, EGH and EVG are at least ``MIN_SPEEDUP``x faster on the
-    numpy backend;
+    numpy backend, each backend's best of ``GUARD_ROUNDS`` rounds
+    that alternate the two backends;
 
   and four more on their own legs: the churn compile, shared-memory
   transport, incremental repair (``repair``: a session-sized
@@ -59,6 +60,12 @@ SOLVERS = ("SGH", "VGH", "EGH", "EVG")
 #: near the floor and is recorded, not guarded
 GUARDED = ("VGH", "EGH", "EVG")
 MIN_SPEEDUP = 3.0
+#: timing rounds at the guarded size: each round solves once on each
+#: backend, back to back, and the best round of each backend counts,
+#: so a window of contention on a shared host slows both sides of the
+#: ratio rather than one (a loaded 2-CPU host read EGH at 2.59x with
+#: two separate best-of-2 runs, against 5.3x quiet)
+GUARD_ROUNDS = 5
 
 #: churn guard: the steady-state per-record cost of a dynamic
 #: instance's row-store compile must stay at or below this fraction of
@@ -159,6 +166,19 @@ def _time(fn, *args, repeats=1, **kwargs):
         result = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _time_backends(fn, hg, rounds):
+    """Best-of-``rounds`` times of ``fn`` on ``hg`` on the python and
+    numpy backends, the two interleaved round by round.  Returns
+    ``(t_python, m_python, t_numpy, m_numpy)``."""
+    best = {"python": np.inf, "numpy": np.inf}
+    out = {}
+    for _ in range(rounds):
+        for backend in best:
+            t, out[backend] = _time(fn, hg, backend=backend)
+            best[backend] = min(best[backend], t)
+    return best["python"], out["python"], best["numpy"], out["numpy"]
 
 
 def _compile_section(sizes, seed: int) -> list[dict]:
@@ -411,8 +431,8 @@ def run_harness(
     reference_src: str | None = None,
 ) -> dict:
     sizes = SIZES if smoke else FULL_SIZES
-    # min-of-N timing: N=2 even in smoke keeps the guard's speedup
-    # ratio stable on noisy CI runners at ~2s extra wall time
+    # min-of-N timing off the guarded size (which takes GUARD_ROUNDS
+    # interleaved rounds)
     repeats = 2 if smoke else 3
     rows = []
     for n, p in sizes:
@@ -420,12 +440,17 @@ def run_harness(
         t_compile, _ = _time(compile_instance, hg)
         for name in SOLVERS:
             fn = _hyp_algo(name)
-            t_py, m_py = _time(
-                fn, hg, backend="python", repeats=repeats
-            )
-            t_np, m_np = _time(
-                fn, hg, backend="numpy", repeats=repeats
-            )
+            if (n, p) == SIZES[-1]:  # the guarded size
+                t_py, m_py, t_np, m_np = _time_backends(
+                    fn, hg, GUARD_ROUNDS
+                )
+            else:
+                t_py, m_py = _time(
+                    fn, hg, backend="python", repeats=repeats
+                )
+                t_np, m_np = _time(
+                    fn, hg, backend="numpy", repeats=repeats
+                )
             if not np.array_equal(
                 m_py.hedge_of_task, m_np.hedge_of_task
             ):

@@ -19,7 +19,7 @@ repo convention of "caller holds the lock" and count as locked
 context.
 
 The same inference runs at module scope: modules that create a
-module-level lock (the warm-engine table, the default metrics registry)
+module-level lock (the default engine, the default metrics registry)
 get their guarded *globals* inferred from ``with <LOCK>:`` blocks,
 with ``symtable`` deciding whether a name in a function is actually
 the module global or a shadowing local.

@@ -127,21 +127,21 @@ register_solver(
     name="basic-greedy",
     domain="bipartite",
     capabilities={"greedy", "weighted"},
-    summary="First-eligible greedy baseline.",
+    summary="Least-loaded eligible processor, tasks in index order (Alg. 1).",
 )(basic_greedy)
 
 register_solver(
     name="sorted-greedy",
     domain="bipartite",
     capabilities={"greedy", "weighted"},
-    summary="Greedy over weight-sorted edges.",
+    summary="Least-loaded eligible processor, tasks by non-decreasing degree.",
 )(sorted_greedy)
 
 register_solver(
     name="double-sorted",
     domain="bipartite",
     capabilities={"greedy", "weighted"},
-    summary="Greedy with secondary degree sorting.",
+    summary="Sorted greedy plus a processor in-degree tie-break (Alg. 2).",
 )(double_sorted)
 
 register_solver(

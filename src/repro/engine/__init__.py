@@ -2,7 +2,9 @@
 
 * :class:`BatchSolver` / :func:`solve_many` — solve many instances
   concurrently on a process pool, with chunked distribution;
-  every solve returns a rich :class:`~repro.api.SolveResult`;
+  every solve returns a rich :class:`~repro.api.SolveResult`.
+  :func:`solve_many` solves on a private engine it closes on return:
+  to keep a pool warm across calls, hold one :class:`BatchSolver`;
 * portfolio mode — race several registered algorithms per instance and
   keep the best makespan;
 * :class:`ResultCache` — content-addressed LRU so repeated sweeps never

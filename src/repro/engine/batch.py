@@ -82,6 +82,7 @@ _SHM_MIN_BYTES = 64 * 1024
 _DEFAULT_CACHE = ResultCache()
 
 _DEFAULT_ENGINE: "BatchSolver | None" = None
+_DEFAULT_LOCK = threading.Lock()
 
 
 def default_cache() -> ResultCache:
@@ -166,10 +167,6 @@ class BatchSolver:
         ``"process"`` (default; real parallelism for these CPU-bound,
         GIL-holding algorithms) or ``"serial"`` (always inline,
         whatever ``max_workers`` says).
-    chunk_size:
-        Instances per pool task; defaults to ``ceil(pending / (4 *
-        max_workers))`` so each worker sees a handful of chunks (good
-        load balance) without per-instance round-trips.
     cache:
         ``True`` (default) — share the process-wide
         :func:`default_cache`; a :class:`ResultCache` — use that
@@ -190,11 +187,12 @@ class BatchSolver:
         per instance when the platform lacks it or segment creation
         fails, so results never depend on the transport.  The serial
         executor always hands over references.
-    idle_timeout:
-        Seconds of inactivity after which the worker pool is shut down
-        (``None`` — keep it until :meth:`close`).  The next pooled call
-        transparently respawns it; shared-memory segments survive the
-        pool, only worker-side attachments are re-established.
+
+    The worker pool is spawned by the first pooled call and kept until
+    :meth:`close`, so to keep a pool warm across calls, hold one
+    ``BatchSolver``.  A pooled call sends each worker a handful of
+    chunks of ``ceil(pending / (4 * workers))`` instances: good load
+    balance without per-instance round-trips.
     """
 
     def __init__(
@@ -202,11 +200,9 @@ class BatchSolver:
         *,
         max_workers: int | None = None,
         executor: str = "process",
-        chunk_size: int | None = None,
         cache: ResultCache | bool | None = True,
         options: SolveOptions | None = None,
         shm_min_bytes: int | None = _SHM_MIN_BYTES,
-        idle_timeout: float | None = None,
         **fields: Any,
     ):
         if executor not in _EXECUTORS:
@@ -217,10 +213,6 @@ class BatchSolver:
             raise ValueError("shm_min_bytes must be non-negative or None")
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
         self.max_workers = (
             max_workers if max_workers is not None else (os.cpu_count() or 1)
         )
@@ -228,7 +220,6 @@ class BatchSolver:
         #: solves run in the calling thread: no pool, no pickling.  The
         #: service's batcher gives such an engine one solver thread.
         self.inline = executor == "serial" or self.max_workers == 1
-        self.chunk_size = chunk_size
         # identity checks: an empty ResultCache is falsy (it has __len__)
         if cache is True:
             self.cache: ResultCache | None = _DEFAULT_CACHE
@@ -238,15 +229,12 @@ class BatchSolver:
             self.cache = cache
         self.defaults = SolveOptions.merge(options, fields)
         self.shm_min_bytes = shm_min_bytes
-        self.idle_timeout = idle_timeout
         self._exports = ExportRegistry()
         self._pool = None  # lazily created, reused across solve_many calls
         # one engine may serve several threads (the service's batcher
         # flushes different option-groups concurrently): guard the
         # lazy pool creation so a race cannot leak a second executor
         self._pool_lock = threading.Lock()
-        self._busy = 0  # pooled calls in flight (idle-timeout gate)
-        self._idle_timer: threading.Timer | None = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -433,7 +421,7 @@ class BatchSolver:
         results: list[SolveResult | None],
     ) -> None:
         n_workers = min(self.max_workers, len(pending))
-        chunk = self.chunk_size or -(-len(pending) // (4 * n_workers))
+        chunk = -(-len(pending) // (4 * n_workers))
         chunks = [
             pending[lo : lo + chunk] for lo in range(0, len(pending), chunk)
         ]
@@ -460,54 +448,20 @@ class BatchSolver:
         finally:
             for digest in held:
                 self._exports.release(digest)
-            self._release_pool()
 
     def _acquire_pool(self):
-        """The solver's executor, created once and reused while warm.
+        """The solver's executor, created by the first pooled call and
+        reused until :meth:`close` (or interpreter exit, through
+        :mod:`concurrent.futures`' own atexit hook).
 
         Spawning a process pool costs more than solving a small batch, so
         callers like the experiment runner — one ``solve_many`` per
-        (spec, algorithm) — must not pay it every call.  The pool lives
-        until :meth:`close`, ``idle_timeout`` seconds of inactivity, or
-        interpreter exit (:mod:`concurrent.futures`' own atexit hook).
-        Balance with :meth:`_release_pool`.
+        (spec, algorithm) — must not pay it every call.
         """
         with self._pool_lock:
-            self._busy += 1
-            if self._idle_timer is not None:
-                self._idle_timer.cancel()
-                self._idle_timer = None
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
             return self._pool
-
-    def _release_pool(self) -> None:
-        with self._pool_lock:
-            self._busy -= 1
-            if (
-                self._busy == 0
-                and self.idle_timeout is not None
-                and self._pool is not None
-            ):
-                timer = threading.Timer(self.idle_timeout, self._idle_close)
-                timer.daemon = True
-                self._idle_timer = timer
-                timer.start()
-
-    def _idle_close(self) -> None:
-        """Idle-timeout expiry: drop the pool if still quiescent.
-
-        Segments in the export registry are kept — they are the cheap
-        half of warmth, bounded by its LRU, and the respawned pool's
-        workers re-attach to them by name.
-        """
-        with self._pool_lock:
-            if self._busy:
-                return
-            pool, self._pool = self._pool, None
-            self._idle_timer = None
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live process-pool workers (empty for the serial
@@ -531,9 +485,6 @@ class BatchSolver:
         recreates both)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            if self._idle_timer is not None:
-                self._idle_timer.cancel()
-                self._idle_timer = None
         if pool is not None:
             pool.shutdown()
         self._exports.close()
@@ -550,72 +501,20 @@ def _checked(result: SolveResult | None) -> SolveResult:
     return result
 
 
-#: Warm engines behind the module-level :func:`solve_many`, keyed by
-#: pool-shaping parameters.  Each keeps its executor alive for
-#: ``_WARM_IDLE_TIMEOUT`` seconds between calls, so back-to-back batch
-#: calls (the experiment runner's per-(spec, algorithm) loop) reuse
-#: workers — and their warmed kernel caches — instead of paying a pool
-#: spawn per call.
-_SHARED_ENGINES: dict[tuple, BatchSolver] = {}
-_SHARED_LOCK = threading.Lock()
-_WARM_IDLE_TIMEOUT = 60.0
-
-
-def _shared_engine(
-    executor: str,
-    max_workers: int | None,
-    chunk_size: int | None,
-    cache: ResultCache | bool | None,
-    shm_min_bytes: int | None,
-) -> BatchSolver | None:
-    """The warm engine for this pool shape, or ``None`` when the call
-    needs a private one (a caller-owned :class:`ResultCache` must not
-    leak into other calls through a shared engine)."""
-    if not (cache is True or cache is False or cache is None):
-        return None
-    key = (
-        executor,
-        max_workers,
-        chunk_size,
-        bool(cache),
-        shm_min_bytes,
-    )
-    with _SHARED_LOCK:
-        engine = _SHARED_ENGINES.get(key)
-        if engine is None:
-            engine = BatchSolver(
-                max_workers=max_workers,
-                executor=executor,
-                chunk_size=chunk_size,
-                cache=bool(cache),
-                shm_min_bytes=shm_min_bytes,
-                idle_timeout=_WARM_IDLE_TIMEOUT,
-            )
-            _SHARED_ENGINES[key] = engine
-        return engine
-
-
 def solve_many(
     instances: Iterable[Instance],
     *,
     options: SolveOptions | None = None,
     max_workers: int | None = None,
-    executor: str = "process",
-    chunk_size: int | None = None,
     cache: ResultCache | bool | None = True,
-    shm_min_bytes: int | None = _SHM_MIN_BYTES,
     **fields: Any,
 ) -> list[SolveResult]:
-    """One-call batch solve (see :class:`BatchSolver` for the knobs).
+    """One-call batch solve on a private :class:`BatchSolver` (see it
+    for ``max_workers`` and ``cache``), closed on return: no worker
+    outlives the call.  To keep a pool warm across calls, hold one
+    :class:`BatchSolver`.
 
     The request is ``options=`` or its fields as keywords, not both.
-
-    Calls with plain-flag caching (``cache=True/False/None``) are served
-    by a process-wide warm engine per pool shape: its worker pool stays
-    up for 60 s of inactivity, so consecutive calls reuse the same
-    workers (and their warmed caches) instead of respawning a pool each
-    time.  Passing your own :class:`ResultCache` opts out — such calls
-    get a private engine torn down on return.
 
     >>> from repro import SchedulingProblem, solve_many
     >>> probs = []
@@ -626,22 +525,8 @@ def solve_many(
     >>> [s.makespan for s in solve_many(probs, max_workers=1)]
     [1.0, 2.0, 2.0]
     """
-    opts = SolveOptions.merge(options, fields)
-    engine = _shared_engine(
-        executor, max_workers, chunk_size, cache, shm_min_bytes
-    )
-    if engine is not None:
-        return engine.solve_many(instances, options=opts)
-    with BatchSolver(
-        max_workers=max_workers,
-        executor=executor,
-        chunk_size=chunk_size,
-        cache=cache,
-        shm_min_bytes=shm_min_bytes,
-    ) as private:
-        # the pool is private to this call, so shut it down eagerly
-        # rather than leaving it to the interpreter-exit hooks
-        return private.solve_many(instances, options=opts)
+    with BatchSolver(max_workers=max_workers, cache=cache) as engine:
+        return engine.solve_many(instances, options=options, **fields)
 
 
 def default_engine() -> BatchSolver:
@@ -653,9 +538,9 @@ def default_engine() -> BatchSolver:
     sweeps all feed one another.
     """
     global _DEFAULT_ENGINE
-    # same double-create shape as the PR 5 _ensure_pool race: two first
-    # callers on different threads must not each publish an engine
-    with _SHARED_LOCK:
+    # two first callers on different threads must not each publish an
+    # engine
+    with _DEFAULT_LOCK:
         if _DEFAULT_ENGINE is None:
             _DEFAULT_ENGINE = BatchSolver(
                 max_workers=1, executor="serial", cache=True

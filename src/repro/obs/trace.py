@@ -102,6 +102,11 @@ _TIMINGS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 _IDS = itertools.count(1)
 
+#: Longest trace or span id a wire context may carry (real ones are
+#: :func:`_new_id`'s ``pid-counter`` hex): a longer one is malformed, so
+#: no request makes every piggybacked span echo a huge string.
+_MAX_WIRE_ID = 64
+
 
 def _new_id() -> str:
     """Process-unique (and, via the pid, machine-unique) hex id."""
@@ -340,23 +345,32 @@ def wire_context() -> dict | None:
     return {"id": ctx[0], "span": ctx[1]}
 
 
+def _wire_ids(ctx: Any) -> tuple[str, str] | None:
+    """``(trace_id, span_id)`` of a well-formed wire trace context: a
+    dict whose ``id`` and ``span`` are strings of at most
+    ``_MAX_WIRE_ID`` characters.  ``None`` for anything else."""
+    if not isinstance(ctx, dict):
+        return None
+    ids = ctx.get("id"), ctx.get("span")
+    if all(isinstance(x, str) and len(x) <= _MAX_WIRE_ID for x in ids):
+        return ids
+    return None
+
+
 @contextmanager
 def attached(ctx: Any) -> Iterator[None]:
     """Adopt a wire trace context (``{"id", "span"}``) for the block.
 
     The server calls this with whatever the request envelope carried;
-    anything malformed (or ``None``, or tracing disabled) is a no-op —
-    a client must never be able to break the server with a bad trace
-    field.
+    anything malformed (non-string or overlong ids, or ``None``, or
+    tracing disabled) is a no-op — a client must never be able to break
+    the server with a bad trace field.
     """
-    if not _ENABLED or not isinstance(ctx, dict):
+    ids = _wire_ids(ctx) if _ENABLED else None
+    if ids is None:
         yield
         return
-    tid, sid = ctx.get("id"), ctx.get("span")
-    if not isinstance(tid, str) or not isinstance(sid, str):
-        yield
-        return
-    token = _TRACE.set((tid, sid))
+    token = _TRACE.set(ids)
     try:
         yield
     finally:
@@ -408,12 +422,7 @@ def collecting(ctx: Any) -> Iterator[list | None]:
     Unlike :func:`adopt` this does **not** set the trace context — pair
     it with :func:`attached`, which validates the same shape.
     """
-    if not _ENABLED or not isinstance(ctx, dict):
-        yield None
-        return
-    if not isinstance(ctx.get("id"), str) or not isinstance(
-        ctx.get("span"), str
-    ):
+    if not _ENABLED or _wire_ids(ctx) is None:
         yield None
         return
     collected: list[dict] = []

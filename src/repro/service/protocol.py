@@ -73,7 +73,8 @@ A request may additionally carry an optional ``"trace"`` field —
 client's trace context so server-side spans join the caller's trace
 (see :mod:`repro.obs.trace`).  It is envelope metadata, not payload:
 servers strip it before op dispatch, and servers with tracing disabled
-ignore it entirely.
+ignore it entirely.  A malformed one (not a dict, or an id that is not
+a string of at most 64 characters) is ignored the same way.
 
 Response envelope (exactly one per request)::
 

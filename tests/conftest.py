@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core import BipartiteGraph, TaskHypergraph
-from repro.engine import batch as _batch
 
 _SHM_DIR = "/dev/shm"
 
@@ -62,10 +61,8 @@ CHILD_REAP_S = 3.0
 def _live_children() -> set[int]:
     """Pids of this process's children that have not exited, read from
     ``/proc`` (empty where there is none).  Multiprocessing's resource
-    tracker and fork server serve the whole test session, and the warm
-    engines behind the module-level ``solve_many`` keep their workers
-    between calls by design (until their idle timeout), so none of
-    them is counted."""
+    tracker and fork server serve the whole test session, so neither is
+    counted."""
     me = os.getpid()
     tracker = multiprocessing.resource_tracker._resource_tracker
     server = multiprocessing.forkserver._forkserver
@@ -73,9 +70,6 @@ def _live_children() -> set[int]:
         getattr(tracker, "_pid", None),
         getattr(server, "_forkserver_pid", None),
     }
-    with _batch._SHARED_LOCK:
-        warm = list(_batch._SHARED_ENGINES.values())
-    helpers.update(pid for engine in warm for pid in engine.worker_pids())
     try:
         entries = os.listdir("/proc")
     except OSError:
@@ -118,26 +112,8 @@ def no_leaked_child_processes():
 
 
 def _live_threads() -> set[threading.Thread]:
-    """This process's live threads but the warm module-level
-    ``solve_many`` engines' (their pools keep a management thread, a
-    queue feeder and an idle timer between calls, by design, as they
-    keep their workers)."""
-    with _batch._SHARED_LOCK:
-        warm = list(_batch._SHARED_ENGINES.values())
-    exempt = set()
-    for engine in warm:
-        pool = getattr(engine, "_pool", None)
-        queue = getattr(pool, "_call_queue", None)
-        exempt.update(
-            t
-            for t in (
-                getattr(engine, "_idle_timer", None),
-                getattr(pool, "_executor_manager_thread", None),
-                getattr(queue, "_thread", None),
-            )
-            if t is not None
-        )
-    return {t for t in threading.enumerate() if t.is_alive()} - exempt
+    """This process's live threads."""
+    return {t for t in threading.enumerate() if t.is_alive()}
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -1,5 +1,6 @@
 """Tests for the batch-solving engine (repro.engine)."""
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -126,19 +127,33 @@ class TestBatchEquality:
 
 class TestDeterminism:
     @pytest.mark.parametrize("workers,chunk", [(1, None), (3, 1), (4, 4)])
-    def test_fixed_seed_across_pool_sizes(self, instances, workers, chunk):
+    def test_fixed_seed_across_pool_sizes(
+        self, instances, workers, chunk, monkeypatch
+    ):
         """Pool layout never changes what is computed, even for the
-        randomised method."""
+        randomised method.  A pooled batch of ``4 * workers * chunk``
+        instances goes out as ``4 * workers`` chunks of ``chunk``
+        (``ceil(pending / (4 * workers))``); one worker solves inline."""
+        n = len(instances) if chunk is None else 4 * workers * chunk
+        batch = (instances * -(-n // len(instances)))[:n]
         reference = BatchSolver(
             max_workers=1, executor="serial", cache=False
-        ).solve_many(instances, method="grasp", seed=5)
+        ).solve_many(batch, method="grasp", seed=5)
+        sizes: list[int] = []
         with BatchSolver(
-            max_workers=workers,
-            executor="process",
-            chunk_size=chunk,
-            cache=False,
+            max_workers=workers, executor="process", cache=False
         ) as engine:
-            out = engine.solve_many(instances, method="grasp", seed=5)
+            if not engine.inline:
+                pool = engine._acquire_pool()
+                submit = pool.submit
+
+                def spy(fn, items, *args):
+                    sizes.append(len(items))
+                    return submit(fn, items, *args)
+
+                monkeypatch.setattr(pool, "submit", spy)
+            out = engine.solve_many(batch, method="grasp", seed=5)
+        assert sizes == ([] if chunk is None else [chunk] * (4 * workers))
         for a, b in zip(out, reference):
             assert np.array_equal(a.hedge_of_task, b.hedge_of_task)
 
@@ -398,15 +413,16 @@ class TestCacheConcurrency:
         def grab() -> None:
             barrier.wait()
             pools.append(engine._acquire_pool())
-            engine._release_pool()
 
         threads = [threading.Thread(target=grab) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert len({id(p) for p in pools}) == 1
+            t.join(10)
         engine.close()
+        # a grab that raised appends nothing
+        assert len(pools) == 8
+        assert len({id(p) for p in pools}) == 1
 
     def test_concurrent_solve_many_on_one_engine_is_correct(self, instances):
         """Several threads sharing one engine (the service's batcher
@@ -770,55 +786,21 @@ class TestTransportAndWarmPool:
             assert engine.transport_stats()["exports"] == 0
         assert len(out) == len(batch)
 
-    def test_idle_timeout_recycles_pool(self, batch):
-        import time as _time
-
-        engine = BatchSolver(
-            max_workers=2, executor="process", cache=False, idle_timeout=0.3
-        )
-        try:
-            engine.solve_many(batch)
-            assert engine.worker_pids()
-            deadline = _time.monotonic() + 5.0
-            while engine.worker_pids() and _time.monotonic() < deadline:
-                _time.sleep(0.05)
-            assert engine.worker_pids() == []  # pool dropped while idle
-            r = engine.solve_many(batch)  # and transparently respawned
-            assert len(r) == len(batch)
-            assert engine.worker_pids()
-        finally:
-            engine.close()
-
-    def test_module_level_solve_many_shares_warm_engine(self, batch):
-        from repro.engine import batch as batch_mod
-
-        r1 = solve_many(
-            batch[:3], executor="process", max_workers=2, cache=False
-        )
-        key_count = len(batch_mod._SHARED_ENGINES)
-        r2 = solve_many(
-            batch[:3], executor="process", max_workers=2, cache=False
-        )
-        assert len(batch_mod._SHARED_ENGINES) == key_count  # same engine
-        engine = next(
-            e
-            for k, e in batch_mod._SHARED_ENGINES.items()
-            if k[0] == "process" and k[1] == 2
-        )
-        assert engine.worker_pids()  # still warm after both calls
-        for ra, rb in zip(r1, r2):
-            np.testing.assert_array_equal(
-                ra.matching.hedge_of_task, rb.matching.hedge_of_task
-            )
+    def test_module_level_solve_many_leaves_no_pool_behind(self, batch):
+        """The module-level call owns its pool: once it returns, no
+        worker process and no pool thread is left alive."""
+        threads = set(threading.enumerate())
+        out = solve_many(batch[:3], max_workers=2, cache=False)
+        assert len(out) == 3
+        assert multiprocessing.active_children() == []
+        assert {
+            t for t in threading.enumerate() if t.is_alive()
+        } <= threads
 
     def test_custom_cache_gets_private_engine(self, batch):
-        from repro.engine import batch as batch_mod
-
-        before = dict(batch_mod._SHARED_ENGINES)
         cache = ResultCache(maxsize=8)
         solve_many(batch[:2], max_workers=1, cache=cache)
-        assert cache.stats()["misses"] == 2  # the private cache was used
-        assert batch_mod._SHARED_ENGINES == before  # nothing registered
+        assert cache.stats()["misses"] == 2  # the caller's cache was used
 
     def test_dynamic_instance_is_accepted(self, batch):
         from repro.dynamic import DynamicInstance
@@ -841,5 +823,3 @@ class TestTransportAndWarmPool:
             BatchSolver(shm_min_bytes=-1)
         with pytest.raises(ValueError, match="unknown executor"):
             BatchSolver(executor="thread")
-        with pytest.raises(ValueError):
-            BatchSolver(idle_timeout=0.0)

@@ -420,7 +420,7 @@ class TestEntryPoints:
         from repro.service.server import SolveServer
 
         expected = SolveOptions(**fields).normalized()
-        quiet = dict(max_workers=1, executor="serial", cache=False)
+        quiet = dict(max_workers=1, cache=False)
         seen = {
             "api.solve": solve(_TINY, **fields).options,
             "BatchSolver(**f).solve": (
@@ -443,7 +443,7 @@ class TestEntryPoints:
         from repro.service import options_to_wire
 
         opts = SolveOptions(method="SGH")
-        quiet = dict(max_workers=1, executor="serial", cache=False)
+        quiet = dict(max_workers=1, cache=False)
         calls = {
             "api.solve": lambda: solve(_TINY, options=opts, method="EVG"),
             "solve_hypergraph": (
@@ -632,7 +632,7 @@ class TestProvenance:
 
     def test_pooled_results_carry_provenance(self, problems):
         with BatchSolver(
-            max_workers=2, executor="process", chunk_size=1, cache=False
+            max_workers=2, executor="process", cache=False
         ) as engine:
             out = engine.solve_many(problems, method="portfolio")
         for r in out:

@@ -1,6 +1,6 @@
 """The wire's one hypergraph encoding: binary frame attachments.
 
-Three groups, all over real sockets:
+Four groups, all over real sockets:
 
 * **frame fuzzing** — every malformed frame (truncated or lying
   tails, oversized or unreadable tables, bad placeholders, non-UTF-8
@@ -11,6 +11,9 @@ Three groups, all over real sockets:
   connection task outlives its socket.  Frames split across writes
   are answered, and an answer whose table lies to the client fails the
   call typed or closes the connection, leaving no task or transport;
+* **trace field** — a malformed ``trace`` (not a dict, non-string,
+  nested or longer than 64 characters ``id``/``span``) leaves a solve
+  answered untraced, with no ``spans``, on a serving connection;
 * **one encoding** — hypergraph dicts in the file format (serialize
   version 1 and base64 version 2) answer ``bad-request`` from both;
 * **bit-equality** — attachment solves through a pool, for instances
@@ -346,6 +349,52 @@ def test_attachment_solve_answers_on_a_fuzzed_endpoint(endpoint):
     local = api_solve(hg, method="SGH")
     assert np.array_equal(result.assignment, local.matching.hedge_of_task)
     assert result.makespan == local.makespan
+
+
+# ---------------------------------------------------------------------------
+# the trace field
+# ---------------------------------------------------------------------------
+_ID = "1f-2"
+TRACE_CASES = {
+    "not-a-dict": [_ID, _ID],
+    "string": _ID,
+    "non-string-id": {"id": 7, "span": _ID},
+    "non-string-span": {"id": _ID, "span": None},
+    "nested-id": {"id": {"id": _ID}, "span": _ID},
+    "nested-span": {"id": _ID, "span": [_ID]},
+    "oversized-id": {"id": "a" * 65, "span": _ID},
+    "oversized-span": {"id": _ID, "span": "b" * 65},
+    "both-a-megabyte": {"id": "a" * (1 << 20), "span": "b" * (1 << 20)},
+}
+
+
+def _traced_solve(endpoint, trace) -> dict:
+    """One solve frame carrying ``trace``, answered on a connection
+    that still answers a ping afterwards."""
+    env, table, tail = _solve_frame()
+    env["trace"] = trace
+    replies, open_after = _talk(
+        endpoint.port, _frame(env, table, tail), replies=1, probe=True
+    )
+    assert open_after
+    (reply,) = replies
+    assert reply["ok"], reply
+    _settled(endpoint)
+    return reply
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_malformed_trace_answers_untraced(endpoint, case):
+    reply = _traced_solve(endpoint, TRACE_CASES[case])
+    assert "spans" not in reply, case
+
+
+def test_trace_ids_at_the_bound_answer_traced(endpoint):
+    """Ids of 64 characters are well formed: the answer carries the
+    request's spans."""
+    reply = _traced_solve(endpoint, {"id": "a" * 64, "span": "b" * 64})
+    assert reply["spans"]
+    assert {rec["trace"] for rec in reply["spans"]} == {"a" * 64}
 
 
 # ---------------------------------------------------------------------------
