@@ -431,8 +431,7 @@ def run_harness(
     reference_src: str | None = None,
 ) -> dict:
     sizes = SIZES if smoke else FULL_SIZES
-    # min-of-N timing off the guarded size (which takes GUARD_ROUNDS
-    # interleaved rounds)
+    # interleaved min-of-N timing; the guarded size takes GUARD_ROUNDS
     repeats = 2 if smoke else 3
     rows = []
     for n, p in sizes:
@@ -440,17 +439,10 @@ def run_harness(
         t_compile, _ = _time(compile_instance, hg)
         for name in SOLVERS:
             fn = _hyp_algo(name)
-            if (n, p) == SIZES[-1]:  # the guarded size
-                t_py, m_py, t_np, m_np = _time_backends(
-                    fn, hg, GUARD_ROUNDS
-                )
-            else:
-                t_py, m_py = _time(
-                    fn, hg, backend="python", repeats=repeats
-                )
-                t_np, m_np = _time(
-                    fn, hg, backend="numpy", repeats=repeats
-                )
+            t_py, m_py, t_np, m_np = _time_backends(
+                fn, hg,
+                GUARD_ROUNDS if (n, p) == SIZES[-1] else repeats,
+            )
             if not np.array_equal(
                 m_py.hedge_of_task, m_np.hedge_of_task
             ):

@@ -3,7 +3,7 @@
 Four heuristics, in increasing order of sophistication:
 
 * :func:`basic_greedy` (Algorithm 1) — visit tasks in index order, assign
-  each to its least-loaded eligible processor;
+  each to the eligible processor of least resulting load ``l(u) + w``;
 * :func:`sorted_greedy` — same, visiting tasks by non-decreasing degree
   (tasks with fewer choices commit first);
 * :func:`double_sorted` (Algorithm 2) — sorted visiting plus a
@@ -94,7 +94,7 @@ def greedy_assign(
 def basic_greedy(
     graph: BipartiteGraph, *, lookahead: bool = True
 ) -> SemiMatching:
-    """Algorithm 1: tasks in index order, least-loaded eligible processor.
+    """Algorithm 1: tasks in index order, least resulting load ``l(u) + w``.
 
     ``O(|E|)``.  No approximation guarantee — Fig. 3's family drives it a
     factor ``k`` from optimal for any ``k``.

@@ -127,14 +127,14 @@ register_solver(
     name="basic-greedy",
     domain="bipartite",
     capabilities={"greedy", "weighted"},
-    summary="Least-loaded eligible processor, tasks in index order (Alg. 1).",
+    summary="Eligible processor of least resulting load l(u)+w, tasks in index order (Alg. 1).",
 )(basic_greedy)
 
 register_solver(
     name="sorted-greedy",
     domain="bipartite",
     capabilities={"greedy", "weighted"},
-    summary="Least-loaded eligible processor, tasks by non-decreasing degree.",
+    summary="As basic-greedy, tasks by non-decreasing degree.",
 )(sorted_greedy)
 
 register_solver(
