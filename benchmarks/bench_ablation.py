@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for the design choices the paper leaves open.
 
 * ``lookahead`` — Algorithm 4 as printed (compare ``max l(u)``) versus
   the post-assignment bottleneck (``max l(u) + w_h``): the lookahead

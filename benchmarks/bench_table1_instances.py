@@ -2,8 +2,8 @@
 
 For every named family, benchmark the two-step generator and record the
 sampled ``|N|`` and ``sum |h ∩ V2|`` against the paper's printed values.
-The statistics land within sampling noise of Table I (see EXPERIMENTS.md);
-generation time is our own metric (the paper does not report it).
+The statistics land within sampling noise of Table I; generation time is
+our own metric (the paper does not report it).
 """
 
 from __future__ import annotations

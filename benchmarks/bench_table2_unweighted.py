@@ -1,8 +1,7 @@
 """Experiment ``table2``: the paper's Table II — SGH/VGH/EGH/EVG quality
 (makespan / LB) and running time on *unweighted* Table I instances.
 
-Shape expectations from the paper, asserted loosely here and in full in
-EXPERIMENTS.md:
+Shape expectations from the paper, asserted loosely here:
 
 * FewgManyg: VGH gives the best ratios; EVG does not beat VGH; SGH and
   EGH are close;

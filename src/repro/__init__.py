@@ -35,7 +35,7 @@ result cache::
 Package map
 -----------
 * :mod:`repro.core` — graphs, hypergraphs, semi-matching results;
-* :mod:`repro.matching` — maximum bipartite matching engines;
+* :mod:`repro.matching` — maximum capacitated bipartite matching (Kuhn);
 * :mod:`repro.algorithms` — exact solvers, heuristics, bounds;
 * :mod:`repro.api` — the unified solver API: the capability-aware
   ``SolverRegistry`` + ``register_solver``, typed ``SolveOptions`` /

@@ -37,7 +37,7 @@ import numpy as np
 from ..core.bipartite import BipartiteGraph
 from ..core.errors import InfeasibleError, SolverError
 from ..core.semimatching import SemiMatching
-from ..matching.kuhn import kuhn_matching
+from ..matching import kuhn_matching
 
 __all__ = ["lst_approximation", "LSTReport"]
 

@@ -72,7 +72,7 @@ class DeadlineCertificate:
 
 
 def hall_violator(
-    graph: BipartiteGraph, deadline: int, *, engine: str = "kuhn"
+    graph: BipartiteGraph, deadline: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """A deficiency-Hall witness for capacity-``deadline``, or ``None``.
 
@@ -81,26 +81,25 @@ def hall_violator(
     """
     if not graph.is_unit:
         raise SolverError("Hall certificates apply to unit graphs only")
-    res = feasible_makespan(graph, deadline, engine)
+    res = feasible_makespan(graph, deadline)
     if res.is_left_perfect():
         return None
+    return _violator_from_matching(graph, deadline, res.match_of_left)
 
+
+def _violator_from_matching(
+    graph: BipartiteGraph, deadline: int, match_of_task: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Hall violator grown from a maximum, non-left-perfect matching."""
     # Alternating BFS from every unmatched task over the maximum matching:
     # task -> any neighbour; processor -> all its matched tasks.
-    match_of_task = res.match_of_left
     tasks_of_proc: list[list[int]] = [[] for _ in range(graph.n_procs)]
-    for v in range(graph.n_tasks):
-        u = int(match_of_task[v])
-        if u >= 0:
-            tasks_of_proc[u].append(v)
+    for v in np.flatnonzero(match_of_task >= 0).tolist():
+        tasks_of_proc[int(match_of_task[v])].append(v)
 
-    seen_t = np.zeros(graph.n_tasks, dtype=bool)
+    seen_t = (match_of_task < 0) & (graph.task_degrees() > 0)
     seen_p = np.zeros(graph.n_procs, dtype=bool)
-    q: deque[int] = deque()
-    for v in range(graph.n_tasks):
-        if match_of_task[v] < 0 and graph.task_degrees()[v] > 0:
-            seen_t[v] = True
-            q.append(v)
+    q: deque[int] = deque(np.flatnonzero(seen_t).tolist())
     while q:
         v = q.popleft()
         for u in graph.task_neighbors(v):
@@ -125,13 +124,17 @@ def hall_violator(
 
 
 def deadline_certificate(
-    graph: BipartiteGraph, deadline: int, *, engine: str = "kuhn"
+    graph: BipartiteGraph, deadline: int
 ) -> DeadlineCertificate:
-    """Certified feasibility test: a schedule or a Hall violator."""
+    """Certified feasibility test: a schedule or a Hall violator.
+
+    Runs the matching once: an infeasible deadline's violator is grown
+    from the same maximum matching that proved it infeasible.
+    """
     if not graph.is_unit:
         raise SolverError("deadline certificates apply to unit graphs only")
     graph.validate(require_total=True)
-    res = feasible_makespan(graph, deadline, engine)
+    res = feasible_makespan(graph, deadline)
     if res.is_left_perfect():
         return DeadlineCertificate(
             deadline=deadline,
@@ -140,7 +143,7 @@ def deadline_certificate(
             ),
             violator=None,
         )
-    violator = hall_violator(graph, deadline, engine=engine)
+    violator = _violator_from_matching(graph, deadline, res.match_of_left)
     return DeadlineCertificate(
         deadline=deadline, matching=None, violator=violator
     )

@@ -15,13 +15,9 @@ Two search strategies over ``D``:
   with the sorted-greedy upper bound and binary search, for a
   ``log(M_opt)`` number of matching runs.
 
-Any engine from :mod:`repro.matching` can serve as the matching black box.
-The default is the native capacitated Kuhn engine: it handles capacities
-without materialising processor copies and is empirically the fastest on
-the paper's instance families.  (The scipy backend — C Hopcroft-Karp on
-the explicitly replicated graph — can stall on large-capacity
-replications of the tight-group FewgManyg instances; see
-``benchmarks/bench_matching_engines.py`` for the comparison.)
+The matching black box is :func:`repro.matching.kuhn_matching`, which
+takes the per-processor capacity ``D`` natively instead of materialising
+``D`` copies of every processor.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import numpy as np
 from ..core.bipartite import BipartiteGraph
 from ..core.errors import InfeasibleError, SolverError
 from ..core.semimatching import SemiMatching
-from ..matching import get_engine
+from ..matching import kuhn_matching
 from .greedy_bipartite import sorted_greedy
 
 __all__ = ["exact_singleproc_unit", "ExactUnitReport", "feasible_makespan"]
@@ -59,18 +55,16 @@ class ExactUnitReport:
     probes: tuple[tuple[int, bool], ...]
 
 
-def feasible_makespan(
-    graph: BipartiteGraph, deadline: int, engine: str = "kuhn"
-):
+def feasible_makespan(graph: BipartiteGraph, deadline: int):
     """Decide whether makespan ``<= deadline`` is feasible for a unit graph.
 
-    Returns the engine's :class:`~repro.matching.base.MatchingResult`; the
-    deadline is feasible iff the matching is left-perfect.
+    Returns the maximum capacity-``deadline`` matching as a
+    :class:`~repro.matching.MatchingResult`; the deadline is feasible iff
+    the matching is left-perfect.
     """
     if deadline < 1:
         raise ValueError("deadline must be at least 1")
-    run = get_engine(engine)
-    return run(
+    return kuhn_matching(
         graph.n_tasks,
         graph.n_procs,
         graph.task_ptr,
@@ -83,7 +77,6 @@ def exact_singleproc_unit(
     graph: BipartiteGraph,
     *,
     strategy: str = "bisection",
-    engine: str = "kuhn",
 ) -> ExactUnitReport:
     """Minimum-makespan semi-matching for a unit-weight bipartite graph.
 
@@ -110,12 +103,11 @@ def exact_singleproc_unit(
     def probe(d: int):
         # capacity short-circuit: d*p slots cannot host n tasks.  This
         # keeps the paper's linear scan from paying for matching runs that
-        # are infeasible by counting alone (push-relabel in particular
-        # proves infeasibility slowly).
+        # are infeasible by counting alone.
         if d * graph.n_procs < graph.n_tasks:
             probes.append((d, False))
             return None
-        res = feasible_makespan(graph, d, engine)
+        res = feasible_makespan(graph, d)
         ok = res.is_left_perfect()
         probes.append((d, ok))
         return res if ok else None

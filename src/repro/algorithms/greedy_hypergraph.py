@@ -88,7 +88,8 @@ def sorted_greedy_hyp(
     assignment would create.  ``lookahead=False`` reproduces the printed
     pseudocode literally (``max_{u in h} l(u)``, ignoring ``w_h``); the
     two coincide on unit weights whenever configurations are compared at
-    equal weight, and DESIGN.md discusses the discrepancy.  Runs in
+    equal weight; on mixed weights the printed rule ignores the load the
+    choice itself adds, so the default adds it.  Runs in
     ``O(sum_h |h|)``.
     """
     check_backend(backend)

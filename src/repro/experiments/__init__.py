@@ -25,11 +25,6 @@ from .singleproc import (
     run_singleproc,
     singleproc_specs,
 )
-from .report import (
-    markdown_quality_table,
-    markdown_singleproc,
-    markdown_table1,
-)
 from .sweep import RankingSweep, ranking_sweep
 from .tables import render_comparison, render_quality_table, render_table1
 
@@ -56,9 +51,6 @@ __all__ = [
     "render_table1",
     "render_quality_table",
     "render_comparison",
-    "markdown_table1",
-    "markdown_quality_table",
-    "markdown_singleproc",
     "ranking_sweep",
     "RankingSweep",
 ]

@@ -117,7 +117,6 @@ def run_singleproc(
     algorithms=GREEDY_NAMES,
     n_seeds: int = 10,
     seed0: int = 0,
-    engine: str = "kuhn",
     verbose: bool = False,
 ) -> SingleProcResult:
     """Greedy-vs-exact protocol over bipartite families.
@@ -137,7 +136,7 @@ def run_singleproc(
             graph = spec.generate(k)
             edges.append(graph.n_edges)
             with exact_timer:
-                opt = exact_singleproc_unit(graph, engine=engine)
+                opt = exact_singleproc_unit(graph)
             optima.append(float(opt.optimal_makespan))
             for a in algorithms:
                 solver = get_registry().resolve(

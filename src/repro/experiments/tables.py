@@ -5,8 +5,8 @@ Three renderers matching the paper's evaluation section:
 * :func:`render_table1` — instance statistics (Table I);
 * :func:`render_quality_table` — quality ratios vs LB with the average
   quality/time footer (Tables II and III);
-* :func:`render_comparison` — measured-vs-paper side-by-side, used by the
-  benchmark harness and EXPERIMENTS.md.
+* :func:`render_comparison` — measured-vs-paper side-by-side, printed by
+  the CLI's ``table*`` commands.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ vertices of groups ``j-1``, ``j`` and ``j+1`` (with wrap-around).  The
 paper's instances use ``g = 32`` ("Fewg", large groups, loose locality)
 and ``g = 128`` ("Manyg", small groups, tight locality).
 
-Sampling details the paper leaves open, resolved as follows (see
-DESIGN.md):
+Sampling details the paper leaves open, resolved as follows:
 
 * "binomial distribution with mean d" is ``Binomial(2d, 1/2)``, clamped to
   at least 1 so every task stays schedulable;

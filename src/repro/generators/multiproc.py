@@ -67,8 +67,7 @@ def generate_multiproc(
     # interleaving is what spreads one task's configurations across
     # different processor groups — consecutive (task-major) ordering
     # would make a task's configurations near-identical windows and
-    # collapse the algorithms' choices (see DESIGN.md and the Table III
-    # HiLo discussion in EXPERIMENTS.md).
+    # collapse the algorithms' choices.
     d_v = np.maximum(1, rng.binomial(2 * dv, 0.5, size=n))
     max_dv = int(d_v.max())
     round_mask = (np.arange(max_dv)[:, None] < d_v[None, :]).ravel()

@@ -75,6 +75,23 @@ class TestDeadlineCertificate:
             == exact_singleproc_unit(g).optimal_makespan
         )
 
+    def test_infeasible_deadline_runs_one_matching(self, monkeypatch):
+        import repro.algorithms.certificates as certificates
+
+        calls = []
+        real = certificates.feasible_makespan
+
+        def counting(graph, deadline, *args, **kwargs):
+            calls.append(deadline)
+            return real(graph, deadline, *args, **kwargs)
+
+        monkeypatch.setattr(certificates, "feasible_makespan", counting)
+        g = BipartiteGraph.from_neighbor_lists([[0, 1]] * 7, n_procs=2)
+        cert = deadline_certificate(g, 3)
+        assert not cert.feasible
+        cert.verify(g)
+        assert calls == [3]
+
 
 @given(bipartite_graphs(max_tasks=10, max_procs=5))
 @settings(max_examples=40, deadline=None)

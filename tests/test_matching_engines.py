@@ -1,9 +1,9 @@
-"""Tests for the repro.matching engines.
+"""Tests for :mod:`repro.matching` (capacitated Kuhn matching).
 
-Every engine must (a) return a structurally feasible capacitated matching
-and (b) reach maximum cardinality.  Kuhn's algorithm is the reference: its
-correctness follows line-by-line from Berge's theorem, and the others are
-checked against it on randomised instances.
+Kuhn's algorithm must (a) return a structurally feasible capacitated
+matching and (b) reach maximum cardinality.  (b) is cross-checked against
+an independent implementation: scipy's C Hopcroft-Karp on the explicitly
+replicated graph ``G_D`` of the paper's exact algorithm.
 """
 
 import numpy as np
@@ -11,17 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching import (
-    ENGINES,
-    get_engine,
-    hopcroft_karp_matching,
-    kuhn_matching,
-    normalize_capacity,
-    push_relabel_matching,
-    scipy_matching,
-)
-
-ALL_ENGINES = sorted(ENGINES)
+from repro.matching import kuhn_matching, normalize_capacity
 
 
 def csr_from_lists(nbrs, n_right):
@@ -35,13 +25,6 @@ def csr_from_lists(nbrs, n_right):
 
 
 class TestInterface:
-    def test_get_engine_known(self):
-        assert get_engine("kuhn") is kuhn_matching
-
-    def test_get_engine_unknown(self):
-        with pytest.raises(KeyError, match="unknown matching engine"):
-            get_engine("simplex")
-
     def test_normalize_capacity_scalar(self):
         assert normalize_capacity(3, 2).tolist() == [2, 2, 2]
 
@@ -59,125 +42,99 @@ class TestInterface:
             normalize_capacity(2, np.array([1, 1, 1]))
 
 
-@pytest.mark.parametrize("engine", ALL_ENGINES)
-class TestPerEngine:
-    def test_perfect_matching_on_cycle(self, engine):
+class TestKuhn:
+    def test_perfect_matching_on_cycle(self):
         # 3 left, 3 right, each left connected to two rights in a ring
         nl, nr, ptr, adj = csr_from_lists([[0, 1], [1, 2], [2, 0]], 3)
-        res = ENGINES[engine](nl, nr, ptr, adj)
+        res = kuhn_matching(nl, nr, ptr, adj)
         assert res.cardinality == 3
         assert res.is_left_perfect()
         res.validate(nl, ptr, adj, normalize_capacity(nr, None))
 
-    def test_deficient_graph(self, engine):
+    def test_deficient_graph(self):
         # two left vertices fight over one right vertex
         nl, nr, ptr, adj = csr_from_lists([[0], [0]], 1)
-        res = ENGINES[engine](nl, nr, ptr, adj)
+        res = kuhn_matching(nl, nr, ptr, adj)
         assert res.cardinality == 1
         assert res.use_of_right.tolist() == [1]
 
-    def test_capacity_two_absorbs_both(self, engine):
+    def test_capacity_two_absorbs_both(self):
         nl, nr, ptr, adj = csr_from_lists([[0], [0]], 1)
-        res = ENGINES[engine](nl, nr, ptr, adj, cap=2)
+        res = kuhn_matching(nl, nr, ptr, adj, cap=2)
         assert res.cardinality == 2
         assert res.use_of_right.tolist() == [2]
 
-    def test_zero_capacity_blocks(self, engine):
+    def test_zero_capacity_blocks(self):
         nl, nr, ptr, adj = csr_from_lists([[0]], 1)
-        res = ENGINES[engine](nl, nr, ptr, adj, cap=0)
+        res = kuhn_matching(nl, nr, ptr, adj, cap=0)
         assert res.cardinality == 0
 
-    def test_isolated_left_vertex(self, engine):
+    def test_isolated_left_vertex(self):
         nl, nr, ptr, adj = csr_from_lists([[], [0]], 1)
-        res = ENGINES[engine](nl, nr, ptr, adj)
+        res = kuhn_matching(nl, nr, ptr, adj)
         assert res.match_of_left[0] == -1
         assert res.cardinality == 1
 
-    def test_empty_graph(self, engine):
+    def test_empty_graph(self):
         nl, nr, ptr, adj = csr_from_lists([], 0)
-        res = ENGINES[engine](nl, nr, ptr, adj)
+        res = kuhn_matching(nl, nr, ptr, adj)
         assert res.cardinality == 0
 
-    def test_augmenting_path_needed(self, engine):
+    def test_augmenting_path_needed(self):
         # greedy init matches L0->R0; L1 only likes R0, forcing a steal
         nl, nr, ptr, adj = csr_from_lists([[0, 1], [0]], 2)
-        res = ENGINES[engine](nl, nr, ptr, adj)
+        res = kuhn_matching(nl, nr, ptr, adj)
         assert res.cardinality == 2
         assert res.match_of_left[1] == 0
         assert res.match_of_left[0] == 1
 
-    def test_long_augmenting_chain(self, engine):
+    def test_long_augmenting_chain(self):
         # chain that requires rematching down k levels
         k = 8
         nbrs = [[i, i + 1] for i in range(k)] + [[0]]
         nl, nr, ptr, adj = csr_from_lists(nbrs, k + 1)
-        res = ENGINES[engine](nl, nr, ptr, adj)
+        res = kuhn_matching(nl, nr, ptr, adj)
         assert res.cardinality == k + 1
 
-    def test_no_greedy_init(self, engine):
-        nl, nr, ptr, adj = csr_from_lists([[0, 1], [0]], 2)
-        res = ENGINES[engine](nl, nr, ptr, adj, greedy_init=False)
-        assert res.cardinality == 2
 
-
-def _random_instance(rng):
-    nl = int(rng.integers(1, 16))
-    nr = int(rng.integers(1, 12))
-    deg = rng.integers(0, nr + 1, size=nl)
-    nbrs = [rng.choice(nr, size=d, replace=False).tolist() for d in deg]
-    return csr_from_lists(nbrs, nr)
-
-
-@pytest.mark.parametrize("engine", [e for e in ALL_ENGINES if e != "kuhn"])
-def test_cardinality_matches_kuhn_randomised(engine):
-    """All engines reach Kuhn's (maximum) cardinality, unit and capacitated."""
-    rng = np.random.default_rng(7)
-    for trial in range(120):
-        nl, nr, ptr, adj = _random_instance(rng)
-        cap = rng.integers(1, 4, size=nr) if trial % 2 else None
-        ref = kuhn_matching(nl, nr, ptr, adj, cap)
-        res = ENGINES[engine](nl, nr, ptr, adj, cap)
-        res.validate(nl, ptr, adj, normalize_capacity(nr, cap))
-        assert res.cardinality == ref.cardinality, (engine, trial)
+N_RIGHT = 6
 
 
 @given(
     data=st.lists(
-        st.lists(st.integers(0, 5), max_size=6, unique=True),
+        st.lists(st.integers(0, N_RIGHT - 1), max_size=N_RIGHT, unique=True),
         min_size=1,
-        max_size=10,
+        max_size=12,
     ),
-    capv=st.one_of(st.none(), st.integers(1, 3)),
+    cap=st.one_of(
+        st.none(),
+        st.integers(0, 3),
+        st.lists(st.integers(0, 3), min_size=N_RIGHT, max_size=N_RIGHT).map(
+            np.array
+        ),
+    ),
 )
-@settings(max_examples=80, deadline=None)
-def test_engines_agree_property(data, capv):
-    """Property: all four engines report one cardinality, and scipy's
-    (independent C implementation) validates the pure-Python ones."""
-    nl, nr, ptr, adj = csr_from_lists(data, 6)
-    cards = set()
-    for engine in ALL_ENGINES:
-        res = ENGINES[engine](nl, nr, ptr, adj, capv)
-        res.validate(nl, ptr, adj, normalize_capacity(nr, capv))
-        cards.add(res.cardinality)
-    assert len(cards) == 1
+@settings(max_examples=150, deadline=None)
+def test_kuhn_cardinality_matches_scipy_on_replicated_graph(data, cap):
+    """Property: Kuhn's capacity-``cap`` matching is as large as scipy's
+    maximum matching of ``G_D``, the graph with ``cap[u]`` copies of every
+    right vertex ``u`` (same neighbourhoods)."""
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    from scipy.sparse import csr_matrix
 
+    nl, nr, ptr, adj = csr_from_lists(data, N_RIGHT)
+    capacity = normalize_capacity(nr, cap)
+    res = kuhn_matching(nl, nr, ptr, adj, cap)
+    res.validate(nl, ptr, adj, capacity)
 
-def test_scipy_replication_equivalence():
-    """Capacity-D scipy matching equals unit matching on the replicated
-    graph (the construction the paper describes)."""
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        nl, nr, ptr, adj = _random_instance(rng)
-        d = int(rng.integers(1, 4))
-        res = scipy_matching(nl, nr, ptr, adj, cap=d)
-        # manual replication
-        nbrs_rep = []
-        for v in range(nl):
-            opts = []
-            for k in range(ptr[v], ptr[v + 1]):
-                u = int(adj[k])
-                opts.extend(u * d + c for c in range(d))
-            nbrs_rep.append(opts)
-        nl2, nr2, ptr2, adj2 = csr_from_lists(nbrs_rep, nr * d)
-        ref = kuhn_matching(nl2, nr2, ptr2, adj2)
-        assert res.cardinality == ref.cardinality
+    slot_ptr = np.concatenate(([0], np.cumsum(capacity)))
+    replicated = [
+        [c for u in nbrs for c in range(slot_ptr[u], slot_ptr[u + 1])]
+        for nbrs in data
+    ]
+    _, n_slots, rptr, radj = csr_from_lists(replicated, int(slot_ptr[-1]))
+    biadjacency = csr_matrix(
+        (np.ones(len(radj), dtype=np.int8), radj, rptr), shape=(nl, n_slots)
+    )
+    ref = csgraph.maximum_bipartite_matching(biadjacency, perm_type="column")
+    assert res.cardinality == int(np.sum(ref >= 0))

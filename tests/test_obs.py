@@ -9,7 +9,6 @@ service → batching → engine → kernels.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
 from contextlib import contextmanager
@@ -38,7 +37,9 @@ from repro.obs import (
     tracing_enabled,
 )
 from repro.obs import trace as trace_mod
-from repro.service import ServiceClient, SolveServer
+from repro.service import ServiceClient
+
+from test_service import running_server
 
 
 def hg_for(seed: int = 0, n: int = 60):
@@ -315,40 +316,11 @@ class TestMetricsRegistry:
 # ---------------------------------------------------------------------------
 # the cross-layer contract: one request, one trace
 # ---------------------------------------------------------------------------
-@contextmanager
-def running_server(**config):
-    config.setdefault(
-        "engine",
-        BatchSolver(max_workers=1, executor="serial", cache=ResultCache()),
-    )
-    config.setdefault("allow_shutdown", True)
-    server = SolveServer(port=0, **config)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(10), "server failed to start"
-    try:
-        yield server
-    finally:
-        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(10)
-        loop.close()
-
-
 class TestServiceTracing:
     def test_one_round_trip_yields_one_cross_layer_trace(self):
         clear_compile_cache()
         trace_mod.RECORDER.clear()
-        with running_server(trace_threshold_s=0.0) as server:
+        with running_server(trace_threshold_s=0.0) as (server, _loop):
             with ServiceClient(port=server.port) as client:
                 r = client.solve(hg_for(seed=3))
                 recorder = client.traces()
@@ -377,7 +349,7 @@ class TestServiceTracing:
         assert r.stats["cache_hit"] is False
 
     def test_trace_op_count_and_validation(self):
-        with running_server(trace_threshold_s=0.0) as server:
+        with running_server(trace_threshold_s=0.0) as (server, _loop):
             with ServiceClient(port=server.port) as client:
                 for s in range(3):
                     client.solve(hg_for(seed=10 + s))
@@ -390,7 +362,7 @@ class TestServiceTracing:
 
     def test_tracing_off_server_records_nothing(self):
         trace_mod.RECORDER.clear()
-        with running_server(tracing=False) as server:
+        with running_server(tracing=False) as (server, _loop):
             with ServiceClient(port=server.port) as client:
                 client.solve(hg_for(seed=4))
                 recorder = client.traces()
@@ -399,7 +371,7 @@ class TestServiceTracing:
         assert trace_mod.RECORDER.spans() == []
 
     def test_prometheus_metrics_over_the_wire(self):
-        with running_server() as server:
+        with running_server() as (server, _loop):
             with ServiceClient(port=server.port) as client:
                 client.solve(hg_for(seed=5))
                 text = client.metrics(format="prometheus")["text"]

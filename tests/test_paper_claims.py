@@ -2,7 +2,8 @@
 
 These pin the *shape* of the evaluation section's findings — the
 statements the reproduction must preserve — on shrunken instances so the
-suite stays fast.  The full-size evidence lives in EXPERIMENTS.md.
+suite stays fast.  The full-size runs are the ``benchmarks/bench_table*``
+experiments.
 """
 
 import numpy as np
