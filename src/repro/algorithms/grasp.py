@@ -119,13 +119,14 @@ def grasp(
     alpha: float = 0.1,
     seed: int | np.random.Generator | None = None,
     improve: bool = True,
-    max_ls_rounds: int = 200,
+    max_ls_moves: int = 200,
     backend: str = "numpy",
 ) -> GraspReport:
     """Multi-start randomised greedy with local-search improvement.
 
     Deterministic given ``seed``.  Never returns a worse makespan than
-    the best single construction it performed.
+    the best single construction it performed.  Each iteration's local
+    search makes at most ``max_ls_moves`` moves.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -140,7 +141,7 @@ def grasp(
         )
         if improve:
             m = local_search(
-                m, max_rounds=max_ls_rounds, backend=backend
+                m, max_moves=max_ls_moves, backend=backend
             ).matching
         history.append(m.makespan)
         if best is None or m.makespan < best.makespan:

@@ -10,247 +10,153 @@ descending-lexicographic order of Section IV-D3 (so the bottleneck never
 worsens and strictly improves whenever possible, and plateau-shuffling is
 impossible — the vector order is a strict well-order, guaranteeing
 termination).  Candidate tasks are drawn from the current bottleneck
-processors only, which keeps each round linear in the size of the touched
+processors only, which keeps each move linear in the size of the touched
 neighbourhood.
 
-Like the greedy heuristics, the search runs on two backends.
-``backend="numpy"`` enumerates each round's candidate moves with array
-ops and evaluates them in chunks through the batched move-evaluation
-kernel (:func:`repro.kernels.batch_lex_signs`); both moves are always
-configurations of the same task, so each move is compared over the
-task's precompiled pin-union (sound by the multiset lemma), rows padded
-with ``-inf`` to the chunk width.  The first improving move in scan
-order is applied — exactly the move the ``backend="python"`` loop
-accepts — so both backends walk the same move sequence and return
-bit-identical results.
+Each move is the first improving one of a scan over every task on a
+bottleneck processor, ascending, a task's configurations in
+:meth:`TaskHypergraph.task_hedge_ids` order, in batches of
+``SCAN_PREFIX`` tasks and then 64, through the move scan of
+:mod:`repro.kernels.moves`.  Incremental repair runs the same scan but
+takes one bottleneck processor's tasks at a time, to stay near the
+processor it lowers; the order decides which improving move comes
+first, so one order for both would change the answers here.
+``backend="python"`` runs the scalar rule the vectorized scan is held
+to: both make the same moves, bit for bit.
+
+At most ``max_moves`` moves are made; a search that stops there has
+not confirmed a local optimum and reports ``capped`` (through the
+engine, ``ls_moves`` and ``ls_capped`` in ``SolveResult.stats``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from ..core.hypergraph import TaskHypergraph
-from ..core.loadvec import lex_compare_multisets
 from ..core.semimatching import HyperSemiMatching
-from ..kernels import (
-    check_backend,
-    compile_instance,
-    first_lex_improving,
-    flat_ranges,
+from ..kernels import check_backend, compile_instance, flat_ranges
+from ..kernels.moves import (
+    SCAN_PREFIX,
+    compiled_rows,
+    first_improving_move,
+    first_improving_move_python,
 )
 
-__all__ = ["local_search", "LocalSearchReport"]
+__all__ = ["local_search", "LocalSearchReport", "tally_moves"]
 
-#: Moves evaluated per kernel batch: large enough to amortize the array
-#: ops, small enough not to waste work when an early move improves.
-_CHUNK = 64
+#: Tasks per scan batch after the first ``SCAN_PREFIX``: enough to
+#: amortize the array ops, few enough to waste little past an early pick
+_STEP = 64
+
+#: the tally of the solve in progress (see :func:`tally_moves`)
+_TALLY: ContextVar[dict | None] = ContextVar("ls_tally", default=None)
 
 
 @dataclass(frozen=True)
 class LocalSearchReport:
-    """Refined matching plus search statistics."""
+    """Refined matching plus search statistics (``capped``: the search
+    stopped at its move budget, not at a local optimum)."""
 
     matching: HyperSemiMatching
     moves: int
-    rounds: int
+    capped: bool
     initial_makespan: float
     final_makespan: float
 
 
-def _move_delta(
-    loads: np.ndarray,
-    old_pins: np.ndarray,
-    old_w: float,
-    new_pins: np.ndarray,
-    new_w: float,
-) -> int:
-    """Compare loads-after-move against loads-before over the affected set."""
-    aff = np.union1d(old_pins, new_pins)
-    before = loads[aff]
-    after = before.copy()
-    after[np.searchsorted(aff, old_pins)] -= old_w
-    after[np.searchsorted(aff, new_pins)] += new_w
-    return lex_compare_multisets(after, before)
+@contextmanager
+def tally_moves() -> Iterator[dict]:
+    """Yields a dict that ends holding, over every local search run in
+    the block, ``ls_moves`` (summed) and ``ls_capped`` (any), or
+    nothing when none ran: the engine reports it per solve."""
+    tally: dict = {}
+    token = _TALLY.set(tally)
+    try:
+        yield tally
+    finally:
+        _TALLY.reset(token)
 
 
 def local_search(
     start: HyperSemiMatching,
     *,
-    max_rounds: int = 1000,
+    max_moves: int = 1000,
     backend: str = "numpy",
 ) -> LocalSearchReport:
     """Improve ``start`` by single-task reconfiguration moves.
 
-    Each round scans the tasks touching a current bottleneck processor and
-    applies the first vector-improving move found; rounds repeat until a
-    full scan finds no improving move or ``max_rounds`` is reached.
+    Each step scans the tasks touching a current bottleneck processor and
+    applies the first vector-improving move found; steps repeat until a
+    full scan finds no improving move or ``max_moves`` moves are made.
     Both backends apply the identical move sequence (see module docs).
     """
     check_backend(backend)
-    if backend == "python":
-        return _local_search_python(start, max_rounds)
-    return _local_search_numpy(start, max_rounds)
-
-
-def _local_search_python(
-    start: HyperSemiMatching, max_rounds: int
-) -> LocalSearchReport:
     hg: TaskHypergraph = start.hypergraph
-    hptr, hprocs, w = hg.hedge_ptr, hg.hedge_procs, hg.hedge_w
-    proc_ptr, proc_hedges = hg.proc_ptr, hg.proc_hedges
+    # the processor index first: building the pin shifts re-prices the
+    # cached compilation, which counts the index once built
+    proc_ptr, proc_hedges, hedge_task = (
+        hg.proc_ptr, hg.proc_hedges, hg.hedge_task
+    )
+    ck = compile_instance(hg)
+    rows = compiled_rows(ck)
+    scan = (
+        first_improving_move if backend == "numpy"
+        else first_improving_move_python
+    )
     assign = start.hedge_of_task.copy()
+    # the current configuration of each task, as an index among its own
+    cfg = ck.hedge_gpos[assign] - rows.task_lo
     loads = start.loads()
     initial_mk = start.makespan
 
     moves = 0
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        improved = False
+    while moves < max_moves:
         mk = loads.max()
         bottleneck = np.flatnonzero(loads >= mk - 1e-12)
-        # tasks whose current configuration touches a bottleneck processor
-        cand_tasks: set[int] = set()
-        for u in bottleneck:
-            lo, hi = proc_ptr[u], proc_ptr[u + 1]
-            for h in proc_hedges[lo:hi]:
-                if assign[hg.hedge_task[h]] == h:
-                    cand_tasks.add(int(hg.hedge_task[h]))
-        for v in sorted(cand_tasks):
-            h_old = int(assign[v])
-            old_pins = hprocs[hptr[h_old] : hptr[h_old + 1]]
-            for h_new in hg.task_hedge_ids(v):
-                h_new = int(h_new)
-                if h_new == h_old:
-                    continue
-                new_pins = hprocs[hptr[h_new] : hptr[h_new + 1]]
-                if (
-                    _move_delta(loads, old_pins, w[h_old], new_pins, w[h_new])
-                    < 0
-                ):
-                    loads[old_pins] -= w[h_old]
-                    loads[new_pins] += w[h_new]
-                    assign[v] = h_new
-                    moves += 1
-                    improved = True
-                    break
-            if improved:
+        # candidate tasks: assigned configurations touching a bottleneck
+        # processor, ascending
+        hs = proc_hedges[
+            flat_ranges(
+                proc_ptr[bottleneck],
+                proc_ptr[bottleneck + 1] - proc_ptr[bottleneck],
+            )
+        ]
+        ts = hedge_task[hs]
+        cand = np.unique(ts[assign[ts] == hs])
+        # in batches: the first SCAN_PREFIX tasks, then _STEP at a time
+        ends = [*range(SCAN_PREFIX, cand.shape[0], _STEP), cand.shape[0]]
+        mv = None
+        for lo, hi in zip([0, *ends], ends):
+            mv = scan(rows, loads, cfg, cand[lo:hi]) if hi > lo else None
+            if mv is not None:
                 break
-        if not improved:
-            break
-
-    final = HyperSemiMatching(hg, assign)
-    return LocalSearchReport(
-        matching=final,
-        moves=moves,
-        rounds=rounds,
-        initial_makespan=initial_mk,
-        final_makespan=final.makespan,
-    )
-
-
-def _local_search_numpy(
-    start: HyperSemiMatching, max_rounds: int
-) -> LocalSearchReport:
-    hg: TaskHypergraph = start.hypergraph
-    ci = compile_instance(hg)
-    hptr, hprocs, w = hg.hedge_ptr, hg.hedge_procs, hg.hedge_w
-    g_w = w[ci.g_hedge]
-    assign = start.hedge_of_task.copy()
-    loads = start.loads()
-    initial_mk = start.makespan
-
-    moves = 0
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        mv = _first_improving_move(hg, ci, g_w, assign, loads)
         if mv is None:
             break
-        v, h_new = mv
-        h_old = int(assign[v])
-        loads[hprocs[hptr[h_old] : hptr[h_old + 1]]] -= w[h_old]
-        loads[hprocs[hptr[h_new] : hptr[h_new + 1]]] += w[h_new]
-        assign[v] = h_new
+        v, c = mv
+        old = rows.task_lo.item(v) + cfg.item(v)
+        new = rows.task_lo.item(v) + c
+        loads[rows.row_pins(old)] -= rows.row_w[old]
+        loads[rows.row_pins(new)] += rows.row_w[new]
+        cfg[v] = c
+        assign[v] = ck.g_hedge[new]
         moves += 1
+    capped = moves == max_moves
 
+    tally = _TALLY.get()
+    if tally is not None:
+        tally["ls_moves"] = tally.get("ls_moves", 0) + moves
+        tally["ls_capped"] = tally.get("ls_capped", False) or capped
     final = HyperSemiMatching(hg, assign)
     return LocalSearchReport(
         matching=final,
         moves=moves,
-        rounds=rounds,
+        capped=capped,
         initial_makespan=initial_mk,
         final_makespan=final.makespan,
     )
-
-
-def _first_improving_move(
-    hg: TaskHypergraph,
-    ci,
-    gw: np.ndarray,
-    assign: np.ndarray,
-    loads: np.ndarray,
-) -> tuple[int, int] | None:
-    """The first vector-improving move in the Python scan order, found
-    by chunked batch evaluation; ``None`` when the round has none.
-    ``gw`` is ``hg``'s weights in grouped order."""
-    mk = loads.max()
-    bottleneck = np.flatnonzero(loads >= mk - 1e-12)
-    # candidate tasks: assigned configurations touching a bottleneck proc
-    proc_ptr = hg.proc_ptr
-    hs = hg.proc_hedges[
-        flat_ranges(
-            proc_ptr[bottleneck],
-            proc_ptr[bottleneck + 1] - proc_ptr[bottleneck],
-        )
-    ]
-    ts = hg.hedge_task[hs]
-    cand = np.unique(ts[assign[ts] == hs])  # sorted ascending, like the loop
-    if cand.size == 0:
-        return None
-
-    # every (task, alternative configuration) pair, in scan order:
-    # tasks ascending, a task's candidates in task_hedge_ids order
-    deg = hg.task_ptr[cand + 1] - hg.task_ptr[cand]
-    mv_gpos = flat_ranges(hg.task_ptr[cand], deg)
-    mv_task = np.repeat(cand, deg)
-    mv_hnew = ci.g_hedge[mv_gpos]
-    keep = mv_hnew != assign[mv_task]
-    mv_gpos, mv_task, mv_hnew = mv_gpos[keep], mv_task[keep], mv_hnew[keep]
-    if mv_task.size == 0:
-        return None
-    mv_old_gpos = ci.hedge_gpos[assign[mv_task]]
-
-    gptr, gsize = ci.g_ptr, ci.g_size
-    uptr, uprocs, pin_pos = ci.u_ptr, ci.u_procs, ci.g_pin_pos
-    for c0 in range(0, mv_task.size, _CHUNK):
-        c1 = min(c0 + _CHUNK, mv_task.size)
-        vs = mv_task[c0:c1]
-        m = c1 - c0
-        u0 = uptr[vs]
-        lens = uptr[vs + 1] - u0
-        kmax = int(lens.max())
-        rows = np.repeat(np.arange(m), lens)
-        cols = flat_ranges(np.zeros(m, dtype=np.int64), lens)
-        before = np.full((m, kmax), -np.inf)
-        before[rows, cols] = loads[uprocs[flat_ranges(u0, lens)]]
-        after = before.copy()
-        # withdraw the current configuration, then realise the new one
-        # (the -=/+= order matches the Python oracle on shared pins)
-        og = mv_old_gpos[c0:c1]
-        olens = gsize[og]
-        orow = np.repeat(np.arange(m), olens)
-        opos = pin_pos[flat_ranges(gptr[og], olens)]
-        after[orow, opos] -= np.repeat(gw[og], olens)
-        ng = mv_gpos[c0:c1]
-        nlens = gsize[ng]
-        nrow = np.repeat(np.arange(m), nlens)
-        npos = pin_pos[flat_ranges(gptr[ng], nlens)]
-        after[nrow, npos] += np.repeat(gw[ng], nlens)
-
-        i = first_lex_improving(after, before)
-        if i is not None:
-            return int(vs[i]), int(mv_hnew[c0 + i])
-    return None

@@ -56,8 +56,11 @@ class SolveResult:
         and ``cache_hit`` always; ``compile_s`` when a kernel compile
         happened inside the solve (requires tracing enabled — the
         engine reads it off the span timings); ``queue_s`` when the
-        solve went through the service's micro-batcher.  Empty only for
-        results built outside the engine.
+        solve went through the service's micro-batcher; ``ls_moves``
+        and ``ls_capped`` when a local search ran (``+ls``, GRASP): its
+        moves, and whether it stopped at its move budget rather than at
+        a local optimum.  Empty only for results built outside the
+        engine.
     """
 
     matching: HyperSemiMatching

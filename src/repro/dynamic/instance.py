@@ -31,24 +31,10 @@ import numpy as np
 from .._util import grown
 from ..core.errors import GraphStructureError, InfeasibleError
 from ..core.hypergraph import TaskHypergraph
-from ..kernels.compiled import flat_ranges, segment_starts, union_positions
+from ..kernels.compiled import flat_ranges, segment_starts, union_shifts
 from .journal import DeltaJournal, Mutation
 
 __all__ = ["DynamicInstance", "CompiledInstance"]
-
-
-def _union_shifts(
-    counts: np.ndarray, lens: np.ndarray, flat: np.ndarray
-) -> np.ndarray:
-    """Each pin's union shift (see :class:`_ConfigStore`), for tasks
-    laid out as ``counts[i]`` rows each with pin counts ``lens`` and
-    sorted pins ``flat``."""
-    n = counts.shape[0]
-    owner = np.repeat(np.repeat(np.arange(n), counts), lens)
-    pos = union_positions(owner, flat, n)[0]
-    # pos - (the pin's place among its task's pins)
-    first = segment_starts(np.bincount(owner, minlength=n))
-    return pos + first[owner] - np.arange(flat.shape[0])
 
 
 def _row_arrays(confs):
@@ -79,16 +65,15 @@ class _ConfigStore:
     processors of all the task's rows, disabled ones included), as a
     shift from its own place in that stretch: when the task's pins
     start at ``s``, ``pins[i]`` sits at union position
-    ``i - s + pin_shift[i]`` — the dynamic analogue of the compiled
-    kernels' ``g_pin_pos``.  Two rows of one task share a processor
-    exactly when they hold pins of equal union position, and a union is
-    never longer than its task's pins together, so the incremental
-    solver's move scan finds shared pins by marking positions in a
-    buffer laid out like the pins it scans: a pin's mark sits
-    ``pin_shift`` away from the pin.  Shifts are set when a task's rows
-    are appended and carried unchanged through compaction (which moves
-    a task's stretch whole); killing, reviving or re-weighting a row
-    leaves them valid, since the union counts disabled rows too.
+    ``i - s + pin_shift[i]`` (see
+    :func:`~repro.kernels.compiled.union_shifts`).  The store is thus a
+    row layout of the move scan (:mod:`repro.kernels.moves`), which
+    finds the pins two rows share by marking union positions in a
+    buffer laid out like the pins it scans.  Shifts are set when a
+    task's rows are appended and carried unchanged through compaction
+    (which moves a task's stretch whole); killing, reviving or
+    re-weighting a row leaves them valid, since the union counts
+    disabled rows too.
 
     A departed task's rows stay behind as garbage; once garbage is more
     than half of all rows, :meth:`compact` repacks the live tasks' rows
@@ -187,7 +172,7 @@ class _ConfigStore:
         are the pins' union shifts when already known (compaction);
         otherwise they are derived from the pins."""
         if shift is None:
-            shift = _union_shifts(counts, lens, flat)
+            shift = union_shifts(counts, lens, flat)
         r0, p0 = self.n_rows, self.n_pins
         r1, p1 = r0 + lens.shape[0], p0 + flat.shape[0]
         for name in (
@@ -474,19 +459,6 @@ class DynamicInstance:
                 f"task {task} has no alive configuration {index}"
             )
         return confs[index][:2]
-
-    def config_any(
-        self, task: int, index: int
-    ) -> tuple[tuple[int, ...], float, bool]:
-        """``(pins, weight, alive)`` of a configuration, disabled ones
-        included — the repair path needs the pins of a configuration a
-        processor failure just killed."""
-        confs = self._store.configs(task)
-        if not 0 <= index < len(confs):
-            raise GraphStructureError(
-                f"task {task} has no configuration {index}"
-            )
-        return confs[index]
 
     # ------------------------------------------------------------------
     # mutations

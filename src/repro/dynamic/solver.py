@@ -16,30 +16,22 @@ the delta journal —
 and every direct fix is followed by a *bounded local search*: the
 vector-improving single-task moves of
 :func:`repro.algorithms.local_search`, restricted to tasks assigned
-inside the repair region and capped by a move budget.  Accepted moves
-strictly improve the multiset-lexicographic load vector, so the global
-bottleneck never worsens through repair.
+inside the repair region and capped by a move budget (``ls_moves`` per
+repaired mutation).  Accepted moves strictly improve the
+multiset-lexicographic load vector, so the global bottleneck never
+worsens through repair.
 
 The state is arrays: loads and a live mask by processor handle, the
 chosen configuration index by task handle, the repair region as a mask
 over processor handles, and for each processor the set of tasks whose
 chosen configuration holds it.  Configurations are read straight from
-the instance's row store, never copied.  The move scan takes the
-region's bottleneck processors in ascending order and evaluates one
-processor's candidate moves in vectorized passes over its tasks, first
-the ``SCAN_PREFIX`` lowest handles and then the rest (most picks sit in
-the first part, and the split changes neither the order nor the rule,
-so not the pick).  A pass gathers every row of its tasks at once — a
-task's rows are one stretch of the store's pins, laid out by one
-repeat per task — finds the pins each alternative shares with the
-current configuration through the store's pin-union shifts, screens
-the alternatives by their affected maxima (``np.maximum.reduceat``),
-and resolves the equal-maxima ones before the first sure improvement
-in one batched :func:`repro.kernels.first_lex_improving` call — the
-primitive the static local search runs on.  Every float operation is
-the one the per-candidate scalar scan performed (kept as the test
-oracle), so the move sequence, and with it every bottleneck, is
-bit-identical to it.
+the instance's row store, never copied: the store is a row layout of
+the move scan static local search shares (:mod:`repro.kernels.moves`).
+The repair scans the region's bottleneck processors in ascending
+order, each one's not yet scanned tasks ascending, the first
+``SCAN_PREFIX`` and then the rest, so its picks stay near the
+processor it lowers.  Every move, and with it every bottleneck, is
+bit-identical to the scalar rule's (the test oracle).
 
 When one mutation displaces more than ``max(min_fallback_region,
 fallback_ratio * n_tasks)`` tasks the solver gives up on locality
@@ -67,17 +59,13 @@ import numpy as np
 from .._util import grown
 from ..core.hypergraph import TaskHypergraph
 from ..core.semimatching import HyperSemiMatching
-from ..kernels import first_lex_improving
-from ..kernels.compiled import flat_ranges, segment_starts
+from ..kernels.compiled import segment_starts
+from ..kernels.moves import SCAN_PREFIX, first_improving_move
 from ..obs.trace import span
 from .instance import DynamicInstance
 from .journal import Mutation
 
 __all__ = ["IncrementalSolver", "RepairStats", "incremental_solve"]
-
-#: how many of a bottleneck processor's tasks the move scan reads before
-#: the rest (see :meth:`IncrementalSolver._first_improving_move`)
-SCAN_PREFIX = 16
 
 
 @dataclass
@@ -405,10 +393,10 @@ class IncrementalSolver:
     def _first_improving_move(
         self, hot: np.ndarray
     ) -> tuple[int, int] | None:
-        """The first vector-improving move ``(task, config)`` in scan
-        order: the bottleneck processors ``hot`` (ascending) in order,
-        their tasks ascending (each task once), a task's configurations
-        in index order.
+        """The first vector-improving move ``(task, config)`` in the
+        repair's scan order: the bottleneck processors ``hot``
+        (ascending) in order, each one's tasks not yet scanned
+        ascending, a task's configurations in index order.
 
         A processor's tasks are scanned in two parts, the first
         ``SCAN_PREFIX`` of them and then the rest: the scan order and
@@ -431,124 +419,11 @@ class IncrementalSolver:
         return None
 
     def _scan(self, tasks: np.ndarray) -> tuple[int, int] | None:
-        """The first improving move, in scan order, of ``tasks`` to one
-        of their other alive configurations, all evaluated in one pass.
-
-        One flat gather reads every row of ``tasks`` — current
-        configurations and alternatives alike — and takes each row's
-        maximum load once.  A move is screened by its affected maxima
-        (the first entry of the descending multisets): a larger maximum
-        after the move cannot improve, a smaller one certainly does.
-        Only the equal-maxima moves before the first sure improvement
-        need the full comparison, in one batched
-        :func:`~repro.kernels.first_lex_improving` call.
-
-        A task's rows hold one stretch of the store's pins, so the
-        gather is one store range per task, and a pin's union position
-        is its shift away from it (see
-        :class:`~repro.dynamic.instance._ConfigStore`): the shared pins
-        are found with no key build or sorted search.  Each scanned
-        task owns a stretch of a buffer as long as its gathered pins,
-        its current row marks its pins' union positions there, and an
-        alternative's pin is shared exactly when its position is marked
-        (the tie path does the same per tied move, marking the move's
-        new pins).  The float operations are unchanged, the per-pin
-        ones of the scalar scan — ``(l - cur_w) + w`` on a shared pin,
-        ``l - cur_w`` and ``l + w`` elsewhere — so every decision is
-        bit-identical to it.  Rounding is monotone, which spares two
-        per-pin passes: the current pins' largest ``l - cur_w`` is
-        ``max(l) - cur_w`` (and a shared pin's ``(l - cur_w) + w`` is
-        at least its ``l - cur_w``), and a row's largest ``(l - mark) +
-        w`` is its largest ``l - mark``, plus ``w``.
-        """
-        st = self.instance._store
-        # one flat gather of every row of ``tasks``, grouped by task;
-        # task ``o`` owns rows ``first[o]:ends[o]``, row ``r`` the pins
-        # ``at[r]:at[r] + lens[r]``
-        lo = st.task_lo[tasks]
-        counts = st.task_n[tasks]
-        ends = np.add.accumulate(counts)
-        first = ends - counts
-        rows = (lo - first).repeat(counts) + np.arange(ends[-1])
-        lens = st.row_len[rows]
-        pend = np.add.accumulate(lens)
-        at = pend - lens
-        # a task's rows hold consecutive pins in the store, so its
-        # stretch of the gather is one store range: one repeat per task
-        t_at = at[first]
-        t_pins = np.add.reduceat(lens, first)
-        place = np.arange(pend[-1])
-        flat = (st.row_ptr[lo] - t_at).repeat(t_pins) + place
-        before = self._loads[st.pins[flat]]
-        row_max = np.maximum.reduceat(before, at)
-        w = st.row_w[rows]
-        cur = first + self._assign[tasks]
-        cur_w = w[cur]
-        cur_max = row_max[cur]
-        cur_len = lens[cur]
-        is_cur = np.zeros(rows.shape[0], dtype=bool)
-        is_cur[cur] = True
-        # a task's union positions index its own stretch of the gather
-        # (a union is no longer than its rows' pins together), a pin's
-        # one its shift away from the pin; the current rows mark theirs
-        # with cur_w, so a pin's mark is what the move takes off it first
-        upos = place + st.pin_shift[flat]
-        held = np.zeros(place.shape[0])
-        held[upos[is_cur.repeat(lens)]] = cur_w.repeat(cur_len)
-        # (l - 0.0) is l exactly: an unshared pin's mark is 0
-        left = before - held[upos]
-        max_after = np.maximum(
-            (cur_max - cur_w).repeat(counts),
-            np.maximum.reduceat(left, at) + w,
+        """The first improving move of ``tasks`` to one of their other
+        alive configurations, read straight from the row store."""
+        return first_improving_move(
+            self.instance._store, self._loads, self._assign, tasks
         )
-        max_before = np.maximum(cur_max.repeat(counts), row_max)
-        # a row that is no alternative (the current one, a disabled
-        # one) neither improves nor ties
-        max_after[is_cur | ~st.row_alive[rows]] = np.inf
-        sure = (max_after < max_before).nonzero()[0]
-        stop = int(sure[0]) if sure.size else rows.shape[0]
-        pick = stop if sure.size else None
-        ties = (max_after[:stop] == max_before[:stop]).nonzero()[0]
-        if ties.size:
-            # the equal-maxima moves as full affected multisets: the
-            # current pins each move leaves (l -> l - cur_w), then every
-            # pin of its new configuration
-            m = ties.shape[0]
-            t_owner = np.searchsorted(ends, ties, side="right")
-            t_cur = cur[t_owner]
-            t_len = cur_len[t_owner]
-            new_len = lens[ties]
-            # each tied move marks its new pins' union positions in a
-            # copy of its task's stretch; a held pin leaves unless marked
-            t_span = t_pins[t_owner]
-            t_base = segment_starts(t_span) - t_at[t_owner]
-            new = flat_ranges(at[ties], new_len)
-            stays = np.zeros(int(t_span.sum()), dtype=bool)
-            stays[t_base.repeat(new_len) + upos[new]] = True
-            kept = flat_ranges(at[t_cur], t_len)
-            leaves = ~stays[t_base.repeat(t_len) + upos[kept]]
-            row_of = np.concatenate(
-                (
-                    np.repeat(np.arange(m), t_len)[leaves],
-                    np.repeat(np.arange(m), new_len),
-                )
-            )
-            l_left = before[kept][leaves]
-            cw_left = cur_w[t_owner].repeat(t_len)[leaves]
-            a = np.concatenate(
-                (l_left - cw_left, left[new] + w[ties].repeat(new_len))
-            )
-            b = np.concatenate((l_left, before[new]))
-            i = first_lex_improving(
-                _padded(row_of, a, m), _padded(row_of, b, m)
-            )
-            if i is not None:
-                pick = int(ties[i])
-        if pick is None:
-            return None
-        row = rows.item(pick)
-        task = st.row_task.item(row)
-        return task, row - st.task_lo.item(task)
 
     def _bounded_local_search(self, region: np.ndarray) -> None:
         """Vector-improving single-task moves off the region's
@@ -584,16 +459,28 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     def _adopt(self, tasks: np.ndarray, cfgs: np.ndarray) -> None:
         """Replace the state by the assignment ``tasks[i] ->
-        cfgs[i]`` (tasks ascending) of the current instance."""
+        cfgs[i]`` (tasks ascending) of the current instance.  One
+        ``np.add.at`` in task order sums each processor's loads in the
+        order of one ``_load`` per task."""
         inst = self.instance
-        self._loads = np.zeros(inst._next_proc, dtype=np.float64)
-        self._live = np.zeros(inst._next_proc, dtype=bool)
+        st = inst._store
+        n_procs = inst._next_proc
+        self._live = np.zeros(n_procs, dtype=bool)
         self._live[inst.procs()] = True
         self._assign = np.full(inst._next_task, -1, dtype=np.int64)
-        self._on_proc = [set() for _ in range(inst._next_proc)]
-        for task, cfg in zip(tasks.tolist(), cfgs.tolist()):
-            self._assign[task] = cfg
-            self._load(task, *self._config(task, cfg))
+        self._assign[tasks] = cfgs
+        rows = st.task_lo[tasks] + cfgs
+        lens = st.row_len[rows]
+        pins = st.pins_of(rows)
+        self._loads = np.zeros(n_procs, dtype=np.float64)
+        np.add.at(self._loads, pins, st.row_w[rows].repeat(lens))
+        # each processor's tasks, grouped by a stable sort of the pins
+        owners = tasks.repeat(lens)[np.argsort(pins, kind="stable")]
+        ends = np.cumsum(np.bincount(pins, minlength=n_procs)).tolist()
+        owners = owners.tolist()
+        self._on_proc = [
+            set(owners[lo:hi]) for lo, hi in zip([0] + ends, ends)
+        ]
 
     def _full_resolve(self) -> None:
         """Drop the incremental state and solve the current instance
@@ -640,18 +527,6 @@ class IncrementalSolver:
             self.stats.full_solves += 1
             return result.makespan
         return current
-
-
-def _padded(row_of: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    """``values`` laid out as ``m`` rows (``row_of`` names each value's
-    row), padded with ``-inf`` to a rectangle."""
-    order = np.argsort(row_of, kind="stable")
-    rows = row_of[order]
-    counts = np.bincount(rows, minlength=m)
-    cols = np.arange(rows.shape[0]) - segment_starts(counts)[rows]
-    out = np.full((m, int(counts.max())), -np.inf)
-    out[rows, cols] = values[order]
-    return out
 
 
 def incremental_solve(hg: TaskHypergraph) -> HyperSemiMatching:

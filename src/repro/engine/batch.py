@@ -33,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable, Union
 
 from .._util import CACHE_BUDGET
+from ..algorithms.local_search import tally_moves
 from ..api.methods import EntryStat, Outcome
 from ..api.options import SolveOptions
 from ..api.result import SolveResult
@@ -113,14 +114,19 @@ def _outcome_meta(outcome: Outcome, wall_s: float) -> dict:
     return meta
 
 
-def _solve_stats(solve_s: float, timings: dict | None) -> dict:
+def _solve_stats(solve_s: float, timings: dict | None, tally: dict) -> dict:
     """The ``SolveResult.stats`` breakdown for one fresh solve."""
-    stats = {"solve_s": solve_s, "cache_hit": False}
+    stats = {"solve_s": solve_s, "cache_hit": False, **tally}
     if timings:
         compile_s = timings.get("kernels.compile")
         if compile_s is not None:
             stats["compile_s"] = compile_s
     return stats
+
+
+def _ls_stats(stats: dict) -> dict:
+    """``stats``' local-search counters, cached so a hit has them."""
+    return {k: stats[k] for k in ("ls_moves", "ls_capped") if k in stats}
 
 
 def _solve_chunk(
@@ -146,11 +152,11 @@ def _solve_chunk(
     with adopt(trace_ctx) as shipped:
         for item in items:
             hg = attach_instance(item) if is_descriptor(item) else item
-            with collect_timings() as timings:
+            with collect_timings() as timings, tally_moves() as tally:
                 with measured_span("engine.solve") as sp:
                     outcome = solve_hypergraph_outcome(hg, options)
             meta = _outcome_meta(outcome, sp.duration_s)
-            meta["stats"] = _solve_stats(sp.duration_s, timings)
+            meta["stats"] = _solve_stats(sp.duration_s, timings, tally)
             out.append((outcome.matching.hedge_of_task, meta))
     return out, shipped
 
@@ -317,18 +323,21 @@ class BatchSolver:
             if pending:
                 if self.inline or len(pending) == 1:
                     for i in pending:
-                        with collect_timings() as timings:
-                            with measured_span("engine.solve") as sp:
-                                outcome = solve_hypergraph_outcome(
-                                    pairs[i][1], opts
-                                )
+                        with (
+                            collect_timings() as timings,
+                            tally_moves() as tally,
+                            measured_span("engine.solve") as sp,
+                        ):
+                            outcome = solve_hypergraph_outcome(
+                                pairs[i][1], opts
+                            )
                         results[i] = SolveResult(
                             matching=outcome.matching,
                             options=opts,
                             winner=outcome.winner,
                             wall_time_s=sp.duration_s,
                             portfolio=outcome.entries,
-                            stats=_solve_stats(sp.duration_s, timings),
+                            stats=_solve_stats(sp.duration_s, timings, tally),
                         )
                 else:
                     self._solve_pooled(pairs, pending, opts, results)
@@ -348,6 +357,7 @@ class BatchSolver:
                                     if res.portfolio is not None
                                     else None
                                 ),
+                                **_ls_stats(res.stats),
                             },
                         )
 
@@ -375,6 +385,7 @@ class BatchSolver:
             stats = {
                 "solve_s": 0.0 if cache_hit else meta.get("time_s", 0.0),
                 "cache_hit": cache_hit,
+                **_ls_stats(meta),
             }
         return SolveResult(
             matching=HyperSemiMatching(hg, assignment),

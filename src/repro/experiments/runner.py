@@ -51,6 +51,8 @@ class InstanceResult:
     quality: dict[str, float]  # algo -> median makespan / LB
     makespan: dict[str, float]  # algo -> median makespan
     time_s: dict[str, float]  # algo -> mean wall-clock seconds
+    #: algo -> seeds whose local search stopped at its move budget
+    ls_capped: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -169,4 +171,8 @@ def _run_one(
         quality={a: float(np.median(quality[a])) for a in algorithms},
         makespan={a: float(np.median(makespans[a])) for a in algorithms},
         time_s={a: timers[a].elapsed / n_seeds for a in algorithms},
+        ls_capped={
+            a: sum(bool(m.stats.get("ls_capped")) for m in runs[a])
+            for a in algorithms
+        },
     )

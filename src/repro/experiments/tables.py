@@ -7,6 +7,10 @@ Three renderers matching the paper's evaluation section:
   quality/time footer (Tables II and III);
 * :func:`render_comparison` — measured-vs-paper side-by-side, printed by
   the CLI's ``table*`` commands.
+
+A quality cell ends in ``*`` when the local search of some seed of its
+row (``+ls``, GRASP) stopped at its move budget rather than at a local
+optimum; a footnote under the table says so.
 """
 
 from __future__ import annotations
@@ -19,6 +23,16 @@ __all__ = ["render_table1", "render_quality_table", "render_comparison"]
 
 def _fmt(value: float, digits: int = 2) -> str:
     return f"{value:.{digits}f}"
+
+
+def _quality(r, algo: str) -> str:
+    return _fmt(r.quality[algo]) + "*" * bool(r.ls_capped.get(algo))
+
+
+def _noted(result: ExperimentResult, table: str) -> str:
+    if any(any(r.ls_capped.values()) for r in result.rows):
+        table += "\n* local search stopped at its move budget on some seed"
+    return table
 
 
 def render_table1(result: ExperimentResult, paper: bool = True) -> str:
@@ -51,7 +65,7 @@ def render_quality_table(result: ExperimentResult, title: str = "") -> str:
     for r in result.rows:
         rows.append(
             [r.name, f"{r.lower_bound:g}"]
-            + [_fmt(r.quality[a]) for a in algos]
+            + [_quality(r, a) for a in algos]
         )
     avg_q = result.average_quality()
     avg_t = result.average_time()
@@ -59,7 +73,7 @@ def render_quality_table(result: ExperimentResult, title: str = "") -> str:
     rows.append(
         ["Average time (s)", ""] + [_fmt(avg_t[a], 3) for a in algos]
     )
-    table = _ascii_table(rows, footer_rows=2)
+    table = _noted(result, _ascii_table(rows, footer_rows=2))
     return f"{title}\n{table}" if title else table
 
 
@@ -82,7 +96,7 @@ def render_comparison(
             f"{ref[0]:g}" if ref else "-",
         ]
         for j, a in enumerate(algos):
-            row.append(_fmt(r.quality[a]))
+            row.append(_quality(r, a))
             row.append(_fmt(ref[j + 1]) if ref else "-")
         rows.append(row)
     avg_q = result.average_quality()
@@ -96,7 +110,7 @@ def render_comparison(
         ]
         footer.append(_fmt(sum(refs) / len(refs)) if refs else "-")
     rows.append(footer)
-    table = _ascii_table(rows, footer_rows=1)
+    table = _noted(result, _ascii_table(rows, footer_rows=1))
     return f"{title}\n{table}" if title else table
 
 

@@ -5,15 +5,16 @@ loops over :class:`~repro.core.hypergraph.TaskHypergraph` views.  This
 package compiles an instance once into :class:`CompiledKernels` — a
 set of flat NumPy arrays grouped by task (pin lists and pointers, and
 the setup built on first use: ranking cells, reduceat offsets, local
-search's pin-union index) — and provides array kernels for everything
-the greedy heuristics, the local search and the incremental repair loop
+search's pin shifts) — and provides array kernels for everything the
+greedy heuristics, the local search and the incremental repair loop
 do per candidate:
 
 * batched load-vector accumulation (:func:`loads_from_assignment`);
 * per-task candidate bottlenecks via ``np.maximum.reduceat``;
 * descending-lexicographic candidate ranking (:func:`lex_best_row`),
   sound by the affected-multiset lemma of :mod:`repro.core.loadvec`;
-* batched local-search move evaluation (:func:`batch_lex_signs`).
+* the one move scan of local search and incremental repair
+  (:mod:`repro.kernels.moves`).
 
 Every kernel performs *the same floating-point operations in the same
 order* as the Python loops it replaces, so ``backend="numpy"`` returns
@@ -46,7 +47,6 @@ from .ops import (
     batch_lex_signs,
     first_lex_improving,
     lex_best_row,
-    lex_move_sign,
     loads_from_assignment,
 )
 
@@ -63,7 +63,6 @@ __all__ = [
     "lex_best_row",
     "batch_lex_signs",
     "first_lex_improving",
-    "lex_move_sign",
     "check_backend",
 ]
 

@@ -16,7 +16,7 @@ kernel tie-breaking match the Python loops exactly.
 A compilation holds the structure only: the grouped arrays and the
 structure-only setup the kernels build on first use (the visit order,
 the pointer lists, the reduceat offsets, the ranking cells and repeat
-flags, and local search's pin-union index).  Nothing in it depends on
+flags, and local search's pin shifts).  Nothing in it depends on
 the weights; a kernel gathers them from the instance it solves
 (``hg.hedge_w[ck.g_hedge]``, one gather per solve).
 
@@ -54,7 +54,7 @@ __all__ = [
     "compile_cache_stats",
     "flat_ranges",
     "segment_starts",
-    "union_positions",
+    "union_shifts",
 ]
 
 
@@ -76,46 +76,43 @@ def flat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     )
 
 
-def union_positions(
-    owner: np.ndarray, pins: np.ndarray, n_owners: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each pin's position in its owner's *pin-union* (the sorted
-    distinct pins of all the owner's rows), and the unions themselves.
+def union_shifts(
+    counts: np.ndarray, lens: np.ndarray, flat: np.ndarray
+) -> np.ndarray:
+    """Each pin's *union shift*, for tasks laid out as ``counts[i]``
+    rows each, with pin counts ``lens`` and non-negative pins ``flat``
+    sorted within each row (a task's rows one stretch): when a task's
+    pins start at ``s``, ``flat[i]`` sits at position ``i - s +
+    shift[i]`` of the task's *pin-union*, its sorted distinct pins.
+    Two rows of a task share a processor exactly when they hold pins of
+    equal union position.
 
-    ``owner[i]`` (``0 <= owner[i] < n_owners``) owns the non-negative
-    ``pins[i]``.  Returns ``(pos, u_ptr, u_procs)``: owner ``v``'s union
-    is ``u_procs[u_ptr[v]:u_ptr[v+1]]`` and ``pins[i]`` sits at
-    ``u_procs[u_ptr[owner[i]] + pos[i]]``.
-
-    One stable argsort of ``owner * width + pin``: pins arrive sorted
-    within each row and rows grouped by owner, so the keys come in long
-    ascending runs the sort merges cheaply."""
-    total = pins.shape[0]
-    u_ptr = np.zeros(n_owners + 1, dtype=np.int64)
+    One stable argsort of ``task * width + pin``: the keys come in long
+    ascending runs (the rows), which the sort merges cheaply."""
+    total = flat.shape[0]
     if not total:
-        return np.empty(0, dtype=np.int64), u_ptr, np.empty(0, dtype=np.int64)
-    width = int(pins.max()) + 1
-    labels = None
-    if n_owners * width >= 2**63:
+        return np.empty(0, dtype=np.int64)
+    n = counts.shape[0]
+    owner = np.repeat(np.repeat(np.arange(n), counts), lens)
+    width = int(flat.max()) + 1
+    if n * width >= 2**63:
         # pin ids too sparse for one int64 key: key on their ranks
-        labels, pins = np.unique(pins, return_inverse=True)
-        width = labels.shape[0]
-    keys = owner * width + pins
+        flat = np.unique(flat, return_inverse=True)[1]
+        width = int(flat.max()) + 1
+    keys = owner * width + flat
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     new = np.empty(total, dtype=bool)
     new[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    distinct = keys[new]
-    u_procs = distinct % width
-    if labels is not None:
-        u_procs = labels[u_procs]
-    sizes = np.bincount(distinct // width, minlength=n_owners)
-    np.cumsum(sizes, out=u_ptr[1:])
-    pos = np.empty(total, dtype=np.int64)
-    pos[order] = np.cumsum(new) - 1
-    pos -= u_ptr[owner]
-    return pos, u_ptr, u_procs
+    # a pin's rank among the distinct (task, pin) keys, less the union
+    # sizes of the tasks before it, is its union position
+    rank = np.empty(total, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    union_at = segment_starts(np.bincount(keys[new] // width, minlength=n))
+    pins_at = segment_starts(np.bincount(owner, minlength=n))
+    # position - (the pin's place among its task's pins)
+    return rank - np.arange(total) + (pins_at - union_at)[owner]
 
 
 class _structural:
@@ -188,14 +185,12 @@ class CompiledKernels:
       ``task_ptr_list``, ``g_ptr_list``): Python lists, because a step
       indexes them with scalars;
     * SGH/EGH's reduceat offsets (``reduceat_offsets``);
-    * VGH/EVG's ranking cells and repeat flags (``pin_cells``,
-      ``task_repeats``): they rank a task's candidates over the task's
-      own pins, so they need no pin-union;
-    * the pin-union index (``g_pin_pos``, ``u_ptr``, ``u_procs``),
-      published as one memo so a reader never sees ``u_ptr`` without
-      ``u_procs``.  What remains of it is local search's: its move scan
-      compares a task's alternatives over the task's sorted pin-union,
-      and nothing else reads it.
+    * VGH/EVG's ranking cells and EGH/EVG's repeat flags
+      (``pin_cells``, ``task_repeats``): VGH/EVG rank a task's
+      candidates over its own pins, so they need no pin-union;
+    * local search's pin shifts (``pin_shift``): each pin's shift to
+      its position in its task's pin-union, read by the move scan of
+      :mod:`repro.kernels.moves`.
 
     Every array here is a gathered copy, never a view of the source
     instance's arrays, so a weight variant's solve reads nothing a
@@ -228,34 +223,13 @@ class CompiledKernels:
 
     # -- structure-only setup, built on first read -----------------------
     @_structural
-    def _union(self) -> tuple[np.ndarray, ...]:
-        """The pin-union index, ``(g_pin_pos, u_ptr, u_procs)``: each
-        task's sorted distinct pins and every pin's position among
-        them.  Local search is its only reader (its move scan compares
-        a task's alternatives over the union); the greedy heuristics
-        rank over a task's own pins instead (:attr:`pin_cells`)."""
-        task_pins = np.diff(self.g_ptr[self.hypergraph.task_ptr])
-        owner = np.repeat(
-            np.arange(self.n_tasks, dtype=np.int64), task_pins
+    def pin_shift(self) -> np.ndarray:
+        """Each grouped pin's shift to its task's pin-union position
+        (see :func:`union_shifts`), read only by local search's move
+        scan (:mod:`repro.kernels.moves`)."""
+        return union_shifts(
+            np.diff(self.hypergraph.task_ptr), self.g_size, self.g_pins
         )
-        return union_positions(owner, self.g_pins, self.n_tasks)
-
-    @property
-    def g_pin_pos(self) -> np.ndarray:
-        """For each pin, its position inside the owning task's sorted
-        pin-union."""
-        return self._union[0]
-
-    @property
-    def u_ptr(self) -> np.ndarray:
-        """CSR pointer of the per-task sorted pin-unions: the
-        processors task ``v`` can touch are
-        ``u_procs[u_ptr[v]:u_ptr[v+1]]`` (sorted, duplicate-free)."""
-        return self._union[1]
-
-    @property
-    def u_procs(self) -> np.ndarray:
-        return self._union[2]
 
     @_structural
     def visit_order(self) -> list[int]:
@@ -309,9 +283,9 @@ class CompiledKernels:
     @_structural
     def task_repeats(self) -> list[bool]:
         """Per task, whether a processor appears in two of its
-        candidates.  EVG withdraws such a task's shares one by one
-        (``np.subtract.at``), where a buffered subtract would keep only
-        one withdrawal per processor."""
+        candidates.  EGH and EVG update such a task's pins one by one
+        (``np.add.at``, ``np.subtract.at``), where a buffered update
+        would keep only one per processor."""
         n = self.n_tasks
         flags = np.zeros(n, dtype=bool)
         if self.g_pins.shape[0]:

@@ -48,8 +48,13 @@ Squeezing the remaining per-step constant means removing interpreter
 dispatch itself (a native/compiled loop) or stepping many independent
 instances in lockstep, not more vectorization within one instance.
 
-Three ways around the chain within one instance were measured, and
-none pays:
+Local search and incremental repair carry the same kind of chain: a
+move's scan reads the loads the previous move left.  Their one move
+scan (:mod:`repro.kernels.moves`) vectorizes a batch of tasks, in an
+order each caller keeps, since it decides which move comes first.
+
+Three ways around the greedy chain within one instance were measured,
+and none pays:
 
 * *Speculation.*  Under the exact chosen-pin rule, a choice made
   against stale loads stays valid while no earlier commit in its
@@ -79,7 +84,6 @@ __all__ = [
     "lex_best_row",
     "batch_lex_signs",
     "first_lex_improving",
-    "lex_move_sign",
 ]
 
 
@@ -179,22 +183,11 @@ def first_lex_improving(
     """Index of the first row where ``after`` lex-improves on
     ``before`` (sign < 0), or ``None``.
 
-    The shared acceptance rule of every first-improving-move scan
-    (static local search and incremental repair): rows are candidate
-    moves in scan order, padded identically with ``-inf``, and the
-    earliest improving one wins.
+    The acceptance rule of the move scan
+    (:func:`repro.kernels.moves.first_improving_move`), which local
+    search and incremental repair share: rows are the equal-maxima
+    candidate moves of a batch in scan order, padded identically with
+    ``-inf``, and the earliest improving one wins.
     """
     improving = np.flatnonzero(batch_lex_signs(after, before) < 0)
     return int(improving[0]) if improving.size else None
-
-
-def lex_move_sign(after: np.ndarray, before: np.ndarray) -> int:
-    """Single-move evaluation: -1 when ``after`` improves on ``before``
-    in descending-lex multiset order (the move-evaluation kernel; the
-    incremental repair loop calls this per candidate move)."""
-    return int(
-        batch_lex_signs(
-            np.asarray(after, dtype=np.float64)[None, :],
-            np.asarray(before, dtype=np.float64)[None, :],
-        )[0]
-    )

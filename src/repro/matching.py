@@ -130,8 +130,10 @@ def kuhn_matching(
                 matched_lists[u].append(v)
                 break
 
+    # the stamp moves on only after an augmentation: while the matching
+    # is unchanged, no vertex a failed search visited reaches a free slot
     visited = np.zeros(n_right, dtype=np.int64)
-    stamp = 0
+    stamp = 1
 
     def try_augment(v0: int) -> bool:
         # Iterative DFS over alternating paths.  A stack frame is
@@ -185,8 +187,7 @@ def kuhn_matching(
         return False
 
     for v in range(n_left):
-        if match_of_left[v] < 0 and ptr[v] < ptr[v + 1]:
+        if match_of_left[v] < 0 and ptr[v] < ptr[v + 1] and try_augment(v):
             stamp += 1
-            try_augment(v)
 
     return MatchingResult(match_of_left=match_of_left, use_of_right=use)

@@ -218,7 +218,7 @@ class TestEitherSegment:
         assert (stats["probation"], stats["protected"]) == (1, 1)
         for ck in (a, b):
             before = compiled_nbytes(ck)
-            ck.u_ptr  # builds the union index: the entry grows
+            ck.pin_shift  # builds the pin shifts: the entry grows
             assert compiled_nbytes(ck) > before
             assert _segments()["bytes"] == compiled_nbytes(
                 a

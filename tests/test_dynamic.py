@@ -115,7 +115,7 @@ class TestDynamicInstance:
         t = inst.add_task([((a,), 1.0), ((b,), 2.0)])
         inst.remove_processor(a)
         assert inst.task_configs(t) == [(1, (b,), 2.0)]
-        pins, w, alive = inst.config_any(t, 0)
+        pins, w, alive = inst._store.configs(t)[0]
         assert (pins, alive) == ((a,), False)
 
     def test_remove_processor_infeasible_changes_nothing(self):
@@ -145,12 +145,12 @@ class TestDynamicInstance:
         # compaction keeps the store within twice its live rows
         assert inst._store.n_rows <= 2 * 3 + 2
         assert inst.task_configs(keep) == [(1, (b,), 2.0), (2, (b, c), 3.0)]
-        assert inst.config_any(keep, 0) == ((a,), 1.0, False)
+        assert inst._store.configs(keep)[0] == ((a,), 1.0, False)
         assert_consistent(inst, solver)
         inst.rollback(mark)
         assert inst.digest() == digest
         assert inst.task_configs(gone) == [(0, (c,), 4.0)]
-        assert inst.config_any(gone, 1) == ((a, b), 5.0, False)
+        assert inst._store.configs(gone)[1] == ((a, b), 5.0, False)
         assert_consistent(inst, solver)
 
     def test_validation_errors(self):

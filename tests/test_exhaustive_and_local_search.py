@@ -1,10 +1,13 @@
 """Tests for the exhaustive oracle and the local-search refinement."""
 
+import importlib
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     exhaustive_multiproc,
@@ -13,6 +16,10 @@ from repro.algorithms import (
     sorted_greedy_hyp,
 )
 from repro.core import HyperSemiMatching, SolverError, TaskHypergraph
+from repro.kernels.moves import (
+    first_improving_move,
+    first_improving_move_python,
+)
 
 from strategies import random_hypergraph, task_hypergraphs
 
@@ -88,14 +95,22 @@ class TestLocalSearch:
         assert rep.final_makespan == 1.0
         assert rep.moves >= 1
 
-    def test_respects_max_rounds(self):
+    def test_respects_max_moves(self):
         hg = TaskHypergraph.from_configurations(
             [[[0], [1]], [[0], [2]]], n_procs=3
         )
         bad = HyperSemiMatching(hg, np.array([0, 2]))
-        rep = local_search(bad, max_rounds=0)
-        assert rep.moves == 0
+        rep = local_search(bad, max_moves=0)
+        assert rep.moves == 0 and rep.capped
         assert rep.final_makespan == bad.makespan
+        # one move is all it needs: the budget of one caps the search,
+        # a budget of two lets it confirm the local optimum
+        one, two = (local_search(bad, max_moves=k) for k in (1, 2))
+        assert (one.moves, one.capped) == (1, True)
+        assert (two.moves, two.capped) == (1, False)
+        assert np.array_equal(
+            one.matching.hedge_of_task, two.matching.hedge_of_task
+        )
 
     def test_already_optimal_stops_immediately(self):
         hg = TaskHypergraph.from_configurations(
@@ -103,7 +118,7 @@ class TestLocalSearch:
         )
         start = HyperSemiMatching(hg, np.array([0, 1]))
         rep = local_search(start)
-        assert rep.moves == 0
+        assert rep.moves == 0 and not rep.capped
 
 
 @given(task_hypergraphs(max_tasks=5, max_procs=4, weighted=True))
@@ -114,3 +129,70 @@ def test_local_search_stays_above_optimum(hg):
     rep = local_search(sorted_greedy_hyp(hg))
     assert rep.final_makespan + 1e-9 >= opt
     assert rep.final_makespan <= rep.initial_makespan + 1e-9
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    decimal=st.booleans(),
+    max_moves=st.sampled_from([3, 1000]),
+)
+@settings(max_examples=60, deadline=None)
+def test_numpy_scan_matches_the_scalar_rule_move_for_move(
+    seed, decimal, max_moves
+):
+    """From a random start, every batch the vectorized scan reads picks
+    the scalar rule's move, and the python backend makes the same
+    moves.  Integer weights make equal maxima common; decimal ones
+    (inexact in binary) make the order of the per-pin float operations
+    decide moves.  Up to 40 tasks fill more than the first batch."""
+    rng = np.random.default_rng(seed)
+    hg = random_hypergraph(rng, max_tasks=40, max_procs=8)
+    if decimal:
+        hg = hg.with_weights(
+            rng.choice([0.1, 0.2, 0.3, 0.7], size=hg.n_hedges)
+        )
+    deg = np.diff(hg.task_ptr)
+    pick = (rng.random(hg.n_tasks) * deg).astype(np.int64)
+    start = HyperSemiMatching(hg, hg.task_hedges[hg.task_ptr[:-1] + pick])
+    scans = []
+
+    def checked(rows, loads, assign, tasks):
+        move = first_improving_move(rows, loads, assign, tasks)
+        assert move == first_improving_move_python(rows, loads, assign, tasks)
+        scans.append(move)
+        return move
+
+    module = importlib.import_module("repro.algorithms.local_search")
+    with mock.patch.object(module, "first_improving_move", checked):
+        fast = local_search(start, max_moves=max_moves)
+    slow = local_search(start, max_moves=max_moves, backend="python")
+    assert sum(move is not None for move in scans) == fast.moves
+    assert (fast.moves, fast.capped) == (slow.moves, slow.capped)
+    np.testing.assert_array_equal(
+        fast.matching.hedge_of_task, slow.matching.hedge_of_task
+    )
+    np.testing.assert_array_equal(
+        fast.matching.loads(), slow.matching.loads()
+    )
+
+
+def test_engine_reports_the_move_budget():
+    """``SolveResult.stats`` carries ``ls_moves`` and ``ls_capped`` for
+    ``+ls`` and GRASP, also on a cache hit, and nothing for a solver
+    that runs no local search."""
+    from repro.engine import BatchSolver, ResultCache
+    from repro.generators import generate_multiproc
+
+    hg = generate_multiproc(1280, 256, g=32, seed=0)
+    refined = local_search(sorted_greedy_hyp(hg))
+    with BatchSolver(max_workers=1, cache=ResultCache()) as engine:
+        fresh, hit = (engine.solve(hg, method="SGH+ls") for _ in range(2))
+        grasp, sgh = (engine.solve(hg, method=m) for m in ("grasp", "SGH"))
+    assert hit.cache_hit and not fresh.cache_hit
+    for res in (fresh, hit):
+        assert res.stats["ls_moves"] == refined.moves > 0
+        assert res.stats["ls_capped"] is refined.capped is False
+    # GRASP's 8 searches of at most 200 moves each: some stop there
+    assert 0 < grasp.stats["ls_moves"] <= 8 * 200
+    assert grasp.stats["ls_capped"] is True
+    assert "ls_moves" not in sgh.stats and "ls_capped" not in sgh.stats

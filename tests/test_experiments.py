@@ -177,6 +177,22 @@ class TestTables:
         assert "SGH(paper)" in text
         assert "Average quality" in text
 
+    def test_capped_local_search_is_marked(self):
+        result = run_instances(
+            _tiny_specs()[:1], algorithms=("SGH", "SGH+ls"), n_seeds=1
+        )
+        row = result.rows[0]
+        assert row.ls_capped == {"SGH": 0, "SGH+ls": 0}
+        note = "local search stopped at its move budget"
+        for render in (render_quality_table, render_comparison):
+            args = (PAPER_TABLE2,) if render is render_comparison else ()
+            assert note not in render(result, *args)
+            row.ls_capped["SGH+ls"] = 1
+            text = render(result, *args)
+            row.ls_capped["SGH+ls"] = 0
+            assert note in text
+            assert f"{row.quality['SGH+ls']:.2f}*" in text
+
 
 class TestCLI:
     def test_list(self, capsys):

@@ -34,7 +34,6 @@ from repro.kernels import (
     compile_cache_stats,
     compile_instance,
     lex_best_row,
-    lex_move_sign,
     loads_from_assignment,
 )
 from repro.engine.cache import instance_digest, structure_digest
@@ -82,13 +81,11 @@ class TestCompiledKernels:
                 assert np.array_equal(pins, hg.hedge_proc_set(h))
                 assert ci.hedge_gpos[h] == k
                 union.update(int(u) for u in pins)
-            aff = ci.u_procs[ci.u_ptr[v] : ci.u_ptr[v + 1]]
-            assert sorted(union) == list(aff)
-            # each pin's precomputed position lands on its processor
+            aff = np.array(sorted(union), dtype=np.int64)
+            # each pin's shift takes it to its processor's union position
             p0, p1 = ci.g_ptr[a], ci.g_ptr[b]
-            assert np.array_equal(
-                aff[ci.g_pin_pos[p0:p1]], ci.g_pins[p0:p1]
-            )
+            pos = np.arange(p1 - p0) + ci.pin_shift[p0:p1]
+            assert np.array_equal(aff[pos], ci.g_pins[p0:p1])
             # a processor repeats when the task's pins outnumber its union
             assert ci.task_repeats[v] == (p1 - p0 > aff.shape[0])
             # candidate i's pins fill row i of the (d_v, P_v) ranking
@@ -207,17 +204,22 @@ class TestLexKernels:
         assert list(batch_lex_signs(a, b)) == want
 
     def test_move_sign_single(self):
-        assert lex_move_sign([1.0, 2.0], [2.0, 2.0]) == -1
-        assert lex_move_sign([3.0, 1.0], [2.0, 2.0]) == 1
-        assert lex_move_sign([2.0, 1.0], [1.0, 2.0]) == 0  # same multiset
+        assert _sign([1.0, 2.0], [2.0, 2.0]) == -1
+        assert _sign([3.0, 1.0], [2.0, 2.0]) == 1
+        assert _sign([2.0, 1.0], [1.0, 2.0]) == 0  # same multiset
 
     def test_negative_values_ordered_correctly(self):
         # the inverted total-order keys must rank negatives properly
-        assert lex_move_sign([-2.0], [-1.0]) == -1
-        assert lex_move_sign([-1.0], [-2.0]) == 1
+        assert _sign([-2.0], [-1.0]) == -1
+        assert _sign([-1.0], [-2.0]) == 1
         assert batch_lex_signs(
             np.array([[-3.0, 0.5]]), np.array([[0.5, -1.0]])
         )[0] == -1
+
+
+def _sign(after, before) -> int:
+    """One move's sign: a one-row :func:`batch_lex_signs`."""
+    return int(batch_lex_signs(np.array([after]), np.array([before]))[0])
 
 
 # ---------------------------------------------------------------------------

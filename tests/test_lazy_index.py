@@ -1,15 +1,16 @@
-"""The processor index and the pin-union index are built on first access.
+"""The processor index and the pin shifts are built on first access.
 
 :class:`TaskHypergraph` builds ``proc_ptr``/``proc_hedges`` and
-:class:`CompiledKernels` builds ``g_pin_row``/``g_pin_pos``/``u_ptr``/
-``u_procs`` only when a solver reads them.  These tests hold
-the laziness (SGH and EGH build neither index, locally or behind the
-service), the publication rules (one memo, first writer wins, never
-copied by ``dataclasses.replace``), pickling, and the compile cache's
-byte budget once an index appears after the entry was priced.  The
-pickling property also holds the vectorized union build to a per-task
-``np.unique`` oracle (:func:`_union_oracle`), and the shared
-:func:`~repro.kernels.compiled.union_positions` helper is checked on
+:class:`CompiledKernels` builds ``pin_shift`` (each pin's shift to its
+task's pin-union position) only when a solver reads them.  These tests
+hold the laziness (SGH and EGH build neither, locally or behind the
+service; local search builds both, the shifts once per structure), the
+publication rules (one memo, first writer wins, never copied by
+``dataclasses.replace``), pickling, and the compile cache's byte budget
+once the shifts appear after the entry was priced.  The pickling
+property also holds the vectorized shift build to a per-task
+``np.unique`` oracle (:func:`_shift_oracle`), and the shared
+:func:`~repro.kernels.compiled.union_shifts` helper is checked on
 pin ids too sparse for its int64 key.
 """
 
@@ -38,14 +39,13 @@ from repro.kernels.compiled import (
     _CACHE,
     _compile,
     compiled_nbytes,
-    union_positions,
+    union_shifts,
 )
 
 from strategies import task_hypergraphs
 
 _PROC_MEMO = "_proc_index_memo"
-_UNION_MEMO = "_union"
-_UNION_FIELDS = ("g_pin_pos", "u_ptr", "u_procs")
+_SHIFT_MEMO = "pin_shift"
 _PIN_MEMOS = ("pin_cells", "task_repeats")
 
 
@@ -60,30 +60,22 @@ def _proc_built(hg) -> bool:
     return _PROC_MEMO in hg.__dict__
 
 
-def _union_built(ck) -> bool:
+def _shifts_built(ck) -> bool:
     # the structural memo every binding of the structure shares
-    return _UNION_MEMO in ck._memo
+    return _SHIFT_MEMO in ck._memo
 
 
-def _union_oracle(ck) -> tuple[np.ndarray, ...]:
-    """The pin-union index of ``ck``, one task at a time with
-    ``np.unique``, in ``_UNION_FIELDS`` order."""
+def _shift_oracle(ck) -> np.ndarray:
+    """The pin shifts of ``ck``, one task at a time with ``np.unique``:
+    a pin's position in its task's union minus its place among the
+    task's pins."""
     ptr = ck.hypergraph.task_ptr
-    pin_pos, unions = [], []
+    shifts = []
     for v in range(ck.n_tasks):
-        cands = range(ptr[v], ptr[v + 1])
-        pins = [ck.g_pins[ck.g_ptr[k] : ck.g_ptr[k + 1]] for k in cands]
-        union = np.unique(np.concatenate(pins)) if pins else pins
-        unions.append(np.asarray(union, dtype=np.int64))
-        for part in pins:
-            pin_pos.extend(np.searchsorted(union, part).tolist())
-    u_ptr = np.zeros(ck.n_tasks + 1, dtype=np.int64)
-    np.cumsum([u.shape[0] for u in unions], out=u_ptr[1:])
-    return (
-        np.asarray(pin_pos, dtype=np.int64),
-        u_ptr,
-        np.concatenate(unions or [np.empty(0, dtype=np.int64)]),
-    )
+        pins = ck.g_pins[ck.g_ptr[ptr[v]] : ck.g_ptr[ptr[v + 1]]]
+        pos = np.searchsorted(np.unique(pins), pins)
+        shifts.extend((pos - np.arange(pins.shape[0])).tolist())
+    return np.asarray(shifts, dtype=np.int64)
 
 
 def _cached_compilations():
@@ -110,7 +102,7 @@ class TestSolversReadOnlyWhatTheyNeed:
         (ck,) = _cached_compilations()
         assert ck.hypergraph is hg
         assert not _proc_built(hg)
-        assert not _union_built(ck)
+        assert not _shifts_built(ck)
 
     @pytest.mark.parametrize(
         "method, memos",
@@ -124,7 +116,7 @@ class TestSolversReadOnlyWhatTheyNeed:
         assert [name for name in _PIN_MEMOS if name in ck._memo] == list(
             memos
         )
-        assert not _union_built(ck)
+        assert not _shifts_built(ck)
         assert not _proc_built(hg)
 
     def test_local_search_builds_the_processor_index(self):
@@ -132,12 +124,22 @@ class TestSolversReadOnlyWhatTheyNeed:
         solve(hg, method="SGH+ls")
         assert _proc_built(hg)
 
-    def test_local_search_builds_the_union_index(self):
+    def test_local_search_builds_the_pin_shifts_once(self):
         hg = _instance()
         solve(hg, method="SGH+ls")
         (ck,) = _cached_compilations()
-        assert _union_built(ck)
+        shift = ck._memo[_SHIFT_MEMO]
         assert not any(name in ck._memo for name in _PIN_MEMOS)
+        # a weight variant's local search reads the structure's shifts
+        solve(hg.with_weights(hg.hedge_w * 2.0 + 1.0), method="SGH+ls")
+        assert _cached_compilations() == [ck]
+        assert ck._memo[_SHIFT_MEMO] is shift
+        # priced at their buffer, in the entry's bytes
+        assert compile_cache_stats()["bytes"] == compiled_nbytes(ck)
+        del ck._memo[_SHIFT_MEMO]
+        without = compiled_nbytes(ck)
+        ck._memo[_SHIFT_MEMO] = shift
+        assert compiled_nbytes(ck) - without == shift.nbytes
 
     @pytest.mark.parametrize("method", ["SGH", "EGH"])
     def test_service_solve_builds_neither_index(self, method):
@@ -158,7 +160,7 @@ class TestSolversReadOnlyWhatTheyNeed:
         ]
         assert len(served) == 1
         assert not _proc_built(served[0].hypergraph)
-        assert not _union_built(served[0])
+        assert not _shifts_built(served[0])
 
 
 @pytest.mark.usefixtures("fresh_cache")
@@ -172,13 +174,10 @@ class TestPublication:
         memo = hg.__dict__[_PROC_MEMO]
         assert memo[0] is ptr and memo[1] is hg.proc_hedges
         ck = compile_instance(hg)
-        assert not _union_built(ck)
-        u_procs = ck.u_procs
-        assert ck._memo[_UNION_MEMO][2] is u_procs
-        assert all(
-            getattr(ck, f) is a
-            for f, a in zip(_UNION_FIELDS, ck._memo[_UNION_MEMO])
-        )
+        assert not _shifts_built(ck)
+        shift = ck.pin_shift
+        assert ck._memo[_SHIFT_MEMO] is shift
+        assert ck.pin_shift is shift
 
     def test_replace_never_carries_a_stale_index(self):
         hg = _instance()
@@ -202,9 +201,9 @@ class TestPublication:
 
         def first_access(slot: int) -> None:
             barrier.wait()
-            u_procs, g_pin_pos = ck.u_procs, ck.g_pin_pos
+            shift = ck.pin_shift
             proc_hedges = hg.proc_hedges
-            seen[slot] = (u_procs, g_pin_pos, proc_hedges, hg.proc_ptr)
+            seen[slot] = (shift, proc_hedges, hg.proc_ptr)
 
         threads = [
             threading.Thread(target=first_access, args=(k,)) for k in (0, 1)
@@ -214,10 +213,10 @@ class TestPublication:
         for t in threads:
             t.join(30)
             assert not t.is_alive()
-        union, procs = ck._memo[_UNION_MEMO], hg.__dict__[_PROC_MEMO]
-        for u_procs, g_pin_pos, proc_hedges, proc_ptr in seen:
+        shifts, procs = ck._memo[_SHIFT_MEMO], hg.__dict__[_PROC_MEMO]
+        for shift, proc_hedges, proc_ptr in seen:
             # both readers got the arrays of the one published memo
-            assert u_procs is union[2] and g_pin_pos is union[0]
+            assert shift is shifts
             assert proc_hedges is procs[1] and proc_ptr is procs[0]
 
 
@@ -230,14 +229,13 @@ class TestPickling:
         ck = _compile(hg, digest)
         before = pickle.loads(pickle.dumps(ck))
         assert not _proc_built(before.hypergraph)
-        assert not _union_built(before)
-        hg.proc_ptr, ck.u_ptr  # build both
-        for f, want in zip(_UNION_FIELDS, _union_oracle(ck)):
-            got = getattr(ck, f)
-            assert got.dtype == want.dtype, f
-            np.testing.assert_array_equal(got, want, err_msg=f)
+        assert not _shifts_built(before)
+        hg.proc_ptr, ck.pin_shift  # build both
+        want = _shift_oracle(ck)
+        assert ck.pin_shift.dtype == want.dtype
+        np.testing.assert_array_equal(ck.pin_shift, want)
         after = pickle.loads(pickle.dumps(ck))
-        assert _proc_built(after.hypergraph) and _union_built(after)
+        assert _proc_built(after.hypergraph) and _shifts_built(after)
         for copy in (before, after):
             assert copy.digest == digest
             assert structure_digest(copy.hypergraph) == digest
@@ -245,35 +243,31 @@ class TestPickling:
                 np.testing.assert_array_equal(
                     getattr(copy.hypergraph, f), getattr(hg, f), err_msg=f
                 )
-            for f in _UNION_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(copy, f), getattr(ck, f), err_msg=f
-                )
+            np.testing.assert_array_equal(copy.pin_shift, ck.pin_shift)
 
 
 class TestUnionPositions:
     def test_sparse_pin_ids_are_ranked_before_keying(self):
-        """Pin ids too far apart for one ``owner * width + pin`` int64
-        key are keyed on their ranks: same positions and unions as the
-        dense ids they rank to."""
+        """Pin ids too far apart for one ``task * width + pin`` int64
+        key are keyed on their ranks: the same shifts as the dense ids
+        they rank to."""
         big = 2**62
-        owner = np.array([0, 0, 1, 1, 1, 2])
+        # task 0: one row {5, big}; task 1: rows {3, big}, {5}; task 2:
+        # one row {big - 1}
+        counts, lens = np.array([1, 2, 1]), np.array([2, 2, 1, 1])
         pins = np.array([5, big, 3, big, 5, big - 1])
-        pos, u_ptr, u_procs = union_positions(owner, pins, 3)
-        np.testing.assert_array_equal(pos, [0, 1, 0, 2, 1, 0])
-        np.testing.assert_array_equal(u_ptr, [0, 2, 5, 6])
-        np.testing.assert_array_equal(u_procs, [5, big, 3, 5, big, big - 1])
+        shift = union_shifts(counts, lens, pins)
+        # union positions [0, 1 | 0, 2, 1 | 0] less places [0, 1 | 0, 1, 2 | 0]
+        np.testing.assert_array_equal(shift, [0, 0, 0, 1, -1, 0])
         dense = np.searchsorted(np.unique(pins), pins)
-        got = union_positions(owner, dense, 3)
-        np.testing.assert_array_equal(got[0], pos)
-        np.testing.assert_array_equal(got[1], u_ptr)
+        np.testing.assert_array_equal(
+            union_shifts(counts, lens, dense), shift
+        )
 
     def test_no_pins(self):
-        pos, u_ptr, u_procs = union_positions(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 2
-        )
-        assert pos.size == u_procs.size == 0
-        np.testing.assert_array_equal(u_ptr, [0, 0, 0])
+        empty = np.empty(0, dtype=np.int64)
+        counts = np.zeros(2, dtype=np.int64)
+        assert union_shifts(counts, empty, empty).size == 0
 
 
 @pytest.mark.usefixtures("fresh_cache")
@@ -284,7 +278,7 @@ class TestCompileCacheBudget:
         grouped = compile_cache_stats()["bytes"]
         solve(hg, method="SGH+ls")
         (ck,) = _cached_compilations()
-        assert _union_built(ck)
+        assert _shifts_built(ck)
         assert compile_cache_stats()["bytes"] == compiled_nbytes(ck)
         assert compiled_nbytes(ck) > grouped
 
@@ -340,11 +334,11 @@ class TestCompileCacheBudget:
         hg = _instance()
         ck = compile_instance(hg)
         compiled_nbytes(ck)
-        assert not _union_built(ck) and not _proc_built(hg)
+        assert not _shifts_built(ck) and not _proc_built(hg)
 
     def test_evicted_entry_is_not_brought_back(self):
         hg = _instance()
         ck = compile_instance(hg)
         clear_compile_cache()
-        ck.u_ptr  # build after eviction
+        ck.pin_shift  # build after eviction
         assert compile_cache_stats()["entries"] == 0

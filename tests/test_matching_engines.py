@@ -6,6 +6,8 @@ an independent implementation: scipy's C Hopcroft-Karp on the explicitly
 replicated graph ``G_D`` of the paper's exact algorithm.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,44 @@ class TestKuhn:
         nl, nr, ptr, adj = csr_from_lists(nbrs, k + 1)
         res = kuhn_matching(nl, nr, ptr, adj)
         assert res.cardinality == k + 1
+
+    def test_failed_searches_skip_dead_regions(self):
+        # 2r tasks all on the same r processors: r searches fail, and
+        # all of them see the same dead region.  Searched once, the DFS
+        # work grows with the edges (4x per doubling of r); searched
+        # again by every failing task, with the edges times r (8x)
+        def dfs_lines(r):
+            n = 2 * r
+            ptr = np.arange(n + 1) * r
+            adj = np.tile(np.arange(r), n)
+            res, lines = _traced_dfs(kuhn_matching, n, r, ptr, adj)
+            assert res.cardinality == r
+            return lines
+
+        assert dfs_lines(40) < 5 * dfs_lines(20)
+
+
+def _traced_dfs(fn, *args):
+    """``fn(*args)`` and the lines its augmenting DFS ran: a count of
+    work that does not depend on the machine."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_name == "try_augment" else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, lines
 
 
 N_RIGHT = 6

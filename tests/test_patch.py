@@ -43,9 +43,7 @@ _KERNEL_FIELDS = (
     "g_size",
     "g_ptr",
     "g_pins",
-    "g_pin_pos",
-    "u_ptr",
-    "u_procs",
+    "pin_shift",
     "hedge_gpos",
     "reduceat_offsets",
     "pin_cells",

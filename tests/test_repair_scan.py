@@ -8,8 +8,9 @@ equivalence property; these tests pin *local* repair:
   bottleneck after every mutation, the final assignment and the repair
   counters;
 * a Hypothesis property holds the solver's vectorized move scan to a
-  scalar oracle (the per-candidate Python scan it replaced) on random
-  churn with nonzero thresholds;
+  scalar oracle (the repair's scan order over the per-candidate move
+  rule, :func:`repro.kernels.moves.first_improving_move_python`) on
+  random churn with nonzero thresholds;
 * a second property does the same on streams built around the cases
   that finding shared pins by pin-union position creates — a lone
   alive row, configurations sharing several pins, processor handles
@@ -28,10 +29,9 @@ from hypothesis import strategies as st
 
 from repro.core.errors import InfeasibleError
 from repro.dynamic import DynamicInstance, IncrementalSolver
-from repro.dynamic.solver import SCAN_PREFIX
 from repro.generators import churn_trace, generate_multiproc
-from repro.kernels import first_lex_improving
 from repro.kernels.compiled import flat_ranges
+from repro.kernels.moves import SCAN_PREFIX, first_improving_move_python
 
 from strategies import apply_random_mutations, random_hypergraph
 
@@ -115,69 +115,22 @@ def test_local_repair_replays_committed_literals():
 # ---------------------------------------------------------------------------
 # the scalar oracle
 # ---------------------------------------------------------------------------
-_MOVE_CHUNK = 32
-
-
-def _first_improving_of(pending):
-    """Kernel-evaluate buffered maybe-moves; first improving or None.
-    ``pending`` holds ``(move, before, after)`` rows in scan order,
-    padded here with ``-inf`` to a rectangle."""
-    if not pending:
-        return None
-    kmax = max(len(before) for _, before, _ in pending)
-    pad = [-np.inf] * kmax
-    b = np.array([r + pad[len(r):] for _, r, _ in pending])
-    a = np.array([r + pad[len(r):] for _, _, r in pending])
-    i = first_lex_improving(a, b)
-    return pending[i][0] if i is not None else None
-
-
 def scalar_first_improving_move(solver, region: set[int], peak: float):
-    """The per-candidate Python scan the solver's vectorized scan
-    replaced: region bottleneck processors ascending, their tasks
-    ascending, configurations in index order; each candidate's affected
-    multisets built pin by pin, screened by their maxima, equal-maxima
-    ones buffered for the batched comparison."""
-    inst = solver.instance
-    live = np.flatnonzero(solver._live)
-    loads = dict(zip(live.tolist(), solver._loads[live].tolist()))
-    assign = solver._assign
-    seen: set[tuple[int, int]] = set()
-    pending: list = []
+    """The repair's scan order built task by task — region bottleneck
+    processors ascending, each one's not yet seen tasks ascending — and
+    the scalar move rule over it."""
+    live = set(np.flatnonzero(solver._live).tolist())
+    order: list[int] = []
     for u in sorted(region):
-        if loads.get(u, -1.0) < peak - 1e-12:
+        if u not in live or solver._loads[u] < peak - 1e-12:
             continue
-        for task in sorted(solver._on_proc[u]):
-            cur = int(assign[task])
-            cur_pins, cur_w, _ = inst.config_any(task, cur)
-            old_set = set(cur_pins)
-            for cfg, pins, w in inst.task_configs(task):
-                if cfg == cur or (task, cfg) in seen:
-                    continue
-                seen.add((task, cfg))
-                affected = sorted(old_set | set(pins))
-                before = [loads[x] for x in affected]
-                new_set = set(pins)
-                after = list(before)
-                for i, x in enumerate(affected):
-                    if x in old_set:
-                        after[i] -= cur_w
-                    if x in new_set:
-                        after[i] += w
-                ma, mb = max(after), max(before)
-                if ma > mb:
-                    continue
-                move = (task, cfg)
-                if ma < mb:
-                    first = _first_improving_of(pending)
-                    return first if first is not None else move
-                pending.append((move, before, after))
-                if len(pending) >= _MOVE_CHUNK:
-                    first = _first_improving_of(pending)
-                    if first is not None:
-                        return first
-                    pending = []
-    return _first_improving_of(pending)
+        order += sorted(solver._on_proc[u] - set(order))
+    return first_improving_move_python(
+        solver.instance._store,
+        solver._loads,
+        solver._assign,
+        np.array(order, dtype=np.int64),
+    )
 
 
 class OracleCheckedSolver(IncrementalSolver):

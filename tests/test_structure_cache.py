@@ -297,7 +297,7 @@ class TestConcurrentSetup:
         n_threads = 8
         barrier = threading.Barrier(n_threads, timeout=30)
         seen: list = [None] * n_threads
-        names = ("_union", "visit_order", "task_ptr_list", "g_ptr_list",
+        names = ("pin_shift", "visit_order", "task_ptr_list", "g_ptr_list",
                  "task_repeats", "reduceat_offsets", "pin_cells")
 
         def race(slot: int) -> None:
