@@ -291,6 +291,7 @@ def _repair_section(smoke: bool, seed: int) -> dict:
     batch times, local-search moves, the cost of one move, the share of
     repair spent in the move scan, and the guard's denominator — the
     warm EVG kernel's time per task on the same instance."""
+    import repro.dynamic.solver as solver_module
     from repro.dynamic import DynamicInstance, IncrementalSolver
     from repro.generators import churn_trace
 
@@ -307,38 +308,42 @@ def _repair_section(smoke: bool, seed: int) -> dict:
     )
     inst = DynamicInstance.from_hypergraph(hg)
     solver = IncrementalSolver(inst, method="EVG")
-    scan, scanned = solver._scan, [0.0]
+    scan, scanned = solver_module.first_improving_move, [0.0]
 
-    def timed_scan(tasks):
+    def timed_scan(*args):
         t0 = time.perf_counter()
         try:
-            return scan(tasks)
+            return scan(*args)
         finally:
             scanned[0] += time.perf_counter() - t0
 
-    solver._scan = timed_scan
-    batch_s, moves = [], []
-    # the guard's ratio is taken per group of REPAIR_GROUP steady
-    # batches against an EVG solve timed right after the group, so a
-    # drift in host speed scales both sides; the median group counts
-    move_us, step_us = [], []
-    for i, lo in enumerate(range(0, len(trace), REPAIR_BATCH)):
-        if i == REPAIR_WARMUP:
-            scanned[0] = 0.0
-        before = solver.stats.ls_moves
-        t0 = time.perf_counter()
-        for m in trace[lo : lo + REPAIR_BATCH]:
-            inst.apply(m)
-        batch_s.append(time.perf_counter() - t0)
-        moves.append(solver.stats.ls_moves - before)
-        done = i + 1 - REPAIR_WARMUP
-        if done > 0 and done % REPAIR_GROUP == 0:
-            group = slice(i + 1 - REPAIR_GROUP, i + 1)
-            move_us.append(
-                1e6 * sum(batch_s[group]) / max(sum(moves[group]), 1)
-            )
-            t_evg, _ = _time(evg, hg, backend="numpy", repeats=2)
-            step_us.append(1e6 * t_evg / hg.n_tasks)
+    # the repair's scan calls, timed where the solver looks them up
+    solver_module.first_improving_move = timed_scan
+    try:
+        batch_s, moves = [], []
+        # the guard's ratio is taken per group of REPAIR_GROUP steady
+        # batches against an EVG solve timed right after the group, so a
+        # drift in host speed scales both sides; the median group counts
+        move_us, step_us = [], []
+        for i, lo in enumerate(range(0, len(trace), REPAIR_BATCH)):
+            if i == REPAIR_WARMUP:
+                scanned[0] = 0.0
+            before = solver.stats.ls_moves
+            t0 = time.perf_counter()
+            for m in trace[lo : lo + REPAIR_BATCH]:
+                inst.apply(m)
+            batch_s.append(time.perf_counter() - t0)
+            moves.append(solver.stats.ls_moves - before)
+            done = i + 1 - REPAIR_WARMUP
+            if done > 0 and done % REPAIR_GROUP == 0:
+                group = slice(i + 1 - REPAIR_GROUP, i + 1)
+                move_us.append(
+                    1e6 * sum(batch_s[group]) / max(sum(moves[group]), 1)
+                )
+                t_evg, _ = _time(evg, hg, backend="numpy", repeats=2)
+                step_us.append(1e6 * t_evg / hg.n_tasks)
+    finally:
+        solver_module.first_improving_move = scan
     steady_s = sum(batch_s[REPAIR_WARMUP:])
     steady_moves = max(sum(moves[REPAIR_WARMUP:]), 1)
     us_per_move = statistics.median(move_us)

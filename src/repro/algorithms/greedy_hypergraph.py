@@ -375,7 +375,7 @@ def _egh_numpy(
     ci = compile_instance(hg)
     o = _expected_loads(hg)
     chosen = [0] * hg.n_tasks
-    tptr, gptr, repeats = ci.task_ptr_list, ci.g_ptr_list, ci.task_repeats
+    tptr, gptr = ci.task_ptr_list, ci.g_ptr_list
     gpins, goff = ci.g_pins, ci.reduceat_offsets
     share, gain = _expected_shares(hg, ci)
     # collapsing the distribution: every pin of a sibling withdraws its
@@ -397,16 +397,12 @@ def _egh_numpy(
             keys += gain[a:b]
         k = a + int(keys.argmin())
         chosen[v] = k
+        # applied in candidate order, matching the Python loop's
+        # accumulation when candidates share a processor
         q0, q1 = gptr[k], gptr[k + 1]
         delta = pin_drop[p0:p1].copy()
         delta[q0 - p0 : q1 - p0] = pin_gain[q0:q1]
-        # applied in candidate order (the elementwise add.at matches the
-        # Python loop's accumulation when candidates share a processor;
-        # the buffered fancy add is identical when none do, see EVG)
-        if repeats[v]:
-            add_at(o, pins, delta)
-        else:
-            o[pins] += delta
+        add_at(o, pins, delta)
 
     return _matching(hg, ci, chosen)
 

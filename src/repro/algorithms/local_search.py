@@ -25,8 +25,10 @@ first, so one order for both would change the answers here.
 to: both make the same moves, bit for bit.
 
 At most ``max_moves`` moves are made; a search that stops there has
-not confirmed a local optimum and reports ``capped`` (through the
-engine, ``ls_moves`` and ``ls_capped`` in ``SolveResult.stats``).
+not confirmed a local optimum and reports ``capped``.  Through the
+engine, ``SolveResult.stats`` carries ``ls_moves`` and ``ls_capped`` of
+the search whose result is the answer (GRASP's best iteration, a
+portfolio's winning entry), and neither when no search produced it.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ from ..kernels.moves import (
     first_improving_move_python,
 )
 
-__all__ = ["local_search", "LocalSearchReport", "tally_moves"]
+__all__ = ["local_search", "LocalSearchReport", "search_stats", "tally_moves"]
 
 #: Tasks per scan batch after the first ``SCAN_PREFIX``: enough to
 #: amortize the array ops, few enough to waste little past an early pick
 _STEP = 64
 
 #: the tally of the solve in progress (see :func:`tally_moves`)
-_TALLY: ContextVar[dict | None] = ContextVar("ls_tally", default=None)
+_TALLY: ContextVar[list | None] = ContextVar("ls_tally", default=None)
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,24 @@ class LocalSearchReport:
 
 
 @contextmanager
-def tally_moves() -> Iterator[dict]:
-    """Yields a dict that ends holding, over every local search run in
-    the block, ``ls_moves`` (summed) and ``ls_capped`` (any), or
-    nothing when none ran: the engine reports it per solve."""
-    tally: dict = {}
+def tally_moves() -> Iterator[list]:
+    """Yields a list that ends holding the report of every local search
+    run in the block, for :func:`search_stats`."""
+    tally: list = []
     token = _TALLY.set(tally)
     try:
         yield tally
     finally:
         _TALLY.reset(token)
+
+
+def search_stats(tally: list, answer: HyperSemiMatching) -> dict:
+    """``ls_moves`` and ``ls_capped`` of the search in ``tally`` whose
+    result is ``answer`` (the very object), or nothing when none is."""
+    for rep in tally:
+        if rep.matching is answer:
+            return {"ls_moves": rep.moves, "ls_capped": rep.capped}
+    return {}
 
 
 def local_search(
@@ -146,17 +156,16 @@ def local_search(
         cfg[v] = c
         assign[v] = ck.g_hedge[new]
         moves += 1
-    capped = moves == max_moves
 
-    tally = _TALLY.get()
-    if tally is not None:
-        tally["ls_moves"] = tally.get("ls_moves", 0) + moves
-        tally["ls_capped"] = tally.get("ls_capped", False) or capped
     final = HyperSemiMatching(hg, assign)
-    return LocalSearchReport(
+    report = LocalSearchReport(
         matching=final,
         moves=moves,
-        capped=capped,
+        capped=moves == max_moves,
         initial_makespan=initial_mk,
         final_makespan=final.makespan,
     )
+    tally = _TALLY.get()
+    if tally is not None:
+        tally.append(report)
+    return report

@@ -387,19 +387,6 @@ def self_attr(node: ast.AST) -> str | None:
     return None
 
 
-def walk_shallow(
-    node: ast.AST, *, skip: tuple[type, ...] = ()
-) -> Iterator[ast.AST]:
-    """Like :func:`ast.walk` but does not descend into ``skip`` nodes."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, skip):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
 def const_names(node: ast.AST) -> set[str]:
     """String constants inside a set/tuple/list/call literal."""
     return {

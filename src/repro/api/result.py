@@ -57,9 +57,10 @@ class SolveResult:
         happened inside the solve (requires tracing enabled — the
         engine reads it off the span timings); ``queue_s`` when the
         solve went through the service's micro-batcher; ``ls_moves``
-        and ``ls_capped`` when a local search ran (``+ls``, GRASP): its
-        moves, and whether it stopped at its move budget rather than at
-        a local optimum.  Empty only for results built outside the
+        and ``ls_capped`` when the answer is a local search's (``+ls``,
+        GRASP's best iteration, a portfolio's winning entry): that
+        search's moves, and whether it stopped at its move budget
+        rather than at a local optimum.  Empty only for results built outside the
         engine.
     """
 

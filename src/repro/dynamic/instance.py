@@ -435,9 +435,6 @@ class DynamicInstance:
         """Alive processor handles, ascending."""
         return sorted(self._procs)
 
-    def has_task(self, task: int) -> bool:
-        return self._store.has(task)
-
     def has_proc(self, proc: int) -> bool:
         return proc in self._procs
 

@@ -403,6 +403,8 @@ class IncrementalSolver:
         the first-improving rule are those of one scan over all of
         them, so the pick is the same, and most picks sit in the first
         part."""
+        # the scan reads the row store itself as its row layout
+        state = self.instance._store, self._loads, self._assign
         on_proc = self._on_proc
         seen: set[int] = set()
         for u in hot.tolist():
@@ -411,19 +413,12 @@ class IncrementalSolver:
                 seen |= tasks
                 order = np.fromiter(tasks, np.int64, len(tasks))
                 order.sort()
-                move = self._scan(order[:SCAN_PREFIX])
+                move = first_improving_move(*state, order[:SCAN_PREFIX])
                 if move is None and order.shape[0] > SCAN_PREFIX:
-                    move = self._scan(order[SCAN_PREFIX:])
+                    move = first_improving_move(*state, order[SCAN_PREFIX:])
                 if move is not None:
                     return move
         return None
-
-    def _scan(self, tasks: np.ndarray) -> tuple[int, int] | None:
-        """The first improving move of ``tasks`` to one of their other
-        alive configurations, read straight from the row store."""
-        return first_improving_move(
-            self.instance._store, self._loads, self._assign, tasks
-        )
 
     def _bounded_local_search(self, region: np.ndarray) -> None:
         """Vector-improving single-task moves off the region's

@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable, Union
 
 from .._util import CACHE_BUDGET
-from ..algorithms.local_search import tally_moves
+from ..algorithms.local_search import search_stats, tally_moves
 from ..api.methods import EntryStat, Outcome
 from ..api.options import SolveOptions
 from ..api.result import SolveResult
@@ -114,9 +114,12 @@ def _outcome_meta(outcome: Outcome, wall_s: float) -> dict:
     return meta
 
 
-def _solve_stats(solve_s: float, timings: dict | None, tally: dict) -> dict:
+def _solve_stats(
+    solve_s: float, timings: dict | None, tally: list, outcome: Outcome
+) -> dict:
     """The ``SolveResult.stats`` breakdown for one fresh solve."""
-    stats = {"solve_s": solve_s, "cache_hit": False, **tally}
+    stats = {"solve_s": solve_s, "cache_hit": False}
+    stats.update(search_stats(tally, outcome.matching))
     if timings:
         compile_s = timings.get("kernels.compile")
         if compile_s is not None:
@@ -156,7 +159,9 @@ def _solve_chunk(
                 with measured_span("engine.solve") as sp:
                     outcome = solve_hypergraph_outcome(hg, options)
             meta = _outcome_meta(outcome, sp.duration_s)
-            meta["stats"] = _solve_stats(sp.duration_s, timings, tally)
+            meta["stats"] = _solve_stats(
+                sp.duration_s, timings, tally, outcome
+            )
             out.append((outcome.matching.hedge_of_task, meta))
     return out, shipped
 
@@ -337,7 +342,9 @@ class BatchSolver:
                             winner=outcome.winner,
                             wall_time_s=sp.duration_s,
                             portfolio=outcome.entries,
-                            stats=_solve_stats(sp.duration_s, timings, tally),
+                            stats=_solve_stats(
+                                sp.duration_s, timings, tally, outcome
+                            ),
                         )
                 else:
                     self._solve_pooled(pairs, pending, opts, results)

@@ -51,7 +51,7 @@ class InstanceResult:
     quality: dict[str, float]  # algo -> median makespan / LB
     makespan: dict[str, float]  # algo -> median makespan
     time_s: dict[str, float]  # algo -> mean wall-clock seconds
-    #: algo -> seeds whose local search stopped at its move budget
+    #: algo -> seeds whose answer's local search stopped at its budget
     ls_capped: dict[str, int] = field(default_factory=dict)
 
 

@@ -8,9 +8,9 @@ Three renderers matching the paper's evaluation section:
 * :func:`render_comparison` — measured-vs-paper side-by-side, printed by
   the CLI's ``table*`` commands.
 
-A quality cell ends in ``*`` when the local search of some seed of its
-row (``+ls``, GRASP) stopped at its move budget rather than at a local
-optimum; a footnote under the table says so.
+A quality cell ends in ``*`` when, on some seed, the local search that
+produced the answer (``+ls``, GRASP's best iteration) stopped at its
+move budget rather than at a local optimum; a footnote says so.
 """
 
 from __future__ import annotations

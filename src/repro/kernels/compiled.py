@@ -185,9 +185,9 @@ class CompiledKernels:
       ``task_ptr_list``, ``g_ptr_list``): Python lists, because a step
       indexes them with scalars;
     * SGH/EGH's reduceat offsets (``reduceat_offsets``);
-    * VGH/EVG's ranking cells and EGH/EVG's repeat flags
-      (``pin_cells``, ``task_repeats``): VGH/EVG rank a task's
-      candidates over its own pins, so they need no pin-union;
+    * VGH/EVG's ranking cells and repeat flags (``pin_cells``,
+      ``task_repeats``): they rank a task's candidates over the task's
+      own pins, so they need no pin-union;
     * local search's pin shifts (``pin_shift``): each pin's shift to
       its position in its task's pin-union, read by the move scan of
       :mod:`repro.kernels.moves`.
@@ -283,9 +283,9 @@ class CompiledKernels:
     @_structural
     def task_repeats(self) -> list[bool]:
         """Per task, whether a processor appears in two of its
-        candidates.  EGH and EVG update such a task's pins one by one
-        (``np.add.at``, ``np.subtract.at``), where a buffered update
-        would keep only one per processor."""
+        candidates.  EVG withdraws such a task's shares one by one
+        (``np.subtract.at``), where a buffered subtract would keep only
+        one withdrawal per processor."""
         n = self.n_tasks
         flags = np.zeros(n, dtype=bool)
         if self.g_pins.shape[0]:

@@ -177,22 +177,49 @@ def test_numpy_scan_matches_the_scalar_rule_move_for_move(
 
 
 def test_engine_reports_the_move_budget():
-    """``SolveResult.stats`` carries ``ls_moves`` and ``ls_capped`` for
-    ``+ls`` and GRASP, also on a cache hit, and nothing for a solver
-    that runs no local search."""
+    """``SolveResult.stats`` carries ``ls_moves`` and ``ls_capped`` of
+    the search that produced the answer, also on a cache hit, and
+    nothing when no search did."""
     from repro.engine import BatchSolver, ResultCache
     from repro.generators import generate_multiproc
 
     hg = generate_multiproc(1280, 256, g=32, seed=0)
     refined = local_search(sorted_greedy_hyp(hg))
+    # SGH+ls makes moves here but keeps SGH's makespan, so the
+    # portfolio's tie goes to its first entry, which ran no search
+    tie = generate_multiproc(64, 16, family="hilo", g=4, seed=0)
+    tied = local_search(sorted_greedy_hyp(tie))
+    assert tied.moves and tied.final_makespan == tied.initial_makespan
     with BatchSolver(max_workers=1, cache=ResultCache()) as engine:
         fresh, hit = (engine.solve(hg, method="SGH+ls") for _ in range(2))
-        grasp, sgh = (engine.solve(hg, method=m) for m in ("grasp", "SGH"))
+        sgh = engine.solve(hg, method="SGH")
+        race = engine.solve(tie, method="portfolio(SGH,SGH+ls)")
     assert hit.cache_hit and not fresh.cache_hit
     for res in (fresh, hit):
         assert res.stats["ls_moves"] == refined.moves > 0
         assert res.stats["ls_capped"] is refined.capped is False
-    # GRASP's 8 searches of at most 200 moves each: some stop there
-    assert 0 < grasp.stats["ls_moves"] <= 8 * 200
-    assert grasp.stats["ls_capped"] is True
-    assert "ls_moves" not in sgh.stats and "ls_capped" not in sgh.stats
+    assert race.winner == "SGH"
+    for res in (sgh, race):
+        assert "ls_moves" not in res.stats
+        assert "ls_capped" not in res.stats
+
+
+def test_grasp_reports_its_best_iterations_search():
+    """GRASP's counters are its best iteration's, not the tally of all
+    eight: here some iterations stop at the budget, the best one
+    converges."""
+    from repro.algorithms import grasp
+    from repro.algorithms.local_search import search_stats, tally_moves
+    from repro.generators import generate_multiproc
+
+    hg = generate_multiproc(64, 16, family="fewgmanyg", g=4, seed=0)
+    with tally_moves() as tally:
+        rep = grasp(hg, seed=0, max_ls_moves=100)
+    assert len(tally) == 8 and any(r.capped for r in tally)
+    best = tally[rep.best_iteration]
+    assert best.matching is rep.matching and not best.capped
+    assert search_stats(tally, rep.matching) == {
+        "ls_moves": best.moves,
+        "ls_capped": False,
+    }
+    assert search_stats(tally, sorted_greedy_hyp(hg)) == {}

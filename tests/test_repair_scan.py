@@ -23,15 +23,22 @@ equivalence property; these tests pin *local* repair:
   pick at all.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dynamic.solver as solver_module
 from repro.core.errors import InfeasibleError
 from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.generators import churn_trace, generate_multiproc
 from repro.kernels.compiled import flat_ranges
-from repro.kernels.moves import SCAN_PREFIX, first_improving_move_python
+from repro.kernels.moves import (
+    SCAN_PREFIX,
+    first_improving_move,
+    first_improving_move_python,
+)
 
 from strategies import apply_random_mutations, random_hypergraph
 
@@ -354,7 +361,12 @@ def test_each_edge_case_does_what_it_says():
     solver = OracleCheckedSolver(inst, fallback_ratio=1.0)
     lone_configuration(inst, rng, False)
     lone = inst.tasks()[-1]
-    assert solver._scan(np.array([lone])) is None
+    assert (
+        first_improving_move(
+            inst._store, solver._loads, solver._assign, np.array([lone])
+        )
+        is None
+    )
 
     store, compacted = inst._store, []
     compact = store.compact
@@ -425,16 +437,15 @@ def hub_solver(kinds: dict[int, str]):
 
 
 def scanned_parts(solver, hot):
-    """The move, and the task count of every ``_scan`` call it took."""
-    sizes, scan = [], solver._scan
+    """The move, and the task count of every scan call it took."""
+    sizes = []
 
-    def counting(tasks):
+    def counting(rows, loads, assign, tasks):
         sizes.append(tasks.shape[0])
-        return scan(tasks)
+        return first_improving_move(rows, loads, assign, tasks)
 
-    solver._scan = counting
-    move = solver._first_improving_move(hot)
-    del solver._scan
+    with mock.patch.object(solver_module, "first_improving_move", counting):
+        move = solver._first_improving_move(hot)
     peak = float(solver._loads[hot].max())
     assert move == scalar_first_improving_move(
         solver, set(hot.tolist()), peak
