@@ -6,6 +6,10 @@ instance), repairing the maintained assignment is **at least 3x
 faster** than re-solving from scratch after every mutation, at an
 equal-or-better final bottleneck.
 
+A served-session leg streams batches through
+:class:`repro.service.sessions.SessionManager` and checks that a
+session retains at most one batch of journal however long it lives.
+
 Two contenders over the *same* generated trace
 (:func:`repro.generators.churn_trace` on a Table-I-style family):
 
@@ -26,10 +30,12 @@ runs anywhere the test suite runs.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +44,8 @@ from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.engine.cache import instance_digest
 from repro.engine.dispatch import solve_hypergraph
 from repro.generators import churn_trace, generate_multiproc
+from repro.service import instance_to_wire
+from repro.service.sessions import SessionManager
 
 SMOKE = os.environ.get("SEMIMATCH_BENCH_SMOKE", "0") == "1"
 
@@ -166,6 +174,62 @@ def test_repair_is_dominated_by_local_work():
     # the initial solve is a full solve; churn must not add many more
     assert stats.fallbacks <= 0.1 * len(trace), stats.as_dict()
     assert stats.local_repairs >= 0.5 * len(trace), stats.as_dict()
+
+
+#: the served-session leg: 16-mutation batches (the session-pool batch)
+#: through SessionManager.mutate on the churn workload's instance
+SESSION_BATCH = 16
+SESSION_BATCHES = 40 if SMOKE else 400
+
+
+def test_served_session_retains_at_most_one_batch():
+    """A session forgets each batch's history once it commits: over the
+    whole stream the journal never retains more than one batch (counted
+    at every mutation, inside the batches too).  Prints that peak and
+    the Python heap the second half of the stream allocated and still
+    holds at its end (tracemalloc runs over that half only, from and
+    to a full collection: it slows the stream about 3.5x)."""
+    hg, _ = _workload()
+    # churn events are one or two records each: cut the stream to size
+    trace = churn_trace(hg, SESSION_BATCH * SESSION_BATCHES, seed=2)
+    trace = trace[: SESSION_BATCH * SESSION_BATCHES]
+    batches = [
+        [m.to_dict() for m in trace[lo : lo + SESSION_BATCH]]
+        for lo in range(0, len(trace), SESSION_BATCH)
+    ]
+    manager = SessionManager()
+    sid = manager.open(
+        {"baseline": instance_to_wire(hg), "method": "EVG"}, owner=1
+    )["session"]
+    instance = manager._get(sid, 1).instance
+    journal = instance.journal
+    retained: list[int] = []
+    instance.subscribe(lambda: retained.append(len(journal) - journal.floor))
+    half = len(batches) // 2
+    try:
+        for k, batch in enumerate(batches):
+            if k == half:
+                gc.collect()
+                tracemalloc.start()
+            info = manager.mutate(sid, batch, owner=1)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        manager.close(sid, owner=1)
+    print(
+        f"\nserved session {len(batches)}x{SESSION_BATCH} mutations on "
+        f"{hg.n_tasks}x{hg.n_procs}: journal retained <= {max(retained)} "
+        f"entries, traced heap {growth / 1024:+.1f} KiB over the last "
+        f"{len(batches) - half} batches "
+        f"({growth / (len(batches) - half):+.0f} B/batch)"
+    )
+    assert info["mutations"] == len(trace) == len(journal)
+    assert len(retained) == len(trace)
+    assert max(retained) <= SESSION_BATCH, (
+        f"a session retained {max(retained)} journal entries "
+        f"(one batch is {SESSION_BATCH})"
+    )
 
 
 #: the session-pool shape: a fewgmanyg n=5120 session repaired under

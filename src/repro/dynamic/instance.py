@@ -329,7 +329,10 @@ class DynamicInstance:
     :meth:`update_weight` — append to the delta journal.
     :meth:`snapshot` marks a point in time, :meth:`rollback` restores
     it, and :meth:`replay` applies recorded mutations (e.g. a loaded
-    trace file).
+    trace file).  The journal keeps the full history unless its owner
+    releases it (:meth:`DeltaJournal.release`; a service session does
+    after every committed batch), after which nothing rolls back past
+    the release.
     """
 
     def __init__(self) -> None:
@@ -624,7 +627,11 @@ class DynamicInstance:
     def rollback(self, marker: int) -> int:
         """Undo every mutation applied after ``marker``; returns how
         many were undone.  The journal is truncated back to the marker,
-        so a solver whose cursor is past it performs a full re-sync."""
+        so a solver whose cursor is past it re-syncs (from its
+        :meth:`~repro.dynamic.IncrementalSolver.checkpoint` when it took
+        one at the marker, by a full re-solve otherwise).  A marker
+        below the journal's floor raises ``ValueError`` and changes
+        nothing."""
         undone = 0
         for m in self.journal.truncate(marker):
             self._undo(m)

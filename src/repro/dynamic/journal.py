@@ -83,17 +83,28 @@ class Mutation:
 
 
 class DeltaJournal:
-    """An append-only mutation log with snapshot markers.
+    """A mutation log with snapshot markers, append-only until released.
 
     ``snapshot()`` returns an opaque marker (the current length);
     ``entries_since(marker)`` yields the tail — how the incremental
     solver catches up — and ``truncate(marker)`` drops entries past the
     marker (the rollback primitive; the *owner* is responsible for
     undoing their effects first).
+
+    ``release(marker)`` forgets the entries *before* the marker, which
+    becomes the journal's :attr:`floor`.  Positions stay absolute:
+    markers taken before a release stay valid, ``len(journal)`` counts
+    released entries too, and ``journal[i]`` reads position ``i``.
+    What lies below the floor is gone for good: ``entries_since``,
+    ``truncate`` and indexing reject it, and iteration yields the
+    retained entries only.  A release rewrites no history, so it never
+    bumps :attr:`truncations`.
     """
 
     def __init__(self) -> None:
         self._entries: list[Mutation] = []
+        #: The absolute position of the oldest retained entry.
+        self.floor = 0
         #: Bumped by every :meth:`truncate` that dropped entries, so a
         #: consumer holding a cursor can tell "the journal grew past my
         #: cursor" apart from "history was rewritten under me".
@@ -105,34 +116,57 @@ class DeltaJournal:
 
     def snapshot(self) -> int:
         """An opaque marker for the current journal position."""
-        return len(self._entries)
+        return self.floor + len(self._entries)
+
+    def _offset(self, marker: int) -> int:
+        """``marker``'s index into the retained entries; raises
+        ``ValueError`` unless ``floor <= marker <= len(self)``."""
+        if not self.floor <= marker <= len(self):
+            raise ValueError(
+                f"invalid journal marker {marker!r} (journal holds "
+                f"positions {self.floor}..{len(self)})"
+            )
+        return marker - self.floor
 
     def entries_since(self, marker: int) -> list[Mutation]:
         """Entries appended after ``marker`` (oldest first)."""
-        return self._entries[marker:]
+        return self._entries[self._offset(marker) :]
 
     def truncate(self, marker: int) -> list[Mutation]:
         """Drop and return entries past ``marker`` (newest first, i.e.
         undo order)."""
-        if not 0 <= marker <= len(self._entries):
-            raise ValueError(
-                f"invalid journal marker {marker!r} "
-                f"(journal has {len(self._entries)} entries)"
-            )
-        dropped = self._entries[marker:]
-        del self._entries[marker:]
+        at = self._offset(marker)
+        dropped = self._entries[at:]
+        del self._entries[at:]
         if dropped:
             self.truncations += 1
         return dropped[::-1]
 
+    def release(self, marker: int) -> int:
+        """Forget the entries before ``marker``; returns how many were
+        released.  Their mutations stay applied: only the record of
+        them, and with it the ability to roll back past ``marker``, is
+        gone."""
+        at = self._offset(marker)
+        del self._entries[:at]
+        self.floor = marker
+        return at
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.floor + len(self._entries)
 
     def __iter__(self) -> Iterator[Mutation]:
         return iter(self._entries)
 
-    def __getitem__(self, idx):
-        return self._entries[idx]
+    def __getitem__(self, position: int) -> Mutation:
+        if not self.floor <= position < len(self):
+            raise IndexError(
+                f"journal position {position!r} outside "
+                f"{self.floor}..{len(self) - 1}"
+            )
+        return self._entries[position - self.floor]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DeltaJournal({len(self._entries)} entries)"
+        return (
+            f"DeltaJournal({len(self._entries)} entries from {self.floor})"
+        )

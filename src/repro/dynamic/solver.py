@@ -96,6 +96,16 @@ class _Cursor:
     truncations: int = 0
 
 
+@dataclass
+class _Checkpoint:
+    """The maintained state at one journal position."""
+
+    position: int
+    truncations: int
+    assign: np.ndarray
+    loads: np.ndarray
+
+
 class IncrementalSolver:
     """Maintain a semi-matching across mutations of a dynamic instance.
 
@@ -170,6 +180,7 @@ class IncrementalSolver:
         # the tasks whose chosen configuration holds each processor
         self._on_proc: list[set[int]] = []
         self._cursor = _Cursor()
+        self._checkpoint: _Checkpoint | None = None
         self._detached = False
         self._full_resolve()
         # repair must run in lockstep with the journal: fixing mutation
@@ -225,15 +236,38 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     # synchronisation
     # ------------------------------------------------------------------
+    def checkpoint(self) -> None:
+        """Remember the maintained state at the instance's current
+        journal position (one checkpoint at a time; a new one replaces
+        it).  If the next rollback of the instance lands exactly there,
+        the solver restores this assignment and these loads bit for bit
+        instead of re-solving; any other rollback discards it."""
+        self.sync()
+        self._checkpoint = _Checkpoint(
+            self._cursor.position,
+            self._cursor.truncations,
+            self._assign.copy(),
+            self._loads.copy(),
+        )
+
     def sync(self) -> int:
         """Catch up with the instance's journal; returns how many
         mutations were processed.  A rollback (journal truncation)
+        restores the :meth:`checkpoint` taken where it landed, or
         forces one full re-solve.  A detached solver never syncs."""
         if self._detached:
             return 0
         journal = self.instance.journal
         if self._cursor.truncations != journal.truncations:
-            self._full_resolve()
+            cp, self._checkpoint = self._checkpoint, None
+            if (
+                cp is not None
+                and journal.truncations == cp.truncations + 1
+                and len(journal) == cp.position
+            ):
+                self._restore(cp)
+            else:
+                self._full_resolve()
             return 0
         processed = 0
         # a fallback re-solve inside _repair fast-forwards the cursor to
@@ -452,9 +486,15 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     # full solves
     # ------------------------------------------------------------------
-    def _adopt(self, tasks: np.ndarray, cfgs: np.ndarray) -> None:
+    def _adopt(
+        self,
+        tasks: np.ndarray,
+        cfgs: np.ndarray,
+        loads: np.ndarray | None = None,
+    ) -> None:
         """Replace the state by the assignment ``tasks[i] ->
-        cfgs[i]`` (tasks ascending) of the current instance.  One
+        cfgs[i]`` (tasks ascending) of the current instance, with the
+        given per-processor ``loads`` or, by default, their sums: one
         ``np.add.at`` in task order sums each processor's loads in the
         order of one ``_load`` per task."""
         inst = self.instance
@@ -467,8 +507,10 @@ class IncrementalSolver:
         rows = st.task_lo[tasks] + cfgs
         lens = st.row_len[rows]
         pins = st.pins_of(rows)
-        self._loads = np.zeros(n_procs, dtype=np.float64)
-        np.add.at(self._loads, pins, st.row_w[rows].repeat(lens))
+        if loads is None:
+            loads = np.zeros(n_procs, dtype=np.float64)
+            np.add.at(loads, pins, st.row_w[rows].repeat(lens))
+        self._loads = loads
         # each processor's tasks, grouped by a stable sort of the pins
         owners = tasks.repeat(lens)[np.argsort(pins, kind="stable")]
         ends = np.cumsum(np.bincount(pins, minlength=n_procs)).tolist()
@@ -476,6 +518,19 @@ class IncrementalSolver:
         self._on_proc = [
             set(owners[lo:hi]) for lo, hi in zip([0] + ends, ends)
         ]
+
+    def _restore(self, cp: _Checkpoint) -> None:
+        """Adopt a checkpoint's state; the instance is back at its
+        position, so only the per-processor task sets are rebuilt (the
+        saved arrays may carry spare capacity past the handles)."""
+        tasks = np.flatnonzero(cp.assign >= 0)
+        self._adopt(
+            tasks, cp.assign[tasks], cp.loads[: self.instance._next_proc]
+        )
+        self._cursor = _Cursor(
+            position=cp.position,
+            truncations=self.instance.journal.truncations,
+        )
 
     def _full_resolve(self) -> None:
         """Drop the incremental state and solve the current instance

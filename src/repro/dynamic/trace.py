@@ -36,8 +36,19 @@ _TRACE_VERSION = 1
 
 
 def trace_of(instance: DynamicInstance) -> list[Mutation]:
-    """The instance's full journal as a trace (a copy)."""
-    return list(instance.journal)
+    """The instance's full journal as a trace (a copy), replayable from
+    the state the instance started in.
+
+    Raises ``ValueError`` once the journal has been released
+    (:meth:`~repro.dynamic.journal.DeltaJournal.release`): its retained
+    tail no longer replays from that state."""
+    journal = instance.journal
+    if journal.floor:
+        raise ValueError(
+            f"the journal's first {journal.floor} entries were released; "
+            "the retained tail does not replay from the baseline"
+        )
+    return list(journal)
 
 
 def save_trace(

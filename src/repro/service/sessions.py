@@ -15,7 +15,14 @@ Mutation batches are **transactional**: they apply through the
 instance's journal under a snapshot, and any failure (unknown handle,
 infeasible processor removal, ...) rolls the whole batch back before
 the error reaches the wire — the session state never reflects half a
-request.
+request.  The solver checkpoints at the snapshot, so a rolled-back
+batch leaves its assignment and loads exactly as they were.
+
+A batch's history is forgotten once it commits: after the answer is
+built (the solver has synced past every entry) the session releases
+the batch's journal entries, so a session holds at most one batch of
+journal however long it lives.  Nothing rolls back past a committed
+batch; each batch takes its own marker after the previous release.
 
 Sessions are owned by the connection that opened them: other
 connections cannot address them, and a dropped connection reclaims its
@@ -141,6 +148,7 @@ class SessionManager:
             )
         with session.lock:
             marker = session.instance.snapshot()
+            session.solver.checkpoint()
             try:
                 for record in mutations:
                     if not isinstance(record, dict):
@@ -154,6 +162,9 @@ class SessionManager:
                 raise
             session.mutations += len(mutations)
             out = session.describe()
+            # describe() synced the solver past the batch: its history
+            # is never read again
+            session.instance.journal.release(session.instance.snapshot())
             out["applied"] = len(mutations)
             if include_assignment:
                 out["assignment"] = {

@@ -248,6 +248,100 @@ class TestJournal:
         with pytest.raises(ValueError):
             j.truncate(9)
 
+    def test_entries_since_validates_its_marker(self):
+        j = DeltaJournal()
+        for i in range(3):
+            j.append(Mutation("add_processor", {"proc": i}))
+        assert [m.payload["proc"] for m in j.entries_since(1)] == [1, 2]
+        assert j.entries_since(3) == []
+        for bad in (-1, 4, 99):
+            with pytest.raises(ValueError, match="invalid journal marker"):
+                j.entries_since(bad)
+
+    def test_markers_stay_absolute_across_a_release(self):
+        j = DeltaJournal()
+        for i in range(5):
+            j.append(Mutation("add_processor", {"proc": i}))
+        mark = j.snapshot()
+        assert j.release(3) == 3
+        assert (j.floor, len(j), j.snapshot()) == (3, 5, mark)
+        assert j[3].payload["proc"] == 3 and j[4].payload["proc"] == 4
+        assert [m.payload["proc"] for m in j] == [3, 4]
+        assert [m.payload["proc"] for m in j.entries_since(4)] == [4]
+        j.append(Mutation("add_processor", {"proc": 5}))
+        assert [m.payload["proc"] for m in j.truncate(mark)] == [5]
+        assert j.release(3) == 0  # releasing at the floor is a no-op
+
+    def test_nothing_below_the_floor_is_reachable(self):
+        j = DeltaJournal()
+        for i in range(4):
+            j.append(Mutation("add_processor", {"proc": i}))
+        j.release(2)
+        for call in (j.truncate, j.entries_since, j.release):
+            with pytest.raises(ValueError, match="invalid journal marker"):
+                call(1)
+        with pytest.raises(IndexError):
+            j[1]
+        with pytest.raises(IndexError):
+            j[4]
+        assert (j.floor, len(j), j.truncations) == (2, 4, 0)
+
+    def test_rollback_below_the_floor_changes_nothing(self):
+        inst = DynamicInstance.from_hypergraph(small_hg(4))
+        solver = IncrementalSolver(inst)
+        apply_random_mutations(inst, np.random.default_rng(3), 6)
+        inst.journal.release(inst.snapshot())
+        apply_random_mutations(inst, np.random.default_rng(4), 3)
+        before = (inst.digest(), len(inst.journal), solver.assignment())
+        with pytest.raises(ValueError, match="invalid journal marker"):
+            inst.rollback(inst.journal.floor - 1)
+        assert (inst.digest(), len(inst.journal), solver.assignment()) == (
+            before
+        )
+        assert inst.journal.truncations == 0
+
+    def test_a_release_never_forces_a_full_resolve(self):
+        inst = DynamicInstance.from_hypergraph(small_hg(5))
+        solver = IncrementalSolver(inst)
+        for seed in range(4):
+            apply_random_mutations(inst, np.random.default_rng(seed), 5)
+            solver.sync()
+            inst.journal.release(inst.snapshot())
+        assert inst.journal.truncations == 0
+        assert solver.stats.full_solves == 1  # the initial solve only
+        assert solver.stats.mutations == len(inst.journal)
+        assert_consistent(inst, solver)
+
+    def test_released_solver_matches_an_unreleased_twin(self):
+        """Releasing the journal after every batch changes no repair:
+        the bottleneck stream over a churn trace is bit-equal to a twin
+        whose journal keeps everything."""
+        hg = generate_multiproc(
+            96, 24, family="fewgmanyg", g=4, weights="related", seed=3
+        )
+        trace = churn_trace(hg, 96, seed=2)
+        released = DynamicInstance.from_hypergraph(hg)
+        kept = DynamicInstance.from_hypergraph(hg)
+        a = IncrementalSolver(released, method="EVG")
+        b = IncrementalSolver(kept, method="EVG")
+        for lo in range(0, len(trace), 8):
+            released.replay(trace[lo : lo + 8])
+            kept.replay(trace[lo : lo + 8])
+            assert a.bottleneck() == b.bottleneck()
+            released.journal.release(released.snapshot())
+        assert a.assignment() == b.assignment()
+        assert a.stats.as_dict() == b.stats.as_dict()
+        assert len(released.journal) == len(kept.journal) == len(trace)
+        assert list(released.journal) == []
+
+    def test_trace_of_a_released_journal_raises(self):
+        inst = DynamicInstance.from_hypergraph(small_hg(6))
+        apply_random_mutations(inst, np.random.default_rng(1), 4)
+        assert len(trace_of(inst)) == 4
+        inst.journal.release(2)
+        with pytest.raises(ValueError, match="released"):
+            trace_of(inst)
+
 
 # ---------------------------------------------------------------------------
 # IncrementalSolver
@@ -269,6 +363,39 @@ class TestIncrementalSolver:
         apply_random_mutations(inst, np.random.default_rng(7), 40)
         assert_consistent(inst, solver)
         assert solver.stats.mutations == len(inst.journal)
+
+    def test_rollback_to_a_checkpoint_restores_the_state(self):
+        """A rollback landing on the solver's checkpoint restores its
+        assignment and loads bit for bit, without a re-solve; a rollback
+        anywhere else re-solves."""
+        hg = generate_multiproc(
+            96, 24, family="fewgmanyg", g=4, weights="related", seed=5
+        )
+        trace = churn_trace(hg, 40, seed=3)
+        inst = DynamicInstance.from_hypergraph(hg)
+        solver = IncrementalSolver(inst, method="EVG")
+        inst.replay(trace[:16])
+        mark = inst.snapshot()
+        solver.checkpoint()
+        before = (solver.assignment(), solver.loads(), solver.bottleneck())
+        inst.replay(trace[16:32])
+        assert solver.assignment() != before[0]
+        inst.rollback(mark)
+        assert (solver.assignment(), solver.loads(), solver.bottleneck()) == (
+            before
+        )
+        assert solver.stats.full_solves == 1
+        assert_consistent(inst, solver)
+        # the checkpoint is spent: the next rollback re-solves
+        inst.replay(trace[16:20])
+        inst.rollback(mark)
+        assert solver.stats.full_solves == 2
+        # ...and so does one landing elsewhere than the checkpoint
+        solver.checkpoint()
+        inst.replay(trace[16:24])
+        inst.rollback(mark + 4)
+        assert solver.stats.full_solves == 3
+        assert_consistent(inst, solver)
 
     def test_rollback_forces_resync(self):
         inst = DynamicInstance.from_hypergraph(small_hg(2))

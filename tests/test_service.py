@@ -20,10 +20,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Refine, SolveOptions, solve as api_solve
 from repro.core import TaskHypergraph
-from repro.dynamic import DynamicInstance, IncrementalSolver
+from repro.dynamic import (
+    MUTATION_OPS,
+    DynamicInstance,
+    IncrementalSolver,
+    Mutation,
+)
 from repro.engine import ResultCache
 from repro.engine.batch import BatchSolver
 from repro.generators import churn_trace, generate_multiproc
@@ -608,6 +614,90 @@ class TestSingleFlight:
 # ---------------------------------------------------------------------------
 # sessions
 # ---------------------------------------------------------------------------
+#: the payload fields each op reads
+_OP_FIELDS = {
+    "add_task": ("task", "configs"),
+    "remove_task": ("task",),
+    "add_processor": ("proc",),
+    "remove_processor": ("proc",),
+    "update_weight": ("task", "config", "weight"),
+}
+#: what a fuzzed field may hold besides a plausible value
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.integers(-(10**20), 10**20),
+    st.lists(st.integers(-2, 3), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1),
+)
+
+def _or_junk(plausible):
+    """``plausible`` three times in four, junk otherwise."""
+    return st.one_of(plausible, plausible, plausible, _JUNK)
+
+
+_HANDLE = _or_junk(st.integers(-1, 60))
+_FIELD_VALUES = {
+    "task": _HANDLE,
+    "proc": _HANDLE,
+    "config": _or_junk(st.integers(-1, 3)),
+    "weight": _or_junk(st.floats(-1.0, 9.0)),
+    "configs": st.one_of(
+        st.lists(
+            st.tuples(
+                st.lists(_HANDLE, max_size=3),
+                _or_junk(st.floats(0.5, 9.0)),
+            ).map(list),
+            max_size=2,
+        ),
+        _JUNK,
+    ),
+}
+
+
+@st.composite
+def _fuzz_record(draw):
+    """One wire record: an op (or an unknown one) with each of its
+    fields usually present, each holding a plausible value or junk."""
+    op = draw(st.sampled_from(MUTATION_OPS + ("explode",)))
+    record = {"op": op}
+    for name in _OP_FIELDS.get(op, ("task",)):
+        if draw(st.integers(0, 9)):
+            record[name] = draw(_FIELD_VALUES[name])
+    return record
+
+
+#: a batch item, drawn with these relative odds: the next ``n`` records
+#: of a valid churn trace (3), one fuzzed record (2), a non-object
+#: record (1), or a task pinned to one processor followed by that
+#: processor's infeasible removal (1)
+_TRACE_ITEM = st.integers(1, 4).map(lambda n: ("trace", n))
+_FUZZ_ITEM = _fuzz_record().map(lambda r: ("record", r))
+_BATCH_ITEM = st.one_of(
+    _TRACE_ITEM,
+    _TRACE_ITEM,
+    _TRACE_ITEM,
+    _FUZZ_ITEM,
+    _FUZZ_ITEM,
+    st.sampled_from([7, "add_task", None]).map(lambda r: ("record", r)),
+    st.just(("infeasible",)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_server():
+    """One live server for the session fuzzing examples, a baseline and
+    a valid churn trace of it."""
+    hg = generate_multiproc(
+        48, 12, family="fewgmanyg", g=4, weights="related", seed=11
+    )
+    with running_server() as (server, _loop):
+        with ServiceClient(port=server.port) as client:
+            yield server, client, hg, churn_trace(hg, 96, seed=12)
+
+
 class TestSessions:
     def test_mutation_stream_replays_bit_equal_to_local_solver(self):
         hg = generate_multiproc(
@@ -715,6 +805,96 @@ class TestSessions:
                 after = session.mutate([])
                 assert after["n_procs"] == before["n_procs"] == 1
                 assert after["bottleneck"] == before["bottleneck"]
+
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(batches=st.lists(
+        st.lists(_BATCH_ITEM, min_size=1, max_size=4), min_size=1, max_size=4,
+    ))
+    def test_fuzzed_batches_fail_typed_and_change_nothing(
+        self, batches, fuzz_server
+    ):
+        """Batches mixing valid churn with malformed records, after
+        three committed batches: a failing batch answers a typed code
+        and leaves bottleneck, counts, assignment and loads exactly as
+        they were; a committing one matches a local solver fed the same
+        records; the session retains no journal between batches."""
+        server, client, hg, trace = fuzz_server
+        twin_inst = DynamicInstance.from_hypergraph(hg)
+        twin = IncrementalSolver(twin_inst, method="EVG")
+
+        def state(info):
+            return {
+                k: info[k]
+                for k in (
+                    "bottleneck", "n_tasks", "n_procs", "mutations",
+                    "assignment", "loads",
+                )
+            }
+
+        def twin_state(mutations):
+            return {
+                "bottleneck": twin.bottleneck(),
+                "n_tasks": twin_inst.n_tasks,
+                "n_procs": twin_inst.n_procs,
+                "mutations": mutations,
+                "assignment": {
+                    str(t): c for t, c in twin.assignment().items()
+                },
+                "loads": {str(u): w for u, w in twin.loads().items()},
+            }
+
+        session = client.open_session(hg, method="EVG")
+        try:
+            hosted = server.sessions._sessions[session.id]
+            cursor = 0
+            for _ in range(3):
+                records = [m.to_dict() for m in trace[cursor : cursor + 4]]
+                session.mutate(records)
+                twin_inst.replay(trace[cursor : cursor + 4])
+                cursor += 4
+            for items in batches:
+                before = session.mutate([], include_assignment=True)
+                records, used = [], 0
+                for item in items:
+                    if item[0] == "trace":
+                        chunk = trace[cursor + used : cursor + used + item[1]]
+                        records += [m.to_dict() for m in chunk]
+                        used += len(chunk)
+                    elif item[0] == "record":
+                        records.append(item[1])
+                    else:
+                        # the handle the task gets if every record
+                        # before it applies (else the batch fails anyway)
+                        task = twin_inst._next_task + sum(
+                            isinstance(r, dict) and r.get("op") == "add_task"
+                            for r in records
+                        )
+                        proc = twin_inst.procs()[0]
+                        records += [
+                            {"op": "add_task", "task": task,
+                             "configs": [[[proc], 1.0]]},
+                            {"op": "remove_processor", "proc": proc},
+                        ]
+                try:
+                    after = session.mutate(records, include_assignment=True)
+                except RemoteError as exc:
+                    assert exc.code in ERROR_CODES, exc.code
+                    assert exc.code != ErrorCode.INTERNAL, exc
+                    after = session.mutate([], include_assignment=True)
+                    assert state(after) == state(before)
+                else:
+                    twin_inst.replay(Mutation.from_dict(r) for r in records)
+                    cursor += used
+                    assert state(after) == twin_state(before["mutations"]
+                                                      + len(records))
+                journal = hosted.instance.journal
+                assert list(journal) == []
+                assert len(journal) == journal.floor == after["mutations"]
+        finally:
+            session.close()
 
     def test_session_errors_and_limits(self):
         (hg,) = small_instances(1)
