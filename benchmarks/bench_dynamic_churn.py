@@ -42,7 +42,7 @@ import pytest
 
 from repro.dynamic import DynamicInstance, IncrementalSolver
 from repro.engine.cache import instance_digest
-from repro.engine.dispatch import solve_hypergraph
+from repro.engine import solve_hypergraph
 from repro.generators import churn_trace, generate_multiproc
 from repro.service import instance_to_wire
 from repro.service.sessions import SessionManager

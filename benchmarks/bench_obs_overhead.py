@@ -66,7 +66,6 @@ _INSTRUMENTED = {
         "span", "measured_span", "adopt", "collect_timings",
         "ingest", "ship_context",
     ),
-    "repro.engine.dispatch": ("span",),
     "repro.engine.cache": ("span",),
     "repro.engine.transport": ("span",),
     "repro.kernels.compiled": ("span",),

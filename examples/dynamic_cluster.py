@@ -21,7 +21,7 @@ import time
 from repro import churn_trace, generate_multiproc
 from repro.core.errors import InfeasibleError
 from repro.dynamic import DynamicInstance, IncrementalSolver
-from repro.engine.dispatch import solve_hypergraph
+from repro.engine import solve_hypergraph
 
 
 def main() -> None:

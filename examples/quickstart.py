@@ -18,7 +18,7 @@ def backend_demo() -> None:
     """The backend switch: identical matchings, kernel-speed solves."""
     import numpy as np
 
-    from repro.engine.dispatch import solve_hypergraph
+    from repro.engine import solve_hypergraph
     from repro.generators import generate_multiproc
     from repro.kernels import compile_instance
 

@@ -2,7 +2,7 @@
 
 :class:`SolveOptions` is the one place that declares which fields a
 solve request has and what their defaults are.  Every entry point
-(:func:`repro.api.solve`, :func:`repro.sched.solve`,
+(:func:`repro.api.solve`, also exported as :func:`repro.solve`,
 :func:`repro.engine.solve_hypergraph`, :class:`~repro.engine.BatchSolver`,
 :func:`repro.engine.solve_many`, the service client and server) takes
 ``options: SolveOptions | None = None, **fields`` and builds the request

@@ -832,15 +832,6 @@ class DynamicInstance:
             hedge_slots=np.asarray(hedge_slots, dtype=np.int64),
         )
 
-    def compiled_kernels(self):
-        """The :class:`~repro.kernels.CompiledKernels` of the current
-        state, through the kernel compile cache (keyed by the
-        snapshot's structure digest), so every solver of this version,
-        and of any version that differs only in weights, shares it."""
-        from ..kernels import compile_instance
-
-        return compile_instance(self.to_hypergraph())
-
     def compile_stats(self) -> dict[str, int]:
         """Compile-path counters: every :meth:`compile` that built a
         snapshot (a version read for the first time) counts once in

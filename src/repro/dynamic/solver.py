@@ -52,7 +52,7 @@ drifts above from-scratch quality.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,9 @@ __all__ = ["IncrementalSolver", "RepairStats", "incremental_solve"]
 
 @dataclass
 class RepairStats:
-    """Observable counters of one solver's lifetime."""
+    """Observable counters of the work behind a solver's current state
+    (a rollback onto a :meth:`IncrementalSolver.checkpoint` restores
+    them)."""
 
     mutations: int = 0
     local_repairs: int = 0
@@ -104,6 +106,7 @@ class _Checkpoint:
     truncations: int
     assign: np.ndarray
     loads: np.ndarray
+    stats: RepairStats
 
 
 class IncrementalSolver:
@@ -194,14 +197,6 @@ class IncrementalSolver:
         self._detached = True
         self.instance.unsubscribe(self.sync)
 
-    def compile_stats(self) -> dict[str, int]:
-        """Compile-path counters of the tracked instance (see
-        :meth:`DynamicInstance.compile_stats`).  Repair reads the row
-        store, never a snapshot: only full re-solves and
-        :meth:`matching` compile, once per version they read — the
-        service surfaces these per session."""
-        return self.instance.compile_stats()
-
     # ------------------------------------------------------------------
     # accessors (all sync first)
     # ------------------------------------------------------------------
@@ -240,14 +235,16 @@ class IncrementalSolver:
         """Remember the maintained state at the instance's current
         journal position (one checkpoint at a time; a new one replaces
         it).  If the next rollback of the instance lands exactly there,
-        the solver restores this assignment and these loads bit for bit
-        instead of re-solving; any other rollback discards it."""
+        the solver restores this assignment and these loads bit for bit,
+        and these :attr:`stats` in place, instead of re-solving; any
+        other rollback discards it."""
         self.sync()
         self._checkpoint = _Checkpoint(
             self._cursor.position,
             self._cursor.truncations,
             self._assign.copy(),
             self._loads.copy(),
+            replace(self.stats),
         )
 
     def sync(self) -> int:
@@ -531,6 +528,8 @@ class IncrementalSolver:
             position=cp.position,
             truncations=self.instance.journal.truncations,
         )
+        # in place: callers hold on to ``solver.stats``
+        vars(self.stats).update(vars(cp.stats))
 
     def _full_resolve(self) -> None:
         """Drop the incremental state and solve the current instance

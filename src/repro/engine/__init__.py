@@ -9,13 +9,13 @@
   keep the best makespan;
 * :class:`ResultCache` — content-addressed LRU so repeated sweeps never
   recompute;
-* :func:`solve_hypergraph` — the shared hypergraph-level dispatch that
-  both :func:`repro.sched.solve` and the pool workers execute, driven by
-  the :mod:`repro.api` solver registry.
+* :func:`solve_hypergraph` — one uncached solve of a hypergraph, the
+  same evaluation :func:`repro.solve` and the pool workers run, driven
+  by the :mod:`repro.api` solver registry.
 
-``known_methods()`` and the default portfolio line-up
-(``get_registry().default_portfolio()``) are generated from the
-registry, so a newly registered solver is instantly usable here.
+The default portfolio line-up (``get_registry().default_portfolio()``)
+is generated from the registry, so a newly registered solver is
+instantly usable here.
 """
 
 from .batch import (
@@ -23,10 +23,10 @@ from .batch import (
     cache_report,
     default_cache,
     default_engine,
+    solve_hypergraph,
     solve_many,
 )
 from .cache import CachedSolve, ResultCache, instance_digest, structure_digest
-from .dispatch import known_methods, solve_hypergraph, solve_hypergraph_outcome
 
 __all__ = [
     "BatchSolver",
@@ -38,8 +38,5 @@ __all__ = [
     "CachedSolve",
     "instance_digest",
     "structure_digest",
-    "known_methods",
     "solve_hypergraph",
-    "solve_hypergraph_outcome",
 ]
-

@@ -1,8 +1,8 @@
 """Throughput-oriented batch solving: :class:`BatchSolver` and
 :func:`solve_many`.
 
-The paper's harness (and the seed's :func:`repro.sched.solve`) works one
-instance at a time.  This module turns the same dispatch into an engine:
+The paper's harness (and :func:`repro.solve`) works one instance at a
+time.  This module turns the same evaluation into an engine:
 
 * **batching** — hand over many :class:`~repro.sched.model.SchedulingProblem`
   or :class:`~repro.core.hypergraph.TaskHypergraph` instances at once;
@@ -23,19 +23,24 @@ deterministic for a fixed ``seed``, and the pool layout only changes
 :class:`~repro.sched.schedule.Schedule` view for problem inputs, and
 provenance: winning solver, wall time, cache-hit flag, per-entry
 portfolio statistics.  Results come back in input order.
+
+:func:`solve_hypergraph` is the one-instance, uncached path: the same
+evaluation, returning the bare matching.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable, Union
 
 from .._util import CACHE_BUDGET
 from ..algorithms.local_search import search_stats, tally_moves
-from ..api.methods import EntryStat, Outcome
+from ..api.methods import EntryStat, EvalContext, Outcome, evaluate
 from ..api.options import SolveOptions
+from ..api.registry import get_registry
 from ..api.result import SolveResult
 from ..core.hypergraph import TaskHypergraph
 from ..core.semimatching import HyperSemiMatching
@@ -51,7 +56,6 @@ from ..obs.trace import (
 from ..sched.model import SchedulingProblem
 from ..sched.schedule import Schedule
 from .cache import ResultCache, instance_digest
-from .dispatch import solve_hypergraph_outcome
 from .transport import (
     ExportRegistry,
     attach_instance,
@@ -67,6 +71,7 @@ __all__ = [
     "default_engine",
     "default_cache",
     "cache_report",
+    "solve_hypergraph",
 ]
 
 Instance = Union[SchedulingProblem, TaskHypergraph]
@@ -79,7 +84,7 @@ _EXECUTORS = ("process", "serial")
 _SHM_MIN_BYTES = 64 * 1024
 
 #: Cache shared by every engine created with ``cache=True`` (including
-#: the default engine behind :func:`repro.sched.solve`).
+#: the default engine behind :func:`repro.solve`).
 _DEFAULT_CACHE = ResultCache()
 
 _DEFAULT_ENGINE: "BatchSolver | None" = None
@@ -104,47 +109,106 @@ def cache_report(cache: ResultCache | None) -> dict:
     }
 
 
-def _outcome_meta(outcome: Outcome, wall_s: float) -> dict:
-    """Flatten an evaluation outcome to a small, picklable dict."""
-    meta = {"winner": outcome.winner, "time_s": wall_s}
-    if outcome.entries is not None:
-        meta["entries"] = [
-            (e.method, e.makespan, e.time_s) for e in outcome.entries
-        ]
-    return meta
+#: The ``SolveResult.stats`` counters a cache entry keeps, so a hit
+#: reports the search behind its answer.
+_LS_KEYS = ("ls_moves", "ls_capped")
 
 
-def _solve_stats(
-    solve_s: float, timings: dict | None, tally: list, outcome: Outcome
-) -> dict:
-    """The ``SolveResult.stats`` breakdown for one fresh solve."""
-    stats = {"solve_s": solve_s, "cache_hit": False}
+def _evaluate(hg: TaskHypergraph, opts: SolveOptions) -> Outcome:
+    """Evaluate normalized ``opts`` on ``hg``: the matching plus the
+    winning solver and per-entry portfolio statistics."""
+    ctx = EvalContext(
+        registry=get_registry(),
+        seed=opts.seed,
+        deadline=(
+            time.perf_counter() + opts.time_budget
+            if opts.time_budget is not None
+            else None
+        ),
+        backend=opts.backend,
+    )
+    with span("engine.dispatch") as sp:
+        outcome = evaluate(hg, opts.method, ctx)
+        if sp.recording:
+            sp.set(method=str(opts.method), winner=outcome.winner)
+    return outcome
+
+
+def _fresh(
+    hg: TaskHypergraph, opts: SolveOptions
+) -> tuple[HyperSemiMatching, dict]:
+    """Solve ``hg`` afresh: the matching and its provenance record,
+    ``winner``, ``entries`` (a ``(method, makespan, time_s)`` row per
+    raced portfolio entry, or None) and ``stats``, the result's
+    ``SolveResult.stats``."""
+    with (
+        collect_timings() as timings,
+        tally_moves() as tally,
+        measured_span("engine.solve") as sp,
+    ):
+        outcome = _evaluate(hg, opts)
+    stats = {"solve_s": sp.duration_s, "cache_hit": False}
     stats.update(search_stats(tally, outcome.matching))
-    if timings:
-        compile_s = timings.get("kernels.compile")
-        if compile_s is not None:
-            stats["compile_s"] = compile_s
-    return stats
+    if "kernels.compile" in timings:
+        stats["compile_s"] = timings["kernels.compile"]
+    entries = outcome.entries
+    return outcome.matching, {
+        "winner": outcome.winner,
+        "entries": (
+            None
+            if entries is None
+            else [(e.method, e.makespan, e.time_s) for e in entries]
+        ),
+        "stats": stats,
+    }
 
 
-def _ls_stats(stats: dict) -> dict:
-    """``stats``' local-search counters, cached so a hit has them."""
-    return {k: stats[k] for k in ("ls_moves", "ls_capped") if k in stats}
+def _result(
+    hg: TaskHypergraph,
+    answer: Any,
+    record: dict,
+    opts: SolveOptions,
+    *,
+    cache_hit: bool = False,
+) -> SolveResult:
+    """The :class:`SolveResult` of ``answer`` (a matching, or its
+    assignment over ``hg``): ``record`` is :func:`_fresh`'s, or on a
+    cache hit the cache's flat projection of one."""
+    if cache_hit:
+        stats = {"solve_s": 0.0, "cache_hit": True}
+        stats.update((k, record[k]) for k in _LS_KEYS if k in record)
+    else:
+        stats = record["stats"]
+    entries = record.get("entries")
+    return SolveResult(
+        matching=(
+            answer
+            if isinstance(answer, HyperSemiMatching)
+            else HyperSemiMatching(hg, answer)
+        ),
+        options=opts,
+        winner=record.get("winner"),
+        wall_time_s=stats["solve_s"],
+        cache_hit=cache_hit,
+        portfolio=tuple(EntryStat(*e) for e in entries) if entries else None,
+        stats=stats,
+    )
 
 
 def _solve_chunk(
     items: list, options: SolveOptions, trace_ctx: tuple | None = None
 ) -> tuple[list[tuple], list[dict] | None]:
-    """Worker payload: solve a chunk, return (assignment, meta) pairs
+    """Worker payload: solve a chunk, return (assignment, record) pairs
     plus any spans recorded under the shipped trace context.
 
     Each item is either a pickled :class:`TaskHypergraph` or a
     shared-memory descriptor (see :mod:`repro.engine.transport`); the
     two may be mixed within one chunk, since the transport decision is
-    per-instance.  Returning bare ``hedge_of_task`` arrays plus a small
-    provenance dict (rather than full matchings) keeps the result
-    pickle small; the parent rebuilds — and thereby re-validates — each
-    :class:`HyperSemiMatching` against its own copy of the instance.
+    per-instance.  Returning bare ``hedge_of_task`` arrays plus
+    :func:`_fresh`'s small record (rather than full matchings) keeps
+    the result pickle small; the parent rebuilds — and thereby
+    re-validates — each :class:`HyperSemiMatching` against its own copy
+    of the instance.
 
     ``trace_ctx`` is the parent's ``(trace_id, span_id)`` (or ``None``
     when tracing is off): worker-side spans join that trace, come back
@@ -155,14 +219,8 @@ def _solve_chunk(
     with adopt(trace_ctx) as shipped:
         for item in items:
             hg = attach_instance(item) if is_descriptor(item) else item
-            with collect_timings() as timings, tally_moves() as tally:
-                with measured_span("engine.solve") as sp:
-                    outcome = solve_hypergraph_outcome(hg, options)
-            meta = _outcome_meta(outcome, sp.duration_s)
-            meta["stats"] = _solve_stats(
-                sp.duration_s, timings, tally, outcome
-            )
-            out.append((outcome.matching.hedge_of_task, meta))
+            matching, record = _fresh(hg, options)
+            out.append((matching.hedge_of_task, record))
     return out, shipped
 
 
@@ -308,12 +366,8 @@ class BatchSolver:
                     keys[i] = key
                     hit = self.cache.get(key)
                     if hit is not None:
-                        results[i] = self._result(
-                            hg,
-                            hit.assignment,
-                            hit.meta,
-                            opts,
-                            cache_hit=True,
+                        results[i] = _result(
+                            hg, hit.assignment, hit.meta, opts, cache_hit=True
                         )
                         continue
                 pending.append(i)
@@ -325,48 +379,19 @@ class BatchSolver:
                 )
 
             # 2. solve the rest, pooled when it pays off
-            if pending:
-                if self.inline or len(pending) == 1:
-                    for i in pending:
-                        with (
-                            collect_timings() as timings,
-                            tally_moves() as tally,
-                            measured_span("engine.solve") as sp,
-                        ):
-                            outcome = solve_hypergraph_outcome(
-                                pairs[i][1], opts
-                            )
-                        results[i] = SolveResult(
-                            matching=outcome.matching,
-                            options=opts,
-                            winner=outcome.winner,
-                            wall_time_s=sp.duration_s,
-                            portfolio=outcome.entries,
-                            stats=_solve_stats(
-                                sp.duration_s, timings, tally, outcome
-                            ),
-                        )
-                else:
-                    self._solve_pooled(pairs, pending, opts, results)
+            if self.inline or len(pending) <= 1:
+                fresh = [_fresh(pairs[i][1], opts) for i in pending]
+            else:
+                fresh = self._solve_pooled(pairs, pending, opts)
+            for i, (answer, record) in zip(pending, fresh):
+                res = results[i] = _result(pairs[i][1], answer, record, opts)
                 if self.cache is not None:
-                    for i in pending:
-                        res = _checked(results[i])
-                        self.cache.put(
-                            keys[i],
-                            res.matching.hedge_of_task,
-                            {
-                                "winner": res.winner,
-                                "entries": (
-                                    [
-                                        (e.method, e.makespan, e.time_s)
-                                        for e in res.portfolio
-                                    ]
-                                    if res.portfolio is not None
-                                    else None
-                                ),
-                                **_ls_stats(res.stats),
-                            },
-                        )
+                    stats = record["stats"]
+                    self.cache.put(keys[i], res.hedge_of_task, {
+                        "winner": record["winner"],
+                        "entries": record["entries"],
+                        **{k: stats[k] for k in _LS_KEYS if k in stats},
+                    })
 
         out = []
         for (problem, _), result in zip(pairs, results):
@@ -377,37 +402,6 @@ class BatchSolver:
         return out
 
     # ------------------------------------------------------------------
-    def _result(
-        self,
-        hg: TaskHypergraph,
-        assignment,
-        meta: dict,
-        opts: SolveOptions,
-        *,
-        cache_hit: bool = False,
-    ) -> SolveResult:
-        entries = meta.get("entries")
-        stats = meta.get("stats")
-        if cache_hit or stats is None:
-            stats = {
-                "solve_s": 0.0 if cache_hit else meta.get("time_s", 0.0),
-                "cache_hit": cache_hit,
-                **_ls_stats(meta),
-            }
-        return SolveResult(
-            matching=HyperSemiMatching(hg, assignment),
-            options=opts,
-            winner=meta.get("winner"),
-            wall_time_s=0.0 if cache_hit else meta.get("time_s", 0.0),
-            cache_hit=cache_hit,
-            portfolio=(
-                tuple(EntryStat(*e) for e in entries)
-                if entries
-                else None
-            ),
-            stats=dict(stats),
-        )
-
     def _payloads(
         self,
         pairs: list[tuple[SchedulingProblem | None, TaskHypergraph]],
@@ -436,8 +430,9 @@ class BatchSolver:
         pairs: list[tuple[SchedulingProblem | None, TaskHypergraph]],
         pending: list[int],
         opts: SolveOptions,
-        results: list[SolveResult | None],
-    ) -> None:
+    ) -> list[tuple]:
+        """The workers' ``(assignment, record)`` pairs, in ``pending``
+        order."""
         n_workers = min(self.max_workers, len(pending))
         chunk = -(-len(pending) // (4 * n_workers))
         chunks = [
@@ -456,13 +451,12 @@ class BatchSolver:
                 )
                 for idxs in chunks
             ]
-            for idxs, future in zip(chunks, futures):
+            out: list[tuple] = []
+            for future in futures:
                 chunk_out, shipped = future.result()
                 ingest(shipped)
-                for i, (assignment, meta) in zip(idxs, chunk_out):
-                    results[i] = self._result(
-                        pairs[i][1], assignment, meta, opts
-                    )
+                out += chunk_out
+            return out
         finally:
             for digest in held:
                 self._exports.release(digest)
@@ -548,8 +542,8 @@ def solve_many(
 
 
 def default_engine() -> BatchSolver:
-    """The lazily-created engine behind :func:`repro.sched.solve` and
-    :func:`repro.api.solve`.
+    """The lazily-created engine behind :func:`repro.solve` (that is,
+    :func:`repro.api.solve`).
 
     Serial (single-instance calls gain nothing from a pool) but sharing
     the process-wide result cache, so ``solve()`` calls, batch runs and
@@ -564,3 +558,21 @@ def default_engine() -> BatchSolver:
                 max_workers=1, executor="serial", cache=True
             )
         return _DEFAULT_ENGINE
+
+
+def solve_hypergraph(
+    hg: TaskHypergraph,
+    *,
+    options: SolveOptions | None = None,
+    **fields: Any,
+) -> HyperSemiMatching:
+    """Solve one hypergraph instance, uncached, and return the bare
+    matching (bit-identical to a :class:`BatchSolver` answer).
+
+    Pass a prepared :class:`~repro.api.SolveOptions` via ``options=`` or
+    its fields as keywords (``method=``, ``seed=``, ``time_budget=``,
+    ``backend=``), not both.  A
+    :class:`~repro.dynamic.DynamicInstance` solves its current version.
+    """
+    opts = SolveOptions.merge(options, fields).normalized()
+    return _evaluate(BatchSolver._coerce(hg)[1], opts).matching

@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         from ..core.bipartite import BipartiteGraph
         from ..core.hypergraph import TaskHypergraph
         from ..dynamic import DynamicInstance, IncrementalSolver, load_trace
-        from ..engine.dispatch import solve_hypergraph
+        from ..engine import solve_hypergraph
 
         def baseline_and_trace():
             baseline, mutations = load_trace(args.trace)

@@ -314,11 +314,6 @@ class CompiledKernels:
     def n_hedges(self) -> int:
         return self.hypergraph.n_hedges
 
-    def task_slice(self, v: int) -> tuple[int, int]:
-        """Grouped-position range of task ``v``'s candidates."""
-        ptr = self.hypergraph.task_ptr
-        return int(ptr[v]), int(ptr[v + 1])
-
     def decompile(self) -> TaskHypergraph:
         """Rebuild an equal :class:`TaskHypergraph` from the grouped
         arrays and the bound instance's weights (round-trip property:

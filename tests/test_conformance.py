@@ -32,7 +32,7 @@ from repro.core.validation import (
 )
 from repro.algorithms.lower_bounds import averaged_work_bound
 from repro.dynamic import DynamicInstance, IncrementalSolver
-from repro.engine.dispatch import solve_hypergraph
+from repro.engine import solve_hypergraph
 from repro.generators import (
     churn_trace,
     double_sorted_fooler,

@@ -37,7 +37,7 @@ from repro.dynamic import (
     trace_of,
 )
 from repro.engine.cache import ResultCache, instance_digest
-from repro.engine.dispatch import solve_hypergraph
+from repro.engine import solve_hypergraph
 from repro.generators import churn_trace, generate_multiproc
 
 from strategies import apply_random_mutations, random_hypergraph
@@ -396,6 +396,30 @@ class TestIncrementalSolver:
         inst.rollback(mark + 4)
         assert solver.stats.full_solves == 3
         assert_consistent(inst, solver)
+
+    def test_rollback_to_a_checkpoint_restores_the_stats(self):
+        """The repair counters follow the state: a rollback landing on
+        the checkpoint restores them in place (callers keep reading the
+        same ``solver.stats``), so a rolled-back batch's repairs no
+        longer count."""
+        hg = generate_multiproc(
+            96, 24, family="fewgmanyg", g=4, weights="related", seed=5
+        )
+        trace = churn_trace(hg, 40, seed=3)
+        inst = DynamicInstance.from_hypergraph(hg)
+        solver = IncrementalSolver(inst, method="EVG")
+        stats = solver.stats
+        inst.replay(trace[:16])
+        solver.checkpoint()
+        before = stats.as_dict()
+        mark = inst.snapshot()
+        inst.replay(trace[16:32])
+        assert stats.as_dict() != before
+        inst.rollback(mark)
+        solver.sync()
+        assert solver.stats is stats
+        assert stats.as_dict() == before
+        assert stats.mutations == len(inst.journal) == 16
 
     def test_rollback_forces_resync(self):
         inst = DynamicInstance.from_hypergraph(small_hg(2))

@@ -92,6 +92,53 @@ class TestBatchEquality:
         for a, b in zip(batched, sequential):
             assert np.array_equal(a.hedge_of_task, b.hedge_of_task)
 
+    @pytest.mark.parametrize(
+        "method", ["SGH+ls", "grasp", "portfolio(SGH,EVG+ls)"]
+    )
+    def test_inline_pooled_and_cached_answers_share_one_record(
+        self, method
+    ):
+        """An inline and a pooled engine give each fresh answer the same
+        provenance, and a cache hit of it keeps the winner, the
+        portfolio rows and the local-search counters."""
+        from repro.generators import generate_multiproc
+
+        hgs = [generate_multiproc(64, 16, g=4, seed=s) for s in (0, 1)]
+
+        def record(r):
+            rows = r.portfolio and [
+                (e.method, e.makespan) for e in r.portfolio
+            ]
+            ls = {
+                k: r.stats[k] for k in ("ls_moves", "ls_capped")
+                if k in r.stats
+            }
+            return r.winner, rows, ls
+
+        runs = []
+        for workers in (1, 2):
+            with BatchSolver(
+                max_workers=workers, cache=ResultCache()
+            ) as engine:
+                fresh = engine.solve_many(hgs, method=method)
+                pooled = engine.worker_pids()
+                hits = engine.solve_many(hgs, method=method)
+            assert bool(pooled) == (workers == 2)
+            runs.append((fresh, hits))
+        (inline, inline_hits), (pool, pool_hits) = runs
+        for a, b in zip(inline, pool):
+            assert not a.cache_hit and not b.cache_hit
+            assert np.array_equal(a.hedge_of_task, b.hedge_of_task)
+            assert record(a) == record(b)
+        assert any(record(r)[2] for r in inline)
+        for fresh, hits in runs:
+            for f, h in zip(fresh, hits):
+                assert h.cache_hit
+                assert record(h) == record(f)
+                assert h.stats == {
+                    "solve_s": 0.0, "cache_hit": True, **record(f)[2]
+                }
+
     def test_problems_yield_schedules(self, problems):
         engine = BatchSolver(max_workers=1, cache=False)
         out = engine.solve_many(problems)

@@ -72,7 +72,7 @@ class TestCompiledKernels:
         ci = compile_instance(hg)
         assert ci.hypergraph is hg  # bound to the instance asked for
         for v in range(hg.n_tasks):
-            a, b = ci.task_slice(v)
+            a, b = int(hg.task_ptr[v]), int(hg.task_ptr[v + 1])
             assert np.array_equal(ci.g_hedge[a:b], hg.task_hedge_ids(v))
             union = set()
             for k in range(a, b):

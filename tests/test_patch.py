@@ -69,7 +69,7 @@ def assert_identical_compilation(inst: DynamicInstance) -> None:
     digest = instance_digest(oracle.hypergraph)
     assert inst.digest() == digest
     # the kernels every solver of this version shares vs a fresh compile
-    ck = inst.compiled_kernels()
+    ck = compile_instance(inst.to_hypergraph())
     assert ck.hypergraph is compiled.hypergraph  # bound to this version
     structure = structure_digest(oracle.hypergraph)
     ok = _compile(oracle.hypergraph, structure)
@@ -187,7 +187,7 @@ class TestLifecycleEdges:
 
     def test_rollback_across_compaction_recompiles_identically(self):
         inst = _fresh()
-        baseline = inst.compiled_kernels()
+        baseline = compile_instance(inst.to_hypergraph())
         compactions = _count_compactions(inst)
         marker = inst.snapshot()
         for task in inst.tasks()[:12]:
@@ -197,7 +197,7 @@ class TestLifecycleEdges:
         assert_identical_compilation(inst)
         inst.rollback(marker)
         assert_identical_compilation(inst)
-        assert inst.compiled_kernels().digest == baseline.digest
+        assert compile_instance(inst.to_hypergraph()).digest == baseline.digest
 
     def test_from_state_round_trip_compiles_identically(self):
         inst = _fresh()
@@ -218,7 +218,7 @@ class TestLifecycleEdges:
         must still be able to write it."""
         inst = _fresh()
         inst.digest()
-        inst.compiled_kernels()
+        compile_instance(inst.to_hypergraph())
         task = inst.tasks()[0]
         idx, _pins, w = inst.task_configs(task)[0]
         inst.update_weight(task, idx, w + 1.0)
@@ -265,11 +265,11 @@ class TestAssignmentToDense:
 
 
 def test_compiled_kernels_is_the_cached_compile():
-    """``compiled_kernels()`` goes through the compile cache under the
-    snapshot's structure digest, so a solver compiling
-    ``to_hypergraph()`` gets the very same artifact."""
+    """Compiling a version's ``to_hypergraph()`` goes through the
+    compile cache under the snapshot's structure digest, so every
+    solver of that version gets the very same artifact."""
     hg = generate_multiproc(16, 8, g=4, seed=29)
     inst = DynamicInstance.from_hypergraph(hg)
     inst.add_processor()
-    kernels = inst.compiled_kernels()
+    kernels = compile_instance(inst.to_hypergraph())
     assert compile_instance(inst.to_hypergraph()) is kernels

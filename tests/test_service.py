@@ -806,6 +806,30 @@ class TestSessions:
                 assert after["n_procs"] == before["n_procs"] == 1
                 assert after["bottleneck"] == before["bottleneck"]
 
+    def test_failed_batch_leaves_the_repair_counters(self):
+        """A failing batch is rolled back with its repairs: the
+        session's ``repair`` block reads as before the batch, so its
+        ``mutations`` stays the committed count."""
+        from repro.service.sessions import SessionManager
+
+        hg = generate_multiproc(
+            256, 64, family="fewgmanyg", g=8, weights="related", seed=0
+        )
+        trace = [m.to_dict() for m in churn_trace(hg, 73, seed=1)]
+        manager = SessionManager()
+        sid = manager.open(
+            {"baseline": instance_to_wire(hg), "method": "EVG"}, owner=1
+        )["session"]
+        for k in range(4):
+            info = manager.mutate(sid, trace[16 * k : 16 * k + 16], owner=1)
+        assert info["repair"]["mutations"] == info["mutations"] == 64
+        with pytest.raises(ProtocolError):
+            manager.mutate(sid, trace[64:] + ["not a record"], owner=1)
+        after = manager.mutate(sid, [], owner=1)
+        assert after["repair"] == info["repair"]
+        assert after["bottleneck"] == info["bottleneck"]
+        manager.close(sid, owner=1)
+
     @settings(
         max_examples=25, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],

@@ -397,16 +397,12 @@ def _dispatched_options(fields):
     """The normalized options :func:`solve_hypergraph` hands the engine."""
     from unittest import mock
 
-    import repro.engine.dispatch as dispatch
+    import repro.engine.batch as batch
 
-    with mock.patch.object(
-        dispatch,
-        "solve_hypergraph_outcome",
-        wraps=dispatch.solve_hypergraph_outcome,
-    ) as spy:
+    with mock.patch.object(batch, "_evaluate", wraps=batch._evaluate) as spy:
         solve_hypergraph(_TINY, **fields)
     _hg, options = spy.call_args.args
-    return options.normalized()
+    return options
 
 
 _TINY = random_hypergraph(np.random.default_rng(5), max_tasks=4)
